@@ -29,7 +29,9 @@
 //
 // The implementation lives in internal packages, re-exported here:
 //
-//   - internal/core — the rate-based decision model (Algorithm 1)
+//   - internal/core — the rate-based decision model (Algorithm 1) and the
+//     one level-selection seam every layer shares: Policy, the Window a
+//     driver observes, and the ObserveWindow dispatch
 //   - internal/stream — block framing, adaptive Writer/Reader
 //   - internal/compress — codec ladder: from-scratch LZ77 (lzfast, the
 //     QuickLZ stand-in), LZ77+range-coder (lzheavy, the LZMA stand-in),

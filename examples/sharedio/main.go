@@ -28,7 +28,7 @@ func main() {
 		fmt.Printf("=== %s data (%s-like) ===\n", kind, kind.FileName())
 		fmt.Printf("%8s %10s %16s %12s %9s\n", "bg conns", "NO", "best static", "DYNAMIC", "speedup")
 		for bg := 0; bg <= 3; bg++ {
-			run := func(s cloudsim.Scheme) float64 {
+			run := func(s core.Policy) float64 {
 				res, err := cloudsim.RunTransfer(cloudsim.TransferConfig{
 					Platform:   cloudsim.KVMParavirt,
 					Kind:       cloudsim.ConstantKind(kind),
@@ -43,10 +43,10 @@ func main() {
 				}
 				return res.CompletionSeconds
 			}
-			no := run(cloudsim.StaticScheme(0))
+			no := run(core.Static(0))
 			bestT, bestName := no, "NO"
 			for lvl := 1; lvl < 4; lvl++ {
-				if t := run(cloudsim.StaticScheme(lvl)); t < bestT {
+				if t := run(core.Static(lvl)); t < bestT {
 					bestT, bestName = t, names[lvl]
 				}
 			}

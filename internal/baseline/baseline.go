@@ -20,15 +20,18 @@
 //   - Wiseman, Schwan & Widener (2004): a short sampling phase measures
 //     each level once, then hard-coded parameters fix the choice.
 //
-// All types implement cloudsim.Scheme and cloudsim.MetricsScheme, so they
+// All types implement core.Policy — the metric-driven three as
+// core.WindowPolicy, reading the window's guest-displayed metrics — so they
 // run in the identical transfer engine as the paper's DYNAMIC scheme for
-// the A4 ablation (DESIGN.md).
+// the A4 ablation (DESIGN.md). A window that carries no guest metrics (a
+// rate-only Observe, the file and fleet simulators) leaves them where they
+// are: their sensors are the only thing they decide from.
 package baseline
 
 import (
 	"fmt"
 
-	"adaptio/internal/cloudsim"
+	"adaptio/internal/core"
 )
 
 // Training holds what an offline calibration phase on a verifiably unloaded
@@ -84,9 +87,6 @@ type NCTCSys struct {
 	// MinIdlePct backs compression off when the displayed server load is
 	// high (i.e. displayed idle is low).
 	MinIdlePct float64
-
-	haveMetrics bool
-	bw, idle    float64
 }
 
 // NewNCTCSys returns the scheme with thresholds scaled to gigabit links.
@@ -100,32 +100,30 @@ func NewNCTCSys(levels int) *NCTCSys {
 	}
 }
 
-// Level implements cloudsim.Scheme.
+// Level implements core.Policy.
 func (n *NCTCSys) Level() int { return n.level }
 
-// ObserveMetrics implements cloudsim.MetricsScheme.
-func (n *NCTCSys) ObserveMetrics(m cloudsim.GuestMetrics) {
-	n.bw = m.DisplayedBandwidthMBps
-	n.idle = m.DisplayedIdlePct
-	n.haveMetrics = true
-}
+// Observe implements core.Policy.
+func (n *NCTCSys) Observe(rate float64) int { return n.ObserveWindow(core.Window{Rate: rate}) }
 
-// Observe implements cloudsim.Scheme. The application data rate is ignored:
-// NCTCSys decides from its sensors only.
-func (n *NCTCSys) Observe(float64) int {
-	if !n.haveMetrics {
+// ObserveWindow implements core.WindowPolicy. The application data rate is
+// ignored: NCTCSys decides from its sensors only.
+func (n *NCTCSys) ObserveWindow(w core.Window) int {
+	if w.Guest == nil {
 		return n.level
 	}
+	m := w.Guest()
+	bw, idle := m.DisplayedBandwidthMBps, m.DisplayedIdlePct
 	lvl := 0
 	switch {
-	case n.bw < n.BWHeavy:
+	case bw < n.BWHeavy:
 		lvl = 3
-	case n.bw < n.BWMedium:
+	case bw < n.BWMedium:
 		lvl = 2
-	case n.bw < n.BWLight:
+	case bw < n.BWLight:
 		lvl = 1
 	}
-	if n.idle < n.MinIdlePct && lvl > 0 {
+	if idle < n.MinIdlePct && lvl > 0 {
 		lvl-- // server loaded: back off one level
 	}
 	if lvl > n.maxLevel {
@@ -146,10 +144,6 @@ func (n *NCTCSys) Observe(float64) int {
 type KrintzSucu struct {
 	training Training
 	level    int
-
-	haveMetrics bool
-	idleFrac    float64
-	bw          float64
 }
 
 // NewKrintzSucu builds the scheme from an offline training run.
@@ -160,27 +154,25 @@ func NewKrintzSucu(t Training) (*KrintzSucu, error) {
 	return &KrintzSucu{training: t}, nil
 }
 
-// Level implements cloudsim.Scheme.
+// Level implements core.Policy.
 func (k *KrintzSucu) Level() int { return k.level }
 
-// ObserveMetrics implements cloudsim.MetricsScheme.
-func (k *KrintzSucu) ObserveMetrics(m cloudsim.GuestMetrics) {
-	k.idleFrac = m.DisplayedIdlePct / 100
-	k.bw = m.DisplayedBandwidthMBps
-	k.haveMetrics = true
-}
+// Observe implements core.Policy.
+func (k *KrintzSucu) Observe(rate float64) int { return k.ObserveWindow(core.Window{Rate: rate}) }
 
-// Observe implements cloudsim.Scheme.
-func (k *KrintzSucu) Observe(float64) int {
-	if !k.haveMetrics {
+// ObserveWindow implements core.WindowPolicy.
+func (k *KrintzSucu) ObserveWindow(w core.Window) int {
+	if w.Guest == nil {
 		return k.level
 	}
+	m := w.Guest()
+	idleFrac, bw := m.DisplayedIdlePct/100, m.DisplayedBandwidthMBps
 	best, bestRate := 0, 0.0
 	for l := 0; l < k.training.Levels(); l++ {
 		// Estimated pipeline rate: compression limited by the CPU the
 		// guest *believes* is free; network carries ratio-scaled bytes.
-		comp := k.training.CompMBps[l] * k.idleFrac
-		net := k.bw / k.training.Ratio[l]
+		comp := k.training.CompMBps[l] * idleFrac
+		net := bw / k.training.Ratio[l]
 		rate := comp
 		if net < rate {
 			rate = net
@@ -213,10 +205,6 @@ type Jeannot struct {
 	// TrendMB is the hysteresis: the queue must move by this much per
 	// window before the level changes.
 	TrendMB float64
-
-	haveMetrics bool
-	produceMB   float64 // wire MB produced into the queue this window
-	drainMB     float64 // wire MB drained by the network this window
 }
 
 // NewJeannot builds the queue-trend scheme.
@@ -227,24 +215,22 @@ func NewJeannot(t Training) (*Jeannot, error) {
 	return &Jeannot{training: t, QueueCapMB: 64, TrendMB: 1}, nil
 }
 
-// Level implements cloudsim.Scheme.
+// Level implements core.Policy.
 func (j *Jeannot) Level() int { return j.level }
 
-// ObserveMetrics implements cloudsim.MetricsScheme.
-func (j *Jeannot) ObserveMetrics(m cloudsim.GuestMetrics) {
-	ratio := j.training.Ratio[j.level]
-	j.produceMB = m.CompressorMBps * ratio * m.WindowSeconds
-	j.drainMB = m.NetDrainMBps * m.WindowSeconds
-	j.haveMetrics = true
-}
+// Observe implements core.Policy.
+func (j *Jeannot) Observe(rate float64) int { return j.ObserveWindow(core.Window{Rate: rate}) }
 
-// Observe implements cloudsim.Scheme.
-func (j *Jeannot) Observe(float64) int {
-	if !j.haveMetrics {
+// ObserveWindow implements core.WindowPolicy.
+func (j *Jeannot) ObserveWindow(w core.Window) int {
+	if w.Guest == nil {
 		return j.level
 	}
+	m := w.Guest()
+	produceMB := m.CompressorMBps * j.training.Ratio[j.level] * m.WindowSeconds // wire MB into the queue
+	drainMB := m.NetDrainMBps * m.WindowSeconds                                 // wire MB the network took out
 	j.prevQueue = j.queueMB
-	j.queueMB += j.produceMB - j.drainMB
+	j.queueMB += produceMB - drainMB
 	if j.queueMB < 0 {
 		j.queueMB = 0
 	}
@@ -283,10 +269,10 @@ func NewWiseman(levels int) (*Wiseman, error) {
 	return &Wiseman{levels: levels, sampled: make([]float64, levels)}, nil
 }
 
-// Level implements cloudsim.Scheme.
+// Level implements core.Policy.
 func (w *Wiseman) Level() int { return w.level }
 
-// Observe implements cloudsim.Scheme.
+// Observe implements core.Policy.
 func (w *Wiseman) Observe(rate float64) int {
 	if w.phase < w.levels {
 		// Record the rate observed at the level just run and advance

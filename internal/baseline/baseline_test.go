@@ -11,11 +11,16 @@ import (
 
 // Interface conformance: all baselines must drop into the transfer engine.
 var (
-	_ cloudsim.MetricsScheme = (*baseline.NCTCSys)(nil)
-	_ cloudsim.MetricsScheme = (*baseline.KrintzSucu)(nil)
-	_ cloudsim.MetricsScheme = (*baseline.Jeannot)(nil)
-	_ cloudsim.Scheme        = (*baseline.Wiseman)(nil)
+	_ core.WindowPolicy = (*baseline.NCTCSys)(nil)
+	_ core.WindowPolicy = (*baseline.KrintzSucu)(nil)
+	_ core.WindowPolicy = (*baseline.Jeannot)(nil)
+	_ core.Policy       = (*baseline.Wiseman)(nil)
 )
+
+// guest is a window whose only content is the given displayed metrics.
+func guest(m core.GuestMetrics) core.Window {
+	return core.Window{Guest: func() core.GuestMetrics { return m }}
+}
 
 func TestTrainingValidate(t *testing.T) {
 	if err := baseline.DefaultTraining().Validate(); err != nil {
@@ -62,8 +67,7 @@ func TestNCTCSysThresholds(t *testing.T) {
 		{bw: 10, idle: 10, want: 1}, // loaded server backs off one level
 	}
 	for _, c := range cases {
-		n.ObserveMetrics(cloudsim.GuestMetrics{DisplayedBandwidthMBps: c.bw, DisplayedIdlePct: c.idle})
-		if got := n.Observe(0); got != c.want {
+		if got := n.ObserveWindow(guest(core.GuestMetrics{DisplayedBandwidthMBps: c.bw, DisplayedIdlePct: c.idle})); got != c.want {
 			t.Errorf("bw=%v idle=%v: level %d, want %d", c.bw, c.idle, got, c.want)
 		}
 	}
@@ -83,18 +87,15 @@ func TestKrintzSucuPicksByTrainedModel(t *testing.T) {
 	}
 	// Plenty of displayed idle, gigabit-class bandwidth: trained model
 	// says LIGHT maximizes min(comp*idle, bw/ratio).
-	k.ObserveMetrics(cloudsim.GuestMetrics{DisplayedIdlePct: 90, DisplayedBandwidthMBps: 88})
-	if got := k.Observe(0); got != 1 {
+	if got := k.ObserveWindow(guest(core.GuestMetrics{DisplayedIdlePct: 90, DisplayedBandwidthMBps: 88})); got != 1 {
 		t.Fatalf("unloaded gigabit: level %d, want 1 (LIGHT)", got)
 	}
 	// Starved network: heavy compression pays off in the trained model.
-	k.ObserveMetrics(cloudsim.GuestMetrics{DisplayedIdlePct: 90, DisplayedBandwidthMBps: 2})
-	if got := k.Observe(0); got != 3 {
+	if got := k.ObserveWindow(guest(core.GuestMetrics{DisplayedIdlePct: 90, DisplayedBandwidthMBps: 2})); got != 3 {
 		t.Fatalf("starved network: level %d, want 3 (HEAVY)", got)
 	}
 	// Displayed CPU exhausted: compression appears unaffordable.
-	k.ObserveMetrics(cloudsim.GuestMetrics{DisplayedIdlePct: 1, DisplayedBandwidthMBps: 88})
-	if got := k.Observe(0); got != 0 {
+	if got := k.ObserveWindow(guest(core.GuestMetrics{DisplayedIdlePct: 1, DisplayedBandwidthMBps: 88})); got != 0 {
 		t.Fatalf("no displayed idle: level %d, want 0", got)
 	}
 }
@@ -106,16 +107,14 @@ func TestJeannotFollowsQueueTrend(t *testing.T) {
 	}
 	// Compressor far outruns the network: queue grows, level rises.
 	for i := 0; i < 3; i++ {
-		j.ObserveMetrics(cloudsim.GuestMetrics{CompressorMBps: 500, NetDrainMBps: 10, WindowSeconds: 2})
-		j.Observe(0)
+		j.ObserveWindow(guest(core.GuestMetrics{CompressorMBps: 500, NetDrainMBps: 10, WindowSeconds: 2}))
 	}
 	if j.Level() == 0 {
 		t.Fatal("growing queue did not raise the level")
 	}
 	// Network far outruns the compressor: queue drains, level falls.
 	for i := 0; i < 6; i++ {
-		j.ObserveMetrics(cloudsim.GuestMetrics{CompressorMBps: 1, NetDrainMBps: 100, WindowSeconds: 2})
-		j.Observe(0)
+		j.ObserveWindow(guest(core.GuestMetrics{CompressorMBps: 1, NetDrainMBps: 100, WindowSeconds: 2}))
 	}
 	if j.Level() != 0 {
 		t.Fatalf("draining queue did not lower the level, at %d", j.Level())
@@ -148,12 +147,12 @@ func TestWisemanSamplesThenLocks(t *testing.T) {
 }
 
 // runScheme executes a scheme in the real transfer engine.
-func runScheme(t *testing.T, s cloudsim.Scheme, kind corpus.Kind, bg int) float64 {
+func runScheme(t *testing.T, s core.Policy, kind corpus.Kind, bg int) float64 {
 	t.Helper()
 	return runSchemeOn(t, cloudsim.KVMParavirt, s, kind, bg)
 }
 
-func runSchemeOn(t *testing.T, p cloudsim.Platform, s cloudsim.Scheme, kind corpus.Kind, bg int) float64 {
+func runSchemeOn(t *testing.T, p cloudsim.Platform, s core.Policy, kind corpus.Kind, bg int) float64 {
 	t.Helper()
 	res, err := cloudsim.RunTransfer(cloudsim.TransferConfig{
 		Platform:   p,
@@ -176,7 +175,7 @@ func runSchemeOn(t *testing.T, p cloudsim.Platform, s cloudsim.Scheme, kind corp
 // lands measurably above the optimal static NO level, while the rate-based
 // DYNAMIC scheme stays within the paper's 22% bound.
 func TestBaselinesMisledOnIncompressibleData(t *testing.T) {
-	no := runScheme(t, cloudsim.StaticScheme(0), corpus.Low, 0)
+	no := runScheme(t, core.Static(0), corpus.Low, 0)
 
 	k, _ := baseline.NewKrintzSucu(baseline.DefaultTraining())
 	ks := runScheme(t, k, corpus.Low, 0)
@@ -212,7 +211,7 @@ func TestMetricSchemesFlapOnEC2(t *testing.T) {
 func TestBaselinesRunEndToEnd(t *testing.T) {
 	train := baseline.DefaultTraining()
 	for _, kind := range corpus.Kinds() {
-		schemes := map[string]cloudsim.Scheme{}
+		schemes := map[string]core.Policy{}
 		schemes["nctcsys"] = baseline.NewNCTCSys(4)
 		k, _ := baseline.NewKrintzSucu(train)
 		schemes["krintz"] = k

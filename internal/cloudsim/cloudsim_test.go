@@ -11,7 +11,7 @@ import (
 
 const fiftyGB = 50e9 // the paper's 50 GB data volume
 
-func run(t *testing.T, kind corpus.Kind, bg int, scheme Scheme, seed uint64) TransferResult {
+func run(t *testing.T, kind corpus.Kind, bg int, scheme core.Policy, seed uint64) TransferResult {
 	t.Helper()
 	res, err := RunTransfer(TransferConfig{
 		Platform:   KVMParavirt,
@@ -28,7 +28,7 @@ func run(t *testing.T, kind corpus.Kind, bg int, scheme Scheme, seed uint64) Tra
 	return res
 }
 
-func dynamic(t *testing.T) Scheme {
+func dynamic(t *testing.T) core.Policy {
 	t.Helper()
 	return core.MustNewDecider(core.Config{Levels: 4})
 }
@@ -44,13 +44,6 @@ func TestPlatformStrings(t *testing.T) {
 	}
 	if len(IOOps()) != 4 {
 		t.Fatal("expected 4 I/O operations")
-	}
-}
-
-func TestStaticScheme(t *testing.T) {
-	s := StaticScheme(2)
-	if s.Level() != 2 || s.Observe(123) != 2 {
-		t.Fatal("static scheme moved")
 	}
 }
 
@@ -96,7 +89,7 @@ func TestRunTransferValidation(t *testing.T) {
 		Platform:   KVMParavirt,
 		Kind:       ConstantKind(corpus.High),
 		TotalBytes: 1e9,
-		Scheme:     StaticScheme(0),
+		Scheme:     core.Static(0),
 		Profiles:   ReferenceProfiles(),
 	}
 	cases := []func(*TransferConfig){
@@ -104,7 +97,7 @@ func TestRunTransferValidation(t *testing.T) {
 		func(c *TransferConfig) { c.Scheme = nil },
 		func(c *TransferConfig) { c.Kind = nil },
 		func(c *TransferConfig) { c.Profiles = nil },
-		func(c *TransferConfig) { c.Scheme = StaticScheme(9) },
+		func(c *TransferConfig) { c.Scheme = core.Static(9) },
 		func(c *TransferConfig) { c.Platform = Platform(42) },
 	}
 	for i, mutate := range cases {
@@ -120,12 +113,12 @@ func TestRunTransferValidation(t *testing.T) {
 }
 
 func TestTransferDeterministicPerSeed(t *testing.T) {
-	a := run(t, corpus.Moderate, 1, StaticScheme(1), 42)
-	b := run(t, corpus.Moderate, 1, StaticScheme(1), 42)
+	a := run(t, corpus.Moderate, 1, core.Static(1), 42)
+	b := run(t, corpus.Moderate, 1, core.Static(1), 42)
 	if a.CompletionSeconds != b.CompletionSeconds {
 		t.Fatalf("same seed diverged: %v vs %v", a.CompletionSeconds, b.CompletionSeconds)
 	}
-	c := run(t, corpus.Moderate, 1, StaticScheme(1), 43)
+	c := run(t, corpus.Moderate, 1, core.Static(1), 43)
 	if a.CompletionSeconds == c.CompletionSeconds {
 		t.Fatal("different seeds produced identical noisy results")
 	}
@@ -142,7 +135,7 @@ func TestTableIIZeroConnCalibration(t *testing.T) {
 	}
 	for kind, want := range paper {
 		for lvl := 0; lvl < 4; lvl++ {
-			got := run(t, kind, 0, StaticScheme(lvl), 7).CompletionSeconds
+			got := run(t, kind, 0, core.Static(lvl), 7).CompletionSeconds
 			if rel := math.Abs(got-want[lvl]) / want[lvl]; rel > 0.08 {
 				t.Errorf("%v level %d: %0.f s vs paper %0.f s (%.0f%% off)",
 					kind, lvl, got, want[lvl], rel*100)
@@ -160,7 +153,7 @@ func TestTableIIShape(t *testing.T) {
 		for lvl := 0; lvl < 4; lvl++ {
 			var times [4]float64
 			for bg := 0; bg <= 3; bg++ {
-				times[bg] = run(t, kind, bg, StaticScheme(lvl), uint64(17+bg)).CompletionSeconds
+				times[bg] = run(t, kind, bg, core.Static(lvl), uint64(17+bg)).CompletionSeconds
 			}
 			grid[kind][lvl] = times
 		}
@@ -224,7 +217,7 @@ func TestDynamicWithin22Percent(t *testing.T) {
 		for bg := 0; bg <= 3; bg++ {
 			best := math.Inf(1)
 			for lvl := 0; lvl < 4; lvl++ {
-				if ct := run(t, kind, bg, StaticScheme(lvl), uint64(31+bg)).CompletionSeconds; ct < best {
+				if ct := run(t, kind, bg, core.Static(lvl), uint64(31+bg)).CompletionSeconds; ct < best {
 					best = ct
 				}
 			}
@@ -241,7 +234,7 @@ func TestDynamicWithin22Percent(t *testing.T) {
 // claim ("improved the overall application throughput up to a factor of 4"):
 // on highly compressible data under contention, DYNAMIC beats NO by >= 4x.
 func TestDynamicBeatsNoCompressionUpTo4x(t *testing.T) {
-	no := run(t, corpus.High, 3, StaticScheme(0), 3).CompletionSeconds
+	no := run(t, corpus.High, 3, core.Static(0), 3).CompletionSeconds
 	dyn := run(t, corpus.High, 3, dynamic(t), 3).CompletionSeconds
 	if no < 4*dyn {
 		t.Fatalf("HIGH bg=3: NO %.0f s vs DYNAMIC %.0f s — gain %.1fx < 4x", no, dyn, no/dyn)
@@ -319,7 +312,7 @@ func TestMaxSimSecondsGuard(t *testing.T) {
 		Platform:      KVMParavirt,
 		Kind:          ConstantKind(corpus.Low),
 		TotalBytes:    fiftyGB,
-		Scheme:        StaticScheme(3),
+		Scheme:        core.Static(3),
 		Profiles:      ReferenceProfiles(),
 		MaxSimSeconds: 10,
 	})

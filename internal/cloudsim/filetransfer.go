@@ -1,10 +1,10 @@
 package cloudsim
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
+	"adaptio/internal/corpus"
 	"adaptio/internal/xrand"
 )
 
@@ -33,122 +33,64 @@ type FileTransferResult struct {
 // of anything related to the disk. The experiment quantifies how badly this
 // distorts the rate-based decisions.
 func RunFileTransfer(cfg TransferConfig) (FileTransferResult, error) {
-	var res FileTransferResult
-	if cfg.TotalBytes <= 0 {
-		return res, errors.New("cloudsim: TotalBytes must be positive")
-	}
-	if cfg.Scheme == nil {
-		return res, errors.New("cloudsim: nil scheme")
-	}
-	if cfg.Kind == nil {
-		return res, errors.New("cloudsim: nil kind schedule")
-	}
-	if err := ValidateLadder(cfg.Profiles); err != nil {
-		return res, err
-	}
-	if cfg.WindowSeconds <= 0 {
-		cfg.WindowSeconds = 2
-	}
-	if cfg.MaxSimSeconds <= 0 {
-		cfg.MaxSimSeconds = 48 * 3600
-	}
 	disk, ok := diskTable[cfg.Platform]
 	if !ok {
-		return res, fmt.Errorf("cloudsim: unknown platform %v", cfg.Platform)
+		return FileTransferResult{}, fmt.Errorf("cloudsim: unknown platform %v", cfg.Platform)
 	}
-
 	rng := xrand.New(cfg.Seed ^ 0xF11E)
-	res.LevelSeconds = make([]float64, len(cfg.Profiles))
-	level := cfg.Scheme.Level()
-	if level < 0 || level >= len(cfg.Profiles) {
-		return res, fmt.Errorf("cloudsim: scheme starts at invalid level %d", level)
+	st := &fileStage{disk: disk, rng: rng}
+	tr, err := runWindows(cfg, 48*3600, rng, st)
+	res := FileTransferResult{TransferResult: tr}
+	if err != nil {
+		return res, err
 	}
-
-	// Host page cache state (XEN model): wire bytes buffered but not yet
-	// on disk. The flusher drains at disk speed continuously once dirty
-	// data exists.
-	var dirty float64
-	var sent int64
-	now := 0.0
-	prevLevel := level
-	for sent < cfg.TotalBytes {
-		if now > cfg.MaxSimSeconds {
-			return res, fmt.Errorf("cloudsim: file transfer exceeded %v simulated seconds", cfg.MaxSimSeconds)
-		}
-		kind := cfg.Kind(sent)
-		p := cfg.Profiles[level]
-		ratio := p.Ratio[kind]
-
-		cpuSec := (1/p.CompMBps[kind] + ratio/wireCPUMBps) * rng.NoiseFactor(0.012)
-		diskRate := disk.diskMBps * rng.NoiseFactor(disk.sigma) // wire MB/s to platters
-
-		var ingestWire float64 // wire MB/s the VM's writes are accepted at
-		if disk.hostCache {
-			if dirty < disk.dirtyLimit {
-				// Cache absorbs at RAM speed.
-				ingestWire = disk.cacheMBps * rng.NoiseFactor(0.10)
-			} else {
-				// Writeback throttling: the guest is stalled to a
-				// trickle until the flusher catches up.
-				ingestWire = disk.stallMBps * rng.NoiseFactor(0.30)
-			}
-		} else {
-			ingestWire = diskRate
-		}
-
-		appRate := 1 / math.Max(cpuSec, ratio/ingestWire)
-		windowBytes := int64(appRate * 1e6 * cfg.WindowSeconds)
-		if windowBytes < 1 {
-			windowBytes = 1
-		}
-		dt := cfg.WindowSeconds
-		if sent+windowBytes >= cfg.TotalBytes {
-			remaining := cfg.TotalBytes - sent
-			dt = float64(remaining) / (appRate * 1e6)
-			windowBytes = remaining
-		}
-		wireBytes := float64(windowBytes) * ratio
-
-		if disk.hostCache {
-			dirty += wireBytes / 1e6 * 1e6 // bytes
-			dirty -= diskRate * 1e6 * dt   // flusher drains continuously
-			if dirty < 0 {
-				dirty = 0
-			}
-		}
-
-		sent += windowBytes
-		now += dt
-		res.AppBytes += windowBytes
-		res.WireBytes += int64(wireBytes)
-		res.LevelSeconds[level] += dt
-		res.Windows++
-
-		appMBps := float64(windowBytes) / 1e6 / dt
-		if cfg.Trace != nil {
-			cfg.Trace(WindowSample{
-				Time:     now,
-				Level:    level,
-				AppMBps:  appMBps,
-				WireMBps: appMBps * ratio,
-				GuestCPU: senderGuestCPU(cfg.Platform, cpuSec, 0.5, appMBps, rng),
-				Kind:     kind,
-			})
-		}
-		level = cfg.Scheme.Observe(appMBps * 1e6)
-		if level < 0 || level >= len(cfg.Profiles) {
-			return res, fmt.Errorf("cloudsim: scheme chose invalid level %d", level)
-		}
-		if level != prevLevel {
-			res.LevelSwitches++
-			prevLevel = level
-		}
-	}
-	res.CompletionSeconds = now
-	res.CacheResidentAtCompletion = int64(dirty)
-	res.DurableSeconds = now
-	if dirty > 0 {
-		res.DurableSeconds = now + dirty/1e6/disk.diskMBps
-	}
+	res.CacheResidentAtCompletion = int64(st.dirty)
+	res.DurableSeconds = tr.CompletionSeconds + st.dirty/1e6/disk.diskMBps
 	return res, nil
+}
+
+// fileStage is RunFileTransfer's stage model: compression on the sender's
+// core in front of the platform's virtual disk. It displays no guest
+// metrics the related-work schemes could read.
+type fileStage struct {
+	disk diskParams
+	rng  *xrand.RNG
+	// dirty is the host page cache state (XEN model): wire bytes buffered
+	// but not yet on disk. The flusher drains at disk speed continuously
+	// once dirty data exists.
+	dirty    float64
+	diskRate float64 // this window's wire MB/s to the platters
+}
+
+func (s *fileStage) window(_ float64, p CodecProfile, kind corpus.Kind) stageWindow {
+	ratio := p.Ratio[kind]
+	cpuSec := (1/p.CompMBps[kind] + ratio/wireCPUMBps) * s.rng.NoiseFactor(0.012)
+	s.diskRate = s.disk.diskMBps * s.rng.NoiseFactor(s.disk.sigma)
+
+	ingestWire := s.diskRate // wire MB/s the VM's writes are accepted at
+	if s.disk.hostCache {
+		if s.dirty < s.disk.dirtyLimit {
+			// Cache absorbs at RAM speed.
+			ingestWire = s.disk.cacheMBps * s.rng.NoiseFactor(0.10)
+		} else {
+			// Writeback throttling: the guest is stalled to a
+			// trickle until the flusher catches up.
+			ingestWire = s.disk.stallMBps * s.rng.NoiseFactor(0.30)
+		}
+	}
+	return stageWindow{
+		appMBps:     1 / math.Max(cpuSec, ratio/ingestWire),
+		cpuSecPerMB: cpuSec,
+		compFrac:    0.5,
+	}
+}
+
+func (s *fileStage) advance(wireBytes, dt float64) {
+	if s.disk.hostCache {
+		s.dirty += wireBytes / 1e6 * 1e6 // not a no-op in floating point; the seed goldens pin it
+		s.dirty -= s.diskRate * 1e6 * dt // flusher drains continuously
+		if s.dirty < 0 {
+			s.dirty = 0
+		}
+	}
 }

@@ -38,7 +38,7 @@ func TestRunFileTransferKVMMatchesDiskRate(t *testing.T) {
 		Platform:   KVMParavirt,
 		Kind:       ConstantKind(corpus.Low),
 		TotalBytes: 10e9,
-		Scheme:     StaticScheme(0),
+		Scheme:     core.Static(0),
 		Profiles:   ReferenceProfiles(),
 		Seed:       1,
 	})
@@ -62,7 +62,7 @@ func TestRunFileTransferXenCacheBehaviour(t *testing.T) {
 		Platform:   XenParavirt,
 		Kind:       ConstantKind(corpus.Low),
 		TotalBytes: 20e9,
-		Scheme:     StaticScheme(0),
+		Scheme:     core.Static(0),
 		Profiles:   ReferenceProfiles(),
 		Seed:       1,
 	})
@@ -80,7 +80,7 @@ func TestRunFileTransferXenCacheBehaviour(t *testing.T) {
 		Platform:   XenParavirt,
 		Kind:       ConstantKind(corpus.High),
 		TotalBytes: 20e9,
-		Scheme:     StaticScheme(1),
+		Scheme:     core.Static(1),
 		Profiles:   ReferenceProfiles(),
 		Seed:       1,
 	})
@@ -117,7 +117,7 @@ func TestRunFileTransferGuards(t *testing.T) {
 		Platform:   KVMParavirt,
 		Kind:       ConstantKind(corpus.High),
 		TotalBytes: 1e9,
-		Scheme:     StaticScheme(0),
+		Scheme:     core.Static(0),
 		Profiles:   ReferenceProfiles(),
 	}
 	mutations := []func(*TransferConfig){
@@ -125,7 +125,7 @@ func TestRunFileTransferGuards(t *testing.T) {
 		func(c *TransferConfig) { c.Scheme = nil },
 		func(c *TransferConfig) { c.Kind = nil },
 		func(c *TransferConfig) { c.Profiles = nil },
-		func(c *TransferConfig) { c.Scheme = StaticScheme(11) },
+		func(c *TransferConfig) { c.Scheme = core.Static(11) },
 		func(c *TransferConfig) { c.Platform = Platform(50) },
 	}
 	for i, m := range mutations {

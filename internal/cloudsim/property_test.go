@@ -16,11 +16,11 @@ func TestTransferInvariantsProperty(t *testing.T) {
 	prop := func(kindSel, bgSel, schemeSel uint8, seed uint64) bool {
 		kind := corpus.Kind(int(kindSel) % 3)
 		bg := int(bgSel) % 5
-		var scheme Scheme
+		var scheme core.Policy
 		if schemeSel%5 == 4 {
 			scheme = core.MustNewDecider(core.Config{Levels: 4})
 		} else {
-			scheme = StaticScheme(int(schemeSel) % 4)
+			scheme = core.Static(int(schemeSel) % 4)
 		}
 		res, err := RunTransfer(TransferConfig{
 			Platform:   KVMParavirt,
@@ -70,7 +70,7 @@ func TestContentionMonotoneProperty(t *testing.T) {
 				Kind:       ConstantKind(kind),
 				TotalBytes: 10e9,
 				Background: bg,
-				Scheme:     StaticScheme(0),
+				Scheme:     core.Static(0),
 				Profiles:   ReferenceProfiles(),
 				Seed:       seed,
 			})
@@ -104,7 +104,7 @@ func TestDynamicBoundedByStaticsProperty(t *testing.T) {
 				Kind:       ConstantKind(kind),
 				TotalBytes: 10e9,
 				Background: bg,
-				Scheme:     StaticScheme(lvl),
+				Scheme:     core.Static(lvl),
 				Profiles:   ReferenceProfiles(),
 				Seed:       seed,
 			})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"adaptio/internal/core"
 	"adaptio/internal/xrand"
 )
 
@@ -23,26 +24,14 @@ import (
 // redistribution is the coupling that makes contention contagious: whether
 // stream i is NIC-bound depends on every other stream's demand.
 
-// WindowScheme is a Scheme that additionally receives the completed
-// window's byte totals at both layers, letting it estimate the achieved
-// compression ratio. coord.Stream satisfies it; plain Schemes (the solo
-// core.Decider) receive Observe only.
-type WindowScheme interface {
-	Scheme
-	// ObserveWindowStats reports the window's application data rate in
-	// bytes/second plus the window's application- and wire-layer byte
-	// counts, and returns the level for the next window.
-	ObserveWindowStats(rate float64, appBytes, wireBytes int64) int
-}
-
 // FleetStream describes one of the host's concurrent streams.
 type FleetStream struct {
 	// Kind schedules the stream's data compressibility by its own
 	// application-byte offset.
 	Kind KindSchedule
-	// Scheme picks the stream's compression levels. If it also satisfies
-	// WindowScheme it receives byte totals; otherwise just the rate.
-	Scheme Scheme
+	// Scheme picks the stream's compression levels. Every window reports
+	// its rate and byte totals; the NIC model displays no guest metrics.
+	Scheme core.Policy
 	// Weight is the stream's share weight in the NIC's weighted fair
 	// queueing; zero means 1.
 	Weight float64
@@ -302,22 +291,19 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 			aggApp += achievedApp
 			aggWire += achievedWire
 
-			rate := achievedApp * 1e6 // bytes/second, as the stream layer measures
-			var next int
-			if ws, ok := s.cfg.Scheme.(WindowScheme); ok {
-				next = ws.ObserveWindowStats(rate, appBytes, wireBytes)
-			} else {
-				next = s.cfg.Scheme.Observe(rate)
+			win := core.Window{
+				Rate:     achievedApp * 1e6, // bytes/second, as the stream layer measures
+				AppBytes: appBytes, WireBytes: wireBytes,
 			}
-			if next < 0 || next >= len(cfg.Profiles) {
-				return res, fmt.Errorf("cloudsim: stream %d chose invalid level %d", i, next)
+			next, err := observe(s.cfg.Scheme, len(cfg.Profiles), win, s.level, &s.switches)
+			if err != nil {
+				return res, fmt.Errorf("cloudsim: stream %d: %w", i, err)
 			}
 			if next != s.level {
 				dir := 1
 				if next < s.level {
 					dir = -1
 				}
-				s.switches++
 				if s.lastSwitchDir != 0 && dir == -s.lastSwitchDir && w-s.lastSwitchWin <= cfg.FlapWindow {
 					s.flaps++
 				}

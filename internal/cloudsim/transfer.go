@@ -5,62 +5,10 @@ import (
 	"fmt"
 	"math"
 
+	"adaptio/internal/core"
 	"adaptio/internal/corpus"
 	"adaptio/internal/xrand"
 )
-
-// Scheme decides the compression level for the next decision window given
-// the application data rate observed in the previous one. *core.Decider
-// satisfies it; static levels and the related-work baselines
-// (internal/baseline) provide alternative implementations.
-type Scheme interface {
-	// Observe consumes the application data rate (bytes/second) of the
-	// completed window and returns the level for the next window.
-	Observe(rate float64) int
-	// Level returns the currently selected level.
-	Level() int
-}
-
-// GuestMetrics is the set of OS-displayed system metrics a metric-driven
-// compression scheme (Section V's related work) can query inside the guest.
-// Crucially these carry the virtualization distortions of Section II: the
-// displayed idle percentage reflects the guest's skewed accounting, not the
-// host's true cost.
-type GuestMetrics struct {
-	// DisplayedIdlePct is the idle CPU percentage shown by the guest's
-	// /proc/stat. Under paravirtualized I/O it stays high even when the
-	// host burns a full core on the VM's traffic.
-	DisplayedIdlePct float64
-	// DisplayedBandwidthMBps is what a guest-side bandwidth probe (an
-	// NWS-style sensor) reports for the network path, wire bytes per
-	// second, including contention fluctuation.
-	DisplayedBandwidthMBps float64
-	// CompressorMBps is the rate (application MB/s) at which a dedicated
-	// compression thread could produce output at the current level.
-	CompressorMBps float64
-	// NetDrainMBps is the wire-layer rate the network actually drains.
-	NetDrainMBps float64
-	// WindowSeconds is the length of the elapsed window.
-	WindowSeconds float64
-}
-
-// MetricsScheme is implemented by schemes that additionally consume
-// guest-displayed metrics. The engine calls ObserveMetrics immediately
-// before Observe for every window.
-type MetricsScheme interface {
-	Scheme
-	ObserveMetrics(GuestMetrics)
-}
-
-// StaticScheme pins one compression level forever (the paper's NO / LIGHT /
-// MEDIUM / HEAVY rows in Table II).
-type StaticScheme int
-
-// Observe implements Scheme.
-func (s StaticScheme) Observe(float64) int { return int(s) }
-
-// Level implements Scheme.
-func (s StaticScheme) Level() int { return int(s) }
 
 // KindSchedule maps a byte offset of the application stream to a corpus
 // kind; it expresses workloads whose compressibility changes over time
@@ -97,9 +45,10 @@ type TransferConfig struct {
 	Background int
 	// WindowSeconds is the decision interval t (paper: 2 s).
 	WindowSeconds float64
-	// Scheme picks compression levels. Must select levels within
-	// len(Profiles).
-	Scheme Scheme
+	// Scheme picks compression levels: the paper's decision model, a
+	// core.Static level, a related-work baseline — any core.Policy. Must
+	// select levels within len(Profiles).
+	Scheme core.Policy
 	// Profiles is the codec profile ladder (index = level).
 	Profiles []CodecProfile
 	// Seed drives all stochastic components.
@@ -178,6 +127,117 @@ func (r TransferResult) MeanLevel() float64 {
 // ("the application data rate also includes the decompression time at the
 // receiver because of the network's flow control mechanisms").
 func RunTransfer(cfg TransferConfig) (TransferResult, error) {
+	net, ok := netTable[cfg.Platform]
+	if !ok {
+		return TransferResult{}, fmt.Errorf("cloudsim: unknown platform %v", cfg.Platform)
+	}
+	rng := xrand.New(cfg.Seed ^ 0xC0FFEE)
+	st := &netStage{
+		cfg:   cfg,
+		net:   net,
+		rng:   rng,
+		flake: newFlakeProcess(net, rng.Fork()),
+		slow:  newSlowNoise(cfg.Background, rng.Fork()),
+	}
+	return runWindows(cfg, 24*3600, rng, st)
+}
+
+// stage is the per-window stage model the solo window loop is parameterised
+// by: the network pipeline above, or the virtual disk of RunFileTransfer.
+// Both draw their noise from the run's one seeded generator.
+type stage interface {
+	// window draws the conditions of the window starting at now and returns
+	// what the pipeline sustains at profile p on data of the given kind.
+	window(now float64, p CodecProfile, kind corpus.Kind) stageWindow
+	// advance accounts a finished window of dt seconds that put wireBytes
+	// on the medium.
+	advance(wireBytes, dt float64)
+}
+
+// stageWindow is one window's verdict from the stage model.
+type stageWindow struct {
+	// appMBps is the sustainable application data rate.
+	appMBps float64
+	// cpuSecPerMB is the sender's true CPU cost and compFrac the share of
+	// it spent compressing; together they give the displayed guest CPU.
+	cpuSecPerMB, compFrac float64
+	// guest, if non-nil, samples the metrics displayed inside the sending
+	// VM for the finished window (achieved rate appMBps over dt seconds).
+	guest func(appMBps, dt float64) core.GuestMetrics
+}
+
+// netStage is RunTransfer's pipeline model.
+type netStage struct {
+	cfg   TransferConfig
+	net   netParams
+	rng   *xrand.RNG
+	flake *flakeProcess
+	slow  *slowNoise
+}
+
+func (s *netStage) window(now float64, p CodecProfile, kind corpus.Kind) stageWindow {
+	bg, ratio := s.cfg.Background, p.Ratio[kind]
+	// Stage costs in seconds per application byte (MB units cancel).
+	// The small multiplicative noise on the CPU stage reflects
+	// scheduling jitter; it gives CPU-bound configurations the
+	// nonzero run-to-run deviations Table II reports.
+	compSec := 1 / p.CompMBps[kind]
+	ioSec := ratio / wireCPUMBps
+	cpu := (compSec + ioSec) / CPUShare(bg) * s.rng.NoiseFactor(0.012)
+	netRate := s.net.appMBps * NetShare(bg) * thinFlowShare(bg, ratio) *
+		s.rng.NoiseFactor(s.net.sigma) * s.slow.factor(now) * s.flake.factor(now)
+	if netRate < minNetMBps {
+		netRate = minNetMBps
+	}
+	netSec := ratio / netRate
+	recv := 1/p.DecompMBps[kind] + ratio/wireCPUMBps
+	compFrac := compSec / (compSec + ioSec)
+	return stageWindow{
+		appMBps:     1 / math.Max(cpu, math.Max(netSec, recv)),
+		cpuSecPerMB: cpu,
+		compFrac:    compFrac,
+		guest: func(appMBps, dt float64) core.GuestMetrics {
+			guestCPU := senderGuestCPU(s.cfg.Platform, cpu, compFrac, appMBps, s.rng)
+			idle := 100 - guestCPU.Total()
+			if idle < 0 {
+				idle = 0
+			}
+			return core.GuestMetrics{
+				DisplayedIdlePct:       idle,
+				DisplayedBandwidthMBps: netRate,
+				CompressorMBps:         (1 / cpu) * s.rng.NoiseFactor(0.02),
+				NetDrainMBps:           netRate,
+				WindowSeconds:          dt,
+			}
+		},
+	}
+}
+
+func (s *netStage) advance(float64, float64) {}
+
+// observe feeds a finished window to a stream's policy through the one
+// dispatch (core.ObserveWindow) and returns the level for the next window,
+// counting a switch when it differs from cur. A level outside the profile
+// ladder is an error: the simulator reports a misbehaving policy instead of
+// papering over it.
+func observe(p core.Policy, levels int, w core.Window, cur int, switches *int) (int, error) {
+	next, err := core.ObserveWindow(p, levels, w)
+	if err != nil {
+		return cur, err
+	}
+	if next != cur {
+		*switches++
+	}
+	return next, nil
+}
+
+// runWindows is the solo window-clock loop behind RunTransfer and
+// RunFileTransfer: it steps cfg.TotalBytes through decision windows at the
+// rate st sustains, clips the last window to the remaining bytes, and feeds
+// every finished window to the policy. The order of the draws from rng —
+// the stage's, then the policy's guest reading if it takes one, then the
+// trace's — is pinned by testdata/seed_results.golden.
+func runWindows(cfg TransferConfig, defaultMaxSimSeconds float64, rng *xrand.RNG, st stage) (TransferResult, error) {
 	var res TransferResult
 	if cfg.TotalBytes <= 0 {
 		return res, errors.New("cloudsim: TotalBytes must be positive")
@@ -195,16 +255,8 @@ func RunTransfer(cfg TransferConfig) (TransferResult, error) {
 		cfg.WindowSeconds = 2
 	}
 	if cfg.MaxSimSeconds <= 0 {
-		cfg.MaxSimSeconds = 24 * 3600
+		cfg.MaxSimSeconds = defaultMaxSimSeconds
 	}
-	net, ok := netTable[cfg.Platform]
-	if !ok {
-		return res, fmt.Errorf("cloudsim: unknown platform %v", cfg.Platform)
-	}
-
-	rng := xrand.New(cfg.Seed ^ 0xC0FFEE)
-	flake := newFlakeProcess(net, rng.Fork())
-	slow := newSlowNoise(cfg.Background, rng.Fork())
 
 	res.LevelSeconds = make([]float64, len(cfg.Profiles))
 	level := cfg.Scheme.Level()
@@ -214,66 +266,45 @@ func RunTransfer(cfg TransferConfig) (TransferResult, error) {
 
 	var sent int64
 	now := 0.0
-	prevLevel := level
 	for sent < cfg.TotalBytes {
 		if now > cfg.MaxSimSeconds {
 			return res, fmt.Errorf("cloudsim: transfer exceeded %v simulated seconds (sent %d of %d)",
 				cfg.MaxSimSeconds, sent, cfg.TotalBytes)
 		}
 		kind := cfg.Kind(sent)
-		p := cfg.Profiles[level]
-		ratio := p.Ratio[kind]
-
-		// Stage costs in seconds per application byte (MB units cancel).
-		// The small multiplicative noise on the CPU stage reflects
-		// scheduling jitter; it gives CPU-bound configurations the
-		// nonzero run-to-run deviations Table II reports.
-		compSec := 1 / p.CompMBps[kind]
-		ioSec := ratio / wireCPUMBps
-		cpu := (compSec + ioSec) / CPUShare(cfg.Background) * rng.NoiseFactor(0.012)
-		compFrac := compSec / (compSec + ioSec)
-		netRate := net.appMBps * NetShare(cfg.Background) * thinFlowShare(cfg.Background, ratio) *
-			rng.NoiseFactor(net.sigma) * slow.factor(now) * flake.factor(now)
-		if netRate < minNetMBps {
-			netRate = minNetMBps
-		}
-		netSec := ratio / netRate
-		recv := 1/p.DecompMBps[kind] + ratio/wireCPUMBps
-		secPerMB := math.Max(cpu, math.Max(netSec, recv))
-		rateMBps := 1 / secPerMB
+		ratio := cfg.Profiles[level].Ratio[kind]
+		sw := st.window(now, cfg.Profiles[level], kind)
 
 		// Advance one window (or less if the transfer finishes inside it).
-		windowBytes := int64(rateMBps * 1e6 * cfg.WindowSeconds)
+		windowBytes := int64(sw.appMBps * 1e6 * cfg.WindowSeconds)
 		if windowBytes < 1 {
 			windowBytes = 1
 		}
 		dt := cfg.WindowSeconds
 		if sent+windowBytes >= cfg.TotalBytes {
 			remaining := cfg.TotalBytes - sent
-			dt = float64(remaining) / (rateMBps * 1e6)
+			dt = float64(remaining) / (sw.appMBps * 1e6)
 			windowBytes = remaining
 		}
+		wireBytes := float64(windowBytes) * ratio
+		st.advance(wireBytes, dt)
 		sent += windowBytes
 		now += dt
 		res.AppBytes += windowBytes
-		res.WireBytes += int64(float64(windowBytes) * ratio)
+		res.WireBytes += int64(wireBytes)
 		res.LevelSeconds[level] += dt
 		res.Windows++
 
+		// Feed the window (rate in bytes/second, as the stream layer
+		// measures it) to the decision scheme.
 		appMBps := float64(windowBytes) / 1e6 / dt
-		if ms, ok := cfg.Scheme.(MetricsScheme); ok {
-			guestCPU := senderGuestCPU(cfg.Platform, cpu, compFrac, appMBps, rng)
-			idle := 100 - guestCPU.Total()
-			if idle < 0 {
-				idle = 0
-			}
-			ms.ObserveMetrics(GuestMetrics{
-				DisplayedIdlePct:       idle,
-				DisplayedBandwidthMBps: netRate,
-				CompressorMBps:         (1 / cpu) * rng.NoiseFactor(0.02),
-				NetDrainMBps:           netRate,
-				WindowSeconds:          dt,
-			})
+		win := core.Window{Rate: appMBps * 1e6, AppBytes: windowBytes, WireBytes: int64(wireBytes)}
+		if sw.guest != nil {
+			win.Guest = func() core.GuestMetrics { return sw.guest(appMBps, dt) }
+		}
+		next, err := observe(cfg.Scheme, len(cfg.Profiles), win, level, &res.LevelSwitches)
+		if err != nil {
+			return res, fmt.Errorf("cloudsim: %w", err)
 		}
 		if cfg.Trace != nil {
 			cfg.Trace(WindowSample{
@@ -281,21 +312,11 @@ func RunTransfer(cfg TransferConfig) (TransferResult, error) {
 				Level:    level,
 				AppMBps:  appMBps,
 				WireMBps: appMBps * ratio,
-				GuestCPU: senderGuestCPU(cfg.Platform, cpu, compFrac, appMBps, rng),
+				GuestCPU: senderGuestCPU(cfg.Platform, sw.cpuSecPerMB, sw.compFrac, appMBps, rng),
 				Kind:     kind,
 			})
 		}
-
-		// Feed the observed rate (bytes/second, as the stream layer
-		// measures it) to the decision scheme.
-		level = cfg.Scheme.Observe(appMBps * 1e6)
-		if level < 0 || level >= len(cfg.Profiles) {
-			return res, fmt.Errorf("cloudsim: scheme chose invalid level %d", level)
-		}
-		if level != prevLevel {
-			res.LevelSwitches++
-			prevLevel = level
-		}
+		level = next
 	}
 	res.CompletionSeconds = now
 	return res, nil

@@ -44,7 +44,7 @@ const (
 // fleetStreams builds the stream set, calling mkScheme(i, weight, tenant)
 // for each stream. Stream parameters are deterministic functions of the
 // index so solo and coordinated runs face the identical environment.
-func fleetStreams(mkScheme func(i int, weight float64, tenant string) cloudsim.Scheme) []cloudsim.FleetStream {
+func fleetStreams(mkScheme func(i int, weight float64, tenant string) core.Policy) []cloudsim.FleetStream {
 	n := fleetSilver + fleetGold
 	streams := make([]cloudsim.FleetStream, n)
 	for i := 0; i < n; i++ {
@@ -75,7 +75,7 @@ func fleetStreams(mkScheme func(i int, weight float64, tenant string) cloudsim.S
 	return streams
 }
 
-func runFleet(t *testing.T, seed uint64, mkScheme func(i int, weight float64, tenant string) cloudsim.Scheme) cloudsim.FleetResult {
+func runFleet(t *testing.T, seed uint64, mkScheme func(i int, weight float64, tenant string) core.Policy) cloudsim.FleetResult {
 	t.Helper()
 	res, err := cloudsim.RunFleet(cloudsim.FleetConfig{
 		NICMBps:       fleetNIC,
@@ -93,7 +93,7 @@ func runFleet(t *testing.T, seed uint64, mkScheme func(i int, weight float64, te
 	return res
 }
 
-func soloScheme(i int, _ float64, _ string) cloudsim.Scheme {
+func soloScheme(i int, _ float64, _ string) core.Policy {
 	return core.MustNewDecider(core.Config{Levels: 4})
 }
 
@@ -113,7 +113,7 @@ func TestContentionCoordinatedBeatsSolo(t *testing.T) {
 		reg := obs.NewRegistry()
 		c := newFleetCoordinator(reg.Scope("coord"), false)
 		var handles []*coord.Stream
-		coordinated := runFleet(t, seed, func(i int, weight float64, tenant string) cloudsim.Scheme {
+		coordinated := runFleet(t, seed, func(i int, weight float64, tenant string) core.Policy {
 			s := c.Register(coord.StreamConfig{Weight: weight, Tenant: tenant})
 			handles = append(handles, s)
 			return s
@@ -153,7 +153,7 @@ func TestContentionCoordinatedBeatsSolo(t *testing.T) {
 
 		// Metrics cross-check: the obs counter must agree byte-for-byte
 		// with the harness's own accounting (every window's appBytes went
-		// through ObserveWindowStats), and the active gauge must return
+		// through ObserveWindow), and the active gauge must return
 		// to zero once every stream detaches.
 		scope := reg.Scope("coord")
 		if got := scope.Counter("goodput.bytes").Value(); got != coordinated.AppBytes {
@@ -190,7 +190,7 @@ func TestContentionSentinelFreeze(t *testing.T) {
 	solo := runFleet(t, seed, soloScheme)
 
 	c := newFleetCoordinator(nil, true)
-	rigged := runFleet(t, seed, func(i int, weight float64, tenant string) cloudsim.Scheme {
+	rigged := runFleet(t, seed, func(i int, weight float64, tenant string) core.Policy {
 		return c.Register(coord.StreamConfig{Weight: weight, Tenant: tenant})
 	})
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"adaptio/internal/core"
 	"adaptio/internal/obs"
 )
 
@@ -80,8 +81,8 @@ func TestNilCoordinatorAndStream(t *testing.T) {
 	}
 	var s *Stream
 	s.Detach() // must not panic
-	if got := s.ObserveWindowStats(1e6, 10, 10); got != 0 {
-		t.Fatalf("nil Stream.ObserveWindowStats = %d, want 0", got)
+	if got := s.ObserveWindow(core.Window{Rate: 1e6, AppBytes: 10, WireBytes: 10}); got != 0 {
+		t.Fatalf("nil Stream.ObserveWindow = %d, want 0", got)
 	}
 }
 
@@ -98,7 +99,7 @@ func drive(s *Stream, n int, shareBps float64, ratio, comp []float64) int {
 		}
 		app := int64(rate * 2) // 2s windows
 		wire := int64(float64(app) * ratio[lvl])
-		lvl = s.ObserveWindowStats(rate, app, wire)
+		lvl = s.ObserveWindow(core.Window{Rate: rate, AppBytes: app, WireBytes: wire})
 	}
 	return lvl
 }
@@ -232,7 +233,7 @@ func TestObsMetricNamesRegistered(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := MustNew(Config{Levels: 4, Obs: reg.Scope("coord")})
 	s := c.Register(StreamConfig{})
-	s.ObserveWindowStats(1e6, 2e6, 2e6)
+	s.ObserveWindow(core.Window{Rate: 1e6, AppBytes: 2e6, WireBytes: 2e6})
 	for _, name := range []string{
 		"coord.goodput.bytes", "coord.level.flaps", "coord.level.switches",
 		"coord.streams.active", "coord.streams.total",

@@ -14,6 +14,7 @@ import (
 
 	"adaptio/internal/cloudsim"
 	"adaptio/internal/coord"
+	"adaptio/internal/core"
 	"adaptio/internal/corpus"
 )
 
@@ -39,7 +40,7 @@ func flapEnv() *cloudsim.FleetEnv {
 	}
 }
 
-func runFlapFleet(t *testing.T, seed uint64, mkScheme func(i int) cloudsim.Scheme) cloudsim.FleetResult {
+func runFlapFleet(t *testing.T, seed uint64, mkScheme func(i int) core.Policy) cloudsim.FleetResult {
 	t.Helper()
 	streams := make([]cloudsim.FleetStream, flapStreamsN)
 	for i := range streams {
@@ -81,7 +82,7 @@ func TestFlapDwellBoundsSwitches(t *testing.T) {
 			BudgetBytesPerSec: flapNIC * 1e6,
 			Levels:            4,
 		})
-		res := runFlapFleet(t, seed, func(int) cloudsim.Scheme {
+		res := runFlapFleet(t, seed, func(int) core.Policy {
 			return c.Register(coord.StreamConfig{})
 		})
 		bound := flapDwellBound()
@@ -102,14 +103,14 @@ func TestFlapDwellBoundsSwitches(t *testing.T) {
 // its level from whichever side of the square wave it last sampled.
 func TestFlapCoordinationCalms(t *testing.T) {
 	for _, seed := range []uint64{1, 2011} {
-		solo := runFlapFleet(t, seed, func(int) cloudsim.Scheme {
+		solo := runFlapFleet(t, seed, func(int) core.Policy {
 			return soloScheme(0, 1, "")
 		})
 		c := coord.MustNew(coord.Config{
 			BudgetBytesPerSec: flapNIC * 1e6,
 			Levels:            4,
 		})
-		coordinated := runFlapFleet(t, seed, func(int) cloudsim.Scheme {
+		coordinated := runFlapFleet(t, seed, func(int) core.Policy {
 			return c.Register(coord.StreamConfig{})
 		})
 		if coordinated.Flaps >= solo.Flaps {
@@ -132,7 +133,7 @@ func (o *windowOscillator) Level() int          { return o.level }
 // ever passes the bound, the bound has gone soft and
 // TestFlapDwellBoundsSwitches no longer constrains anything.
 func TestFlapDwellSentinel(t *testing.T) {
-	res := runFlapFleet(t, 1, func(int) cloudsim.Scheme { return &windowOscillator{} })
+	res := runFlapFleet(t, 1, func(int) core.Policy { return &windowOscillator{} })
 	bound := flapDwellBound()
 	maxSwitches := 0
 	for _, ps := range res.PerStream {

@@ -6,12 +6,9 @@ import (
 	"adaptio/internal/core"
 )
 
-// Stream is the per-stream handle returned by Coordinator.Register. It
-// satisfies both cloudsim.Scheme and stream.WindowScheme structurally:
-//
-//	Observe(rate float64) int
-//	ObserveWindowStats(rate float64, appBytes, wireBytes int64) int
-//	Level() int
+// Stream is the per-stream handle returned by Coordinator.Register. It is a
+// core.WindowPolicy, so it plugs into stream.WriterConfig.Decider and the
+// simulators like any other policy.
 //
 // While attached, every observation is an allocation round: the coordinator
 // recomputes the stream's weighted-fair share, refreshes the stream's
@@ -87,31 +84,31 @@ func (s *Stream) Detach() {
 	s.coord.detach(s)
 }
 
-// Observe is the window-rate-only observation path (cloudsim.Scheme). With
-// no wire-byte evidence the ratio drift stays at its last value.
+// Observe implements core.Policy: a window of which only the rate is known,
+// so the ratio drift stays at its last value.
 func (s *Stream) Observe(rate float64) int {
-	return s.ObserveWindowStats(rate, 0, 0)
+	return s.ObserveWindow(core.Window{Rate: rate})
 }
 
-// ObserveWindowStats reports one completed window: the achieved application
-// data rate in bytes/s plus the window's application and wire byte counts
-// (zero counts mean "unknown", as from the rate-only Observe path). It
-// returns the level the stream must use for the next window.
-func (s *Stream) ObserveWindowStats(rate float64, appBytes, wireBytes int64) int {
+// ObserveWindow implements core.WindowPolicy. It reports one completed
+// window — the achieved application data rate plus, where the driver knows
+// them, the window's application and wire byte counts — and returns the
+// level the stream must use for the next window.
+func (s *Stream) ObserveWindow(w core.Window) int {
 	if s == nil {
 		return 0
 	}
+	rate, appBytes, wireBytes := w.Rate, w.AppBytes, w.WireBytes
 	s.mu.Lock()
+	// The solo fallback sees every window: detached it decides; attached it
+	// is kept warm, tracking the same observed reality, so that Detach
+	// resumes it from a live trajectory instead of a cold start at level 0.
+	// It is a registry policy and stays in range, so the error is nil.
+	soloLevel, _ := core.ObserveWindow(s.solo, s.coord.cfg.Levels, w)
 	if s.detached {
-		lvl := s.solo.Observe(rate)
 		s.mu.Unlock()
-		return lvl
+		return soloLevel
 	}
-
-	// Keep the solo fallback warm: it tracks the same observed reality so
-	// that Detach resumes Algorithm 1 from a live trajectory instead of a
-	// cold start at level 0.
-	s.solo.Observe(rate)
 
 	cfg := &s.coord.cfg
 	cur := s.level

@@ -26,8 +26,8 @@ const (
 	// banditTrendGain smooths the relative rate change into the trend
 	// context dimension.
 	banditTrendGain = 0.30
-	// banditRatioGain smooths the observed compression ratio fed via
-	// ObserveRatio into the ratio context dimension.
+	// banditRatioGain smooths the achieved compression ratio of the
+	// observed windows into the ratio context dimension.
 	banditRatioGain = 0.20
 	// banditRevertMemory is how many windows a revert stays in the
 	// context vector ("recently burned").
@@ -55,9 +55,9 @@ const (
 // The context vector is built from the obs-layer signals the stream layer
 // already exports (docs/observability.md): the current level, the probe
 // direction, a smoothed window-rate trend bucket, a recent-revert bit
-// (revert/backoff history) and a smoothed compression-ratio bucket (fed via
-// ObserveRatio where the caller knows per-window byte totals; a neutral
-// bucket otherwise). All randomness comes from the seeded RNG in the
+// (revert/backoff history) and a smoothed compression-ratio bucket (from
+// the window's byte totals where the driver knows them; a neutral bucket
+// otherwise). All randomness comes from the seeded RNG in the
 // config, so a trace is exactly reproducible.
 type BanditDecider struct {
 	levels int
@@ -123,17 +123,20 @@ func NewBandit(cfg PolicyConfig) (*BanditDecider, error) {
 	return b, nil
 }
 
-// ObserveRatio implements RatioObserver: the achieved wire/app ratio joins
-// the context vector.
-func (b *BanditDecider) ObserveRatio(ratio float64) {
-	if ratio <= 0 || math.IsNaN(ratio) || math.IsInf(ratio, 0) {
-		return
+// ObserveWindow implements WindowPolicy: the window's achieved wire/app
+// ratio (1.0 = incompressible, smaller = better compression) joins the
+// context vector before the rate is observed. Windows without usable byte
+// totals leave the ratio estimate where it was.
+func (b *BanditDecider) ObserveWindow(w Window) int {
+	if w.AppBytes > 0 && w.WireBytes > 0 {
+		ratio := float64(w.WireBytes) / float64(w.AppBytes)
+		if b.ratio < 0 {
+			b.ratio = ratio
+		} else {
+			b.ratio += banditRatioGain * (ratio - b.ratio)
+		}
 	}
-	if b.ratio < 0 {
-		b.ratio = ratio
-		return
-	}
-	b.ratio += banditRatioGain * (ratio - b.ratio)
+	return b.Observe(w.Rate)
 }
 
 // Observe implements Decider.

@@ -163,53 +163,6 @@ func TestPolicyConvergence(t *testing.T) {
 	}
 }
 
-// TestPolicyDeterminism pins the reproducibility contract of the Decider
-// interface: two instances of the same policy with the same seed, fed the
-// same observation trace, must produce byte-for-byte identical decision
-// traces — including the stochastic bandit, whose exploration must come
-// entirely from the seeded RNG.
-func TestPolicyDeterminism(t *testing.T) {
-	phases := []phase{
-		{shareMBps: 100, windows: 80},
-		{shareMBps: 10, windows: 80},
-		{shareMBps: 100, windows: 80},
-	}
-	trace := func(policy string, seed uint64) []Decision {
-		d := MustNewPolicy(policy, PolicyConfig{Levels: 4, Seed: seed})
-		env := convEnv()
-		rng := xrand.New(seed)
-		var out []Decision
-		for _, ph := range phases {
-			for w := 0; w < ph.windows; w++ {
-				r := env.rate(d.Level(), ph.shareMBps) * 1e6 * rng.NoiseFactor(0.02)
-				if ro, ok := d.(RatioObserver); ok {
-					out2 := 0.3 + 0.4*rng.Float64()
-					ro.ObserveRatio(out2)
-				}
-				d.Observe(r)
-				out = append(out, d.LastDecision())
-			}
-		}
-		return out
-	}
-	for _, policy := range PolicyNames() {
-		t.Run(policy, func(t *testing.T) {
-			for seed := uint64(1); seed <= 5; seed++ {
-				a, b := trace(policy, seed), trace(policy, seed)
-				if len(a) != len(b) {
-					t.Fatalf("seed %d: trace lengths differ (%d vs %d)", seed, len(a), len(b))
-				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("seed %d: decision %d differs: %+v vs %+v — policy is not deterministic",
-							seed, i, a[i], b[i])
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestDeciderConvergenceNeedsBackoff is this suite's sentinel, in the
 // DisableRevert tradition of the shape-fidelity tests: with backoff
 // disabled the same environment must show the linear probe churn the bound

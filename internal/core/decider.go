@@ -172,8 +172,8 @@ type Decision struct {
 func (d *AlgorithmOne) LastDecision() Decision { return d.last }
 
 // NewDecider creates the paper-faithful AlgorithmOne policy for the given
-// configuration. (The name predates the Decider interface; use NewPolicy to
-// construct a policy by name.)
+// configuration, ablation knobs included; NewPolicy constructs any policy by
+// registry name.
 func NewDecider(cfg Config) (*AlgorithmOne, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {

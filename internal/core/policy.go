@@ -2,52 +2,120 @@ package core
 
 import "fmt"
 
-// Decider is the pluggable level-selection policy interface: the contract
-// every decision policy — the paper's Algorithm 1 and the learned variants —
-// satisfies. A Decider is a pure, seeded state machine: no clocks, no I/O,
-// no goroutines, no global randomness, so the identical policy code runs
-// under the real-time stream layer (internal/stream), the fleet coordinator
-// fallback (internal/coord) and the discrete-event simulator
-// (internal/cloudsim, internal/scenario, internal/experiments), and two
-// instances constructed with the same configuration and fed the same
-// observations produce the same decision trace — the determinism the
-// policy-matrix CI gate replays.
+// Policy is the level-selection seam: the one contract the stream writer
+// (internal/stream), the simulators (internal/cloudsim) and the fleet
+// coordinator (internal/coord) drive, and that the paper's Algorithm 1, the
+// learned variants, static levels, coordinated streams and the related-work
+// baselines all satisfy. A Policy is a pure state machine — no clocks, no
+// I/O, no goroutines, no global randomness — so the identical policy code
+// runs under the real-time writer and inside the simulator.
 //
 // Implementations are not safe for concurrent use; callers serialize.
-//
-// The contract (see docs/deciders.md):
-//
-//   - Observe consumes one completed decision window's application data
-//     rate (bytes/second, pre-compression — the cdr of Algorithm 1) and
-//     returns the level for the next window, within [0, Levels).
-//   - Level returns the currently selected level without observing.
-//   - LastDecision classifies what the most recent Observe did, feeding
-//     the obs-layer decision event log.
-//   - PolicyStats reports the probe/revert economics the two-axis
-//     acceptance bound gates on (see PolicyStats.WastedProbes).
-type Decider interface {
-	// Observe feeds one window's application data rate and returns the
-	// compression level for the next window.
-	Observe(cdr float64) int
-	// Level returns the currently selected compression level.
+type Policy interface {
+	// Observe consumes one completed decision window's application data
+	// rate (bytes/second, pre-compression — the cdr of Algorithm 1) and
+	// returns the level for the next window, within [0, levels).
+	Observe(rate float64) int
+	// Level returns the currently selected level without observing; a
+	// driver starts at it.
 	Level() int
-	// LastDecision returns what the most recent Observe call did.
+}
+
+// Window is one completed decision window as its driver saw it. Every driver
+// fills in everything it knows; a zero byte count or a nil Guest means
+// "unknown", and a policy ignores the fields it does not use.
+type Window struct {
+	// Rate is the application data rate in bytes/second.
+	Rate float64
+	// AppBytes and WireBytes are the window's byte totals before and after
+	// compression; WireBytes/AppBytes is the achieved ratio.
+	AppBytes, WireBytes int64
+	// Guest reads the OS-displayed metrics inside the sending VM. Only the
+	// simulator's network transfer supplies it. It is a function because a
+	// reading is a noisy sample: the simulator draws it from its seeded
+	// generator when a policy asks, so policies that never look leave the
+	// run's random sequence untouched.
+	Guest func() GuestMetrics
+}
+
+// GuestMetrics is the set of OS-displayed system metrics a metric-driven
+// compression scheme (Section V's related work) can query inside the guest.
+// Crucially these carry the virtualization distortions of Section II: the
+// displayed idle percentage reflects the guest's skewed accounting, not the
+// host's true cost.
+type GuestMetrics struct {
+	// DisplayedIdlePct is the idle CPU percentage shown by the guest's
+	// /proc/stat. Under paravirtualized I/O it stays high even when the
+	// host burns a full core on the VM's traffic.
+	DisplayedIdlePct float64
+	// DisplayedBandwidthMBps is what a guest-side bandwidth probe (an
+	// NWS-style sensor) reports for the network path, wire bytes per
+	// second, including contention fluctuation.
+	DisplayedBandwidthMBps float64
+	// CompressorMBps is the rate (application MB/s) at which a dedicated
+	// compression thread could produce output at the current level.
+	CompressorMBps float64
+	// NetDrainMBps is the wire-layer rate the network actually drains.
+	NetDrainMBps float64
+	// WindowSeconds is the length of the elapsed window.
+	WindowSeconds float64
+}
+
+// WindowPolicy is a Policy that uses more of the window than its rate: the
+// achieved ratio (BanditDecider, coord.Stream) or the guest's displayed
+// metrics (internal/baseline). Drivers call ObserveWindow instead of Observe
+// on a policy that has it — through the package function ObserveWindow,
+// never directly.
+type WindowPolicy interface {
+	Policy
+	ObserveWindow(w Window) int
+}
+
+// ObserveWindow feeds one completed window to p and returns the level for
+// the next window. It is the single dispatch every driver calls: a
+// WindowPolicy receives the whole window, any other policy exactly one
+// Observe(w.Rate). The returned level is always within [0, levels); if the
+// policy's own answer was not, it comes back clamped together with an error,
+// which a simulator reports and the stream writer — which must keep the
+// stream alive under a misbehaving policy — drops.
+func ObserveWindow(p Policy, levels int, w Window) (int, error) {
+	var next int
+	if wp, ok := p.(WindowPolicy); ok {
+		next = wp.ObserveWindow(w)
+	} else {
+		next = p.Observe(w.Rate)
+	}
+	if next >= 0 && next < levels {
+		return next, nil
+	}
+	return min(max(next, 0), levels-1), fmt.Errorf("core: policy chose level %d outside [0, %d)", next, levels)
+}
+
+// Static pins one compression level forever (the paper's NO / LIGHT /
+// MEDIUM / HEAVY rows in Table II).
+type Static int
+
+// Observe implements Policy.
+func (s Static) Observe(float64) int { return int(s) }
+
+// Level implements Policy.
+func (s Static) Level() int { return int(s) }
+
+// Decider is a Policy that also explains itself: the contract the registry
+// policies (NewPolicy) — the paper's Algorithm 1 and the learned variants —
+// satisfy. Two Deciders constructed with the same configuration and fed the
+// same observations produce the same decision trace — the determinism the
+// policy-matrix CI gate replays (see docs/deciders.md).
+type Decider interface {
+	Policy
+	// LastDecision classifies what the most recent observation did,
+	// feeding the obs-layer decision event log.
 	LastDecision() Decision
-	// PolicyStats reports cumulative decision diagnostics.
+	// PolicyStats reports the cumulative probe/revert economics the
+	// two-axis acceptance bound gates on (see PolicyStats.WastedProbes).
 	PolicyStats() PolicyStats
 	// Name returns the policy's registry name (e.g. "algone").
 	Name() string
-}
-
-// RatioObserver is optionally implemented by policies whose context folds
-// in the achieved compression ratio. Layers that know per-window byte
-// totals at both layers (the stream writer's window accounting) call
-// ObserveRatio before Observe; layers that only see rates never do, and
-// the policy must behave sensibly either way.
-type RatioObserver interface {
-	// ObserveRatio reports the completed window's achieved wire/app byte
-	// ratio (1.0 = incompressible, smaller = better compression).
-	ObserveRatio(ratio float64)
 }
 
 // PolicyStats is the cumulative decision economics of a policy: what the

@@ -19,7 +19,7 @@ type AblationRow struct {
 }
 
 // runAblation executes one transfer with the given scheme.
-func runAblation(label string, scheme cloudsim.Scheme, kind corpus.Kind, bg int, totalBytes int64, seed uint64) (AblationRow, error) {
+func runAblation(label string, scheme core.Policy, kind corpus.Kind, bg int, totalBytes int64, seed uint64) (AblationRow, error) {
 	res, err := cloudsim.RunTransfer(cloudsim.TransferConfig{
 		Platform:   cloudsim.KVMParavirt,
 		Kind:       cloudsim.ConstantKind(kind),
@@ -158,7 +158,7 @@ func AblationBaselines(totalBytes int64, seed uint64) ([]BaselineRow, error) {
 	train := baseline.DefaultTraining()
 	type namedScheme struct {
 		name   string
-		scheme cloudsim.Scheme
+		scheme core.Policy
 	}
 	mkSchemes := func() ([]namedScheme, error) {
 		ks, err := baseline.NewKrintzSucu(train)
@@ -195,7 +195,7 @@ func AblationBaselines(totalBytes int64, seed uint64) ([]BaselineRow, error) {
 				Kind:       cloudsim.ConstantKind(sc.kind),
 				TotalBytes: totalBytes,
 				Background: sc.bg,
-				Scheme:     cloudsim.StaticScheme(lvl),
+				Scheme:     core.Static(lvl),
 				Profiles:   cloudsim.ReferenceProfiles(),
 				Seed:       seed,
 			})

@@ -30,11 +30,11 @@ var SchemeNames = []string{"NO", "LIGHT", "MEDIUM", "HEAVY", "DYNAMIC"}
 const Dynamic = 4
 
 // newScheme builds the scheme for a Table II row.
-func newScheme(idx int) cloudsim.Scheme {
+func newScheme(idx int) core.Policy {
 	if idx == Dynamic {
 		return core.MustNewDecider(core.Config{Levels: 4})
 	}
-	return cloudsim.StaticScheme(idx)
+	return core.Static(idx)
 }
 
 // ---------- Figure 1 ----------

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"adaptio/internal/cloudsim"
+	"adaptio/internal/core"
 	"adaptio/internal/corpus"
 	"adaptio/internal/experiments"
 )
@@ -391,7 +392,7 @@ func TestCalibrate(t *testing.T) {
 		Platform:   cloudsim.KVMParavirt,
 		Kind:       cloudsim.ConstantKind(corpus.High),
 		TotalBytes: 1e9,
-		Scheme:     cloudsim.StaticScheme(1),
+		Scheme:     core.Static(1),
 		Profiles:   profiles,
 		Seed:       1,
 	})

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"adaptio/internal/cloudsim"
+	"adaptio/internal/core"
 	"adaptio/internal/corpus"
 	"adaptio/internal/experiments"
 )
@@ -106,7 +107,7 @@ func TestRunFileTransferValidation(t *testing.T) {
 		Platform:   cloudsim.XenParavirt,
 		Kind:       cloudsim.ConstantKind(corpus.High),
 		TotalBytes: 1e9,
-		Scheme:     cloudsim.StaticScheme(0),
+		Scheme:     core.Static(0),
 		Profiles:   cloudsim.ReferenceProfiles(),
 	}
 	bad := base

@@ -44,7 +44,7 @@ func meanStatic(t *testing.T, kind corpus.Kind, bg, level int) float64 {
 			Kind:       cloudsim.ConstantKind(kind),
 			TotalBytes: shapeVolume,
 			Background: bg,
-			Scheme:     cloudsim.StaticScheme(level),
+			Scheme:     core.Static(level),
 			Profiles:   cloudsim.ReferenceProfiles(),
 			Seed:       shapeSeed ^ run<<16 ^ uint64(bg)<<8 ^ uint64(level)<<4,
 		})

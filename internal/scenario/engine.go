@@ -372,19 +372,19 @@ func (e *engine) env() *cloudsim.FleetEnv {
 
 // schemeFactory returns the per-stream scheme constructor for a variant,
 // with the rig's substitutions applied.
-func (e *engine) schemeFactory(variant string) (func(spec streamSpec) cloudsim.Scheme, error) {
+func (e *engine) schemeFactory(variant string) (func(spec streamSpec) core.Policy, error) {
 	levels := len(e.profiles)
 	switch variant {
 	case "adaptive":
 		switch e.rig {
 		case RigPinAdaptiveHeavy:
-			return func(streamSpec) cloudsim.Scheme { return cloudsim.StaticScheme(levels - 1) }, nil
+			return func(streamSpec) core.Policy { return core.Static(levels - 1) }, nil
 		case RigPinAdaptiveNO:
-			return func(streamSpec) cloudsim.Scheme { return cloudsim.StaticScheme(0) }, nil
+			return func(streamSpec) core.Policy { return core.Static(0) }, nil
 		case RigOscillate:
-			return func(streamSpec) cloudsim.Scheme { return &oscillator{} }, nil
+			return func(streamSpec) core.Policy { return &oscillator{} }, nil
 		}
-		return func(spec streamSpec) cloudsim.Scheme {
+		return func(spec streamSpec) core.Policy {
 			return core.MustNewPolicy(e.sc.Decider, core.PolicyConfig{
 				Levels: levels,
 				Seed:   spec.seed,
@@ -392,7 +392,7 @@ func (e *engine) schemeFactory(variant string) (func(spec streamSpec) cloudsim.S
 		}, nil
 	case "coordinated":
 		if e.rig == RigOscillate {
-			return func(streamSpec) cloudsim.Scheme { return &oscillator{} }, nil
+			return func(streamSpec) core.Policy { return &oscillator{} }, nil
 		}
 		c, err := coord.New(coord.Config{
 			BudgetBytesPerSec: e.sc.NICMBps * 1e6,
@@ -401,7 +401,7 @@ func (e *engine) schemeFactory(variant string) (func(spec streamSpec) cloudsim.S
 		if err != nil {
 			return nil, fmt.Errorf("scenario: coordinator: %w", err)
 		}
-		return func(spec streamSpec) cloudsim.Scheme {
+		return func(spec streamSpec) core.Policy {
 			w := spec.weight
 			if e.rig == RigFlatWeights {
 				w = 1
@@ -409,13 +409,13 @@ func (e *engine) schemeFactory(variant string) (func(spec streamSpec) cloudsim.S
 			return c.Register(coord.StreamConfig{Weight: w, Tenant: spec.tenant})
 		}, nil
 	case "static-no":
-		return func(streamSpec) cloudsim.Scheme { return cloudsim.StaticScheme(0) }, nil
+		return func(streamSpec) core.Policy { return core.Static(0) }, nil
 	case "static-light":
-		return func(streamSpec) cloudsim.Scheme { return cloudsim.StaticScheme(1) }, nil
+		return func(streamSpec) core.Policy { return core.Static(1) }, nil
 	case "static-medium":
-		return func(streamSpec) cloudsim.Scheme { return cloudsim.StaticScheme(2) }, nil
+		return func(streamSpec) core.Policy { return core.Static(2) }, nil
 	case "static-heavy":
-		return func(streamSpec) cloudsim.Scheme { return cloudsim.StaticScheme(levels - 1) }, nil
+		return func(streamSpec) core.Policy { return core.Static(levels - 1) }, nil
 	default:
 		return nil, fmt.Errorf("scenario: unknown variant %q", variant)
 	}

@@ -88,10 +88,10 @@ func TestDecisionLogShowsBackoffAfterRevert(t *testing.T) {
 		t.Fatalf("revert event does not show reverted level and reset backoff: %q", events[3].Detail)
 	}
 	// The live controller state agrees with the event trail.
-	if got := w.dec.(*core.AlgorithmOne).Backoff(2); got != 0 {
+	if got := w.policy.(*core.AlgorithmOne).Backoff(2); got != 0 {
 		t.Fatalf("decider bck[2] = %d after revert, want 0", got)
 	}
-	if got := w.dec.Level(); got != 1 {
+	if got := w.policy.Level(); got != 1 {
 		t.Fatalf("decider level = %d after revert, want 1", got)
 	}
 }

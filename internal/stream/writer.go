@@ -19,29 +19,6 @@ import (
 // decision model choose" (the paper's DYNAMIC mode).
 const Adaptive = -1
 
-// Scheme is an external level-selection policy plugged into a Writer via
-// WriterConfig.Scheme, replacing the internal solo decision model. It is
-// the stream layer's mirror of cloudsim.Scheme: the writer feeds it every
-// completed decision window and adopts the returned level for the next.
-// coord.Stream satisfies it (structurally — no import), which is how a
-// tunnel stream joins the fleet-level compression coordinator.
-type Scheme interface {
-	// Observe consumes the application data rate (bytes/second) of the
-	// completed window and returns the level for the next window.
-	Observe(rate float64) int
-	// Level returns the currently selected level; the writer starts at it.
-	Level() int
-}
-
-// WindowScheme is a Scheme that additionally receives the completed
-// window's byte totals at both layers, letting it estimate the achieved
-// compression ratio. When the configured Scheme satisfies it, the writer
-// calls ObserveWindowStats instead of Observe.
-type WindowScheme interface {
-	Scheme
-	ObserveWindowStats(rate float64, appBytes, wireBytes int64) int
-}
-
 // WindowStat describes one completed decision window; it feeds the
 // time-series traces of Figures 4–6.
 type WindowStat struct {
@@ -109,44 +86,31 @@ type WriterConfig struct {
 	// BlockSize caps the bytes buffered before a frame is cut. Zero means
 	// 128 KB. Values above MaxBlockSize are invalid.
 	BlockSize int
-	// StaticLevel pins the compression level (the paper's NO/LIGHT/
-	// MEDIUM/HEAVY static baselines). Adaptive (-1) and 0 both exist:
-	// Adaptive engages the decision model, 0 pins "no compression".
-	// NOTE: the zero value engages... see NewWriter: a zero StaticLevel
-	// with Static==false means Adaptive.
+	// StaticLevel is the level pinned when Static is set (the paper's
+	// NO/LIGHT/MEDIUM/HEAVY static baselines); it is ignored otherwise, so
+	// the zero-valued config adapts rather than pinning level 0.
 	StaticLevel int
-	// Static marks StaticLevel as intentional. Without this flag the
-	// zero-valued config would pin level 0 rather than adapt.
+	// Static pins StaticLevel instead of adapting.
 	Static bool
-	// Scheme, if non-nil, delegates level selection to an external policy
-	// (e.g. a coord.Stream handle from the fleet coordinator) instead of
-	// the writer's own solo decision model. Mutually exclusive with
-	// Static. The writer starts at Scheme.Level() and clamps anything the
-	// scheme returns to the ladder, so a misbehaving policy can degrade
-	// compression choices but never crash the stream.
-	Scheme Scheme
-	// Decider, if non-nil, is the solo level-selection policy instance
-	// the writer drives instead of constructing the default paper
-	// decider (core.AlgorithmOne) — the seam the pluggable policies
-	// (core.NewPolicy: "algone", "bandit", "ewma") plug into. The
-	// instance must be dedicated to this writer (policies are not safe
-	// for concurrent use) and must have been built for the ladder's
-	// level count. Mutually exclusive with Static and Scheme; the
-	// ablation knobs below are ignored when it is set (they parameterize
-	// the default construction only). If the policy implements
-	// core.RatioObserver, the writer feeds it each window's achieved
-	// wire/app ratio before the rate observation.
-	Decider core.Decider
+	// Decider, if non-nil, is the level-selection policy instance the
+	// writer drives instead of constructing the paper's default
+	// (core.AlgorithmOne): a registry policy (core.NewPolicy: "algone",
+	// "bandit", "ewma"), an ablated core.NewDecider, or a coord.Stream
+	// handle from the fleet coordinator. The instance must be dedicated to
+	// this writer (policies are not safe for concurrent use). The writer
+	// starts at its Level() and feeds it every completed window through
+	// core.ObserveWindow — a core.WindowPolicy receives the window's byte
+	// totals with the rate — which clamps whatever it returns to the
+	// ladder, so a misbehaving policy can degrade compression choices but
+	// never crash the stream. A policy that also has LastDecision() (every
+	// core.Decider) feeds the decision event log. Mutually exclusive with
+	// Static.
+	Decider core.Policy
 	// Clock supplies time; nil means the wall clock.
 	Clock vclock.Clock
 	// OnWindow, if non-nil, is invoked after every completed decision
 	// window (also in static mode, with NextLevel == Level).
 	OnWindow func(WindowStat)
-	// DisableBackoff, MaxBackoffExp and DisableRevert are forwarded to
-	// the decision model (ablation knobs, see internal/core).
-	DisableBackoff bool
-	MaxBackoffExp  int
-	DisableRevert  bool
 	// Obs, if non-nil, is the observability scope the writer registers
 	// its metrics under (conventionally "<component>.stream.writer"):
 	// byte/block counters (total and per level), the window app-rate
@@ -176,7 +140,7 @@ type Writer struct {
 	cfg    WriterConfig
 	ladder compress.Ladder
 	clock  vclock.Clock
-	dec    core.Decider // nil in static/scheme mode
+	policy core.Policy  // never nil: core.Static in static mode
 	probe  probe.Config // resolved from cfg.Probe at construction
 
 	// bufArena backs buf; scratchArena backs scratch (serial mode only —
@@ -251,44 +215,22 @@ func NewWriter(dst io.Writer, cfg WriterConfig) (*Writer, error) {
 
 	switch {
 	case cfg.Static:
-		if cfg.Scheme != nil {
-			return nil, errors.New("stream: Static and Scheme are mutually exclusive")
-		}
 		if cfg.Decider != nil {
 			return nil, errors.New("stream: Static and Decider are mutually exclusive")
 		}
-		if cfg.StaticLevel < 0 || cfg.StaticLevel >= len(cfg.Ladder) {
-			return nil, fmt.Errorf("stream: static level %d outside ladder of %d levels", cfg.StaticLevel, len(cfg.Ladder))
-		}
-		w.level = cfg.StaticLevel
-	case cfg.Scheme != nil:
-		if cfg.Decider != nil {
-			return nil, errors.New("stream: Scheme and Decider are mutually exclusive")
-		}
-		lvl := cfg.Scheme.Level()
-		if lvl < 0 || lvl >= len(cfg.Ladder) {
-			return nil, fmt.Errorf("stream: scheme starts at level %d outside ladder of %d levels", lvl, len(cfg.Ladder))
-		}
-		w.level = lvl
+		w.policy = core.Static(cfg.StaticLevel)
 	case cfg.Decider != nil:
-		lvl := cfg.Decider.Level()
-		if lvl < 0 || lvl >= len(cfg.Ladder) {
-			return nil, fmt.Errorf("stream: decider starts at level %d outside ladder of %d levels", lvl, len(cfg.Ladder))
-		}
-		w.dec = cfg.Decider
-		w.level = lvl
+		w.policy = cfg.Decider
 	default:
-		dec, err := core.NewDecider(core.Config{
-			Levels:         len(cfg.Ladder),
-			Alpha:          cfg.Alpha,
-			DisableBackoff: cfg.DisableBackoff,
-			MaxBackoffExp:  cfg.MaxBackoffExp,
-			DisableRevert:  cfg.DisableRevert,
-		})
+		dec, err := core.NewDecider(core.Config{Levels: len(cfg.Ladder), Alpha: cfg.Alpha})
 		if err != nil {
 			return nil, err
 		}
-		w.dec = dec
+		w.policy = dec
+	}
+	w.level = w.policy.Level()
+	if w.level < 0 || w.level >= len(cfg.Ladder) {
+		return nil, fmt.Errorf("stream: starting level %d outside ladder of %d levels", w.level, len(cfg.Ladder))
 	}
 
 	// All validation passed: acquire pooled buffers (released in Close).
@@ -597,40 +539,21 @@ func (w *Writer) finishWindow(final bool) {
 	}
 	rate := float64(w.winAppBytes) / elapsed.Seconds()
 	w.obs.windowRate.Observe(rate)
+	w.statsMu.Lock()
+	winWire := w.winWireBytes
+	w.statsMu.Unlock()
 	next := w.level
 	if !final {
-		switch {
-		case w.cfg.Scheme != nil:
-			w.statsMu.Lock()
-			winWire := w.winWireBytes
-			w.statsMu.Unlock()
-			if ws, ok := w.cfg.Scheme.(WindowScheme); ok {
-				next = ws.ObserveWindowStats(rate, w.winAppBytes, winWire)
-			} else {
-				next = w.cfg.Scheme.Observe(rate)
-			}
-			// Clamp defensively: the scheme is external code.
-			if next < 0 {
-				next = 0
-			}
-			if next >= len(w.ladder) {
-				next = len(w.ladder) - 1
-			}
-		case w.dec != nil:
-			if ro, ok := w.dec.(core.RatioObserver); ok && w.winAppBytes > 0 {
-				w.statsMu.Lock()
-				winWire := w.winWireBytes
-				w.statsMu.Unlock()
-				ro.ObserveRatio(float64(winWire) / float64(w.winAppBytes))
-			}
-			next = w.dec.Observe(rate)
-			w.obs.onDecision(w.dec.LastDecision())
+		// The error only says the policy's answer was out of range; the
+		// level comes back clamped and the stream carries on with it.
+		next, _ = core.ObserveWindow(w.policy, len(w.ladder), core.Window{
+			Rate: rate, AppBytes: w.winAppBytes, WireBytes: winWire,
+		})
+		if d, ok := w.policy.(interface{ LastDecision() core.Decision }); ok {
+			w.obs.onDecision(d.LastDecision())
 		}
 	}
 	if w.cfg.OnWindow != nil {
-		w.statsMu.Lock()
-		winWire := w.winWireBytes
-		w.statsMu.Unlock()
 		w.cfg.OnWindow(WindowStat{
 			Start:     w.windowStart,
 			Elapsed:   elapsed,

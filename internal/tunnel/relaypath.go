@@ -71,10 +71,10 @@ func (p *compressPath) run() error {
 			Weight: p.cfg.CoordWeight,
 			Tenant: p.cfg.CoordTenant,
 		})
-		wcfg.Scheme = cs
+		wcfg.Decider = cs
 		defer cs.Detach()
 	}
-	if p.cfg.Decider != "" && !p.cfg.Static && wcfg.Scheme == nil {
+	if p.cfg.Decider != "" && !p.cfg.Static && wcfg.Decider == nil {
 		d, err := core.NewPolicy(p.cfg.Decider, core.PolicyConfig{
 			Levels: len(stream.DefaultLadder()),
 			Alpha:  p.cfg.Alpha,
