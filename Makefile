@@ -65,15 +65,17 @@ test-decider:
 
 # Kernel-tier gates (docs/performance.md, "Kernel tier"): the unsafe-vs-spec
 # compress differential suites and golden digests, the serial-vs-parallel
-# wire-determinism property, and the probe skip/ledger suite — first under
-# the race detector on the default (unsafe) build, then again with the
-# portable kernels forced via -tags purego. Both builds must produce
-# byte-identical compressed output.
+# wire-determinism property, the probe skip/ledger suite, the committed wire
+# golden (testdata/wire.golden: every writer mode must reproduce it, every
+# reader mode decode it) and the write-error policy — first under the race
+# detector on the default (unsafe) build, then again with the portable
+# kernels forced via -tags purego. Both builds must produce byte-identical
+# compressed output, pinned by the same golden file.
 test-kernels:
 	$(GO) test -race -run 'Differential|TestGoldenDigests' -count=1 ./internal/compress/lzfast/
-	$(GO) test -race -run 'TestWireDeterminism|TestProbe' -count=1 ./internal/stream/
+	$(GO) test -race -run 'TestWireDeterminism|TestProbe|TestWireGolden|TestNoWriteAfterFailedFrame' -count=1 ./internal/stream/
 	$(GO) test -tags purego -run 'Differential|TestGoldenDigests' -count=1 ./internal/compress/lzfast/
-	$(GO) test -tags purego -run 'TestWireDeterminism|TestProbe' -count=1 ./internal/stream/
+	$(GO) test -tags purego -run 'TestWireDeterminism|TestProbe|TestWireGolden|TestNoWriteAfterFailedFrame' -count=1 ./internal/stream/
 
 # One iteration of every paper table/figure benchmark with rendered output.
 bench:

@@ -32,7 +32,8 @@
 //   - internal/core — the rate-based decision model (Algorithm 1) and the
 //     one level-selection seam every layer shares: Policy, the Window a
 //     driver observes, and the ObserveWindow dispatch
-//   - internal/stream — block framing, adaptive Writer/Reader
+//   - internal/stream — block framing, adaptive Writer/Reader (each with
+//     an optional worker pool behind the same type)
 //   - internal/compress — codec ladder: from-scratch LZ77 (lzfast, the
 //     QuickLZ stand-in), LZ77+range-coder (lzheavy, the LZMA stand-in),
 //     and a stdlib flate adapter
@@ -128,14 +129,12 @@ func NewReader(src io.Reader) (*Reader, error) {
 	return stream.NewReader(src)
 }
 
-// ParallelReader decompresses on a worker pool; see stream.ParallelReader.
-type ParallelReader = stream.ParallelReader
-
-// NewParallelReader creates a decompressing reader whose frames are decoded
-// on a worker pool while the bytes are delivered strictly in order — the
-// receive-side counterpart of WriterConfig.Parallelism. Close it when
-// abandoning the stream before EOF.
-func NewParallelReader(src io.Reader, workers int) (*ParallelReader, error) {
+// NewParallelReader creates a Reader whose frames are decoded on a pool of
+// workers while the bytes are delivered strictly in order — the receive-side
+// counterpart of WriterConfig.Parallelism, and the same Reader in every
+// other respect. One worker or fewer is NewReader. Close it when abandoning
+// the stream before EOF.
+func NewParallelReader(src io.Reader, workers int) (*Reader, error) {
 	return stream.NewParallelReader(src, workers)
 }
 

@@ -186,7 +186,7 @@ func BenchmarkThroughputStreamWriterParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkThroughputParallelWriter measures the public ParallelWriter —
+// BenchmarkThroughputParallelWriter measures NewParallelWriter —
 // per-block parallel compression within a single stream — at 4 workers
 // across the writer levels. Its wire output is byte-identical to the serial
 // Writer at every level (pinned by TestWireDeterminismSerialVsParallel);
@@ -245,7 +245,7 @@ func BenchmarkThroughputStreamReader(b *testing.B) {
 	}
 }
 
-// BenchmarkThroughputStreamParallelReader is the 4-worker ParallelReader
+// BenchmarkThroughputStreamParallelReader is the 4-worker NewParallelReader
 // variant of the light-level reader benchmark.
 func BenchmarkThroughputStreamParallelReader(b *testing.B) {
 	app, wire := buildWire(b, stream.LevelLight)

@@ -74,19 +74,11 @@ func compressStream(in io.Reader, out io.Writer, static int, window time.Duratio
 }
 
 func decompress(in io.Reader, out io.Writer, parallel int) error {
-	if parallel > 1 {
-		r, err := adaptio.NewParallelReader(in, parallel)
-		if err != nil {
-			return err
-		}
-		defer r.Close()
-		_, err = io.Copy(out, r)
-		return err
-	}
-	r, err := adaptio.NewReader(in)
+	r, err := adaptio.NewParallelReader(in, parallel)
 	if err != nil {
 		return err
 	}
+	defer r.Close()
 	_, err = io.Copy(out, r)
 	return err
 }

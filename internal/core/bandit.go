@@ -88,7 +88,6 @@ type BanditDecider struct {
 	vetoes int
 
 	probes, reverts, rewards, wasted int
-	gated, explored, forced          int // diagnostic: gate holds / epsilon overrides / veto-budget expiries
 	last                             Decision
 }
 
@@ -178,15 +177,9 @@ func (b *BanditDecider) Observe(cdr float64) int {
 	case abs <= b.alpha*prev: // stable
 		if b.backoffExpired() {
 			ctx := b.context()
-			take := b.q[ctx] > 0
-			if !take && b.rng.Float64() < banditEpsilon {
-				take = true
-				b.explored++
-			}
-			if !take && b.vetoes >= banditMaxVetoes {
-				take = true
-				b.forced++
-			}
+			// The learned gate, else epsilon exploration (drawn only when
+			// the gate holds), else the veto budget running out.
+			take := b.q[ctx] > 0 || b.rng.Float64() < banditEpsilon || b.vetoes >= banditMaxVetoes
 			if take {
 				b.vetoes = 0
 				b.c = 0
@@ -203,7 +196,6 @@ func (b *BanditDecider) Observe(cdr float64) int {
 				// A veto delays the released probe; c keeps running,
 				// so the gate is re-rolled every window (epsilon gets
 				// a fresh chance) until the veto budget runs out.
-				b.gated++
 				b.vetoes++
 			}
 		}
@@ -311,8 +303,3 @@ func (b *BanditDecider) PolicyStats() PolicyStats {
 
 // Name implements Decider.
 func (b *BanditDecider) Name() string { return PolicyBandit }
-
-// GateStats reports how often the learned gate held a probe Algorithm 1
-// would have taken, and how often epsilon exploration overrode it
-// (diagnostics for the policy catalog in docs/deciders.md).
-func (b *BanditDecider) GateStats() (gated, explored int) { return b.gated, b.explored }

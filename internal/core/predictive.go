@@ -68,7 +68,6 @@ type EWMAPredictive struct {
 	armed      bool
 
 	probes, reverts, rewards, wasted int
-	shifts                           int // trend-shift firings (diagnostic)
 	observed                         int
 	last                             Decision
 }
@@ -113,7 +112,6 @@ func (p *EWMAPredictive) Observe(cdr float64) int {
 	if shifted {
 		if p.armed {
 			p.bck[p.ccl] = 0
-			p.shifts++
 			p.armed = false
 		}
 	} else {
@@ -215,6 +213,3 @@ func (p *EWMAPredictive) PolicyStats() PolicyStats {
 
 // Name implements Decider.
 func (p *EWMAPredictive) Name() string { return PolicyEWMA }
-
-// Shifts reports how many times the trend detector fired (diagnostic).
-func (p *EWMAPredictive) Shifts() int { return p.shifts }

@@ -4,10 +4,9 @@
 // hardware-interrupt (HIRQ), software-interrupt (SIRQ) and steal (STEAL)
 // time from the counter deltas.
 //
-// The same parser and sampler run against three sources: the real
-// /proc/stat of the machine (cmd/acprobe), the simulated counters emitted by
-// internal/cloudsim (the Figure 1 experiment), and the per-process
-// /proc/<pid>/stat format the paper used to observe qemu from the host.
+// The same parser and sampler run against two sources: the real /proc/stat
+// of the machine (cmd/acprobe) and the simulated counters emitted by
+// internal/cloudsim (the Figure 1 experiment).
 package metrics
 
 import (
@@ -60,39 +59,6 @@ func ParseProcStat(text string) (CPUCounters, error) {
 		return c, nil
 	}
 	return c, ErrNoCPULine
-}
-
-// PidCPU holds the cumulative user and system jiffies of one process, from
-// /proc/<pid>/stat (fields 14 and 15). This is how the paper measured the
-// qemu process's true CPU cost from the KVM host.
-type PidCPU struct {
-	UTime, STime uint64
-}
-
-// ParsePidStat parses a /proc/<pid>/stat line. The comm field (2) may
-// contain spaces and parentheses, so parsing anchors on the *last* ')'.
-func ParsePidStat(text string) (PidCPU, error) {
-	var p PidCPU
-	end := strings.LastIndexByte(text, ')')
-	if end < 0 {
-		return p, errors.New("metrics: malformed pid stat: no comm field")
-	}
-	rest := strings.Fields(text[end+1:])
-	// rest[0] is field 3 (state); utime is field 14, stime 15.
-	const utimeIdx, stimeIdx = 14 - 3, 15 - 3
-	if len(rest) <= stimeIdx {
-		return p, errors.New("metrics: malformed pid stat: too few fields")
-	}
-	u, err := strconv.ParseUint(rest[utimeIdx], 10, 64)
-	if err != nil {
-		return p, fmt.Errorf("metrics: bad utime: %v", err)
-	}
-	s, err := strconv.ParseUint(rest[stimeIdx], 10, 64)
-	if err != nil {
-		return p, fmt.Errorf("metrics: bad stime: %v", err)
-	}
-	p.UTime, p.STime = u, s
-	return p, nil
 }
 
 // Utilization is one sampled interval expressed in percent of one CPU.

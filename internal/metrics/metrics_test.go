@@ -3,7 +3,6 @@ package metrics_test
 import (
 	"errors"
 	"math"
-	"strings"
 	"testing"
 
 	"adaptio/internal/cloudsim"
@@ -53,31 +52,6 @@ func TestParseProcStatErrors(t *testing.T) {
 	}
 	if _, err := metrics.ParseProcStat("cpu  a b c d e f g h\n"); err == nil {
 		t.Fatal("garbage counters accepted")
-	}
-}
-
-func TestParsePidStat(t *testing.T) {
-	// Field 2 (comm) may contain spaces and parens — the classic trap.
-	line := `4242 (qemu-system (x86)) S 1 4242 4242 0 -1 4202752 51297 0 1 0 77310 22955 0 0 20 0 5 0 5026 1106852⁠864 23407`
-	line = strings.ReplaceAll(line, "⁠", "") // keep the literal clean
-	p, err := metrics.ParsePidStat(line)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.UTime != 77310 || p.STime != 22955 {
-		t.Fatalf("utime/stime = %d/%d", p.UTime, p.STime)
-	}
-}
-
-func TestParsePidStatErrors(t *testing.T) {
-	if _, err := metrics.ParsePidStat("no parens here"); err == nil {
-		t.Fatal("missing comm accepted")
-	}
-	if _, err := metrics.ParsePidStat("1 (x) S 2 3"); err == nil {
-		t.Fatal("short line accepted")
-	}
-	if _, err := metrics.ParsePidStat("1 (x) S 1 2 3 4 5 6 7 8 9 10 NaN 12 13 14 15 16 17 18"); err == nil {
-		t.Fatal("bad utime accepted")
 	}
 }
 

@@ -143,25 +143,6 @@ func Summarize(xs []float64) Summary {
 // IQR returns the inter-quartile range of the summary.
 func (s Summary) IQR() float64 { return s.Q3 - s.Q1 }
 
-// WhiskerLow and WhiskerHigh return the Tukey box-plot whisker positions
-// (1.5 IQR beyond the quartiles, clamped to the observed extremes).
-func (s Summary) WhiskerLow() float64 {
-	w := s.Q1 - 1.5*s.IQR()
-	if w < s.Min {
-		return s.Min
-	}
-	return w
-}
-
-// WhiskerHigh returns the upper Tukey whisker position.
-func (s Summary) WhiskerHigh() float64 {
-	w := s.Q3 + 1.5*s.IQR()
-	if w > s.Max {
-		return s.Max
-	}
-	return w
-}
-
 // String renders the summary in a compact single-line form.
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f sd=%.1f min=%.1f q1=%.1f med=%.1f q3=%.1f max=%.1f",
@@ -215,19 +196,6 @@ func (h Histogram) Total() int {
 	return t
 }
 
-// Mode returns the index of the most populated bin (ties resolve to the
-// lowest index).
-func (h Histogram) Mode() int {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	_ = best
-	return best
-}
-
 // CoefficientOfVariation returns sd/mean, a scale-free dispersion measure
 // used to compare throughput fluctuation across platforms. It returns 0 when
 // the mean is 0.
@@ -239,30 +207,12 @@ func CoefficientOfVariation(xs []float64) float64 {
 	return StdDev(xs) / m
 }
 
-// WelchT computes Welch's unequal-variance t-test between two samples:
-// the t statistic and the Welch–Satterthwaite degrees of freedom. Use
+// WelchTSummary computes Welch's unequal-variance t-test from summary
+// statistics (means, sample standard deviations and sizes) — the form needed
+// when only aggregated results are retained, as in Table II cells: the t
+// statistic and the Welch–Satterthwaite degrees of freedom. Use
 // SignificantAt05 to interpret the result. It returns (0, 0) when either
 // sample has fewer than two values or both variances are zero.
-func WelchT(a, b []float64) (t, df float64) {
-	na, nb := float64(len(a)), float64(len(b))
-	if na < 2 || nb < 2 {
-		return 0, 0
-	}
-	ma, mb := Mean(a), Mean(b)
-	va, vb := StdDev(a), StdDev(b)
-	va, vb = va*va, vb*vb
-	sa, sb := va/na, vb/nb
-	if sa+sb == 0 {
-		return 0, 0
-	}
-	t = (ma - mb) / math.Sqrt(sa+sb)
-	df = (sa + sb) * (sa + sb) / (sa*sa/(na-1) + sb*sb/(nb-1))
-	return t, df
-}
-
-// WelchTSummary computes Welch's t from summary statistics (means, sample
-// standard deviations and sizes) — the form needed when only aggregated
-// results are retained, as in Table II cells.
 func WelchTSummary(meanA, sdA float64, nA int, meanB, sdB float64, nB int) (t, df float64) {
 	if nA < 2 || nB < 2 {
 		return 0, 0

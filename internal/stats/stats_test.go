@@ -82,9 +82,6 @@ func TestSummarize(t *testing.T) {
 	if s.IQR() != 4 {
 		t.Fatalf("IQR = %v", s.IQR())
 	}
-	if s.WhiskerLow() < s.Min || s.WhiskerHigh() > s.Max {
-		t.Fatal("whiskers outside observed range")
-	}
 	if s.String() == "" {
 		t.Fatal("empty String()")
 	}
@@ -118,13 +115,6 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestHistogramMode(t *testing.T) {
-	h := stats.NewHistogram([]float64{1, 1, 1, 5, 9}, 3)
-	if h.Mode() != 0 {
-		t.Fatalf("mode bin = %d", h.Mode())
-	}
-}
-
 func TestCoefficientOfVariation(t *testing.T) {
 	if stats.CoefficientOfVariation([]float64{5, 5, 5}) != 0 {
 		t.Fatal("constant data CoV should be 0")
@@ -138,11 +128,14 @@ func TestCoefficientOfVariation(t *testing.T) {
 	}
 }
 
-func TestWelchT(t *testing.T) {
+func TestWelchTSummary(t *testing.T) {
+	welch := func(a, b []float64) (float64, float64) {
+		return stats.WelchTSummary(stats.Mean(a), stats.StdDev(a), len(a), stats.Mean(b), stats.StdDev(b), len(b))
+	}
 	// Clearly different populations: significant.
 	a := []float64{100, 101, 99, 100, 102, 100}
 	b := []float64{120, 121, 119, 122, 120, 121}
-	tt, df := stats.WelchT(a, b)
+	tt, df := welch(a, b)
 	if tt >= 0 {
 		t.Fatalf("t = %v, want negative (a < b)", tt)
 	}
@@ -154,15 +147,15 @@ func TestWelchT(t *testing.T) {
 	}
 	// Same population: not significant.
 	c := []float64{100, 102, 98, 101, 99, 100}
-	tt, df = stats.WelchT(a, c)
+	tt, df = welch(a, c)
 	if stats.SignificantAt05(tt, df) {
 		t.Fatalf("identical-population difference flagged significant (t=%v, df=%v)", tt, df)
 	}
 	// Degenerate inputs.
-	if tt, df := stats.WelchT([]float64{1}, b); tt != 0 || df != 0 {
+	if tt, df := welch([]float64{1}, b); tt != 0 || df != 0 {
 		t.Fatal("tiny sample should yield zeros")
 	}
-	if tt, df := stats.WelchT([]float64{5, 5, 5}, []float64{5, 5, 5}); tt != 0 || df != 0 {
+	if tt, df := welch([]float64{5, 5, 5}, []float64{5, 5, 5}); tt != 0 || df != 0 {
 		t.Fatal("zero-variance pair should yield zeros")
 	}
 	if stats.SignificantAt05(10, 0) {

@@ -14,6 +14,7 @@ import (
 	"hash/crc32"
 	"io"
 
+	"adaptio/internal/block"
 	"adaptio/internal/compress"
 	"adaptio/internal/compress/probe"
 )
@@ -146,7 +147,7 @@ func maxFrameSize(n int) int {
 // by more than the header), or the entropy pre-probe judged it hopeless —
 // head is the bare header and tail aliases block: the caller can then put
 // both pieces on the wire without ever copying the block into scratch (see
-// writeFrame / WriteVectored). tail is only valid until block's buffer is
+// Writer.emit / WriteVectored). tail is only valid until block's buffer is
 // reused.
 //
 // The probe runs before the codec: a hopeless block (near-uniform byte
@@ -188,54 +189,106 @@ func encodeFramePieces(scratch []byte, ladder compress.Ladder, level int, block 
 	return scratch[:headerSize], block, codecID, skipped
 }
 
-// writeFrame encodes one frame into scratch and writes it to w — as two
-// vectored pieces for stored-raw frames, so the block is never copied into
-// scratch. It returns the number of payload (compressed) bytes written, the
-// codec ID actually used, whether the entropy probe skipped the codec, the
-// (possibly grown) scratch — callers keep it so a rare mid-stream growth is
-// paid once, not per frame — and any I/O error.
-func writeFrame(w io.Writer, ladder compress.Ladder, level int, block, scratch []byte, pr probe.Config) (payload int, codecID uint8, skipped bool, scratchOut []byte, err error) {
-	head, tail, codecID, skipped := encodeFramePieces(scratch[:0], ladder, level, block, pr)
-	payload = len(head) - headerSize + len(tail)
-	if tail == nil {
-		err = writeFull(w, head)
-	} else {
-		err = WriteVectored(w, head, tail)
-	}
-	if err != nil {
-		return 0, codecID, skipped, head, err
-	}
-	return payload, codecID, skipped, head, nil
+// frameSource reads frames off the wire one after another. It is the serial
+// stage in front of both reader modes — the inline reader calls it from
+// fill, the pool from its wire goroutine — and the one place that knows a
+// frame's index and wire offset.
+type frameSource struct {
+	src    io.Reader
+	hdr    [headerSize]byte // header scratch, reused every frame
+	frame  int64            // index of the next frame
+	offset int64            // wire offset of its first header byte
 }
 
-// readFrameHeader reads and parses one frame header from r into hdr. It
-// returns io.EOF at a clean end of stream (no header byte read) and a
-// framing error if the stream ends inside the header.
-func readFrameHeader(r io.Reader, hdr *[headerSize]byte) (header, error) {
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return header{}, io.EOF
+// rawFrame is one frame as it came off the wire: the parsed header and the
+// still-encoded payload, plus where it sat in the stream.
+type rawFrame struct {
+	header
+	payload *block.Buf // owned by whoever holds the frame
+	frame   int64
+	offset  int64
+}
+
+// fail locates err in the wire stream.
+func (f *rawFrame) fail(err error) error {
+	return &FrameError{Frame: f.frame, Offset: f.offset, Err: err}
+}
+
+// fit returns an empty arena buffer of capacity at least n: buf itself when
+// it is large enough (buf may be nil), a fresh one replacing it otherwise.
+func fit(buf *block.Buf, n int) *block.Buf {
+	if buf != nil {
+		if buf.Cap() >= n {
+			buf.B = buf.B[:0]
+			return buf
 		}
-		return header{}, fmt.Errorf("%w: truncated header: %v", ErrBadFrame, err)
+		buf.Release()
 	}
-	return parseHeader(hdr[:])
+	return block.Get(n)
 }
 
-// decodeFramePayload decompresses and CRC-verifies one frame payload,
-// appending the raw block to dst. On error dst is returned truncated to its
-// original length: no bytes of a bad frame are ever delivered.
-func decodeFramePayload(dst []byte, h header, payload []byte) ([]byte, error) {
-	codec, err := compress.ByID(h.codecID)
+// next reads one frame, its payload into buf when that is large enough (the
+// inline reader recycles one buffer this way; nil asks for a fresh one). The
+// caller owns the returned frame's payload buffer. It returns io.EOF at a
+// clean end of stream — no header byte read — and a *FrameError if the
+// stream ends inside the frame or the header is damaged; buf is released on
+// either.
+func (s *frameSource) next(buf *block.Buf) (rawFrame, error) {
+	f := rawFrame{frame: s.frame, offset: s.offset}
+	_, err := io.ReadFull(s.src, s.hdr[:])
+	switch {
+	case err == io.EOF:
+	case err != nil:
+		err = f.fail(fmt.Errorf("%w: truncated header: %v", ErrBadFrame, err))
+	default:
+		if f.header, err = parseHeader(s.hdr[:]); err != nil {
+			err = f.fail(err)
+			break
+		}
+		buf = fit(buf, f.compLen)
+		buf.B = buf.B[:f.compLen]
+		if _, err = io.ReadFull(s.src, buf.B); err != nil {
+			err = f.fail(fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err))
+		}
+	}
 	if err != nil {
-		return dst, fmt.Errorf("%w: %v", ErrBadFrame, err)
+		if buf != nil {
+			buf.Release()
+		}
+		return f, err
 	}
-	start := len(dst)
-	dst, err = codec.Decompress(dst, payload, h.rawLen)
+	f.payload = buf
+	s.frame++
+	s.offset += int64(headerSize + f.compLen)
+	return f, nil
+}
+
+// decode turns the frame into its raw block, CRC-verified before anything is
+// delivered. A stored-raw frame's payload is the block, so its buffer is
+// handed over as blk without a copy and dst comes back as spare; any other
+// frame is decompressed into dst (grown as fit does) and the payload buffer
+// comes back as spare. The caller owns both. On error both are released and
+// the *FrameError names the frame: no byte of a bad frame is ever delivered.
+func (f *rawFrame) decode(dst *block.Buf) (blk, spare *block.Buf, err error) {
+	blk, spare = f.payload, dst
+	if f.codecID != compress.IDNone || f.rawLen != f.compLen {
+		var codec compress.Codec
+		if codec, err = compress.ByID(f.codecID); err == nil {
+			blk, spare = fit(dst, f.rawLen), f.payload
+			blk.B, err = codec.Decompress(blk.B, spare.B, f.rawLen)
+		}
+	}
+	if err == nil {
+		if got := crc32.Checksum(blk.B, crcTable); got != f.crc {
+			err = fmt.Errorf("CRC mismatch (got %08x, want %08x)", got, f.crc)
+		}
+	}
 	if err != nil {
-		return dst[:start], fmt.Errorf("%w: %v", ErrBadFrame, err)
+		blk.Release()
+		if spare != nil {
+			spare.Release()
+		}
+		return nil, nil, f.fail(fmt.Errorf("%w: %v", ErrBadFrame, err))
 	}
-	if got := crc32.Checksum(dst[start:], crcTable); got != h.crc {
-		return dst[:start], fmt.Errorf("%w: CRC mismatch (got %08x, want %08x)", ErrBadFrame, got, h.crc)
-	}
-	return dst, nil
+	return blk, spare, nil
 }

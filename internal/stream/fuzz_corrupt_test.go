@@ -30,7 +30,7 @@ func corruptSeedWire(tb testing.TB) []byte {
 // FuzzReaderCorruptStream hammers both frame readers with corrupt wire
 // bytes and checks the documented corrupt-frame policy differentially:
 //
-//   - neither Reader nor ParallelReader panics or leaks goroutines;
+//   - neither reader mode (inline, worker pool) panics or leaks goroutines;
 //   - any failure wraps ErrBadFrame (io.ErrUnexpectedEOF marks honest
 //     truncation of the final frame, which the format cannot distinguish
 //     from a short wire);

@@ -4,112 +4,74 @@ import (
 	"sync"
 
 	"adaptio/internal/block"
-	"adaptio/internal/compress"
-	"adaptio/internal/compress/probe"
 )
 
-// pipeline is the order-preserving parallel compression engine behind
-// WriterConfig.Parallelism: blocks are compressed concurrently by a worker
-// pool, then written downstream in submission order. Compression dominates
-// the stream layer's CPU cost, so on multicore senders the pool multiplies
-// throughput without changing the wire format (frames remain strictly
-// ordered and self-contained).
+// pipeline is the worker-pool mode of the Writer (WriterConfig.Parallelism
+// > 1): blocks run through Writer.encode concurrently, then through
+// Writer.emit in submission order from one flusher goroutine. Compression
+// dominates the stream layer's CPU cost, so on multicore senders the pool
+// multiplies throughput without changing the wire format (frames remain
+// strictly ordered and self-contained).
 //
 // Buffer lifecycle: submit transfers ownership of the block's arena buffer
 // to the pipeline. For a compressed frame the worker releases it right
-// after encoding into a fresh arena buffer; for a stored-raw frame (codec
-// declined, failed to shrink, or probe-skipped) the worker keeps the block
-// buffer as the frame's tail piece so the raw bytes are never copied into
-// the frame buffer — the flusher puts header and block on the wire as a
-// vectored write, exactly like the serial path. The flusher releases
-// whatever buffers each frame still holds after the write. stop drains
-// everything in flight, so by the time stop returns no pipeline-owned
-// buffer is outstanding.
+// after encoding into a fresh arena buffer; for a stored-raw frame it
+// travels on as the frame's tail piece. The flusher releases whatever
+// buffers each frame still holds once emit returns — written, or refused
+// after an earlier write error. stop drains everything in flight, so by the
+// time it returns no pipeline-owned buffer is outstanding.
 type pipeline struct {
-	ladder compress.Ladder
-	probe  probe.Config
-	dst    writeSink
-
+	w    *Writer
 	jobs chan compressJob
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	done      map[uint64]encodedFrame // finished but not yet written
+	done      map[uint64]encodedFrame // encoded but not yet emitted
 	nextSub   uint64                  // next sequence number to assign
-	nextWrite uint64                  // next sequence number to write
-	err       error
+	nextWrite uint64                  // next sequence number to emit
+	err       error                   // first emit error
 	stopped   bool
 
-	workerWG  sync.WaitGroup
-	flusherWG sync.WaitGroup
+	wg sync.WaitGroup
 }
 
-// writeSink receives ordered frames and accounts them; implemented by
-// Writer.
-type writeSink interface {
-	writeEncodedFrame(f encodedFrame) error
-}
-
-type compressJob struct {
-	seq    uint64
-	level  int
-	staged int64      // raw bytes copied into the block by Write
-	block  *block.Buf // owned by the pipeline once submitted
-}
-
-type encodedFrame struct {
-	frame   *block.Buf // head piece (header [+ compressed payload]); released by the flusher
-	tail    *block.Buf // stored-raw frames only: the block itself, written vectored after frame
-	rawLen  int
-	staged  int64 // carried through for the sink's copy accounting
-	level   int
-	codecID uint8
-	skipped bool // entropy probe sent the block straight to stored-raw
-}
-
-func newPipeline(ladder compress.Ladder, pr probe.Config, dst writeSink, workers int) *pipeline {
+func newPipeline(w *Writer, workers int) *pipeline {
 	p := &pipeline{
-		ladder: ladder,
-		probe:  pr,
-		dst:    dst,
-		jobs:   make(chan compressJob, workers*2),
-		done:   make(map[uint64]encodedFrame),
+		w: w,
+		// submit admits this many blocks between the caller and the wire:
+		// per worker two queued, one being encoded and one waiting its turn
+		// at the flusher. A slow destination therefore blocks the caller
+		// instead of piling up finished frames, and a write error reaches
+		// the caller within that many blocks. The channel never blocks.
+		jobs: make(chan compressJob, 4*workers),
+		done: make(map[uint64]encodedFrame),
 	}
 	p.cond = sync.NewCond(&p.mu)
+	p.wg.Add(workers + 1)
 	for i := 0; i < workers; i++ {
-		p.workerWG.Add(1)
 		go p.worker()
 	}
-	p.flusherWG.Add(1)
 	go p.flusher()
 	return p
 }
 
 func (p *pipeline) worker() {
-	defer p.workerWG.Done()
+	defer p.wg.Done()
 	for job := range p.jobs {
-		rawLen := len(job.block.B)
-		fbuf := block.Get(maxFrameSize(rawLen))
-		head, tail, codecID, skipped := encodeFramePieces(fbuf.B[:0], p.ladder, job.level, job.block.B, p.probe)
-		fbuf.B = head
-		ef := encodedFrame{frame: fbuf, rawLen: rawLen, staged: job.staged, level: job.level, codecID: codecID, skipped: skipped}
-		if tail != nil {
-			// Stored raw: tail aliases job.block.B, so the block buffer
-			// travels with the frame and the flusher releases it.
-			ef.tail = job.block
-		} else {
+		f := p.w.encode(job, block.Get(maxFrameSize(len(job.block.B))))
+		if f.tail == nil {
 			job.block.Release()
 		}
 		p.mu.Lock()
-		p.done[job.seq] = ef
+		p.done[f.seq] = f
 		p.cond.Broadcast()
 		p.mu.Unlock()
 	}
 }
 
-// flusher writes finished frames downstream in sequence order.
+// flusher emits finished frames in sequence order.
 func (p *pipeline) flusher() {
-	defer p.flusherWG.Done()
+	defer p.wg.Done()
 	for {
 		p.mu.Lock()
 		for {
@@ -126,7 +88,7 @@ func (p *pipeline) flusher() {
 		delete(p.done, p.nextWrite)
 		p.mu.Unlock()
 
-		err := p.dst.writeEncodedFrame(f)
+		err := p.w.emit(f)
 		f.frame.Release()
 		if f.tail != nil {
 			f.tail.Release()
@@ -134,33 +96,30 @@ func (p *pipeline) flusher() {
 
 		p.mu.Lock()
 		p.nextWrite++
-		if err != nil && p.err == nil {
-			p.err = err
-		}
+		p.err = err // emit's error is sticky, so this only ever latches
 		p.cond.Broadcast()
 		p.mu.Unlock()
 	}
 }
 
-// submit enqueues one block (whose arena buffer the pipeline takes
-// ownership of) at the given level. It returns any asynchronous write
-// error observed so far.
-func (p *pipeline) submit(blk *block.Buf, level int, staged int64) error {
+// submit enqueues one block, whose arena buffer the pipeline takes
+// ownership of, waiting while cap(jobs) blocks are already in flight. It
+// returns the emit error observed so far, if any.
+func (p *pipeline) submit(job compressJob) error {
 	p.mu.Lock()
-	if p.stopped {
-		p.mu.Unlock()
-		panic("stream: submit on stopped pipeline")
+	for p.nextSub-p.nextWrite >= uint64(cap(p.jobs)) {
+		p.cond.Wait()
 	}
-	seq := p.nextSub
+	job.seq = p.nextSub
 	p.nextSub++
 	err := p.err
 	p.mu.Unlock()
-	p.jobs <- compressJob{seq: seq, level: level, staged: staged, block: blk}
+	p.jobs <- job
 	return err
 }
 
-// drain blocks until every submitted frame has been written downstream and
-// returns the first asynchronous error.
+// drain blocks until every submitted frame has been through emit and
+// returns the emit error, if any.
 func (p *pipeline) drain() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -170,26 +129,14 @@ func (p *pipeline) drain() error {
 	return p.err
 }
 
-// stop drains, shuts the workers down and returns the first error. The
-// pipeline cannot be used afterwards.
-func (p *pipeline) stop() error {
-	p.mu.Lock()
-	if p.stopped {
-		err := p.err
-		p.mu.Unlock()
-		return err
-	}
-	p.mu.Unlock()
-
-	err := p.drain()
-
+// stop drains and shuts the goroutines down. The pipeline cannot be used
+// afterwards.
+func (p *pipeline) stop() {
+	p.drain()
 	p.mu.Lock()
 	p.stopped = true
 	p.cond.Broadcast()
 	p.mu.Unlock()
-
 	close(p.jobs)
-	p.workerWG.Wait()
-	p.flusherWG.Wait()
-	return err
+	p.wg.Wait()
 }

@@ -1,279 +1,112 @@
 package stream
 
 import (
-	"errors"
-	"fmt"
 	"io"
 	"sync"
 
 	"adaptio/internal/block"
 )
 
-// ParallelReader decompresses a frame stream on a worker pool while
-// delivering the application bytes strictly in order — the receive-side
-// counterpart of WriterConfig.Parallelism. Frames are read from the source
-// sequentially (the wire is serial anyway); decompression and CRC
-// verification fan out across workers.
-//
-// A ParallelReader must be Closed when abandoned before EOF, or its
-// goroutines leak. Reading to EOF (or any error) also releases them.
-//
-// ParallelReader follows the same corrupt-frame policy as Reader: the first
-// bad frame surfaces as a sticky *FrameError (frame index + wire offset,
-// wrapping ErrBadFrame), no corrupt bytes are delivered, allocation stays
-// bounded by MaxBlockSize, and no goroutine outlives EOF, error, or Close.
-//
-// Buffer lifecycle (see internal/block and docs/performance.md): raw
-// frames and decoded blocks ride pooled arena buffers. Ownership flows
-// demultiplexer -> worker -> reorderer -> Read; each stage releases what it
-// consumes, discarded frames are released by whichever stage drops them,
-// and Close drains and releases everything still in flight. Reading to EOF
-// or Closing therefore returns the pool to its idle state — the leak
-// trackers in the test suite assert this.
-type ParallelReader struct {
-	out      chan pframe
-	cur      []byte
-	curArena *block.Buf // backing of cur; released once fully delivered
-	err      error
-	closeCh  chan struct{}
-	once     sync.Once
-
-	rawBytes  int64
-	wireBytes int64
-	blocks    int64
+// readPool is the worker-pool mode of the Reader: one goroutine reads frames
+// off the wire in order, the workers run rawFrame.decode on them
+// concurrently, and next hands the blocks back in wire order. Ownership of
+// the arena buffers flows wire goroutine -> worker -> next; stop releases
+// whatever is still in flight, and no goroutine outlives it.
+type readPool struct {
+	// order carries one slot per frame, in wire order; the frame's worker
+	// delivers into the slot. Its capacity bounds the frames in flight.
+	order chan chan decodedFrame
+	quit  chan struct{}
+	wg    sync.WaitGroup
 }
 
-type pframe struct {
-	seq  uint64
-	data *block.Buf // nil on error frames
-	err  error
-	wire int64
-	off  int64 // wire offset of the frame's first header byte
+// decodedFrame is one frame after the decode step: the raw block, or the
+// *FrameError that ends the stream.
+type decodedFrame struct {
+	header
+	blk *block.Buf // nil on error
+	err error
 }
 
-// release drops the frame's buffer, if any. Safe on error frames.
-func (f *pframe) release() {
-	if f.data != nil {
-		f.data.Release()
-		f.data = nil
-	}
+type decodeJob struct {
+	rawFrame
+	slot chan decodedFrame
 }
 
-// NewParallelReader creates a reader over src with the given worker count
-// (minimum 1).
-func NewParallelReader(src io.Reader, workers int) (*ParallelReader, error) {
-	if src == nil {
-		return nil, errors.New("stream: nil source reader")
+func startReadPool(frames *frameSource, workers int) *readPool {
+	// Two frames per worker keep the pool busy while Read drains a block.
+	p := &readPool{order: make(chan chan decodedFrame, 2*workers), quit: make(chan struct{})}
+	// A slot is taken from the moment it enters order until next has
+	// received from it: at most cap(order) queued plus the one next holds, so
+	// the slot used cap(order)+2 frames ago is always free again.
+	ring := make([]chan decodedFrame, cap(p.order)+2)
+	for i := range ring {
+		ring[i] = make(chan decodedFrame, 1)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	r := &ParallelReader{
-		out:     make(chan pframe, workers*2),
-		closeCh: make(chan struct{}),
-	}
-	jobs := make(chan pframe, workers*2)
+	// Every queued job holds a slot, so a send on jobs never blocks.
+	jobs := make(chan decodeJob, len(ring))
 
-	// Demultiplexer: read raw frames sequentially, hand them to workers.
-	var wg sync.WaitGroup
+	p.wg.Add(workers + 1)
 	go func() {
+		defer p.wg.Done()
 		defer close(jobs)
-		var hdr [headerSize]byte
-		var seq uint64
-		var off int64 // wire offset of the frame about to be read
-		for {
-			raw, err := readRawFrame(src, &hdr)
+		defer close(p.order)
+		for seq := 0; ; seq++ {
+			f, err := frames.next(nil)
 			if err == io.EOF {
 				return
 			}
-			if err != nil {
-				err = &FrameError{Frame: int64(seq), Offset: off, Err: err}
-			}
-			job := pframe{seq: seq, data: raw, err: err}
-			if raw != nil {
-				job.wire = int64(len(raw.B))
-			}
-			job.off = off
+			slot := ring[seq%len(ring)]
 			select {
-			case jobs <- job:
-			case <-r.closeCh:
-				job.release()
+			case p.order <- slot:
+			case <-p.quit:
+				if err == nil {
+					f.payload.Release()
+				}
 				return
 			}
 			if err != nil {
+				slot <- decodedFrame{err: err}
 				return
 			}
-			seq++
-			off += job.wire
+			jobs <- decodeJob{f, slot}
 		}
 	}()
-
-	// Workers: decompress and verify. The raw frame buffer is released
-	// here; the decoded block buffer travels onward.
-	results := make(chan pframe, workers*2)
 	for i := 0; i < workers; i++ {
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer p.wg.Done()
 			for job := range jobs {
-				if job.err != nil {
-					results <- job
-					continue
+				blk, spare, err := job.decode(nil)
+				if spare != nil {
+					spare.Release()
 				}
-				blk, err := decodeRawFrame(job.data)
-				job.release()
-				if err != nil {
-					err = &FrameError{Frame: int64(job.seq), Offset: job.off, Err: err}
-				}
-				results <- pframe{seq: job.seq, data: blk, err: err, wire: job.wire, off: job.off}
+				job.slot <- decodedFrame{job.header, blk, err}
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Reorderer: deliver frames in sequence order. After an error or a
-	// Close it keeps draining the results channel — releasing the dropped
-	// frames — so the workers never block on a full channel (that would
-	// leak them).
-	go func() {
-		defer close(r.out)
-		pending := map[uint64]pframe{}
-		defer func() {
-			for _, f := range pending {
-				f.release()
-			}
-		}()
-		var next uint64
-		dead := false
-		for f := range results {
-			if dead {
-				f.release()
-				continue
-			}
-			pending[f.seq] = f
-			for !dead {
-				nf, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				select {
-				case r.out <- nf:
-					if nf.err != nil {
-						dead = true
-					}
-				case <-r.closeCh:
-					nf.release()
-					dead = true
-				}
-				next++
-			}
-		}
-	}()
-	return r, nil
+	return p
 }
 
-// readRawFrame reads one frame's header and payload without decoding into
-// a pooled buffer holding header+payload, which the caller owns.
-func readRawFrame(src io.Reader, hdr *[headerSize]byte) (*block.Buf, error) {
-	h, err := readFrameHeader(src, hdr)
-	if err != nil {
-		return nil, err
+// next returns the next frame in wire order: io.EOF after the last one, or
+// the *FrameError of the first bad one.
+func (p *readPool) next() (decodedFrame, error) {
+	slot, ok := <-p.order
+	if !ok {
+		return decodedFrame{}, io.EOF
 	}
-	raw := block.GetLen(headerSize + h.compLen)
-	copy(raw.B, hdr[:])
-	if _, err := io.ReadFull(src, raw.B[headerSize:]); err != nil {
-		raw.Release()
-		return nil, fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err)
-	}
-	return raw, nil
+	d := <-slot
+	return d, d.err
 }
 
-// decodeRawFrame decompresses and verifies one raw frame into a fresh
-// pooled buffer. On error no buffer is retained.
-func decodeRawFrame(raw *block.Buf) (*block.Buf, error) {
-	h, err := parseHeader(raw.B)
-	if err != nil {
-		return nil, err
-	}
-	out := block.Get(h.rawLen)
-	dst, err := decodeFramePayload(out.B[:0], h, raw.B[headerSize:])
-	out.B = dst
-	if err != nil {
-		out.Release()
-		return nil, err
-	}
-	return out, nil
-}
-
-// Read implements io.Reader.
-func (r *ParallelReader) Read(p []byte) (int, error) {
-	for len(r.cur) == 0 {
-		if r.err != nil {
-			return 0, r.err
+// stop ends the pool: the wire goroutine quits at its next frame boundary,
+// every block still in flight is released, and all goroutines have exited
+// when it returns.
+func (p *readPool) stop() {
+	close(p.quit)
+	for slot := range p.order {
+		if d := <-slot; d.blk != nil {
+			d.blk.Release()
 		}
-		f, ok := <-r.out
-		if !ok {
-			r.err = io.EOF
-			return 0, io.EOF
-		}
-		if f.err != nil {
-			r.err = f.err
-			return 0, f.err
-		}
-		r.setCur(f.data)
-		r.rawBytes += int64(len(f.data.B))
-		r.wireBytes += f.wire
-		r.blocks++
 	}
-	n := copy(p, r.cur)
-	r.cur = r.cur[n:]
-	if len(r.cur) == 0 {
-		r.setCur(nil)
-	}
-	return n, nil
-}
-
-// setCur installs the next block buffer as the delivery cursor, releasing
-// the previous one (also handles empty blocks, which are skipped by the
-// Read loop).
-func (r *ParallelReader) setCur(b *block.Buf) {
-	if r.curArena != nil {
-		r.curArena.Release()
-	}
-	r.curArena = b
-	if b != nil {
-		r.cur = b.B
-	} else {
-		r.cur = nil
-	}
-}
-
-// Counters returns application bytes delivered, wire bytes consumed and
-// frames decoded so far.
-func (r *ParallelReader) Counters() (rawBytes, wireBytes, blocks int64) {
-	return r.rawBytes, r.wireBytes, r.blocks
-}
-
-// Close releases the worker goroutines and returns every in-flight pooled
-// buffer to the arena. It is safe to call multiple times and after EOF,
-// but must not be called concurrently with Read.
-func (r *ParallelReader) Close() error {
-	r.once.Do(func() {
-		close(r.closeCh)
-		// Drain undelivered frames. The pipeline unwinds promptly once
-		// closeCh is closed, so this terminates: the reorderer observes
-		// closeCh (or the closed results channel) and closes r.out.
-		for f := range r.out {
-			f.release()
-		}
-		r.setCur(nil)
-		if r.err == nil {
-			r.err = errReaderClosed
-		}
-	})
-	return nil
+	p.wg.Wait()
 }

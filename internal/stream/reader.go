@@ -2,8 +2,6 @@ package stream
 
 import (
 	"errors"
-	"fmt"
-	"hash/crc32"
 	"io"
 
 	"adaptio/internal/block"
@@ -19,6 +17,11 @@ var errReaderClosed = errors.New("stream: reader closed")
 // so it needs no knowledge of the sender's ladder or decision model, exactly
 // as the paper requires for transparent mid-stream level switches.
 //
+// NewReader decodes each frame inline on the caller's goroutine.
+// NewParallelReader decodes on a worker pool (see readPool) and must be
+// Closed when abandoned before end of stream, or its goroutines leak.
+// Everything below holds in both modes.
+//
 // Corrupt-frame policy (see docs/robustness.md): a Reader fails fast. The
 // first frame that is truncated, has a damaged header, an unknown codec, a
 // payload that does not decompress, or a CRC mismatch makes Read return a
@@ -28,42 +31,53 @@ var errReaderClosed = errors.New("stream: reader closed")
 // delivery), allocation is bounded by MaxBlockSize however hostile the
 // header, and a Reader never panics on any input.
 //
-// Buffer lifecycle (see internal/block and docs/performance.md): the block
-// and payload buffers come from the block arena and are recycled
-// automatically when the stream ends — clean EOF or any sticky error
-// releases them. A Reader abandoned before end of stream should be Closed
-// to return its buffers to the arena; failing to do so is not a memory
-// leak (the GC reclaims them), it just bypasses the pool.
+// Buffer lifecycle (see internal/block and docs/performance.md): blocks and
+// payloads ride arena buffers that are recycled when the stream ends —
+// clean EOF, any sticky error, or Close releases them and stops the pool. An
+// inline Reader abandoned before end of stream should be Closed too;
+// failing to do so is not a memory leak (the GC reclaims the buffers), it
+// just bypasses the arena.
 //
 // Reader is not safe for concurrent use.
 type Reader struct {
-	src     io.Reader
-	hdr     [headerSize]byte // header scratch, reused every frame
-	arena   *block.Buf       // backing for block
-	payload *block.Buf       // frame payload scratch
-	blk     []byte           // decompressed bytes not yet delivered
-	off     int
-	err     error // sticky error (including io.EOF)
+	frames frameSource // inline mode; the pool's wire goroutine owns it otherwise
+	pool   *readPool   // non-nil in pool mode until the stream ends
 
-	// RawBytes and WireBytes count decompressed and on-the-wire bytes
-	// delivered so far.
+	arena *block.Buf // backing of blk
+	spare *block.Buf // inline mode: where the next payload is read
+	blk   []byte     // decoded bytes of the current block
+	off   int        // how many of them have been delivered
+	err   error      // sticky error (including io.EOF)
+
 	rawBytes  int64
 	wireBytes int64
 	blocks    int64
-	// copiedBytes / passthroughBytes split rawBytes by user-space copy
-	// cost: bytes run through a codec transform into the arena vs
-	// identity-frame bytes streamed from the payload buffer straight to
-	// a WriteTo destination (see CopyCounters).
+	// copiedBytes / passthroughBytes split rawBytes by user-space copy cost
+	// (see CopyCounters).
 	copiedBytes      int64
 	passthroughBytes int64
 }
 
-// NewReader creates a Reader over src.
+// NewReader creates a Reader over src that decodes inline.
 func NewReader(src io.Reader) (*Reader, error) {
 	if src == nil {
 		return nil, errors.New("stream: nil source reader")
 	}
-	return &Reader{src: src}, nil
+	return &Reader{frames: frameSource{src: src}}, nil
+}
+
+// NewParallelReader creates a Reader over src whose frames are decompressed
+// and CRC-verified by the given number of workers while the application
+// bytes are still delivered strictly in order — the receive-side counterpart
+// of WriterConfig.Parallelism. Frames are read from the source sequentially
+// (the wire is serial anyway). One worker or fewer is NewReader: inline
+// decoding, no goroutine started.
+func NewParallelReader(src io.Reader, workers int) (*Reader, error) {
+	r, err := NewReader(src)
+	if err == nil && workers > 1 {
+		r.pool = startReadPool(&r.frames, workers)
+	}
+	return r, err
 }
 
 // Read implements io.Reader, delivering the original application bytes.
@@ -72,115 +86,76 @@ func (r *Reader) Read(p []byte) (int, error) {
 		if r.err != nil {
 			return 0, r.err
 		}
-		if _, err := r.fill(nil); err != nil {
-			r.err = err
-			return 0, err
-		}
+		r.fill(false)
 	}
 	n := copy(p, r.blk[r.off:])
 	r.off += n
 	return n, nil
 }
 
-// Close releases the reader's pooled buffers back to the arena and makes
-// further Reads fail. It never fails and is safe to call multiple times,
-// also after EOF (buffers are already recycled by then). Close does not
-// close the underlying source.
+// Close stops the worker pool, returns every pooled buffer — the reader's
+// own and those still in flight — to the arena and makes further Reads fail.
+// It never fails and is safe to call multiple times, also after EOF
+// (everything is already recycled by then), but not concurrently with Read.
+// Close does not close the underlying source.
 func (r *Reader) Close() error {
-	r.releaseBufs()
 	if r.err == nil {
 		r.err = errReaderClosed
 	}
+	if r.pool != nil {
+		r.pool.stop()
+		r.pool = nil
+	}
+	if r.arena != nil {
+		r.arena.Release()
+	}
+	if r.spare != nil {
+		r.spare.Release()
+	}
+	r.arena, r.spare, r.blk, r.off = nil, nil, nil, 0
 	return nil
 }
 
-// releaseBufs returns the pooled buffers to the arena. Called exactly once
-// per buffer: either when the stream terminates (EOF or sticky error) or
-// from Close.
-func (r *Reader) releaseBufs() {
-	if r.arena != nil {
-		r.arena.Release()
-		r.arena = nil
+// fill makes the next frame's block current: decoded on the spot, or taken
+// from the pool's ordered output. It is only called once the previous block
+// has been fully delivered, so its buffer is free to recycle. direct says
+// the caller hands the block on without copying it out (WriteTo), which is
+// all the copy ledger needs to know. Any terminal condition — clean EOF or
+// a *FrameError — becomes the sticky error and releases everything.
+func (r *Reader) fill(direct bool) {
+	var h header
+	var err error
+	if r.pool != nil {
+		var d decodedFrame
+		if d, err = r.pool.next(); err == nil {
+			if r.arena != nil {
+				r.arena.Release()
+			}
+			h, r.arena = d.header, d.blk
+		}
+	} else {
+		var f rawFrame
+		f, err = r.frames.next(r.spare)
+		r.spare = nil // with the frame now, or released
+		if err == nil {
+			h = f.header
+			r.arena, r.spare, err = f.decode(r.arena)
+		}
 	}
-	if r.payload != nil {
-		r.payload.Release()
-		r.payload = nil
-	}
-	r.blk = nil
-	r.off = 0
-}
-
-// fill reads the next frame. Without a direct destination (direct == nil)
-// the frame is decoded into r.blk for delivery by Read. With one, identity
-// (stored-raw) frames take a zero-copy detour: the payload IS the raw block,
-// so after the CRC verifies it is streamed from the payload buffer straight
-// to direct — no decode copy into the arena — and fill reports the bytes
-// delivered that way. Non-identity frames decode into r.blk as usual.
-//
-// On any terminal condition (clean EOF or framing error) the pooled buffers
-// go back to the arena before the error is returned; fill is only called
-// when the previous block has been fully delivered, so no live bytes are
-// recycled. The CRC is verified before any byte is delivered on both paths.
-func (r *Reader) fill(direct io.Writer) (int, error) {
-	h, err := readFrameHeader(r.src, &r.hdr)
 	if err != nil {
-		r.releaseBufs()
-		if err == io.EOF {
-			return 0, err
-		}
-		// r.wireBytes counts the wire bytes of frames decoded so far,
-		// which is exactly the offset of the frame that just failed.
-		return 0, &FrameError{Frame: r.blocks, Offset: r.wireBytes, Err: err}
+		r.err = err
+		r.Close()
+		return
 	}
-	if r.payload == nil {
-		r.payload = block.Get(h.compLen)
-	} else if r.payload.Cap() < h.compLen {
-		r.payload.Release()
-		r.payload = block.Get(h.compLen)
-	}
-	payload := r.payload.B[:h.compLen]
-	if _, err := io.ReadFull(r.src, payload); err != nil {
-		r.releaseBufs()
-		err = fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err)
-		return 0, &FrameError{Frame: r.blocks, Offset: r.wireBytes, Err: err}
-	}
-	if direct != nil && h.codecID == compress.IDNone && h.rawLen == h.compLen {
-		if got := crc32.Checksum(payload, crcTable); got != h.crc {
-			r.releaseBufs()
-			err := fmt.Errorf("%w: CRC mismatch (got %08x, want %08x)", ErrBadFrame, got, h.crc)
-			return 0, &FrameError{Frame: r.blocks, Offset: r.wireBytes, Err: err}
-		}
-		if err := writeFull(direct, payload); err != nil {
-			// The frame is consumed: a retry cannot recover the lost
-			// bytes, so the write error is terminal for the stream.
-			r.releaseBufs()
-			return 0, err
-		}
-		r.rawBytes += int64(h.rawLen)
-		r.wireBytes += int64(headerSize + h.compLen)
-		r.blocks++
-		r.passthroughBytes += int64(h.rawLen)
-		return h.rawLen, nil
-	}
-	if r.arena == nil {
-		r.arena = block.Get(h.rawLen)
-	} else if r.arena.Cap() < h.rawLen {
-		r.arena.Release()
-		r.arena = block.Get(h.rawLen)
-	}
-	dst, err := decodeFramePayload(r.arena.B[:0], h, payload)
-	r.arena.B = dst // keep any growth with the pooled buffer
-	if err != nil {
-		r.releaseBufs()
-		return 0, &FrameError{Frame: r.blocks, Offset: r.wireBytes, Err: err}
-	}
-	r.blk = dst
-	r.off = 0
+	r.blk, r.off = r.arena.B, 0
 	r.rawBytes += int64(h.rawLen)
 	r.wireBytes += int64(headerSize + h.compLen)
 	r.blocks++
-	r.copiedBytes += int64(h.rawLen)
-	return 0, nil
+	if direct && h.codecID == compress.IDNone {
+		r.passthroughBytes += int64(h.rawLen)
+	} else {
+		r.copiedBytes += int64(h.rawLen)
+	}
 }
 
 // Counters returns the number of application bytes delivered, wire bytes
@@ -189,45 +164,41 @@ func (r *Reader) Counters() (rawBytes, wireBytes, blocks int64) {
 	return r.rawBytes, r.wireBytes, r.blocks
 }
 
-// CopyCounters splits the delivered raw bytes by user-space copy cost:
-// copied bytes went through a codec transform into the arena, passthrough
-// bytes were identity-frame payloads streamed straight to a WriteTo
-// destination after CRC verification (the relay's zero-copy decompress
-// path, docs/performance.md).
+// CopyCounters splits the delivered raw bytes by user-space copy cost on the
+// way to the consumer. Passthrough bytes were stored-raw frames handed to a
+// WriteTo destination straight from the buffer the wire was read into (the
+// relay's zero-copy decompress path, docs/performance.md); copied bytes went
+// through a codec transform into the arena, or through Read's copy-out.
 func (r *Reader) CopyCounters() (copied, passthrough int64) {
 	return r.copiedBytes, r.passthroughBytes
 }
 
 // WriteTo implements io.WriterTo, streaming all remaining blocks to w. This
-// is the efficient path for relays and sinks: non-identity blocks are
-// forwarded from the arena without the caller's copy loop, and identity
-// (stored-raw) frames skip the arena entirely — their payload is written to
-// w straight from the frame buffer once the CRC verifies.
+// is the efficient path for relays and sinks: blocks are forwarded from the
+// arena without the caller's copy loop, and stored-raw frames go out
+// straight from the buffer their payload was read into once the CRC
+// verifies.
 func (r *Reader) WriteTo(w io.Writer) (int64, error) {
 	var total int64
 	for {
-		if r.off < len(r.blk) {
+		for r.off < len(r.blk) {
 			n, err := w.Write(r.blk[r.off:])
-			total += int64(n)
-			r.off += n
+			if n > 0 {
+				total += int64(n)
+				r.off += n
+			} else if err == nil {
+				err = io.ErrShortWrite
+			}
 			if err != nil {
 				return total, err
 			}
 		}
+		if r.err == io.EOF {
+			return total, nil
+		}
 		if r.err != nil {
-			if r.err == io.EOF {
-				return total, nil
-			}
 			return total, r.err
 		}
-		n, err := r.fill(w)
-		total += int64(n)
-		if err != nil {
-			r.err = err
-			if err == io.EOF {
-				return total, nil
-			}
-			return total, err
-		}
+		r.fill(true)
 	}
 }

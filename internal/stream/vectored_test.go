@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"math/rand"
 	"net"
@@ -217,31 +216,5 @@ func TestWriterVectoredFramesDecode(t *testing.T) {
 	}
 	if !bytes.Equal(out, app) {
 		t.Fatal("vectored frames do not decode back to the application bytes")
-	}
-}
-
-// errAfterWriter fails the Nth write, covering writeFrame's error path for
-// vectored (two-piece) frames.
-type errAfterWriter struct {
-	n    int
-	seen int
-}
-
-func (w *errAfterWriter) Write(p []byte) (int, error) {
-	w.seen++
-	if w.seen > w.n {
-		return 0, errors.New("boom")
-	}
-	return len(p), nil
-}
-
-func TestWriteFrameVectoredErrorPropagates(t *testing.T) {
-	ladder := DefaultLadder()
-	block := incompressible(4096, 2)
-	scratch := make([]byte, 0, maxFrameSize(len(block)))
-	// First write (header) succeeds, second (payload) fails.
-	_, _, _, _, err := writeFrame(&errAfterWriter{n: 1}, ladder, LevelLight, block, scratch, probe.Default())
-	if err == nil || err.Error() != "boom" {
-		t.Fatalf("payload write error not propagated: %v", err)
 	}
 }

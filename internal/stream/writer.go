@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"time"
 
@@ -143,17 +144,15 @@ type Writer struct {
 	policy core.Policy  // never nil: core.Static in static mode
 	probe  probe.Config // resolved from cfg.Probe at construction
 
-	// bufArena backs buf; scratchArena backs scratch (serial mode only —
-	// pipeline workers pool their own frame buffers). Both come from the
-	// block arena and return to it in Close. In parallel mode bufArena is
-	// handed off whole to the pipeline on every cut block (zero copy) and
-	// a fresh arena buffer takes its place.
-	bufArena     *block.Buf
-	scratchArena *block.Buf
-	buf          []byte    // pending application bytes, cap = BlockSize
-	staged       int64     // bytes of buf that arrived via Write (copied in)
-	scratch      []byte    // compression scratch
-	pipe         *pipeline // non-nil when Parallelism > 1
+	// blk holds the pending application bytes (blk.B, cut at BlockSize);
+	// frame is the inline mode's frame scratch. Both come from the block
+	// arena and return to it in Close. With a worker pool, blk is handed to
+	// the pool whole on every cut block (zero copy) and a fresh arena buffer
+	// takes its place; the workers pool their own frame buffers.
+	blk    *block.Buf
+	frame  *block.Buf
+	staged int64     // bytes of blk.B that arrived via Write (copied in)
+	pipe   *pipeline // non-nil when Parallelism > 1
 
 	level       int
 	windowStart time.Time
@@ -168,6 +167,9 @@ type Writer struct {
 
 	closed bool
 	err    error // sticky error
+	// wireErr is the first destination write error. It belongs to the one
+	// goroutine that runs emit: the caller inline, the flusher with a pool.
+	wireErr error
 }
 
 // NewWriter creates an adaptive compression writer in front of dst.
@@ -234,40 +236,91 @@ func NewWriter(dst io.Writer, cfg WriterConfig) (*Writer, error) {
 	}
 
 	// All validation passed: acquire pooled buffers (released in Close).
-	w.bufArena = block.Get(cfg.BlockSize)
-	// Cap buf at exactly BlockSize (the arena class may be larger): the
-	// write loop cuts a block when len(buf) reaches cap(buf).
-	w.buf = w.bufArena.B[:0:cfg.BlockSize]
+	w.blk = block.Get(cfg.BlockSize)
 	if cfg.Parallelism > 1 {
-		w.pipe = newPipeline(w.ladder, w.probe, w, cfg.Parallelism)
+		w.pipe = newPipeline(w, cfg.Parallelism)
 	} else {
-		w.scratchArena = block.Get(maxFrameSize(cfg.BlockSize))
-		w.scratch = w.scratchArena.B[:0]
+		w.frame = block.Get(maxFrameSize(cfg.BlockSize))
 	}
 	w.windowStart = w.clock.Now()
 	return w, nil
 }
 
-// writeEncodedFrame implements writeSink for the parallel pipeline: it
-// pushes one finished frame downstream — vectored when the frame carries a
-// stored-raw tail piece — and accounts it. The frame's buffers are owned
-// (and released) by the pipeline's flusher.
-func (w *Writer) writeEncodedFrame(f encodedFrame) error {
+// NewParallelWriter is NewWriter with cfg.Parallelism set to workers, or to
+// GOMAXPROCS when workers < 1: each block (one arena buffer, handed to the
+// pool whole) is compressed by one worker and an order-preserving flusher
+// puts the frames on the wire, byte-identical to what the inline writer
+// produces. One worker is the inline writer.
+func NewParallelWriter(dst io.Writer, cfg WriterConfig, workers int) (*Writer, error) {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	cfg.Parallelism = workers
+	return NewWriter(dst, cfg)
+}
+
+// compressJob is one cut block on its way to becoming a frame.
+type compressJob struct {
+	seq    uint64 // submission order; pool mode only
+	level  int
+	staged int64      // raw bytes copied into the block by Write
+	block  *block.Buf // B holds the raw bytes
+}
+
+// encodedFrame is one frame ready for the wire.
+type encodedFrame struct {
+	seq     uint64
+	frame   *block.Buf // head piece: header [+ compressed payload]
+	tail    *block.Buf // stored-raw frames only: the block itself, written vectored after frame
+	rawLen  int
+	staged  int64
+	level   int
+	codecID uint8
+	skipped bool // entropy probe sent the block straight to stored-raw
+}
+
+// encode compresses job's block into frameBuf at the job's level. It is the
+// single frame encoder: the inline writer runs it on the caller's goroutine
+// into its own scratch, the pool on a worker into a pooled buffer. It only
+// reads immutable writer state, so workers may run it concurrently.
+func (w *Writer) encode(job compressJob, frameBuf *block.Buf) encodedFrame {
+	head, tail, codecID, skipped := encodeFramePieces(frameBuf.B[:0], w.ladder, job.level, job.block.B, w.probe)
+	frameBuf.B = head // keep any growth with the pooled buffer
+	f := encodedFrame{
+		seq: job.seq, frame: frameBuf, rawLen: len(job.block.B), staged: job.staged,
+		level: job.level, codecID: codecID, skipped: skipped,
+	}
+	if tail != nil {
+		// Stored raw: tail aliases the block, which travels with the frame.
+		f.tail = job.block
+	}
+	return f
+}
+
+// emit puts one encoded frame on the wire — vectored when it carries a
+// stored-raw tail piece, so the block is never copied into the frame buffer
+// — and accounts it. It is the single frame writer: the inline writer calls
+// it on the caller's goroutine, the pool from its flusher, in frame order.
+// The first write error is sticky: the stream has a hole from there on, so
+// every later frame is refused unwritten and unaccounted.
+func (w *Writer) emit(f encodedFrame) error {
+	if w.wireErr != nil {
+		return w.wireErr
+	}
 	wire := int64(len(f.frame.B))
 	if f.tail == nil {
-		if err := writeFull(w.dst, f.frame.B); err != nil {
-			return err
-		}
+		w.wireErr = writeFull(w.dst, f.frame.B)
 	} else {
 		wire += int64(len(f.tail.B))
-		if err := WriteVectored(w.dst, f.frame.B, f.tail.B); err != nil {
-			return err
-		}
+		w.wireErr = WriteVectored(w.dst, f.frame.B, f.tail.B)
 	}
-	// Same ledger split as the serial path: a codec transform copies every
-	// raw byte once (on top of any staging copy by Write); a stored-raw
-	// frame rides the vectored write aliasing the block, so its unstaged
-	// bytes reach the wire copy-free.
+	if w.wireErr != nil {
+		return w.wireErr
+	}
+	// The copy ledger: a codec transform copies every raw byte once (on top
+	// of any staging copy by Write); a stored-raw frame rides the vectored
+	// write aliasing the block, so its unstaged bytes reach the wire
+	// copy-free.
 	rawBytes := int64(f.rawLen)
 	copied, passthrough := f.staged, int64(0)
 	if f.codecID != compress.IDNone {
@@ -333,33 +386,36 @@ func (w *Writer) Write(p []byte) (int, error) {
 	}
 	total := 0
 	for len(p) > 0 {
-		space := cap(w.buf) - len(w.buf)
-		n := len(p)
-		if n > space {
-			n = space
-		}
-		w.buf = append(w.buf, p[:n]...)
+		n := min(len(p), w.cfg.BlockSize-len(w.blk.B))
+		w.blk.B = append(w.blk.B, p[:n]...)
 		p = p[n:]
 		total += n
 		w.staged += int64(n)
-		w.stats.AppBytes += int64(n)
-		w.winAppBytes += int64(n)
-		w.obs.appBytes.Add(int64(n))
-		if len(w.buf) == cap(w.buf) {
-			if err := w.flushBlock(); err != nil {
-				w.err = err
-				return total, err
-			}
+		w.accept(n)
+		if len(w.blk.B) == w.cfg.BlockSize && w.flushBlock() != nil {
+			return total, w.err
 		}
 	}
 	w.maybeDecide()
 	return total, nil
 }
 
+// accept counts n application bytes taken into the pending block.
+func (w *Writer) accept(n int) {
+	w.stats.AppBytes += int64(n)
+	w.winAppBytes += int64(n)
+	w.obs.appBytes.Add(int64(n))
+}
+
 // Buffered returns the number of application bytes accepted but not yet cut
 // into a frame. Relays use it to decide whether a coalescing flush deadline
 // is armed (docs/performance.md, "Zero-copy relay").
-func (w *Writer) Buffered() int { return len(w.buf) }
+func (w *Writer) Buffered() int {
+	if w.closed {
+		return 0
+	}
+	return len(w.blk.B)
+}
 
 // ReadDirect performs one read from r straight into the writer's pending
 // block, avoiding the staging copy a Read-into-scratch-then-Write loop pays:
@@ -376,25 +432,15 @@ func (w *Writer) ReadDirect(r io.Reader) (int, error) {
 	if w.closed {
 		return 0, errors.New("stream: read after Close")
 	}
-	if len(w.buf) == cap(w.buf) {
-		if err := w.flushBlock(); err != nil {
-			w.err = err
-			return 0, err
-		}
+	if len(w.blk.B) == w.cfg.BlockSize && w.flushBlock() != nil {
+		return 0, w.err
 	}
-	n, err := r.Read(w.buf[len(w.buf):cap(w.buf)])
+	n, err := r.Read(w.blk.B[len(w.blk.B):w.cfg.BlockSize])
 	if n > 0 {
-		w.buf = w.buf[:len(w.buf)+n]
-		w.stats.AppBytes += int64(n)
-		w.winAppBytes += int64(n)
-		w.obs.appBytes.Add(int64(n))
-		if len(w.buf) == cap(w.buf) {
-			if ferr := w.flushBlock(); ferr != nil {
-				w.err = ferr
-				if err == nil {
-					err = ferr
-				}
-			}
+		w.blk.B = w.blk.B[:len(w.blk.B)+n]
+		w.accept(n)
+		if len(w.blk.B) == w.cfg.BlockSize && w.flushBlock() != nil && err == nil {
+			err = w.err
 		}
 	}
 	w.maybeDecide()
@@ -417,24 +463,14 @@ func (w *Writer) ReadFrom(r io.Reader) (int64, error) {
 	}
 }
 
-// Flush writes any buffered partial block downstream and, with a parallel
-// pipeline, waits until every in-flight frame has reached the underlying
+// Flush writes any buffered partial block downstream and, with a worker
+// pool, waits until every in-flight frame has reached the underlying
 // writer. It does not flush the underlying writer.
 func (w *Writer) Flush() error {
-	if w.err != nil {
-		return w.err
+	if !w.closed && w.err == nil && w.flushBlock() == nil && w.pipe != nil {
+		w.err = w.pipe.drain()
 	}
-	if err := w.flushBlock(); err != nil {
-		w.err = err
-		return err
-	}
-	if w.pipe != nil {
-		if err := w.pipe.drain(); err != nil {
-			w.err = err
-			return err
-		}
-	}
-	return nil
+	return w.err
 }
 
 // Close flushes buffered data and finalizes the current decision window.
@@ -444,77 +480,41 @@ func (w *Writer) Close() error {
 	if w.closed {
 		return w.err
 	}
+	if w.Flush() == nil {
+		w.finishWindow(true)
+	}
 	w.closed = true
-	defer w.releaseBufs()
-	if err := w.Flush(); err != nil {
-		if w.pipe != nil {
-			w.pipe.stop()
-		}
-		return err
-	}
-	w.finishWindow(true)
 	if w.pipe != nil {
-		if err := w.pipe.stop(); err != nil && w.err == nil {
-			w.err = err
-			return err
-		}
+		// Nothing is in flight after a clean Flush; after a failed one the
+		// flusher releases what is, unwritten.
+		w.pipe.stop()
 	}
+	w.blk.Release()
+	if w.frame != nil {
+		w.frame.Release()
+	}
+	w.blk, w.frame = nil, nil
 	return w.err
 }
 
-// releaseBufs returns the writer's arena buffers. Called exactly once, from
-// Close (the pipeline releases in-flight block buffers itself).
-func (w *Writer) releaseBufs() {
-	if w.bufArena != nil {
-		w.bufArena.Release()
-		w.bufArena = nil
-		w.buf = nil
-	}
-	if w.scratchArena != nil {
-		w.scratchArena.Release()
-		w.scratchArena = nil
-		w.scratch = nil
-	}
-}
-
+// flushBlock cuts the pending bytes into one frame: encoded and emitted on
+// the spot, or handed to the pool. A failure is recorded in w.err.
 func (w *Writer) flushBlock() error {
-	if len(w.buf) == 0 {
+	if len(w.blk.B) == 0 {
 		return nil
 	}
-	staged := w.staged
+	job := compressJob{level: w.level, staged: w.staged, block: w.blk}
 	w.staged = 0
 	if w.pipe != nil {
-		// Hand the full arena buffer to the worker pool (zero copy;
-		// the pipeline releases it once the frame is encoded) and
-		// take a fresh one. The flusher accounts the frame when it
-		// reaches the wire.
-		full := w.bufArena
-		full.B = w.buf
-		w.bufArena = block.Get(w.cfg.BlockSize)
-		w.buf = w.bufArena.B[:0:w.cfg.BlockSize]
-		return w.pipe.submit(full, w.level, staged)
-	}
-	payload, codecID, skipped, scratch, err := writeFrame(w.dst, w.ladder, w.level, w.buf, w.scratch, w.probe)
-	w.scratch = scratch[:0]
-	w.scratchArena.B = scratch // keep any growth with the pooled buffer
-	if err != nil {
-		return err
-	}
-	rawBytes := int64(len(w.buf))
-	// Serial stored-raw frames go out vectored, aliasing the block: only
-	// the staged bytes were ever copied in user space. A codec transform
-	// copies every raw byte once more.
-	copied, passthrough := staged, int64(0)
-	if codecID != compress.IDNone {
-		copied += rawBytes
+		// The pool owns the block from here (it releases it once the
+		// frame is encoded or written); carry on in a fresh one.
+		w.blk = block.Get(w.cfg.BlockSize)
+		w.err = w.pipe.submit(job)
 	} else {
-		passthrough = rawBytes - staged
+		w.err = w.emit(w.encode(job, w.frame))
+		w.blk.B = w.blk.B[:0]
 	}
-	w.statsMu.Lock()
-	w.accountFrame(int64(payload+headerSize), rawBytes, copied, passthrough, w.level, codecID, skipped)
-	w.statsMu.Unlock()
-	w.buf = w.buf[:0]
-	return nil
+	return w.err
 }
 
 // maybeDecide closes the current decision window if t has elapsed, feeds the
@@ -567,8 +567,7 @@ func (w *Writer) finishWindow(final bool) {
 	if next != w.level {
 		// Cut the pending block so data buffered under the old level is
 		// not compressed with the new one mid-window accounting.
-		if err := w.flushBlock(); err != nil {
-			w.err = err
+		if w.flushBlock() != nil {
 			return
 		}
 		w.level = next
