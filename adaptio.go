@@ -116,7 +116,8 @@ const (
 	LevelHeavy  = stream.LevelHeavy
 )
 
-// Adaptive marks WriterConfig.StaticLevel as "decided at runtime".
+// Adaptive is the CLIs' -static value for "decided at runtime": they leave
+// WriterConfig.Static unset when they read it. It is not a valid StaticLevel.
 const Adaptive = stream.Adaptive
 
 // NewWriter creates an adaptive compression writer in front of dst.

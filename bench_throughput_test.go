@@ -162,30 +162,6 @@ func BenchmarkThroughputStreamWriter(b *testing.B) {
 	}
 }
 
-// BenchmarkThroughputStreamWriterParallel is the pipeline variant
-// (Parallelism=4) of the light-level writer benchmark.
-func BenchmarkThroughputStreamWriterParallel(b *testing.B) {
-	app := benchCorpus("moderate", streamVolume)
-	w, err := stream.NewWriter(io.Discard, stream.WriterConfig{
-		Static: true, StaticLevel: stream.LevelLight, Parallelism: 4,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer w.Close()
-	b.SetBytes(int64(len(app)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.Write(app); err != nil {
-			b.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkThroughputParallelWriter measures NewParallelWriter —
 // per-block parallel compression within a single stream — at 4 workers
 // across the writer levels. Its wire output is byte-identical to the serial

@@ -31,6 +31,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"time"
 
 	"adaptio"
@@ -79,7 +80,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("acload: %v", err)
 	}
-	if *decider != "" && !core.ValidPolicy(*decider) {
+	if *decider != "" && !slices.Contains(core.PolicyNames(), *decider) {
 		log.Fatalf("acload: unknown -decider %q (want one of %v)", *decider, core.PolicyNames())
 	}
 	if *decider != "" && *static != adaptio.Adaptive {

@@ -21,6 +21,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"slices"
 	"time"
 
 	"adaptio"
@@ -85,7 +86,7 @@ func main() {
 		DeciderSeed:   *deciderSeed,
 		Obs:           reg.Scope("tunnel"),
 	}
-	if *decider != "" && !core.ValidPolicy(*decider) {
+	if *decider != "" && !slices.Contains(core.PolicyNames(), *decider) {
 		log.Fatalf("actunnel: unknown -decider %q (want one of %v)", *decider, core.PolicyNames())
 	}
 	if *decider != "" && *static != adaptio.Adaptive {

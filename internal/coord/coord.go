@@ -46,6 +46,7 @@ package coord
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"adaptio/internal/core"
@@ -191,7 +192,7 @@ func (c Config) withDefaults() (Config, error) {
 	if c.FlapWindow < 0 {
 		return c, fmt.Errorf("coord: negative flap window %d", c.FlapWindow)
 	}
-	if c.SoloPolicy != "" && !core.ValidPolicy(c.SoloPolicy) {
+	if c.SoloPolicy != "" && !slices.Contains(core.PolicyNames(), c.SoloPolicy) {
 		return c, fmt.Errorf("coord: unknown solo policy %q (want one of %v)", c.SoloPolicy, core.PolicyNames())
 	}
 	return c, nil

@@ -38,6 +38,13 @@ func TestConfigValidation(t *testing.T) {
 		{"negative margin", func(c *Config) { c.ImprovementMargin = -0.1 }, "negative improvement margin"},
 		{"negative hysteresis", func(c *Config) { c.HysteresisWindows = -1 }, "negative hysteresis"},
 		{"negative flap window", func(c *Config) { c.FlapWindow = -2 }, "negative flap window"},
+		// The solo fallback takes the selectable policies only: the
+		// CheatStick sentinel is constructible but never deployable.
+		{"solo algone", func(c *Config) { c.SoloPolicy = core.PolicyAlgorithmOne }, ""},
+		{"solo bandit", func(c *Config) { c.SoloPolicy = core.PolicyBandit }, ""},
+		{"solo ewma", func(c *Config) { c.SoloPolicy = core.PolicyEWMA }, ""},
+		{"solo cheatstick", func(c *Config) { c.SoloPolicy = core.PolicyCheatStick }, "want one of [algone bandit ewma]"},
+		{"solo unknown", func(c *Config) { c.SoloPolicy = "nonsense" }, "want one of [algone bandit ewma]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

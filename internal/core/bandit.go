@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-
-	"adaptio/internal/xrand"
-)
+import "adaptio/internal/xrand"
 
 // Bandit tuning constants. Calibrated against the policy-matrix suite
 // (internal/experiments/decider_matrix_test.go): loose enough that the
@@ -42,15 +37,16 @@ const (
 )
 
 // BanditDecider is a contextual bandit over Algorithm 1's probe decision:
-// it keeps the paper's skeleton — tolerance band, exponential backoff
-// pacing, immediate revert on degradation — but treats "take the optimistic
-// probe the backoff just released" as a bandit arm whose value is learned
-// per context (epsilon-greedy with optimistic initialization). Where
-// Algorithm 1 probes unconditionally whenever the backoff expires, the
-// bandit consults the learned value of probing in the current context and
-// holds when probing there has historically degraded the rate, paying only
-// an epsilon exploration tax. ADARES (PAPERS.md) motivates the approach:
-// static probe rules flail exactly where context is informative.
+// it runs the paper's skeleton unchanged — the embedded AlgorithmOne owns the
+// tolerance band, exponential backoff pacing, immediate revert on
+// degradation — and treats "take the optimistic probe the backoff just
+// released" (the gate hook) as a bandit arm whose value is learned per
+// context (epsilon-greedy with optimistic initialization). Where Algorithm 1
+// probes unconditionally whenever the backoff expires, the bandit consults
+// the learned value of probing in the current context and holds when probing
+// there has historically degraded the rate, paying only an epsilon
+// exploration tax. ADARES (PAPERS.md) motivates the approach: static probe
+// rules flail exactly where context is informative.
 //
 // The context vector is built from the obs-layer signals the stream layer
 // already exports (docs/observability.md): the current level, the probe
@@ -60,65 +56,40 @@ const (
 // otherwise). All randomness comes from the seeded RNG in the
 // config, so a trace is exactly reproducible.
 type BanditDecider struct {
-	levels int
-	alpha  float64
-	rng    *xrand.RNG
-
-	ccl int   // current level
-	c   int   // calls since last level change (backoff pacing)
-	inc bool  // probe direction, initially up
-	bck []int // per-level backoff exponents
-
-	pdr      float64 // previous window's rate
-	havePrev bool
+	AlgorithmOne
+	rng *xrand.RNG
 
 	trend      float64 // EWMA of relative rate change
 	ratio      float64 // EWMA of observed wire/app ratio; <0 = never fed
 	lastRevert int     // observation index of the latest revert
-	observed   int
 
-	// Per-context action value and visit count of the probe arm.
-	q      []float64
-	visits []int
-
+	// q is the per-context action value of the probe arm.
+	q []float64
 	// pendingCtx is the context of a probe whose outcome the next
 	// observation settles; -1 when no probe is in flight.
 	pendingCtx int
 	// vetoes counts consecutive gate-held windows since the last probe.
 	vetoes int
-
-	probes, reverts, rewards, wasted int
-	last                             Decision
 }
 
 // NewBandit creates a contextual-bandit decider.
 func NewBandit(cfg PolicyConfig) (*BanditDecider, error) {
-	if cfg.Levels < 1 {
-		return nil, fmt.Errorf("core: config needs at least 1 level, got %d", cfg.Levels)
+	skeleton, err := NewDecider(Config{Levels: cfg.Levels, Alpha: cfg.Alpha})
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Alpha < 0 {
-		return nil, fmt.Errorf("core: negative alpha %v", cfg.Alpha)
-	}
-	alpha := cfg.Alpha
-	if alpha == 0 {
-		alpha = DefaultAlpha
-	}
-	n := cfg.Levels * 2 * 3 * 2 * 3 // level x dir x trend x revert x ratio
 	b := &BanditDecider{
-		levels:     cfg.Levels,
-		alpha:      alpha,
-		rng:        xrand.New(cfg.Seed ^ 0xBA4D17),
-		inc:        true,
-		bck:        make([]int, cfg.Levels),
-		ratio:      -1,
-		lastRevert: -1 << 20,
-		q:          make([]float64, n),
-		visits:     make([]int, n),
-		pendingCtx: -1,
+		AlgorithmOne: *skeleton,
+		rng:          xrand.New(cfg.Seed ^ 0xBA4D17),
+		ratio:        -1,
+		lastRevert:   -1 << 20,
+		q:            make([]float64, cfg.Levels*2*3*2*3), // level x dir x trend x revert x ratio
+		pendingCtx:   -1,
 	}
 	for i := range b.q {
 		b.q[i] = banditQInit
 	}
+	b.gate = b.takeProbe
 	return b, nil
 }
 
@@ -138,14 +109,13 @@ func (b *BanditDecider) ObserveWindow(w Window) int {
 	return b.Observe(w.Rate)
 }
 
-// Observe implements Decider.
+// Observe implements Decider: settle the probe in flight, run Algorithm 1
+// (which asks takeProbe when its backoff expires), then update the context.
 func (b *BanditDecider) Observe(cdr float64) int {
-	b.observed++
-	if !b.havePrev {
-		b.pdr = cdr
-		b.havePrev = true
+	prev := cdr // the skeleton primes pdr with cdr on the first call
+	if b.havePrev {
+		prev = b.pdr
 	}
-	prev := b.pdr
 	rel := 0.0
 	if prev > 0 {
 		rel = (cdr - prev) / prev
@@ -155,106 +125,40 @@ func (b *BanditDecider) Observe(cdr float64) int {
 	// what the probe bought. Rewards are normalized by the tolerance
 	// band and clipped, so an out-of-band collapse counts as -1.
 	if b.pendingCtx >= 0 {
-		r := rel / b.alpha
+		r := rel / b.cfg.Alpha
 		if r > 1 {
 			r = 1
 		} else if r < -1 {
 			r = -1
 		}
 		b.q[b.pendingCtx] += banditGain * (r - b.q[b.pendingCtx])
-		b.visits[b.pendingCtx]++
 		b.pendingCtx = -1
 	}
 
-	diff := cdr - prev
-	abs := math.Abs(diff)
-	from := b.ccl
-	ncl := b.ccl
-	kind := DecisionHold
-	probeMove := false
-	b.c++
-	switch {
-	case abs <= b.alpha*prev: // stable
-		if b.backoffExpired() {
-			ctx := b.context()
-			// The learned gate, else epsilon exploration (drawn only when
-			// the gate holds), else the veto budget running out.
-			take := b.q[ctx] > 0 || b.rng.Float64() < banditEpsilon || b.vetoes >= banditMaxVetoes
-			if take {
-				b.vetoes = 0
-				b.c = 0
-				if b.inc {
-					ncl++
-				} else {
-					ncl--
-				}
-				kind = DecisionProbe
-				probeMove = true
-				b.probes++
-				b.pendingCtx = ctx
-			} else {
-				// A veto delays the released probe; c keeps running,
-				// so the gate is re-rolled every window (epsilon gets
-				// a fresh chance) until the veto budget runs out.
-				b.vetoes++
-			}
-		}
-	case diff > 0: // improved: reinforce the level, as Algorithm 1 does
-		if b.bck[b.ccl] < 62 {
-			b.bck[b.ccl]++
-		}
-		b.c = 0
-		b.rewards++
-		kind = DecisionReward
-	default: // degraded: reset backoff and retreat immediately
-		b.bck[b.ccl] = 0
-		if b.inc {
-			ncl--
-		} else {
-			ncl++
-		}
-		kind = DecisionRevert
-		b.reverts++
-		b.lastRevert = b.observed
-		if b.last.Kind == DecisionProbe {
-			b.wasted++
-		}
-		b.c = 0
-	}
+	b.AlgorithmOne.Observe(cdr)
 
-	// Ladder-edge handling mirrors AlgorithmOne: probes flip direction,
-	// reverts stay put.
-	if ncl < 0 || ncl > b.levels-1 {
-		if probeMove {
-			if ncl < 0 {
-				ncl = min(1, b.levels-1)
-			} else {
-				ncl = max(b.levels-2, 0)
-			}
-		} else {
-			if ncl < 0 {
-				ncl = 0
-			} else {
-				ncl = b.levels - 1
-			}
-		}
+	if b.last.Kind == DecisionRevert {
+		b.lastRevert = b.observed
 	}
-	if ncl != b.ccl {
-		b.inc = ncl > b.ccl
-		b.ccl = ncl
-	}
-	b.pdr = cdr
 	b.trend += banditTrendGain * (rel - b.trend)
-	b.last = Decision{Kind: kind, From: from, To: b.ccl, Rate: cdr, PrevRate: prev, Backoff: b.bck[from]}
 	return b.ccl
 }
 
-func (b *BanditDecider) backoffExpired() bool {
-	exp := b.bck[b.ccl]
-	if exp > 62 {
-		return false
+// takeProbe is the gate hook: the learned value of probing in the current
+// context, else epsilon exploration (drawn only when the learned gate holds —
+// the draw order is the seed contract), else the veto budget running out. A
+// veto delays the released probe; the skeleton's c keeps running, so the
+// gate is re-rolled every window (epsilon gets a fresh chance) until the
+// veto budget runs out.
+func (b *BanditDecider) takeProbe() bool {
+	ctx := b.context()
+	if b.q[ctx] > 0 || b.rng.Float64() < banditEpsilon || b.vetoes >= banditMaxVetoes {
+		b.vetoes = 0
+		b.pendingCtx = ctx
+		return true
 	}
-	return b.c >= 1<<uint(exp)
+	b.vetoes++
+	return false
 }
 
 // context discretizes the signal vector into a cell index.
@@ -264,9 +168,9 @@ func (b *BanditDecider) context() int {
 		dir = 1
 	}
 	tb := 1 // flat
-	if b.trend < -b.alpha/2 {
+	if b.trend < -b.cfg.Alpha/2 {
 		tb = 0
-	} else if b.trend > b.alpha/2 {
+	} else if b.trend > b.cfg.Alpha/2 {
 		tb = 2
 	}
 	rr := 0
@@ -282,23 +186,6 @@ func (b *BanditDecider) context() int {
 		}
 	}
 	return (((b.ccl*2+dir)*3+tb)*2+rr)*3 + rb
-}
-
-// Level implements Decider.
-func (b *BanditDecider) Level() int { return b.ccl }
-
-// LastDecision implements Decider.
-func (b *BanditDecider) LastDecision() Decision { return b.last }
-
-// PolicyStats implements Decider.
-func (b *BanditDecider) PolicyStats() PolicyStats {
-	return PolicyStats{
-		Probes:       b.probes,
-		Reverts:      b.reverts,
-		Rewards:      b.rewards,
-		Observed:     b.observed,
-		WastedProbes: b.wasted,
-	}
 }
 
 // Name implements Decider.

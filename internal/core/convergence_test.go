@@ -110,7 +110,8 @@ func TestDeciderConvergesAcrossStepChanges(t *testing.T) {
 		if want := env.optimal(phases[len(phases)-1].shareMBps); final != want {
 			t.Errorf("seed %d: final level %d, want optimal %d", seed, final, want)
 		}
-		probes, reverts, _, observed := d.Stats()
+		ps := d.PolicyStats()
+		probes, reverts, observed := ps.Probes, ps.Reverts, ps.Observed
 		// Bounded churn: with exponential backoff, excursions are
 		// logarithmic per regime. 300 observations across 3 regimes must
 		// stay far below one probe every other window; linear probing
@@ -176,9 +177,8 @@ func TestDeciderConvergenceNeedsBackoff(t *testing.T) {
 	}
 	d := MustNewDecider(Config{Levels: 4, DisableBackoff: true})
 	runConvergence(t, d, phases, 1)
-	probes, _, _, observed := d.Stats()
-	if probes <= 60 {
+	if ps := d.PolicyStats(); ps.Probes <= 60 {
 		t.Fatalf("backoff-free decider made only %d probes over %d windows — the churn bound in the convergence test has no teeth",
-			probes, observed)
+			ps.Probes, ps.Observed)
 	}
 }

@@ -94,9 +94,13 @@ func (c Config) withDefaults() (Config, error) {
 // and Table I in the paper. An AlgorithmOne is not safe for concurrent use;
 // the stream layer serializes access.
 //
-// Its decision sequence is pinned byte for byte by the golden-trace test
-// (testdata/algone_decisions.golden): learned policies are alternatives
-// behind the Decider interface, never modifications of this code.
+// It is the only implementation of the skeleton: the learned policies embed
+// it and differ from the paper at exactly two places, the hooks gate and
+// reward (docs/deciders.md, "One skeleton, two hooks"). Both hooks are nil on
+// the paper path — NewDecider and NewPolicy("algone") never set them, and
+// being unexported they cannot be set from outside the package — and the
+// paper path's decision sequence is pinned byte for byte by the golden-trace
+// test (testdata/algone_decisions.golden).
 type AlgorithmOne struct {
 	cfg Config
 
@@ -107,6 +111,13 @@ type AlgorithmOne struct {
 	pdr float64 // previous window's application data rate
 
 	havePrev bool // pdr is valid (false only before the first observation)
+
+	// gate, when set, is asked on line 6 once the backoff has expired:
+	// "take the probe the backoff just released?". A refusal holds the level
+	// and leaves c running, so the question is asked again next window.
+	gate func() bool
+	// reward, when set, replaces line 17's increment of bck[level].
+	reward func(level int)
 
 	// Diagnostics, not part of the paper's algorithm.
 	probes   int // optimistic switches taken
@@ -214,11 +225,6 @@ func (d *AlgorithmOne) Level() int { return d.ccl }
 
 // Backoff returns the current backoff exponent of the given level.
 func (d *AlgorithmOne) Backoff(level int) int { return d.bck[level] }
-
-// Stats reports probe/revert/reward counters for diagnostics and tests.
-func (d *AlgorithmOne) Stats() (probes, reverts, rewards, observed int) {
-	return d.probes, d.reverts, d.rewards, d.observed
-}
 
 // Snapshot is a point-in-time view of the decision model's state, exposed
 // for logging and debugging. The field names follow Table I of the paper.
@@ -345,7 +351,7 @@ func (d *AlgorithmOne) next(cdr, pdr float64, ccl int) (int, moveKind, DecisionK
 	}
 	switch {
 	case abs <= d.cfg.Alpha*pdr: // line 4: no change in application data rate
-		if d.backoffExpired() { // line 6: c >= 2^bck[ccl]
+		if d.backoffExpired() && (d.gate == nil || d.gate()) { // line 6: c >= 2^bck[ccl]
 			// Backoff over, try another compression level.
 			if d.inc { // lines 8-12
 				ncl++
@@ -399,5 +405,9 @@ func (d *AlgorithmOne) rewardLevel(level int) {
 	if d.cfg.MaxBackoffExp > 0 && d.bck[level] >= d.cfg.MaxBackoffExp {
 		return
 	}
-	d.bck[level]++
+	if d.reward != nil {
+		d.reward(level)
+		return
+	}
+	d.bck[level]++ // uncapped, as in the paper; backoffExpired treats > 62 as "never"
 }

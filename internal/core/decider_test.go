@@ -372,16 +372,28 @@ func TestMaxBackoffExpCap(t *testing.T) {
 	}
 }
 
+// TestPaperPathHasNoHooks: the two places a learned variant may differ from
+// Algorithm 1 are unset on every way of constructing the paper's policy.
+func TestPaperPathHasNoHooks(t *testing.T) {
+	for name, d := range map[string]*AlgorithmOne{
+		"NewDecider":        MustNewDecider(Config{Levels: 4}),
+		"NewPolicy(algone)": MustNewPolicy(PolicyAlgorithmOne, PolicyConfig{Levels: 4}).(*AlgorithmOne),
+		"NewPolicy(\"\")":   MustNewPolicy("", PolicyConfig{Levels: 4}).(*AlgorithmOne),
+	} {
+		if d.gate != nil || d.reward != nil {
+			t.Errorf("%s: paper path has a hook set (gate %v, reward %v)", name, d.gate != nil, d.reward != nil)
+		}
+	}
+}
+
 // TestStatsCounters sanity-checks the diagnostic counters.
 func TestStatsCounters(t *testing.T) {
 	d := newTestDecider(t, Config{Levels: 4})
 	d.Observe(100) // probe
 	d.Observe(200) // reward
 	d.Observe(50)  // revert
-	probes, reverts, rewards, observed := d.Stats()
-	if probes != 1 || reverts != 1 || rewards != 1 || observed != 3 {
-		t.Fatalf("stats = %d probes, %d reverts, %d rewards, %d observed",
-			probes, reverts, rewards, observed)
+	if got, want := d.PolicyStats(), (PolicyStats{Probes: 1, Reverts: 1, Rewards: 1, Observed: 3}); got != want {
+		t.Fatalf("stats = %+v, want %+v", got, want)
 	}
 }
 

@@ -161,7 +161,10 @@ func PolicyNames() []string {
 	return []string{PolicyAlgorithmOne, PolicyBandit, PolicyEWMA}
 }
 
-// ValidPolicy reports whether name is a constructible policy name.
+// ValidPolicy reports whether name is a constructible policy name, the
+// CheatStick sentinel included: what scenario files and the experiments
+// matrix accept. Anything that deploys a policy (CLIs, tunnel, coordinator)
+// accepts PolicyNames only.
 func ValidPolicy(name string) bool {
 	switch name {
 	case PolicyAlgorithmOne, PolicyBandit, PolicyEWMA, PolicyCheatStick:

@@ -16,8 +16,11 @@ import (
 	"adaptio/internal/vclock"
 )
 
-// Adaptive is the sentinel for WriterConfig.StaticLevel meaning "let the
-// decision model choose" (the paper's DYNAMIC mode).
+// Adaptive is the value of the CLIs' -static flag meaning "let the decision
+// model choose" (the paper's DYNAMIC mode): a CLI that reads it leaves
+// WriterConfig.Static unset. It is not a StaticLevel: with Static set,
+// StaticLevel: Adaptive is rejected as out of range, and without Static the
+// field is ignored.
 const Adaptive = -1
 
 // WindowStat describes one completed decision window; it feeds the

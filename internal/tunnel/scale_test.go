@@ -192,22 +192,30 @@ func TestGracefulDrainCompletesInFlight(t *testing.T) {
 	response := corpus.Generate(corpus.Moderate, 256<<10, 11)
 
 	// Service: read the request, pause, then respond — so the relay is
-	// mid-flight when Close begins.
+	// mid-flight when Close begins. It serves every connection it is sent:
+	// a probe dial of waitNewDialsFail can reach the entry just before the
+	// Close goroutine shuts the listener, is then legitimately relayed, and
+	// must find a service that lets its relay finish rather than one that
+	// leaves it for the force-close.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
 	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				io.Copy(io.Discard, conn)
+				time.Sleep(200 * time.Millisecond)
+				conn.Write(response)
+				conn.(*net.TCPConn).CloseWrite()
+			}()
 		}
-		defer conn.Close()
-		io.Copy(io.Discard, conn)
-		time.Sleep(200 * time.Millisecond)
-		conn.Write(response)
-		conn.(*net.TCPConn).CloseWrite()
 	}()
 
 	reg := obs.NewRegistry()

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -395,7 +396,7 @@ func ListenExit(ctx context.Context, listenAddr, targetAddr string, cfg Config) 
 }
 
 func listen(ctx context.Context, listenAddr string, cfg Config, dialAddr string, acceptsPlain bool) (*Endpoint, error) {
-	if cfg.Decider != "" && !core.ValidPolicy(cfg.Decider) {
+	if cfg.Decider != "" && !slices.Contains(core.PolicyNames(), cfg.Decider) {
 		return nil, fmt.Errorf("tunnel: unknown decider policy %q (want one of %v)", cfg.Decider, core.PolicyNames())
 	}
 	ln, err := net.Listen("tcp", listenAddr)

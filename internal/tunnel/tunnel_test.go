@@ -5,11 +5,13 @@ import (
 	"context"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"adaptio/internal/block/blocktest"
+	"adaptio/internal/core"
 	"adaptio/internal/corpus"
 	"adaptio/internal/faultio/leakcheck"
 	"adaptio/internal/tunnel"
@@ -328,5 +330,30 @@ func TestTunnelExitDialFailure(t *testing.T) {
 	buf := make([]byte, 1)
 	if _, err := conn.Read(buf); err == nil {
 		t.Fatal("expected connection teardown")
+	}
+}
+
+// TestConfigDeciderNames: an endpoint accepts the selectable policies
+// (core.PolicyNames) and nothing else — in particular not the CheatStick
+// sentinel, which NewPolicy can construct but which would pin every
+// connection at level 0.
+func TestConfigDeciderNames(t *testing.T) {
+	cases := map[string]bool{"": true, core.PolicyCheatStick: false, "nonsense": false}
+	for _, name := range core.PolicyNames() {
+		cases[name] = true
+	}
+	for name, ok := range cases {
+		t.Run("decider="+name, func(t *testing.T) {
+			e, err := tunnel.ListenEntry(context.Background(), "127.0.0.1:0", "127.0.0.1:1", tunnel.Config{Decider: name})
+			if err == nil {
+				e.Close()
+			}
+			if ok && err != nil {
+				t.Fatalf("ListenEntry: %v", err)
+			}
+			if !ok && (err == nil || !strings.Contains(err.Error(), "[algone bandit ewma]")) {
+				t.Fatalf("ListenEntry error = %v, want one naming the selectable policies", err)
+			}
+		})
 	}
 }
