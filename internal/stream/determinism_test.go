@@ -2,11 +2,13 @@ package stream_test
 
 // Wire-determinism property: for a pinned compression level, the bytes a
 // Writer puts on the wire are a pure function of the application bytes —
-// independent of Parallelism (order-preserving pipeline vs serial encode
-// path, which also differ in contiguous-vs-vectored framing) and of how the
-// application chops its Write calls. The parallel reader relies on frames
-// being self-describing, not on this property, but it pins down that the
-// pipeline cannot reorder, duplicate or re-split blocks.
+// independent of who encodes them (the caller inline, a private worker pool,
+// or a pool shared with another writer; these also differ in
+// contiguous-vs-vectored framing and in which goroutine emits) and of how
+// the application chops its Write calls. The parallel reader relies on
+// frames being self-describing, not on this property, but it pins down that
+// the pipeline cannot reorder, duplicate or re-split blocks, and that a
+// shared pool cannot hand one writer's frame to another.
 
 import (
 	"bytes"
@@ -65,14 +67,63 @@ func writeChunked(t *testing.T, w chunkWriter, buf *bytes.Buffer, src []byte, rn
 	}
 }
 
+// encodeInterleaved writes each source through its own Writer, all of them
+// on the one shared pool, a random-sized chunk to one writer after the other,
+// so frames of different streams are in flight together. It returns the wire
+// bytes per source.
+func encodeInterleaved(t *testing.T, cfg stream.WriterConfig, srcs [][]byte, rng *rand.Rand) [][]byte {
+	t.Helper()
+	bufs := make([]bytes.Buffer, len(srcs))
+	ws := make([]*stream.Writer, len(srcs))
+	for i := range srcs {
+		w, err := stream.NewWriter(&bufs[i], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws[i] = w
+	}
+	offs := make([]int, len(srcs))
+	for busy := true; busy; {
+		busy = false
+		for i, src := range srcs {
+			if offs[i] == len(src) {
+				continue
+			}
+			busy = true
+			n := min(1+rng.Intn(96<<10), len(src)-offs[i])
+			if _, err := ws[i].Write(src[offs[i] : offs[i]+n]); err != nil {
+				t.Fatal(err)
+			}
+			offs[i] += n
+		}
+	}
+	wires := make([][]byte, len(srcs))
+	for i, w := range ws {
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wires[i] = bufs[i].Bytes()
+	}
+	return wires
+}
+
 func TestWireDeterminismSerialVsParallel(t *testing.T) {
-	// Interleave all compressibility classes so the static levels see
-	// compressible and incompressible blocks (i.e. both contiguous and
-	// stored-raw frames).
+	// Interleave all compressibility classes, and a stripe of noise the
+	// entropy probe gives up on, so the static levels see compressible and
+	// incompressible blocks (i.e. both contiguous and stored-raw frames) and
+	// a pool sees frames its workers made next to frames the caller made.
 	var src []byte
+	noise := make([]byte, 300<<10)
+	rand.New(rand.NewSource(42)).Read(noise)
 	for _, kind := range corpus.Kinds() {
 		src = append(src, corpus.Generate(kind, 700<<10, 42)...)
+		src = append(src, noise...)
 	}
+	// A second stream for the shared pool: other bytes, other block cuts.
+	other := append(corpus.Generate(corpus.Moderate, 900<<10, 7), noise[:100<<10]...)
+	other = append(other, corpus.Generate(corpus.High, 333<<10, 7)...)
+	pool := stream.NewEncodePool(3)
+	defer pool.Close()
 	for level := stream.LevelNo; level <= stream.LevelHeavy; level++ {
 		t.Run(fmt.Sprintf("level%d", level), func(t *testing.T) {
 			serialCfg := stream.WriterConfig{Static: true, StaticLevel: level}
@@ -99,6 +150,17 @@ func TestWireDeterminismSerialVsParallel(t *testing.T) {
 				reChunked := encodeChunked(t, serialCfg, src, rng)
 				if !bytes.Equal(want, reChunked) {
 					t.Fatal("serial wire bytes depend on application chunk sizes")
+				}
+			}
+
+			// Two writers on one shared worker set, fed turn and turn about,
+			// must each produce what the inline writer produces alone.
+			sharedCfg := serialCfg
+			sharedCfg.Pool = pool
+			wantOther := encodeChunked(t, serialCfg, other, rng)
+			for i, got := range encodeInterleaved(t, sharedCfg, [][]byte{src, other}, rng) {
+				if !bytes.Equal(got, [][]byte{want, wantOther}[i]) {
+					t.Fatalf("shared pool, stream %d: wire bytes differ from the inline writer's", i)
 				}
 			}
 

@@ -16,7 +16,6 @@ import (
 
 	"adaptio/internal/block"
 	"adaptio/internal/compress"
-	"adaptio/internal/compress/probe"
 )
 
 // DefaultBlockSize is Nephele's internal buffer size: "Nephele internally
@@ -144,40 +143,34 @@ func maxFrameSize(n int) int {
 // head is the complete frame (header + compressed payload) and tail is nil.
 // When the block is stored raw — an identity level, the codec failed to
 // shrink it (the standard stored-block fallback, so a frame never expands
-// by more than the header), or the entropy pre-probe judged it hopeless —
+// by more than the header), or the caller says it is hopeless —
 // head is the bare header and tail aliases block: the caller can then put
 // both pieces on the wire without ever copying the block into scratch (see
 // Writer.emit / WriteVectored). tail is only valid until block's buffer is
 // reused.
 //
-// The probe runs before the codec: a hopeless block (near-uniform byte
-// distribution AND no recurring 4-byte windows, see internal/compress/
-// probe) goes straight to stored-raw framing, so its bytes are never run
-// through — or even copied by — the codec. skipped reports that outcome.
-// The wire bytes are identical either way, because a codec attempt on such
-// a block would fail to shrink it and take the same stored-raw fallback;
-// the probe only removes the wasted work.
-func encodeFramePieces(scratch []byte, ladder compress.Ladder, level int, block []byte, pr probe.Config) (head, tail []byte, codecID uint8, skipped bool) {
+// hopeless is the entropy pre-probe's verdict on the block (near-uniform byte
+// distribution AND no recurring 4-byte windows, see internal/compress/probe;
+// the Writer takes it when it cuts the block): such a block goes straight to
+// stored-raw framing, so its bytes are never run through — or even copied by
+// — the codec. The wire bytes are identical either way, because a codec
+// attempt on such a block would fail to shrink it and take the same
+// stored-raw fallback; the verdict only removes the wasted work.
+func encodeFramePieces(scratch []byte, ladder compress.Ladder, level int, block []byte, hopeless bool) (head, tail []byte, codecID uint8) {
 	crc := crc32.Checksum(block, crcTable)
 	scratch = append(scratch, make([]byte, headerSize)...)
 	codec := ladder[level].Codec
 	codecID = codec.ID()
-	if codecID != compress.IDNone {
-		if pr.Hopeless(block) {
-			skipped = true
-			codecID = compress.IDNone
-		} else {
-			scratch = codec.Compress(scratch, block)
-			if compLen := len(scratch) - headerSize; compLen < len(block) {
-				putHeader(scratch, header{
-					codecID: codecID,
-					rawLen:  len(block),
-					compLen: compLen,
-					crc:     crc,
-				})
-				return scratch, nil, codecID, false
-			}
-			codecID = compress.IDNone
+	if codecID != compress.IDNone && !hopeless {
+		scratch = codec.Compress(scratch, block)
+		if compLen := len(scratch) - headerSize; compLen < len(block) {
+			putHeader(scratch, header{
+				codecID: codecID,
+				rawLen:  len(block),
+				compLen: compLen,
+				crc:     crc,
+			})
+			return scratch, nil, codecID
 		}
 	}
 	putHeader(scratch, header{
@@ -186,7 +179,7 @@ func encodeFramePieces(scratch []byte, ladder compress.Ladder, level int, block 
 		compLen: len(block),
 		crc:     crc,
 	})
-	return scratch[:headerSize], block, codecID, skipped
+	return scratch[:headerSize], block, compress.IDNone
 }
 
 // frameSource reads frames off the wire one after another. It is the serial

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -41,6 +42,61 @@ func TestParallelRoundTripAllKinds(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSharedPoolConcurrentWriters runs several writers on one EncodePool at
+// once, each from its own goroutine and to its own destination: every stream
+// must come out whole and in order (no frame handed to the wrong writer),
+// the writers' flushers must end with their writers, and the workers with
+// the pool.
+func TestSharedPoolConcurrentWriters(t *testing.T) {
+	leakcheck.Check(t)
+	blocktest.Track(t)
+	pool := NewEncodePool(3)
+	var wg sync.WaitGroup
+	for i, kind := range []corpus.Kind{corpus.High, corpus.Moderate, corpus.Low, corpus.Moderate} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			src := append(corpus.Generate(kind, 900<<10, uint64(i)), incompressible(100<<10, int64(i))...)
+			var wire bytes.Buffer
+			w, err := NewWriter(&wire, WriterConfig{Static: true, StaticLevel: LevelLight, Pool: pool, BlockSize: 16 << 10})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for off := 0; off < len(src); off += 40 << 10 {
+				if _, err := w.Write(src[off:min(off+40<<10, len(src))]); err != nil {
+					t.Error(err)
+					return
+				}
+				if off%(200<<10) == 0 {
+					if err := w.Flush(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Error(err)
+				return
+			}
+			if st := w.Stats(); st.AppBytes != int64(len(src)) || st.WireBytes != int64(wire.Len()) {
+				t.Errorf("writer %d: stats app=%d wire=%d, wrote %d, wire holds %d", i, st.AppBytes, st.WireBytes, len(src), wire.Len())
+			}
+			r, err := NewReader(&wire)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			out, err := io.ReadAll(r)
+			if err != nil || !bytes.Equal(out, src) {
+				t.Errorf("writer %d: round trip failed: %v", i, err)
+			}
+		}()
+	}
+	wg.Wait()
+	pool.Close()
 }
 
 // TestParallelFramesStayOrdered: the frames must arrive in submission order
@@ -149,6 +205,11 @@ func TestParallelConfigValidation(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := NewWriter(&buf, WriterConfig{Parallelism: -2}); err == nil {
 		t.Fatal("negative parallelism accepted")
+	}
+	pool := NewEncodePool(1)
+	defer pool.Close()
+	if _, err := NewWriter(&buf, WriterConfig{Parallelism: 2, Pool: pool}); err == nil {
+		t.Fatal("a private and a shared pool accepted together")
 	}
 	// 0 and 1 are synchronous and valid.
 	for _, p := range []int{0, 1} {

@@ -122,12 +122,12 @@ func TestEncodeFramePiecesRawAliasesBlock(t *testing.T) {
 	block := incompressible(4096, 1) // raw fallback
 	scratch := make([]byte, 0, maxFrameSize(len(block)))
 
-	head, tail, codecID, skipped := encodeFramePieces(scratch, ladder, LevelLight, block, probe.Default())
-	if codecID != compress.IDNone {
-		t.Fatalf("incompressible block not stored raw: codec %d", codecID)
+	if !probe.Default().Hopeless(block) {
+		t.Fatal("uniform random block not judged hopeless by the entropy probe")
 	}
-	if !skipped {
-		t.Fatal("uniform random block not skipped by the entropy probe")
+	head, tail, codecID := encodeFramePieces(scratch, ladder, LevelLight, block, true)
+	if codecID != compress.IDNone {
+		t.Fatalf("hopeless block not stored raw: codec %d", codecID)
 	}
 	if len(head) != headerSize {
 		t.Fatalf("raw head is %d bytes, want bare header", len(head))
@@ -143,28 +143,24 @@ func TestEncodeFramePiecesRawAliasesBlock(t *testing.T) {
 		t.Fatalf("raw header wrong: %+v", h)
 	}
 
-	// Probe disabled: the codec runs, fails to shrink, and the standard
+	// No verdict: the codec runs, fails to shrink, and the standard
 	// stored-raw fallback produces the identical two-piece frame.
-	head2, tail2, codecID, skipped := encodeFramePieces(scratch, ladder, LevelLight, block, probe.Disabled())
-	if skipped {
-		t.Fatal("disabled probe reported a skip")
-	}
+	head2, tail2, codecID := encodeFramePieces(scratch, ladder, LevelLight, block, false)
 	if codecID != compress.IDNone || !bytes.Equal(head2, head) || len(tail2) != len(block) || &tail2[0] != &block[0] {
 		t.Fatal("probe skip and codec fallback disagree on the stored-raw frame")
 	}
 
-	// Identity level: Compress must not run at all; same two-piece shape,
-	// and never counted as a probe skip.
-	head, tail, codecID, skipped = encodeFramePieces(scratch, ladder, LevelNo, block, probe.Default())
-	if codecID != compress.IDNone || len(head) != headerSize || tail == nil || skipped {
-		t.Fatalf("identity level: head %d bytes, tail %v, codec %d, skipped %v", len(head), tail != nil, codecID, skipped)
+	// Identity level: Compress must not run at all; same two-piece shape.
+	head, tail, codecID = encodeFramePieces(scratch, ladder, LevelNo, block, false)
+	if codecID != compress.IDNone || len(head) != headerSize || tail == nil {
+		t.Fatalf("identity level: head %d bytes, tail %v, codec %d", len(head), tail != nil, codecID)
 	}
 
 	// Compressible block: one contiguous piece, no tail.
 	comp := corpus.Generate(corpus.High, 4096, 1)
-	head, tail, codecID, skipped = encodeFramePieces(scratch, ladder, LevelLight, comp, probe.Default())
-	if tail != nil || codecID == compress.IDNone || skipped {
-		t.Fatalf("compressible block should be a single piece, tail %v codec %d skipped %v", tail != nil, codecID, skipped)
+	head, tail, codecID = encodeFramePieces(scratch, ladder, LevelLight, comp, false)
+	if tail != nil || codecID == compress.IDNone {
+		t.Fatalf("compressible block should be a single piece, tail %v codec %d", tail != nil, codecID)
 	}
 	if len(head) >= headerSize+len(comp) {
 		t.Fatalf("compressed frame did not shrink: %d bytes", len(head))

@@ -122,9 +122,17 @@ type WriterConfig struct {
 	// keeps the writer fully functional with unregistered metrics.
 	Obs *obs.Scope
 	// Parallelism compresses blocks on an order-preserving worker pool of
-	// the given size; 0 and 1 mean synchronous compression. Frames stay
-	// strictly ordered on the wire, so the receiver needs no changes.
+	// the given size, private to this writer; 0 and 1 mean synchronous
+	// compression. Frames stay strictly ordered on the wire, so the receiver
+	// needs no changes.
 	Parallelism int
+	// Pool, if non-nil, compresses blocks on workers this writer shares with
+	// others (NewEncodePool) instead of starting its own: the writer adds
+	// only the ordering state and one flusher goroutine, and keeps at most a
+	// fixed number of blocks in flight however many workers the pool has.
+	// The wire bytes are those of the inline writer. The pool must outlive
+	// the writer. Mutually exclusive with Parallelism > 1.
+	Pool *EncodePool
 	// Probe overrides the entropy pre-probe consulted before each block is
 	// handed to a compressing level's codec: blocks it judges hopeless
 	// (near-uniform byte distribution and no recurring 4-byte windows) go
@@ -150,19 +158,19 @@ type Writer struct {
 	// blk holds the pending application bytes (blk.B, cut at BlockSize);
 	// frame is the inline mode's frame scratch. Both come from the block
 	// arena and return to it in Close. With a worker pool, blk is handed to
-	// the pool whole on every cut block (zero copy) and a fresh arena buffer
-	// takes its place; the workers pool their own frame buffers.
+	// the pipeline whole on every cut block (zero copy) and a fresh arena
+	// buffer takes its place; every frame gets its own arena buffer.
 	blk    *block.Buf
 	frame  *block.Buf
 	staged int64     // bytes of blk.B that arrived via Write (copied in)
-	pipe   *pipeline // non-nil when Parallelism > 1
+	pipe   *pipeline // non-nil when Parallelism > 1 or Pool is set
 
 	level       int
 	windowStart time.Time
 	winAppBytes int64
 
-	// statsMu guards stats and winWireBytes: with a parallel pipeline the
-	// flusher goroutine accounts frames concurrently with the caller.
+	// statsMu guards stats and winWireBytes: with a pipeline the flusher
+	// goroutine accounts frames concurrently with the caller.
 	statsMu      sync.Mutex
 	winWireBytes int64
 	stats        Stats
@@ -171,7 +179,8 @@ type Writer struct {
 	closed bool
 	err    error // sticky error
 	// wireErr is the first destination write error. It belongs to the one
-	// goroutine that runs emit: the caller inline, the flusher with a pool.
+	// goroutine that runs emit: the caller inline; with a pipeline the
+	// flusher, or the caller while nothing is in flight (pipeline.pass).
 	wireErr error
 }
 
@@ -203,6 +212,9 @@ func NewWriter(dst io.Writer, cfg WriterConfig) (*Writer, error) {
 	}
 	if cfg.Parallelism < 0 {
 		return nil, fmt.Errorf("stream: negative parallelism %d", cfg.Parallelism)
+	}
+	if cfg.Parallelism > 1 && cfg.Pool != nil {
+		return nil, errors.New("stream: Parallelism and Pool are mutually exclusive")
 	}
 
 	w := &Writer{
@@ -240,9 +252,12 @@ func NewWriter(dst io.Writer, cfg WriterConfig) (*Writer, error) {
 
 	// All validation passed: acquire pooled buffers (released in Close).
 	w.blk = block.Get(cfg.BlockSize)
-	if cfg.Parallelism > 1 {
-		w.pipe = newPipeline(w, cfg.Parallelism)
-	} else {
+	switch {
+	case cfg.Parallelism > 1:
+		w.pipe = newPipeline(w, NewEncodePool(cfg.Parallelism), true)
+	case cfg.Pool != nil:
+		w.pipe = newPipeline(w, cfg.Pool, false)
+	default:
 		w.frame = block.Get(maxFrameSize(cfg.BlockSize))
 	}
 	w.windowStart = w.clock.Now()
@@ -264,10 +279,11 @@ func NewParallelWriter(dst io.Writer, cfg WriterConfig, workers int) (*Writer, e
 
 // compressJob is one cut block on its way to becoming a frame.
 type compressJob struct {
-	seq    uint64 // submission order; pool mode only
-	level  int
-	staged int64      // raw bytes copied into the block by Write
-	block  *block.Buf // B holds the raw bytes
+	seq      uint64 // submission order; pool mode only
+	level    int
+	hopeless bool       // the entropy probe's verdict, taken at the cut
+	staged   int64      // raw bytes copied into the block by Write
+	block    *block.Buf // B holds the raw bytes
 }
 
 // encodedFrame is one frame ready for the wire.
@@ -282,16 +298,24 @@ type encodedFrame struct {
 	skipped bool // entropy probe sent the block straight to stored-raw
 }
 
+// release returns to the arena the buffers of a frame the pipeline owns.
+func (f encodedFrame) release() {
+	f.frame.Release()
+	if f.tail != nil {
+		f.tail.Release()
+	}
+}
+
 // encode compresses job's block into frameBuf at the job's level. It is the
 // single frame encoder: the inline writer runs it on the caller's goroutine
 // into its own scratch, the pool on a worker into a pooled buffer. It only
 // reads immutable writer state, so workers may run it concurrently.
 func (w *Writer) encode(job compressJob, frameBuf *block.Buf) encodedFrame {
-	head, tail, codecID, skipped := encodeFramePieces(frameBuf.B[:0], w.ladder, job.level, job.block.B, w.probe)
+	head, tail, codecID := encodeFramePieces(frameBuf.B[:0], w.ladder, job.level, job.block.B, job.hopeless)
 	frameBuf.B = head // keep any growth with the pooled buffer
 	f := encodedFrame{
 		seq: job.seq, frame: frameBuf, rawLen: len(job.block.B), staged: job.staged,
-		level: job.level, codecID: codecID, skipped: skipped,
+		level: job.level, codecID: codecID, skipped: job.hopeless,
 	}
 	if tail != nil {
 		// Stored raw: tail aliases the block, which travels with the frame.
@@ -368,9 +392,9 @@ func (w *Writer) accountFrame(wireBytes, rawBytes, copied, passthrough int64, le
 // Level returns the currently active compression level.
 func (w *Writer) Level() int { return w.level }
 
-// Stats returns a snapshot of the writer's counters. With a parallel
-// pipeline, frames still in flight are not yet counted; Flush or Close
-// first for exact totals.
+// Stats returns a snapshot of the writer's counters. With a pipeline,
+// frames still in flight are not yet counted; Flush or Close first for
+// exact totals.
 func (w *Writer) Stats() Stats {
 	w.statsMu.Lock()
 	defer w.statsMu.Unlock()
@@ -501,21 +525,32 @@ func (w *Writer) Close() error {
 }
 
 // flushBlock cuts the pending bytes into one frame: encoded and emitted on
-// the spot, or handed to the pool. A failure is recorded in w.err.
+// the spot, or handed to the pipeline. The entropy probe runs here, before
+// any codec and on the caller's goroutine, because its verdict also routes
+// the block: a block that will be stored raw (identity level, or hopeless)
+// never visits a worker. A failure is recorded in w.err.
 func (w *Writer) flushBlock() error {
 	if len(w.blk.B) == 0 {
 		return nil
 	}
-	job := compressJob{level: w.level, staged: w.staged, block: w.blk}
+	compresses := w.ladder[w.level].Codec.ID() != compress.IDNone
+	job := compressJob{
+		level: w.level, staged: w.staged, block: w.blk,
+		hopeless: compresses && w.probe.Hopeless(w.blk.B),
+	}
 	w.staged = 0
-	if w.pipe != nil {
-		// The pool owns the block from here (it releases it once the
-		// frame is encoded or written); carry on in a fresh one.
-		w.blk = block.Get(w.cfg.BlockSize)
-		w.err = w.pipe.submit(job)
-	} else {
+	if w.pipe == nil {
 		w.err = w.emit(w.encode(job, w.frame))
 		w.blk.B = w.blk.B[:0]
+		return w.err
+	}
+	// The pipeline owns the block from here (it releases it once the frame
+	// is encoded or written); carry on in a fresh one.
+	w.blk = block.Get(w.cfg.BlockSize)
+	if compresses && !job.hopeless {
+		w.err = w.pipe.submit(job)
+	} else {
+		w.err = w.pipe.pass(w.encode(job, block.Get(headerSize)))
 	}
 	return w.err
 }

@@ -55,7 +55,7 @@ func FuzzTunnelFrame(f *testing.F) {
 			defer close(relayDone)
 			relay(context.Background(), plainRelay, wireRelay,
 				Config{Static: true, StaticLevel: 1}, "exit->entry",
-				newTunnelMetrics(nil))
+				newTunnelMetrics(nil), nil)
 		}()
 
 		var wg sync.WaitGroup

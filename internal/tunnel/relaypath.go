@@ -58,6 +58,7 @@ type relayPath interface {
 type compressPath struct {
 	cfg       Config
 	m         *tunnelMetrics
+	pool      *stream.EncodePool // the endpoint's shared encode workers, or nil
 	direction string
 	plain     net.Conn  // raw plain-side conn: reads + deadline management
 	wire      io.Writer // idle-wrapped wire side (frames out)
@@ -66,6 +67,7 @@ type compressPath struct {
 
 func (p *compressPath) run() error {
 	wcfg := p.cfg.writerConfig(p.m.streamScope)
+	wcfg.Pool = p.pool
 	if p.cfg.Coord != nil && !p.cfg.Static {
 		cs := p.cfg.Coord.Register(coord.StreamConfig{
 			Weight: p.cfg.CoordWeight,
@@ -168,11 +170,13 @@ func (p *compressPath) pump(w *stream.Writer) error {
 			if idle > 0 && now.Sub(lastActivity) >= idle {
 				return err
 			}
-			// Coalescing deadline: push the partial block out.
-			if w.Buffered() > 0 {
-				if ferr := w.Flush(); ferr != nil {
-					return ferr
-				}
+			// Coalescing deadline: push the partial block out. With nothing
+			// buffered no such deadline was armed, so the timeout is the
+			// writer's own sticky error — a wire write timed out inside
+			// ReadDirect — and Flush hands it back; carrying on would spin
+			// on that error until the idle deadline.
+			if ferr := w.Flush(); ferr != nil {
+				return ferr
 			}
 			pendingSince = time.Time{}
 			continue

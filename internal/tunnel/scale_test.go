@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -266,6 +267,85 @@ func TestGracefulDrainCompletesInFlight(t *testing.T) {
 	}
 }
 
+// TestGracefulDrainFlushesPooledFrames closes the entry while an upload is
+// mid-flight towards a slow service, i.e. with cut blocks queued at the
+// endpoint's shared encode workers and encoded frames waiting for the wire.
+// Close must let the relay drain all of them before it stops the workers:
+// the service receives every byte, and no goroutine outlives Close.
+func TestGracefulDrainFlushesPooledFrames(t *testing.T) {
+	leakcheck.Check(t)
+	upload := corpus.Generate(corpus.Moderate, 8<<20, 12)
+
+	// Service: reads at about 30 MB/s, so the relay's pipeline stays full.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	received := make(chan []byte, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var got bytes.Buffer
+		for {
+			_, err := io.CopyN(&got, conn, 64<<10)
+			if err != nil {
+				break
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		received <- got.Bytes()
+	}()
+
+	reg := obs.NewRegistry()
+	exit, err := tunnel.ListenExit(context.Background(), "127.0.0.1:0", ln.Addr().String(), tunnel.Config{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exit.Close()
+	entryCfg := tunnel.Config{
+		Static: true, StaticLevel: 1,
+		ShutdownGrace: 20 * time.Second, Obs: reg.Scope("tunnel"), Logf: t.Logf,
+	}
+	entry, err := tunnel.ListenEntry(context.Background(), "127.0.0.1:0", exit.Addr().String(), entryCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	conn, err := net.Dial("tcp", entry.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	go func() {
+		conn.Write(upload)
+		conn.(*net.TCPConn).CloseWrite()
+	}()
+
+	// Close once the relay is well into the upload and far from done.
+	waitFor(t, "the upload to be under way", func() bool {
+		accepted, _ := reg.Get("tunnel.stream.writer.app_bytes").(*obs.Counter)
+		return accepted != nil && accepted.Value() >= 1<<20
+	})
+	start := time.Now()
+	entry.Close()
+	if elapsed := time.Since(start); elapsed > 19*time.Second {
+		t.Fatalf("Close took %v: force-close fired instead of graceful completion", elapsed)
+	}
+
+	select {
+	case got := <-received:
+		if !bytes.Equal(got, upload) {
+			t.Fatalf("drain lost part of the upload: service got %d bytes, want %d", len(got), len(upload))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("service never saw the end of the upload")
+	}
+}
+
 // waitNewDialsFail asserts that addr refuses (or immediately closes) new
 // connections — the endpoint has stopped accepting.
 func waitNewDialsFail(t *testing.T, addr string) {
@@ -436,12 +516,15 @@ func TestGoroutineBoundUnderBurst(t *testing.T) {
 	samplerDone.Wait()
 
 	// Every served connection costs a handful of goroutines (serve + two
-	// relay directions + shutdown watchdog) on each of the two endpoints,
-	// and each client burns up to two itself (dialer + writer). Beyond
-	// that, growth must not track the 80-client burst: parked queue
-	// entries cost exactly one goroutine each.
+	// relay directions + shutdown watchdog, plus the compress direction's
+	// flusher where the endpoint has encode workers) on each of the two
+	// endpoints, and each client burns up to two itself (dialer + writer).
+	// The encode workers are a per-endpoint constant, started with the
+	// harness and so already in the baseline. Beyond that, growth must not
+	// track the 80-client burst: parked queue entries cost exactly one
+	// goroutine each.
 	served := maxConns + queue
-	bound := baseline + clients*2 + served*8 + 24
+	bound := baseline + clients*2 + served*10 + 24
 	if peak > bound {
 		t.Fatalf("goroutine peak %d exceeds bound %d (baseline %d): pool not bounding concurrency", peak, bound, baseline)
 	}
@@ -455,4 +538,60 @@ func TestGoroutineBoundUnderBurst(t *testing.T) {
 		t.Logf("burst never overflowed the queue (accepted=%d); bound still verified", accepted)
 	}
 	t.Logf("burst: accepted=%d shed=%d peak_goroutines=%d (baseline %d)", accepted, shed, peak, baseline)
+}
+
+// TestEncodeWorkersArePerEndpoint pins who owns which goroutine of the
+// compress path: the encode workers belong to the endpoint (GOMAXPROCS of
+// them, however many connections it serves; none at all on one CPU, where
+// the relay encodes inline), and a connection adds one flusher per compress
+// direction. Close takes all of them down (leakcheck).
+func TestEncodeWorkersArePerEndpoint(t *testing.T) {
+	leakcheck.Check(t)
+	count := func(fn string) int {
+		buf := make([]byte, 1<<20)
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), fn+"(")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		echo := startEcho(t)
+		exit, err := tunnel.ListenExit(context.Background(), "127.0.0.1:0", echo, tunnel.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		entry, err := tunnel.ListenEntry(context.Background(), "127.0.0.1:0", exit.Addr().String(), tunnel.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantWorkers, flushersPerConn := 2*procs, 2 // two endpoints; entry and exit each compress one direction
+		if procs == 1 {
+			wantWorkers, flushersPerConn = 0, 0
+		}
+		var conns []net.Conn
+		for n := 1; n <= 3; n++ {
+			conn, err := net.Dial("tcp", entry.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			conns = append(conns, conn)
+			// One echoed byte proves both relays of this connection are up.
+			if _, err := conn.Write([]byte{'x'}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadFull(conn, make([]byte, 1)); err != nil {
+				t.Fatal(err)
+			}
+			if got := count("stream.(*EncodePool).worker"); got != wantWorkers {
+				t.Errorf("GOMAXPROCS=%d, %d connection(s): %d encode workers, want %d", procs, n, got, wantWorkers)
+			}
+			if got := count("stream.(*pipeline).flusher"); got != n*flushersPerConn {
+				t.Errorf("GOMAXPROCS=%d, %d connection(s): %d flushers, want %d", procs, n, got, n*flushersPerConn)
+			}
+		}
+		for _, conn := range conns {
+			conn.Close()
+		}
+		entry.Close()
+		exit.Close()
+	}
 }

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -331,11 +332,17 @@ func dialPeer(ctx context.Context, addr string, cfg Config, m *tunnelMetrics) (n
 
 // Endpoint is a running tunnel endpoint (entry or exit).
 type Endpoint struct {
-	ln        net.Listener
-	cancel    context.CancelFunc
-	wg        sync.WaitGroup
-	grace     time.Duration
-	admit     *admitter
+	ln     net.Listener
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+	grace  time.Duration
+	admit  *admitter
+	// pool is the encode workers every compress path of this endpoint
+	// shares: GOMAXPROCS of them per endpoint, not per connection, because
+	// the CPU they follow is process-wide. Nil on one CPU, where a second
+	// goroutine could only take turns with the pump, and under Passthrough,
+	// which never compresses; the compress path then encodes inline.
+	pool      *stream.EncodePool
 	closeOnce sync.Once
 	closeErr  error
 }
@@ -362,14 +369,17 @@ func (e *Endpoint) Close() error {
 			t := time.NewTimer(e.grace)
 			select {
 			case <-done:
-				t.Stop()
-				e.cancel()
-				return
 			case <-t.C:
 			}
+			t.Stop()
 		}
 		e.cancel()
 		<-done
+		// Every relay has closed its writer, which drained its frames out of
+		// the pool first: the workers are idle.
+		if e.pool != nil {
+			e.pool.Close()
+		}
 	})
 	return e.closeErr
 }
@@ -406,6 +416,9 @@ func listen(ctx context.Context, listenAddr string, cfg Config, dialAddr string,
 	runCtx, cancel := context.WithCancel(ctx)
 	m := newTunnelMetrics(cfg.Obs)
 	ep := &Endpoint{ln: ln, cancel: cancel, grace: cfg.ShutdownGrace, admit: newAdmitter(cfg, m)}
+	if n := runtime.GOMAXPROCS(0); n > 1 && !cfg.Passthrough {
+		ep.pool = stream.NewEncodePool(n)
+	}
 	ep.wg.Add(1)
 	go func() {
 		defer ep.wg.Done()
@@ -473,7 +486,7 @@ func (e *Endpoint) serve(ctx context.Context, conn net.Conn, decision admitDecis
 	if acceptsPlain {
 		direction = "entry->exit"
 	}
-	if relayErr := relay(ctx, plain, wire, cfg, direction, m); relayErr != nil {
+	if relayErr := relay(ctx, plain, wire, cfg, direction, m, e.pool); relayErr != nil {
 		cfg.logf("tunnel: relay: %v", relayErr)
 	}
 }
@@ -544,7 +557,7 @@ func classify(err error) error {
 // block: whenever the level scheme sits at (or falls back to) NO, frames go
 // out stored-raw and vectored, aliasing the pending block — so crossing
 // into or out of NO mid-stream flips the data path without reconnecting.
-func relay(ctx context.Context, plain, wire net.Conn, cfg Config, direction string, m *tunnelMetrics) error {
+func relay(ctx context.Context, plain, wire net.Conn, cfg Config, direction string, m *tunnelMetrics, pool *stream.EncodePool) error {
 	defer plain.Close()
 	defer wire.Close()
 	m.connsTotal.Inc()
@@ -590,7 +603,7 @@ func relay(ctx context.Context, plain, wire net.Conn, cfg Config, direction stri
 		// The compress path reads the RAW plain conn: it owns that side's
 		// read deadlines (idle + coalescing flush). plainRW still applies
 		// the idle policy to the decompress path's writes.
-		tx = &compressPath{cfg: cfg, m: m, direction: direction, plain: plain, wire: wireRW, wireCW: wireCW}
+		tx = &compressPath{cfg: cfg, m: m, pool: pool, direction: direction, plain: plain, wire: wireRW, wireCW: wireCW}
 		rx = &decompressPath{cfg: cfg, m: m, wire: wireRW, plain: plainRW, plainCW: plainCW}
 	}
 
