@@ -251,29 +251,6 @@ func BenchmarkAblationLadder(b *testing.B) {
 	}
 }
 
-// BenchmarkRealTableII runs the real-bytes Table II analogue: actual codecs
-// and corpus over a rate-limited real TCP loopback (wall-clock bound; one
-// wire rate, reduced volume — cmd/realbench runs the full sweep).
-func BenchmarkRealTableII(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cells, err := experiments.RealTableII(experiments.RealTableIIConfig{
-			VolumeBytes: 8 << 20,
-			WireMBps:    []float64{10},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.RenderRealTableII(cells))
-			for _, c := range cells {
-				if c.Kind == corpus.High && c.Scheme == "DYNAMIC" {
-					b.ReportMetric(c.AppMBps, "high-dynamic-MB/s")
-				}
-			}
-		}
-	}
-}
-
 // BenchmarkCodecCalibration measures this repository's real codecs on the
 // synthetic corpus — the live counterpart to the paper-derived reference
 // profiles (compare the two in the logged table).

@@ -2,7 +2,12 @@
 // benchmarks in internal/*/bench_alloc_test.go. The paper trades compression
 // speed against I/O bandwidth (Algorithm 1 selects a level by observed data
 // rate), so the codecs and the frame path ARE the hot path of this system;
-// this file freezes their throughput into a regression baseline.
+// this file freezes the floors under the kernel tier and the zero-copy relay
+// (docs/performance.md): the codec kernels and the NO-level / passthrough
+// relay.
+// The writer, reader, pipeline and compressing-relay rungs are measured by
+// bench/'s ladder (stream.writer/pwriter/reader/preader.mb_s,
+// tunnel.relay.mb_s) on the host that runs the gate.
 //
 // Every benchmark sets b.SetBytes with the raw (uncompressed) byte count, so
 // `go test -bench '^BenchmarkThroughput'` reports application-level MB/s.
@@ -11,7 +16,6 @@
 package adaptio_test
 
 import (
-	"bytes"
 	"context"
 	"io"
 	"net"
@@ -104,146 +108,6 @@ func BenchmarkThroughputDecompress(b *testing.B) {
 	}
 }
 
-// streamVolume is the per-op byte volume of the stream/tunnel benchmarks:
-// 32 default blocks, enough that per-frame costs dominate setup.
-const streamVolume = 32 * throughputBlock
-
-// buildWire encodes streamVolume bytes of moderate corpus at the given
-// static level and returns (application bytes, wire bytes).
-func buildWire(b *testing.B, level int) (app, wire []byte) {
-	b.Helper()
-	app = benchCorpus("moderate", streamVolume)
-	var buf bytes.Buffer
-	w, err := stream.NewWriter(&buf, stream.WriterConfig{Static: true, StaticLevel: level})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := w.Write(app); err != nil {
-		b.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		b.Fatal(err)
-	}
-	return app, buf.Bytes()
-}
-
-var throughputLevels = []struct {
-	name  string
-	level int
-}{
-	{"no", stream.LevelNo},
-	{"light", stream.LevelLight},
-	{"medium", stream.LevelMedium},
-}
-
-// BenchmarkThroughputStreamWriter measures the serial Writer end to end:
-// application bytes in, frames to an in-memory sink.
-func BenchmarkThroughputStreamWriter(b *testing.B) {
-	for _, lv := range throughputLevels {
-		b.Run(lv.name, func(b *testing.B) {
-			app := benchCorpus("moderate", streamVolume)
-			w, err := stream.NewWriter(io.Discard, stream.WriterConfig{Static: true, StaticLevel: lv.level})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer w.Close()
-			b.SetBytes(int64(len(app)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := w.Write(app); err != nil {
-					b.Fatal(err)
-				}
-				if err := w.Flush(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkThroughputParallelWriter measures NewParallelWriter —
-// per-block parallel compression within a single stream — at 4 workers
-// across the writer levels. Its wire output is byte-identical to the serial
-// Writer at every level (pinned by TestWireDeterminismSerialVsParallel);
-// only the scheduling differs, so this row isolates the pipeline's
-// fan-out/recombine overhead from the codec cost.
-func BenchmarkThroughputParallelWriter(b *testing.B) {
-	for _, lv := range throughputLevels {
-		b.Run(lv.name, func(b *testing.B) {
-			app := benchCorpus("moderate", streamVolume)
-			w, err := stream.NewParallelWriter(io.Discard, stream.WriterConfig{
-				Static: true, StaticLevel: lv.level,
-			}, 4)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer w.Close()
-			b.SetBytes(int64(len(app)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := w.Write(app); err != nil {
-					b.Fatal(err)
-				}
-				if err := w.Flush(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkThroughputStreamReader measures the serial Reader end to end:
-// wire frames in, application bytes to io.Discard (via the Reader's
-// WriteTo, the relay path).
-func BenchmarkThroughputStreamReader(b *testing.B) {
-	for _, lv := range throughputLevels {
-		b.Run(lv.name, func(b *testing.B) {
-			app, wire := buildWire(b, lv.level)
-			b.SetBytes(int64(len(app)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r, err := stream.NewReader(bytes.NewReader(wire))
-				if err != nil {
-					b.Fatal(err)
-				}
-				n, err := io.Copy(io.Discard, r)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n != int64(len(app)) {
-					b.Fatalf("decoded %d bytes, want %d", n, len(app))
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkThroughputStreamParallelReader is the 4-worker NewParallelReader
-// variant of the light-level reader benchmark.
-func BenchmarkThroughputStreamParallelReader(b *testing.B) {
-	app, wire := buildWire(b, stream.LevelLight)
-	b.SetBytes(int64(len(app)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := stream.NewParallelReader(bytes.NewReader(wire), 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n, err := io.Copy(io.Discard, r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n != int64(len(app)) {
-			b.Fatalf("decoded %d bytes, want %d", n, len(app))
-		}
-		r.Close()
-	}
-}
-
 // benchTunnelRelay drives the full tunnel data plane over a real loopback:
 // per op one connection writes 8 blocks through entry→exit to an echo server
 // and reads them back, so every payload byte crosses both relays twice.
@@ -308,12 +172,6 @@ func benchTunnelRelay(b *testing.B, cfg tunnel.Config) {
 		}
 		conn.Close()
 	}
-}
-
-// BenchmarkThroughputTunnelRelay is the historical gate benchmark: a LIGHT
-// static tunnel pair, so every byte runs the codec both ways.
-func BenchmarkThroughputTunnelRelay(b *testing.B) {
-	benchTunnelRelay(b, tunnel.Config{Static: true, StaticLevel: stream.LevelLight})
 }
 
 // BenchmarkThroughputRelayNoLevel pins the framed zero-copy path: NO level

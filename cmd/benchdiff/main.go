@@ -4,14 +4,11 @@
 //
 //   - `-mode alloc` (default) gates B/op and allocs/op against
 //     BENCH_alloc.json, as produced by `make bench-alloc`;
-//   - `-mode throughput` gates MB/s (and ns/op for benchmarks without a
-//     MB/s column) against BENCH_throughput.json, as produced by
-//     `make bench-throughput`;
-//   - `-mode decider` gates the decider policy matrix — wasted-probe counts
-//     and converged MB/s per Table II cell — against BENCH_decider.json.
-//     The input here is not `go test -bench` text but the benchfmt JSON
-//     artifact of `expdriver -decider-matrix -json-out`, which is
-//     deterministic in its seed; `make bench-decider-gate` runs the pair.
+//   - `-mode throughput` gates MB/s against BENCH_throughput.json, as
+//     produced by `make bench-throughput`.
+//
+// (BENCH_decider.json is deterministic in its seed, so its gate is a byte
+// comparison: `make bench-decider-gate` regenerates it and runs `cmp`.)
 //
 // It exists because CI must not depend on tools outside the repository:
 // benchstat needs an install step, benchdiff is `go run ./cmd/benchdiff`.
@@ -33,32 +30,21 @@
 // bytes. Defaults: 512 B and 1 alloc. Baselines large enough to matter
 // are unaffected by the slack.
 //
-// The throughput pass rule, per metric the baseline carries (MB/s and
-// ns/op gated independently, so a benchmark regressing both reports both):
+// The throughput pass rule:
 //
-//	new MB/s  >= base MB/s  * (1-regress)
-//	new ns/op <= base ns/op * (1+regress)
+//	new MB/s >= base MB/s * (1-regress)
 //
 // with a deliberately wider default tolerance (40%): wall-clock throughput
 // varies with the host CPU in a way allocation counts do not, so this gate
 // catches step-function regressions (a lost fast path, an accidental copy),
 // not single-digit drift — docs/performance.md discusses the calibration.
 //
-// The decider pass rule, per baseline entry (both axes gated so a policy
-// cannot buy probe economy with throughput or vice versa):
-//
-//	new wasted probes <= base*(1+regress) + slack   (default 15% + 2)
-//	new MB/s          >= base MB/s * (1-regress)
-//
-// at the alloc-style 15% default tolerance: the matrix is simulated and
-// seed-deterministic, so drift there is a behaviour change, not host noise.
-//
 // A baseline entry may carry a "regress" field overriding the global
 // tolerance for that one benchmark (tighter for stable workloads, looser
 // for known-noisy ones); see docs/performance.md for the calibrated rows.
 //
 // When the same benchmark appears several times (multiple -count runs), the
-// best reading is kept — minimum for B/op, allocs/op and ns/op, maximum for
+// best reading is kept — minimum for B/op and allocs/op, maximum for
 // MB/s: the gate measures the floor the code can reach, not scheduler
 // noise. Baseline benchmarks missing from the input fail the gate (a
 // silently skipped benchmark is a rotten gate) unless -allow-missing is
@@ -81,17 +67,11 @@ import (
 
 // measurement is one benchmark's metrics. The json tags are shared with
 // internal/benchfmt, which is the schema of the committed baselines and of
-// the -json-out artifacts of cmd/realbench and cmd/acprobe.
+// the -json-out artifact of cmd/acprobe.
 type measurement struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
-	NsPerOp     float64 `json:"ns_per_op,omitempty"`
 	MBPerS      float64 `json:"mb_per_s,omitempty"`
-
-	// decider-mode metrics (benchfmt JSON artifacts only; bench text
-	// output never carries them).
-	Probes       int64 `json:"probes,omitempty"`
-	WastedProbes int64 `json:"wasted_probes,omitempty"`
 
 	// Regress, when set on a baseline entry (> 0), overrides the global
 	// -regress tolerance for that one benchmark — the seam for pinning a
@@ -119,7 +99,6 @@ type baselineFile struct {
 const (
 	modeAlloc      = "alloc"
 	modeThroughput = "throughput"
-	modeDecider    = "decider"
 )
 
 // options holds the gate mode and tolerances.
@@ -128,7 +107,6 @@ type options struct {
 	regress      float64 // multiplicative tolerance, e.g. 0.15
 	slackBytes   int64   // additive slack for B/op
 	slackAllocs  int64   // additive slack for allocs/op
-	slackProbes  int64   // additive slack for wasted probes
 	allowMissing bool
 }
 
@@ -136,18 +114,17 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchdiff: ")
 	var (
-		mode         = flag.String("mode", modeAlloc, "gate mode: alloc (B/op, allocs/op), throughput (MB/s, ns/op), or decider (wasted probes, MB/s from a benchfmt JSON artifact)")
+		mode         = flag.String("mode", modeAlloc, "gate mode: alloc (B/op, allocs/op) or throughput (MB/s)")
 		baselinePath = flag.String("baseline", "BENCH_alloc.json", "committed baseline file")
 		set          = flag.String("set", "current", "which baseline set to compare against")
 		regress      = flag.Float64("regress", -1, "tolerated regression fraction (default: 0.40 for throughput, 0.15 otherwise)")
 		slackBytes   = flag.Int64("slack-bytes", 512, "additive B/op slack (protects near-zero baselines from noise)")
 		slackAllocs  = flag.Int64("slack-allocs", 1, "additive allocs/op slack")
-		slackProbes  = flag.Int64("slack-probes", 2, "additive wasted-probe slack for -mode decider (protects near-zero baselines)")
 		allowMissing = flag.Bool("allow-missing", false, "do not fail when a baseline benchmark is absent from the input")
 	)
 	flag.Parse()
-	if *mode != modeAlloc && *mode != modeThroughput && *mode != modeDecider {
-		log.Fatalf("unknown -mode %q (want %q, %q or %q)", *mode, modeAlloc, modeThroughput, modeDecider)
+	if *mode != modeAlloc && *mode != modeThroughput {
+		log.Fatalf("unknown -mode %q (want %q or %q)", *mode, modeAlloc, modeThroughput)
 	}
 	if *regress < 0 {
 		if *mode == modeThroughput {
@@ -173,12 +150,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var results map[string]measurement
-	if *mode == modeDecider {
-		results, err = parseArtifact(in, *set)
-	} else {
-		results, err = parseBench(in)
-	}
+	results, err := parseBench(in)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -186,7 +158,7 @@ func main() {
 		log.Fatalf("no benchmark result lines found in %s", src)
 	}
 
-	opts := options{mode: *mode, regress: *regress, slackBytes: *slackBytes, slackAllocs: *slackAllocs, slackProbes: *slackProbes, allowMissing: *allowMissing}
+	opts := options{mode: *mode, regress: *regress, slackBytes: *slackBytes, slackAllocs: *slackAllocs, allowMissing: *allowMissing}
 	rows, failed := compare(base, results, opts)
 	fmt.Print(renderRows(rows, *set, opts))
 	if failed {
@@ -225,34 +197,6 @@ func loadBaseline(path, set string) (map[string]measurement, error) {
 	return out, nil
 }
 
-// parseArtifact extracts {name -> measurement} from a benchfmt JSON
-// artifact (the decider mode's input: `expdriver -decider-matrix -json-out`
-// output). Entries under the named set are taken verbatim — the artifact is
-// deterministic, so there is no best-of-N folding to do.
-func parseArtifact(r io.Reader, set string) (map[string]measurement, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	var bf baselineFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		return nil, fmt.Errorf("decider artifact: %w", err)
-	}
-	out := make(map[string]measurement, len(bf.Benchmarks))
-	for name, sets := range bf.Benchmarks {
-		raw, ok := sets[set]
-		if !ok {
-			return nil, fmt.Errorf("decider artifact: benchmark %q has no set %q", name, set)
-		}
-		var m measurement
-		if err := json.Unmarshal(raw, &m); err != nil {
-			return nil, fmt.Errorf("decider artifact: benchmark %q: %w", name, err)
-		}
-		out[name] = m
-	}
-	return out, nil
-}
-
 // benchLine matches `go test -bench` result lines, e.g.
 //
 //	BenchmarkAllocWriterSteady-8   300   5067 ns/op   25882.51 MB/s   0 B/op   0 allocs/op
@@ -260,7 +204,7 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.+)$`)
 
 // parseBench extracts {name -> measurement} from benchmark output. When a
 // benchmark repeats, the best reading of each metric is kept: min for
-// B/op, allocs/op and ns/op; max for MB/s.
+// B/op and allocs/op; max for MB/s.
 func parseBench(r io.Reader) (map[string]measurement, error) {
 	out := map[string]measurement{}
 	sc := bufio.NewScanner(r)
@@ -285,9 +229,6 @@ func parseBench(r io.Reader) (map[string]measurement, error) {
 			case "allocs/op":
 				cur.AllocsPerOp = int64(v)
 				memCols++
-			case "ns/op":
-				cur.NsPerOp = v
-				cur.hasSpeed = true
 			case "MB/s":
 				cur.MBPerS = v
 				cur.hasSpeed = true
@@ -300,7 +241,6 @@ func parseBench(r io.Reader) (map[string]measurement, error) {
 		if prev, ok := out[name]; ok {
 			cur.BytesPerOp = min(cur.BytesPerOp, prev.BytesPerOp)
 			cur.AllocsPerOp = min(cur.AllocsPerOp, prev.AllocsPerOp)
-			cur.NsPerOp = minF(cur.NsPerOp, prev.NsPerOp)
 			cur.MBPerS = max(cur.MBPerS, prev.MBPerS)
 			cur.hasMem = cur.hasMem || prev.hasMem
 			cur.hasSpeed = cur.hasSpeed || prev.hasSpeed
@@ -308,17 +248,6 @@ func parseBench(r io.Reader) (map[string]measurement, error) {
 		out[name] = cur
 	}
 	return out, sc.Err()
-}
-
-// minF is min for float64 treating 0 as "unset" (a parsed ns/op is never 0).
-func minF(a, b float64) float64 {
-	if a == 0 {
-		return b
-	}
-	if b == 0 || a < b {
-		return a
-	}
-	return b
 }
 
 // verdicts a row can carry.
@@ -388,27 +317,9 @@ func compare(base, results map[string]measurement, opts options) ([]row, bool) {
 			regress = b.Regress
 		}
 		switch opts.mode {
-		case modeDecider:
-			// Both axes of the decider bound gate independently, mirroring
-			// the acceptance tests: probe economy must not regress past the
-			// tolerance, and the cells that carry throughput must hold it.
-			if exceeds(got.WastedProbes, b.WastedProbes, regress, opts.slackProbes) {
-				r.reasons = append(r.reasons, fmt.Sprintf("wasted probes %d > %d+%.0f%%+%d",
-					got.WastedProbes, b.WastedProbes, regress*100, opts.slackProbes))
-			}
-			if b.MBPerS > 0 && belowFloor(got.MBPerS, b.MBPerS, regress) {
-				r.reasons = append(r.reasons, fmt.Sprintf("MB/s %.1f < %.1f-%.0f%%", got.MBPerS, b.MBPerS, regress*100))
-			}
 		case modeThroughput:
-			// Every speed metric the baseline carries is gated on its own:
-			// the historical else-if here meant a benchmark with both
-			// columns never had its ns/op checked, and a run regressing
-			// several benchmarks surfaced only part of the damage.
 			if b.MBPerS > 0 && belowFloor(got.MBPerS, b.MBPerS, regress) {
 				r.reasons = append(r.reasons, fmt.Sprintf("MB/s %.1f < %.1f-%.0f%%", got.MBPerS, b.MBPerS, regress*100))
-			}
-			if b.NsPerOp > 0 && got.NsPerOp > b.NsPerOp*(1+regress) {
-				r.reasons = append(r.reasons, fmt.Sprintf("ns/op %.0f > %.0f+%.0f%%", got.NsPerOp, b.NsPerOp, regress*100))
 			}
 		default: // alloc
 			if exceeds(got.BytesPerOp, b.BytesPerOp, regress, opts.slackBytes) {
@@ -458,49 +369,47 @@ func failingNames(rows []row) []string {
 func renderRows(rows []row, set string, opts options) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "baseline set %q, mode %s, tolerance %.0f%%\n", set, opts.mode, opts.regress*100)
-	switch opts.mode {
-	case modeThroughput:
-		fmt.Fprintf(&sb, "%-44s %12s %12s %14s %14s  %s\n",
-			"benchmark", "base MB/s", "got MB/s", "base ns/op", "got ns/op", "verdict")
-	case modeDecider:
-		fmt.Fprintf(&sb, "%-44s %12s %12s %14s %14s  %s\n",
-			"benchmark", "base wasted", "got wasted", "base MB/s", "got MB/s", "verdict")
-	default:
-		fmt.Fprintf(&sb, "%-44s %12s %12s %14s %14s  %s\n",
-			"benchmark", "base B/op", "got B/op", "base allocs", "got allocs", "verdict")
+	line := func(name string, cells []string, note string) {
+		fmt.Fprintf(&sb, "%-44s", name)
+		for _, c := range cells {
+			fmt.Fprintf(&sb, " %13s", c)
+		}
+		fmt.Fprintf(&sb, "  %s\n", note)
+	}
+	// Cells alternate baseline, run.
+	if opts.mode == modeThroughput {
+		line("benchmark", []string{"base MB/s", "got MB/s"}, "verdict")
+	} else {
+		line("benchmark", []string{"base B/op", "got B/op", "base allocs", "got allocs"}, "verdict")
 	}
 	for _, r := range rows {
-		var bb, gb, ba, ga string
-		switch opts.mode {
-		case modeThroughput:
-			bb, ba = fmtF(r.base.MBPerS, 2), fmtF(r.base.NsPerOp, 0)
-			gb, ga = fmtF(r.got.MBPerS, 2), fmtF(r.got.NsPerOp, 0)
-		case modeDecider:
-			bb, ba = strconv.FormatInt(r.base.WastedProbes, 10), fmtF(r.base.MBPerS, 2)
-			gb, ga = strconv.FormatInt(r.got.WastedProbes, 10), fmtF(r.got.MBPerS, 2)
-		default:
-			bb, ba = strconv.FormatInt(r.base.BytesPerOp, 10), strconv.FormatInt(r.base.AllocsPerOp, 10)
-			gb, ga = strconv.FormatInt(r.got.BytesPerOp, 10), strconv.FormatInt(r.got.AllocsPerOp, 10)
+		var cells []string
+		if opts.mode == modeThroughput {
+			cells = []string{fmtMBps(r.base.MBPerS), fmtMBps(r.got.MBPerS)}
+		} else {
+			cells = []string{
+				strconv.FormatInt(r.base.BytesPerOp, 10), strconv.FormatInt(r.got.BytesPerOp, 10),
+				strconv.FormatInt(r.base.AllocsPerOp, 10), strconv.FormatInt(r.got.AllocsPerOp, 10),
+			}
 		}
-		if r.verdict == verdictMissing {
-			gb, ga = "-", "-"
-		}
-		if r.verdict == verdictNew {
-			bb, ba = "-", "-"
+		for i := range cells {
+			if (r.verdict == verdictMissing && i%2 == 1) || (r.verdict == verdictNew && i%2 == 0) {
+				cells[i] = "-"
+			}
 		}
 		note := r.verdict
 		if len(r.reasons) > 0 {
 			note += " (" + strings.Join(r.reasons, "; ") + ")"
 		}
-		fmt.Fprintf(&sb, "%-44s %12s %12s %14s %14s  %s\n", r.name, bb, gb, ba, ga, note)
+		line(r.name, cells, note)
 	}
 	return sb.String()
 }
 
-// fmtF renders a float metric, "-" when unset (zero).
-func fmtF(v float64, prec int) string {
+// fmtMBps renders a throughput, "-" when unset (zero).
+func fmtMBps(v float64) string {
 	if v == 0 {
 		return "-"
 	}
-	return strconv.FormatFloat(v, 'f', prec, 64)
+	return strconv.FormatFloat(v, 'f', 2, 64)
 }

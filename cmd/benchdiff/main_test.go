@@ -23,31 +23,30 @@ func TestParseBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 4 {
-		t.Fatalf("parsed %d benchmarks, want 4: %+v", len(got), got)
+	if len(got) != 3 {
+		t.Fatalf("parsed %d benchmarks, want 3: %+v", len(got), got)
 	}
 	if m := got["BenchmarkAllocWriterSteady"]; m.BytesPerOp != 0 || m.AllocsPerOp != 0 {
 		t.Fatalf("WriterSteady = %+v, want zero mem", m)
 	}
-	if m := got["BenchmarkAllocWriterSteady"]; m.NsPerOp != 5067 || m.MBPerS != 25882.51 || !m.hasSpeed {
-		t.Fatalf("WriterSteady = %+v, want ns/op 5067 and MB/s 25882.51", m)
+	if m := got["BenchmarkAllocWriterSteady"]; m.MBPerS != 25882.51 || !m.hasSpeed {
+		t.Fatalf("WriterSteady = %+v, want MB/s 25882.51", m)
 	}
 	// Repeated benchmark keeps the per-metric minimum: 550 B from the
-	// second run, 3 allocs from the first, 90000 ns from the second.
-	if m := got["BenchmarkAllocWriterChurn"]; m.BytesPerOp != 550 || m.AllocsPerOp != 3 || m.NsPerOp != 90000 {
-		t.Fatalf("WriterChurn = %+v, want {550 3 90000}", m)
+	// second run, 3 allocs from the first.
+	if m := got["BenchmarkAllocWriterChurn"]; m.BytesPerOp != 550 || m.AllocsPerOp != 3 || m.hasSpeed {
+		t.Fatalf("WriterChurn = %+v, want {550 3} and no speed", m)
 	}
-	// A line without -benchmem columns still carries ns/op for the
-	// throughput gate, but is marked memless so the alloc gate treats it
-	// as missing.
-	if m, ok := got["BenchmarkNotMem"]; !ok || m.hasMem || !m.hasSpeed || m.NsPerOp != 1000 {
-		t.Fatalf("NotMem = %+v ok=%v, want speed-only measurement", m, ok)
+	// A line with neither -benchmem nor MB/s columns carries nothing
+	// either gate reads, so both treat the benchmark as missing.
+	if m, ok := got["BenchmarkNotMem"]; ok {
+		t.Fatalf("NotMem = %+v, want the ns/op-only line skipped", m)
 	}
 }
 
 func TestCompareAllocModeSkipsMemlessLines(t *testing.T) {
 	base := map[string]measurement{"BenchmarkA": {BytesPerOp: 100, AllocsPerOp: 1}}
-	results := map[string]measurement{"BenchmarkA": {NsPerOp: 50, hasSpeed: true}}
+	results := map[string]measurement{"BenchmarkA": {MBPerS: 50, hasSpeed: true}}
 	opts := options{mode: modeAlloc, regress: 0.15, slackBytes: 512, slackAllocs: 1}
 	rows, failed := compare(base, results, opts)
 	if !failed || rows[0].verdict != verdictMissing {
@@ -57,15 +56,15 @@ func TestCompareAllocModeSkipsMemlessLines(t *testing.T) {
 
 func TestCompareThroughputMode(t *testing.T) {
 	base := map[string]measurement{
-		"BenchmarkTPFast": {MBPerS: 1000, NsPerOp: 100000},
-		"BenchmarkTPNoMB": {NsPerOp: 5000},
+		"BenchmarkTPFast": {MBPerS: 1000},
+		"BenchmarkTPSlow": {MBPerS: 10},
 	}
 	opts := options{mode: modeThroughput, regress: 0.40}
 
 	t.Run("within tolerance passes", func(t *testing.T) {
 		results := map[string]measurement{
-			"BenchmarkTPFast": {MBPerS: 601, NsPerOp: 139000, hasSpeed: true},
-			"BenchmarkTPNoMB": {NsPerOp: 6999, hasSpeed: true},
+			"BenchmarkTPFast": {MBPerS: 601, hasSpeed: true},
+			"BenchmarkTPSlow": {MBPerS: 6.01, hasSpeed: true},
 		}
 		if rows, failed := compare(base, results, opts); failed {
 			t.Fatalf("gate failed, rows: %+v", rows)
@@ -74,8 +73,8 @@ func TestCompareThroughputMode(t *testing.T) {
 
 	t.Run("MB/s collapse fails", func(t *testing.T) {
 		results := map[string]measurement{
-			"BenchmarkTPFast": {MBPerS: 400, NsPerOp: 100000, hasSpeed: true},
-			"BenchmarkTPNoMB": {NsPerOp: 5000, hasSpeed: true},
+			"BenchmarkTPFast": {MBPerS: 400, hasSpeed: true},
+			"BenchmarkTPSlow": {MBPerS: 10, hasSpeed: true},
 		}
 		rows, failed := compare(base, results, opts)
 		if !failed || rows[0].verdict != verdictFail {
@@ -83,33 +82,10 @@ func TestCompareThroughputMode(t *testing.T) {
 		}
 	})
 
-	t.Run("ns/op fallback gates MB/s-less benchmarks", func(t *testing.T) {
-		results := map[string]measurement{
-			"BenchmarkTPFast": {MBPerS: 1000, hasSpeed: true},
-			"BenchmarkTPNoMB": {NsPerOp: 8000, hasSpeed: true},
-		}
-		if _, failed := compare(base, results, opts); !failed {
-			t.Fatal("60% ns/op growth must fail the ns fallback gate")
-		}
-	})
-
-	t.Run("ns/op regression caught even when MB/s holds", func(t *testing.T) {
-		// The historical else-if skipped the ns/op check whenever the
-		// baseline carried MB/s; both metrics now gate independently.
-		results := map[string]measurement{
-			"BenchmarkTPFast": {MBPerS: 1000, NsPerOp: 150000, hasSpeed: true},
-			"BenchmarkTPNoMB": {NsPerOp: 5000, hasSpeed: true},
-		}
-		rows, failed := compare(base, results, opts)
-		if !failed || rows[0].verdict != verdictFail {
-			t.Fatalf("50%% ns/op growth with stable MB/s must fail, rows: %+v", rows)
-		}
-	})
-
 	t.Run("mem-only line counts as missing", func(t *testing.T) {
 		results := map[string]measurement{
 			"BenchmarkTPFast": {MBPerS: 1000, hasSpeed: true},
-			"BenchmarkTPNoMB": {BytesPerOp: 1, AllocsPerOp: 1, hasMem: true},
+			"BenchmarkTPSlow": {BytesPerOp: 1, AllocsPerOp: 1, hasMem: true},
 		}
 		if _, failed := compare(base, results, opts); !failed {
 			t.Fatal("input without speed columns must count as missing")
@@ -121,8 +97,8 @@ func TestCompareThroughputMode(t *testing.T) {
 // field: it replaces the global tolerance for that one benchmark only.
 func TestComparePerBenchmarkRegressOverride(t *testing.T) {
 	base := map[string]measurement{
-		"BenchmarkTight": {MBPerS: 100, NsPerOp: 1000, Regress: 0.25},
-		"BenchmarkLoose": {MBPerS: 100, NsPerOp: 1000},
+		"BenchmarkTight": {MBPerS: 100, Regress: 0.25},
+		"BenchmarkLoose": {MBPerS: 100},
 	}
 	opts := options{mode: modeThroughput, regress: 0.40}
 
@@ -130,8 +106,8 @@ func TestComparePerBenchmarkRegressOverride(t *testing.T) {
 		// 70 MB/s is a 30% drop: inside the global 0.40 tolerance, outside
 		// the overridden 0.25 — so only the tight row may fail.
 		results := map[string]measurement{
-			"BenchmarkTight": {MBPerS: 70, NsPerOp: 1000, hasSpeed: true},
-			"BenchmarkLoose": {MBPerS: 70, NsPerOp: 1000, hasSpeed: true},
+			"BenchmarkTight": {MBPerS: 70, hasSpeed: true},
+			"BenchmarkLoose": {MBPerS: 70, hasSpeed: true},
 		}
 		rows, failed := compare(base, results, opts)
 		if !failed {
@@ -153,27 +129,11 @@ func TestComparePerBenchmarkRegressOverride(t *testing.T) {
 
 	t.Run("within the override passes", func(t *testing.T) {
 		results := map[string]measurement{
-			"BenchmarkTight": {MBPerS: 80, NsPerOp: 1100, hasSpeed: true},
-			"BenchmarkLoose": {MBPerS: 61, NsPerOp: 1000, hasSpeed: true},
+			"BenchmarkTight": {MBPerS: 80, hasSpeed: true},
+			"BenchmarkLoose": {MBPerS: 61, hasSpeed: true},
 		}
 		if rows, failed := compare(base, results, opts); failed {
 			t.Fatalf("20%% drop is inside the 0.25 override, rows: %+v", rows)
-		}
-	})
-
-	t.Run("override gates ns/op too", func(t *testing.T) {
-		results := map[string]measurement{
-			"BenchmarkTight": {MBPerS: 100, NsPerOp: 1300, hasSpeed: true},
-			"BenchmarkLoose": {MBPerS: 100, NsPerOp: 1300, hasSpeed: true},
-		}
-		rows, failed := compare(base, results, opts)
-		if !failed {
-			t.Fatalf("30%% ns/op growth must fail the 0.25 override, rows: %+v", rows)
-		}
-		for _, r := range rows {
-			if r.name == "BenchmarkLoose" && r.verdict == verdictFail {
-				t.Fatalf("loose row = %+v, want pass under global 0.40", r)
-			}
 		}
 	})
 }
@@ -184,9 +144,9 @@ func TestComparePerBenchmarkRegressOverride(t *testing.T) {
 // them all — the gate may not surface just the first casualty.
 func TestCompareThroughputReportsAllRegressions(t *testing.T) {
 	base := map[string]measurement{
-		"BenchmarkTPAlpha": {MBPerS: 2000, NsPerOp: 50000},
+		"BenchmarkTPAlpha": {MBPerS: 2000},
 		"BenchmarkTPBeta":  {MBPerS: 800},
-		"BenchmarkTPGamma": {NsPerOp: 3000},
+		"BenchmarkTPGamma": {MBPerS: 30},
 		"BenchmarkTPOK":    {MBPerS: 100},
 	}
 	opts := options{mode: modeThroughput, regress: 0.40}
@@ -199,9 +159,9 @@ func TestCompareThroughputReportsAllRegressions(t *testing.T) {
 		{
 			name: "two MB/s collapses",
 			results: map[string]measurement{
-				"BenchmarkTPAlpha": {MBPerS: 100, NsPerOp: 50000, hasSpeed: true},
+				"BenchmarkTPAlpha": {MBPerS: 100, hasSpeed: true},
 				"BenchmarkTPBeta":  {MBPerS: 100, hasSpeed: true},
-				"BenchmarkTPGamma": {NsPerOp: 3000, hasSpeed: true},
+				"BenchmarkTPGamma": {MBPerS: 30, hasSpeed: true},
 				"BenchmarkTPOK":    {MBPerS: 100, hasSpeed: true},
 			},
 			wantFailing: []string{"BenchmarkTPAlpha", "BenchmarkTPBeta"},
@@ -210,19 +170,18 @@ func TestCompareThroughputReportsAllRegressions(t *testing.T) {
 		{
 			name: "every family regresses at once",
 			results: map[string]measurement{
-				"BenchmarkTPAlpha": {MBPerS: 100, NsPerOp: 900000, hasSpeed: true},
+				"BenchmarkTPAlpha": {MBPerS: 100, hasSpeed: true},
 				"BenchmarkTPBeta":  {MBPerS: 1, hasSpeed: true},
-				"BenchmarkTPGamma": {NsPerOp: 9000, hasSpeed: true},
+				"BenchmarkTPGamma": {MBPerS: 3, hasSpeed: true},
 				"BenchmarkTPOK":    {MBPerS: 100, hasSpeed: true},
 			},
 			wantFailing: []string{"BenchmarkTPAlpha", "BenchmarkTPBeta", "BenchmarkTPGamma"},
-			// Alpha regresses both of its baseline metrics: two reasons.
-			wantReasons: map[string]int{"BenchmarkTPAlpha": 2, "BenchmarkTPBeta": 1, "BenchmarkTPGamma": 1},
+			wantReasons: map[string]int{"BenchmarkTPAlpha": 1, "BenchmarkTPBeta": 1, "BenchmarkTPGamma": 1},
 		},
 		{
 			name: "missing benchmark joins the enumeration",
 			results: map[string]measurement{
-				"BenchmarkTPAlpha": {MBPerS: 2000, NsPerOp: 50000, hasSpeed: true},
+				"BenchmarkTPAlpha": {MBPerS: 2000, hasSpeed: true},
 				"BenchmarkTPBeta":  {MBPerS: 100, hasSpeed: true},
 				"BenchmarkTPOK":    {MBPerS: 100, hasSpeed: true},
 			},
@@ -258,92 +217,6 @@ func TestCompareThroughputReportsAllRegressions(t *testing.T) {
 			}
 		})
 	}
-}
-
-const sampleArtifact = `{
-  "description": "decider policy matrix",
-  "benchmarks": {
-    "Decider/algone/high/bg0": {"current": {"mb_per_s": 55.2, "probes": 12, "wasted_probes": 4}},
-    "Decider/algone/totals":   {"current": {"probes": 170, "wasted_probes": 63}}
-  }
-}`
-
-func TestParseArtifact(t *testing.T) {
-	got, err := parseArtifact(strings.NewReader(sampleArtifact), "current")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("parsed %d entries, want 2: %+v", len(got), got)
-	}
-	if m := got["Decider/algone/high/bg0"]; m.MBPerS != 55.2 || m.Probes != 12 || m.WastedProbes != 4 {
-		t.Fatalf("cell entry = %+v, want {55.2 12 4}", m)
-	}
-	if m := got["Decider/algone/totals"]; m.WastedProbes != 63 || m.MBPerS != 0 {
-		t.Fatalf("totals entry = %+v, want wasted 63 and no MB/s", m)
-	}
-	if _, err := parseArtifact(strings.NewReader(sampleArtifact), "nonesuch"); err == nil {
-		t.Fatal("missing set name must be an error")
-	}
-	if _, err := parseArtifact(strings.NewReader("not json"), "current"); err == nil {
-		t.Fatal("malformed artifact must be an error")
-	}
-}
-
-func TestCompareDeciderMode(t *testing.T) {
-	base := map[string]measurement{
-		"Decider/bandit/high/bg0": {MBPerS: 50, WastedProbes: 10},
-		"Decider/bandit/totals":   {WastedProbes: 60},
-	}
-	opts := options{mode: modeDecider, regress: 0.15, slackProbes: 2}
-
-	t.Run("within tolerance passes", func(t *testing.T) {
-		results := map[string]measurement{
-			"Decider/bandit/high/bg0": {MBPerS: 48, WastedProbes: 11},
-			"Decider/bandit/totals":   {WastedProbes: 69},
-		}
-		if rows, failed := compare(base, results, opts); failed {
-			t.Fatalf("gate failed, rows: %+v", rows)
-		}
-	})
-
-	t.Run("probe regression fails", func(t *testing.T) {
-		results := map[string]measurement{
-			"Decider/bandit/high/bg0": {MBPerS: 50, WastedProbes: 10},
-			"Decider/bandit/totals":   {WastedProbes: 90},
-		}
-		rows, failed := compare(base, results, opts)
-		if !failed {
-			t.Fatalf("50%% wasted-probe growth must fail, rows: %+v", rows)
-		}
-		for _, r := range rows {
-			if r.name == "Decider/bandit/totals" && r.verdict != verdictFail {
-				t.Fatalf("totals verdict = %q, want FAIL", r.verdict)
-			}
-		}
-	})
-
-	t.Run("throughput collapse fails", func(t *testing.T) {
-		results := map[string]measurement{
-			"Decider/bandit/high/bg0": {MBPerS: 30, WastedProbes: 10},
-			"Decider/bandit/totals":   {WastedProbes: 60},
-		}
-		if _, failed := compare(base, results, opts); !failed {
-			t.Fatal("40% MB/s loss must fail the decider gate")
-		}
-	})
-
-	t.Run("probe slack protects near-zero baselines", func(t *testing.T) {
-		nearZero := map[string]measurement{"Decider/ewma/low/bg0": {MBPerS: 50, WastedProbes: 0}}
-		results := map[string]measurement{"Decider/ewma/low/bg0": {MBPerS: 50, WastedProbes: 2}}
-		if rows, failed := compare(nearZero, results, opts); failed {
-			t.Fatalf("+2 wasted on a zero baseline must stay within slack, rows: %+v", rows)
-		}
-		results["Decider/ewma/low/bg0"] = measurement{MBPerS: 50, WastedProbes: 3}
-		if _, failed := compare(nearZero, results, opts); !failed {
-			t.Fatal("+3 wasted on a zero baseline must exceed the slack")
-		}
-	})
 }
 
 func TestExceeds(t *testing.T) {
@@ -470,7 +343,7 @@ func TestRenderRowsMentionsEverything(t *testing.T) {
 		}
 	}
 	tp := []row{
-		{name: "BenchmarkTP", base: measurement{MBPerS: 1000, NsPerOp: 100}, got: measurement{MBPerS: 450.5, NsPerOp: 222}, verdict: verdictFail, reasons: []string{"MB/s 450.5 < 1000.0-40%"}},
+		{name: "BenchmarkTP", base: measurement{MBPerS: 1000}, got: measurement{MBPerS: 450.5}, verdict: verdictFail, reasons: []string{"MB/s 450.5 < 1000.0-40%"}},
 	}
 	out = renderRows(tp, "current", options{mode: modeThroughput, regress: 0.40})
 	for _, want := range []string{"BenchmarkTP", "450.50", "1000.00", "FAIL"} {

@@ -16,7 +16,7 @@ import (
 // optionally written as a benchfmt JSON artifact (-json-out) in the schema
 // of the committed BENCH_decider.json baseline. The run is fully
 // deterministic in -seed, so the artifact is byte-reproducible and
-// cmd/benchdiff -mode decider can gate it against the baseline.
+// `make bench-decider-gate` compares it with the baseline by `cmp`.
 //
 // The two-axis acceptance bound (docs/deciders.md) is enforced here too:
 // each learned policy must stay within-or-better on completion time in

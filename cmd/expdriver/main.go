@@ -15,22 +15,17 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"io"
-	"net"
 	"os"
 	"path/filepath"
-	"runtime"
-	"time"
+	"strings"
 
 	"adaptio/internal/block"
 	"adaptio/internal/cloudsim"
 	"adaptio/internal/experiments"
-	"adaptio/internal/loadgen"
 	"adaptio/internal/obs"
-	"adaptio/internal/tunnel"
+	"adaptio/internal/scenario"
 )
 
 func main() {
@@ -50,12 +45,11 @@ func main() {
 		seed       = flag.Uint64("seed", 2011, "random seed")
 		liveProf   = flag.Bool("live-profiles", false, "drive Table II with profiles measured live from this repo's codecs instead of the paper-derived reference")
 		csvDir     = flag.String("csv", "", "also write each experiment's raw data as CSV into this directory")
-		scenario   = flag.String("scenario", "", "run a runtime scenario instead of the paper experiments: 'soak' (docs/scaling.md), 'sharednic' (docs/coordination.md), a built-in scenario-DSL name (diurnal, heavytail, lossy, flaps, hetfleet, diurnal-lossy-1000 — docs/scenarios.md), or a path to a scenario JSON file")
+		scenName   = flag.String("scenario", "", "run a scenario-DSL scenario instead of the paper experiments: a built-in name ("+strings.Join(scenario.BuiltinNames(), ", ")+" — docs/scenarios.md) or a path to a scenario JSON file")
 		decider    = flag.String("decider", "", "for scenario-DSL runs: level-selection policy driving the adaptive variant (algone, bandit, ewma — docs/deciders.md)")
 		dmatrix    = flag.Bool("decider-matrix", false, "run the Table II completion-time matrix under every registered decider policy plus the CheatStick sentinel (docs/deciders.md)")
-		jsonOut    = flag.String("json-out", "", "for -decider-matrix: write the benchfmt JSON artifact to this file (schema of BENCH_decider.json, gated by cmd/benchdiff -mode decider)")
-		streams    = flag.Int("streams", 128, "fleet size for -scenario sharednic")
-		metricsOut = flag.String("metrics-out", "", "for runtime scenarios: write the JSON result artifact to this file (CI artifact)")
+		jsonOut    = flag.String("json-out", "", "for -decider-matrix: write the benchfmt JSON artifact to this file (BENCH_decider.json; make bench-decider-gate compares it byte-for-byte)")
+		metricsOut = flag.String("metrics-out", "", "for scenario-DSL runs: write the JSON result artifact to this file (CI artifact)")
 		parallel   = flag.Int("parallel", 4, "for scenario-DSL runs: variants simulated concurrently (results are byte-identical for any value)")
 		rig        = flag.String("rig", "", "for scenario-DSL runs: apply a sentinel property-breaker (test use only; see internal/scenario.Rig)")
 		maxWall    = flag.Duration("max-wall", 0, "for scenario-DSL runs: fail unless the run finishes within this wall-clock budget (0 = no budget)")
@@ -65,18 +59,12 @@ func main() {
 	if *dmatrix {
 		os.Exit(runDeciderMatrix(*seed, *jsonOut))
 	}
-	switch *scenario {
-	case "":
-		if *decider != "" {
-			fmt.Fprintln(os.Stderr, "expdriver: -decider only applies to scenario-DSL runs (-scenario <name|file>)")
-			os.Exit(2)
-		}
-	case "soak":
-		os.Exit(runSoak(*seed))
-	case "sharednic":
-		os.Exit(runSharedNIC(*seed, *streams, *metricsOut))
-	default:
-		os.Exit(runScenario(*scenario, *seed, *parallel, *rig, *decider, *metricsOut, *maxWall))
+	if *scenName != "" {
+		os.Exit(runScenario(*scenName, *seed, *parallel, *rig, *decider, *metricsOut, *maxWall))
+	}
+	if *decider != "" {
+		fmt.Fprintln(os.Stderr, "expdriver: -decider only applies to scenario-DSL runs (-scenario <name|file>)")
+		os.Exit(2)
 	}
 
 	// Process-wide metrics: the experiments run in-process, so the buffer
@@ -253,117 +241,4 @@ func main() {
 	if exitCode != 0 {
 		os.Exit(exitCode)
 	}
-}
-
-// runSoak is the `-scenario soak` entry point: the repeatable
-// soak/overload experiment of docs/scaling.md at expdriver scale — an
-// in-process echo sink behind a bounded entry/exit tunnel pair, hammered by
-// the seeded load generator. It returns the process exit code: non-zero on
-// broken transfers, zero completions, or leaked goroutines after drain.
-func runSoak(seed uint64) int {
-	reg := obs.NewRegistry()
-	block.PublishMetrics(reg.Scope("block"))
-
-	baseline := runtime.NumGoroutine()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "soak: echo sink: %v\n", err)
-		return 1
-	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				io.Copy(conn, conn)
-				if tc, ok := conn.(*net.TCPConn); ok {
-					tc.CloseWrite()
-				}
-			}()
-		}
-	}()
-
-	const (
-		workers  = 192
-		maxConns = 48
-	)
-	tcfg := tunnel.Config{Static: true, StaticLevel: 1, ShutdownGrace: 5 * time.Second}
-	exit, err := tunnel.ListenExit(context.Background(), "127.0.0.1:0", ln.Addr().String(), tcfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "soak: exit: %v\n", err)
-		return 1
-	}
-	entryCfg := tcfg
-	entryCfg.MaxConns = maxConns
-	entryCfg.AcceptQueue = maxConns
-	entryCfg.Obs = reg.Scope("tunnel")
-	entry, err := tunnel.ListenEntry(context.Background(), "127.0.0.1:0", exit.Addr().String(), entryCfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "soak: entry: %v\n", err)
-		return 1
-	}
-
-	fmt.Printf("Soak scenario: %d workers vs MaxConns=%d tunnel pair, 5 s, seed %d\n", workers, maxConns, seed)
-	report, err := loadgen.Run(context.Background(), loadgen.Config{
-		Addr:       entry.Addr().String(),
-		Conns:      workers,
-		Duration:   5 * time.Second,
-		Seed:       seed,
-		MinPayload: 2 << 10,
-		MaxPayload: 32 << 10,
-		Verify:     true,
-		Obs:        reg.Scope("loadgen"),
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "soak: %v\n", err)
-		return 1
-	}
-	fmt.Println(report.String())
-
-	entry.Close()
-	exit.Close()
-	ln.Close()
-	leaked := 0
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		leaked = runtime.NumGoroutine() - baseline
-		if leaked <= 0 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	fmt.Println("--- end-of-run process metrics ---")
-	fmt.Print(reg.RenderText())
-
-	// Copy-accounting gate (docs/performance.md, "Zero-copy relay"): at
-	// LIGHT the relay pays ~1 user-space copy per byte (the codec
-	// transform); the pre-refactor staging loop paid ~2. Failing at 1.5
-	// catches a reintroduced staging copy without flaking on small-block
-	// noise.
-	copyRatio := 0.0
-	if m, ok := reg.Get("tunnel.relay.bytes_copied_per_byte_relayed").(*obs.FloatFuncMetric); ok {
-		copyRatio = m.Value()
-	}
-	fmt.Printf("soak: bytes_copied_per_byte_relayed = %.3f\n", copyRatio)
-
-	switch {
-	case report.Completed == 0:
-		fmt.Println("soak: FAIL: zero completed cycles")
-		return 1
-	case report.Failed > 0:
-		fmt.Printf("soak: FAIL: %d broken transfers\n", report.Failed)
-		return 1
-	case leaked > 0:
-		fmt.Printf("soak: FAIL: %d goroutine(s) leaked after drain\n", leaked)
-		return 1
-	case copyRatio >= 1.5:
-		fmt.Printf("soak: FAIL: copy ratio %.3f — a relay staging copy is back\n", copyRatio)
-		return 1
-	}
-	fmt.Println("soak: PASS")
-	return 0
 }

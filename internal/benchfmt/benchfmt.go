@@ -1,9 +1,9 @@
 // Package benchfmt defines the shared JSON schema for performance
 // artifacts: the committed baselines (BENCH_alloc.json,
-// BENCH_throughput.json) that cmd/benchdiff gates against, and the
-// -json-out emitters of cmd/realbench and cmd/acprobe, all speak this
-// format — so a nightly soak artifact can be diffed against a committed
-// baseline without translation.
+// BENCH_throughput.json) that cmd/benchdiff gates against, BENCH_decider.json
+// and the -json-out emitter of cmd/acprobe all speak this format — so a
+// nightly artifact can be diffed against a committed baseline without
+// translation.
 package benchfmt
 
 import (
@@ -15,14 +15,13 @@ import (
 
 // Measurement is one benchmark's metrics under one set. Zero-valued fields
 // are omitted: an alloc baseline carries bytes/allocs, a throughput
-// baseline mb_per_s and/or ns_per_op.
+// baseline mb_per_s.
 type Measurement struct {
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
-	NsPerOp     float64 `json:"ns_per_op,omitempty"`
 	MBPerS      float64 `json:"mb_per_s,omitempty"`
-	// Probes and WastedProbes carry decider probe economics (the
-	// cmd/benchdiff decider gate's regression axis).
+	// Probes and WastedProbes carry decider probe economics
+	// (BENCH_decider.json).
 	Probes       int64  `json:"probes,omitempty"`
 	WastedProbes int64  `json:"wasted_probes,omitempty"`
 	Note         string `json:"note,omitempty"`
@@ -30,7 +29,7 @@ type Measurement struct {
 
 // File is a whole baseline/artifact document: benchmark name -> set name ->
 // measurement. Set names identify when the numbers were taken
-// ("pre_fastpath", "current") or where ("realbench", "acprobe").
+// ("pre_fastpath", "current") or where ("acprobe").
 type File struct {
 	Description string                            `json:"description"`
 	Go          string                            `json:"go,omitempty"`

@@ -9,7 +9,7 @@ import (
 
 func TestAddAndWriteFile(t *testing.T) {
 	f := &File{Description: "test artifact"}
-	f.Add("BenchmarkX/a", "current", Measurement{MBPerS: 123.4, NsPerOp: 8100})
+	f.Add("BenchmarkX/a", "current", Measurement{MBPerS: 123.4, WastedProbes: 81})
 	f.Add("BenchmarkX/a", "pre", Measurement{MBPerS: 100})
 	f.Add("BenchmarkY", "current", Measurement{BytesPerOp: 64, AllocsPerOp: 1})
 
@@ -29,7 +29,7 @@ func TestAddAndWriteFile(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if m := back.Benchmarks["BenchmarkX/a"]["current"]; m.MBPerS != 123.4 || m.NsPerOp != 8100 {
+	if m := back.Benchmarks["BenchmarkX/a"]["current"]; m.MBPerS != 123.4 || m.WastedProbes != 81 {
 		t.Fatalf("round-trip lost data: %+v", m)
 	}
 	// Omitted zero fields keep the document diffable against benchdiff's

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/csv"
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -129,18 +128,6 @@ func CSVCalibration(ms []CodecMeasurement) string {
 	for _, m := range ms {
 		out = append(out, []string{
 			m.Level, m.Kind.String(), f(m.CompMBps), f(m.DecompMBps), f(m.Ratio),
-		})
-	}
-	return writeCSV(out)
-}
-
-// CSVRealTableII exports the real-bytes sweep.
-func CSVRealTableII(cells []RealCell) string {
-	out := [][]string{{"kind", "wire_mbps", "scheme", "seconds", "app_mbps", "ratio", "switches"}}
-	for _, c := range cells {
-		out = append(out, []string{
-			c.Kind.String(), f(c.WireMBps), c.Scheme, f(c.Seconds), f(c.AppMBps), f(c.Ratio),
-			fmt.Sprintf("%d", c.Switches),
 		})
 	}
 	return writeCSV(out)

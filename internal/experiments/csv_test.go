@@ -86,7 +86,4 @@ func TestCSVExports(t *testing.T) {
 		t.Fatal(err)
 	}
 	parseCSV(t, experiments.CSVCalibration(ms))
-
-	cells := []experiments.RealCell{{Scheme: "NO", WireMBps: 10, Seconds: 1, AppMBps: 10, Ratio: 1}}
-	parseCSV(t, experiments.CSVRealTableII(cells))
 }

@@ -7,6 +7,7 @@ package ratelimit
 import (
 	"errors"
 	"io"
+	"math"
 	"sync"
 	"time"
 )
@@ -70,25 +71,26 @@ func (rl *Writer) Write(p []byte) (int, error) {
 	return total, nil
 }
 
-// take blocks until amount tokens are available and consumes them.
+// take consumes amount tokens, sleeping first when the bucket is short.
 func (rl *Writer) take(amount float64) {
+	rl.refill()
+	rl.tokens -= amount
+	if rl.tokens < 0 {
+		rl.sleep(time.Duration(-rl.tokens / rl.rate * float64(time.Second)))
+		// Credit the time actually slept, not the time asked for: a sleep
+		// that overshoots has earned its tokens, and dropping them holds
+		// the delivered rate below the configured one.
+		rl.refill()
+	}
+}
+
+// refill credits the time since the last refill, up to a full bucket.
+func (rl *Writer) refill() {
 	now := rl.now()
 	if !rl.last.IsZero() {
-		rl.tokens += now.Sub(rl.last).Seconds() * rl.rate
-		if rl.tokens > rl.burst {
-			rl.tokens = rl.burst
-		}
+		rl.tokens = math.Min(rl.burst, rl.tokens+now.Sub(rl.last).Seconds()*rl.rate)
 	}
 	rl.last = now
-	if rl.tokens >= amount {
-		rl.tokens -= amount
-		return
-	}
-	deficit := amount - rl.tokens
-	wait := time.Duration(deficit / rl.rate * float64(time.Second))
-	rl.sleep(wait)
-	rl.last = rl.now()
-	rl.tokens = 0
 }
 
 // SetRate changes the target rate; used to emulate appearing/disappearing

@@ -74,6 +74,26 @@ func TestRateEnforcedVirtualTime(t *testing.T) {
 	}
 }
 
+// TestOversleepDoesNotLowerRate: a sleep that always overshoots (as real
+// timers do) has earned tokens for the whole time slept, so the delivered
+// rate must still be the configured one. Chunks equal the burst, the shape
+// the stream layer's frames take through a 64 KB bucket.
+func TestOversleepDoesNotLowerRate(t *testing.T) {
+	const rate, chunk, chunks = 1e6, 64 << 10, 200
+	w, ft := newVirtual(t, io.Discard, rate, chunk)
+	w.sleep = func(d time.Duration) { ft.Sleep(d + d/2) }
+	start := ft.now
+	for i := 0; i < chunks; i++ {
+		if _, err := w.Write(make([]byte, chunk)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := float64(chunks*chunk) / (rate * ft.now.Sub(start).Seconds())
+	if got < 0.99 || got > 1.01 {
+		t.Fatalf("delivered %.3f of the configured rate with 50%% oversleep", got)
+	}
+}
+
 func TestBurstPassesWithoutSleep(t *testing.T) {
 	var buf bytes.Buffer
 	w, ft := newVirtual(t, &buf, 1e6, 1<<20)

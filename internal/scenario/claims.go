@@ -243,12 +243,9 @@ var claimRegistry = map[string][]Claim{
 			},
 		},
 		{
-			Name: "coordination-calms-flapping",
-			Desc: "Under bandwidth flaps the coordinated fleet flaps strictly less than the solo-decider fleet, which chases every capacity edge.",
-			check: func(sc *Scenario, r *Result) (bool, string) {
-				co, ad := r.Variant("coordinated").Flaps, r.Variant("adaptive").Flaps
-				return co < ad, fmt.Sprintf("coordinated flaps %d vs solo %d", co, ad)
-			},
+			Name:  "coordination-calms-flapping",
+			Desc:  "Under bandwidth flaps the coordinated fleet flaps strictly less than the solo-decider fleet, which chases every capacity edge.",
+			check: coordFlapsBelowSolo,
 		},
 	},
 	"hetfleet": {
@@ -265,6 +262,19 @@ var claimRegistry = map[string][]Claim{
 			check: func(sc *Scenario, r *Result) (bool, string) {
 				return tenantRatioAtLeast(r.Variant("static-light"), "gold", "silver", hetFairnessFloor)
 			},
+		},
+		{
+			Name: "coordinated-beats-solo-goodput",
+			Desc: "On the saturated shared NIC the coordinated fleet's aggregate goodput strictly beats the solo-decider fleet's: one budgeted assignment wastes less of the link than every stream probing on its own.",
+			check: func(sc *Scenario, r *Result) (bool, string) {
+				co, ad := r.Variant("coordinated").AppBytes, r.Variant("adaptive").AppBytes
+				return co > ad, fmt.Sprintf("coordinated %d bytes vs solo %d", co, ad)
+			},
+		},
+		{
+			Name:  "coordinated-flaps-below-solo",
+			Desc:  "On a steady NIC the coordinated fleet flaps strictly less than the solo-decider fleet, whose streams mistake each other's probes for bandwidth changes.",
+			check: coordFlapsBelowSolo,
 		},
 	},
 	"diurnal-lossy-1000": {
@@ -286,6 +296,13 @@ var claimRegistry = map[string][]Claim{
 			},
 		},
 	},
+}
+
+// coordFlapsBelowSolo checks the coordinated fleet flaps strictly less than
+// the solo-decider (adaptive) fleet.
+func coordFlapsBelowSolo(_ *Scenario, r *Result) (bool, string) {
+	co, ad := r.Variant("coordinated").Flaps, r.Variant("adaptive").Flaps
+	return co < ad, fmt.Sprintf("coordinated flaps %d vs solo %d", co, ad)
 }
 
 // tenantRatioAtLeast checks tenant a's per-stream goodput is at least k
@@ -331,8 +348,9 @@ func RigTargets() map[Rig]map[string][]string {
 		RigNoLoss:           {"lossy": {"light-overtakes-heavy-under-loss"}},
 		RigFlatWeights:      {"hetfleet": {"weighted-fairness-holds", "nic-fairness-static"}},
 		RigOscillate: {
-			"diurnal": {"adaptive-flap-bound"},
-			"flaps":   {"coord-dwell-bounds-switches", "coordination-calms-flapping"},
+			"diurnal":  {"adaptive-flap-bound"},
+			"flaps":    {"coord-dwell-bounds-switches", "coordination-calms-flapping"},
+			"hetfleet": {"coordinated-beats-solo-goodput", "coordinated-flaps-below-solo"},
 		},
 	}
 }

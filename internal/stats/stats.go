@@ -1,6 +1,6 @@
 // Package stats provides the small set of descriptive statistics used by the
-// experiment harness: mean/standard deviation, quantiles, five-number boxplot
-// summaries and fixed-width histograms.
+// experiment harness: mean/standard deviation, quantiles and five-number
+// boxplot summaries.
 //
 // The package intentionally avoids any approximation: all summaries are exact
 // over the provided samples, because the experiments compare distributions
@@ -147,53 +147,6 @@ func (s Summary) IQR() float64 { return s.Q3 - s.Q1 }
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f sd=%.1f min=%.1f q1=%.1f med=%.1f q3=%.1f max=%.1f",
 		s.N, s.Mean, s.SD, s.Min, s.Q1, s.Median, s.Q3, s.Max)
-}
-
-// Histogram divides [min,max] into len(counts) equal-width bins and counts
-// samples per bin. Values outside the range are clamped into the first or
-// last bin, so the total count always equals len(xs).
-type Histogram struct {
-	MinValue float64
-	MaxValue float64
-	Counts   []int
-}
-
-// NewHistogram builds a histogram of xs with the given number of bins over
-// the observed [min,max] range. bins must be >= 1.
-func NewHistogram(xs []float64, bins int) Histogram {
-	if bins < 1 {
-		bins = 1
-	}
-	h := Histogram{Counts: make([]int, bins)}
-	if len(xs) == 0 {
-		return h
-	}
-	h.MinValue = Min(xs)
-	h.MaxValue = Max(xs)
-	width := (h.MaxValue - h.MinValue) / float64(bins)
-	for _, x := range xs {
-		idx := bins - 1
-		if width > 0 {
-			idx = int((x - h.MinValue) / width)
-			if idx < 0 {
-				idx = 0
-			}
-			if idx >= bins {
-				idx = bins - 1
-			}
-		}
-		h.Counts[idx]++
-	}
-	return h
-}
-
-// Total returns the number of samples counted by the histogram.
-func (h Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
 }
 
 // CoefficientOfVariation returns sd/mean, a scale-free dispersion measure

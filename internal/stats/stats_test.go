@@ -91,30 +91,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	h := stats.NewHistogram(xs, 5)
-	if h.Total() != len(xs) {
-		t.Fatalf("total = %d", h.Total())
-	}
-	for i, c := range h.Counts {
-		if c != 2 {
-			t.Fatalf("bin %d = %d, want 2", i, c)
-		}
-	}
-	// Degenerate inputs.
-	if stats.NewHistogram(nil, 3).Total() != 0 {
-		t.Fatal("empty histogram non-empty")
-	}
-	one := stats.NewHistogram([]float64{5, 5, 5}, 4)
-	if one.Total() != 3 {
-		t.Fatal("constant data lost samples")
-	}
-	if stats.NewHistogram(xs, 0).Total() != len(xs) {
-		t.Fatal("bins<1 should clamp to 1")
-	}
-}
-
 func TestCoefficientOfVariation(t *testing.T) {
 	if stats.CoefficientOfVariation([]float64{5, 5, 5}) != 0 {
 		t.Fatal("constant data CoV should be 0")

@@ -121,9 +121,17 @@ func TestRealTCPAdaptiveBacksOffOnIncompressibleData(t *testing.T) {
 		t.Skip("real-time transfer")
 	}
 	const wireMBps = 25.0
-	stats, received, _ := runRealTransfer(t, corpus.Low, wireMBps, 16<<20, 60*time.Millisecond)
+	const volume = 16 << 20
+	stats, received, elapsed := runRealTransfer(t, corpus.Low, wireMBps, volume, 60*time.Millisecond)
 	if received != stats.AppBytes {
 		t.Fatalf("received %d of %d app bytes", received, stats.AppBytes)
+	}
+	// Nothing helps on incompressible data, so adapting must cost little:
+	// the transfer finishes within 1.35x of what sending it uncompressed
+	// at the wire rate takes. (Under the race detector the probes
+	// themselves are CPU-bound, as in the test above.)
+	if noTime := volume / (wireMBps * 1e6); !raceEnabled && elapsed.Seconds() > 1.35*noTime {
+		t.Fatalf("took %.2f s, more than 1.35x the %.2f s of an uncompressed transfer", elapsed.Seconds(), noTime)
 	}
 	// On JPEG-like data compression saves ~5%; whatever mix of levels the
 	// prober visits, the wire volume must stay close to the app volume
