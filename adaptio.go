@@ -72,7 +72,7 @@ type WriterConfig = stream.WriterConfig
 // WindowStat describes one completed decision window.
 type WindowStat = stream.WindowStat
 
-// Stats aggregates writer activity.
+// Stats aggregates a Writer's or a Reader's activity; see stream.Stats.
 type Stats = stream.Stats
 
 // Codec is the block-codec interface; custom codecs can be registered with

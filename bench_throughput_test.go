@@ -3,8 +3,7 @@
 // speed against I/O bandwidth (Algorithm 1 selects a level by observed data
 // rate), so the codecs and the frame path ARE the hot path of this system;
 // this file freezes the floors under the kernel tier and the zero-copy relay
-// (docs/performance.md): the codec kernels and the NO-level / passthrough
-// relay.
+// (docs/performance.md): the codec kernels and the NO-level relay.
 // The writer, reader, pipeline and compressing-relay rungs are measured by
 // bench/'s ladder (stream.writer/pwriter/reader/preader.mb_s,
 // tunnel.relay.mb_s) on the host that runs the gate.
@@ -180,11 +179,4 @@ func benchTunnelRelay(b *testing.B, cfg tunnel.Config) {
 // without a single user-space buffer-to-buffer copy.
 func BenchmarkThroughputRelayNoLevel(b *testing.B) {
 	benchTunnelRelay(b, tunnel.Config{Static: true, StaticLevel: stream.LevelNo})
-}
-
-// BenchmarkThroughputRelayPassthrough pins the unframed path: both endpoints
-// agree on Config.Passthrough, so on Linux the bytes move entirely in the
-// kernel via splice(2) (portable pooled-buffer loop elsewhere).
-func BenchmarkThroughputRelayPassthrough(b *testing.B) {
-	benchTunnelRelay(b, tunnel.Config{Passthrough: true})
 }

@@ -84,16 +84,16 @@ func handle(conn net.Conn, ro *readerObs) {
 	start := time.Now()
 	n, err := io.Copy(io.Discard, r)
 	elapsed := time.Since(start)
-	raw, wire, blocks := r.Counters()
-	ro.appBytes.Add(raw)
-	ro.wireBytes.Add(wire)
-	ro.blocks.Add(blocks)
+	st := r.Stats()
+	ro.appBytes.Add(st.AppBytes)
+	ro.wireBytes.Add(st.WireBytes)
+	ro.blocks.Add(st.Blocks)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "acrecv: stream error after %d bytes: %v\n", n, err)
 		return
 	}
 	fmt.Printf("received %.2f GB app / %.2f GB wire in %.1f s (%.1f MB/s app, %d blocks)\n",
-		float64(raw)/1e9, float64(wire)/1e9, elapsed.Seconds(), float64(n)/1e6/elapsed.Seconds(), blocks)
+		float64(st.AppBytes)/1e9, float64(st.WireBytes)/1e9, elapsed.Seconds(), float64(n)/1e6/elapsed.Seconds(), st.Blocks)
 }
 
 func fatal(err error) {

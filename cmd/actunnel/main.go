@@ -26,7 +26,6 @@ import (
 
 	"adaptio"
 	"adaptio/internal/block"
-	"adaptio/internal/compress/probe"
 	"adaptio/internal/coord"
 	"adaptio/internal/core"
 	"adaptio/internal/obs"
@@ -44,10 +43,7 @@ func main() {
 		decider     = flag.String("decider", "", "level-selection policy for adaptive mode: algone (default), bandit, or ewma")
 		deciderSeed = flag.Uint64("decider-seed", 0, "seed for stochastic -decider policies")
 		quiet       = flag.Bool("q", false, "suppress per-connection statistics")
-		noProbe     = flag.Bool("no-probe", false, "disable the entropy pre-probe and run every block through the codec, even ones judged incompressible")
-
-		passthrough = flag.Bool("passthrough", false, "relay raw bytes with no framing or compression (both endpoints must agree; -static/-window/-alpha/-coord do not apply)")
-		flushIvl    = flag.Duration("flush-interval", 0, "max time a partial block may wait for more bytes before being framed (0 = default 5ms, negative = only flush full blocks)")
+		flushIvl    = flag.Duration("flush-interval", 0, "max time a partial block may wait for more bytes before being framed (0 = default 5ms)")
 
 		idleTimeout = flag.Duration("idle-timeout", 0, "tear down a connection direction after this long without traffic (0 = never)")
 		dialRetries = flag.Int("dial-retries", 0, "extra dial attempts after the first fails, with exponential backoff")
@@ -80,7 +76,6 @@ func main() {
 		ShutdownGrace: *grace,
 		MaxConns:      *maxConns,
 		AcceptQueue:   *acceptQueue,
-		Passthrough:   *passthrough,
 		FlushInterval: *flushIvl,
 		Decider:       *decider,
 		DeciderSeed:   *deciderSeed,
@@ -104,16 +99,9 @@ func main() {
 		cfg.Static = true
 		cfg.StaticLevel = *static
 	}
-	if *noProbe {
-		pr := probe.Disabled()
-		cfg.Probe = &pr
-	}
 	if *coordOn {
 		if cfg.Static {
 			log.Fatalf("actunnel: -coord is incompatible with -static (a pinned level leaves nothing to coordinate)")
-		}
-		if *passthrough {
-			log.Fatalf("actunnel: -coord is incompatible with -passthrough (an unframed relay has no levels to coordinate)")
 		}
 		c, err := coord.New(coord.Config{
 			BudgetBytesPerSec: *coordBudget * 1e6,

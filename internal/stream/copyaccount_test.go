@@ -191,9 +191,8 @@ func TestReaderCopyCounters(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), high) {
 		t.Fatal("identity WriteTo mismatch")
 	}
-	copied, passthru := r.CopyCounters()
-	if copied != 0 || passthru != int64(len(high)) {
-		t.Errorf("identity WriteTo: copied=%d passthrough=%d, want 0/%d", copied, passthru, len(high))
+	if st := r.Stats(); st.CopiedBytes != 0 || st.PassthroughBytes != int64(len(high)) {
+		t.Errorf("identity WriteTo: copied=%d passthrough=%d, want 0/%d", st.CopiedBytes, st.PassthroughBytes, len(high))
 	}
 
 	// Compressed frames + WriteTo: the codec's decode is the one copy.
@@ -202,9 +201,8 @@ func TestReaderCopyCounters(t *testing.T) {
 	if _, err := r.WriteTo(&out); err != nil {
 		t.Fatal(err)
 	}
-	copied, passthru = r.CopyCounters()
-	if copied != int64(len(high)) || passthru != 0 {
-		t.Errorf("decode WriteTo: copied=%d passthrough=%d, want %d/0", copied, passthru, len(high))
+	if st := r.Stats(); st.CopiedBytes != int64(len(high)) || st.PassthroughBytes != 0 {
+		t.Errorf("decode WriteTo: copied=%d passthrough=%d, want %d/0", st.CopiedBytes, st.PassthroughBytes, len(high))
 	}
 
 	// Identity frames via plain Read: the arena decode copy counts.
@@ -212,8 +210,7 @@ func TestReaderCopyCounters(t *testing.T) {
 	if _, err := io.Copy(&out, struct{ io.Reader }{r}); err != nil { // hide WriteTo
 		t.Fatal(err)
 	}
-	copied, _ = r.CopyCounters()
-	if copied != int64(len(high)) {
+	if copied := r.Stats().CopiedBytes; copied != int64(len(high)) {
 		t.Errorf("plain Read: copied=%d, want %d", copied, len(high))
 	}
 }

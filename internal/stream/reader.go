@@ -49,13 +49,7 @@ type Reader struct {
 	off   int        // how many of them have been delivered
 	err   error      // sticky error (including io.EOF)
 
-	rawBytes  int64
-	wireBytes int64
-	blocks    int64
-	// copiedBytes / passthroughBytes split rawBytes by user-space copy cost
-	// (see CopyCounters).
-	copiedBytes      int64
-	passthroughBytes int64
+	stats Stats // see Stats
 }
 
 // NewReader creates a Reader over src that decodes inline.
@@ -148,30 +142,25 @@ func (r *Reader) fill(direct bool) {
 		return
 	}
 	r.blk, r.off = r.arena.B, 0
-	r.rawBytes += int64(h.rawLen)
-	r.wireBytes += int64(headerSize + h.compLen)
-	r.blocks++
+	r.stats.AppBytes += int64(h.rawLen)
+	r.stats.WireBytes += int64(headerSize + h.compLen)
+	r.stats.Blocks++
 	if direct && h.codecID == compress.IDNone {
-		r.passthroughBytes += int64(h.rawLen)
+		r.stats.PassthroughBytes += int64(h.rawLen)
 	} else {
-		r.copiedBytes += int64(h.rawLen)
+		r.stats.CopiedBytes += int64(h.rawLen)
 	}
 }
 
-// Counters returns the number of application bytes delivered, wire bytes
-// consumed and frames decoded so far.
-func (r *Reader) Counters() (rawBytes, wireBytes, blocks int64) {
-	return r.rawBytes, r.wireBytes, r.blocks
-}
-
-// CopyCounters splits the delivered raw bytes by user-space copy cost on the
-// way to the consumer. Passthrough bytes were stored-raw frames handed to a
-// WriteTo destination straight from the buffer the wire was read into (the
-// relay's zero-copy decompress path, docs/performance.md); copied bytes went
-// through a codec transform into the arena, or through Read's copy-out.
-func (r *Reader) CopyCounters() (copied, passthrough int64) {
-	return r.copiedBytes, r.passthroughBytes
-}
+// Stats returns the receive side of the writer's ledger so far: AppBytes
+// delivered, WireBytes consumed, Blocks decoded, and AppBytes split by
+// user-space copy cost on the way to the consumer. PassthroughBytes were
+// stored-raw frames handed to a WriteTo destination straight from the buffer
+// the wire was read into (the relay's zero-copy decompress path,
+// docs/performance.md); CopiedBytes went through a codec transform into the
+// arena, or through Read's copy-out. The level and probe fields stay zero: a
+// reader takes no decisions.
+func (r *Reader) Stats() Stats { return r.stats }
 
 // WriteTo implements io.WriterTo, streaming all remaining blocks to w. This
 // is the efficient path for relays and sinks: blocks are forwarded from the

@@ -200,7 +200,8 @@ func TestReaderMatrix(t *testing.T) {
 					default:
 						got.delivered, got.err = io.ReadAll(r)
 					}
-					got.raw, got.wire, got.block = r.Counters()
+					st := r.Stats()
+					got.raw, got.wire, got.block = st.AppBytes, st.WireBytes, st.Blocks
 
 					// The terminal condition is sticky; Close is idempotent
 					// and leaves a reader that only reports why it stopped.

@@ -407,9 +407,8 @@ func TestReaderWriteTo(t *testing.T) {
 	if n != int64(len(src)) || !bytes.Equal(sink.Bytes(), src) {
 		t.Fatalf("WriteTo copied %d bytes, want %d", n, len(src))
 	}
-	raw, wireBytes, blocks := r.Counters()
-	if raw != int64(len(src)) || blocks == 0 || wireBytes == 0 {
-		t.Fatalf("counters: raw=%d wire=%d blocks=%d", raw, wireBytes, blocks)
+	if st := r.Stats(); st.AppBytes != int64(len(src)) || st.Blocks == 0 || st.WireBytes == 0 {
+		t.Fatalf("stats: app=%d wire=%d blocks=%d", st.AppBytes, st.WireBytes, st.Blocks)
 	}
 }
 

@@ -44,11 +44,12 @@ type WindowStat struct {
 	NextLevel int
 }
 
-// Stats aggregates writer activity.
+// Stats aggregates one end's activity: a Writer's (Writer.Stats), or the
+// byte, block and copy counts of a Reader (Reader.Stats).
 type Stats struct {
-	AppBytes      int64 // bytes accepted from the application
-	WireBytes     int64 // bytes handed to the I/O layer (headers + payloads)
-	Blocks        int64 // frames written
+	AppBytes      int64 // bytes accepted from (Reader: delivered to) the application
+	WireBytes     int64 // bytes handed to (Reader: consumed from) the I/O layer, headers + payloads
+	Blocks        int64 // frames written (Reader: decoded)
 	LevelSwitches int64 // times the active level changed
 	// BlocksPerLevel counts frames per ladder level index.
 	BlocksPerLevel []int64

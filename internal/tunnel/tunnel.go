@@ -40,7 +40,6 @@ import (
 	"sync"
 	"time"
 
-	"adaptio/internal/compress/probe"
 	"adaptio/internal/coord"
 	"adaptio/internal/core"
 	"adaptio/internal/obs"
@@ -80,13 +79,6 @@ type Config struct {
 	// "ewma"); empty means the paper's Algorithm 1. Ignored in Static
 	// mode and while a Coord steers the stream. See docs/deciders.md.
 	Decider string
-	// Probe overrides the entropy pre-probe each connection's compress
-	// path consults before handing a block to the codec (see
-	// stream.WriterConfig.Probe): hopeless blocks go straight to
-	// stored-raw framing, zero-copy on the direct-ingest relay path. Nil
-	// means probe.Default(); &probe.Disabled() compresses every block
-	// unconditionally. actunnel exposes this as -no-probe.
-	Probe *probe.Config
 	// DeciderSeed seeds stochastic policies; every connection derives a
 	// distinct per-stream seed from it, so two endpoints with the same
 	// seed make reproducible decision sequences per connection index.
@@ -131,28 +123,14 @@ type Config struct {
 	// WrapWire, if non-nil, wraps the wire-side (compressed) connection
 	// before the relay uses it. This is the seam the fault-injection
 	// tests use (internal/faultio.WrapConn); production configs leave it
-	// nil. Wrapping also forces the passthrough relay off the splice(2)
-	// fast path (a wrapped conn is not a *net.TCPConn), so chaos tests
-	// intercept every byte.
+	// nil.
 	WrapWire func(net.Conn) net.Conn
 
-	// Passthrough relays raw bytes with no framing or compression at all:
-	// the operator's declaration that this tunnel's traffic is already
-	// compressed (or otherwise not worth compressing), so the relay's job
-	// reduces to moving bytes — via splice(2) entirely inside the kernel
-	// on Linux TCP paths, via one pooled buffer elsewhere. Both tunnel
-	// endpoints must agree on Passthrough (the wire carries no frames to
-	// tell them apart) and the wire loses the frame CRC: integrity rests
-	// on TCP's checksums alone, as with any plain TCP proxy. Static,
-	// StaticLevel, Window, Alpha and Coord are ignored. See
-	// docs/performance.md, "Zero-copy relay".
-	Passthrough bool
 	// FlushInterval bounds how long the compress path may hold a partial
 	// block waiting for more data before cutting a frame, so low-rate or
 	// interactive traffic is not stalled by full-block framing. Zero
-	// means DefaultFlushInterval; negative disables the deadline (a
-	// partial block then waits for a full block or EOF, the pre-PR-7
-	// behaviour).
+	// means DefaultFlushInterval; a negative value is rejected by
+	// ListenEntry and ListenExit.
 	FlushInterval time.Duration
 
 	// Obs, if non-nil, is the observability scope the endpoint registers
@@ -217,9 +195,9 @@ func newTunnelMetrics(scope *obs.Scope) *tunnelMetrics {
 	rxApp := relay.Counter("rx_app_bytes")
 	copied := relay.Counter("bytes_copied")
 	// The copy-accounting gate's observable: user-space copies per byte
-	// relayed. 0 for pure zero-copy traffic (NO-level vectored frames,
-	// splice passthrough), ~1 when every byte crosses one codec
-	// transform, ~2 for the pre-PR-7 staging+transform relay loop.
+	// relayed. 0 for pure zero-copy traffic (NO-level vectored frames),
+	// ~1 when every byte crosses one codec transform, ~2 for the pre-PR-7
+	// staging+transform relay loop.
 	relay.FloatFunc("bytes_copied_per_byte_relayed", func() float64 {
 		relayed := txApp.Value() + rxApp.Value()
 		if relayed == 0 {
@@ -267,7 +245,6 @@ func (c Config) writerConfig(obsScope *obs.Scope) stream.WriterConfig {
 		Static:      c.Static,
 		StaticLevel: c.StaticLevel,
 		Obs:         obsScope,
-		Probe:       c.Probe,
 	}
 }
 
@@ -340,8 +317,8 @@ type Endpoint struct {
 	// pool is the encode workers every compress path of this endpoint
 	// shares: GOMAXPROCS of them per endpoint, not per connection, because
 	// the CPU they follow is process-wide. Nil on one CPU, where a second
-	// goroutine could only take turns with the pump, and under Passthrough,
-	// which never compresses; the compress path then encodes inline.
+	// goroutine could only take turns with the pump; the compress path then
+	// encodes inline.
 	pool      *stream.EncodePool
 	closeOnce sync.Once
 	closeErr  error
@@ -389,7 +366,6 @@ func (e *Endpoint) Close() error {
 type halfCloser interface {
 	net.Conn
 	CloseWrite() error
-	CloseRead() error
 }
 
 // ListenEntry starts the entry endpoint: applications connect to listenAddr
@@ -409,6 +385,9 @@ func listen(ctx context.Context, listenAddr string, cfg Config, dialAddr string,
 	if cfg.Decider != "" && !slices.Contains(core.PolicyNames(), cfg.Decider) {
 		return nil, fmt.Errorf("tunnel: unknown decider policy %q (want one of %v)", cfg.Decider, core.PolicyNames())
 	}
+	if cfg.FlushInterval < 0 {
+		return nil, fmt.Errorf("tunnel: negative FlushInterval %v", cfg.FlushInterval)
+	}
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		return nil, err
@@ -416,7 +395,7 @@ func listen(ctx context.Context, listenAddr string, cfg Config, dialAddr string,
 	runCtx, cancel := context.WithCancel(ctx)
 	m := newTunnelMetrics(cfg.Obs)
 	ep := &Endpoint{ln: ln, cancel: cancel, grace: cfg.ShutdownGrace, admit: newAdmitter(cfg, m)}
-	if n := runtime.GOMAXPROCS(0); n > 1 && !cfg.Passthrough {
+	if n := runtime.GOMAXPROCS(0); n > 1 {
 		ep.pool = stream.NewEncodePool(n)
 	}
 	ep.wg.Add(1)
@@ -549,14 +528,13 @@ func classify(err error) error {
 	return err
 }
 
-// relay shuttles one connection until both directions finish. Each
-// direction is a relayPath (internal/tunnel/relaypath.go), chosen by the
-// endpoint's configuration: the framed pair (compressPath / decompressPath)
-// by default, the unframed passthroughPath pair under Config.Passthrough.
-// Within the framed compress path the zero-copy choice is then re-made per
-// block: whenever the level scheme sits at (or falls back to) NO, frames go
-// out stored-raw and vectored, aliasing the pending block — so crossing
-// into or out of NO mid-stream flips the data path without reconnecting.
+// relay shuttles one connection until both directions finish: the compress
+// path frames plain-side bytes onto the wire, the decompress path decodes
+// wire frames back to plain bytes (internal/tunnel/relaypath.go). Within the
+// compress path the zero-copy choice is made per block: whenever the level
+// scheme sits at (or falls back to) NO, frames go out stored-raw and
+// vectored, aliasing the pending block — so crossing into or out of NO
+// mid-stream flips the data path without reconnecting.
 func relay(ctx context.Context, plain, wire net.Conn, cfg Config, direction string, m *tunnelMetrics, pool *stream.EncodePool) error {
 	defer plain.Close()
 	defer wire.Close()
@@ -565,13 +543,8 @@ func relay(ctx context.Context, plain, wire net.Conn, cfg Config, direction stri
 	m.connsPeak.SetMax(m.connsActive.Value())
 	defer m.connsActive.Add(-1)
 
-	var plainCW, wireCW halfCloser
-	if hc, ok := plain.(halfCloser); ok {
-		plainCW = hc
-	}
-	if hc, ok := wire.(halfCloser); ok {
-		wireCW = hc
-	}
+	plainCW, _ := plain.(halfCloser)
+	wireCW, _ := wire.(halfCloser)
 
 	// Tear connections down if the endpoint is shut down mid-relay.
 	stop := make(chan struct{})
@@ -585,49 +558,28 @@ func relay(ctx context.Context, plain, wire net.Conn, cfg Config, direction stri
 		}
 	}()
 
-	var tx, rx relayPath
-	if cfg.Passthrough {
-		tx = &passthroughPath{
-			cfg: cfg, m: m, src: plain, dst: wire, dstCW: wireCW,
-			label: "passthrough tx", direction: direction,
-			appBytes: m.txAppBytes, wireBytes: m.txWireBytes, reportDone: true,
-		}
-		rx = &passthroughPath{
-			cfg: cfg, m: m, src: wire, dst: plain, dstCW: plainCW,
-			label:    "passthrough rx",
-			appBytes: m.rxAppBytes, wireBytes: m.rxWireBytes,
-		}
-	} else {
-		plainRW := withIdle(plain, cfg.IdleTimeout)
-		wireRW := withIdle(wire, cfg.IdleTimeout)
-		// The compress path reads the RAW plain conn: it owns that side's
-		// read deadlines (idle + coalescing flush). plainRW still applies
-		// the idle policy to the decompress path's writes.
-		tx = &compressPath{cfg: cfg, m: m, pool: pool, direction: direction, plain: plain, wire: wireRW, wireCW: wireCW}
-		rx = &decompressPath{cfg: cfg, m: m, wire: wireRW, plain: plainRW, plainCW: plainCW}
-	}
+	plainRW := withIdle(plain, cfg.IdleTimeout)
+	wireRW := withIdle(wire, cfg.IdleTimeout)
+	// The compress path reads the RAW plain conn: it owns that side's read
+	// deadlines (idle + coalescing flush). plainRW still applies the idle
+	// policy to the decompress path's writes.
+	tx := &compressPath{cfg: cfg, m: m, pool: pool, direction: direction, plain: plain, wire: wireRW, wireCW: wireCW}
+	rx := &decompressPath{cfg: cfg, m: m, wire: wireRW, plain: plainRW, plainCW: plainCW}
 
-	var wg sync.WaitGroup
 	errs := make(chan error, 2)
-	for _, p := range []relayPath{tx, rx} {
-		wg.Add(1)
-		go func(p relayPath) {
-			defer wg.Done()
-			if err := p.run(); err != nil {
-				errs <- err
-			}
-		}(p)
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		if isBenignNetErr(err) {
-			return nil
+	go func() { errs <- tx.run() }()
+	go func() { errs <- rx.run() }()
+	// Both directions report before relay returns. Whichever fails first is
+	// often the benign half (a peer reset) of a teardown whose cause the
+	// other half then names, so the first serious error wins, not the first
+	// to arrive.
+	var serious error
+	for i := 0; i < cap(errs); i++ {
+		if err := <-errs; serious == nil && !isBenignNetErr(err) {
+			serious = err
 		}
-		return err
-	default:
-		return nil
 	}
+	return serious
 }
 
 // isBenignNetErr filters the errors every TCP relay sees at teardown. Idle

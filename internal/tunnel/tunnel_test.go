@@ -357,3 +357,17 @@ func TestConfigDeciderNames(t *testing.T) {
 		})
 	}
 }
+
+// TestConfigRejectsNegativeFlushInterval: zero means the default and a
+// positive value is a deadline; there is no third class.
+func TestConfigRejectsNegativeFlushInterval(t *testing.T) {
+	cfg := tunnel.Config{FlushInterval: -time.Millisecond}
+	if e, err := tunnel.ListenEntry(context.Background(), "127.0.0.1:0", "127.0.0.1:1", cfg); err == nil {
+		e.Close()
+		t.Error("ListenEntry accepted a negative FlushInterval")
+	}
+	if e, err := tunnel.ListenExit(context.Background(), "127.0.0.1:0", "127.0.0.1:1", cfg); err == nil {
+		e.Close()
+		t.Error("ListenExit accepted a negative FlushInterval")
+	}
+}
