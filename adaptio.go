@@ -153,7 +153,9 @@ func NewPolicy(name string, cfg PolicyConfig) (Decider, error) {
 
 // DefaultLadder returns the paper's four-level ladder: NO, LIGHT (fast
 // LZ77), MEDIUM (LZ77 with deeper match search) and HEAVY (LZ77 + range
-// coder).
+// coder). Its codecs, like ExtendedLadder's, run no entropy probe of their
+// own: the Writer judges each block once (WriterConfig.Probe) before a codec
+// sees it.
 func DefaultLadder() Ladder { return stream.DefaultLadder() }
 
 // ExtendedLadder returns a six-level ladder that reuses algorithms at

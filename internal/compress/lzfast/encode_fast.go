@@ -1,10 +1,10 @@
 package lzfast
 
 // This file holds the production fast-mode encoder. The parse — candidate
-// acceptance, hash-table updates, mid-match seeding, skip acceleration — is
-// copied decision-for-decision from compressFastRef in lzfast.go, which
-// remains the executable specification; what changed is the machinery
-// around it:
+// resolution and acceptance, backward extension, hash-table updates,
+// end-of-match seeding, skip acceleration — is copied decision-for-decision
+// from compressFastRef in lzfast.go, which remains the executable
+// specification; what changed is the machinery around it:
 //
 //   - source loads and match extension go through the tag-selected kernel
 //     primitives (kload32/kmatchLen), dropping per-access bounds checks on
@@ -17,8 +17,6 @@ package lzfast
 // TestCompressFastDifferential and FuzzCompressFastUnsafe pin this encoder
 // to compressFastRef byte-for-byte on every input, on both kernel tiers.
 
-import "math"
-
 // maxCompressedLen bounds the encoder's output for an n-byte block: the
 // worst case is one literals-only sequence (token + ext-length bytes +
 // literals, and every match sequence saves at least one byte net), plus
@@ -29,15 +27,9 @@ func compressFast(dst, src []byte) []byte {
 	if len(src) < minMatch+1 {
 		return emitSequence(dst, src, 0, 0)
 	}
-	st := fastPool.Get().(*fastState)
-	defer fastPool.Put(st)
-	if int64(st.base)+int64(len(src)) >= math.MaxInt32 {
-		st.table = [1 << hashLog]int32{}
-		st.base = 1
-	}
-	base := st.base
-	st.base += int32(len(src)) // retire this call's entries for the next user
-	table := &st.table
+	table := fastPool.Get().(*fastTable)
+	defer fastPool.Put(table)
+	*table = fastTable{}
 
 	// Reserve the whole worst case up front; out is the write window and d
 	// the frontier within it. Overshoot from wild copies lands between d
@@ -60,23 +52,35 @@ func compressFast(dst, src []byte) []byte {
 	for i <= mfLimit {
 		u := kload64(src, i)
 		h := hash5(u, hashLog)
-		cand := int(table[h] - base)
-		table[h] = base + int32(i)
-		if cand >= 0 && i-cand <= maxOffset && kload32(src, cand) == uint32(u) {
+		cand, dist := candidate(table[h], i)
+		table[h] = uint16(i)
+		if dist != 0 && kload32(src, cand) == uint32(u) {
 			mlen := minMatch + kmatchLen(src, cand+minMatch, i+minMatch)
-			if mlen > minMatch || i-cand >= tinyOverlapOffset {
-				d = emitFast(out, d, src, anchor, i, i-cand, mlen)
-				// Seed the table inside the match so that subsequent
-				// repetitions are found quickly.
-				if mlen >= 16 && i+mlen <= mfLimit {
-					mid := i + mlen/2
-					if mid != i && mid <= mfLimit {
-						table[hash5(kload64(src, mid), hashLog)] = base + int32(mid)
-					}
+			if mlen > minMatch || dist >= tinyOverlapOffset {
+				// Extend backward over the pending literals: skip
+				// acceleration may have stepped over the true start.
+				for i > anchor && cand > 0 && src[i-1] == src[cand-1] {
+					i--
+					cand--
+					mlen++
 				}
+				d = emitFast(out, d, src, anchor, i, dist, mlen)
 				i += mlen
 				anchor = i
 				misses = 0
+				// Seed the match's last two bytes: what follows a
+				// repetition tends to follow its next occurrence too.
+				// Inside a run (the five hashed bytes at i-2 are the
+				// five at i) the probe at i would take that seed
+				// straight back as an overlapping match at distance 2,
+				// the decoder's slowest copy; the match's second byte
+				// is seeded there instead.
+				if p := i - 2; p <= mfLimit {
+					if u := kload64(src, p); (u^(u>>16))<<24 == 0 {
+						p = i - mlen + 1
+					}
+					table[hash5(kload64(src, p), hashLog)] = uint16(p)
+				}
 				continue
 			}
 			// Declined tiny near-overlap: step past the matched window —

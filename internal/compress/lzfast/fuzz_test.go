@@ -84,14 +84,18 @@ func FuzzDecompressFast(f *testing.F) {
 // fuzz matrix runs both) it pins the frontier-based emit machinery alone.
 // The committed seeds (testdata/fuzz/FuzzCompressFastUnsafe) straddle the
 // encoder's boundaries: the 8-byte hash-load scan limit, the 16-byte
-// wild-copy margin, the tiny-overlap decline window, and the 16-bit offset
-// horizon.
+// wild-copy margin, the tiny-overlap decline window, the 16-bit offset
+// horizon; parsePathInputs adds 16-bit table entries aliasing past 64 KB,
+// each way backward extension stops, and a match ending inside a run.
 func FuzzCompressFastUnsafe(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("12345678"))  // exactly one scan position
 	f.Add([]byte("123456789")) // one byte past it
 	f.Add(bytes.Repeat([]byte("ab"), 40))
 	f.Add(corpus.Generate(corpus.Moderate, 4096, 2))
+	for _, src := range parsePathInputs() {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src []byte) {
 		ref := lzfast.CompressFastRef(nil, src)
 		fast := lzfast.CompressFast(nil, src)

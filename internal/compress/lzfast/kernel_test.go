@@ -16,6 +16,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"math/rand"
+	"os"
 	"testing"
 
 	"adaptio/internal/compress/lzfast"
@@ -162,9 +163,9 @@ var goldenDigests = []struct {
 	codec  interface{ Compress(dst, src []byte) []byte }
 	digest string
 }{
-	{"fast/high/64K", corpus.High, 64 << 10, lzfast.Fast{}, "e8cdb8b18d041840498519b7a751543700d8235f9db9f63efcb4267c9f54551f"},
-	{"fast/moderate/64K", corpus.Moderate, 64 << 10, lzfast.Fast{}, "606ceded89a5b46667b92c9cf32a6c31a980fbb9ba556942404feaa222963e1f"},
-	{"fast/low/64K", corpus.Low, 64 << 10, lzfast.Fast{}, "d4565d7fce98d90082e3e22ba9448a058f85310da338c4d2898bdb37933e3c75"},
+	{"fast/high/64K", corpus.High, 64 << 10, lzfast.Fast{}, "cdef8d6fe7f115112d0b2a6b141f543c557b953294e94ffcab9c331802adf001"},
+	{"fast/moderate/64K", corpus.Moderate, 64 << 10, lzfast.Fast{}, "aea5ae5a039e47e7d9bed4f8ee6b4ededc224c00b074e4212414f4e2a291856f"},
+	{"fast/low/64K", corpus.Low, 64 << 10, lzfast.Fast{}, "26fb29f3e2d51dad78a28fe689a65e07047cbae9851488ceacec72977554d5bd"},
 	{"hc/moderate/64K", corpus.Moderate, 64 << 10, lzfast.HC{}, "ae6326f0dfc79b7af4deb741e5f04110560b8bc9be827c094b4512f5e40766bc"},
 	{"hc/low/64K", corpus.Low, 64 << 10, lzfast.HC{}, "c889d5677ea815185c39bec871b9e23ebc63d2f70ec367239488c3349e8a277d"},
 }
@@ -175,6 +176,36 @@ func TestGoldenDigests(t *testing.T) {
 		sum := sha256.Sum256(g.codec.Compress(nil, src))
 		if got := hex.EncodeToString(sum[:]); got != g.digest {
 			t.Errorf("%s (%s tier): digest %s, want %s", g.name, lzfast.KernelName, got, g.digest)
+		}
+	}
+}
+
+// TestParentEncoderBlockStillDecodes pins the frozen token format from both
+// sides of this encoder's last parse change. testdata/light_block_parent.bin
+// is a LIGHT frame's payload as the encoder before the 16-bit table wrote it
+// (6 KB MODERATE + 2 KB HIGH, seed 19): a peer still running that encoder
+// sends such blocks and they must decode, with either decoder. And what
+// today's encoder makes of the same bytes is a different parse in the same
+// format: the untouched reference decoder reads it.
+func TestParentEncoderBlockStillDecodes(t *testing.T) {
+	src := append(corpus.Generate(corpus.Moderate, 6<<10, 19), corpus.Generate(corpus.High, 2<<10, 19)...)
+	parent, err := os.ReadFile("testdata/light_block_parent.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := lzfast.Fast{}.Compress(nil, src)
+	if bytes.Equal(parent, now) {
+		t.Fatal("the fixture equals today's output: it no longer stands for another encoder")
+	}
+	for name, comp := range map[string][]byte{"parent": parent, "current": now} {
+		for dec, decompress := range map[string]func(dst, src []byte, n int) ([]byte, error){
+			"reference":  lzfast.DecompressRef,
+			"production": lzfast.DecompressFast,
+		} {
+			out, err := decompress(nil, comp, len(src))
+			if err != nil || !bytes.Equal(out, src) {
+				t.Errorf("%s encoder's block through the %s decoder: err %v, equal %v", name, dec, err, bytes.Equal(out, src))
+			}
 		}
 	}
 }

@@ -28,7 +28,6 @@ package lzfast
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 
 	"adaptio/internal/compress"
@@ -40,7 +39,7 @@ const (
 	maxOffset = 65535
 
 	// hashLog is the log2 size of the fast-mode hash table.
-	hashLog = 12
+	hashLog = 13
 	// hcHashLog is the log2 size of the hash-chain head table.
 	hcHashLog = 16
 
@@ -202,26 +201,37 @@ func appendExtLength(dst []byte, rest int) []byte {
 	return append(dst, byte(rest))
 }
 
-// fastState pools the fast-mode hash table across compressFast calls.
-// Instead of clearing the table per call, entries are generation-stamped by
-// a monotonically increasing base: the table stores base+position, and a
-// stored value decodes to a valid candidate only when stored-base >= 0, i.e.
-// only when it was written during the current call. base advances by
-// len(src) after each call, retiring every entry at once, so the 64 KB
-// clear loop disappears while candidate resolution stays byte-for-byte
-// identical to a freshly -1-initialized table. The table stays int32 (cache
-// footprint matters more than stamp range); when base approaches int32
-// overflow the table is cleared once and base rewinds — a per-~2GB event.
-type fastState struct {
-	table [1 << hashLog]int32
-	base  int32
+// fastTable is the fast-mode hash table, pooled across compressFast calls.
+// It holds uint16(position): two-byte entries put 1<<13 of them in 16 KB of
+// L1, twice what positions stored whole would fit there, so a probe finds a
+// candidate about twice as often for the same cache footprint. An entry
+// resolves to the one position in the 64 KB behind i that is congruent to it
+// (see candidate), so a block longer than 64 KB needs no wider entry. The
+// price is that an entry cannot say whether it was ever written: the table
+// is cleared at the start of every call, which is also what keeps the output
+// a function of src alone, never of what the pooled table last saw. The clear
+// is a fixed 0.12 us per call: well under 1 % of a 128 KB block's encode
+// time, but 0.12 of the 0.42 us a 128-byte block takes; the denser table
+// earns it back from about 1 KB up (docs/performance.md).
+type fastTable [1 << hashLog]uint16
+
+var fastPool = sync.Pool{New: func() any { return new(fastTable) }}
+
+// candidate resolves the table entry read at position i to the position it
+// may stand for, and the distance back to it. dist is the 16-bit difference,
+// always in [0, maxOffset], so every candidate is inside the offset window
+// by construction; and i-dist is never negative, because while i < 1<<16
+// every entry is either a position written earlier in this call or the
+// cleared 0. What the entry cannot promise is that the position it names was
+// the one stored — a cleared slot reads as position 0, and past 64 KB an old
+// entry aliases to a younger position — so the caller's 4-byte verify alone
+// decides whether there is a match. Any verified position in the window is a
+// legal one. dist 0 (the slot last saw i-65536, or is cleared and i is a
+// multiple of 65536) would name i itself and is rejected by the caller.
+func candidate(entry uint16, i int) (cand, dist int) {
+	dist = int(uint16(i) - entry)
+	return i - dist, dist
 }
-
-// newFastState starts base at 1 so that the zero-valued table decodes every
-// entry to a negative (invalid) candidate on first use.
-func newFastState() *fastState { return &fastState{base: 1} }
-
-var fastPool = sync.Pool{New: func() any { return newFastState() }}
 
 // compressFastRef is the retained reference encoder: the fast-mode parse
 // expressed with the bounds-checked primitives and append-based emit. The
@@ -233,15 +243,9 @@ func compressFastRef(dst, src []byte) []byte {
 	if len(src) < minMatch+1 {
 		return emitSequence(dst, src, 0, 0)
 	}
-	st := fastPool.Get().(*fastState)
-	defer fastPool.Put(st)
-	if int64(st.base)+int64(len(src)) >= math.MaxInt32 {
-		st.table = [1 << hashLog]int32{}
-		st.base = 1
-	}
-	base := st.base
-	st.base += int32(len(src)) // retire this call's entries for the next user
-	table := &st.table
+	table := fastPool.Get().(*fastTable)
+	defer fastPool.Put(table)
+	*table = fastTable{}
 	anchor := 0
 	i := 0
 	// The 5-byte hash loads 8 bytes per probe, so the scan stops 8 bytes
@@ -250,23 +254,35 @@ func compressFastRef(dst, src []byte) []byte {
 	misses := 0
 	for i <= mfLimit {
 		h := hash5(load64(src, i), hashLog)
-		cand := int(table[h] - base)
-		table[h] = base + int32(i)
-		if cand >= 0 && i-cand <= maxOffset && load32(src, cand) == load32(src, i) {
+		cand, dist := candidate(table[h], i)
+		table[h] = uint16(i)
+		if dist != 0 && load32(src, cand) == load32(src, i) {
 			mlen := minMatch + matchLen(src, cand+minMatch, i+minMatch)
-			if mlen > minMatch || i-cand >= tinyOverlapOffset {
-				dst = emitSequence(dst, src[anchor:i], i-cand, mlen)
-				// Seed the table inside the match so that subsequent
-				// repetitions are found quickly.
-				if mlen >= 16 && i+mlen <= mfLimit {
-					mid := i + mlen/2
-					if mid != i && mid <= mfLimit {
-						table[hash5(load64(src, mid), hashLog)] = base + int32(mid)
-					}
+			if mlen > minMatch || dist >= tinyOverlapOffset {
+				// Extend backward over the pending literals: skip
+				// acceleration may have stepped over the true start.
+				for i > anchor && cand > 0 && src[i-1] == src[cand-1] {
+					i--
+					cand--
+					mlen++
 				}
+				dst = emitSequence(dst, src[anchor:i], dist, mlen)
 				i += mlen
 				anchor = i
 				misses = 0
+				// Seed the match's last two bytes: what follows a
+				// repetition tends to follow its next occurrence too.
+				// Inside a run (the five hashed bytes at i-2 are the
+				// five at i) the probe at i would take that seed
+				// straight back as an overlapping match at distance 2,
+				// the decoder's slowest copy; the match's second byte
+				// is seeded there instead.
+				if p := i - 2; p <= mfLimit {
+					if u := load64(src, p); (u^(u>>16))<<24 == 0 {
+						p = i - mlen + 1
+					}
+					table[hash5(load64(src, p), hashLog)] = uint16(p)
+				}
 				continue
 			}
 			// Declined tiny near-overlap: step past the matched window —
@@ -328,8 +344,8 @@ func (st *hcState) bestMatch(src []byte, i, depth int) (bLen, bOff int) {
 
 // hcSkipShift controls HC's skip acceleration: after 1<<hcSkipShift
 // consecutive positions without a match the step starts growing, bounding
-// worst-case time on high-entropy runs. It is one notch more conservative
-// than the fast path's shift (7 vs 6) because HC's job is ratio: skipped
+// worst-case time on high-entropy runs. It is two notches more conservative
+// than the fast path's shift (7 vs 5) because HC's job is ratio: skipped
 // positions are neither probed nor inserted, so ramping too early would
 // cost matches on barely-compressible data.
 const hcSkipShift = 7

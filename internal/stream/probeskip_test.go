@@ -137,3 +137,34 @@ func TestProbeKeepsCompressibleBlocks(t *testing.T) {
 		}
 	}
 }
+
+// TestProbeDisabledRunsTheCodec: the writer's verdict is the only entropy
+// probe on the stream path. The block here is random except for one 20 KB
+// region repeated between the probe's sample windows, so the default probe
+// judges it hopeless although every codec can shrink it. With
+// WriterConfig.Probe disabled the codec must really run on it — the ladder
+// codecs may not probe a second time behind the writer's back.
+func TestProbeDisabledRunsTheCodec(t *testing.T) {
+	blocktest.Track(t)
+	src := incompressible(DefaultBlockSize, 29)
+	copy(src[50<<10:70<<10], src[10<<10:30<<10])
+	if !probe.Default().Hopeless(src) {
+		t.Fatal("test block is not hopeless to the default probe; move the repeat between its sample windows")
+	}
+	for lvl := 1; lvl < len(DefaultLadder()); lvl++ {
+		_, st := encodeProbe(t, WriterConfig{Static: true, StaticLevel: lvl}, src, true)
+		if st.ProbeSkips != 1 || st.RawFallbacks != 1 {
+			t.Fatalf("level %d default probe: ProbeSkips=%d RawFallbacks=%d, want 1/1", lvl, st.ProbeSkips, st.RawFallbacks)
+		}
+		pr := probe.Disabled()
+		wire, st := encodeProbe(t, WriterConfig{Static: true, StaticLevel: lvl, Probe: &pr}, src, true)
+		if st.ProbeSkips != 0 || st.RawFallbacks != 0 || len(wire) > len(src)-(15<<10) {
+			t.Fatalf("level %d disabled probe: ProbeSkips=%d RawFallbacks=%d wire=%d of %d bytes; the codec did not run",
+				lvl, st.ProbeSkips, st.RawFallbacks, len(wire), len(src))
+		}
+		out, err := io.ReadAll(mustReader(t, bytes.NewReader(wire)))
+		if err != nil || !bytes.Equal(out, src) {
+			t.Fatalf("level %d: round trip failed: %v", lvl, err)
+		}
+	}
+}
