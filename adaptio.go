@@ -35,8 +35,7 @@
 //   - internal/stream — block framing, adaptive Writer/Reader (each with
 //     an optional worker pool behind the same type)
 //   - internal/compress — codec ladder: from-scratch LZ77 (lzfast, the
-//     QuickLZ stand-in), LZ77+range-coder (lzheavy, the LZMA stand-in),
-//     and a stdlib flate adapter
+//     QuickLZ stand-in) and LZ77+range-coder (lzheavy, the LZMA stand-in)
 //   - internal/nephele — a miniature Nephele dataflow engine whose network
 //     and file channels compress transparently
 //   - internal/cloudsim, internal/experiments — the simulation substrate
@@ -85,7 +84,8 @@ type Ladder = compress.Ladder
 // Level is one entry of a Ladder.
 type Level = compress.Level
 
-// DeciderConfig configures a standalone Decider.
+// DeciderConfig configures a Decider: the standalone Algorithm 1 of
+// NewDecider or a policy built by NewPolicy.
 type DeciderConfig = core.Config
 
 // Decider is the pluggable level-selection policy interface; AlgorithmOne is
@@ -97,8 +97,8 @@ type Decider = core.Decider
 // AlgorithmOne is the paper-faithful Algorithm 1 policy.
 type AlgorithmOne = core.AlgorithmOne
 
-// PolicyConfig configures a policy built by NewPolicy.
-type PolicyConfig = core.PolicyConfig
+// PolicyConfig is DeciderConfig under the name NewPolicy's callers use.
+type PolicyConfig = DeciderConfig
 
 // Paper defaults.
 const (
@@ -153,17 +153,12 @@ func NewPolicy(name string, cfg PolicyConfig) (Decider, error) {
 
 // DefaultLadder returns the paper's four-level ladder: NO, LIGHT (fast
 // LZ77), MEDIUM (LZ77 with deeper match search) and HEAVY (LZ77 + range
-// coder). Its codecs, like ExtendedLadder's, run no entropy probe of their
-// own: the Writer judges each block once (WriterConfig.Probe) before a codec
-// sees it.
+// coder). A codec's Compress is its match loop and nothing else; whether a
+// block is worth compressing at all is the Writer's verdict, taken once per
+// block before a codec sees it.
 func DefaultLadder() Ladder { return stream.DefaultLadder() }
 
-// ExtendedLadder returns a six-level ladder that reuses algorithms at
-// multiple parameter settings (two lzfast-hc depths, DEFLATE, the range
-// coder) — the paper's "same compression algorithm at multiple levels but
-// with different parameters" remark, ready to use.
-func ExtendedLadder() Ladder { return stream.ExtendedLadder() }
-
-// RegisterCodec makes a custom codec resolvable on the receive path. Codec
-// IDs are wire identifiers; duplicate registrations panic.
+// RegisterCodec makes a custom codec resolvable on the receive path, which
+// otherwise decodes the four DefaultLadder codecs. Codec IDs are wire
+// identifiers; duplicate registrations panic.
 func RegisterCodec(c Codec) { compress.Register(c) }

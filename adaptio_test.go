@@ -6,13 +6,44 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"reflect"
 	"testing"
 	"time"
 
 	"adaptio"
+	"adaptio/internal/compress/lzfast"
+	"adaptio/internal/compress/lzheavy"
+	"adaptio/internal/compress/probe"
+	"adaptio/internal/core"
 	"adaptio/internal/corpus"
+	"adaptio/internal/stream"
+	"adaptio/internal/tunnel"
 	"adaptio/internal/vclock"
 )
+
+// TestOptionsLedger pins how many settable values the product's config
+// structs carry, so the next knob is a deliberate edit of this table and not
+// a drive-by.
+func TestOptionsLedger(t *testing.T) {
+	for _, tc := range []struct {
+		cfg    any
+		fields int
+	}{
+		{stream.WriterConfig{}, 12},
+		{tunnel.Config{}, 21},
+		{core.Config{}, 6},
+		{lzfast.Fast{}, 0},
+		{lzfast.HC{}, 1},
+		{lzheavy.Codec{}, 1},
+		{probe.Config{}, 0},
+	} {
+		typ := reflect.TypeOf(tc.cfg)
+		if got := typ.NumField(); got != tc.fields {
+			t.Errorf("%v has %d fields, the ledger says %d. The rule: a new option needs two non-test callers that want different values; otherwise a constant. If that holds (or a field went), update the ledger in the same change.",
+				typ, got, tc.fields)
+		}
+	}
+}
 
 // TestPublicRoundTrip exercises the full public API surface the README
 // advertises.

@@ -38,12 +38,18 @@ func main() {
 		}
 		return
 	}
-	if err := compressStream(os.Stdin, os.Stdout, *static, *window, *alpha, *parallel, *stats); err != nil {
+	var statsOut io.Writer
+	if *stats {
+		statsOut = os.Stderr
+	}
+	if err := compressStream(os.Stdin, os.Stdout, *static, *window, *alpha, *parallel, statsOut); err != nil {
 		fatal(err)
 	}
 }
 
-func compressStream(in io.Reader, out io.Writer, static int, window time.Duration, alpha float64, parallel int, stats bool) error {
+// compressStream compresses in to out; a non-nil stats receives the stream
+// statistics once the stream is closed.
+func compressStream(in io.Reader, out io.Writer, static int, window time.Duration, alpha float64, parallel int, stats io.Writer) error {
 	cfg := adaptio.WriterConfig{Window: window, Alpha: alpha, Parallelism: parallel}
 	if static != adaptio.Adaptive {
 		cfg.Static = true
@@ -59,14 +65,14 @@ func compressStream(in io.Reader, out io.Writer, static int, window time.Duratio
 	if err := w.Close(); err != nil {
 		return err
 	}
-	if stats {
+	if stats != nil {
 		st := w.Stats()
 		names := adaptio.DefaultLadder().Names()
-		fmt.Fprintf(os.Stderr, "acpipe: %d app bytes -> %d wire bytes (ratio %.3f), %d blocks, %d switches\n",
-			st.AppBytes, st.WireBytes, float64(st.WireBytes)/float64(st.AppBytes), st.Blocks, st.LevelSwitches)
+		fmt.Fprintf(stats, "acpipe: %d app bytes -> %d wire bytes (ratio %.3f), %d blocks, %d switches\n",
+			st.AppBytes, st.WireBytes, st.Ratio(), st.Blocks, st.LevelSwitches)
 		for lvl, blocks := range st.BlocksPerLevel {
 			if blocks > 0 {
-				fmt.Fprintf(os.Stderr, "acpipe:   %-7s %d blocks\n", names[lvl], blocks)
+				fmt.Fprintf(stats, "acpipe:   %-7s %d blocks\n", names[lvl], blocks)
 			}
 		}
 	}

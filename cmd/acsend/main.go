@@ -100,7 +100,7 @@ func main() {
 	fmt.Printf("sent %.2f GB app / %.2f GB wire in %.1f s (%.1f MB/s app, ratio %.3f, %d level switches)\n",
 		float64(st.AppBytes)/1e9, float64(st.WireBytes)/1e9, elapsed.Seconds(),
 		float64(st.AppBytes)/1e6/elapsed.Seconds(),
-		float64(st.WireBytes)/float64(st.AppBytes), st.LevelSwitches)
+		st.Ratio(), st.LevelSwitches)
 	for lvl, blocks := range st.BlocksPerLevel {
 		if blocks > 0 {
 			fmt.Printf("  %-7s %d blocks\n", names[lvl], blocks)

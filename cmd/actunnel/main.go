@@ -119,12 +119,8 @@ func main() {
 	if !*quiet {
 		names := adaptio.DefaultLadder().Names()
 		cfg.OnDone = func(s tunnel.ConnStats) {
-			ratio := 1.0
-			if s.Stats.AppBytes > 0 {
-				ratio = float64(s.Stats.WireBytes) / float64(s.Stats.AppBytes)
-			}
 			line := fmt.Sprintf("%s: %d app B -> %d wire B (ratio %.3f), switches %d, levels",
-				s.Direction, s.Stats.AppBytes, s.Stats.WireBytes, ratio, s.Stats.LevelSwitches)
+				s.Direction, s.Stats.AppBytes, s.Stats.WireBytes, s.Stats.Ratio(), s.Stats.LevelSwitches)
 			for lvl, blocks := range s.Stats.BlocksPerLevel {
 				if blocks > 0 {
 					line += fmt.Sprintf(" %s=%d", names[lvl], blocks)

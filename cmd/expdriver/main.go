@@ -37,7 +37,7 @@ func main() {
 		fig4       = flag.Bool("fig4", false, "Figure 4: adaptivity trace (HIGH, no load)")
 		fig5       = flag.Bool("fig5", false, "Figure 5: adaptivity trace (LOW, 2 connections)")
 		fig6       = flag.Bool("fig6", false, "Figure 6: compressibility switching")
-		ablations  = flag.Bool("ablations", false, "ablations A1-A5")
+		ablations  = flag.Bool("ablations", false, "ablations A1-A6")
 		claims     = flag.Bool("claims", false, "paper claims checklist (PASS/FAIL per quantitative claim)")
 		calibrate  = flag.Bool("calibrate", false, "live codec calibration")
 		gb         = flag.Float64("gb", 50, "data volume per transfer in GB (decimal)")

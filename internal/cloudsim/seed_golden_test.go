@@ -39,10 +39,10 @@ var goldenPolicies = []struct {
 	{"static2", true, func(*coord.Coordinator) core.Policy { return core.Static(2) }},
 	{"static3", true, func(*coord.Coordinator) core.Policy { return core.Static(3) }},
 	{"algone", true, func(*coord.Coordinator) core.Policy {
-		return core.MustNewPolicy(core.PolicyAlgorithmOne, core.PolicyConfig{Levels: 4})
+		return core.MustNewPolicy(core.PolicyAlgorithmOne, core.Config{Levels: 4})
 	}},
 	{"ewma", true, func(*coord.Coordinator) core.Policy {
-		return core.MustNewPolicy(core.PolicyEWMA, core.PolicyConfig{Levels: 4})
+		return core.MustNewPolicy(core.PolicyEWMA, core.Config{Levels: 4})
 	}},
 	{"krintz", true, func(*coord.Coordinator) core.Policy {
 		k, err := baseline.NewKrintzSucu(baseline.DefaultTraining())

@@ -31,7 +31,6 @@ import (
 	"sync"
 
 	"adaptio/internal/compress"
-	"adaptio/internal/compress/probe"
 )
 
 const (
@@ -52,27 +51,8 @@ const (
 	tinyOverlapOffset = 8
 )
 
-// defaultProbe is the entropy pre-probe consulted by the codecs' Compress
-// methods when no override is set (see internal/compress/probe).
-var defaultProbe = probe.Default()
-
-// codecProbe resolves a codec's probe override.
-func codecProbe(override *probe.Config) probe.Config {
-	if override != nil {
-		return *override
-	}
-	return defaultProbe
-}
-
 // Fast is the greedy single-probe parameterization (paper level LIGHT).
-//
-// Probe overrides the entropy pre-probe consulted before compressing a
-// block: hopeless (incompressible) blocks are emitted as a single
-// literals-only sequence without paying the match-loop cost. nil uses
-// probe.Default(); set &probe.Disabled() to force full compression.
-type Fast struct {
-	Probe *probe.Config
-}
+type Fast struct{}
 
 // ID implements compress.Codec.
 func (Fast) ID() uint8 { return compress.IDLZFast }
@@ -81,10 +61,7 @@ func (Fast) ID() uint8 { return compress.IDLZFast }
 func (Fast) Name() string { return "lzfast" }
 
 // Compress implements compress.Codec.
-func (f Fast) Compress(dst, src []byte) []byte {
-	if codecProbe(f.Probe).Hopeless(src) {
-		return emitSequence(dst, src, 0, 0)
-	}
+func (Fast) Compress(dst, src []byte) []byte {
 	return compressFast(dst, src)
 }
 
@@ -95,11 +72,9 @@ func (Fast) Decompress(dst, src []byte, decompressedSize int) ([]byte, error) {
 
 // HC is the hash-chain deep-search parameterization (paper level MEDIUM).
 // Depth bounds the number of candidate positions examined per input
-// position; the zero value uses a default depth of 64. Probe is the same
-// entropy pre-probe override as Fast.Probe.
+// position; the zero value uses a default depth of 64.
 type HC struct {
 	Depth int
-	Probe *probe.Config
 }
 
 // ID implements compress.Codec.
@@ -110,9 +85,6 @@ func (HC) Name() string { return "lzfast-hc" }
 
 // Compress implements compress.Codec.
 func (h HC) Compress(dst, src []byte) []byte {
-	if codecProbe(h.Probe).Hopeless(src) {
-		return emitSequence(dst, src, 0, 0)
-	}
 	depth := h.Depth
 	if depth <= 0 {
 		depth = 64

@@ -37,7 +37,6 @@ import (
 	"sync"
 
 	"adaptio/internal/compress"
-	"adaptio/internal/compress/probe"
 )
 
 const (
@@ -56,30 +55,10 @@ const (
 
 type prob = uint16
 
-// defaultProbe is the entropy pre-probe consulted by Compress when no
-// override is set (see internal/compress/probe).
-var defaultProbe = probe.Default()
-
-// codecProbe resolves a codec's probe override.
-func codecProbe(override *probe.Config) probe.Config {
-	if override != nil {
-		return *override
-	}
-	return defaultProbe
-}
-
 // Codec is the HEAVY compressor. Depth bounds the hash-chain search; the
 // zero value uses a default depth of 128.
-//
-// Probe overrides the entropy pre-probe consulted before compressing a
-// block: hopeless blocks (near-uniform, no recurring 4-byte windows) skip
-// the match finder entirely and are range-coded as bare literals — still a
-// valid bitstream, but cheap to produce and guaranteed not to shrink, so
-// the stream layer's stored-raw fallback engages. Nil means
-// probe.Default(); set &probe.Disabled() to force the full search.
 type Codec struct {
 	Depth int
-	Probe *probe.Config
 }
 
 // ID implements compress.Codec.
@@ -426,19 +405,6 @@ func (c Codec) Compress(dst, src []byte) []byte {
 	if len(src) == 0 {
 		return enc.flush()
 	}
-	if codecProbe(c.Probe).Hopeless(src) {
-		// Hopeless block: skip the hash-chain search (the expensive part)
-		// and range-code bare literals. prevOp stays 0 throughout — every
-		// symbol is a literal.
-		prevByte := byte(0)
-		for _, b := range src {
-			enc.encodeBit(&p.isMatch[0], 0)
-			enc.encodeLiteral(p, prevByte, b)
-			prevByte = b
-		}
-		return enc.flush()
-	}
-
 	mf := mfPool.Get().(*mfState)
 	defer mfPool.Put(mf)
 	head := mf.head[:]

@@ -2,14 +2,12 @@ package lzheavy_test
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 
 	"adaptio/internal/compress"
 	"adaptio/internal/compress/codectest"
 	"adaptio/internal/compress/lzfast"
 	"adaptio/internal/compress/lzheavy"
-	"adaptio/internal/compress/probe"
 	"adaptio/internal/corpus"
 )
 
@@ -150,40 +148,4 @@ func benchCompress(b *testing.B, kind corpus.Kind) {
 		dst = lzheavy.Codec{}.Compress(dst[:0], src)
 	}
 	b.ReportMetric(float64(len(dst))/float64(len(src)), "ratio")
-}
-
-// TestProbeBailRoundTrips: a block the entropy pre-probe judges hopeless is
-// range-coded as bare literals — still a valid, decodable bitstream (so the
-// codec contract holds even without the stream layer's stored-raw fallback)
-// that never shrinks, while skipping the match-finder cost entirely.
-func TestProbeBailRoundTrips(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	src := make([]byte, 64<<10)
-	rng.Read(src)
-
-	comp := lzheavy.Codec{}.Compress(nil, src)
-	if len(comp) < len(src) {
-		t.Fatalf("probe-bailed block shrank (%d -> %d): probe judged a compressible block hopeless", len(src), len(comp))
-	}
-	out, err := lzheavy.Codec{}.Decompress(nil, comp, len(src))
-	if err != nil || !bytes.Equal(out, src) {
-		t.Fatalf("probe-bailed block does not round-trip: %v", err)
-	}
-
-	// Disabling the probe must produce an equally valid stream.
-	pr := probe.Disabled()
-	full := lzheavy.Codec{Probe: &pr}.Compress(nil, src)
-	out, err = lzheavy.Codec{}.Decompress(nil, full, len(src))
-	if err != nil || !bytes.Equal(out, src) {
-		t.Fatalf("full-search stream does not round-trip: %v", err)
-	}
-
-	// And the probe must keep its hands off compressible corpus blocks:
-	// same output with and without it.
-	for _, kind := range corpus.Kinds() {
-		blockSrc := corpus.Generate(kind, 64<<10, 3)
-		if !bytes.Equal(lzheavy.Codec{}.Compress(nil, blockSrc), lzheavy.Codec{Probe: &pr}.Compress(nil, blockSrc)) {
-			t.Fatalf("%s: probe changed the compressed output of a compressible block", kind)
-		}
-	}
 }

@@ -1,19 +1,25 @@
 // Package probe implements a cheap entropy pre-probe that decides, before
 // any codec runs, whether a block is worth compressing at all.
 //
+// There is one verdict, Hopeless, taken at one site: stream.Writer asks it
+// once per cut block, before routing the block to a codec or to stored-raw
+// framing. The codecs do not probe. Its calibration is the package constants
+// below; nothing is tunable, because no workload the repo measures reaches a
+// threshold (docs/performance.md, "The entropy pre-probe").
+//
 // The probe samples a few KB spread across the block and applies two tests
 // in order:
 //
 //  1. A byte-histogram Shannon-entropy gate. Sampled entropy at or below
-//     Config.EntropyBits means the block is plainly compressible (text,
-//     sparse binary, logs) and the probe accepts immediately.
+//     EntropyBits means the block is plainly compressible (text, sparse
+//     binary, logs) and the probe accepts immediately.
 //  2. A miniature LZ match probe over the same sample. High sampled entropy
 //     alone cannot condemn a block: JPEG-style entropy-coded streams sit at
 //     ~7.9 bits/byte yet still hold a few percent of short repeats (marker
 //     stuffing, zero-coefficient runs) that the real codecs exploit. The
 //     match probe hashes every 4-byte window in the sample and counts how
-//     often a window recurs; a hit rate at or above Config.MinHitRate keeps
-//     the block on the compression path.
+//     often a window recurs; a hit rate at or above MinHitRate keeps the
+//     block on the compression path.
 //
 // Only blocks that fail both tests — near-uniform byte distribution and no
 // recurring 4-byte windows, i.e. already-compressed or encrypted payloads —
@@ -30,120 +36,76 @@ import (
 	"math"
 )
 
-// Config tunes the probe. The zero value is NOT valid; start from Default
-// (or Disabled) and override fields as needed.
-type Config struct {
-	// Disabled turns the probe off entirely: Hopeless always reports
-	// false and every block proceeds to the codec.
-	Disabled bool
-
+// The calibration, against the repo's corpus kinds (internal/corpus): High
+// (~0.6 bits/byte) and Moderate (~4.1) pass the entropy gate; Low (~7.9,
+// JPEG-like) fails it but is rescued by the match probe (hit rate well above
+// MinHitRate); uniform random and already-compressed payloads fail both and
+// are skipped.
+const (
 	// MinLen is the smallest block the probe will judge. Shorter blocks
 	// are always kept: the sample would be most of the block anyway, and
 	// the compression cost being saved is small.
-	MinLen int
+	MinLen = 4096
 
-	// Chunks and ChunkBytes shape the sample: Chunks windows of
-	// ChunkBytes each, spread evenly across the block so that a block
-	// with mixed regions (e.g. text followed by an embedded image) is
-	// seen in every region.
-	Chunks     int
-	ChunkBytes int
+	// Chunks windows of ChunkBytes each form the sample, spread evenly
+	// across the block so that a block with mixed regions (e.g. text
+	// followed by an embedded image) is seen in every region. A block of
+	// exactly MinLen bytes is tiled by them.
+	Chunks     = 4
+	ChunkBytes = 1024
 
 	// EntropyBits is the sampled Shannon-entropy threshold (bits/byte)
 	// at or below which a block is accepted without the match probe.
-	EntropyBits float64
+	EntropyBits = 7.2
 
 	// MinHitRate is the minimum fraction of sampled 4-byte windows that
 	// must recur for a high-entropy block to stay on the compression
 	// path. Uniform random data measures ~0 here; JPEG-like entropy
 	// streams measure several percent.
-	MinHitRate float64
-}
-
-// Default returns the production configuration, calibrated against the
-// repo's corpus kinds (internal/corpus): High (~0.6 bits/byte) and
-// Moderate (~4.1) pass the entropy gate; Low (~7.9, JPEG-like) fails it
-// but is rescued by the match probe (hit rate well above MinHitRate);
-// uniform random and already-compressed payloads fail both and are
-// skipped.
-func Default() Config {
-	return Config{
-		MinLen:      4096,
-		Chunks:      4,
-		ChunkBytes:  1024,
-		EntropyBits: 7.2,
-		MinHitRate:  0.02,
-	}
-}
-
-// Disabled returns a configuration whose Hopeless method always reports
-// false, keeping every block on the compression path.
-func Disabled() Config { return Config{Disabled: true} }
-
-// valid reports whether the sampling parameters are usable.
-func (c Config) valid() bool {
-	return c.Chunks > 0 && c.ChunkBytes >= 8
-}
+	MinHitRate = 0.02
+)
 
 // Hopeless reports whether src is judged incompressible: true means the
 // caller should skip compression and frame the block stored-raw. It never
-// returns true for blocks shorter than MinLen or when the probe is
-// disabled or misconfigured.
-func (c Config) Hopeless(src []byte) bool {
-	if c.Disabled || !c.valid() || len(src) < c.MinLen {
+// returns true for blocks shorter than MinLen.
+func Hopeless(src []byte) bool {
+	if len(src) < MinLen {
 		return false
 	}
-	sampleLen := c.Chunks * c.ChunkBytes
-	if sampleLen >= len(src) {
-		// Degenerate sampling: judge the whole block as one chunk.
-		return c.entropy(src) > c.EntropyBits && c.hitRate(src) < c.MinHitRate
-	}
-	if c.sampledEntropy(src) <= c.EntropyBits {
+	if sampledEntropy(src) <= EntropyBits {
 		return false
 	}
-	return c.sampledHitRate(src) < c.MinHitRate
+	return sampledHitRate(src) < MinHitRate
 }
+
+// Config is the probe as a value, for callers written against the method
+// form: Default().Hopeless(b) is Hopeless(b). It has no fields.
+type Config struct{}
+
+// Default returns the probe.
+func Default() Config { return Config{} }
+
+// Hopeless is the package function Hopeless.
+func (Config) Hopeless(src []byte) bool { return Hopeless(src) }
 
 // chunk returns the i-th sample window of src (i in [0, Chunks)), spread
 // evenly so chunk 0 starts at the block head and the last chunk ends at
 // the block tail.
-func (c Config) chunk(src []byte, i int) []byte {
-	span := len(src) - c.ChunkBytes
-	var off int
-	if c.Chunks > 1 {
-		off = span * i / (c.Chunks - 1)
-	}
-	return src[off : off+c.ChunkBytes]
+func chunk(src []byte, i int) []byte {
+	off := (len(src) - ChunkBytes) * i / (Chunks - 1)
+	return src[off : off+ChunkBytes]
 }
 
 // sampledEntropy folds all sample windows into one byte histogram and
 // returns its Shannon entropy in bits per byte.
-func (c Config) sampledEntropy(src []byte) float64 {
+func sampledEntropy(src []byte) float64 {
 	var hist [256]uint32
-	total := 0
-	for i := 0; i < c.Chunks; i++ {
-		for _, b := range c.chunk(src, i) {
+	for i := 0; i < Chunks; i++ {
+		for _, b := range chunk(src, i) {
 			hist[b]++
 		}
-		total += c.ChunkBytes
 	}
-	return histEntropy(&hist, total)
-}
-
-// entropy is the degenerate-case variant over the whole block.
-func (c Config) entropy(src []byte) float64 {
-	var hist [256]uint32
-	for _, b := range src {
-		hist[b]++
-	}
-	return histEntropy(&hist, len(src))
-}
-
-func histEntropy(hist *[256]uint32, total int) float64 {
-	if total == 0 {
-		return 0
-	}
-	inv := 1 / float64(total)
+	inv := 1 / float64(Chunks*ChunkBytes)
 	e := 0.0
 	for _, n := range hist {
 		if n == 0 {
@@ -162,42 +124,28 @@ const probeHashLog = 12
 // sampledHitRate averages the per-chunk 4-byte recurrence rate. Each
 // chunk is probed independently so a "match" never spans two sample
 // windows that are far apart in the real block.
-func (c Config) sampledHitRate(src []byte) float64 {
-	hits, positions := 0, 0
-	for i := 0; i < c.Chunks; i++ {
-		h, p := chunkHits(c.chunk(src, i))
-		hits += h
-		positions += p
+func sampledHitRate(src []byte) float64 {
+	hits := 0
+	for i := 0; i < Chunks; i++ {
+		hits += chunkHits(chunk(src, i))
 	}
-	if positions == 0 {
-		return 0
-	}
-	return float64(hits) / float64(positions)
+	return float64(hits) / float64(Chunks*(ChunkBytes-3))
 }
 
-// hitRate is the degenerate-case variant over the whole block.
-func (c Config) hitRate(src []byte) float64 {
-	h, p := chunkHits(src)
-	if p == 0 {
-		return 0
-	}
-	return float64(h) / float64(p)
-}
-
-// chunkHits counts sampled positions whose 4-byte window exactly matches
-// an earlier window in the same chunk (single-probe hash table, so the
-// count is a floor — collisions only ever hide matches, never invent
-// them).
-func chunkHits(chunk []byte) (hits, positions int) {
+// chunkHits counts the positions of one sample window whose 4-byte window
+// exactly matches an earlier one in the same sample window (single-probe
+// hash table, so the count is a floor — collisions only ever hide matches,
+// never invent them).
+func chunkHits(win []byte) int {
 	var table [1 << probeHashLog]uint16
-	for pos := 0; pos+4 <= len(chunk); pos++ {
-		u := binary.LittleEndian.Uint32(chunk[pos:])
+	hits := 0
+	for pos := 0; pos+4 <= len(win); pos++ {
+		u := binary.LittleEndian.Uint32(win[pos:])
 		h := (u * 2654435761) >> (32 - probeHashLog)
-		if prev := table[h]; prev != 0 && binary.LittleEndian.Uint32(chunk[prev-1:]) == u {
+		if prev := table[h]; prev != 0 && binary.LittleEndian.Uint32(win[prev-1:]) == u {
 			hits++
 		}
 		table[h] = uint16(pos + 1)
-		positions++
 	}
-	return hits, positions
+	return hits
 }

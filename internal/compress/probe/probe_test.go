@@ -1,7 +1,6 @@
 package probe_test
 
 import (
-	"bytes"
 	"testing"
 
 	"adaptio/internal/compress/lzfast"
@@ -26,16 +25,15 @@ func uniformRandom(n int, seed uint64) []byte {
 	return out
 }
 
-// TestProbeDecisions is the table-driven decision matrix: every corpus
-// kind must stay on the compression path — including Low, whose sampled
-// entropy (~7.9 bits/byte) is indistinguishable from random but whose
-// marker-stuffing repeats the match probe must find — while uniform
-// random and already-compressed payloads must be skipped.
+// TestProbeDecisions is the calibration table: every corpus kind must stay
+// on the compression path — High and Moderate on the entropy gate, Low,
+// whose sampled entropy (~7.9 bits/byte) is indistinguishable from random,
+// on the marker-stuffing repeats the match probe must find — while uniform
+// random and already-compressed payloads must be skipped, and nothing
+// shorter than MinLen is judged at all.
 func TestProbeDecisions(t *testing.T) {
-	cfg := probe.Default()
-
 	heavyCompressed := lzheavy.Codec{}.Compress(nil, corpus.Generate(corpus.Moderate, blockLen, 7))
-	if len(heavyCompressed) < cfg.MinLen {
+	if len(heavyCompressed) < probe.MinLen {
 		t.Fatalf("setup: lzheavy output too short to probe: %d bytes", len(heavyCompressed))
 	}
 
@@ -50,13 +48,17 @@ func TestProbeDecisions(t *testing.T) {
 		{"uniform-random", uniformRandom(blockLen, 4), true},
 		{"lzheavy-output", heavyCompressed, true},
 		{"zeros", make([]byte, blockLen), false},
-		{"short-random", uniformRandom(cfg.MinLen-1, 5), false}, // below MinLen: always kept
+		{"short-random", uniformRandom(probe.MinLen-1, 5), false}, // below MinLen: always kept
+		{"min-len-random", uniformRandom(probe.MinLen, 5), true},  // the sample tiles the block
 		{"empty", nil, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := cfg.Hopeless(tc.data); got != tc.hopeless {
+			if got := probe.Hopeless(tc.data); got != tc.hopeless {
 				t.Errorf("Hopeless(%s) = %v, want %v", tc.name, got, tc.hopeless)
+			}
+			if got := probe.Default().Hopeless(tc.data); got != tc.hopeless {
+				t.Errorf("Default().Hopeless(%s) = %v, want %v: the method form is the function", tc.name, got, tc.hopeless)
 			}
 		})
 	}
@@ -66,38 +68,15 @@ func TestProbeDecisions(t *testing.T) {
 // decisions above must hold for every seed, not just the ones in the
 // table.
 func TestProbeDecisionsAcrossSeeds(t *testing.T) {
-	cfg := probe.Default()
 	for seed := uint64(1); seed <= 16; seed++ {
 		for _, kind := range corpus.Kinds() {
-			if cfg.Hopeless(corpus.Generate(kind, blockLen, seed)) {
+			if probe.Hopeless(corpus.Generate(kind, blockLen, seed)) {
 				t.Errorf("seed %d: corpus %v judged hopeless; must stay on the compression path", seed, kind)
 			}
 		}
-		if !cfg.Hopeless(uniformRandom(blockLen, seed)) {
+		if !probe.Hopeless(uniformRandom(blockLen, seed)) {
 			t.Errorf("seed %d: uniform random judged compressible", seed)
 		}
-	}
-}
-
-// TestDisabledAndDegenerateConfigs: a disabled or misconfigured probe
-// must never skip anything.
-func TestDisabledAndDegenerateConfigs(t *testing.T) {
-	rnd := uniformRandom(blockLen, 9)
-	if probe.Disabled().Hopeless(rnd) {
-		t.Error("disabled probe skipped a block")
-	}
-	var zero probe.Config
-	if zero.Hopeless(rnd) {
-		t.Error("zero-value (invalid) config skipped a block")
-	}
-	// Degenerate sampling: sample window at least as large as the block.
-	small := probe.Default()
-	small.MinLen = 64
-	if !small.Hopeless(uniformRandom(1024, 10)) {
-		t.Error("degenerate whole-block probe kept uniform random")
-	}
-	if small.Hopeless(bytes.Repeat([]byte("adaptive compression "), 64)) {
-		t.Error("degenerate whole-block probe skipped compressible text")
 	}
 }
 
@@ -106,11 +85,10 @@ func TestDisabledAndDegenerateConfigs(t *testing.T) {
 // not have shrunk by more than a few percent anyway, so no meaningful
 // ratio is ever left on the table.
 func TestSkippedBlocksAreTrulyIncompressible(t *testing.T) {
-	cfg := probe.Default()
 	fast := lzfast.Fast{}
 	for seed := uint64(1); seed <= 8; seed++ {
 		data := uniformRandom(blockLen, seed)
-		if !cfg.Hopeless(data) {
+		if !probe.Hopeless(data) {
 			continue
 		}
 		comp := fast.Compress(nil, data)
@@ -121,13 +99,12 @@ func TestSkippedBlocksAreTrulyIncompressible(t *testing.T) {
 }
 
 func BenchmarkProbe(b *testing.B) {
-	cfg := probe.Default()
 	for _, kind := range corpus.Kinds() {
 		data := corpus.Generate(kind, blockLen, 1)
 		b.Run(kind.String(), func(b *testing.B) {
 			b.SetBytes(blockLen)
 			for i := 0; i < b.N; i++ {
-				cfg.Hopeless(data)
+				probe.Hopeless(data)
 			}
 		})
 	}
@@ -135,7 +112,7 @@ func BenchmarkProbe(b *testing.B) {
 	b.Run("random", func(b *testing.B) {
 		b.SetBytes(blockLen)
 		for i := 0; i < b.N; i++ {
-			cfg.Hopeless(rnd)
+			probe.Hopeless(rnd)
 		}
 	})
 }

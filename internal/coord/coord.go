@@ -301,7 +301,7 @@ func (c *Coordinator) Register(sc StreamConfig) *Stream {
 		ratioDrift:    1,
 		compDrift:     1,
 		lastSwitchWin: -1,
-		solo: core.MustNewPolicy(c.cfg.SoloPolicy, core.PolicyConfig{
+		solo: core.MustNewPolicy(c.cfg.SoloPolicy, core.Config{
 			Levels: c.cfg.Levels,
 			Alpha:  c.cfg.Alpha,
 			Seed:   c.cfg.SoloSeed ^ seq<<17,

@@ -73,7 +73,7 @@ type BanditDecider struct {
 }
 
 // NewBandit creates a contextual-bandit decider.
-func NewBandit(cfg PolicyConfig) (*BanditDecider, error) {
+func NewBandit(cfg Config) (*BanditDecider, error) {
 	skeleton, err := NewDecider(Config{Levels: cfg.Levels, Alpha: cfg.Alpha})
 	if err != nil {
 		return nil, err

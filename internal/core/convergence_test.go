@@ -141,7 +141,7 @@ func TestPolicyConvergence(t *testing.T) {
 	for _, policy := range PolicyNames() {
 		t.Run(policy, func(t *testing.T) {
 			for seed := uint64(1); seed <= 20; seed++ {
-				d := MustNewPolicy(policy, PolicyConfig{Levels: 4, Seed: seed})
+				d := MustNewPolicy(policy, Config{Levels: 4, Seed: seed})
 				occ, final := runConvergence(t, d, phases, seed)
 				for i, ph := range phases {
 					if occ[i] < 0.70 {

@@ -42,7 +42,10 @@ const (
 	DefaultWindowSeconds = 2.0
 )
 
-// Config parameterizes a Decider.
+// Config is the configuration every policy is constructed from: NewDecider's
+// and, under its other name PolicyConfig, NewPolicy's. A policy ignores the
+// fields that do not apply to it (the ablation flags are AlgorithmOne's
+// alone; Seed matters only to a stochastic policy).
 type Config struct {
 	// Levels is the number of compression levels n (including level 0 =
 	// no compression). Must be >= 1.
@@ -51,6 +54,10 @@ type Config struct {
 	// Alpha is the tolerance parameter α: cdr counts as "changed" only if
 	// |cdr-pdr| > Alpha*pdr. Zero means DefaultAlpha. Negative is invalid.
 	Alpha float64
+
+	// Seed drives any stochastic component (the bandit's exploration).
+	// Policies must be fully deterministic given (config, observations).
+	Seed uint64
 
 	// DisableBackoff turns the exponential backoff scheme off, so an
 	// optimistic probe happens every window in which the rate is stable.

@@ -377,8 +377,8 @@ func TestMaxBackoffExpCap(t *testing.T) {
 func TestPaperPathHasNoHooks(t *testing.T) {
 	for name, d := range map[string]*AlgorithmOne{
 		"NewDecider":        MustNewDecider(Config{Levels: 4}),
-		"NewPolicy(algone)": MustNewPolicy(PolicyAlgorithmOne, PolicyConfig{Levels: 4}).(*AlgorithmOne),
-		"NewPolicy(\"\")":   MustNewPolicy("", PolicyConfig{Levels: 4}).(*AlgorithmOne),
+		"NewPolicy(algone)": MustNewPolicy(PolicyAlgorithmOne, Config{Levels: 4}).(*AlgorithmOne),
+		"NewPolicy(\"\")":   MustNewPolicy("", Config{Levels: 4}).(*AlgorithmOne),
 	} {
 		if d.gate != nil || d.reward != nil {
 			t.Errorf("%s: paper path has a hook set (gate %v, reward %v)", name, d.gate != nil, d.reward != nil)

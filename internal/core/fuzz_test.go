@@ -64,7 +64,7 @@ func FuzzDecider(f *testing.F) {
 	f.Fuzz(func(t *testing.T, levels8 uint8, seed uint64, data []byte) {
 		levels := int(levels8)%6 + 1
 		for _, name := range core.PolicyNames() {
-			cfg := core.PolicyConfig{Levels: levels, Seed: seed}
+			cfg := core.Config{Levels: levels, Seed: seed}
 			a, b := core.MustNewPolicy(name, cfg), core.MustNewPolicy(name, cfg)
 			var prev core.PolicyStats
 			for step := 0; (step+1)*fuzzWindowLen <= len(data); step++ {

@@ -174,35 +174,15 @@ func ValidPolicy(name string) bool {
 	}
 }
 
-// PolicyConfig is the shared configuration all policies are constructed
-// from. Policies ignore knobs that do not apply to them (the ablation
-// flags are AlgorithmOne-only; Seed matters only to stochastic policies).
-type PolicyConfig struct {
-	// Levels is the ladder size n (including level 0). Must be >= 1.
-	Levels int
-	// Alpha is the rate tolerance band; zero means DefaultAlpha.
-	Alpha float64
-	// Seed drives any stochastic component (the bandit's exploration).
-	// Policies must be fully deterministic given (config, observations).
-	Seed uint64
-	// DisableBackoff, MaxBackoffExp, DisableRevert are AlgorithmOne's
-	// ablation knobs, forwarded verbatim.
-	DisableBackoff bool
-	MaxBackoffExp  int
-	DisableRevert  bool
-}
+// PolicyConfig is Config, under the name bench/ and the adaptio facade
+// construct policies with.
+type PolicyConfig = Config
 
 // NewPolicy constructs a policy by registry name.
-func NewPolicy(name string, cfg PolicyConfig) (Decider, error) {
+func NewPolicy(name string, cfg Config) (Decider, error) {
 	switch name {
 	case PolicyAlgorithmOne, "": // empty selects the paper default
-		return NewDecider(Config{
-			Levels:         cfg.Levels,
-			Alpha:          cfg.Alpha,
-			DisableBackoff: cfg.DisableBackoff,
-			MaxBackoffExp:  cfg.MaxBackoffExp,
-			DisableRevert:  cfg.DisableRevert,
-		})
+		return NewDecider(cfg)
 	case PolicyBandit:
 		return NewBandit(cfg)
 	case PolicyEWMA:
@@ -215,7 +195,7 @@ func NewPolicy(name string, cfg PolicyConfig) (Decider, error) {
 }
 
 // MustNewPolicy is NewPolicy for known-good configurations.
-func MustNewPolicy(name string, cfg PolicyConfig) Decider {
+func MustNewPolicy(name string, cfg Config) Decider {
 	d, err := NewPolicy(name, cfg)
 	if err != nil {
 		panic(err)
@@ -235,7 +215,7 @@ type CheatStick struct {
 }
 
 // NewCheatStick creates the never-probe sentinel pinned at level 0.
-func NewCheatStick(cfg PolicyConfig) (*CheatStick, error) {
+func NewCheatStick(cfg Config) (*CheatStick, error) {
 	if cfg.Levels < 1 {
 		return nil, fmt.Errorf("core: config needs at least 1 level, got %d", cfg.Levels)
 	}

@@ -18,7 +18,7 @@ const propLevels = 4
 func propPolicies() map[string]func(seed uint64) core.Policy {
 	table := map[string]func(seed uint64) core.Policy{
 		core.PolicyCheatStick: func(seed uint64) core.Policy {
-			return core.MustNewPolicy(core.PolicyCheatStick, core.PolicyConfig{Levels: propLevels, Seed: seed})
+			return core.MustNewPolicy(core.PolicyCheatStick, core.Config{Levels: propLevels, Seed: seed})
 		},
 		"static": func(uint64) core.Policy { return core.Static(2) },
 		"coord-attached": func(seed uint64) core.Policy {
@@ -35,7 +35,7 @@ func propPolicies() map[string]func(seed uint64) core.Policy {
 	}
 	for _, name := range core.PolicyNames() {
 		table[name] = func(seed uint64) core.Policy {
-			return core.MustNewPolicy(name, core.PolicyConfig{Levels: propLevels, Seed: seed})
+			return core.MustNewPolicy(name, core.Config{Levels: propLevels, Seed: seed})
 		}
 	}
 	return table

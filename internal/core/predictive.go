@@ -58,7 +58,7 @@ type EWMAPredictive struct {
 }
 
 // NewEWMAPredictive creates a trend-predictive decider.
-func NewEWMAPredictive(cfg PolicyConfig) (*EWMAPredictive, error) {
+func NewEWMAPredictive(cfg Config) (*EWMAPredictive, error) {
 	skeleton, err := NewDecider(Config{Levels: cfg.Levels, Alpha: cfg.Alpha})
 	if err != nil {
 		return nil, err

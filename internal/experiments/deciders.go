@@ -94,7 +94,7 @@ func DeciderMatrix(cfg DeciderMatrixConfig) (DeciderMatrixResult, error) {
 					// the policy seed folds in the policy index so
 					// stochastic policies explore independently.
 					wseed := cfg.Seed ^ uint64(kind)<<40 ^ uint64(bg)<<32 ^ uint64(run)<<16
-					d := core.MustNewPolicy(policy, core.PolicyConfig{
+					d := core.MustNewPolicy(policy, core.Config{
 						Levels: len(profiles),
 						Seed:   wseed ^ uint64(pi+1)<<8,
 					})

@@ -1,10 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (see DESIGN.md for the experiment index): the metric-accuracy
 // study of Section II (Figures 1–3), the Table II completion-time grid, the
-// adaptivity traces (Figures 4–6), and the ablation studies A1–A4. Each
+// adaptivity traces (Figures 4–6), and the ablation studies A1–A6. Each
 // experiment has a Render function producing the text equivalent of the
-// paper's plot or table; cmd/expdriver prints them and the root
-// bench_test.go exposes one testing.B benchmark per experiment.
+// paper's plot or table; cmd/expdriver prints them.
 package experiments
 
 import (

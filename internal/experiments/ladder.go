@@ -5,6 +5,9 @@ import (
 
 	"adaptio/internal/cloudsim"
 	"adaptio/internal/compress"
+	"adaptio/internal/compress/flatecodec"
+	"adaptio/internal/compress/lzfast"
+	"adaptio/internal/compress/lzheavy"
 	"adaptio/internal/core"
 	"adaptio/internal/corpus"
 	"adaptio/internal/stream"
@@ -46,6 +49,25 @@ func CalibrateLadder(ladder compress.Ladder, sampleBytes int) ([]CodecMeasuremen
 	return ms, profiles, nil
 }
 
+// ExtendedLadder returns A6's six-level ladder, exercising the paper's remark
+// that "it is conceivable to use the same compression algorithm at multiple
+// levels but with different parameters": lzfast-hc appears at two search
+// depths and DEFLATE sits between them and the range coder. The decision
+// model needs no change for the larger ladder — dominated levels are simply
+// probed and abandoned. DEFLATE is not one of the codecs a Reader resolves by
+// default: a process that decodes this ladder's frames registers
+// flatecodec.Codec{} first (compress.Register).
+func ExtendedLadder() compress.Ladder {
+	return compress.Ladder{
+		{Name: "NO", Codec: compress.None()},
+		{Name: "LIGHT", Codec: lzfast.Fast{}},
+		{Name: "MEDIUM-", Codec: lzfast.HC{Depth: 16}},
+		{Name: "MEDIUM+", Codec: lzfast.HC{Depth: 256}},
+		{Name: "FLATE", Codec: flatecodec.Codec{Level: 6}},
+		{Name: "HEAVY", Codec: lzheavy.Codec{}},
+	}
+}
+
 // LadderRow is one (ladder, scenario) outcome of the A6 ablation.
 type LadderRow struct {
 	Ladder   string
@@ -69,7 +91,7 @@ func AblationLadder(totalBytes int64, seed uint64) ([]LadderRow, error) {
 		ladder compress.Ladder
 	}{
 		{"default-4", stream.DefaultLadder()},
-		{"extended-6", stream.ExtendedLadder()},
+		{"extended-6", ExtendedLadder()},
 	}
 	type scenario struct {
 		name string

@@ -1,16 +1,94 @@
 package experiments_test
 
 import (
+	"bytes"
+	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"adaptio/internal/cloudsim"
+	"adaptio/internal/compress"
+	"adaptio/internal/compress/flatecodec"
+	"adaptio/internal/corpus"
 	"adaptio/internal/experiments"
 	"adaptio/internal/stream"
+	"adaptio/internal/vclock"
 )
 
+// extendedRoundTrip writes src through a Writer on the six-level ladder —
+// feed drives the writes — and checks that a Reader gives it back. DEFLATE is
+// not a default receive-path codec, so the test registers it, as any process
+// decoding the extended ladder must.
+func extendedRoundTrip(t *testing.T, cfg stream.WriterConfig, src []byte, feed func(*stream.Writer)) stream.Stats {
+	t.Helper()
+	compress.Register(flatecodec.Codec{})
+	cfg.Ladder = experiments.ExtendedLadder()
+	var wire bytes.Buffer
+	w, err := stream.NewWriter(&wire, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(w)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := stream.NewReader(&wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := io.ReadAll(r); err != nil || !bytes.Equal(out, src) {
+		t.Fatalf("extended-ladder round trip failed: %v", err)
+	}
+	return w.Stats()
+}
+
+func TestExtendedLadderRoundTrip(t *testing.T) {
+	ladder := experiments.ExtendedLadder()
+	if err := ladder.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if len(ladder) != 6 {
+		t.Fatalf("extended ladder has %d levels", len(ladder))
+	}
+	src := corpus.Generate(corpus.Moderate, 400<<10, 8)
+	// Every static level round trips, including the parameterized
+	// duplicates sharing a wire codec ID.
+	for lvl := range ladder {
+		extendedRoundTrip(t, stream.WriterConfig{Static: true, StaticLevel: lvl}, src, func(w *stream.Writer) {
+			if _, err := w.Write(src); err != nil {
+				t.Fatalf("level %d (%s): %v", lvl, ladder[lvl].Name, err)
+			}
+		})
+	}
+	// Deeper search compresses better at the same wire ID.
+	compress16 := ladder[2].Codec.Compress(nil, src[:128<<10])
+	compress256 := ladder[3].Codec.Compress(nil, src[:128<<10])
+	if len(compress256) >= len(compress16) {
+		t.Fatalf("MEDIUM+ (%d) should out-compress MEDIUM- (%d)", len(compress256), len(compress16))
+	}
+}
+
+func TestExtendedLadderAdaptive(t *testing.T) {
+	// The decision model drives the six-level ladder without any change;
+	// a mixed-level stream decodes transparently.
+	clk := vclock.NewManual()
+	src := corpus.Generate(corpus.High, 1<<20, 4)
+	st := extendedRoundTrip(t, stream.WriterConfig{Clock: clk, Window: time.Second, BlockSize: 32 << 10}, src, func(w *stream.Writer) {
+		for off := 0; off < len(src); off += 16 << 10 {
+			if _, err := w.Write(src[off : off+16<<10]); err != nil {
+				t.Fatal(err)
+			}
+			clk.Advance(time.Second)
+		}
+	})
+	if st.LevelSwitches == 0 {
+		t.Fatal("no probing across the extended ladder")
+	}
+}
+
 func TestCalibrateLadderExtended(t *testing.T) {
-	ms, profiles, err := experiments.CalibrateLadder(stream.ExtendedLadder(), 1<<20)
+	ms, profiles, err := experiments.CalibrateLadder(experiments.ExtendedLadder(), 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -385,7 +385,7 @@ func (e *engine) schemeFactory(variant string) (func(spec streamSpec) core.Polic
 			return func(streamSpec) core.Policy { return &oscillator{} }, nil
 		}
 		return func(spec streamSpec) core.Policy {
-			return core.MustNewPolicy(e.sc.Decider, core.PolicyConfig{
+			return core.MustNewPolicy(e.sc.Decider, core.Config{
 				Levels: levels,
 				Seed:   spec.seed,
 			})

@@ -63,11 +63,7 @@ func newWriterObs(scope *obs.Scope, ladder compress.Ladder) writerObs {
 	}
 	// Derived compression ratio (wire/app; 1.0 until bytes flow).
 	scope.FloatFunc("ratio", func() float64 {
-		app := o.appBytes.Value()
-		if app == 0 {
-			return 1
-		}
-		return float64(o.wireBytes.Value()) / float64(app)
+		return Stats{AppBytes: o.appBytes.Value(), WireBytes: o.wireBytes.Value()}.Ratio()
 	})
 	return o
 }

@@ -466,64 +466,6 @@ func TestQuickRoundTripArbitraryChunking(t *testing.T) {
 	}
 }
 
-func TestExtendedLadderRoundTrip(t *testing.T) {
-	ladder := ExtendedLadder()
-	if err := ladder.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(ladder) != 6 {
-		t.Fatalf("extended ladder has %d levels", len(ladder))
-	}
-	src := corpus.Generate(corpus.Moderate, 400<<10, 8)
-	// Every static level round trips, including the parameterized
-	// duplicates sharing a wire codec ID.
-	for lvl := range ladder {
-		var wire bytes.Buffer
-		w := mustWriter(t, &wire, WriterConfig{Ladder: ladder, Static: true, StaticLevel: lvl})
-		if _, err := w.Write(src); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		out, err := io.ReadAll(mustReader(t, &wire))
-		if err != nil || !bytes.Equal(out, src) {
-			t.Fatalf("level %d (%s): round trip failed: %v", lvl, ladder[lvl].Name, err)
-		}
-	}
-	// Deeper search compresses better at the same wire ID.
-	compress16 := ladder[2].Codec.Compress(nil, src[:128<<10])
-	compress256 := ladder[3].Codec.Compress(nil, src[:128<<10])
-	if len(compress256) >= len(compress16) {
-		t.Fatalf("MEDIUM+ (%d) should out-compress MEDIUM- (%d)", len(compress256), len(compress16))
-	}
-}
-
-func TestExtendedLadderAdaptive(t *testing.T) {
-	// The decision model drives the six-level ladder without any change;
-	// a mixed-level stream decodes transparently.
-	clk := vclock.NewManual()
-	src := corpus.Generate(corpus.High, 1<<20, 4)
-	var wire bytes.Buffer
-	w := mustWriter(t, &wire, WriterConfig{Ladder: ExtendedLadder(), Clock: clk, Window: time.Second, BlockSize: 32 << 10})
-	for off := 0; off < len(src); off += 16 << 10 {
-		if _, err := w.Write(src[off : off+16<<10]); err != nil {
-			t.Fatal(err)
-		}
-		clk.Advance(time.Second)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Stats().LevelSwitches == 0 {
-		t.Fatal("no probing across the extended ladder")
-	}
-	out, err := io.ReadAll(mustReader(t, &wire))
-	if err != nil || !bytes.Equal(out, src) {
-		t.Fatalf("extended adaptive round trip failed: %v", err)
-	}
-}
-
 // TestStatsAccountingProperty: whatever is written in whatever chunking,
 // AppBytes equals the bytes accepted, WireBytes equals what reached the
 // destination, and per-level block counts sum to Blocks.

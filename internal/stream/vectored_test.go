@@ -122,7 +122,7 @@ func TestEncodeFramePiecesRawAliasesBlock(t *testing.T) {
 	block := incompressible(4096, 1) // raw fallback
 	scratch := make([]byte, 0, maxFrameSize(len(block)))
 
-	if !probe.Default().Hopeless(block) {
+	if !probe.Hopeless(block) {
 		t.Fatal("uniform random block not judged hopeless by the entropy probe")
 	}
 	head, tail, codecID := encodeFramePieces(scratch, ladder, LevelLight, block, true)

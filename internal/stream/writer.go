@@ -59,7 +59,7 @@ type Stats struct {
 	// counted in ProbeSkips.
 	RawFallbacks int64
 	// ProbeSkips counts blocks the entropy pre-probe judged hopeless, which
-	// therefore skipped the codec entirely (see WriterConfig.Probe). Wire
+	// therefore skipped the codec entirely (see Writer.flushBlock). Wire
 	// bytes are unchanged by a skip — the codec would have taken the same
 	// stored-raw fallback — only the compression work is saved.
 	ProbeSkips int64
@@ -75,6 +75,15 @@ type Stats struct {
 	// PassthroughBytes counts application bytes that reached the wire
 	// without any user-space copy (stored-raw frames of unstaged bytes).
 	PassthroughBytes int64
+}
+
+// Ratio is WireBytes/AppBytes, the achieved compression ratio including
+// framing; 1 while no application bytes have moved.
+func (s Stats) Ratio() float64 {
+	if s.AppBytes == 0 {
+		return 1
+	}
+	return float64(s.WireBytes) / float64(s.AppBytes)
 }
 
 // WriterConfig parameterizes a Writer. The zero value gives the paper's
@@ -134,15 +143,6 @@ type WriterConfig struct {
 	// The wire bytes are those of the inline writer. The pool must outlive
 	// the writer. Mutually exclusive with Parallelism > 1.
 	Pool *EncodePool
-	// Probe overrides the entropy pre-probe consulted before each block is
-	// handed to a compressing level's codec: blocks it judges hopeless
-	// (near-uniform byte distribution and no recurring 4-byte windows) go
-	// straight to stored-raw framing, skipping the codec — and, on the
-	// direct-ingest path, staying zero-copy all the way to the wire. Nil
-	// means probe.Default(); set &probe.Disabled() to run every block
-	// through the codec unconditionally. Skips are counted in
-	// Stats.ProbeSkips and the probe_skips metric.
-	Probe *probe.Config
 }
 
 // Writer intercepts an application byte stream, compresses it adaptively and
@@ -153,8 +153,7 @@ type Writer struct {
 	cfg    WriterConfig
 	ladder compress.Ladder
 	clock  vclock.Clock
-	policy core.Policy  // never nil: core.Static in static mode
-	probe  probe.Config // resolved from cfg.Probe at construction
+	policy core.Policy // never nil: core.Static in static mode
 
 	// blk holds the pending application bytes (blk.B, cut at BlockSize);
 	// frame is the inline mode's frame scratch. Both come from the block
@@ -179,6 +178,10 @@ type Writer struct {
 
 	closed bool
 	err    error // sticky error
+	// probeOff keeps every block on the codec path. Only in-package tests
+	// set it, to show that the probe's verdict removes work and never
+	// changes a wire byte.
+	probeOff bool
 	// wireErr is the first destination write error. It belongs to the one
 	// goroutine that runs emit: the caller inline; with a pipeline the
 	// flusher, or the caller while nothing is in flight (pipeline.pass).
@@ -223,10 +226,6 @@ func NewWriter(dst io.Writer, cfg WriterConfig) (*Writer, error) {
 		cfg:    cfg,
 		ladder: cfg.Ladder,
 		clock:  cfg.Clock,
-		probe:  probe.Default(),
-	}
-	if cfg.Probe != nil {
-		w.probe = *cfg.Probe
 	}
 	w.stats.BlocksPerLevel = make([]int64, len(cfg.Ladder))
 	w.obs = newWriterObs(cfg.Obs, cfg.Ladder)
@@ -537,7 +536,7 @@ func (w *Writer) flushBlock() error {
 	compresses := w.ladder[w.level].Codec.ID() != compress.IDNone
 	job := compressJob{
 		level: w.level, staged: w.staged, block: w.blk,
-		hopeless: compresses && w.probe.Hopeless(w.blk.B),
+		hopeless: compresses && !w.probeOff && probe.Hopeless(w.blk.B),
 	}
 	w.staged = 0
 	if w.pipe == nil {

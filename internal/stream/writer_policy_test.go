@@ -120,7 +120,7 @@ func (o *wildDecider) Observe(rate float64) int { return o.wild.Observe(rate) }
 // per non-final window.
 func TestWriterClampsOutOfRangeLevels(t *testing.T) {
 	plain, win := &wild{}, &wildWindow{}
-	dec := &wildDecider{Decider: core.MustNewPolicy(core.PolicyBandit, core.PolicyConfig{Levels: 4})}
+	dec := &wildDecider{Decider: core.MustNewPolicy(core.PolicyBandit, core.Config{Levels: 4})}
 	for _, tc := range []struct {
 		name     string
 		policy   core.Policy

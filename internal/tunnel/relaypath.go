@@ -55,7 +55,7 @@ func (p *compressPath) run() error {
 		defer cs.Detach()
 	}
 	if p.cfg.Decider != "" && !p.cfg.Static && wcfg.Decider == nil {
-		d, err := core.NewPolicy(p.cfg.Decider, core.PolicyConfig{
+		d, err := core.NewPolicy(p.cfg.Decider, core.Config{
 			Levels: len(stream.DefaultLadder()),
 			Alpha:  p.cfg.Alpha,
 			Seed:   p.cfg.DeciderSeed ^ deciderSeq.Add(1)<<20,
