@@ -93,11 +93,7 @@ func main() {
 	reg := obs.NewRegistry()
 	block.PublishMetrics(reg.Scope("block"))
 	if *metricsAddr != "" {
-		go func() {
-			if err := obs.ListenAndServe(*metricsAddr, reg); err != nil {
-				log.Printf("acload: metrics server: %v", err)
-			}
-		}()
+		go func() { log.Printf("acload: metrics server: %v", obs.ListenAndServe(*metricsAddr, reg)) }()
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

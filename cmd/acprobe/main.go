@@ -15,9 +15,8 @@
 //	acprobe [-gb N] [-seed N] [-json-out probe.json]
 //
 // -json-out (simulation mode only) additionally writes the Figure 2/3
-// throughput distributions as MB/s in the BENCH_throughput.json schema
-// (internal/benchfmt), so nightly artifacts are diffable against the
-// committed baseline.
+// throughput distributions as MB/s in the internal/benchfmt schema; the
+// nightly workflow uploads it.
 package main
 
 import (

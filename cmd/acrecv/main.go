@@ -48,12 +48,7 @@ func main() {
 		conns:     rs.Counter("conns"),
 	}
 	if *metricsAddr != "" {
-		reg.PublishExpvar("adaptio")
-		go func() {
-			if err := obs.ListenAndServe(*metricsAddr, reg); err != nil {
-				fmt.Fprintf(os.Stderr, "acrecv: metrics server: %v\n", err)
-			}
-		}()
+		go func() { fmt.Fprintf(os.Stderr, "acrecv: metrics server: %v\n", obs.ListenAndServe(*metricsAddr, reg)) }()
 	}
 
 	ln, err := net.Listen("tcp", *listen)

@@ -45,12 +45,7 @@ func main() {
 	reg := obs.NewRegistry()
 	block.PublishMetrics(reg.Scope("block"))
 	if *metricsAddr != "" {
-		reg.PublishExpvar("adaptio")
-		go func() {
-			if err := obs.ListenAndServe(*metricsAddr, reg); err != nil {
-				fmt.Fprintf(os.Stderr, "acsend: metrics server: %v\n", err)
-			}
-		}()
+		go func() { fmt.Fprintf(os.Stderr, "acsend: metrics server: %v\n", obs.ListenAndServe(*metricsAddr, reg)) }()
 	}
 
 	src, err := dataSource(*kind)

@@ -87,13 +87,11 @@ func main() {
 	if *decider != "" && *static != adaptio.Adaptive {
 		log.Fatalf("actunnel: -decider is incompatible with -static (a pinned level leaves nothing to decide)")
 	}
+	if *decider != "" && *coordOn {
+		log.Fatalf("actunnel: -decider is incompatible with -coord (a coordinated stream leaves nothing to decide)")
+	}
 	if *metricsAddr != "" {
-		reg.PublishExpvar("adaptio")
-		go func() {
-			if err := obs.ListenAndServe(*metricsAddr, reg); err != nil {
-				log.Printf("actunnel: metrics server: %v", err)
-			}
-		}()
+		go func() { log.Printf("actunnel: metrics server: %v", obs.ListenAndServe(*metricsAddr, reg)) }()
 	}
 	if *static != adaptio.Adaptive {
 		cfg.Static = true

@@ -13,10 +13,10 @@ import (
 // runDeciderMatrix is the `-decider-matrix` entry point: the Table II
 // completion-time grid under every registered decider policy plus the
 // CheatStick sentinel, printed as the per-policy comparison table and
-// optionally written as a benchfmt JSON artifact (-json-out) in the schema
-// of the committed BENCH_decider.json baseline. The run is fully
-// deterministic in -seed, so the artifact is byte-reproducible and
-// `make bench-decider-gate` compares it with the baseline by `cmp`.
+// optionally written as the benchfmt JSON artifact (-json-out) committed as
+// BENCH_decider.json. The run is fully deterministic in -seed, so the
+// artifact is byte-reproducible; internal/experiments' TestDeciderMatrixGolden
+// holds the committed file to it.
 //
 // The two-axis acceptance bound (docs/deciders.md) is enforced here too:
 // each learned policy must stay within-or-better on completion time in
@@ -49,8 +49,7 @@ func runDeciderMatrix(seed uint64, jsonOut string) int {
 	}
 
 	if jsonOut != "" {
-		f := res.ToBenchFile("decider policy matrix: Table II per policy (cmd/expdriver -decider-matrix)", "current")
-		if err := benchfmt.WriteFile(jsonOut, f); err != nil {
+		if err := benchfmt.WriteFile(jsonOut, res.BenchFile()); err != nil {
 			fmt.Fprintf(os.Stderr, "expdriver: %v\n", err)
 			return 2
 		}

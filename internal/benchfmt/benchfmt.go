@@ -1,39 +1,31 @@
-// Package benchfmt defines the shared JSON schema for performance
-// artifacts: the committed baselines (BENCH_alloc.json,
-// BENCH_throughput.json) that cmd/benchdiff gates against, BENCH_decider.json
-// and the -json-out emitter of cmd/acprobe all speak this format — so a
-// nightly artifact can be diffed against a committed baseline without
-// translation.
+// Package benchfmt is the JSON schema of the repo's measurement artifacts:
+// the committed decider matrix (BENCH_decider.json, written by
+// `expdriver -decider-matrix -json-out` and compared byte-for-byte by
+// internal/experiments' golden test) and the nightly Fig. 2/3 distributions
+// (`acprobe -json-out`).
 package benchfmt
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 )
 
-// Measurement is one benchmark's metrics under one set. Zero-valued fields
-// are omitted: an alloc baseline carries bytes/allocs, a throughput
-// baseline mb_per_s.
+// Measurement is one entry's metrics under one set. Zero-valued fields are
+// omitted.
 type Measurement struct {
-	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
-	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
-	MBPerS      float64 `json:"mb_per_s,omitempty"`
-	// Probes and WastedProbes carry decider probe economics
-	// (BENCH_decider.json).
-	Probes       int64  `json:"probes,omitempty"`
-	WastedProbes int64  `json:"wasted_probes,omitempty"`
-	Note         string `json:"note,omitempty"`
+	MBPerS float64 `json:"mb_per_s,omitempty"`
+	// Probes and WastedProbes carry decider probe economics.
+	Probes       int64 `json:"probes,omitempty"`
+	WastedProbes int64 `json:"wasted_probes,omitempty"`
 }
 
-// File is a whole baseline/artifact document: benchmark name -> set name ->
-// measurement. Set names identify when the numbers were taken
-// ("pre_fastpath", "current") or where ("acprobe").
+// File is a whole artifact: entry name -> set name -> measurement. Both
+// writers use the one set "current"; the level stays because
+// BENCH_decider.json's bytes are pinned.
 type File struct {
 	Description string                            `json:"description"`
 	Go          string                            `json:"go,omitempty"`
-	Benchtime   string                            `json:"benchtime,omitempty"`
 	Benchmarks  map[string]map[string]Measurement `json:"benchmarks"`
 }
 
@@ -50,22 +42,21 @@ func (f *File) Add(bench, set string, m Measurement) {
 	sets[set] = m
 }
 
-// Names returns the benchmark names in sorted order.
-func (f *File) Names() []string {
-	names := make([]string, 0, len(f.Benchmarks))
-	for n := range f.Benchmarks {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// WriteFile marshals f deterministically (json.MarshalIndent sorts map
-// keys) and writes it to path with a trailing newline.
-func WriteFile(path string, f *File) error {
+// Marshal renders f deterministically (json.MarshalIndent sorts map keys)
+// with a trailing newline.
+func (f *File) Marshal() ([]byte, error) {
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
-		return fmt.Errorf("benchfmt: %w", err)
+		return nil, fmt.Errorf("benchfmt: %w", err)
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return append(data, '\n'), nil
+}
+
+// WriteFile writes f's Marshal form to path.
+func WriteFile(path string, f *File) error {
+	data, err := f.Marshal()
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
 }

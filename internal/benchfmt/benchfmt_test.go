@@ -11,11 +11,7 @@ func TestAddAndWriteFile(t *testing.T) {
 	f := &File{Description: "test artifact"}
 	f.Add("BenchmarkX/a", "current", Measurement{MBPerS: 123.4, WastedProbes: 81})
 	f.Add("BenchmarkX/a", "pre", Measurement{MBPerS: 100})
-	f.Add("BenchmarkY", "current", Measurement{BytesPerOp: 64, AllocsPerOp: 1})
-
-	if got := f.Names(); len(got) != 2 || got[0] != "BenchmarkX/a" || got[1] != "BenchmarkY" {
-		t.Fatalf("Names() = %v", got)
-	}
+	f.Add("BenchmarkY", "current", Measurement{Probes: 6, WastedProbes: 3})
 
 	path := filepath.Join(t.TempDir(), "out.json")
 	if err := WriteFile(path, f); err != nil {
@@ -32,8 +28,8 @@ func TestAddAndWriteFile(t *testing.T) {
 	if m := back.Benchmarks["BenchmarkX/a"]["current"]; m.MBPerS != 123.4 || m.WastedProbes != 81 {
 		t.Fatalf("round-trip lost data: %+v", m)
 	}
-	// Omitted zero fields keep the document diffable against benchdiff's
-	// parser view: an alloc-only entry must not serialize speed fields.
+	// Zero fields are omitted: a totals entry carries probe counts and no
+	// speed.
 	var raw map[string]any
 	if err := json.Unmarshal(data, &raw); err != nil {
 		t.Fatal(err)

@@ -1,0 +1,5 @@
+//go:build race
+
+package blocktest
+
+const raceEnabled = true

@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"bytes"
+	"flag"
+	"os"
 	"testing"
 
 	"adaptio/internal/core"
 )
+
+var updateDeciderGolden = flag.Bool("update", false, "rewrite BENCH_decider.json with the current matrix")
 
 // The decider-matrix acceptance suite: every learned policy must beat the
 // paper baseline on the two-axis bound (within-or-better completion time in
@@ -12,6 +17,7 @@ import (
 // the CheatStick sentinel must fail it. These are the teeth of the policy
 // registry — a policy change that games one axis at the other's expense
 // fails here before any baseline is regenerated.
+// TestDeciderMatrixGolden then pins the numbers themselves.
 
 func ciMatrix(t *testing.T) DeciderMatrixResult {
 	t.Helper()
@@ -64,9 +70,36 @@ func TestCheatStickFailsMatrixBound(t *testing.T) {
 	}
 }
 
-// TestDeciderMatrixBenchFile pins the artifact contract the benchdiff
-// decider gate consumes: one entry per cell plus a totals entry per policy,
-// all under the given set name.
+// TestDeciderMatrixGolden holds the committed BENCH_decider.json to the
+// matrix it records (docs/deciders.md): the artifact is deterministic, so
+// any difference is a behaviour change. A change that means to move the
+// numbers reruns with -update and commits the diff.
+func TestDeciderMatrixGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full policy matrix skipped under -short")
+	}
+	got, err := ciMatrix(t).BenchFile().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const path = "../../BENCH_decider.json"
+	if *updateDeciderGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the decider matrix no longer matches %s: rerun with -update and read `git diff`; commit it only if the change is meant", path)
+	}
+}
+
+// TestDeciderMatrixBenchFile pins the artifact's shape: one entry per cell
+// plus a totals entry per policy, all under the "current" set.
 func TestDeciderMatrixBenchFile(t *testing.T) {
 	res, err := DeciderMatrix(DeciderMatrixConfig{
 		Policies:    []string{core.PolicyAlgorithmOne},
@@ -78,10 +111,10 @@ func TestDeciderMatrixBenchFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DeciderMatrix: %v", err)
 	}
-	f := res.ToBenchFile("test artifact", "current")
+	f := res.BenchFile()
 	wantBenches := len(res.Kinds)*2 + 1 // cells + totals
 	if got := len(f.Benchmarks); got != wantBenches {
-		t.Fatalf("artifact has %d benchmarks, want %d: %v", got, wantBenches, f.Names())
+		t.Fatalf("artifact has %d benchmarks, want %d", got, wantBenches)
 	}
 	totals, ok := f.Benchmarks["Decider/algone/totals"]["current"]
 	if !ok {

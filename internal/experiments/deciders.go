@@ -238,13 +238,14 @@ func (r DeciderMatrixResult) Render() string {
 	return sb.String()
 }
 
-// ToBenchFile renders the matrix as a benchfmt artifact under the given set
-// name: one benchmark entry per (policy, kind, background) cell named
+// BenchFile renders the matrix as the benchfmt artifact committed as
+// BENCH_decider.json: one entry per (policy, kind, background) cell named
 // "Decider/<policy>/<kind>/bg<N>", plus a "Decider/<policy>/totals" entry
-// carrying the grid-total probe economics — the document cmd/benchdiff's
-// decider mode diffs against the committed BENCH_decider.json baseline.
-func (r DeciderMatrixResult) ToBenchFile(description, set string) *benchfmt.File {
-	f := &benchfmt.File{Description: description}
+// carrying the grid-total probe economics. The matrix is deterministic in
+// its seed, so TestDeciderMatrixGolden compares the bytes.
+func (r DeciderMatrixResult) BenchFile() *benchfmt.File {
+	const set = "current"
+	f := &benchfmt.File{Description: "decider policy matrix: Table II per policy (cmd/expdriver -decider-matrix)"}
 	policies := append([]string(nil), r.Policies...)
 	sort.Strings(policies)
 	for _, policy := range policies {

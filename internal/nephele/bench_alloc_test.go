@@ -4,25 +4,23 @@ import (
 	"io"
 	"testing"
 
+	"adaptio/internal/block/blocktest"
 	"adaptio/internal/corpus"
 )
 
-// BenchmarkAllocNetChannelChurn measures the per-channel cost of a Nephele
-// network channel: open a TCP link, layer the compression stream and record
-// framing on it, push 16 x 64 KB records through, tear it down. This is the
+// allocNetChannelChurn is the per-channel cost of a Nephele network channel:
+// open a TCP link, layer the compression stream and record framing on it,
+// push 16 x 64 KB records through at static LIGHT, tear it down — the
 // channel-setup-plus-data-plane path every subtask pair pays in an N x M
-// link mesh. Baseline in BENCH_alloc.json; run via make bench-alloc.
-func BenchmarkAllocNetChannelChurn(b *testing.B) {
+// link mesh.
+func allocNetChannelChurn(tb testing.TB) (op func(), opBytes int) {
 	rec := corpus.Generate(corpus.Moderate, 64<<10, 3)
 	const records = 16
 	spec := ChannelSpec{Type: Network, Compression: CompressionStatic, StaticLevel: 1}
-	b.SetBytes(int64(records * len(rec)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		l, err := newNetLink()
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		done := make(chan error, 1)
 		go func() {
@@ -51,24 +49,38 @@ func BenchmarkAllocNetChannelChurn(b *testing.B) {
 		}()
 		wc, err := l.openWriter()
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		w, closeFn, _, err := wrapWriter(wc, spec)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		rw := NewRecordWriter(w)
 		for j := 0; j < records; j++ {
 			if err := rw.WriteRecord(rec); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 		if err := closeFn(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := <-done; err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		l.abort(io.EOF) // close listener and conns
-	}
+	}, records * len(rec)
+}
+
+func BenchmarkAllocNetChannelChurn(b *testing.B) {
+	op, opBytes := allocNetChannelChurn(b)
+	blocktest.BenchAllocs(b, opBytes, op)
+}
+
+// TestAllocBudgetNetChannelChurn holds BenchmarkAllocNetChannelChurn's
+// operation to its ceilings (docs/performance.md, "How performance is
+// judged"): sockets, goroutines and the writer's obs registration, no block
+// buffer.
+func TestAllocBudgetNetChannelChurn(t *testing.T) {
+	op, _ := allocNetChannelChurn(t)
+	blocktest.AllocBudget(t, 100, 93, 26500, op)
 }

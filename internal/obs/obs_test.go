@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -264,5 +267,33 @@ func TestFuncMetrics(t *testing.T) {
 	snap := string(reg.Snapshot())
 	if !strings.Contains(snap, `"derived.i":8`) || !strings.Contains(snap, `"derived.f":4`) {
 		t.Fatalf("snapshot missing derived values: %s", snap)
+	}
+}
+
+// TestServeMuxPaths: the one metrics endpoint serves the snapshot, the
+// expvar page with the registry on it, and the pprof index.
+func TestServeMuxPaths(t *testing.T) {
+	reg := NewRegistry()
+	reg.Scope("mux").Counter("hits").Add(7)
+	srv := httptest.NewServer(NewServeMux(reg))
+	defer srv.Close()
+	for path, want := range map[string]string{
+		"/metrics":      `"mux.hits":7`,
+		"/":             `"mux.hits":7`,
+		"/debug/vars":   `"adaptio": {"mux.hits":7`,
+		"/debug/pprof/": "goroutine",
+	} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Errorf("GET %s = %d, body lacks %q:\n%.300s", path, resp.StatusCode, want, body)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"expvar"
 	"net/http"
+	_ "net/http/pprof" // registers /debug/pprof/ on http.DefaultServeMux
 	"strconv"
 	"sync"
 	"unicode/utf8"
@@ -60,20 +61,21 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// expvarMu serializes PublishExpvar: expvar.Publish panics on duplicate
-// names, so re-publishing the same registry name must be idempotent.
+// expvarMu serializes publishExpvar: expvar.Publish panics on duplicate
+// names, so re-publishing must be idempotent.
 var expvarMu sync.Mutex
 
-// PublishExpvar exposes the registry under the given expvar name, so the
+// publishExpvar exposes the registry as the expvar "adaptio", so the
 // snapshot also appears on the standard /debug/vars page next to the
-// runtime's memstats. Publishing the same name twice is a no-op.
-func (r *Registry) PublishExpvar(name string) {
+// runtime's memstats. expvar names are process-wide and permanent: the
+// first registry published keeps the name.
+func (r *Registry) publishExpvar() {
 	expvarMu.Lock()
 	defer expvarMu.Unlock()
-	if expvar.Get(name) != nil {
+	if expvar.Get("adaptio") != nil {
 		return
 	}
-	expvar.Publish(name, expvar.Func(func() any {
+	expvar.Publish("adaptio", expvar.Func(func() any {
 		return rawJSON(r.Snapshot())
 	}))
 }
@@ -84,15 +86,24 @@ type rawJSON []byte
 
 func (j rawJSON) MarshalJSON() ([]byte, error) { return j, nil }
 
-// ListenAndServe serves the registry's snapshot at /metrics (and /) plus
-// the standard expvar page at /debug/vars on addr. It blocks like
-// http.ListenAndServe; CLIs run it in a goroutine.
-func ListenAndServe(addr string, r *Registry) error {
+// NewServeMux returns the routes of a process's one metrics endpoint: the
+// registry's JSON snapshot at /metrics (and every other path), and under
+// /debug/ what the standard library registers on the default mux — the
+// expvar page with the registry published on it at /debug/vars, the runtime
+// profiles of net/http/pprof at /debug/pprof/.
+func NewServeMux(r *Registry) *http.ServeMux {
+	r.publishExpvar()
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", r.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.Handle("/", r.Handler())
-	return http.ListenAndServe(addr, mux)
+	mux.Handle("/debug/", http.DefaultServeMux)
+	return mux
+}
+
+// ListenAndServe serves NewServeMux(r) on addr. It blocks like
+// http.ListenAndServe and always returns a non-nil error; CLIs run it in a
+// goroutine that logs the error.
+func ListenAndServe(addr string, r *Registry) error {
+	return http.ListenAndServe(addr, NewServeMux(r))
 }
 
 // ---------- deterministic JSON helpers ----------

@@ -8,46 +8,6 @@ import (
 	"adaptio/internal/stream"
 )
 
-// TestRoundTripSerialAllocGate is the allocation regression gate for the
-// serial data plane (see docs/performance.md): one 128 KB block written,
-// framed, decoded and read back through a long-lived Writer/Reader pair
-// must average at most 2 allocations. Steady state is actually 0 — the
-// budget of 2 absorbs pool repopulation after a GC and keeps the gate
-// deterministic — so any per-block make() sneaking back into the hot path
-// blows well past it.
-func TestRoundTripSerialAllocGate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are unreliable under the race detector")
-	}
-	data := benchBlock(t, stream.DefaultBlockSize)
-	pipe := &benchPipe{}
-	w, err := stream.NewWriter(pipe, staticCfg(stream.LevelLight, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := stream.NewReader(pipe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]byte, len(data))
-	roundTrip := func() {
-		if _, err := w.Write(data); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := io.ReadFull(r, out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	roundTrip() // warm-up: grow the transport and scratch buffers once
-	avg := testing.AllocsPerRun(100, roundTrip)
-	if avg > 2 {
-		t.Fatalf("serial 128 KB round trip allocates %.1f times per op, budget is 2", avg)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSerialStreamReleasesAllBuffers asserts the Writer/Reader buffer
 // lifecycle contract: after Close and EOF every arena buffer acquired by a
 // serial stream has been released.

@@ -5,17 +5,20 @@ import (
 	"io"
 	"testing"
 
+	"adaptio/internal/block/blocktest"
 	"adaptio/internal/corpus"
 	"adaptio/internal/stream"
 )
 
-// Allocation benchmarks for the data plane (see docs/performance.md and the
-// committed baseline in BENCH_alloc.json). Run with:
+// Allocation scenarios for the data plane (docs/performance.md, "How
+// performance is judged"). Each scenario is one function that sets a stream
+// up and returns the operation to repeat; BenchmarkAlloc<Name> times that
+// operation and TestAllocBudgets holds it to the allocs/op and B/op ceilings
+// in its table, so the benchmark a reading comes from and the tier-1 test
+// that enforces it cannot drift apart.
 //
-//	make bench-alloc
-//
-// The *Steady benchmarks measure the per-block cost of long-lived streams —
-// the paper's sustained-transfer scenario — while the *Churn benchmarks
+// The *Steady scenarios measure the per-block cost of long-lived streams —
+// the paper's sustained-transfer scenario — while the *Churn scenarios
 // measure stream setup+teardown, the connection-per-request scenario the
 // tunnel and Nephele channels see under heavy traffic.
 
@@ -87,145 +90,119 @@ func encodeWire(tb testing.TB, data []byte, level int) []byte {
 	return wire.Bytes()
 }
 
-// BenchmarkAllocWriterSteady: one 128 KB block through a long-lived serial
-// Writer per op.
-func BenchmarkAllocWriterSteady(b *testing.B) {
-	data := benchBlock(b, stream.DefaultBlockSize)
-	w, err := stream.NewWriter(io.Discard, staticCfg(stream.LevelLight, 0))
+// writeBlock is the writer-side operation: one 128 KB block per call into a
+// long-lived static-LIGHT Writer (parallelism as in staticCfg) that
+// tb.Cleanup closes.
+func writeBlock(tb testing.TB, dst io.Writer, parallelism int) func() {
+	tb.Helper()
+	w, err := stream.NewWriter(dst, staticCfg(stream.LevelLight, parallelism))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	tb.Cleanup(func() {
+		if err := w.Close(); err != nil {
+			tb.Error(err)
+		}
+	})
+	data := benchBlock(tb, stream.DefaultBlockSize)
+	return func() {
 		if _, err := w.Write(data); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-	}
-	b.StopTimer()
-	if err := w.Close(); err != nil {
-		b.Fatal(err)
 	}
 }
 
-// BenchmarkAllocReaderSteady: one 128 KB frame through a long-lived serial
-// Reader per op.
-func BenchmarkAllocReaderSteady(b *testing.B) {
-	data := benchBlock(b, stream.DefaultBlockSize)
-	src := &loopSource{data: encodeWire(b, data, stream.LevelLight)}
-	r, err := stream.NewReader(src)
+// readBlock is the reader-side operation: one 128 KB frame per call through
+// a long-lived Reader (inline at one worker) over src.
+func readBlock(tb testing.TB, src io.Reader, workers int) func() {
+	tb.Helper()
+	r, err := stream.NewParallelReader(src, workers)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	out := make([]byte, len(data))
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	tb.Cleanup(func() { r.Close() })
+	out := make([]byte, stream.DefaultBlockSize)
+	return func() {
 		if _, err := io.ReadFull(r, out); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkAllocRoundTripSerial: 128 KB written, framed, decoded and read
-// back per op through a long-lived Writer/Reader pair — the path the
-// AllocsPerRun gate in alloc_test.go locks down.
-func BenchmarkAllocRoundTripSerial(b *testing.B) {
-	data := benchBlock(b, stream.DefaultBlockSize)
+// lightFrames replays one 128 KB block's LIGHT frame forever.
+func lightFrames(tb testing.TB) io.Reader {
+	return &loopSource{data: encodeWire(tb, benchBlock(tb, stream.DefaultBlockSize), stream.LevelLight)}
+}
+
+// The scenarios. Steady: one block through a long-lived serial Writer, one
+// frame through a long-lived serial Reader, and both back to back over an
+// in-memory pipe. Pipeline/Parallel: the same with 4 workers.
+func allocWriterSteady(tb testing.TB) func()   { return writeBlock(tb, io.Discard, 0) }
+func allocPipelineWriter(tb testing.TB) func() { return writeBlock(tb, io.Discard, 4) }
+func allocReaderSteady(tb testing.TB) func()   { return readBlock(tb, lightFrames(tb), 1) }
+func allocParallelReader(tb testing.TB) func() { return readBlock(tb, lightFrames(tb), 4) }
+
+func allocRoundTripSerial(tb testing.TB) func() {
 	pipe := &benchPipe{}
-	w, err := stream.NewWriter(pipe, staticCfg(stream.LevelLight, 0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := stream.NewReader(pipe)
-	if err != nil {
-		b.Fatal(err)
-	}
-	out := make([]byte, len(data))
-	roundTrip := func() {
-		if _, err := w.Write(data); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := io.ReadFull(r, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-	roundTrip() // warm-up: grow the transport and scratch buffers
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		roundTrip()
-	}
-	b.StopTimer()
-	if err := w.Close(); err != nil {
-		b.Fatal(err)
-	}
+	write, read := writeBlock(tb, pipe, 0), readBlock(tb, pipe, 1)
+	roundTrip := func() { write(); read() }
+	roundTrip() // grow the transport once
+	return roundTrip
 }
 
-// BenchmarkAllocWriterChurn: Writer setup, one block, teardown per op — the
-// per-connection cost a tunnel or Nephele channel pays.
-func BenchmarkAllocWriterChurn(b *testing.B) {
-	data := benchBlock(b, stream.DefaultBlockSize)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+// allocWriterChurn: Writer setup, one block, teardown — the per-connection
+// cost a tunnel or Nephele channel pays.
+func allocWriterChurn(tb testing.TB) func() {
+	data := benchBlock(tb, stream.DefaultBlockSize)
+	return func() {
 		w, err := stream.NewWriter(io.Discard, staticCfg(stream.LevelLight, 0))
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, err := w.Write(data); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkAllocPipelineWriter: one 128 KB block per op through a long-lived
-// Writer with a 4-worker parallel compression pipeline.
-func BenchmarkAllocPipelineWriter(b *testing.B) {
-	data := benchBlock(b, stream.DefaultBlockSize)
-	w, err := stream.NewWriter(io.Discard, staticCfg(stream.LevelLight, 4))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.Write(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if err := w.Close(); err != nil {
-		b.Fatal(err)
-	}
+func benchAlloc(b *testing.B, scenario func(testing.TB) func()) {
+	blocktest.BenchAllocs(b, stream.DefaultBlockSize, scenario(b))
 }
 
-// BenchmarkAllocParallelReader: one 128 KB frame per op through a long-lived
-// 4-worker ParallelReader.
-func BenchmarkAllocParallelReader(b *testing.B) {
-	data := benchBlock(b, stream.DefaultBlockSize)
-	src := &loopSource{data: encodeWire(b, data, stream.LevelLight)}
-	r, err := stream.NewParallelReader(src, 4)
-	if err != nil {
-		b.Fatal(err)
+func BenchmarkAllocWriterSteady(b *testing.B)    { benchAlloc(b, allocWriterSteady) }
+func BenchmarkAllocReaderSteady(b *testing.B)    { benchAlloc(b, allocReaderSteady) }
+func BenchmarkAllocRoundTripSerial(b *testing.B) { benchAlloc(b, allocRoundTripSerial) }
+func BenchmarkAllocWriterChurn(b *testing.B)     { benchAlloc(b, allocWriterChurn) }
+func BenchmarkAllocPipelineWriter(b *testing.B)  { benchAlloc(b, allocPipelineWriter) }
+func BenchmarkAllocParallelReader(b *testing.B)  { benchAlloc(b, allocParallelReader) }
+
+// TestAllocBudgets is the allocation gate of the stream layer: every
+// scenario above, 300 operations each, against the ceilings written here.
+// Steady rows read 0 allocs/op and 0 B/op; their byte ceilings are room for
+// one pooled buffer missed on a P that had none cached (a 160 KB block is
+// 546 B/op here), three of them on the rows that hand buffers between
+// goroutines. WriterChurn reads 38 allocs/op and 20.7 KB/op, nearly all of
+// it obs metric registration; the ceiling leaves 3 allocations and 15 % of
+// the bytes. A change that moves a reading moves its ceiling in the same
+// diff.
+func TestAllocBudgets(t *testing.T) {
+	for _, row := range []struct {
+		name          string
+		scenario      func(testing.TB) func()
+		allocs, bytes uint64
+	}{
+		{"RoundTripSerial", allocRoundTripSerial, 0, 512},
+		{"WriterSteady", allocWriterSteady, 0, 512},
+		{"ReaderSteady", allocReaderSteady, 0, 512},
+		{"WriterChurn", allocWriterChurn, 41, 24000},
+		{"PipelineWriter", allocPipelineWriter, 0, 2048},
+		{"ParallelReader", allocParallelReader, 0, 2048},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			blocktest.AllocBudget(t, 300, row.allocs, row.bytes, row.scenario(t))
+		})
 	}
-	out := make([]byte, len(data))
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := io.ReadFull(r, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	r.Close()
 }

@@ -6,69 +6,84 @@ import (
 	"net"
 	"testing"
 
+	"adaptio/internal/block/blocktest"
 	"adaptio/internal/corpus"
+	"adaptio/internal/stream"
 	"adaptio/internal/tunnel"
 )
 
-// BenchmarkAllocTunnelRoundTrip measures the per-connection cost of the
-// tunnel data plane: dial through the entry proxy, send 128 KB, read the
-// echo back, close. Every op pays for two relays (four adaptive streams and
-// their buffers), which is exactly what the block pool amortizes under
-// connection churn. Baseline in BENCH_alloc.json; run via make bench-alloc.
-func BenchmarkAllocTunnelRoundTrip(b *testing.B) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	// Plain echo server behind the exit.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// echoRoundTrip builds echo <- exit <- entry with no logging or stats hooks
+// and returns the per-connection operation both benchmarks below and the
+// budget test repeat: dial the entry, send payload, half-close, read the
+// echo back, close. Every op pays for two relays (four streams and their
+// buffers), which is what the block pool amortizes under connection churn.
+func echoRoundTrip(tb testing.TB, cfg tunnel.Config, payload []byte) func() {
+	tb.Helper()
+	exit, err := tunnel.ListenExit(context.Background(), "127.0.0.1:0", startEcho(tb), cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer ln.Close()
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				io.Copy(c, c)
-			}(c)
-		}
-	}()
-
-	cfg := tunnel.Config{Static: true, StaticLevel: 1}
-	exit, err := tunnel.ListenExit(ctx, "127.0.0.1:0", ln.Addr().String(), cfg)
+	tb.Cleanup(func() { exit.Close() })
+	entry, err := tunnel.ListenEntry(context.Background(), "127.0.0.1:0", exit.Addr().String(), cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer exit.Close()
-	entry, err := tunnel.ListenEntry(ctx, "127.0.0.1:0", exit.Addr().String(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer entry.Close()
+	tb.Cleanup(func() { entry.Close() })
 
-	payload := corpus.Generate(corpus.Moderate, 128<<10, 11)
+	addr := entry.Addr().String()
 	echo := make([]byte, len(payload))
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		conn, err := net.Dial("tcp", entry.Addr().String())
+	return func() {
+		conn, err := net.Dial("tcp", addr)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+		defer conn.Close()
+		done := make(chan error, 1)
+		go func() {
+			_, err := io.ReadFull(conn, echo)
+			done <- err
+		}()
 		if _, err := conn.Write(payload); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		if tc, ok := conn.(*net.TCPConn); ok {
-			tc.CloseWrite()
+		conn.(*net.TCPConn).CloseWrite()
+		if err := <-done; err != nil {
+			tb.Fatal(err)
 		}
-		if _, err := io.ReadFull(conn, echo); err != nil {
-			b.Fatal(err)
-		}
-		conn.Close()
 	}
+}
+
+// allocTunnelRoundTrip is the per-connection cost of the tunnel data plane:
+// one 128 KB echo at static LIGHT.
+func allocTunnelRoundTrip(tb testing.TB) (op func(), opBytes int) {
+	payload := corpus.Generate(corpus.Moderate, 128<<10, 11)
+	return echoRoundTrip(tb, tunnel.Config{Static: true, StaticLevel: stream.LevelLight}, payload), len(payload)
+}
+
+func BenchmarkAllocTunnelRoundTrip(b *testing.B) {
+	op, opBytes := allocTunnelRoundTrip(b)
+	blocktest.BenchAllocs(b, opBytes, op)
+}
+
+// TestAllocBudgetTunnelRoundTrip holds BenchmarkAllocTunnelRoundTrip's
+// operation to its ceilings (docs/performance.md, "How performance is
+// judged"). Of the ~185 allocations about 90 are package net's (three dials,
+// two accepts), 70 the two stream.Writers' (mostly obs registration), 20 the
+// two relay() calls; none is a block buffer. One CPU reads 4 fewer: the
+// compress path runs inline, without a pipeline per direction.
+func TestAllocBudgetTunnelRoundTrip(t *testing.T) {
+	op, _ := allocTunnelRoundTrip(t)
+	blocktest.AllocBudget(t, 100, 212, 64<<10, op)
+}
+
+// BenchmarkRelayNoLevel measures the framed zero-copy path, the only
+// NO-level relay timing anywhere: 1 MB out and back per op as stored-raw
+// vectored frames out of ReadDirect on the compress side and CRC-verified
+// direct delivery on the decompress side. MB/s counts both directions. Its
+// deterministic half — zero user-space copies — is
+// TestRelayCopyAccountingMetrics; its timed half has no floor (bench/'s
+// tunnel.relay.mb_s judges the relay in paired runs).
+func BenchmarkRelayNoLevel(b *testing.B) {
+	payload := corpus.Generate(corpus.Moderate, 1<<20, 1)
+	blocktest.BenchAllocs(b, 2*len(payload), echoRoundTrip(b, tunnel.Config{Static: true, StaticLevel: stream.LevelNo}, payload))
 }

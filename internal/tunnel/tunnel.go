@@ -77,7 +77,8 @@ type Config struct {
 	// Decider names the solo level-selection policy each connection's
 	// compress path drives (core.PolicyNames: "algone", "bandit",
 	// "ewma"); empty means the paper's Algorithm 1. Ignored in Static
-	// mode and while a Coord steers the stream. See docs/deciders.md.
+	// mode; rejected together with a Coord, which steers every stream
+	// itself. See docs/deciders.md.
 	Decider string
 	// DeciderSeed seeds stochastic policies; every connection derives a
 	// distinct per-stream seed from it, so two endpoints with the same
@@ -384,6 +385,9 @@ func ListenExit(ctx context.Context, listenAddr, targetAddr string, cfg Config) 
 func listen(ctx context.Context, listenAddr string, cfg Config, dialAddr string, acceptsPlain bool) (*Endpoint, error) {
 	if cfg.Decider != "" && !slices.Contains(core.PolicyNames(), cfg.Decider) {
 		return nil, fmt.Errorf("tunnel: unknown decider policy %q (want one of %v)", cfg.Decider, core.PolicyNames())
+	}
+	if cfg.Decider != "" && cfg.Coord != nil {
+		return nil, fmt.Errorf("tunnel: Decider %q is incompatible with Coord (a coordinated stream leaves nothing to decide)", cfg.Decider)
 	}
 	if cfg.FlushInterval < 0 {
 		return nil, fmt.Errorf("tunnel: negative FlushInterval %v", cfg.FlushInterval)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"adaptio/internal/block/blocktest"
+	"adaptio/internal/coord"
 	"adaptio/internal/core"
 	"adaptio/internal/corpus"
 	"adaptio/internal/faultio/leakcheck"
@@ -18,7 +19,7 @@ import (
 )
 
 // startEcho runs a TCP echo server and returns its address.
-func startEcho(t *testing.T) string {
+func startEcho(t testing.TB) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -336,23 +337,35 @@ func TestTunnelExitDialFailure(t *testing.T) {
 // TestConfigDeciderNames: an endpoint accepts the selectable policies
 // (core.PolicyNames) and nothing else — in particular not the CheatStick
 // sentinel, which NewPolicy can construct but which would pin every
-// connection at level 0.
+// connection at level 0. Nor a policy next to a coordinator, which would
+// silently ignore it.
 func TestConfigDeciderNames(t *testing.T) {
-	cases := map[string]bool{"": true, core.PolicyCheatStick: false, "nonsense": false}
-	for _, name := range core.PolicyNames() {
-		cases[name] = true
+	const names = "[algone bandit ewma]"
+	type row struct {
+		coord   *coord.Coordinator
+		wantErr string
 	}
-	for name, ok := range cases {
+	cases := map[string]row{
+		"":                           {},
+		core.PolicyCheatStick:        {wantErr: names},
+		"nonsense":                   {wantErr: names},
+		core.PolicyBandit + "+coord": {coord: coord.MustNew(coord.Config{Levels: 4}), wantErr: "leaves nothing to decide"},
+	}
+	for _, name := range core.PolicyNames() {
+		cases[name] = row{}
+	}
+	for name, tc := range cases {
 		t.Run("decider="+name, func(t *testing.T) {
-			e, err := tunnel.ListenEntry(context.Background(), "127.0.0.1:0", "127.0.0.1:1", tunnel.Config{Decider: name})
+			cfg := tunnel.Config{Decider: strings.TrimSuffix(name, "+coord"), Coord: tc.coord}
+			e, err := tunnel.ListenEntry(context.Background(), "127.0.0.1:0", "127.0.0.1:1", cfg)
 			if err == nil {
 				e.Close()
 			}
-			if ok && err != nil {
+			if tc.wantErr == "" && err != nil {
 				t.Fatalf("ListenEntry: %v", err)
 			}
-			if !ok && (err == nil || !strings.Contains(err.Error(), "[algone bandit ewma]")) {
-				t.Fatalf("ListenEntry error = %v, want one naming the selectable policies", err)
+			if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+				t.Fatalf("ListenEntry error = %v, want one containing %q", err, tc.wantErr)
 			}
 		})
 	}
