@@ -14,6 +14,7 @@ import (
 	"adaptio/internal/compress/lzfast"
 	"adaptio/internal/compress/lzheavy"
 	"adaptio/internal/compress/probe"
+	"adaptio/internal/coord"
 	"adaptio/internal/core"
 	"adaptio/internal/corpus"
 	"adaptio/internal/stream"
@@ -30,7 +31,8 @@ func TestOptionsLedger(t *testing.T) {
 		fields int
 	}{
 		{stream.WriterConfig{}, 12},
-		{tunnel.Config{}, 21},
+		{tunnel.Config{}, 16},
+		{coord.Config{}, 5},
 		{core.Config{}, 6},
 		{lzfast.Fast{}, 0},
 		{lzfast.HC{}, 1},

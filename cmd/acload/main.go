@@ -31,7 +31,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"slices"
 	"time"
 
 	"adaptio"
@@ -80,9 +79,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("acload: %v", err)
 	}
-	if *decider != "" && !slices.Contains(core.PolicyNames(), *decider) {
-		log.Fatalf("acload: unknown -decider %q (want one of %v)", *decider, core.PolicyNames())
-	}
 	if *decider != "" && *static != adaptio.Adaptive {
 		log.Fatalf("acload: -decider requires -static %d (a pinned level leaves nothing to decide)", adaptio.Adaptive)
 	}
@@ -111,9 +107,6 @@ func main() {
 			Window:        *window,
 			Alpha:         *alpha,
 			ShutdownGrace: *grace,
-			Decider:       *decider,
-			DeciderSeed:   *deciderSeed,
-			Logf:          nil,
 		}
 		if *static != adaptio.Adaptive {
 			tcfg.Static = true
@@ -124,11 +117,13 @@ func main() {
 			log.Fatalf("acload: echo sink: %v", err)
 		}
 		exitCfg := tcfg
+		exitCfg.Policy = policyFactory(*decider, *alpha, *deciderSeed)
 		exit, err := tunnel.ListenExit(context.Background(), "127.0.0.1:0", echoAddr, exitCfg)
 		if err != nil {
 			log.Fatalf("acload: exit: %v", err)
 		}
 		entryCfg := tcfg
+		entryCfg.Policy = policyFactory(*decider, *alpha, *deciderSeed)
 		entryCfg.MaxConns = *maxConns
 		entryCfg.AcceptQueue = *acceptQueue
 		entryCfg.Obs = reg.Scope("tunnel")
@@ -227,6 +222,21 @@ func main() {
 		log.Fatalf("acload: FAIL: aggregate throughput %.2f MB/s below the -min-mbps %.2f floor",
 			report.ThroughputMBps(), *minMBps)
 	}
+}
+
+// policyFactory builds one endpoint's -decider policy constructor; each
+// endpoint gets its own, so its decisions per connection index repeat from
+// run to run whatever the other endpoint does. An empty name is the tunnel's
+// default, Algorithm 1.
+func policyFactory(name string, alpha float64, seed uint64) func() core.Policy {
+	if name == "" {
+		return nil
+	}
+	f, err := core.PolicyFactory(name, core.Config{Levels: len(adaptio.DefaultLadder()), Alpha: alpha, Seed: seed})
+	if err != nil {
+		log.Fatalf("acload: %v", err)
+	}
+	return f
 }
 
 // startEcho runs the in-process echo sink.

@@ -21,7 +21,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"slices"
 	"time"
 
 	"adaptio"
@@ -77,18 +76,21 @@ func main() {
 		MaxConns:      *maxConns,
 		AcceptQueue:   *acceptQueue,
 		FlushInterval: *flushIvl,
-		Decider:       *decider,
-		DeciderSeed:   *deciderSeed,
 		Obs:           reg.Scope("tunnel"),
 	}
-	if *decider != "" && !slices.Contains(core.PolicyNames(), *decider) {
-		log.Fatalf("actunnel: unknown -decider %q (want one of %v)", *decider, core.PolicyNames())
-	}
-	if *decider != "" && *static != adaptio.Adaptive {
-		log.Fatalf("actunnel: -decider is incompatible with -static (a pinned level leaves nothing to decide)")
-	}
-	if *decider != "" && *coordOn {
-		log.Fatalf("actunnel: -decider is incompatible with -coord (a coordinated stream leaves nothing to decide)")
+	levels := len(adaptio.DefaultLadder())
+	if *decider != "" {
+		if *static != adaptio.Adaptive {
+			log.Fatalf("actunnel: -decider is incompatible with -static (a pinned level leaves nothing to decide)")
+		}
+		if *coordOn {
+			log.Fatalf("actunnel: -decider is incompatible with -coord (a coordinated stream leaves nothing to decide)")
+		}
+		policy, err := core.PolicyFactory(*decider, core.Config{Levels: levels, Alpha: *alpha, Seed: *deciderSeed})
+		if err != nil {
+			log.Fatalf("actunnel: %v", err)
+		}
+		cfg.Policy = policy
 	}
 	if *metricsAddr != "" {
 		go func() { log.Printf("actunnel: metrics server: %v", obs.ListenAndServe(*metricsAddr, reg)) }()
@@ -103,16 +105,15 @@ func main() {
 		}
 		c, err := coord.New(coord.Config{
 			BudgetBytesPerSec: *coordBudget * 1e6,
-			Levels:            len(adaptio.DefaultLadder()),
+			Levels:            levels,
 			Alpha:             *alpha,
 			Obs:               reg.Scope("coord"),
 		})
 		if err != nil {
 			log.Fatalf("actunnel: %v", err)
 		}
-		cfg.Coord = c
-		cfg.CoordWeight = *coordWeight
-		cfg.CoordTenant = *coordTenant
+		stream := coord.StreamConfig{Weight: *coordWeight, Tenant: *coordTenant}
+		cfg.Policy = func() core.Policy { return c.Register(stream) }
 	}
 	if !*quiet {
 		names := adaptio.DefaultLadder().Names()

@@ -24,7 +24,7 @@
 //
 //	E_i(l) = min(share_i / ratio_i(l), comp_i(l))
 //
-// where ratio_i(l) and comp_i(l) are per-stream estimates (configured priors
+// where ratio_i(l) and comp_i(l) are per-stream estimates (fixed priors
 // corrected by per-stream multiplicative drift learned from the stream's own
 // observed window stats — again application-side observations only, never OS
 // metrics). Two damping rules suppress level flapping:
@@ -34,9 +34,9 @@
 //   - it must stay the winner for HysteresisWindows consecutive windows, and
 //     moves step one level at a time with a minimum dwell between steps.
 //
-// When a stream detaches (or no coordinator is configured at all), it falls
-// back to its own paper-faithful solo core.Decider, which the coordinator
-// keeps warm by feeding it every observed window rate while attached.
+// When a stream detaches, it falls back to its own solo Algorithm 1, which
+// the coordinator keeps warm by feeding it every observed window rate while
+// attached.
 //
 // Observability (internal/obs): coord.goodput.bytes, coord.level.flaps,
 // coord.streams.active, plus coord.level.switches and coord.streams.total.
@@ -46,19 +46,43 @@ package coord
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"adaptio/internal/core"
 	"adaptio/internal/obs"
 )
 
-// Defaults for the damping and estimation knobs; see Config.
+// The damping and estimation constants. They are not options: every claim
+// the coordinator makes (the contention suite, the flaps and hetfleet
+// scenarios) was measured at these values and no caller wants others.
 const (
-	DefaultHysteresisWindows = 3
-	DefaultImprovementMargin = 0.10
-	DefaultFlapWindow        = 8
-	DefaultDriftGain         = 0.4
+	// HysteresisWindows is how many consecutive windows a better target
+	// level must persist before the stream moves one step toward it, and
+	// also the minimum dwell (in windows) between two moves of one stream.
+	HysteresisWindows = 3
+	// ImprovementMargin is the fractional estimated-goodput advantage a
+	// candidate level needs over the current one before it is considered
+	// at all; differences inside the margin are treated as noise (the
+	// coordinator's analogue of the solo decider's α band).
+	ImprovementMargin = 0.10
+	// FlapWindow: a level move that reverses the stream's previous move
+	// direction within this many windows counts as a flap
+	// (coord.level.flaps).
+	FlapWindow = 8
+	// driftGain is the EWMA gain of the per-stream prior corrections.
+	driftGain = 0.4
+)
+
+// The priors of the four-level NO/LIGHT/MEDIUM/HEAVY ladder, from the
+// Table II-calibrated reference profiles (internal/cloudsim, MODERATE
+// corpus): ratioPrior[l] is the expected wire/app ratio at level l,
+// compBytesPerSec[l] the expected single-stream compression throughput in
+// application bytes/s. They only need to be order-of-magnitude right,
+// because every stream corrects them multiplicatively from its own observed
+// windows.
+var (
+	ratioPrior      = [...]float64{1, 0.45, 0.40, 0.33}
+	compBytesPerSec = [...]float64{5000e6, 104e6, 71e6, 8.9e6}
 )
 
 // DefaultBudgetBytesPerSec is a 1 Gbit/s link's achievable application-layer
@@ -73,52 +97,14 @@ type Config struct {
 	// not raw line rate). Zero means DefaultBudgetBytesPerSec.
 	BudgetBytesPerSec float64
 
-	// Levels is the compression ladder size, including level 0 = no
-	// compression. Must be >= 1 and match the streams' ladder.
+	// Levels is the size of the streams' compression ladder, including
+	// level 0 = no compression. It must be the four levels the priors
+	// describe.
 	Levels int
 
-	// RatioPrior[l] is the expected wire/app compression ratio at level l
-	// before any stream-specific evidence (level 0 must be 1). Nil with
-	// Levels == 4 means DefaultPriors' ratios.
-	RatioPrior []float64
-
-	// CompBytesPerSec[l] is the expected single-stream compression
-	// throughput at level l in application bytes/s. Nil with Levels == 4
-	// means DefaultPriors' speeds.
-	CompBytesPerSec []float64
-
-	// HysteresisWindows is how many consecutive windows a better target
-	// level must persist before the stream moves one step toward it, and
-	// also the minimum dwell (in windows) between two moves of the same
-	// stream. Zero means DefaultHysteresisWindows.
-	HysteresisWindows int
-
-	// ImprovementMargin is the fractional estimated-goodput advantage a
-	// candidate level needs over the current one before it is considered
-	// at all; differences inside the margin are treated as noise (the
-	// coordinator's analogue of the solo decider's α band). Zero means
-	// DefaultImprovementMargin. Negative is invalid.
-	ImprovementMargin float64
-
-	// FlapWindow: a level move that reverses the stream's previous move
-	// direction within this many windows counts as a flap
-	// (coord.level.flaps). Zero means DefaultFlapWindow.
-	FlapWindow int
-
-	// Alpha is forwarded to each stream's fallback solo decider; zero
-	// means the paper's default.
+	// Alpha is forwarded to each stream's fallback Algorithm 1; zero means
+	// the paper's default.
 	Alpha float64
-
-	// SoloPolicy names the core policy (core.PolicyNames) each stream's
-	// detach fallback decider is built from; empty means the
-	// paper-faithful default (core.PolicyAlgorithmOne). The policy is
-	// constructed per stream, seeded from SoloSeed xor a per-stream
-	// counter so stochastic policies stay deterministic per fleet.
-	SoloPolicy string
-
-	// SoloSeed seeds stochastic solo policies (ignored by deterministic
-	// ones). Streams registered later fork distinct seeds from it.
-	SoloSeed uint64
 
 	// Obs, if non-nil, is the scope the coordinator registers its metrics
 	// under (conventionally "coord"). Nil keeps the coordinator fully
@@ -136,19 +122,9 @@ type Config struct {
 	CheatFreeze bool
 }
 
-// DefaultPriors returns the ratio and compression-speed priors for the
-// default four-level NO/LIGHT/MEDIUM/HEAVY ladder, taken from the
-// Table II-calibrated reference profiles (internal/cloudsim, MODERATE
-// corpus): they only need to be order-of-magnitude right, because every
-// stream corrects them multiplicatively from its own observed windows.
-func DefaultPriors() (ratio, compBps []float64) {
-	return []float64{1, 0.45, 0.40, 0.33},
-		[]float64{5000e6, 104e6, 71e6, 8.9e6}
-}
-
 func (c Config) withDefaults() (Config, error) {
-	if c.Levels < 1 {
-		return c, fmt.Errorf("coord: config needs at least 1 level, got %d", c.Levels)
+	if c.Levels != len(ratioPrior) {
+		return c, fmt.Errorf("coord: the priors cover a %d-level ladder, got Levels %d", len(ratioPrior), c.Levels)
 	}
 	if c.BudgetBytesPerSec < 0 {
 		return c, fmt.Errorf("coord: negative budget %v", c.BudgetBytesPerSec)
@@ -156,44 +132,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.BudgetBytesPerSec == 0 {
 		c.BudgetBytesPerSec = DefaultBudgetBytesPerSec
 	}
-	if c.RatioPrior == nil && c.CompBytesPerSec == nil && c.Levels == 4 {
-		c.RatioPrior, c.CompBytesPerSec = DefaultPriors()
-	}
-	if len(c.RatioPrior) != c.Levels || len(c.CompBytesPerSec) != c.Levels {
-		return c, fmt.Errorf("coord: priors must cover all %d levels (got %d ratios, %d speeds)",
-			c.Levels, len(c.RatioPrior), len(c.CompBytesPerSec))
-	}
-	if c.RatioPrior[0] != 1 {
-		return c, fmt.Errorf("coord: level 0 ratio prior must be 1, got %v", c.RatioPrior[0])
-	}
-	for l := 0; l < c.Levels; l++ {
-		if c.RatioPrior[l] <= 0 || c.RatioPrior[l] > 1.5 {
-			return c, fmt.Errorf("coord: bad ratio prior %v for level %d", c.RatioPrior[l], l)
-		}
-		if c.CompBytesPerSec[l] <= 0 {
-			return c, fmt.Errorf("coord: bad compression-speed prior %v for level %d", c.CompBytesPerSec[l], l)
-		}
-	}
-	if c.HysteresisWindows == 0 {
-		c.HysteresisWindows = DefaultHysteresisWindows
-	}
-	if c.HysteresisWindows < 0 {
-		return c, fmt.Errorf("coord: negative hysteresis %d", c.HysteresisWindows)
-	}
-	if c.ImprovementMargin == 0 {
-		c.ImprovementMargin = DefaultImprovementMargin
-	}
-	if c.ImprovementMargin < 0 {
-		return c, fmt.Errorf("coord: negative improvement margin %v", c.ImprovementMargin)
-	}
-	if c.FlapWindow == 0 {
-		c.FlapWindow = DefaultFlapWindow
-	}
-	if c.FlapWindow < 0 {
-		return c, fmt.Errorf("coord: negative flap window %d", c.FlapWindow)
-	}
-	if c.SoloPolicy != "" && !slices.Contains(core.PolicyNames(), c.SoloPolicy) {
-		return c, fmt.Errorf("coord: unknown solo policy %q (want one of %v)", c.SoloPolicy, core.PolicyNames())
+	if c.Alpha < 0 {
+		return c, fmt.Errorf("coord: negative alpha %v", c.Alpha)
 	}
 	return c, nil
 }
@@ -229,7 +169,6 @@ type Coordinator struct {
 	mu         sync.Mutex
 	streams    map[*Stream]struct{}
 	sumWeights float64
-	soloSeq    uint64 // per-stream seed counter for stochastic solo policies
 }
 
 // New creates a Coordinator for the given configuration.
@@ -290,10 +229,6 @@ func (c *Coordinator) Register(sc StreamConfig) *Stream {
 	if w <= 0 {
 		w = 1
 	}
-	c.mu.Lock()
-	seq := c.soloSeq
-	c.soloSeq++
-	c.mu.Unlock()
 	s := &Stream{
 		coord:         c,
 		weight:        w,
@@ -301,11 +236,7 @@ func (c *Coordinator) Register(sc StreamConfig) *Stream {
 		ratioDrift:    1,
 		compDrift:     1,
 		lastSwitchWin: -1,
-		solo: core.MustNewPolicy(c.cfg.SoloPolicy, core.Config{
-			Levels: c.cfg.Levels,
-			Alpha:  c.cfg.Alpha,
-			Seed:   c.cfg.SoloSeed ^ seq<<17,
-		}),
+		solo:          core.MustNewDecider(core.Config{Levels: c.cfg.Levels, Alpha: c.cfg.Alpha}),
 	}
 	c.mu.Lock()
 	c.streams[s] = struct{}{}

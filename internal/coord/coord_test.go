@@ -24,27 +24,10 @@ func TestConfigValidation(t *testing.T) {
 		want string // substring of the error; "" = valid
 	}{
 		{"defaults", nil, ""},
-		{"no levels", func(c *Config) { c.Levels = 0 }, "at least 1 level"},
+		{"no levels", func(c *Config) { c.Levels = 0 }, "4-level ladder"},
+		{"other ladder", func(c *Config) { c.Levels = 6 }, "4-level ladder"},
 		{"negative budget", func(c *Config) { c.BudgetBytesPerSec = -1 }, "negative budget"},
-		{"short priors", func(c *Config) { c.RatioPrior = []float64{1, 0.5} }, "priors must cover"},
-		{"level0 ratio", func(c *Config) {
-			c.RatioPrior = []float64{0.9, 0.5, 0.4, 0.3}
-			c.CompBytesPerSec = []float64{1, 1, 1, 1}
-		}, "level 0 ratio prior must be 1"},
-		{"bad speed", func(c *Config) {
-			c.RatioPrior = []float64{1, 0.5, 0.4, 0.3}
-			c.CompBytesPerSec = []float64{1, 1, 0, 1}
-		}, "compression-speed prior"},
-		{"negative margin", func(c *Config) { c.ImprovementMargin = -0.1 }, "negative improvement margin"},
-		{"negative hysteresis", func(c *Config) { c.HysteresisWindows = -1 }, "negative hysteresis"},
-		{"negative flap window", func(c *Config) { c.FlapWindow = -2 }, "negative flap window"},
-		// The solo fallback takes the selectable policies only: the
-		// CheatStick sentinel is constructible but never deployable.
-		{"solo algone", func(c *Config) { c.SoloPolicy = core.PolicyAlgorithmOne }, ""},
-		{"solo bandit", func(c *Config) { c.SoloPolicy = core.PolicyBandit }, ""},
-		{"solo ewma", func(c *Config) { c.SoloPolicy = core.PolicyEWMA }, ""},
-		{"solo cheatstick", func(c *Config) { c.SoloPolicy = core.PolicyCheatStick }, "want one of [algone bandit ewma]"},
-		{"solo unknown", func(c *Config) { c.SoloPolicy = "nonsense" }, "want one of [algone bandit ewma]"},
+		{"negative alpha", func(c *Config) { c.Alpha = -0.2 }, "negative alpha"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -67,15 +50,6 @@ func TestDefaultsApplied(t *testing.T) {
 	if got := c.Budget(); got != DefaultBudgetBytesPerSec {
 		t.Fatalf("Budget = %v, want default %v", got, DefaultBudgetBytesPerSec)
 	}
-	if c.cfg.HysteresisWindows != DefaultHysteresisWindows {
-		t.Fatalf("HysteresisWindows = %d, want %d", c.cfg.HysteresisWindows, DefaultHysteresisWindows)
-	}
-	if c.cfg.ImprovementMargin != DefaultImprovementMargin {
-		t.Fatalf("ImprovementMargin = %v, want %v", c.cfg.ImprovementMargin, DefaultImprovementMargin)
-	}
-	if c.cfg.FlapWindow != DefaultFlapWindow {
-		t.Fatalf("FlapWindow = %d, want %d", c.cfg.FlapWindow, DefaultFlapWindow)
-	}
 }
 
 func TestNilCoordinatorAndStream(t *testing.T) {
@@ -95,30 +69,25 @@ func TestNilCoordinatorAndStream(t *testing.T) {
 
 // drive feeds n windows where the achieved rate is whatever the stream's
 // level would plausibly sustain under the given wire share: the closed loop
-// the coordinator sees in production.
-func drive(s *Stream, n int, shareBps float64, ratio, comp []float64) int {
+// the coordinator sees in production, on data that matches the priors.
+func drive(s *Stream, n int, shareBps float64) int {
 	lvl := s.Level()
 	for i := 0; i < n; i++ {
-		net := shareBps / ratio[lvl]
-		rate := net
-		if comp[lvl] < rate {
-			rate = comp[lvl]
-		}
+		rate := min(shareBps/ratioPrior[lvl], compBytesPerSec[lvl])
 		app := int64(rate * 2) // 2s windows
-		wire := int64(float64(app) * ratio[lvl])
+		wire := int64(float64(app) * ratioPrior[lvl])
 		lvl = s.ObserveWindow(core.Window{Rate: rate, AppBytes: app, WireBytes: wire})
 	}
 	return lvl
 }
 
 func TestNetBoundStreamClimbsToOptimalLevel(t *testing.T) {
-	ratio, comp := DefaultPriors()
 	// 10 MB/s share: E(0)=10, E(1)=min(22.2,104)=22.2, E(2)=min(25,71)=25,
 	// E(3)=min(30.3,8.9)=8.9 — level 2 is optimal and the stream should
 	// walk there one hysteresis-gated step at a time, then hold.
 	c := MustNew(Config{Levels: 4, BudgetBytesPerSec: 10e6})
 	s := c.Register(StreamConfig{})
-	lvl := drive(s, 60, 10e6, ratio, comp)
+	lvl := drive(s, 60, 10e6)
 	if lvl != 2 {
 		t.Fatalf("level after 60 windows = %d, want 2", lvl)
 	}
@@ -131,12 +100,11 @@ func TestNetBoundStreamClimbsToOptimalLevel(t *testing.T) {
 }
 
 func TestFastLinkStaysUncompressed(t *testing.T) {
-	ratio, comp := DefaultPriors()
 	// 500 MB/s share: E(0)=500 beats every compressed level (comp caps
 	// at 104). The stream must never leave level 0.
 	c := MustNew(Config{Levels: 4, BudgetBytesPerSec: 500e6})
 	s := c.Register(StreamConfig{})
-	if lvl := drive(s, 40, 500e6, ratio, comp); lvl != 0 {
+	if lvl := drive(s, 40, 500e6); lvl != 0 {
 		t.Fatalf("level = %d, want 0 on an uncontended fast link", lvl)
 	}
 	if got := s.Switches(); got != 0 {
@@ -145,21 +113,19 @@ func TestFastLinkStaysUncompressed(t *testing.T) {
 }
 
 func TestHysteresisDelaysMoves(t *testing.T) {
-	ratio, comp := DefaultPriors()
-	c := MustNew(Config{Levels: 4, BudgetBytesPerSec: 10e6, HysteresisWindows: 5})
+	c := MustNew(Config{Levels: 4, BudgetBytesPerSec: 10e6})
 	s := c.Register(StreamConfig{})
-	for i := 0; i < 4; i++ {
-		if lvl := drive(s, 1, 10e6, ratio, comp); lvl != 0 {
+	for i := 0; i < HysteresisWindows-1; i++ {
+		if lvl := drive(s, 1, 10e6); lvl != 0 {
 			t.Fatalf("window %d: level = %d, want 0 before hysteresis expires", i, lvl)
 		}
 	}
-	if lvl := drive(s, 1, 10e6, ratio, comp); lvl != 1 {
-		t.Fatalf("level after %d windows = %d, want first step to 1", 5, lvl)
+	if lvl := drive(s, 1, 10e6); lvl != 1 {
+		t.Fatalf("level after %d windows = %d, want first step to 1", HysteresisWindows, lvl)
 	}
 }
 
 func TestWeightedSharesFavorHighPriorityTenant(t *testing.T) {
-	ratio, comp := DefaultPriors()
 	// Budget 40 MB/s split across gold (weight 3) and silver (weight 1):
 	// gold's 30 MB/s share keeps E(0)=30 > E(1)=min(66,104)*... wait —
 	// E(1)=66 still wins; both compress, but gold's share is 3x silver's,
@@ -171,8 +137,8 @@ func TestWeightedSharesFavorHighPriorityTenant(t *testing.T) {
 	if gold.Tenant() != "gold" || gold.Weight() != 3 {
 		t.Fatalf("gold handle carries %q/%v, want gold/3", gold.Tenant(), gold.Weight())
 	}
-	goldLvl := drive(gold, 40, 30e6, ratio, comp)
-	silverLvl := drive(silver, 40, 10e6, ratio, comp)
+	goldLvl := drive(gold, 40, 30e6)
+	silverLvl := drive(silver, 40, 10e6)
 	// Silver (10 MB/s share) optimizes at level 2 (E=25); gold (30 MB/s)
 	// at level 1 (E=min(66,104)=66 vs E(2)=min(75,71)=71 — within margin
 	// pressure; accept either 1 or 2 for gold but require a level change
@@ -195,8 +161,7 @@ func TestDetachFallsBackToSolo(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := MustNew(Config{Levels: 4, BudgetBytesPerSec: 10e6, Obs: reg.Scope("coord")})
 	s := c.Register(StreamConfig{})
-	ratio, comp := DefaultPriors()
-	drive(s, 30, 10e6, ratio, comp)
+	drive(s, 30, 10e6)
 	if got := c.ActiveStreams(); got != 1 {
 		t.Fatalf("ActiveStreams = %d, want 1", got)
 	}
@@ -225,10 +190,9 @@ func TestDetachFallsBackToSolo(t *testing.T) {
 }
 
 func TestCheatFreezeNeverMoves(t *testing.T) {
-	ratio, comp := DefaultPriors()
 	c := MustNew(Config{Levels: 4, BudgetBytesPerSec: 10e6, CheatFreeze: true})
 	s := c.Register(StreamConfig{})
-	if lvl := drive(s, 80, 10e6, ratio, comp); lvl != 0 {
+	if lvl := drive(s, 80, 10e6); lvl != 0 {
 		t.Fatalf("CheatFreeze level = %d, want pinned 0", lvl)
 	}
 	if s.Switches() != 0 || s.Flaps() != 0 {
@@ -256,36 +220,33 @@ func TestObsMetricNamesRegistered(t *testing.T) {
 
 func TestFlapCountedOnForcedReversal(t *testing.T) {
 	reg := obs.NewRegistry()
-	ratio, comp := DefaultPriors()
-	c := MustNew(Config{
-		Levels: 4, BudgetBytesPerSec: 100e6,
-		HysteresisWindows: 1, ImprovementMargin: 0.02, FlapWindow: 100,
-		Obs: reg.Scope("coord"),
-	})
+	c := MustNew(Config{Levels: 4, BudgetBytesPerSec: 100e6, Obs: reg.Scope("coord")})
 	s := c.Register(StreamConfig{})
 	// Siblings join: the share collapses from 100 MB/s to 10 MB/s and the
-	// stream climbs toward heavier compression.
+	// stream climbs toward heavier compression, one step per
+	// HysteresisWindows: level 2 at window 6.
 	var siblings []*Stream
 	for i := 0; i < 9; i++ {
 		siblings = append(siblings, c.Register(StreamConfig{}))
 	}
-	lvl := drive(s, 10, 10e6, ratio, comp)
+	lvl := drive(s, 7, 10e6)
 	if lvl != 2 {
 		t.Fatalf("setup: level = %d under a 10 MB/s share, want climb to 2", lvl)
 	}
 	// Siblings leave: the share springs back to 100 MB/s, where lighter
 	// compression wins (comp speed caps level 2 at 71 MB/s but level 1
-	// sustains 104), so the stream steps back down — a direction reversal
-	// inside the (wide) flap window that must be counted.
+	// sustains 104, well past ImprovementMargin), so the stream steps back
+	// down at window 10 — a direction reversal four windows after the climb,
+	// inside FlapWindow, that must be counted.
 	for _, sib := range siblings {
 		sib.Detach()
 	}
-	lvl = drive(s, 10, 100e6, ratio, comp)
+	lvl = drive(s, 10, 100e6)
 	if lvl != 1 {
 		t.Fatalf("stream never stepped back down; level = %d, want 1", lvl)
 	}
-	if got := s.Flaps(); got == 0 {
-		t.Fatalf("flaps = 0 after a forced reversal inside the flap window")
+	if got := s.Flaps(); got != 1 {
+		t.Fatalf("flaps = %d after one forced reversal inside the flap window, want 1", got)
 	}
 	if got := reg.Scope("coord").Counter("level.flaps").Value(); got != s.Flaps() {
 		t.Fatalf("coord.level.flaps = %d, stream flaps = %d; metric out of sync", got, s.Flaps())

@@ -73,7 +73,7 @@ func runFlapFleet(t *testing.T, seed uint64, mkScheme func(i int) core.Policy) c
 // over the horizon: one switch per HysteresisWindows-window dwell, plus one
 // for the initial move.
 func flapDwellBound() int {
-	return flapWindows/coord.DefaultHysteresisWindows + 1
+	return flapWindows/coord.HysteresisWindows + 1
 }
 
 func TestFlapDwellBoundsSwitches(t *testing.T) {

@@ -15,9 +15,8 @@ import (
 // per-level goodput estimates from its drift-corrected priors, and moves the
 // level at most one step toward the estimated optimum, damped by hysteresis.
 // After Detach the handle keeps working but delegates to the stream's own
-// solo core.Decider (the paper-faithful Algorithm 1 unless Config.SoloPolicy
-// selects a learned policy), which the coordinator
-// kept warm by feeding it every window rate while attached.
+// solo Algorithm 1, which the coordinator kept warm by feeding it every
+// window rate while attached.
 type Stream struct {
 	coord  *Coordinator
 	weight float64
@@ -28,10 +27,10 @@ type Stream struct {
 	level    int
 	windows  int // observation windows seen while attached
 
-	// Multiplicative drift corrections to the configured priors, learned
-	// from this stream's own observed windows (EWMA, gain DefaultDriftGain).
-	ratioDrift float64 // observed ratio / RatioPrior[level]
-	compDrift  float64 // observed app rate / CompBytesPerSec[level], CPU-bound windows only
+	// Multiplicative drift corrections to the priors, learned from this
+	// stream's own observed windows (EWMA, gain driftGain).
+	ratioDrift float64 // observed ratio / ratioPrior[level]
+	compDrift  float64 // observed app rate / compBytesPerSec[level], CPU-bound windows only
 
 	// Hysteresis and flap bookkeeping.
 	streak          int // consecutive windows the same better target won
@@ -40,7 +39,7 @@ type Stream struct {
 	lastSwitchDir   int // +1 heavier, -1 lighter, 0 none yet
 	switches, flaps int64
 
-	solo core.Decider
+	solo *core.AlgorithmOne
 }
 
 // Tenant returns the owner label the stream registered with.
@@ -64,7 +63,7 @@ func (s *Stream) Level() int {
 // and coord.level.flaps).
 func (s *Stream) Switches() int64 { s.mu.Lock(); defer s.mu.Unlock(); return s.switches }
 
-// Flaps reports direction reversals within the configured FlapWindow.
+// Flaps reports direction reversals within FlapWindow.
 func (s *Stream) Flaps() int64 { s.mu.Lock(); defer s.mu.Unlock(); return s.flaps }
 
 // Detach removes the stream from the coordinated fleet; subsequent
@@ -103,8 +102,7 @@ func (s *Stream) ObserveWindow(w core.Window) int {
 	// The solo fallback sees every window: detached it decides; attached it
 	// is kept warm, tracking the same observed reality, so that Detach
 	// resumes it from a live trajectory instead of a cold start at level 0.
-	// It is a registry policy and stays in range, so the error is nil.
-	soloLevel, _ := core.ObserveWindow(s.solo, s.coord.cfg.Levels, w)
+	soloLevel := s.solo.Observe(rate)
 	if s.detached {
 		s.mu.Unlock()
 		return soloLevel
@@ -121,14 +119,14 @@ func (s *Stream) ObserveWindow(w core.Window) int {
 	s.coord.mu.Lock()
 	share := s.coord.shareLocked(s.weight)
 	s.coord.mu.Unlock()
-	if appBytes > 0 && wireBytes > 0 && cfg.RatioPrior[cur] > 0 {
+	if appBytes > 0 && wireBytes > 0 {
 		obsRatio := float64(wireBytes) / float64(appBytes)
-		s.ratioDrift = ewma(s.ratioDrift, obsRatio/cfg.RatioPrior[cur], DefaultDriftGain)
+		s.ratioDrift = ewma(s.ratioDrift, obsRatio/ratioPrior[cur], driftGain)
 	}
 	if rate > 0 {
-		wireRate := rate * s.estRatio(cfg, cur)
+		wireRate := rate * s.estRatio(cur)
 		if wireRate < 0.8*share {
-			s.compDrift = ewma(s.compDrift, rate/cfg.CompBytesPerSec[cur], DefaultDriftGain)
+			s.compDrift = ewma(s.compDrift, rate/compBytesPerSec[cur], driftGain)
 		}
 	}
 
@@ -147,11 +145,11 @@ func (s *Stream) ObserveWindow(w core.Window) int {
 	// estimate by the improvement margin — inside the margin is noise.
 	best, target := 0.0, 0
 	for l := 0; l < cfg.Levels; l++ {
-		if e := s.estGoodput(cfg, l, share); e > best {
+		if e := s.estGoodput(l, share); e > best {
 			best, target = e, l
 		}
 	}
-	if target != cur && best <= s.estGoodput(cfg, cur, share)*(1+cfg.ImprovementMargin) {
+	if target != cur && best <= s.estGoodput(cur, share)*(1+ImprovementMargin) {
 		target = cur
 	}
 
@@ -167,8 +165,8 @@ func (s *Stream) ObserveWindow(w core.Window) int {
 		return cur
 	}
 	s.streak++
-	dwellOK := s.lastSwitchWin < 0 || s.windows-s.lastSwitchWin >= cfg.HysteresisWindows
-	if s.streak < cfg.HysteresisWindows || !dwellOK {
+	dwellOK := s.lastSwitchWin < 0 || s.windows-s.lastSwitchWin >= HysteresisWindows
+	if s.streak < HysteresisWindows || !dwellOK {
 		s.mu.Unlock()
 		return cur
 	}
@@ -180,7 +178,7 @@ func (s *Stream) ObserveWindow(w core.Window) int {
 	}
 	next := cur + dir
 	flap := s.lastSwitchDir != 0 && dir == -s.lastSwitchDir &&
-		s.lastSwitchWin >= 0 && s.windows-s.lastSwitchWin <= cfg.FlapWindow
+		s.lastSwitchWin >= 0 && s.windows-s.lastSwitchWin <= FlapWindow
 	s.level = next
 	s.lastSwitchWin = s.windows
 	s.lastSwitchDir = dir
@@ -202,20 +200,19 @@ func (s *Stream) m() *coordMetrics { return s.coord.m }
 
 // estRatio is the drift-corrected expected wire/app ratio at level l,
 // clamped to a sane band; callers hold s.mu.
-func (s *Stream) estRatio(cfg *Config, l int) float64 {
-	r := cfg.RatioPrior[l] * s.ratioDrift
+func (s *Stream) estRatio(l int) float64 {
 	if l == 0 {
 		return 1 // level 0 is identity framing; drift never applies
 	}
-	return clampF(r, 0.01, 1.2)
+	return clampF(ratioPrior[l]*s.ratioDrift, 0.01, 1.2)
 }
 
 // estGoodput is E(l) = min(share / ratio(l), comp(l)): the application-byte
 // rate level l would sustain given the stream's wire share and its
 // drift-corrected compressor speed. Callers hold s.mu.
-func (s *Stream) estGoodput(cfg *Config, l int, share float64) float64 {
-	netBound := share / s.estRatio(cfg, l)
-	cpuBound := cfg.CompBytesPerSec[l] * clampF(s.compDrift, 0.05, 20)
+func (s *Stream) estGoodput(l int, share float64) float64 {
+	netBound := share / s.estRatio(l)
+	cpuBound := compBytesPerSec[l] * clampF(s.compDrift, 0.05, 20)
 	if cpuBound < netBound {
 		return cpuBound
 	}

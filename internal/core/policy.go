@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync/atomic"
+)
 
 // Policy is the level-selection seam: the one contract the stream writer
 // (internal/stream), the simulators (internal/cloudsim) and the fleet
@@ -163,8 +167,8 @@ func PolicyNames() []string {
 
 // ValidPolicy reports whether name is a constructible policy name, the
 // CheatStick sentinel included: what scenario files and the experiments
-// matrix accept. Anything that deploys a policy (CLIs, tunnel, coordinator)
-// accepts PolicyNames only.
+// matrix accept. The CLIs, which deploy a policy, accept PolicyNames only
+// (PolicyFactory).
 func ValidPolicy(name string) bool {
 	switch name {
 	case PolicyAlgorithmOne, PolicyBandit, PolicyEWMA, PolicyCheatStick:
@@ -190,8 +194,36 @@ func NewPolicy(name string, cfg Config) (Decider, error) {
 	case PolicyCheatStick:
 		return NewCheatStick(cfg)
 	default:
-		return nil, fmt.Errorf("core: unknown decider policy %q (want one of %v)", name, PolicyNames())
+		return nil, errUnknownPolicy(name)
 	}
+}
+
+func errUnknownPolicy(name string) error {
+	return fmt.Errorf("core: unknown decider policy %q (want one of %v)", name, PolicyNames())
+}
+
+// PolicyFactory returns a constructor of fresh policies of one registry
+// name: what a CLI hands to a substrate that runs one policy per stream
+// (tunnel.Config.Policy). It accepts PolicyNames only — the CheatStick
+// sentinel is constructible through NewPolicy, never deployable — and
+// validates cfg here, once. The constructor is safe for concurrent calls;
+// its n-th call (counting from 1) seeds the policy cfg.Seed ^ n<<20. The
+// promise is per factory, in call order: the i-th policies of two factories
+// with the same configuration decide identically on identical observations,
+// whatever else the process runs.
+func PolicyFactory(name string, cfg Config) (func() Policy, error) {
+	if !slices.Contains(PolicyNames(), name) {
+		return nil, errUnknownPolicy(name)
+	}
+	if _, err := NewPolicy(name, cfg); err != nil {
+		return nil, err
+	}
+	var calls atomic.Uint64
+	return func() Policy {
+		c := cfg
+		c.Seed ^= calls.Add(1) << 20
+		return MustNewPolicy(name, c)
+	}, nil
 }
 
 // MustNewPolicy is NewPolicy for known-good configurations.

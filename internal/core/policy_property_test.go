@@ -14,20 +14,20 @@ const propLevels = 4
 
 // propPolicies is everything that can sit behind the policy seam: the
 // registry policies, the never-probe sentinel, a static level, and a
-// coordinated stream both attached and detached (solo fallback).
+// coordinated stream both attached and detached (its Algorithm 1 fallback).
 func propPolicies() map[string]func(seed uint64) core.Policy {
 	table := map[string]func(seed uint64) core.Policy{
 		core.PolicyCheatStick: func(seed uint64) core.Policy {
 			return core.MustNewPolicy(core.PolicyCheatStick, core.Config{Levels: propLevels, Seed: seed})
 		},
 		"static": func(uint64) core.Policy { return core.Static(2) },
-		"coord-attached": func(seed uint64) core.Policy {
-			c := coord.MustNew(coord.Config{Levels: propLevels, BudgetBytesPerSec: 50e6, SoloPolicy: core.PolicyBandit, SoloSeed: seed})
+		"coord-attached": func(uint64) core.Policy {
+			c := coord.MustNew(coord.Config{Levels: propLevels, BudgetBytesPerSec: 50e6})
 			c.Register(coord.StreamConfig{}) // a neighbour, so the share is contended
 			return c.Register(coord.StreamConfig{Weight: 2})
 		},
-		"coord-detached": func(seed uint64) core.Policy {
-			c := coord.MustNew(coord.Config{Levels: propLevels, SoloPolicy: core.PolicyBandit, SoloSeed: seed})
+		"coord-detached": func(uint64) core.Policy {
+			c := coord.MustNew(coord.Config{Levels: propLevels})
 			s := c.Register(coord.StreamConfig{})
 			s.Detach()
 			return s

@@ -270,8 +270,8 @@ func (rt *edgeRuntime) snapshot() EdgeStats {
 }
 
 // vertexObs aggregates one vertex's runtime accounting through atomic obs
-// instruments ("nephele.vertex.<name>.*"), replacing the former mutex-guarded
-// map: Total accumulates via Counter.Add, Busiest via Gauge.SetMax.
+// instruments ("nephele.vertex.<name>.*"): Total accumulates via Counter.Add,
+// Busiest via Gauge.SetMax.
 type vertexObs struct {
 	subtasks  *obs.Gauge
 	busiestNS *obs.Gauge

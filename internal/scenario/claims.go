@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"fmt"
+
+	"adaptio/internal/coord"
 )
 
 // A Claim is a deterministic shape assertion over a scenario's Result: the
@@ -237,7 +239,7 @@ var claimRegistry = map[string][]Claim{
 			Name: "coord-dwell-bounds-switches",
 			Desc: "Hysteresis dwell is a hard rate limit: no coordinated stream can switch levels more than once per HysteresisWindows windows, whatever the NIC does.",
 			check: func(sc *Scenario, r *Result) (bool, string) {
-				bound := r.Windows/3 + 1 // coord.DefaultHysteresisWindows
+				bound := r.Windows/coord.HysteresisWindows + 1
 				got := r.Variant("coordinated").MaxStreamSwitches
 				return got <= bound, fmt.Sprintf("coordinated max per-stream switches %d (dwell bound %d over %d windows)", got, bound, r.Windows)
 			},

@@ -20,10 +20,10 @@ import (
 // paper's central effect), while on incompressible data it must not burn
 // CPU for nothing.
 
-// runRealTransfer streams volume bytes of kind over throttled loopback TCP
-// and returns the writer stats, the received bytes count and the elapsed
-// time.
-func runRealTransfer(t *testing.T, kind corpus.Kind, wireMBps float64, volume int64, window time.Duration) (stream.Stats, int64, time.Duration) {
+// runRealTransfer streams volume bytes of kind through a writer configured by
+// cfg over throttled loopback TCP and returns the writer stats, the received
+// bytes count and the elapsed time.
+func runRealTransfer(t *testing.T, kind corpus.Kind, wireMBps float64, volume int64, cfg stream.WriterConfig) (stream.Stats, int64, time.Duration) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -62,7 +62,7 @@ func runRealTransfer(t *testing.T, kind corpus.Kind, wireMBps float64, volume in
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := stream.NewWriter(limited, stream.WriterConfig{Window: window})
+	w, err := stream.NewWriter(limited, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestRealTCPAdaptiveEngagesOnCompressibleData(t *testing.T) {
 		t.Skip("real-time transfer")
 	}
 	const wireMBps = 10.0
-	stats, received, elapsed := runRealTransfer(t, corpus.High, wireMBps, 24<<20, 60*time.Millisecond)
+	stats, received, elapsed := runRealTransfer(t, corpus.High, wireMBps, 24<<20, stream.WriterConfig{Window: 60 * time.Millisecond})
 	if received != stats.AppBytes {
 		t.Fatalf("received %d of %d app bytes", received, stats.AppBytes)
 	}
@@ -122,28 +122,48 @@ func TestRealTCPAdaptiveBacksOffOnIncompressibleData(t *testing.T) {
 	}
 	const wireMBps = 25.0
 	const volume = 16 << 20
-	stats, received, elapsed := runRealTransfer(t, corpus.Low, wireMBps, volume, 60*time.Millisecond)
-	if received != stats.AppBytes {
-		t.Fatalf("received %d of %d app bytes", received, stats.AppBytes)
+	adaptive := func() time.Duration {
+		stats, received, elapsed := runRealTransfer(t, corpus.Low, wireMBps, volume, stream.WriterConfig{Window: 60 * time.Millisecond})
+		if received != stats.AppBytes {
+			t.Fatalf("received %d of %d app bytes", received, stats.AppBytes)
+		}
+		// On JPEG-like data compression saves ~5%; whatever mix of levels the
+		// prober visits, the wire volume must stay close to the app volume
+		// (no catastrophic HEAVY excursions) and the stream must survive
+		// whatever probing happened.
+		ratio := float64(stats.WireBytes) / float64(stats.AppBytes)
+		if ratio < 0.85 || ratio > 1.02 {
+			t.Fatalf("wire ratio %.3f implausible for incompressible data", ratio)
+		}
+		if stats.BlocksPerLevel[3] > stats.Blocks/4 {
+			t.Fatalf("HEAVY used for %d of %d blocks on incompressible data",
+				stats.BlocksPerLevel[3], stats.Blocks)
+		}
+		return elapsed
+	}
+	if raceEnabled {
+		// The probes themselves are CPU-bound under the race detector, as in
+		// the test above: only the deterministic half is checked.
+		adaptive()
+		return
 	}
 	// Nothing helps on incompressible data, so adapting must cost little:
-	// the transfer finishes within 1.35x of what sending it uncompressed
-	// at the wire rate takes. (Under the race detector the probes
-	// themselves are CPU-bound, as in the test above.)
-	if noTime := volume / (wireMBps * 1e6); !raceEnabled && elapsed.Seconds() > 1.35*noTime {
-		t.Fatalf("took %.2f s, more than 1.35x the %.2f s of an uncompressed transfer", elapsed.Seconds(), noTime)
-	}
-	// On JPEG-like data compression saves ~5%; whatever mix of levels the
-	// prober visits, the wire volume must stay close to the app volume
-	// (no catastrophic HEAVY excursions) and the stream must survive
-	// whatever probing happened.
-	ratio := float64(stats.WireBytes) / float64(stats.AppBytes)
-	if ratio < 0.85 || ratio > 1.02 {
-		t.Fatalf("wire ratio %.3f implausible for incompressible data", ratio)
-	}
-	if stats.BlocksPerLevel[3] > stats.Blocks/4 {
-		t.Fatalf("HEAVY used for %d of %d blocks on incompressible data",
-			stats.BlocksPerLevel[3], stats.Blocks)
+	// the transfer finishes within 1.35x of the same bytes sent uncompressed
+	// through the same limiter. Both sides of the comparison are measured,
+	// back to back, because the arithmetic volume/rate is not what a shared
+	// host delivers; a pair that misses is retried, since one stall in either
+	// half decides it.
+	const pairs = 3
+	for pair := 1; ; pair++ {
+		_, _, none := runRealTransfer(t, corpus.Low, wireMBps, volume, stream.WriterConfig{Static: true, StaticLevel: stream.LevelNo})
+		elapsed := adaptive()
+		if elapsed.Seconds() <= 1.35*none.Seconds() {
+			return
+		}
+		if pair == pairs {
+			t.Fatalf("pair %d of %d: took %.2f s, more than 1.35x the %.2f s of the uncompressed transfer", pair, pairs, elapsed.Seconds(), none.Seconds())
+		}
+		t.Logf("pair %d of %d: took %.2f s against %.2f s uncompressed, retrying", pair, pairs, elapsed.Seconds(), none.Seconds())
 	}
 }
 

@@ -30,9 +30,9 @@ const (
 //   - everything beyond that is shed: closed immediately, counted, and
 //     never given a relay goroutine.
 //
-// With MaxConns == 0 the admitter is a no-op and every connection is served
-// (the pre-scaling behaviour). Goroutine count is therefore bounded by
-// O(MaxConns + AcceptQueue), never by the client arrival rate.
+// With MaxConns == 0 the admitter is a no-op and every connection is served.
+// Otherwise goroutine count is bounded by O(MaxConns + AcceptQueue), never by
+// the client arrival rate.
 type admitter struct {
 	sem      chan struct{} // capacity MaxConns; nil = unlimited
 	queueCap int64

@@ -62,7 +62,6 @@ func TestDialPeerFailureWrapsErrDial(t *testing.T) {
 	_, err := dialPeer(context.Background(), "127.0.0.1:1", Config{
 		DialRetries: 2,
 		DialBackoff: 5 * time.Millisecond,
-		DialTimeout: 500 * time.Millisecond,
 	}, newTunnelMetrics(nil))
 	if !errors.Is(err, ErrDial) {
 		t.Fatalf("got %v, want error wrapping ErrDial", err)

@@ -5,17 +5,10 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync/atomic"
 	"time"
 
-	"adaptio/internal/coord"
-	"adaptio/internal/core"
 	"adaptio/internal/stream"
 )
-
-// deciderSeq hands every connection's policy a distinct seed derivation
-// index (process-wide; determinism per connection index, not per endpoint).
-var deciderSeq atomic.Uint64
 
 // DefaultFlushInterval bounds how long the compress path may hold a partial
 // block waiting for more bytes before cutting a frame (Config.FlushInterval
@@ -29,10 +22,9 @@ const DefaultFlushInterval = 5 * time.Millisecond
 // deadline (Config.FlushInterval) bounds how long a partial block may sit
 // buffered, so low-rate traffic keeps flowing without giving up full-block
 // framing under load. Bytes are read straight into the stream writer's
-// pending block (Writer.ReadDirect) — the staging copy of the former
-// io.CopyBuffer relay loop is gone on every level, and at NO level the
-// stored-raw vectored frame path means a relayed byte is never copied in
-// user space at all.
+// pending block (Writer.ReadDirect), so no level has a staging copy, and at
+// NO level the stored-raw vectored frame path means a relayed byte is never
+// copied in user space at all.
 type compressPath struct {
 	cfg       Config
 	m         *tunnelMetrics
@@ -46,28 +38,20 @@ type compressPath struct {
 func (p *compressPath) run() error {
 	wcfg := p.cfg.writerConfig(p.m.streamScope)
 	wcfg.Pool = p.pool
-	if p.cfg.Coord != nil && !p.cfg.Static {
-		cs := p.cfg.Coord.Register(coord.StreamConfig{
-			Weight: p.cfg.CoordWeight,
-			Tenant: p.cfg.CoordTenant,
-		})
-		wcfg.Decider = cs
-		defer cs.Detach()
-	}
-	if p.cfg.Decider != "" && !p.cfg.Static && wcfg.Decider == nil {
-		d, err := core.NewPolicy(p.cfg.Decider, core.Config{
-			Levels: len(stream.DefaultLadder()),
-			Alpha:  p.cfg.Alpha,
-			Seed:   p.cfg.DeciderSeed ^ deciderSeq.Add(1)<<20,
-		})
-		if err != nil {
-			return err
+	if p.cfg.Policy != nil {
+		wcfg.Decider = p.cfg.Policy()
+		if d, ok := wcfg.Decider.(interface{ Detach() }); ok {
+			defer d.Detach()
 		}
-		wcfg.Decider = d
 	}
 	w, err := stream.NewWriter(p.wire, wcfg)
 	if err != nil {
-		return err
+		// The peer must still see EOF, or its decompress path — and with it
+		// this relay — would wait for frames that never come.
+		if p.wireCW != nil {
+			p.wireCW.CloseWrite()
+		}
+		return fmt.Errorf("compress path: %w", err)
 	}
 	cpErr := p.pump(w)
 	if closeErr := w.Close(); cpErr == nil {

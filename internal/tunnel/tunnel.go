@@ -36,11 +36,9 @@ import (
 	"io"
 	"net"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
-	"adaptio/internal/coord"
 	"adaptio/internal/core"
 	"adaptio/internal/obs"
 	"adaptio/internal/stream"
@@ -57,7 +55,8 @@ var (
 	ErrIdleTimeout = errors.New("tunnel: idle timeout")
 )
 
-// Dial/backoff defaults; see Config.
+// DefaultDialTimeout bounds each dial attempt to the peer or target.
+// DefaultDialBackoff: see Config.DialBackoff.
 const (
 	DefaultDialTimeout = 10 * time.Second
 	DefaultDialBackoff = 100 * time.Millisecond
@@ -74,16 +73,16 @@ type Config struct {
 	// Static pins a level instead of adapting (for comparison runs).
 	Static      bool
 	StaticLevel int
-	// Decider names the solo level-selection policy each connection's
-	// compress path drives (core.PolicyNames: "algone", "bandit",
-	// "ewma"); empty means the paper's Algorithm 1. Ignored in Static
-	// mode; rejected together with a Coord, which steers every stream
-	// itself. See docs/deciders.md.
-	Decider string
-	// DeciderSeed seeds stochastic policies; every connection derives a
-	// distinct per-stream seed from it, so two endpoints with the same
-	// seed make reproducible decision sequences per connection index.
-	DeciderSeed uint64
+	// Policy, if non-nil, supplies the level-selection policy of each
+	// connection's compress path; nil means the paper's Algorithm 1 at
+	// Alpha. It is called once per served connection, when the compress
+	// path starts — never for a connection that is shed or still queued —
+	// and may be called from several goroutines at once. A returned policy
+	// with a Detach() method (a coord.Stream) has it called when the
+	// compress path ends. Rejected together with Static. The CLIs build it
+	// from core.PolicyFactory or a coordinator's Register; see
+	// docs/deciders.md and docs/coordination.md.
+	Policy func() core.Policy
 	// OnDone, if non-nil, receives the sender-side compression stats of
 	// every finished connection direction. ConnStats.Err, when non-nil,
 	// wraps a typed sentinel: ErrIdleTimeout, stream.ErrBadFrame (via
@@ -92,12 +91,9 @@ type Config struct {
 	// Logf, if non-nil, receives connection lifecycle messages.
 	Logf func(format string, args ...any)
 
-	// DialTimeout bounds each dial attempt to the peer or target. Zero
-	// means DefaultDialTimeout.
-	DialTimeout time.Duration
 	// DialRetries is the number of extra dial attempts after the first
-	// fails (0 = fail fast, the pre-hardening behaviour). Retries back
-	// off exponentially from DialBackoff with ±50% jitter, capped at 5s.
+	// fails (0 = fail fast). Retries back off exponentially from
+	// DialBackoff with ±50% jitter, capped at 5s.
 	DialRetries int
 	// DialBackoff is the base backoff between dial attempts. Zero means
 	// DefaultDialBackoff.
@@ -114,7 +110,7 @@ type Config struct {
 	ShutdownGrace time.Duration
 	// MaxConns bounds the number of concurrently served connections (each
 	// one costs a fixed set of relay goroutines and arena buffers). Zero
-	// means unlimited — the pre-scaling behaviour. See docs/scaling.md.
+	// means unlimited. See docs/scaling.md.
 	MaxConns int
 	// AcceptQueue bounds how many connections beyond MaxConns may wait
 	// for a relay slot before excess connections are shed (closed without
@@ -140,21 +136,6 @@ type Config struct {
 	// totals, plus the compression stream's own metrics under
 	// "<scope>.stream.writer". actunnel wires this to -metrics-addr.
 	Obs *obs.Scope
-
-	// Coord, if non-nil, joins every connection's compress path to the
-	// fleet-level compression coordinator: the stream registers when its
-	// relay starts, takes its levels from the coordinator's weighted-fair
-	// budget allocation, and detaches (falling back to the solo decision
-	// model) when the connection closes. Ignored in Static mode — a
-	// pinned level is an explicit operator decision. See
-	// docs/coordination.md.
-	Coord *coord.Coordinator
-	// CoordWeight is the fair-share weight of this endpoint's streams in
-	// the coordinator's budget division; zero means 1.
-	CoordWeight float64
-	// CoordTenant labels this endpoint's streams in coordinator
-	// diagnostics.
-	CoordTenant string
 }
 
 // tunnelMetrics are an endpoint's instruments, resolved once per endpoint
@@ -197,8 +178,7 @@ func newTunnelMetrics(scope *obs.Scope) *tunnelMetrics {
 	copied := relay.Counter("bytes_copied")
 	// The copy-accounting gate's observable: user-space copies per byte
 	// relayed. 0 for pure zero-copy traffic (NO-level vectored frames),
-	// ~1 when every byte crosses one codec transform, ~2 for the pre-PR-7
-	// staging+transform relay loop.
+	// ~1 when every byte crosses one codec transform.
 	relay.FloatFunc("bytes_copied_per_byte_relayed", func() float64 {
 		relayed := txApp.Value() + rxApp.Value()
 		if relayed == 0 {
@@ -270,18 +250,14 @@ func jitter(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-// dialPeer dials addr with cfg's timeout, retry and backoff policy. The
-// returned error wraps ErrDial.
+// dialPeer dials addr with cfg's retry and backoff policy. The returned
+// error wraps ErrDial.
 func dialPeer(ctx context.Context, addr string, cfg Config, m *tunnelMetrics) (net.Conn, error) {
-	timeout := cfg.DialTimeout
-	if timeout <= 0 {
-		timeout = DefaultDialTimeout
-	}
 	backoff := cfg.DialBackoff
 	if backoff <= 0 {
 		backoff = DefaultDialBackoff
 	}
-	d := net.Dialer{Timeout: timeout}
+	d := net.Dialer{Timeout: DefaultDialTimeout}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		m.dialAttempts.Inc()
@@ -383,15 +359,20 @@ func ListenExit(ctx context.Context, listenAddr, targetAddr string, cfg Config) 
 }
 
 func listen(ctx context.Context, listenAddr string, cfg Config, dialAddr string, acceptsPlain bool) (*Endpoint, error) {
-	if cfg.Decider != "" && !slices.Contains(core.PolicyNames(), cfg.Decider) {
-		return nil, fmt.Errorf("tunnel: unknown decider policy %q (want one of %v)", cfg.Decider, core.PolicyNames())
-	}
-	if cfg.Decider != "" && cfg.Coord != nil {
-		return nil, fmt.Errorf("tunnel: Decider %q is incompatible with Coord (a coordinated stream leaves nothing to decide)", cfg.Decider)
+	if cfg.Static && cfg.Policy != nil {
+		return nil, errors.New("tunnel: Static is incompatible with Policy (a pinned level leaves nothing to decide)")
 	}
 	if cfg.FlushInterval < 0 {
 		return nil, fmt.Errorf("tunnel: negative FlushInterval %v", cfg.FlushInterval)
 	}
+	// Everything else a compress path could refuse to start on (a level off
+	// the ladder, a negative Window or Alpha) is refused here, by the writer
+	// itself. Policy is not called: it counts connections.
+	w, err := stream.NewWriter(io.Discard, cfg.writerConfig(nil))
+	if err != nil {
+		return nil, fmt.Errorf("tunnel: %w", err)
+	}
+	w.Close()
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		return nil, err

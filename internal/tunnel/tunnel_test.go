@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"adaptio/internal/block/blocktest"
-	"adaptio/internal/coord"
 	"adaptio/internal/core"
 	"adaptio/internal/corpus"
 	"adaptio/internal/faultio/leakcheck"
@@ -334,43 +333,6 @@ func TestTunnelExitDialFailure(t *testing.T) {
 	}
 }
 
-// TestConfigDeciderNames: an endpoint accepts the selectable policies
-// (core.PolicyNames) and nothing else — in particular not the CheatStick
-// sentinel, which NewPolicy can construct but which would pin every
-// connection at level 0. Nor a policy next to a coordinator, which would
-// silently ignore it.
-func TestConfigDeciderNames(t *testing.T) {
-	const names = "[algone bandit ewma]"
-	type row struct {
-		coord   *coord.Coordinator
-		wantErr string
-	}
-	cases := map[string]row{
-		"":                           {},
-		core.PolicyCheatStick:        {wantErr: names},
-		"nonsense":                   {wantErr: names},
-		core.PolicyBandit + "+coord": {coord: coord.MustNew(coord.Config{Levels: 4}), wantErr: "leaves nothing to decide"},
-	}
-	for _, name := range core.PolicyNames() {
-		cases[name] = row{}
-	}
-	for name, tc := range cases {
-		t.Run("decider="+name, func(t *testing.T) {
-			cfg := tunnel.Config{Decider: strings.TrimSuffix(name, "+coord"), Coord: tc.coord}
-			e, err := tunnel.ListenEntry(context.Background(), "127.0.0.1:0", "127.0.0.1:1", cfg)
-			if err == nil {
-				e.Close()
-			}
-			if tc.wantErr == "" && err != nil {
-				t.Fatalf("ListenEntry: %v", err)
-			}
-			if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
-				t.Fatalf("ListenEntry error = %v, want one containing %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
 // TestConfigRejectsNegativeFlushInterval: zero means the default and a
 // positive value is a deadline; there is no third class.
 func TestConfigRejectsNegativeFlushInterval(t *testing.T) {
@@ -382,5 +344,37 @@ func TestConfigRejectsNegativeFlushInterval(t *testing.T) {
 	if e, err := tunnel.ListenExit(context.Background(), "127.0.0.1:0", "127.0.0.1:1", cfg); err == nil {
 		e.Close()
 		t.Error("ListenExit accepted a negative FlushInterval")
+	}
+}
+
+// TestListenRejectsConfigNoRelayCouldRun: a level choice the stream writer
+// would refuse is refused when the endpoint starts, with the writer's own
+// message, not discovered by the first connection; and a pinned level next
+// to a policy is a contradiction, not a precedence rule.
+func TestListenRejectsConfigNoRelayCouldRun(t *testing.T) {
+	for name, tc := range map[string]struct {
+		cfg     tunnel.Config
+		wantErr string
+	}{
+		"static level off the ladder": {tunnel.Config{Static: true, StaticLevel: 9}, "starting level 9 outside ladder"},
+		"negative static level":       {tunnel.Config{Static: true, StaticLevel: -1}, "starting level -1 outside ladder"},
+		"negative window":             {tunnel.Config{Window: -time.Second}, "negative window"},
+		"negative alpha":              {tunnel.Config{Alpha: -0.2}, "negative alpha"},
+		"static with a policy": {tunnel.Config{Static: true, StaticLevel: 1, Policy: func() core.Policy { return core.Static(2) }},
+			"leaves nothing to decide"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			for _, listen := range []func(context.Context, string, string, tunnel.Config) (*tunnel.Endpoint, error){
+				tunnel.ListenEntry, tunnel.ListenExit,
+			} {
+				e, err := listen(context.Background(), "127.0.0.1:0", "127.0.0.1:1", tc.cfg)
+				if err == nil {
+					e.Close()
+				}
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Errorf("listen error = %v, want one containing %q", err, tc.wantErr)
+				}
+			}
+		})
 	}
 }
