@@ -32,15 +32,22 @@ func TestDecompressPresizedNoAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkCompressHC exercises the pooled hash-chain state; -benchmem
-// shows the per-call table allocations removed by the pool.
-func BenchmarkCompressHC(b *testing.B) {
+// TestCompressHCPresizedNoAlloc pins the same for the hash-chain encoder:
+// its tables come from the pool and its output goes into dst, so a call
+// with room in dst allocates nothing.
+func TestCompressHCPresizedNoAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
 	raw := corpus.Generate(corpus.Moderate, 128<<10, 1)
 	dst := make([]byte, 0, 2*len(raw))
-	b.SetBytes(int64(len(raw)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lzfast.HC{}.Compress(dst[:0], raw)
+	lzfast.HC{}.Compress(dst, raw) // the pool's first Get allocates the tables
+	avg := testing.AllocsPerRun(20, func() {
+		if out := (lzfast.HC{}).Compress(dst, raw); len(out) == 0 {
+			t.Fatal("empty output")
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("presized HC Compress allocates %.1f times per run, want 0", avg)
 	}
 }

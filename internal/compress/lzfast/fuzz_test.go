@@ -14,11 +14,14 @@ func FuzzFastRoundTrip(f *testing.F) {
 	f.Add(corpus.Generate(corpus.High, 4096, 1))
 	f.Add(corpus.Generate(corpus.Low, 4096, 1))
 	f.Add(bytes.Repeat([]byte{0}, 70000))
+	for _, src := range hcParsePathInputs() {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src []byte) {
 		for _, c := range []interface {
 			Compress(dst, src []byte) []byte
 			Decompress(dst, src []byte, n int) ([]byte, error)
-		}{lzfast.Fast{}, lzfast.HC{Depth: 8}} {
+		}{lzfast.Fast{}, lzfast.HC{}, lzfast.HC{Depth: 1}} {
 			comp := c.Compress(nil, src)
 			out, err := c.Decompress(nil, comp, len(src))
 			if err != nil {

@@ -166,8 +166,12 @@ var goldenDigests = []struct {
 	{"fast/high/64K", corpus.High, 64 << 10, lzfast.Fast{}, "cdef8d6fe7f115112d0b2a6b141f543c557b953294e94ffcab9c331802adf001"},
 	{"fast/moderate/64K", corpus.Moderate, 64 << 10, lzfast.Fast{}, "aea5ae5a039e47e7d9bed4f8ee6b4ededc224c00b074e4212414f4e2a291856f"},
 	{"fast/low/64K", corpus.Low, 64 << 10, lzfast.Fast{}, "26fb29f3e2d51dad78a28fe689a65e07047cbae9851488ceacec72977554d5bd"},
-	{"hc/moderate/64K", corpus.Moderate, 64 << 10, lzfast.HC{}, "ae6326f0dfc79b7af4deb741e5f04110560b8bc9be827c094b4512f5e40766bc"},
-	{"hc/low/64K", corpus.Low, 64 << 10, lzfast.HC{}, "c889d5677ea815185c39bec871b9e23ebc63d2f70ec367239488c3349e8a277d"},
+	{"hc/high/64K", corpus.High, 64 << 10, lzfast.HC{}, "79933e117844db890f4cfc00257702e3e972362911b6f002da57965d5999c58a"},
+	{"hc/moderate/64K", corpus.Moderate, 64 << 10, lzfast.HC{}, "f5c40d4516562f888cba9ede9e3bb425a79c2f5cf6b1186d325f5e400107e774"},
+	{"hc/low/64K", corpus.Low, 64 << 10, lzfast.HC{}, "1aaecb70a67c26b8106d9de661e4aeacabf1319685571b8c544c102c8caccfa0"},
+	// Under 16 KB the chains are keyed on 4 bytes and the head table is
+	// sized to the block.
+	{"hc/moderate/4K", corpus.Moderate, 4 << 10, lzfast.HC{}, "5e995dbf672306b5f9be7c658db53a6c806e7e4f3623775de51d7ad6434995d7"},
 }
 
 func TestGoldenDigests(t *testing.T) {

@@ -4,9 +4,10 @@
 //
 // It stands in for the QuickLZ library used by the paper at compression
 // levels LIGHT and MEDIUM (Section III-B): the same codec is exposed in two
-// parameterizations, a greedy single-probe mode (Fast) and a hash-chain
-// deep-search mode (HC) that trades speed for a better ratio, exactly as
-// QuickLZ level 1 vs. level 3 do.
+// parameterizations, a greedy single-probe mode (Fast, encode_fast.go) and
+// a hash-chain lazy-matching mode (HC, encode_hc.go) that spends about
+// four times the CPU on text for a better ratio, as QuickLZ level 1 vs.
+// level 3 do.
 //
 // # Wire format
 //
@@ -39,8 +40,6 @@ const (
 
 	// hashLog is the log2 size of the fast-mode hash table.
 	hashLog = 13
-	// hcHashLog is the log2 size of the hash-chain head table.
-	hcHashLog = 16
 
 	// tinyOverlapOffset: the fast parse refuses minimum-length matches
 	// closer than this. A length-4 match at offset < 8 saves exactly one
@@ -71,8 +70,10 @@ func (Fast) Decompress(dst, src []byte, decompressedSize int) ([]byte, error) {
 }
 
 // HC is the hash-chain deep-search parameterization (paper level MEDIUM).
-// Depth bounds the number of candidate positions examined per input
-// position; the zero value uses a default depth of 64.
+// Depth is how many earlier positions a search may examine without finding
+// a longer match; each one that does lengthen it hands a few visits back,
+// so the effort follows the progress. The zero value uses a default depth
+// of 12, the operating point docs/performance.md picks from its sweep.
 type HC struct {
 	Depth int
 }
@@ -85,11 +86,16 @@ func (HC) Name() string { return "lzfast-hc" }
 
 // Compress implements compress.Codec.
 func (h HC) Compress(dst, src []byte) []byte {
+	return compressHC(dst, src, h.point(len(src)))
+}
+
+// point is the operating point h compresses an n-byte block at.
+func (h HC) point(n int) hcParams {
 	depth := h.Depth
 	if depth <= 0 {
-		depth = 64
+		depth = hcDefaultDepth
 	}
-	return compressHC(dst, src, depth)
+	return hcPoint(depth, hcRefund, hcKeyBytes(n), n)
 }
 
 // Decompress implements compress.Codec.
@@ -105,10 +111,6 @@ func load64(b []byte, i int) uint64 {
 	return binary.LittleEndian.Uint64(b[i:])
 }
 
-func hash4(u uint32, bits uint) uint32 {
-	return (u * 2654435761) >> (32 - bits)
-}
-
 // hash5 keys the fast-mode table on the low 5 bytes of a little-endian
 // 64-bit load (the same choice reference LZ4 makes on 64-bit hosts):
 // prose-like data is dense with 4-byte-only matches whose emit overhead
@@ -116,8 +118,11 @@ func hash4(u uint32, bits uint) uint32 {
 // candidate check still verifies only 4 bytes, so a hash collision can
 // still yield a legal minMatch match.
 func hash5(u uint64, bits uint) uint32 {
-	return uint32(((u << 24) * 889523592379) >> (64 - bits))
+	return uint32(((u << 24) * prime5) >> (64 - bits))
 }
+
+// prime5 is the multiplier reference LZ4 hashes 5 bytes with.
+const prime5 = 889523592379
 
 // matchLen returns the length of the common prefix of src[a:] and src[b:],
 // with b > a, bounded by len(src)-b.
@@ -267,107 +272,6 @@ func compressFastRef(dst, src []byte) []byte {
 		// high-entropy input (same idea as LZ4's acceleration).
 		misses++
 		i += 1 + misses>>5
-	}
-	return emitSequence(dst, src[anchor:], 0, 0)
-}
-
-// hcState carries the hash-chain match finder's tables between compressHC
-// calls: the head table alone is 256 KB and the chain array scales with the
-// block, so allocating them per call dwarfs every other cost of the encoder.
-// The head table must be re-initialized on reuse (done in compressHC); the
-// chain array needs no clearing because entries are written before they are
-// read.
-type hcState struct {
-	head [1 << hcHashLog]int32
-	prev []int32
-}
-
-var hcPool = sync.Pool{New: func() any { return new(hcState) }}
-
-// insert links position pos into the hash chain for its 4-byte prefix.
-// Being a method (not a closure over compressHC locals) lets the compiler
-// inline it into the parse loop.
-func (st *hcState) insert(src []byte, pos int) {
-	h := hash4(kload32(src, pos), hcHashLog)
-	st.prev[pos] = st.head[h]
-	st.head[h] = int32(pos)
-}
-
-// bestMatch returns the longest match for position i, examining at most
-// depth chain entries. Ties prefer the smaller offset. The chain walk and
-// match extension run on the kernel primitives (kload32/kmatchLen), whose
-// results are byte-identical to the reference primitives on every tier.
-func (st *hcState) bestMatch(src []byte, i, depth int) (bLen, bOff int) {
-	cand := int(st.head[hash4(kload32(src, i), hcHashLog)])
-	prev := st.prev
-	for d := 0; d < depth && cand >= 0; d++ {
-		if i-cand > maxOffset {
-			break
-		}
-		if bLen == 0 || (i+bLen < len(src) && src[cand+bLen] == src[i+bLen]) {
-			if l := kmatchLen(src, cand, i); l >= minMatch && l > bLen {
-				bLen, bOff = l, i-cand
-			}
-		}
-		cand = int(prev[cand])
-	}
-	return bLen, bOff
-}
-
-// hcSkipShift controls HC's skip acceleration: after 1<<hcSkipShift
-// consecutive positions without a match the step starts growing, bounding
-// worst-case time on high-entropy runs. It is two notches more conservative
-// than the fast path's shift (7 vs 5) because HC's job is ratio: skipped
-// positions are neither probed nor inserted, so ramping too early would
-// cost matches on barely-compressible data.
-const hcSkipShift = 7
-
-func compressHC(dst, src []byte, depth int) []byte {
-	if len(src) < minMatch+1 {
-		return emitSequence(dst, src, 0, 0)
-	}
-	st := hcPool.Get().(*hcState)
-	defer hcPool.Put(st)
-	head := st.head[:]
-	for i := range head {
-		head[i] = -1
-	}
-	if cap(st.prev) < len(src) {
-		st.prev = make([]int32, len(src))
-	}
-	st.prev = st.prev[:len(src)]
-	anchor := 0
-	i := 0
-	mfLimit := len(src) - minMatch
-	misses := 0
-	for i <= mfLimit {
-		mlen, moff := st.bestMatch(src, i, depth)
-		st.insert(src, i)
-		if mlen == 0 {
-			misses++
-			i += 1 + misses>>hcSkipShift
-			continue
-		}
-		misses = 0
-		// One-step lazy matching: if the next position yields a
-		// sufficiently longer match, emit this position as a literal.
-		if i+1 <= mfLimit {
-			nlen, _ := st.bestMatch(src, i+1, depth)
-			if nlen > mlen+1 {
-				i++
-				continue // position i becomes a literal; i+1 reconsidered
-			}
-		}
-		if mlen > len(src)-i {
-			mlen = len(src) - i
-		}
-		dst = emitSequence(dst, src[anchor:i], moff, mlen)
-		end := i + mlen
-		for p := i + 1; p < end && p <= mfLimit; p++ {
-			st.insert(src, p)
-		}
-		i = end
-		anchor = i
 	}
 	return emitSequence(dst, src[anchor:], 0, 0)
 }

@@ -93,7 +93,8 @@ func benchCompress(b *testing.B, c compress.Codec, kind corpus.Kind) {
 	src := corpus.Generate(kind, 128<<10, 1)
 	b.SetBytes(int64(len(src)))
 	b.ReportAllocs()
-	var dst []byte
+	dst := make([]byte, 0, 2*len(src))
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst = c.Compress(dst[:0], src)
 	}
@@ -105,7 +106,8 @@ func benchDecompress(b *testing.B, c compress.Codec, kind corpus.Kind) {
 	comp := c.Compress(nil, src)
 	b.SetBytes(int64(len(src)))
 	b.ReportAllocs()
-	var dst []byte
+	dst := make([]byte, 0, len(src))
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
 		dst, err = c.Decompress(dst[:0], comp, len(src))

@@ -52,7 +52,9 @@ func CalibrateLadder(ladder compress.Ladder, sampleBytes int) ([]CodecMeasuremen
 // ExtendedLadder returns A6's six-level ladder, exercising the paper's remark
 // that "it is conceivable to use the same compression algorithm at multiple
 // levels but with different parameters": lzfast-hc appears at two search
-// depths and DEFLATE sits between them and the range coder. The decision
+// depths, a quarter and four times MEDIUM's own so that they sit either side
+// of it in both speed and ratio, and DEFLATE sits between them and the range
+// coder. The decision
 // model needs no change for the larger ladder — dominated levels are simply
 // probed and abandoned. DEFLATE is not one of the codecs a Reader resolves by
 // default: a process that decodes this ladder's frames registers
@@ -61,8 +63,8 @@ func ExtendedLadder() compress.Ladder {
 	return compress.Ladder{
 		{Name: "NO", Codec: compress.None()},
 		{Name: "LIGHT", Codec: lzfast.Fast{}},
-		{Name: "MEDIUM-", Codec: lzfast.HC{Depth: 16}},
-		{Name: "MEDIUM+", Codec: lzfast.HC{Depth: 256}},
+		{Name: "MEDIUM-", Codec: lzfast.HC{Depth: 3}},
+		{Name: "MEDIUM+", Codec: lzfast.HC{Depth: 48}},
 		{Name: "FLATE", Codec: flatecodec.Codec{Level: 6}},
 		{Name: "HEAVY", Codec: lzheavy.Codec{}},
 	}

@@ -2,6 +2,7 @@ package experiments_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -62,10 +63,10 @@ func TestExtendedLadderRoundTrip(t *testing.T) {
 		})
 	}
 	// Deeper search compresses better at the same wire ID.
-	compress16 := ladder[2].Codec.Compress(nil, src[:128<<10])
-	compress256 := ladder[3].Codec.Compress(nil, src[:128<<10])
-	if len(compress256) >= len(compress16) {
-		t.Fatalf("MEDIUM+ (%d) should out-compress MEDIUM- (%d)", len(compress256), len(compress16))
+	shallow := ladder[2].Codec.Compress(nil, src[:128<<10])
+	deep := ladder[3].Codec.Compress(nil, src[:128<<10])
+	if len(deep) >= len(shallow) {
+		t.Fatalf("MEDIUM+ (%d) should out-compress MEDIUM- (%d)", len(deep), len(shallow))
 	}
 }
 
@@ -111,6 +112,38 @@ func TestCalibrateLadderExtended(t *testing.T) {
 		t.Errorf("MEDIUM+ ratio %.3f not better than MEDIUM- %.3f",
 			byLevel["MEDIUM+"]["HIGH"], byLevel["MEDIUM-"]["HIGH"])
 	}
+}
+
+// TestExtendedLadderStraddlesMedium: A6's two lzfast-hc levels are only
+// extra rungs if the default ladder's MEDIUM lies strictly between them, in
+// ratio and in speed, on the data where search depth matters. Ratios are
+// exact; speed is a reading on a shared host, so it gets three tries.
+func TestExtendedLadderStraddlesMedium(t *testing.T) {
+	ext := experiments.ExtendedLadder()
+	ladder := compress.Ladder{ext[0], ext[2], stream.DefaultLadder()[stream.LevelMedium], ext[3]}
+	var err error
+	for try := 0; try < 3; try++ {
+		err = nil
+		_, profiles, cerr := experiments.CalibrateLadder(ladder, 1<<20)
+		if cerr != nil {
+			t.Fatal(cerr)
+		}
+		minus, medium, plus := profiles[1], profiles[2], profiles[3]
+		for _, kind := range []corpus.Kind{corpus.High, corpus.Moderate} {
+			if !(plus.Ratio[kind] < medium.Ratio[kind] && medium.Ratio[kind] < minus.Ratio[kind]) {
+				t.Fatalf("%v ratio: MEDIUM- %.4f, MEDIUM %.4f, MEDIUM+ %.4f: not strictly falling",
+					kind, minus.Ratio[kind], medium.Ratio[kind], plus.Ratio[kind])
+			}
+			if !(plus.CompMBps[kind] < medium.CompMBps[kind] && medium.CompMBps[kind] < minus.CompMBps[kind]) {
+				err = fmt.Errorf("%v MB/s: MEDIUM- %.0f, MEDIUM %.0f, MEDIUM+ %.0f: not strictly falling",
+					kind, minus.CompMBps[kind], medium.CompMBps[kind], plus.CompMBps[kind])
+			}
+		}
+		if err == nil {
+			return
+		}
+	}
+	t.Error(err)
 }
 
 func TestCalibrateLadderRejectsInvalid(t *testing.T) {
