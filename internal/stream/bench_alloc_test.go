@@ -3,6 +3,7 @@ package stream_test
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 
 	"adaptio/internal/block/blocktest"
@@ -90,10 +91,10 @@ func encodeWire(tb testing.TB, data []byte, level int) []byte {
 	return wire.Bytes()
 }
 
-// writeBlock is the writer-side operation: one 128 KB block per call into a
-// long-lived static-LIGHT Writer (parallelism as in staticCfg) that
-// tb.Cleanup closes.
-func writeBlock(tb testing.TB, dst io.Writer, parallelism int) func() {
+// writeBlocks is the writer-side operation: the given number of 128 KB blocks
+// per call into a long-lived static-LIGHT Writer (parallelism as in
+// staticCfg) that tb.Cleanup closes.
+func writeBlocks(tb testing.TB, dst io.Writer, parallelism, blocks int) func() {
 	tb.Helper()
 	w, err := stream.NewWriter(dst, staticCfg(stream.LevelLight, parallelism))
 	if err != nil {
@@ -104,7 +105,7 @@ func writeBlock(tb testing.TB, dst io.Writer, parallelism int) func() {
 			tb.Error(err)
 		}
 	})
-	data := benchBlock(tb, stream.DefaultBlockSize)
+	data := benchBlock(tb, blocks*stream.DefaultBlockSize)
 	return func() {
 		if _, err := w.Write(data); err != nil {
 			tb.Fatal(err)
@@ -137,14 +138,14 @@ func lightFrames(tb testing.TB) io.Reader {
 // The scenarios. Steady: one block through a long-lived serial Writer, one
 // frame through a long-lived serial Reader, and both back to back over an
 // in-memory pipe. Pipeline/Parallel: the same with 4 workers.
-func allocWriterSteady(tb testing.TB) func()   { return writeBlock(tb, io.Discard, 0) }
-func allocPipelineWriter(tb testing.TB) func() { return writeBlock(tb, io.Discard, 4) }
+func allocWriterSteady(tb testing.TB) func()   { return writeBlocks(tb, io.Discard, 0, 1) }
+func allocPipelineWriter(tb testing.TB) func() { return writeBlocks(tb, io.Discard, 4, 1) }
 func allocReaderSteady(tb testing.TB) func()   { return readBlock(tb, lightFrames(tb), 1) }
 func allocParallelReader(tb testing.TB) func() { return readBlock(tb, lightFrames(tb), 4) }
 
 func allocRoundTripSerial(tb testing.TB) func() {
 	pipe := &benchPipe{}
-	write, read := writeBlock(tb, pipe, 0), readBlock(tb, pipe, 1)
+	write, read := writeBlocks(tb, pipe, 0, 1), readBlock(tb, pipe, 1)
 	roundTrip := func() { write(); read() }
 	roundTrip() // grow the transport once
 	return roundTrip
@@ -168,6 +169,14 @@ func allocWriterChurn(tb testing.TB) func() {
 	}
 }
 
+// allocSerialWriterTwoBlock: 256 KB per call into a long-lived serial Writer
+// built as a two-CPU process builds it, so every call forks its first block
+// (Writer.fork) and encodes the second itself.
+func allocSerialWriterTwoBlock(tb testing.TB) func() {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	return writeBlocks(tb, io.Discard, 0, 2)
+}
+
 func benchAlloc(b *testing.B, scenario func(testing.TB) func()) {
 	blocktest.BenchAllocs(b, stream.DefaultBlockSize, scenario(b))
 }
@@ -178,6 +187,9 @@ func BenchmarkAllocRoundTripSerial(b *testing.B) { benchAlloc(b, allocRoundTripS
 func BenchmarkAllocWriterChurn(b *testing.B)     { benchAlloc(b, allocWriterChurn) }
 func BenchmarkAllocPipelineWriter(b *testing.B)  { benchAlloc(b, allocPipelineWriter) }
 func BenchmarkAllocParallelReader(b *testing.B)  { benchAlloc(b, allocParallelReader) }
+func BenchmarkAllocSerialWriterTwoBlockSteady(b *testing.B) {
+	blocktest.BenchAllocs(b, 2*stream.DefaultBlockSize, allocSerialWriterTwoBlock(b))
+}
 
 // TestAllocBudgets is the allocation gate of the stream layer: every
 // scenario above, 300 operations each, against the ceilings written here.
@@ -200,6 +212,7 @@ func TestAllocBudgets(t *testing.T) {
 		{"WriterChurn", allocWriterChurn, 41, 24000},
 		{"PipelineWriter", allocPipelineWriter, 0, 2048},
 		{"ParallelReader", allocParallelReader, 0, 2048},
+		{"SerialWriterTwoBlockSteady", allocSerialWriterTwoBlock, 1, 512},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			blocktest.AllocBudget(t, 300, row.allocs, row.bytes, row.scenario(t))

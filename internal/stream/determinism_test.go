@@ -2,8 +2,9 @@ package stream_test
 
 // Wire-determinism property: for a pinned compression level, the bytes a
 // Writer puts on the wire are a pure function of the application bytes —
-// independent of who encodes them (the caller inline, a private worker pool,
-// or a pool shared with another writer; these also differ in
+// independent of who encodes them (the caller inline, goroutines forked for
+// one multi-block Write, a private worker pool, or a pool shared with another
+// writer; these also differ in
 // contiguous-vs-vectored framing and in which goroutine emits) and of how
 // the application chops its Write calls. The parallel reader relies on
 // frames being self-describing, not on this property, but it pins down that
@@ -151,6 +152,12 @@ func TestWireDeterminismSerialVsParallel(t *testing.T) {
 				if !bytes.Equal(want, reChunked) {
 					t.Fatal("serial wire bytes depend on application chunk sizes")
 				}
+			}
+
+			// One Write of the whole source: above GOMAXPROCS 1 the inline
+			// writer encodes its blocks in forked batches.
+			if !bytes.Equal(want, encodeWire(t, src, level)) {
+				t.Fatal("serial wire bytes of one multi-block Write differ from the chunked writer's")
 			}
 
 			// Two writers on one shared worker set, fed turn and turn about,

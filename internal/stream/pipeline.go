@@ -1,10 +1,6 @@
 package stream
 
-import (
-	"sync"
-
-	"adaptio/internal/block"
-)
+import "sync"
 
 // The block pipeline is the Writer's multi-core mode: cut blocks run through
 // Writer.encode concurrently and through Writer.emit in the order they were
@@ -76,10 +72,7 @@ func (e *EncodePool) worker() {
 	defer e.wg.Done()
 	for job := range e.jobs {
 		p := job.from
-		f := p.w.encode(job.compressJob, block.Get(maxFrameSize(len(job.block.B))))
-		if f.tail == nil {
-			job.block.Release()
-		}
+		f := p.w.encodeOwned(job.compressJob)
 		p.mu.Lock()
 		p.put(f)
 		p.mu.Unlock()

@@ -8,9 +8,12 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"adaptio/internal/block"
 	"adaptio/internal/block/blocktest"
 	"adaptio/internal/corpus"
+	"adaptio/internal/faultio"
 	"adaptio/internal/faultio/leakcheck"
 )
 
@@ -90,29 +93,133 @@ func TestNoWriteAfterFailedFrame(t *testing.T) {
 	}
 }
 
+// TestForkedWriteErrorIsSynchronous: the wire failing on frame j of a k-block
+// Write is that Write's error, at any batch width. Frames before j are on
+// the wire and in the counters, frame j and everything after it are neither,
+// and when the call returns every forked encode has been joined — HEAVY
+// keeps the later ones of a wide batch running well past the failure — and
+// every buffer but the writer's own two is back in the arena.
+func TestForkedWriteErrorIsSynchronous(t *testing.T) {
+	const blockSize, k = 8 << 10, 11
+	src := corpus.Generate(corpus.Moderate, k*blockSize, 9)
+	cfg := WriterConfig{Static: true, StaticLevel: LevelHeavy, BlockSize: blockSize}
+	var clean bytes.Buffer
+	w := mustWriter(t, &clean, cfg)
+	if _, err := w.Write(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// ends[i] is the wire offset at which frame i ends.
+	var ends []int64
+	for _, h := range wireFrames(t, clean.Bytes()) {
+		ends = append(ends, int64(headerSize+h.compLen))
+		if n := len(ends); n > 1 {
+			ends[n-1] += ends[n-2]
+		}
+	}
+	if len(ends) != k {
+		t.Fatalf("%d frames on the clean wire, want %d", len(ends), k)
+	}
+
+	for _, procs := range []int{1, 2, 4, sharedInFlight} {
+		for _, j := range []int{0, 1, 3, 7, k - 1} {
+			t.Run(fmt.Sprintf("GOMAXPROCS%d/frame%d", procs, j), func(t *testing.T) {
+				leakcheck.Check(t)
+				blocktest.Track(t)
+				var before int64
+				if j > 0 {
+					before = ends[j-1]
+				}
+				// One byte of frame j gets through, then the wire is gone.
+				var got bytes.Buffer
+				dst := faultio.NewWriter(&got, faultio.Config{ResetAfter: before + 1})
+				gets, releases, _ := block.Stats()
+				w := newWriterAt(t, procs, dst, cfg)
+				n, err := w.Write(src)
+				if !errors.Is(err, faultio.ErrInjected) {
+					t.Fatalf("Write returned %d, %v; want the wire's error from the call that hit it", n, err)
+				}
+				if g, r, _ := block.Stats(); (g-gets)-(r-releases) != 2 {
+					t.Errorf("%d arena buffers out when Write returned, want the writer's block and frame scratch: a forked encode outlived the call",
+						(g-gets)-(r-releases))
+				}
+				if !bytes.Equal(got.Bytes(), clean.Bytes()[:before+1]) {
+					t.Errorf("the wire holds %d bytes, want frames 0..%d and one byte more (%d)", got.Len(), j-1, before+1)
+				}
+				if st := w.Stats(); st.Blocks != int64(j) || st.WireBytes != before {
+					t.Errorf("accounted %d frames and %d wire bytes, want %d and %d", st.Blocks, st.WireBytes, j, before)
+				}
+				if _, err := w.Write(src[:1]); !errors.Is(err, faultio.ErrInjected) {
+					t.Errorf("second Write returned %v, want the sticky error", err)
+				}
+				if err := w.Flush(); !errors.Is(err, faultio.ErrInjected) {
+					t.Errorf("Flush returned %v, want the sticky error", err)
+				}
+				if err := w.Close(); !errors.Is(err, faultio.ErrInjected) {
+					t.Errorf("Close returned %v, want the sticky error", err)
+				}
+				if g, r, _ := block.Stats(); g-gets != r-releases {
+					t.Errorf("%d arena gets, %d releases after Close", g-gets, r-releases)
+				}
+			})
+		}
+	}
+}
+
+// idleGoroutines returns the goroutine count once it is down to floor, or
+// after a grace period: a forked encode signals its frame a few instructions
+// before it exits.
+func idleGoroutines(floor int) int {
+	deadline := time.Now().Add(2 * time.Second)
+	n := runtime.NumGoroutine()
+	for n > floor && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
 // TestInlineModesStartNoGoroutine: the inline writer and reader — including
-// NewParallelWriter and NewParallelReader asked for one worker — do all
-// their work on the caller's goroutine.
+// NewParallelWriter and NewParallelReader asked for one worker — own no
+// goroutine. At GOMAXPROCS 1 they never start one; above it a multi-block
+// Write forks encodes that it joins before it returns, so none is running
+// while the writer is idle.
 func TestInlineModesStartNoGoroutine(t *testing.T) {
 	src := corpus.Generate(corpus.Moderate, 300<<10, 3)
 	before := runtime.NumGoroutine()
 	var wire bytes.Buffer
-	for _, open := range []func() (*Writer, error){
-		func() (*Writer, error) { return NewWriter(&wire, WriterConfig{Parallelism: 1}) },
-		func() (*Writer, error) { return NewParallelWriter(&wire, WriterConfig{}, 1) },
-	} {
-		w, err := open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Write(src); err != nil {
-			t.Fatal(err)
-		}
-		if n := runtime.NumGoroutine(); n > before {
-			t.Errorf("inline writer running: %d goroutines, %d before", n, before)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
+	for _, procs := range []int{1, runtime.GOMAXPROCS(0), sharedInFlight} {
+		for _, open := range []func() (*Writer, error){
+			func() (*Writer, error) { return NewWriter(&wire, WriterConfig{Parallelism: 1, BlockSize: 16 << 10}) },
+			func() (*Writer, error) { return NewParallelWriter(&wire, WriterConfig{BlockSize: 16 << 10}, 1) },
+		} {
+			prev := runtime.GOMAXPROCS(procs)
+			w, err := open()
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if procs == 1 {
+				// Count from inside the call: the destination runs on the
+				// caller's goroutine, between two encodes.
+				w.dst = writerFunc(func(p []byte) (int, error) {
+					if n := runtime.NumGoroutine(); n > before {
+						t.Errorf("inline writer at GOMAXPROCS 1 mid-Write: %d goroutines, %d before", n, before)
+					}
+					return wire.Write(p)
+				})
+			}
+			if _, err := w.Write(src); err != nil {
+				t.Fatal(err)
+			}
+			if n := idleGoroutines(before); n > before {
+				t.Errorf("inline writer idle at GOMAXPROCS %d: %d goroutines, %d before", procs, n, before)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	r, err := NewParallelReader(&wire, 1)
@@ -127,3 +234,7 @@ func TestInlineModesStartNoGoroutine(t *testing.T) {
 	}
 	r.Close()
 }
+
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }

@@ -132,9 +132,13 @@ type WriterConfig struct {
 	// keeps the writer fully functional with unregistered metrics.
 	Obs *obs.Scope
 	// Parallelism compresses blocks on an order-preserving worker pool of
-	// the given size, private to this writer; 0 and 1 mean synchronous
-	// compression. Frames stay strictly ordered on the wire, so the receiver
-	// needs no changes.
+	// the given size, private to this writer, which runs ahead of the wire:
+	// Write returns with frames still in flight. 0 and 1 mean no pool and no
+	// run-ahead — every byte of a Write is on the wire when it returns —
+	// which is not the same as one core: a Write that carries several blocks
+	// still encodes them side by side, up to GOMAXPROCS at a time (see
+	// Writer.fork). Frames stay strictly ordered on the wire, so the
+	// receiver needs no changes.
 	Parallelism int
 	// Pool, if non-nil, compresses blocks on workers this writer shares with
 	// others (NewEncodePool) instead of starting its own: the writer adds
@@ -159,11 +163,23 @@ type Writer struct {
 	// frame is the inline mode's frame scratch. Both come from the block
 	// arena and return to it in Close. With a worker pool, blk is handed to
 	// the pipeline whole on every cut block (zero copy) and a fresh arena
-	// buffer takes its place; every frame gets its own arena buffer.
+	// buffer takes its place; every frame gets its own arena buffer. A block
+	// the inline mode forks (see fork) travels the same way.
 	blk    *block.Buf
 	frame  *block.Buf
 	staged int64     // bytes of blk.B that arrived via Write (copied in)
 	pipe   *pipeline // non-nil when Parallelism > 1 or Pool is set
+
+	// The inline mode's batch: forks[:forked] are the blocks of the current
+	// Write call being encoded on goroutines of their own, in cut order;
+	// width is how many blocks a batch may hold, the caller's own included.
+	// forked is zero whenever no call is running. wireBound is the verdict of
+	// the last batch timed (see closeBatch): the wire, not the encoder, is
+	// what the caller waits for, so a second core would buy nothing.
+	forks     [sharedInFlight - 1]forkedFrame
+	forked    int
+	width     int
+	wireBound bool
 
 	level       int
 	windowStart time.Time
@@ -259,6 +275,7 @@ func NewWriter(dst io.Writer, cfg WriterConfig) (*Writer, error) {
 		w.pipe = newPipeline(w, cfg.Pool, false)
 	default:
 		w.frame = block.Get(maxFrameSize(cfg.BlockSize))
+		w.width = min(runtime.GOMAXPROCS(0), sharedInFlight)
 	}
 	w.windowStart = w.clock.Now()
 	return w, nil
@@ -324,10 +341,93 @@ func (w *Writer) encode(job compressJob, frameBuf *block.Buf) encodedFrame {
 	return f
 }
 
+// encodeOwned is encode for a block that has left the caller: a pool worker
+// and a forked goroutine run exactly this. The frame goes into an arena
+// buffer of its own, and the block goes back to the arena here unless the
+// frame came out stored raw and carries it on as its tail.
+func (w *Writer) encodeOwned(job compressJob) encodedFrame {
+	f := w.encode(job, block.Get(maxFrameSize(len(job.block.B))))
+	if f.tail == nil {
+		job.block.Release()
+	}
+	return f
+}
+
+// forkedFrame is one slot of the inline mode's batch: done is released once
+// f holds the encoded frame.
+type forkedFrame struct {
+	done sync.WaitGroup
+	f    encodedFrame
+}
+
+// fork is the inline writer's use of a second core: a block cut while the
+// Write call that filled it still holds another whole block is encoded on a
+// goroutine that lives for that call, while the caller carries on staging in
+// a fresh arena buffer. The caller encodes the last block of the batch
+// itself and then joins (see join), so nothing is in flight when Write
+// returns: errors stay synchronous, Flush has nothing to wait for, and the
+// decider, OnWindow and every wire write stay on the caller's goroutine.
+// Unlike a pipeline this never runs ahead of the wire, which on a wire-bound
+// path would add a block's wire time to latency per block in flight.
+func (w *Writer) fork(job compressJob) {
+	s := &w.forks[w.forked]
+	w.forked++
+	s.done.Add(1)
+	go func() {
+		s.f = w.encodeOwned(job)
+		s.done.Done()
+	}()
+	w.blk = block.Get(w.cfg.BlockSize)
+}
+
+// join closes a batch: it emits the forked frames in cut order, waiting for
+// each, and releases their buffers — written, or refused by emit after an
+// earlier write error, in which case the encodes still running are waited
+// for all the same: no goroutine outlives the call.
+func (w *Writer) join() {
+	for i := range w.forks[:w.forked] {
+		s := &w.forks[i]
+		s.done.Wait()
+		w.emit(s.f) // a failure is sticky: the caller's own emit reports it
+		s.f.release()
+		s.f = encodedFrame{}
+	}
+	w.forked = 0
+}
+
+// closeBatch encodes the last block of a batch — or all of it — on the
+// caller's goroutine, beside the forked ones, then puts every frame on the
+// wire in cut order. The batches of a multi-block Write are timed: when the
+// wire kept the caller waiting for more than half of what the batch's encodes
+// took (the caller's own, times the blocks), the call is waiting for the
+// wire and the next batch does not fork — a paced wire takes two gaps of one
+// encode each better than one longer gap, and a second core that buys
+// nothing is a neighbour's. A batch the encoder holds up finds the wire
+// ready, and the next one forks again. A single-block call reads no clock.
+func (w *Writer) closeBatch(job compressJob, timed bool) error {
+	var start, encoded time.Time
+	if timed {
+		start = w.clock.Now()
+	}
+	f := w.encode(job, w.frame)
+	if timed {
+		encoded = w.clock.Now()
+	}
+	blocks := time.Duration(w.forked + 1)
+	w.join()
+	w.err = w.emit(f)
+	w.blk.B = w.blk.B[:0]
+	if timed {
+		w.wireBound = 2*w.clock.Now().Sub(encoded) > blocks*encoded.Sub(start)
+	}
+	return w.err
+}
+
 // emit puts one encoded frame on the wire — vectored when it carries a
 // stored-raw tail piece, so the block is never copied into the frame buffer
 // — and accounts it. It is the single frame writer: the inline writer calls
-// it on the caller's goroutine, the pool from its flusher, in frame order.
+// it on the caller's goroutine (forked frames included), the pool from its
+// flusher, in frame order.
 // The first write error is sticky: the stream has a hole from there on, so
 // every later frame is refused unwritten and unaccounted.
 func (w *Writer) emit(f encodedFrame) error {
@@ -419,8 +519,20 @@ func (w *Writer) Write(p []byte) (int, error) {
 		total += n
 		w.staged += int64(n)
 		w.accept(n)
-		if len(w.blk.B) == w.cfg.BlockSize && w.flushBlock() != nil {
+		if len(w.blk.B) < w.cfg.BlockSize {
+			break // p is spent
+		}
+		// more: this call will cut another whole block, so this one may be
+		// encoded beside it.
+		more := len(p) >= w.cfg.BlockSize
+		if w.flushBlock(more) != nil {
 			return total, w.err
+		}
+		if more && w.forked == 0 {
+			// Between two batches nothing is pending, and inline nothing
+			// is in flight: a long Write closes its decision windows here,
+			// not in one piece at its return.
+			w.maybeDecide()
 		}
 	}
 	w.maybeDecide()
@@ -459,14 +571,14 @@ func (w *Writer) ReadDirect(r io.Reader) (int, error) {
 	if w.closed {
 		return 0, errors.New("stream: read after Close")
 	}
-	if len(w.blk.B) == w.cfg.BlockSize && w.flushBlock() != nil {
+	if len(w.blk.B) == w.cfg.BlockSize && w.flushBlock(false) != nil {
 		return 0, w.err
 	}
 	n, err := r.Read(w.blk.B[len(w.blk.B):w.cfg.BlockSize])
 	if n > 0 {
 		w.blk.B = w.blk.B[:len(w.blk.B)+n]
 		w.accept(n)
-		if len(w.blk.B) == w.cfg.BlockSize && w.flushBlock() != nil && err == nil {
+		if len(w.blk.B) == w.cfg.BlockSize && w.flushBlock(false) != nil && err == nil {
 			err = w.err
 		}
 	}
@@ -494,7 +606,7 @@ func (w *Writer) ReadFrom(r io.Reader) (int64, error) {
 // pool, waits until every in-flight frame has reached the underlying
 // writer. It does not flush the underlying writer.
 func (w *Writer) Flush() error {
-	if !w.closed && w.err == nil && w.flushBlock() == nil && w.pipe != nil {
+	if !w.closed && w.err == nil && w.flushBlock(false) == nil && w.pipe != nil {
 		w.err = w.pipe.drain()
 	}
 	return w.err
@@ -525,11 +637,14 @@ func (w *Writer) Close() error {
 }
 
 // flushBlock cuts the pending bytes into one frame: encoded and emitted on
-// the spot, or handed to the pipeline. The entropy probe runs here, before
-// any codec and on the caller's goroutine, because its verdict also routes
-// the block: a block that will be stored raw (identity level, or hopeless)
-// never visits a worker. A failure is recorded in w.err.
-func (w *Writer) flushBlock() error {
+// the spot, forked, or handed to the pipeline. more says the running Write
+// holds another whole block to encode beside this one; Flush, Close, a level
+// switch and ReadDirect (whose next block waits on the source, so this one
+// must not wait for it) pass false. The entropy probe runs here, before any
+// codec and on the caller's goroutine, because its verdict also routes the
+// block: a block that will be stored raw (identity level, or hopeless) never
+// visits a worker or a forked goroutine. A failure is recorded in w.err.
+func (w *Writer) flushBlock(more bool) error {
 	if len(w.blk.B) == 0 {
 		return nil
 	}
@@ -540,9 +655,12 @@ func (w *Writer) flushBlock() error {
 	}
 	w.staged = 0
 	if w.pipe == nil {
-		w.err = w.emit(w.encode(job, w.frame))
-		w.blk.B = w.blk.B[:0]
-		return w.err
+		forkable := w.width > 1 && compresses && !job.hopeless
+		if forkable && more && w.forked < w.width-1 && !w.wireBound {
+			w.fork(job)
+			return nil
+		}
+		return w.closeBatch(job, forkable && (more || w.forked > 0))
 	}
 	// The pipeline owns the block from here (it releases it once the frame
 	// is encoded or written); carry on in a fresh one.
@@ -605,7 +723,7 @@ func (w *Writer) finishWindow(final bool) {
 	if next != w.level {
 		// Cut the pending block so data buffered under the old level is
 		// not compressed with the new one mid-window accounting.
-		if w.flushBlock() != nil {
+		if w.flushBlock(false) != nil {
 			return
 		}
 		w.level = next
