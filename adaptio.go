@@ -32,8 +32,8 @@
 //   - internal/core — the rate-based decision model (Algorithm 1) and the
 //     one level-selection seam every layer shares: Policy, the Window a
 //     driver observes, and the ObserveWindow dispatch
-//   - internal/stream — block framing, adaptive Writer/Reader (each with
-//     an optional worker pool behind the same type)
+//   - internal/stream — block framing, adaptive Writer (with an optional
+//     encode worker pool behind the same type) and Reader
 //   - internal/compress — codec ladder: from-scratch LZ77 (lzfast, the
 //     QuickLZ stand-in) and LZ77+range-coder (lzheavy, the LZMA stand-in)
 //   - internal/nephele — a miniature Nephele dataflow engine whose network
@@ -128,15 +128,6 @@ func NewWriter(dst io.Writer, cfg WriterConfig) (*Writer, error) {
 // NewReader creates a decompressing reader over src.
 func NewReader(src io.Reader) (*Reader, error) {
 	return stream.NewReader(src)
-}
-
-// NewParallelReader creates a Reader whose frames are decoded on a pool of
-// workers while the bytes are delivered strictly in order — the receive-side
-// counterpart of WriterConfig.Parallelism, and the same Reader in every
-// other respect. One worker or fewer is NewReader. Close it when abandoning
-// the stream before EOF.
-func NewParallelReader(src io.Reader, workers int) (*Reader, error) {
-	return stream.NewParallelReader(src, workers)
 }
 
 // NewDecider creates a standalone paper-faithful decision model.

@@ -113,7 +113,7 @@ func TestPublicParallelPaths(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := adaptio.NewParallelReader(&wire, 4)
+	r, err := adaptio.NewReader(&wire)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,10 @@
 // Usage:
 //
 //	tar c /data | acpipe | ssh host 'acpipe -d | tar x'
-//	acpipe [-d] [-static -1|0..3] [-window 2s] [-alpha 0.2] [-stats]
+//	acpipe [-d] [-static -1|0..3] [-window 2s] [-alpha 0.2] [-p 1] [-stats]
+//
+// -p sets the compress side's encode workers; -d accepts it and ignores it,
+// since one core decodes faster than the encoders produce.
 package main
 
 import (
@@ -27,13 +30,13 @@ func main() {
 		static   = flag.Int("static", adaptio.Adaptive, "static level 0..3, or -1 for adaptive")
 		window   = flag.Duration("window", 2*time.Second, "decision window t")
 		alpha    = flag.Float64("alpha", adaptio.DefaultAlpha, "tolerance band alpha")
-		parallel = flag.Int("p", 1, "compress blocks on this many parallel workers")
+		parallel = flag.Int("p", 1, "compress blocks on this many parallel workers (compress side only)")
 		stats    = flag.Bool("stats", false, "print stream statistics to stderr on completion")
 	)
 	flag.Parse()
 
 	if *dec {
-		if err := decompress(os.Stdin, os.Stdout, *parallel); err != nil {
+		if err := decompress(os.Stdin, os.Stdout); err != nil {
 			fatal(err)
 		}
 		return
@@ -79,8 +82,8 @@ func compressStream(in io.Reader, out io.Writer, static int, window time.Duratio
 	return nil
 }
 
-func decompress(in io.Reader, out io.Writer, parallel int) error {
-	r, err := adaptio.NewParallelReader(in, parallel)
+func decompress(in io.Reader, out io.Writer) error {
+	r, err := adaptio.NewReader(in)
 	if err != nil {
 		return err
 	}

@@ -2,12 +2,50 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
 
 	"adaptio"
+	"adaptio/internal/corpus"
 )
+
+// TestMain lets a test run the command itself: with ACPIPE_ARGS set, the
+// test binary is acpipe with those arguments.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("ACPIPE_ARGS"); ok {
+		os.Args = append([]string{"acpipe"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestDecompressAcceptsWorkers: -p is a compress-side flag, but `acpipe -d
+// -p 4` is still accepted and decodes to exactly what `acpipe -d` does.
+func TestDecompressAcceptsWorkers(t *testing.T) {
+	src := corpus.Generate(corpus.Moderate, 600<<10, 4)
+	var wire bytes.Buffer
+	if err := compressStream(bytes.NewReader(src), &wire, adaptio.LevelLight, 2*time.Second, adaptio.DefaultAlpha, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range []string{"-d", "-d -p 4"} {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), "ACPIPE_ARGS="+args)
+		cmd.Stdin = bytes.NewReader(wire.Bytes())
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("acpipe %s: %v: %s", args, err, stderr.Bytes())
+		}
+		if !bytes.Equal(out, src) {
+			t.Errorf("acpipe %s decoded %d bytes that differ from the %d-byte source", args, len(out), len(src))
+		}
+	}
+}
 
 // TestEmptyStreamStats: `acpipe -stats < /dev/null` used to divide the wire
 // bytes by zero application bytes and print "ratio NaN". An empty stream has
@@ -22,7 +60,7 @@ func TestEmptyStreamStats(t *testing.T) {
 		t.Errorf("stats = %q, want %q", stats.String(), want)
 	}
 	var out bytes.Buffer
-	if err := decompress(&wire, &out, 1); err != nil || out.Len() != 0 {
+	if err := decompress(&wire, &out); err != nil || out.Len() != 0 {
 		t.Errorf("empty stream decoded to %d bytes, err %v", out.Len(), err)
 	}
 }

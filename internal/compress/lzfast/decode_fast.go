@@ -3,7 +3,7 @@ package lzfast
 // This file holds the production block decoder: an LZ4-style fast loop that
 // decodes into a pre-extended output window instead of the reference
 // decoder's per-byte appends. The token grammar is unchanged —
-// decompressBlockRef in lzfast.go remains the executable specification, and
+// decompressBlockRef in ref_test.go remains the executable specification, and
 // the differential tests (TestDecompressDifferential, FuzzDecompressFast)
 // pin this decoder to it: identical output on every valid block, agreement
 // on accept/reject for every malformed one.

@@ -3,7 +3,7 @@ package lzfast
 // This file holds the production fast-mode encoder. The parse — candidate
 // resolution and acceptance, backward extension, hash-table updates,
 // end-of-match seeding, skip acceleration — is copied decision-for-decision
-// from compressFastRef in lzfast.go, which remains the executable
+// from compressFastRef in ref_test.go, which remains the executable
 // specification; what changed is the machinery around it:
 //
 //   - source loads and match extension go through the tag-selected kernel

@@ -85,7 +85,7 @@ func chaosPayload(seed uint64) []byte {
 }
 
 // runStreamScenario pushes payload through stream.Writer → faulty wire →
-// stream.Reader (ParallelReader on odd seeds) with faults on the write side
+// stream.Reader (drained by WriteTo on odd seeds) with faults on the write side
 // for even seeds and on the read side for odd ones. It enforces a bounded
 // runtime: a stalled transfer is released after stallRelease and must then
 // surface the stall error.
@@ -149,20 +149,15 @@ func runStreamScenario(t *testing.T, seed uint64, payload []byte) outcome {
 			wireR = fr
 			frMu.Unlock()
 		}
-		if seed%2 == 1 {
-			pr, err := stream.NewParallelReader(wireR, 3)
-			if err != nil {
-				resCh <- result{nil, err}
-				return
-			}
-			defer pr.Close()
-			got, rerr := io.ReadAll(pr)
-			resCh <- result{got, rerr}
-			return
-		}
 		r, err := stream.NewReader(wireR)
 		if err != nil {
 			resCh <- result{nil, err}
+			return
+		}
+		if seed%2 == 1 {
+			var got bytes.Buffer
+			_, rerr := r.WriteTo(&got)
+			resCh <- result{got.Bytes(), rerr}
 			return
 		}
 		got, rerr := io.ReadAll(r)

@@ -37,8 +37,8 @@ func TestSerialStreamReleasesAllBuffers(t *testing.T) {
 }
 
 // TestParallelStreamReleasesAllBuffers asserts the same contract for the
-// worker-pool paths: pipeline Writer and ParallelReader, both drained to
-// completion and both abandoned mid-stream via Close.
+// pipeline Writer's stream, read both to completion and abandoned mid-stream
+// via Close.
 func TestParallelStreamReleasesAllBuffers(t *testing.T) {
 	blocktest.Track(t)
 	data := benchBlock(t, 500<<10)
@@ -57,7 +57,7 @@ func TestParallelStreamReleasesAllBuffers(t *testing.T) {
 	wire := append([]byte(nil), pipe.buf...)
 
 	// Drained to EOF.
-	r, err := stream.NewParallelReader(pipe, 4)
+	r, err := stream.NewReader(pipe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +66,10 @@ func TestParallelStreamReleasesAllBuffers(t *testing.T) {
 	}
 	r.Close()
 
-	// Abandoned mid-stream: Close must reclaim all in-flight frames.
+	// Abandoned mid-stream: Close must reclaim the reader's buffers.
 	pipe2 := &benchPipe{}
 	pipe2.buf = wire
-	r2, err := stream.NewParallelReader(pipe2, 4)
+	r2, err := stream.NewReader(pipe2)
 	if err != nil {
 		t.Fatal(err)
 	}

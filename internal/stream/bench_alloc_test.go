@@ -114,10 +114,10 @@ func writeBlocks(tb testing.TB, dst io.Writer, parallelism, blocks int) func() {
 }
 
 // readBlock is the reader-side operation: one 128 KB frame per call through
-// a long-lived Reader (inline at one worker) over src.
-func readBlock(tb testing.TB, src io.Reader, workers int) func() {
+// a long-lived Reader that open builds over src.
+func readBlock(tb testing.TB, src io.Reader, open func(io.Reader) (*stream.Reader, error)) func() {
 	tb.Helper()
-	r, err := stream.NewParallelReader(src, workers)
+	r, err := open(src)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -136,16 +136,22 @@ func lightFrames(tb testing.TB) io.Reader {
 }
 
 // The scenarios. Steady: one block through a long-lived serial Writer, one
-// frame through a long-lived serial Reader, and both back to back over an
-// in-memory pipe. Pipeline/Parallel: the same with 4 workers.
+// frame through a long-lived Reader, and both back to back over an
+// in-memory pipe. PipelineWriter: the writer with 4 workers. ParallelReader:
+// the deprecated NewParallelReader shim asked for 4 workers, which must cost
+// what NewReader does.
 func allocWriterSteady(tb testing.TB) func()   { return writeBlocks(tb, io.Discard, 0, 1) }
 func allocPipelineWriter(tb testing.TB) func() { return writeBlocks(tb, io.Discard, 4, 1) }
-func allocReaderSteady(tb testing.TB) func()   { return readBlock(tb, lightFrames(tb), 1) }
-func allocParallelReader(tb testing.TB) func() { return readBlock(tb, lightFrames(tb), 4) }
+func allocReaderSteady(tb testing.TB) func()   { return readBlock(tb, lightFrames(tb), stream.NewReader) }
+func allocParallelReader(tb testing.TB) func() {
+	return readBlock(tb, lightFrames(tb), func(src io.Reader) (*stream.Reader, error) {
+		return stream.NewParallelReader(src, 4)
+	})
+}
 
 func allocRoundTripSerial(tb testing.TB) func() {
 	pipe := &benchPipe{}
-	write, read := writeBlocks(tb, pipe, 0, 1), readBlock(tb, pipe, 1)
+	write, read := writeBlocks(tb, pipe, 0, 1), readBlock(tb, pipe, stream.NewReader)
 	roundTrip := func() { write(); read() }
 	roundTrip() // grow the transport once
 	return roundTrip
@@ -186,7 +192,6 @@ func BenchmarkAllocReaderSteady(b *testing.B)    { benchAlloc(b, allocReaderStea
 func BenchmarkAllocRoundTripSerial(b *testing.B) { benchAlloc(b, allocRoundTripSerial) }
 func BenchmarkAllocWriterChurn(b *testing.B)     { benchAlloc(b, allocWriterChurn) }
 func BenchmarkAllocPipelineWriter(b *testing.B)  { benchAlloc(b, allocPipelineWriter) }
-func BenchmarkAllocParallelReader(b *testing.B)  { benchAlloc(b, allocParallelReader) }
 func BenchmarkAllocSerialWriterTwoBlockSteady(b *testing.B) {
 	blocktest.BenchAllocs(b, 2*stream.DefaultBlockSize, allocSerialWriterTwoBlock(b))
 }
@@ -195,10 +200,10 @@ func BenchmarkAllocSerialWriterTwoBlockSteady(b *testing.B) {
 // scenario above, 300 operations each, against the ceilings written here.
 // Steady rows read 0 allocs/op and 0 B/op; their byte ceilings are room for
 // one pooled buffer missed on a P that had none cached (a 160 KB block is
-// 546 B/op here), three of them on the rows that hand buffers between
-// goroutines. WriterChurn reads 38 allocs/op and 20.7 KB/op, nearly all of
-// it obs metric registration; the ceiling leaves 3 allocations and 15 % of
-// the bytes. A change that moves a reading moves its ceiling in the same
+// 546 B/op here), three of them on PipelineWriter, which hands buffers
+// between goroutines. WriterChurn reads 38 allocs/op and 20.7 KB/op, nearly
+// all of it obs metric registration; the ceiling leaves 3 allocations and
+// 15 % of the bytes. A change that moves a reading moves its ceiling in the same
 // diff.
 func TestAllocBudgets(t *testing.T) {
 	for _, row := range []struct {
@@ -211,7 +216,7 @@ func TestAllocBudgets(t *testing.T) {
 		{"ReaderSteady", allocReaderSteady, 0, 512},
 		{"WriterChurn", allocWriterChurn, 41, 24000},
 		{"PipelineWriter", allocPipelineWriter, 0, 2048},
-		{"ParallelReader", allocParallelReader, 0, 2048},
+		{"ParallelReader", allocParallelReader, 0, 512},
 		{"SerialWriterTwoBlockSteady", allocSerialWriterTwoBlock, 1, 512},
 	} {
 		t.Run(row.name, func(t *testing.T) {

@@ -182,10 +182,8 @@ func encodeFramePieces(scratch []byte, ladder compress.Ladder, level int, block 
 	return scratch[:headerSize], block, compress.IDNone
 }
 
-// frameSource reads frames off the wire one after another. It is the serial
-// stage in front of both reader modes — the inline reader calls it from
-// fill, the pool from its wire goroutine — and the one place that knows a
-// frame's index and wire offset.
+// frameSource reads frames off the wire one after another for the Reader's
+// fill, and is the one place that knows a frame's index and wire offset.
 type frameSource struct {
 	src    io.Reader
 	hdr    [headerSize]byte // header scratch, reused every frame
@@ -221,7 +219,7 @@ func fit(buf *block.Buf, n int) *block.Buf {
 }
 
 // next reads one frame, its payload into buf when that is large enough (the
-// inline reader recycles one buffer this way; nil asks for a fresh one). The
+// reader recycles one buffer this way; nil asks for a fresh one). The
 // caller owns the returned frame's payload buffer. It returns io.EOF at a
 // clean end of stream — no header byte read — and a *FrameError if the
 // stream ends inside the frame or the header is damaged; buf is released on

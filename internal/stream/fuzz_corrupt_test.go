@@ -27,16 +27,17 @@ func corruptSeedWire(tb testing.TB) []byte {
 	return wire.Bytes()
 }
 
-// FuzzReaderCorruptStream hammers both frame readers with corrupt wire
-// bytes and checks the documented corrupt-frame policy differentially:
+// FuzzReaderCorruptStream hammers the frame reader with corrupt wire bytes
+// and checks the documented corrupt-frame policy differentially across its
+// two delivery methods:
 //
-//   - neither reader mode (inline, worker pool) panics or leaks goroutines;
+//   - neither Read nor WriteTo panics;
 //   - any failure wraps ErrBadFrame (io.ErrUnexpectedEOF marks honest
 //     truncation of the final frame, which the format cannot distinguish
 //     from a short wire);
-//   - both readers deliver the identical byte prefix and agree on whether
-//     the stream is acceptable — the parallel path must never deliver
-//     bytes the sequential path would reject, or vice versa.
+//   - both deliver the identical byte prefix and agree on whether the
+//     stream is acceptable — the zero-copy WriteTo path must never deliver
+//     bytes the Read path would reject, or vice versa.
 //
 // Seeds come from the chaos suite's failure modes: truncation, bit flips
 // in header and payload, and garbage splices (testdata/fuzz).
@@ -60,14 +61,18 @@ func FuzzReaderCorruptStream(f *testing.F) {
 		}
 		seqOut, seqErr := io.ReadAll(r)
 
-		pr, err := NewParallelReader(bytes.NewReader(data), 3)
+		wr, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
-		parOut, parErr := io.ReadAll(pr)
-		pr.Close()
+		var sink bytes.Buffer
+		_, wtErr := wr.WriteTo(&sink)
+		wtOut := sink.Bytes()
+		if len(wtOut) == 0 {
+			wtOut = nil // as io.ReadAll reports nothing delivered
+		}
 
-		for name, err := range map[string]error{"reader": seqErr, "parallel": parErr} {
+		for name, err := range map[string]error{"Read": seqErr, "WriteTo": wtErr} {
 			if err == nil || errors.Is(err, io.ErrUnexpectedEOF) {
 				continue
 			}
@@ -75,11 +80,11 @@ func FuzzReaderCorruptStream(f *testing.F) {
 				t.Fatalf("%s failed without wrapping ErrBadFrame: %v", name, err)
 			}
 		}
-		if !bytes.Equal(seqOut, parOut) {
-			t.Fatalf("readers disagree on delivered bytes: sequential %d, parallel %d", len(seqOut), len(parOut))
+		if !bytes.Equal(seqOut, wtOut) {
+			t.Fatalf("delivery methods disagree on delivered bytes: Read %d, WriteTo %d", len(seqOut), len(wtOut))
 		}
-		if (seqErr == nil) != (parErr == nil) {
-			t.Fatalf("readers disagree on acceptability: sequential err=%v, parallel err=%v", seqErr, parErr)
+		if (seqErr == nil) != (wtErr == nil) {
+			t.Fatalf("delivery methods disagree on acceptability: Read err=%v, WriteTo err=%v", seqErr, wtErr)
 		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"adaptio/internal/core"
+	"adaptio/internal/corpus"
 	"adaptio/internal/obs"
 	"adaptio/internal/vclock"
 )
@@ -170,5 +171,48 @@ func TestWriterObsCounters(t *testing.T) {
 	}
 	if !bytes.Equal(out, payload) {
 		t.Fatal("instrumented stream round trip mismatch")
+	}
+}
+
+// TestSharedScopeStatsArePerWriter pins why Stats and the obs counters are
+// kept apart: Scope.Counter is get-or-create, so every writer registered on
+// one scope — every connection of a tunnel endpoint — adds into the same
+// counters, while each writer's Stats stays its own.
+func TestSharedScopeStatsArePerWriter(t *testing.T) {
+	reg := obs.NewRegistry()
+	scope := reg.Scope("entry").Scope("stream").Scope("writer")
+	sizes := []int{3000, 70000}
+	var ws []*Writer
+	for range sizes {
+		ws = append(ws, mustWriter(t, io.Discard, WriterConfig{
+			Static: true, StaticLevel: LevelLight, BlockSize: 16 << 10, Obs: scope,
+		}))
+	}
+	var sum Stats
+	for i, w := range ws {
+		if _, err := w.Write(corpus.Generate(corpus.Moderate, sizes[i], uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st := w.Stats()
+		if st.AppBytes != int64(sizes[i]) {
+			t.Errorf("writer %d: Stats.AppBytes %d, want its own %d", i, st.AppBytes, sizes[i])
+		}
+		sum.AppBytes += st.AppBytes
+		sum.WireBytes += st.WireBytes
+		sum.Blocks += st.Blocks
+	}
+	for name, want := range map[string]int64{
+		"app_bytes": sum.AppBytes, "wire_bytes": sum.WireBytes, "blocks": sum.Blocks,
+	} {
+		c, ok := reg.Get("entry.stream.writer." + name).(*obs.Counter)
+		if !ok {
+			t.Fatalf("counter %s not registered", name)
+		}
+		if c.Value() != want {
+			t.Errorf("shared counter %s = %d, want the writers' sum %d", name, c.Value(), want)
+		}
 	}
 }

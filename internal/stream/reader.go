@@ -17,10 +17,10 @@ var errReaderClosed = errors.New("stream: reader closed")
 // so it needs no knowledge of the sender's ladder or decision model, exactly
 // as the paper requires for transparent mid-stream level switches.
 //
-// NewReader decodes each frame inline on the caller's goroutine.
-// NewParallelReader decodes on a worker pool (see readPool) and must be
-// Closed when abandoned before end of stream, or its goroutines leak.
-// Everything below holds in both modes.
+// A Reader decodes each frame on the caller's goroutine, inside Read or
+// WriteTo, and never starts a goroutine: the receive side only has to keep
+// up with the wire, and one core decodes several times faster than a core
+// encodes (docs/performance.md).
 //
 // Corrupt-frame policy (see docs/robustness.md): a Reader fails fast. The
 // first frame that is truncated, has a damaged header, an unknown codec, a
@@ -33,18 +33,16 @@ var errReaderClosed = errors.New("stream: reader closed")
 //
 // Buffer lifecycle (see internal/block and docs/performance.md): blocks and
 // payloads ride arena buffers that are recycled when the stream ends —
-// clean EOF, any sticky error, or Close releases them and stops the pool. An
-// inline Reader abandoned before end of stream should be Closed too;
-// failing to do so is not a memory leak (the GC reclaims the buffers), it
-// just bypasses the arena.
+// clean EOF, any sticky error, or Close releases them. A Reader abandoned
+// before end of stream should be Closed; failing to do so is not a memory
+// leak (the GC reclaims the buffers), it just bypasses the arena.
 //
 // Reader is not safe for concurrent use.
 type Reader struct {
-	frames frameSource // inline mode; the pool's wire goroutine owns it otherwise
-	pool   *readPool   // non-nil in pool mode until the stream ends
+	frames frameSource
 
 	arena *block.Buf // backing of blk
-	spare *block.Buf // inline mode: where the next payload is read
+	spare *block.Buf // where the next payload is read
 	blk   []byte     // decoded bytes of the current block
 	off   int        // how many of them have been delivered
 	err   error      // sticky error (including io.EOF)
@@ -52,7 +50,7 @@ type Reader struct {
 	stats Stats // see Stats
 }
 
-// NewReader creates a Reader over src that decodes inline.
+// NewReader creates a Reader over src.
 func NewReader(src io.Reader) (*Reader, error) {
 	if src == nil {
 		return nil, errors.New("stream: nil source reader")
@@ -60,18 +58,11 @@ func NewReader(src io.Reader) (*Reader, error) {
 	return &Reader{frames: frameSource{src: src}}, nil
 }
 
-// NewParallelReader creates a Reader over src whose frames are decompressed
-// and CRC-verified by the given number of workers while the application
-// bytes are still delivered strictly in order — the receive-side counterpart
-// of WriterConfig.Parallelism. Frames are read from the source sequentially
-// (the wire is serial anyway). One worker or fewer is NewReader: inline
-// decoding, no goroutine started.
+// NewParallelReader is NewReader; workers is ignored.
+//
+// Deprecated: kept only because bench/ calls it; goes with ROADMAP item 1a-iv.
 func NewParallelReader(src io.Reader, workers int) (*Reader, error) {
-	r, err := NewReader(src)
-	if err == nil && workers > 1 {
-		r.pool = startReadPool(&r.frames, workers)
-	}
-	return r, err
+	return NewReader(src)
 }
 
 // Read implements io.Reader, delivering the original application bytes.
@@ -87,18 +78,14 @@ func (r *Reader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// Close stops the worker pool, returns every pooled buffer — the reader's
-// own and those still in flight — to the arena and makes further Reads fail.
+// Close returns the reader's pooled buffers to the arena and makes further
+// Reads fail.
 // It never fails and is safe to call multiple times, also after EOF
 // (everything is already recycled by then), but not concurrently with Read.
 // Close does not close the underlying source.
 func (r *Reader) Close() error {
 	if r.err == nil {
 		r.err = errReaderClosed
-	}
-	if r.pool != nil {
-		r.pool.stop()
-		r.pool = nil
 	}
 	if r.arena != nil {
 		r.arena.Release()
@@ -110,31 +97,17 @@ func (r *Reader) Close() error {
 	return nil
 }
 
-// fill makes the next frame's block current: decoded on the spot, or taken
-// from the pool's ordered output. It is only called once the previous block
-// has been fully delivered, so its buffer is free to recycle. direct says
-// the caller hands the block on without copying it out (WriteTo), which is
-// all the copy ledger needs to know. Any terminal condition — clean EOF or
+// fill reads the next frame and decodes it into the current block. It is
+// only called once the previous block has been fully delivered, so its
+// buffer is free to recycle. direct says the caller hands the block on
+// without copying it out (WriteTo), which is all the copy ledger needs to
+// know. Any terminal condition — clean EOF or
 // a *FrameError — becomes the sticky error and releases everything.
 func (r *Reader) fill(direct bool) {
-	var h header
-	var err error
-	if r.pool != nil {
-		var d decodedFrame
-		if d, err = r.pool.next(); err == nil {
-			if r.arena != nil {
-				r.arena.Release()
-			}
-			h, r.arena = d.header, d.blk
-		}
-	} else {
-		var f rawFrame
-		f, err = r.frames.next(r.spare)
-		r.spare = nil // with the frame now, or released
-		if err == nil {
-			h = f.header
-			r.arena, r.spare, err = f.decode(r.arena)
-		}
+	f, err := r.frames.next(r.spare)
+	r.spare = nil // with the frame now, or released
+	if err == nil {
+		r.arena, r.spare, err = f.decode(r.arena)
 	}
 	if err != nil {
 		r.err = err
@@ -142,13 +115,13 @@ func (r *Reader) fill(direct bool) {
 		return
 	}
 	r.blk, r.off = r.arena.B, 0
-	r.stats.AppBytes += int64(h.rawLen)
-	r.stats.WireBytes += int64(headerSize + h.compLen)
+	r.stats.AppBytes += int64(f.rawLen)
+	r.stats.WireBytes += int64(headerSize + f.compLen)
 	r.stats.Blocks++
-	if direct && h.codecID == compress.IDNone {
-		r.stats.PassthroughBytes += int64(h.rawLen)
+	if direct && f.codecID == compress.IDNone {
+		r.stats.PassthroughBytes += int64(f.rawLen)
 	} else {
-		r.stats.CopiedBytes += int64(h.rawLen)
+		r.stats.CopiedBytes += int64(f.rawLen)
 	}
 }
 

@@ -92,7 +92,8 @@ type readerOutcome struct {
 }
 
 // TestReaderMatrix is the one conformance suite for the read path: every
-// constructor (inline, and the pool at 1, 2, 4 and 8 workers) under both
+// constructor (NewReader, and the deprecated NewParallelReader shim at 1, 2,
+// 4 and 8 workers, which must be NewReader in all but name) under both
 // delivery methods must treat every stream — clean, empty, damaged in each
 // way the corrupt-frame policy names, or abandoned early — exactly alike:
 // same delivered bytes (never a byte of a bad frame), same

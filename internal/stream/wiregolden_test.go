@@ -197,7 +197,6 @@ func TestWireGolden(t *testing.T) {
 		open func(io.Reader) (io.ReadCloser, error)
 	}{
 		{"NewReader", func(src io.Reader) (io.ReadCloser, error) { return NewReader(src) }},
-		{"NewParallelReader3", func(src io.Reader) (io.ReadCloser, error) { return NewParallelReader(src, 3) }},
 	}
 
 	for _, tc := range cases {

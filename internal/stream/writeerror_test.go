@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"adaptio/internal/block"
@@ -181,9 +182,8 @@ func idleGoroutines(floor int) int {
 	return n
 }
 
-// TestInlineModesStartNoGoroutine: the inline writer and reader — including
-// NewParallelWriter and NewParallelReader asked for one worker — own no
-// goroutine. At GOMAXPROCS 1 they never start one; above it a multi-block
+// TestInlineModesStartNoGoroutine: the inline writer — including
+// NewParallelWriter asked for one worker — owns no goroutine. At GOMAXPROCS 1 they never start one; above it a multi-block
 // Write forks encodes that it joins before it returns, so none is running
 // while the writer is idle.
 func TestInlineModesStartNoGoroutine(t *testing.T) {
@@ -222,19 +222,122 @@ func TestInlineModesStartNoGoroutine(t *testing.T) {
 			}
 		}
 	}
-	r, err := NewParallelReader(&wire, 1)
-	if err != nil {
+}
+
+// TestReaderStartsNoGoroutine: a Reader — from NewReader or from the
+// NewParallelReader shim at any worker count — decodes on its caller's
+// goroutine and never starts one: not at construction, not while the source
+// is being read, not mid-stream, not at EOF and not on an early Close.
+func TestReaderStartsNoGoroutine(t *testing.T) {
+	var wire bytes.Buffer
+	w := mustWriter(t, &wire, WriterConfig{Static: true, StaticLevel: LevelLight, BlockSize: 16 << 10})
+	// ReadFrom never forks, so no encode goroutine is left to wind down.
+	if _, err := w.ReadFrom(bytes.NewReader(corpus.Generate(corpus.Moderate, 200<<10, 6))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := io.ReadFull(r, make([]byte, len(src))); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Errorf("inline reader running: %d goroutines, %d before", n, before)
+	before := runtime.NumGoroutine()
+	for _, c := range []struct {
+		name string
+		open func(io.Reader) (*Reader, error)
+	}{
+		{"NewReader", NewReader},
+		{"NewParallelReader1", func(src io.Reader) (*Reader, error) { return NewParallelReader(src, 1) }},
+		{"NewParallelReader8", func(src io.Reader) (*Reader, error) { return NewParallelReader(src, 8) }},
+	} {
+		for _, early := range []bool{false, true} {
+			check := func(at string) {
+				if n := runtime.NumGoroutine(); n > before {
+					t.Errorf("%s %s: %d goroutines, %d before", c.name, at, n, before)
+				}
+			}
+			src := readerFunc(bytes.NewReader(wire.Bytes()).Read)
+			r, err := c.open(readerFunc(func(p []byte) (int, error) {
+				check("inside a source read")
+				return src.Read(p)
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("after construction")
+			if _, err := io.ReadFull(r, make([]byte, 40<<10)); err != nil {
+				t.Fatal(err)
+			}
+			check("mid-stream")
+			if early {
+				r.Close()
+				check("after an early Close")
+				continue
+			}
+			if _, err := io.Copy(io.Discard, r); err != nil {
+				t.Fatal(err)
+			}
+			check("after EOF")
+			r.Close()
+		}
 	}
-	r.Close()
+}
+
+// TestReadFromEOFWithWireError: when the read that fills a block also
+// reports io.EOF and cutting that block fails on the wire, ReadFrom returns
+// the wire's error — io.Copy into a Writer must not report a clean copy of a
+// stream with a hole in it. The wire failing on an earlier block is the same
+// error from an earlier call.
+func TestReadFromEOFWithWireError(t *testing.T) {
+	const blockSize, k = 4096, 3
+	src := corpus.Generate(corpus.Moderate, k*blockSize, 5)
+	for _, level := range []int{LevelNo, LevelLight} {
+		cfg := WriterConfig{Static: true, StaticLevel: level, BlockSize: blockSize}
+		var clean bytes.Buffer
+		w := mustWriter(t, &clean, cfg)
+		if _, err := w.Write(src); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		frames := wireFrames(t, clean.Bytes())
+		if len(frames) != k {
+			t.Fatalf("%d frames on the clean wire, want %d", len(frames), k)
+		}
+		// j is the frame the wire fails on; k-1 is the block the EOF read fills.
+		for _, j := range []int{0, k - 1} {
+			t.Run(fmt.Sprintf("level%d/frame%d", level, j), func(t *testing.T) {
+				leakcheck.Check(t)
+				blocktest.Track(t)
+				var ok int // wire bytes of the frames before j
+				for _, h := range frames[:j] {
+					ok += headerSize + h.compLen
+				}
+				var got bytes.Buffer
+				dst := writerFunc(func(p []byte) (int, error) {
+					if got.Len()+len(p) > ok {
+						return 0, errBoom
+					}
+					return got.Write(p)
+				})
+				w := mustWriter(t, dst, cfg)
+				// DataErrReader hands over the last bytes together with io.EOF.
+				if n, err := w.ReadFrom(iotest.DataErrReader(bytes.NewReader(src))); !errors.Is(err, errBoom) {
+					t.Errorf("ReadFrom returned %d, %v; want the wire's error", n, err)
+				}
+				if !bytes.Equal(got.Bytes(), clean.Bytes()[:ok]) {
+					t.Errorf("the wire holds %d bytes, want frames 0..%d (%d bytes)", got.Len(), j-1, ok)
+				}
+				if err := w.Close(); !errors.Is(err, errBoom) {
+					t.Errorf("Close returned %v, want the sticky error", err)
+				}
+			})
+		}
+	}
 }
 
 type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+type readerFunc func([]byte) (int, error)
+
+func (f readerFunc) Read(p []byte) (int, error) { return f(p) }

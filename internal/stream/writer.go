@@ -563,7 +563,9 @@ func (w *Writer) Buffered() int {
 // verbatim — including timeouts, which are NOT made sticky, so a relay can
 // use read deadlines on r for flush pacing and keep going. A full block is
 // cut before reading (so there is always space) and immediately after the
-// read that fills it.
+// read that fills it; if that cut fails on the wire, the writer's sticky
+// error replaces r's, io.EOF included, so ReadFrom never reports a clean
+// copy of a stream with a hole in it.
 func (w *Writer) ReadDirect(r io.Reader) (int, error) {
 	if w.err != nil {
 		return 0, w.err
@@ -578,7 +580,7 @@ func (w *Writer) ReadDirect(r io.Reader) (int, error) {
 	if n > 0 {
 		w.blk.B = w.blk.B[:len(w.blk.B)+n]
 		w.accept(n)
-		if len(w.blk.B) == w.cfg.BlockSize && w.flushBlock(false) != nil && err == nil {
+		if len(w.blk.B) == w.cfg.BlockSize && w.flushBlock(false) != nil {
 			err = w.err
 		}
 	}
