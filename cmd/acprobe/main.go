@@ -1,22 +1,18 @@
-// Command acprobe is the metric-accuracy probe of Section II. In -live mode
-// it runs the paper's measurement loop against the real /proc/stat of this
-// machine: 1 s delta sampling of the CPU counters, reporting the
-// USR/SYS/HIRQ/SIRQ/STEAL split — the exact data a guest-side adaptive
-// compression scheme would base its decisions on. With -load it also runs
-// one of the paper's auxiliary I/O load generators while sampling, which is
-// the full Figure 1 methodology: run acprobe inside a VM and compare its
-// output with the same probe on the host. Without -live it prints the
-// simulated Figure 1-3 reproduction (same output as expdriver -fig1 -fig2
-// -fig3).
+// Command acprobe is the metric-accuracy probe of Section II. It runs the
+// paper's measurement loop against the real /proc/stat of this machine: 1 s
+// delta sampling of the CPU counters, reporting the USR/SYS/HIRQ/SIRQ/STEAL
+// split — the exact data a guest-side adaptive compression scheme would base
+// its decisions on. With -load it also runs one of the paper's auxiliary I/O
+// load generators while sampling, which is the full Figure 1 methodology:
+// run acprobe inside a VM and compare its output with the same probe on the
+// host. The simulated Figure 1-3 reproduction is expdriver -fig1 -fig2 -fig3.
 //
 // Usage:
 //
-//	acprobe -live [-n samples] [-interval 1s] [-load netsend|netrecv|filewrite|fileread]
-//	acprobe [-gb N] [-seed N] [-json-out probe.json]
+//	acprobe [-n samples] [-interval 1s] [-load netsend|netrecv|filewrite|fileread]
+//	acprobe -live-fig1 [-n samples] [-interval 1s]
 //
-// -json-out (simulation mode only) additionally writes the Figure 2/3
-// throughput distributions as MB/s in the internal/benchfmt schema; the
-// nightly workflow uploads it.
+// -live is accepted and changes nothing: sampling is the only mode.
 package main
 
 import (
@@ -26,91 +22,43 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
-	"adaptio/internal/benchfmt"
-	"adaptio/internal/experiments"
 	"adaptio/internal/ioload"
 	"adaptio/internal/metrics"
 )
 
 func main() {
 	var (
-		live     = flag.Bool("live", false, "sample the real /proc/stat of this machine")
+		_        = flag.Bool("live", false, "accepted and ignored: live sampling is the only mode")
 		liveFig1 = flag.Bool("live-fig1", false, "run the full Figure 1 methodology live: all four I/O loads, sampled breakdown each")
 		n        = flag.Int("n", 10, "number of live samples")
 		interval = flag.Duration("interval", time.Second, "live sampling interval")
 		load     = flag.String("load", "", "run an I/O load generator while sampling: netsend, netrecv, filewrite or fileread")
-		gb       = flag.Float64("gb", 50, "simulated data volume in GB")
-		seed     = flag.Uint64("seed", 2011, "simulation seed")
-		jsonOut  = flag.String("json-out", "", "also write Fig2/Fig3 distributions as a benchfmt JSON artifact to this path")
 	)
 	flag.Parse()
 
-	if *liveFig1 {
-		if err := runLiveFig1(*n, *interval); err != nil {
-			fmt.Fprintf(os.Stderr, "acprobe: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	if err := run(*liveFig1, *load, *n, *interval); err != nil {
+		fmt.Fprintf(os.Stderr, "acprobe: %v\n", err)
+		os.Exit(1)
 	}
-	if *live {
-		ctx, cancel := context.WithCancel(context.Background())
-		if *load != "" {
-			stop, err := startLoad(ctx, *load)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "acprobe: %v\n", err)
-				os.Exit(1)
-			}
-			defer stop()
-		}
-		err := runLive(*n, *interval)
-		cancel()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "acprobe: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
+}
 
-	rows, err := experiments.Fig1CPUAccuracy(120, *seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "acprobe: %v\n", err)
-		os.Exit(1)
+func run(liveFig1 bool, load string, n int, interval time.Duration) error {
+	if liveFig1 {
+		return runLiveFig1(n, interval)
 	}
-	fmt.Print(experiments.RenderFig1(rows))
-	vol := int64(*gb * 1e9)
-	net, err := experiments.Fig2NetThroughput(vol, *seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "acprobe: %v\n", err)
-		os.Exit(1)
+	ctx, cancel := context.WithCancel(context.Background())
+	if load != "" {
+		stop, err := startLoad(ctx, load)
+		if err != nil {
+			cancel()
+			return err
+		}
+		defer stop()
 	}
-	fmt.Print(experiments.RenderDist("Figure 2: network I/O throughput in the sending VM", "MBit/s", net))
-	file, err := experiments.Fig3FileWriteThroughput(vol, *seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "acprobe: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Print(experiments.RenderDist("Figure 3: file I/O throughput (write) in the VM", "MB/s", file))
-	if *jsonOut == "" {
-		return
-	}
-	art := &benchfmt.File{
-		Description: "acprobe Figure 2/3 simulated throughput distributions, mean MB/s per platform",
-		Go:          runtime.Version(),
-	}
-	for _, r := range net {
-		// Figure 2 samples are MBit/s; the artifact schema is MB/s.
-		art.Add("Fig2NetThroughput/"+r.Platform.String(), "current", benchfmt.Measurement{MBPerS: r.Summary.Mean / 8})
-	}
-	for _, r := range file {
-		art.Add("Fig3FileWrite/"+r.Platform.String(), "current", benchfmt.Measurement{MBPerS: r.Summary.Mean})
-	}
-	if err := benchfmt.WriteFile(*jsonOut, art); err != nil {
-		fmt.Fprintf(os.Stderr, "acprobe: %v\n", err)
-		os.Exit(1)
-	}
+	defer cancel() // runs first: the load winds down before its files go
+	return runLive(n, interval)
 }
 
 // startLoad launches one of the paper's auxiliary load generators in the

@@ -1,11 +1,15 @@
 package adaptio_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+	"unicode"
+	"unicode/utf8"
 )
 
 // What a doc or workflow can name that this test can look up. A `make`
@@ -18,8 +22,13 @@ var (
 	cmdPackage  = regexp.MustCompile(`(?m)(?:^|[^\w/])(?:\./)?cmd/([a-z][a-z0-9]*)`)
 	goTestRun   = regexp.MustCompile(`(?m)(?:\$\(GO\)|\bgo) test\b.*\s-run\b.*$`)
 	runPattern  = regexp.MustCompile(`\s-run[ =]'([^']+)'`)
-	pkgDir      = regexp.MustCompile(`\s\./([\w/-]+)`)
+	pkgDir      = regexp.MustCompile(`\s\.(?:/([\w/-]+)|\s|$)`) // "." is the root package
 	testFunc    = regexp.MustCompile(`(?m)^func (Test\w*)\(`)
+	mdLink      = regexp.MustCompile(`\]\(([^)\s]+)\)`)
+	mdPath      = regexp.MustCompile(`(?:^|[\s(\x60"])((?:[\w-]+/)*[\w-]+\.md)\b`)
+	mdSection   = regexp.MustCompile(`((?:[\w-]+/)*[\w-]+\.md),?\s\(?"([^"]+)"`)
+	mdHeading   = regexp.MustCompile(`(?m)^#+\s+(.+?)\s*$`)
+	mdFence     = regexp.MustCompile("(?ms)^```.*?^```")
 	docsScanned = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md", "Makefile", ".github/workflows/*.yml"}
 )
 
@@ -71,6 +80,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				}
 			}
 			if filepath.Ext(f) == ".md" {
+				checked += checkDocRefs(t, f, data)
 				continue // prose wraps its commands; the recipes are what CI runs
 			}
 			for _, line := range goTestRun.FindAll(data, -1) {
@@ -110,6 +120,200 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	}
 	if checked < 50 || runsChecked < 20 {
 		t.Fatalf("only %d names and %d -run selections found: the patterns no longer match the docs", checked, runsChecked)
+	}
+}
+
+// checkDocRefs checks what a doc points at: every relative Markdown link
+// names a file (relative to the doc) and, after '#', a heading of it; every
+// path to a .md file in the prose exists; and every section cited the way
+// these docs cite one — docs/x.md, "Heading" — is a heading of that file.
+// It returns how many references it checked.
+func checkDocRefs(t *testing.T, doc string, data []byte) int {
+	t.Helper()
+	n := 0
+	for _, m := range mdLink.FindAllSubmatch(data, -1) {
+		target := string(m[1])
+		if strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") {
+			continue
+		}
+		n++
+		file, anchor, _ := strings.Cut(target, "#")
+		if file == "" {
+			file = doc
+		} else {
+			file = filepath.Join(filepath.Dir(doc), file)
+		}
+		if anchor == "" {
+			if _, err := os.Stat(file); err != nil {
+				t.Errorf("%s links %s: %v", doc, target, err)
+			}
+		} else if !slices.Contains(headingSlugs(t, file), anchor) {
+			t.Errorf("%s links %s: %s has no such heading", doc, target, file)
+		}
+	}
+	for _, m := range mdPath.FindAllSubmatch(data, -1) {
+		n++
+		if resolveDoc(doc, string(m[1])) == "" {
+			t.Errorf("%s names %s: no such file", doc, m[1])
+		}
+	}
+	for _, m := range mdSection.FindAllSubmatch(data, -1) {
+		n++
+		file, want := resolveDoc(doc, string(m[1])), strings.ToLower(strings.Join(strings.Fields(string(m[2])), " "))
+		found := false
+		if file != "" {
+			for _, h := range headings(t, file) {
+				found = found || strings.Contains(strings.ToLower(h), want)
+			}
+		}
+		if !found {
+			t.Errorf("%s cites %s, %q: no such heading", doc, m[1], m[2])
+		}
+	}
+	return n
+}
+
+// resolveDoc finds a doc path as the prose writes it: from the repository
+// root, else from the citing doc's directory. It returns "" if neither exists.
+func resolveDoc(from, path string) string {
+	for _, p := range []string{path, filepath.Join(filepath.Dir(from), path)} {
+		if _, err := os.Stat(p); err == nil {
+			return p
+		}
+	}
+	return ""
+}
+
+// headings returns the text of file's Markdown headings outside code fences.
+func headings(t *testing.T, file string) []string {
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hs []string
+	for _, m := range mdHeading.FindAllSubmatch(mdFence.ReplaceAll(data, nil), -1) {
+		hs = append(hs, string(m[1]))
+	}
+	return hs
+}
+
+// headingSlugs returns the #anchors GitHub gives file's headings: lower
+// case, punctuation dropped, spaces to '-', repeats suffixed -1, -2, ...
+func headingSlugs(t *testing.T, file string) []string {
+	var slugs []string
+	seen := map[string]int{}
+	for _, h := range headings(t, file) {
+		s := strings.Map(func(r rune) rune {
+			switch {
+			case r == ' ':
+				return '-'
+			case r == '-' || r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r):
+				return unicode.ToLower(r)
+			}
+			return -1
+		}, h)
+		if k := seen[s]; k > 0 {
+			seen[s]++
+			s = fmt.Sprintf("%s-%d", s, k)
+		} else {
+			seen[s] = 1
+		}
+		slugs = append(slugs, s)
+	}
+	return slugs
+}
+
+// docBudget is the byte ceiling of every file docsScanned reads, and of
+// CHANGES.md. As with TestOptionsLedger, growing a doc means raising its
+// number here in the same diff, and the Markdown ceilings together stay
+// within docsTotalBudget, so room for one doc comes out of another.
+var docBudget = map[string]int{
+	"README.md":                     6_400,
+	"DESIGN.md":                     14_400,
+	"EXPERIMENTS.md":                14_100,
+	"docs/algorithm.md":             4_400,
+	"docs/coordination.md":          8_800,
+	"docs/deciders.md":              15_100,
+	"docs/observability.md":         11_600,
+	"docs/performance.md":           27_500,
+	"docs/robustness.md":            9_600,
+	"docs/scaling.md":               8_200,
+	"docs/scenarios.md":             12_000,
+	"docs/simulation.md":            7_000,
+	"Makefile":                      8_000,
+	".github/workflows/ci.yml":      6_700,
+	".github/workflows/nightly.yml": 6_200,
+	"CHANGES.md":                    36_000,
+}
+
+const (
+	docsTotalBudget   = 140_000 // the .md ceilings of docsScanned, summed
+	changesEntryBytes = 1536
+	changesLineRunes  = 100
+)
+
+// changesEntry marks the line that starts a CHANGES.md entry.
+var changesEntry = regexp.MustCompile(`(?m)^PR \d+`)
+
+// TestDocsWithinBudget holds every scanned doc to its ceiling in docBudget,
+// and every CHANGES.md entry — from a line starting "PR <n>" to the next —
+// to changesEntryBytes, in lines of at most changesLineRunes columns.
+func TestDocsWithinBudget(t *testing.T) {
+	scanned := map[string]bool{}
+	for _, pat := range docsScanned {
+		files, err := filepath.Glob(pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			scanned[f] = true
+			if _, ok := docBudget[f]; !ok {
+				t.Errorf("%s has no ceiling in docBudget", f)
+			}
+		}
+	}
+	mdTotal := 0
+	for f, ceiling := range docBudget {
+		if !scanned[f] && f != "CHANGES.md" {
+			t.Errorf("docBudget lists %s, which docsScanned does not read", f)
+		}
+		if scanned[f] && filepath.Ext(f) == ".md" {
+			mdTotal += ceiling
+		}
+		fi, err := os.Stat(f)
+		if err != nil {
+			t.Errorf("docBudget: %v", err)
+		} else if fi.Size() > int64(ceiling) {
+			t.Errorf("%s is %d bytes, over its ceiling of %d: cut it, or raise the number in docBudget", f, fi.Size(), ceiling)
+		}
+	}
+	if mdTotal > docsTotalBudget {
+		t.Errorf("the Markdown ceilings sum to %d, over docsTotalBudget %d", mdTotal, docsTotalBudget)
+	}
+
+	data, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts := changesEntry.FindAllIndex(data, -1)
+	if len(starts) < 20 {
+		t.Fatalf("CHANGES.md: only %d entries start with a \"PR <n>\" line", len(starts))
+	}
+	for i, st := range starts {
+		end := len(data)
+		if i+1 < len(starts) {
+			end = starts[i+1][0]
+		}
+		entry, name := data[st[0]:end], data[st[0]:st[1]]
+		if len(entry) > changesEntryBytes {
+			t.Errorf("CHANGES.md: the %s entry is %d bytes, over %d", name, len(entry), changesEntryBytes)
+		}
+		for i, line := range strings.Split(string(entry), "\n") {
+			if n := utf8.RuneCountInString(line); n > changesLineRunes {
+				t.Errorf("CHANGES.md: line %d of the %s entry has %d columns, over %d", i+1, name, n, changesLineRunes)
+				break
+			}
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
-// Package benchfmt is the JSON schema of the repo's measurement artifacts:
-// the committed decider matrix (BENCH_decider.json, written by
-// `expdriver -decider-matrix -json-out` and compared byte-for-byte by
-// internal/experiments' golden test) and the nightly Fig. 2/3 distributions
-// (`acprobe -json-out`).
+// Package benchfmt is the JSON schema of the committed decider matrix
+// (BENCH_decider.json, written by `expdriver -decider-matrix -json-out` and
+// compared byte-for-byte by internal/experiments' golden test).
 package benchfmt
 
 import (
@@ -20,12 +18,11 @@ type Measurement struct {
 	WastedProbes int64 `json:"wasted_probes,omitempty"`
 }
 
-// File is a whole artifact: entry name -> set name -> measurement. Both
-// writers use the one set "current"; the level stays because
+// File is a whole artifact: entry name -> set name -> measurement. The
+// writer uses the one set "current"; the level stays because
 // BENCH_decider.json's bytes are pinned.
 type File struct {
 	Description string                            `json:"description"`
-	Go          string                            `json:"go,omitempty"`
 	Benchmarks  map[string]map[string]Measurement `json:"benchmarks"`
 }
 

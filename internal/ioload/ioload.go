@@ -1,9 +1,10 @@
 // Package ioload implements the paper's auxiliary load generators ("We
 // created a set of small auxiliary programs to generate network and file
 // I/O load", Section II-A): saturating network send/receive and file
-// write/read loops. cmd/acprobe runs them while sampling /proc/stat to
-// reproduce the Figure 1 measurement live on a real machine; the tests use
-// them as realistic I/O drivers.
+// write/read loops. cmd/acprobe -load and -live-fig1 run them while sampling
+// /proc/stat to reproduce the Figure 1 measurement live on a real machine
+// (the simulated one is cmd/expdriver -fig1); the tests use them as realistic
+// I/O drivers.
 //
 // Like the paper's programs, the generators record a timestamp after every
 // 20 MB of I/O (Section II-B), from which per-chunk throughput is derived.

@@ -5,8 +5,8 @@
 // time from the counter deltas.
 //
 // The same parser and sampler run against two sources: the real /proc/stat
-// of the machine (cmd/acprobe) and the simulated counters emitted by
-// internal/cloudsim (the Figure 1 experiment).
+// of the machine (cmd/acprobe, live only) and the simulated counters emitted
+// by internal/cloudsim (the Figure 1 experiment, cmd/expdriver -fig1).
 package metrics
 
 import (

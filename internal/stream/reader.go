@@ -66,7 +66,12 @@ func NewParallelReader(src io.Reader, workers int) (*Reader, error) {
 }
 
 // Read implements io.Reader, delivering the original application bytes.
+// A zero-length Read never touches the source: it returns the sticky error
+// if there is one, else (0, nil), as bufio.Reader does.
 func (r *Reader) Read(p []byte) (int, error) {
+	if len(p) == 0 {
+		return 0, r.err // set only once the buffered block is spent
+	}
 	for r.off == len(r.blk) {
 		if r.err != nil {
 			return 0, r.err

@@ -388,6 +388,77 @@ func TestReaderEmptyStream(t *testing.T) {
 	}
 }
 
+// countingReader counts the Reads that reach it.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestReadEmptyDoesNotBlock: a zero-length Read answers from what the Reader
+// already holds and never reads the source, as bufio.Reader does — at a
+// block boundary over an idle connection it must not wait for a frame.
+func TestReadEmptyDoesNotBlock(t *testing.T) {
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	idle := mustReader(t, pr)
+	done := make(chan error, 1)
+	go func() {
+		_, err := idle.Read(nil)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Read(nil) on an idle source: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		pw.CloseWithError(errors.New("released"))
+		t.Fatal("Read(nil) blocked on an idle source")
+	}
+
+	const bs = 4096
+	src := corpus.Generate(corpus.Moderate, 2*bs, 3)
+	var wire bytes.Buffer
+	w := mustWriter(t, &wire, WriterConfig{Static: true, StaticLevel: LevelLight, BlockSize: bs})
+	if _, err := w.Write(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cr := &countingReader{r: &wire}
+	r := mustReader(t, cr)
+	empty := func(when string, want error) {
+		t.Helper()
+		before := cr.reads
+		if n, err := r.Read(nil); n != 0 || err != want {
+			t.Fatalf("%s: Read(nil) = %d, %v; want 0, %v", when, n, err, want)
+		}
+		if cr.reads != before {
+			t.Fatalf("%s: Read(nil) read the source", when)
+		}
+	}
+	empty("before the first frame", nil)
+	got := make([]byte, bs/2)
+	if _, err := io.ReadFull(r, got); err != nil {
+		t.Fatal(err)
+	}
+	empty("mid-block", nil)
+	if _, err := io.ReadFull(r, got); err != nil {
+		t.Fatal(err)
+	}
+	empty("at a block boundary", nil)
+	if rest, err := io.ReadAll(r); err != nil || len(rest) != bs {
+		t.Fatalf("rest: %d bytes, %v", len(rest), err)
+	}
+	empty("after EOF", io.EOF)
+}
+
 func TestReaderWriteTo(t *testing.T) {
 	src := corpus.Generate(corpus.High, 300<<10, 6)
 	var wire bytes.Buffer

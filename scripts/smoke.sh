@@ -34,8 +34,8 @@ done
 echo "== expdriver (claims checklist, reduced volume) =="
 "$BIN/expdriver" -claims -gb 10 -runs 2 | grep 'claims reproduced'
 
-echo "== acprobe (simulated fig2) =="
-"$BIN/acprobe" -gb 1 | grep -c 'Figure'
+echo "== acprobe (one live /proc/stat sample) =="
+"$BIN/acprobe" -n 1 -interval 100ms | grep '^mean'
 
 echo "== acpipe round trip =="
 head -c 1048576 /dev/urandom > "$BIN/in.bin"
