@@ -97,8 +97,11 @@ type Decider = core.Decider
 // AlgorithmOne is the paper-faithful Algorithm 1 policy.
 type AlgorithmOne = core.AlgorithmOne
 
-// PolicyConfig is DeciderConfig under the name NewPolicy's callers use.
-type PolicyConfig = DeciderConfig
+// Policy is what WriterConfig.Decider takes: a Decider, Static, or your own.
+type Policy = core.Policy
+
+// Static pins one level: WriterConfig{Decider: Static(LevelLight)}.
+type Static = core.Static
 
 // Paper defaults.
 const (
@@ -116,13 +119,20 @@ const (
 	LevelHeavy  = stream.LevelHeavy
 )
 
-// Adaptive is the CLIs' -static value for "decided at runtime": they leave
-// WriterConfig.Static unset when they read it. It is not a valid StaticLevel.
+// Adaptive is the CLIs' -static value for "decided at runtime": they hand the
+// Writer NewDecider's Algorithm 1 for it and Static(n) for a level n. It is
+// not a level: Static(Adaptive) is rejected.
 const Adaptive = stream.Adaptive
 
 // NewWriter creates an adaptive compression writer in front of dst.
 func NewWriter(dst io.Writer, cfg WriterConfig) (*Writer, error) {
 	return stream.NewWriter(dst, cfg)
+}
+
+// NewParallelWriter creates a Writer that compresses on a pool of workers of
+// its own and runs ahead of the wire; see stream.NewParallelWriter.
+func NewParallelWriter(dst io.Writer, cfg WriterConfig, workers int) (*Writer, error) {
+	return stream.NewParallelWriter(dst, cfg, workers)
 }
 
 // NewReader creates a decompressing reader over src.
@@ -138,7 +148,7 @@ func NewDecider(cfg DeciderConfig) (*AlgorithmOne, error) {
 // NewPolicy constructs a level-selection policy by registry name: "algone"
 // (or empty) for the paper's Algorithm 1, "bandit" for the contextual-bandit
 // probe gate, "ewma" for the trend-predictive variant. See docs/deciders.md.
-func NewPolicy(name string, cfg PolicyConfig) (Decider, error) {
+func NewPolicy(name string, cfg DeciderConfig) (Decider, error) {
 	return core.NewPolicy(name, cfg)
 }
 

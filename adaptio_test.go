@@ -30,8 +30,8 @@ func TestOptionsLedger(t *testing.T) {
 		cfg    any
 		fields int
 	}{
-		{stream.WriterConfig{}, 12},
-		{tunnel.Config{}, 16},
+		{stream.WriterConfig{}, 10},
+		{tunnel.Config{}, 15},
 		{coord.Config{}, 5},
 		{core.Config{}, 6},
 		{lzfast.Fast{}, 0},
@@ -103,7 +103,7 @@ func TestPublicStaticLevels(t *testing.T) {
 func TestPublicParallelPaths(t *testing.T) {
 	data := corpus.Generate(corpus.High, 1<<20, 2)
 	var wire bytes.Buffer
-	w, err := adaptio.NewWriter(&wire, adaptio.WriterConfig{Parallelism: 4, Clock: vclock.NewManual()})
+	w, err := adaptio.NewParallelWriter(&wire, adaptio.WriterConfig{Clock: vclock.NewManual()}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

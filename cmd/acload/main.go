@@ -105,7 +105,6 @@ func main() {
 	if target == "" {
 		tcfg := tunnel.Config{
 			Window:        *window,
-			Alpha:         *alpha,
 			ShutdownGrace: *grace,
 		}
 		if *static != adaptio.Adaptive {
@@ -117,13 +116,13 @@ func main() {
 			log.Fatalf("acload: echo sink: %v", err)
 		}
 		exitCfg := tcfg
-		exitCfg.Policy = policyFactory(*decider, *alpha, *deciderSeed)
+		exitCfg.Policy = policyFactory(*static, *decider, *alpha, *deciderSeed)
 		exit, err := tunnel.ListenExit(context.Background(), "127.0.0.1:0", echoAddr, exitCfg)
 		if err != nil {
 			log.Fatalf("acload: exit: %v", err)
 		}
 		entryCfg := tcfg
-		entryCfg.Policy = policyFactory(*decider, *alpha, *deciderSeed)
+		entryCfg.Policy = policyFactory(*static, *decider, *alpha, *deciderSeed)
 		entryCfg.MaxConns = *maxConns
 		entryCfg.AcceptQueue = *acceptQueue
 		entryCfg.Obs = reg.Scope("tunnel")
@@ -224,12 +223,12 @@ func main() {
 	}
 }
 
-// policyFactory builds one endpoint's -decider policy constructor; each
+// policyFactory builds one endpoint's -decider policy constructor at -alpha
+// (Algorithm 1 for an empty name), or nil when -static pins a level; each
 // endpoint gets its own, so its decisions per connection index repeat from
-// run to run whatever the other endpoint does. An empty name is the tunnel's
-// default, Algorithm 1.
-func policyFactory(name string, alpha float64, seed uint64) func() core.Policy {
-	if name == "" {
+// run to run whatever the other endpoint does.
+func policyFactory(static int, name string, alpha float64, seed uint64) func() core.Policy {
+	if static != adaptio.Adaptive {
 		return nil
 	}
 	f, err := core.PolicyFactory(name, core.Config{Levels: len(adaptio.DefaultLadder()), Alpha: alpha, Seed: seed})

@@ -53,12 +53,18 @@ func main() {
 // compressStream compresses in to out; a non-nil stats receives the stream
 // statistics once the stream is closed.
 func compressStream(in io.Reader, out io.Writer, static int, window time.Duration, alpha float64, parallel int, stats io.Writer) error {
-	cfg := adaptio.WriterConfig{Window: window, Alpha: alpha, Parallelism: parallel}
-	if static != adaptio.Adaptive {
-		cfg.Static = true
-		cfg.StaticLevel = static
+	var policy adaptio.Policy = adaptio.Static(static)
+	if static == adaptio.Adaptive {
+		dec, err := adaptio.NewDecider(adaptio.DeciderConfig{Levels: len(adaptio.DefaultLadder()), Alpha: alpha})
+		if err != nil {
+			return err
+		}
+		policy = dec
 	}
-	w, err := adaptio.NewWriter(out, cfg)
+	if parallel < 0 {
+		return fmt.Errorf("negative -p %d", parallel)
+	}
+	w, err := adaptio.NewParallelWriter(out, adaptio.WriterConfig{Window: window, Decider: policy}, max(parallel, 1))
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"strings"
@@ -23,6 +25,21 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// runAcpipe runs the command with args on stdin and returns its stdout.
+func runAcpipe(t *testing.T, args string, stdin []byte) ([]byte, error) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "ACPIPE_ARGS="+args)
+	cmd.Stdin = bytes.NewReader(stdin)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		err = fmt.Errorf("%w: %s", err, stderr.Bytes())
+	}
+	return out, err
+}
+
 // TestDecompressAcceptsWorkers: -p is a compress-side flag, but `acpipe -d
 // -p 4` is still accepted and decodes to exactly what `acpipe -d` does.
 func TestDecompressAcceptsWorkers(t *testing.T) {
@@ -32,17 +49,34 @@ func TestDecompressAcceptsWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, args := range []string{"-d", "-d -p 4"} {
-		cmd := exec.Command(os.Args[0])
-		cmd.Env = append(os.Environ(), "ACPIPE_ARGS="+args)
-		cmd.Stdin = bytes.NewReader(wire.Bytes())
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		out, err := cmd.Output()
+		out, err := runAcpipe(t, args, wire.Bytes())
 		if err != nil {
-			t.Fatalf("acpipe %s: %v: %s", args, err, stderr.Bytes())
+			t.Fatalf("acpipe %s: %v", args, err)
 		}
 		if !bytes.Equal(out, src) {
 			t.Errorf("acpipe %s decoded %d bytes that differ from the %d-byte source", args, len(out), len(src))
+		}
+	}
+}
+
+// TestCompressFlags: `acpipe -p 2` compresses on NewParallelWriter's two
+// workers and round-trips; a worker count, level or α no writer can run on
+// exits 1.
+func TestCompressFlags(t *testing.T) {
+	src := corpus.Generate(corpus.Moderate, 600<<10, 5)
+	wire, err := runAcpipe(t, "-p 2", src)
+	if err != nil {
+		t.Fatalf("acpipe -p 2: %v", err)
+	}
+	var out bytes.Buffer
+	if err := decompress(bytes.NewReader(wire), &out); err != nil || !bytes.Equal(out.Bytes(), src) {
+		t.Fatalf("acpipe -p 2 did not round-trip: %d of %d bytes, err %v", out.Len(), len(src), err)
+	}
+	for _, args := range []string{"-p -1", "-static 9", "-alpha -1"} {
+		_, err := runAcpipe(t, args, src)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("acpipe %s: %v, want exit status 1", args, err)
 		}
 	}
 }

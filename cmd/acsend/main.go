@@ -52,6 +52,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	var policy adaptio.Policy = adaptio.Static(*static)
+	if *static == adaptio.Adaptive {
+		dec, err := adaptio.NewDecider(adaptio.DeciderConfig{Levels: len(adaptio.DefaultLadder()), Alpha: *alpha})
+		if err != nil {
+			fatal(err)
+		}
+		policy = dec
+	}
 	conn, err := net.Dial("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -59,13 +67,9 @@ func main() {
 	defer conn.Close()
 
 	cfg := adaptio.WriterConfig{
-		Window: *window,
-		Alpha:  *alpha,
-		Obs:    reg.Scope("stream").Scope("writer"),
-	}
-	if *static != adaptio.Adaptive {
-		cfg.Static = true
-		cfg.StaticLevel = *static
+		Window:  *window,
+		Decider: policy,
+		Obs:     reg.Scope("stream").Scope("writer"),
 	}
 	names := adaptio.DefaultLadder().Names()
 	if *verb {

@@ -67,7 +67,6 @@ func main() {
 	block.PublishMetrics(reg.Scope("block"))
 	cfg := tunnel.Config{
 		Window:        *window,
-		Alpha:         *alpha,
 		Logf:          log.Printf,
 		IdleTimeout:   *idleTimeout,
 		DialRetries:   *dialRetries,
@@ -79,29 +78,19 @@ func main() {
 		Obs:           reg.Scope("tunnel"),
 	}
 	levels := len(adaptio.DefaultLadder())
-	if *decider != "" {
-		if *static != adaptio.Adaptive {
+	switch {
+	case *static != adaptio.Adaptive:
+		if *decider != "" {
 			log.Fatalf("actunnel: -decider is incompatible with -static (a pinned level leaves nothing to decide)")
 		}
 		if *coordOn {
-			log.Fatalf("actunnel: -decider is incompatible with -coord (a coordinated stream leaves nothing to decide)")
+			log.Fatalf("actunnel: -coord is incompatible with -static (a pinned level leaves nothing to coordinate)")
 		}
-		policy, err := core.PolicyFactory(*decider, core.Config{Levels: levels, Alpha: *alpha, Seed: *deciderSeed})
-		if err != nil {
-			log.Fatalf("actunnel: %v", err)
-		}
-		cfg.Policy = policy
-	}
-	if *metricsAddr != "" {
-		go func() { log.Printf("actunnel: metrics server: %v", obs.ListenAndServe(*metricsAddr, reg)) }()
-	}
-	if *static != adaptio.Adaptive {
 		cfg.Static = true
 		cfg.StaticLevel = *static
-	}
-	if *coordOn {
-		if cfg.Static {
-			log.Fatalf("actunnel: -coord is incompatible with -static (a pinned level leaves nothing to coordinate)")
+	case *coordOn:
+		if *decider != "" {
+			log.Fatalf("actunnel: -decider is incompatible with -coord (a coordinated stream leaves nothing to decide)")
 		}
 		c, err := coord.New(coord.Config{
 			BudgetBytesPerSec: *coordBudget * 1e6,
@@ -114,6 +103,15 @@ func main() {
 		}
 		stream := coord.StreamConfig{Weight: *coordWeight, Tenant: *coordTenant}
 		cfg.Policy = func() core.Policy { return c.Register(stream) }
+	default:
+		policy, err := core.PolicyFactory(*decider, core.Config{Levels: levels, Alpha: *alpha, Seed: *deciderSeed})
+		if err != nil {
+			log.Fatalf("actunnel: %v", err)
+		}
+		cfg.Policy = policy
+	}
+	if *metricsAddr != "" {
+		go func() { log.Printf("actunnel: metrics server: %v", obs.ListenAndServe(*metricsAddr, reg)) }()
 	}
 	if !*quiet {
 		names := adaptio.DefaultLadder().Names()

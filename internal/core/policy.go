@@ -167,8 +167,8 @@ func PolicyNames() []string {
 
 // ValidPolicy reports whether name is a constructible policy name, the
 // CheatStick sentinel included: what scenario files and the experiments
-// matrix accept. The CLIs, which deploy a policy, accept PolicyNames only
-// (PolicyFactory).
+// matrix accept. The CLIs, which deploy a policy, accept PolicyNames and the
+// empty name only (PolicyFactory).
 func ValidPolicy(name string) bool {
 	switch name {
 	case PolicyAlgorithmOne, PolicyBandit, PolicyEWMA, PolicyCheatStick:
@@ -204,15 +204,16 @@ func errUnknownPolicy(name string) error {
 
 // PolicyFactory returns a constructor of fresh policies of one registry
 // name: what a CLI hands to a substrate that runs one policy per stream
-// (tunnel.Config.Policy). It accepts PolicyNames only — the CheatStick
-// sentinel is constructible through NewPolicy, never deployable — and
-// validates cfg here, once. The constructor is safe for concurrent calls;
-// its n-th call (counting from 1) seeds the policy cfg.Seed ^ n<<20. The
-// promise is per factory, in call order: the i-th policies of two factories
-// with the same configuration decide identically on identical observations,
-// whatever else the process runs.
+// (tunnel.Config.Policy). It accepts PolicyNames and, as NewPolicy does, the
+// empty name for Algorithm 1 — the CheatStick sentinel is constructible
+// through NewPolicy, never deployable — and validates cfg here, once. The
+// constructor is safe for concurrent calls; its n-th call (counting from 1)
+// seeds the policy cfg.Seed ^ n<<20. The promise is per factory, in call
+// order: the i-th policies of two factories with the same configuration
+// decide identically on identical observations, whatever else the process
+// runs.
 func PolicyFactory(name string, cfg Config) (func() Policy, error) {
-	if !slices.Contains(PolicyNames(), name) {
+	if name != "" && !slices.Contains(PolicyNames(), name) {
 		return nil, errUnknownPolicy(name)
 	}
 	if _, err := NewPolicy(name, cfg); err != nil {

@@ -11,14 +11,13 @@ import (
 )
 
 // TestPolicyFactoryNames: what deploys a policy accepts the selectable names
-// (core.PolicyNames) and nothing else — not the CheatStick sentinel, which
-// NewPolicy can construct but which would pin every stream at level 0, and
-// not the empty name: a CLI that was given no -decider hands its substrate
-// no factory at all.
+// (core.PolicyNames) and the empty name, Algorithm 1 as in NewPolicy, and
+// nothing else — not the CheatStick sentinel, which NewPolicy can construct
+// but which would pin every stream at level 0.
 func TestPolicyFactoryNames(t *testing.T) {
 	const names = "[algone bandit ewma]"
 	cases := map[string]string{ // name -> substring of the error, "" = accepted
-		"":                    names,
+		"":                    "",
 		core.PolicyCheatStick: names,
 		"nonsense":            names,
 	}
@@ -37,7 +36,11 @@ func TestPolicyFactoryNames(t *testing.T) {
 			if err != nil {
 				t.Fatalf("PolicyFactory: %v", err)
 			}
-			if got := mk().(core.Decider).Name(); got != name {
+			want := name
+			if want == "" {
+				want = core.PolicyAlgorithmOne
+			}
+			if got := mk().(core.Decider).Name(); got != want {
 				t.Fatalf("factory for %q built a %q policy", name, got)
 			}
 		})
@@ -58,6 +61,23 @@ func decisionTrace(p core.Policy, n int) string {
 		fmt.Fprintln(&b, p.(core.Decider).LastDecision())
 	}
 	return b.String()
+}
+
+// TestPolicyFactoryEmptyNameIsAlgorithmOne: a CLI given no -decider hands
+// its substrate PolicyFactory("") at its -alpha, and every policy that
+// factory makes decides exactly as NewDecider's Algorithm 1 does.
+func TestPolicyFactoryEmptyNameIsAlgorithmOne(t *testing.T) {
+	cfg := core.Config{Levels: propLevels, Alpha: 0.3}
+	mk, err := core.PolicyFactory("", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := decisionTrace(core.MustNewDecider(cfg), 400)
+	for i := 0; i < 3; i++ {
+		if decisionTrace(mk(), 400) != want {
+			t.Errorf("policy %d of PolicyFactory(\"\") decided differently from NewDecider", i)
+		}
+	}
 }
 
 // TestPolicyFactorySeedsPerFactoryInCallOrder pins what -decider-seed

@@ -98,11 +98,15 @@ func ParseKind(s string) (Kind, error) {
 	}
 }
 
+// maxMixWeight caps the sum of a mix's weights, ParseMix's result length.
+const maxMixWeight = 1000
+
 // ParseMix parses a workload-mix spec into a weighted kind cycle for load
 // generation (cmd/acload -mix): a comma-separated list of kind names, each
 // optionally weighted with "=N" ("high,low" or "high=3,low=1"). The result
 // repeats each kind weight times, so uniform sampling over it reproduces
-// the requested ratio. An empty spec means all three classes, equally
+// the requested ratio; as a spec can come from a file, the weights sum to at
+// most maxMixWeight. An empty spec means all three classes, equally
 // weighted.
 func ParseMix(spec string) ([]Kind, error) {
 	if strings.TrimSpace(spec) == "" {
@@ -111,13 +115,12 @@ func ParseMix(spec string) ([]Kind, error) {
 	var mix []Kind
 	for _, part := range strings.Split(spec, ",") {
 		name, weightStr, weighted := strings.Cut(part, "=")
-		weight := 1
+		weight, err := 1, error(nil)
 		if weighted {
-			w, err := strconv.Atoi(strings.TrimSpace(weightStr))
-			if err != nil || w < 1 {
-				return nil, fmt.Errorf("corpus: bad mix weight %q in %q", weightStr, part)
-			}
-			weight = w
+			weight, err = strconv.Atoi(strings.TrimSpace(weightStr))
+		}
+		if err != nil || weight < 1 || weight > maxMixWeight-len(mix) {
+			return nil, fmt.Errorf("corpus: bad mix weight %q in %q (the weights sum to at most %d)", weightStr, part, maxMixWeight)
 		}
 		kind, err := ParseKind(name)
 		if err != nil {

@@ -300,6 +300,8 @@ func TestParseMix(t *testing.T) {
 		{"bogus", nil, false},
 		{"high=0", nil, false},
 		{"high=x", nil, false},
+		{"high=2000000000", nil, false},
+		{"high=600,low=401", nil, false},
 	}
 	for _, c := range cases {
 		got, err := corpus.ParseMix(c.spec)

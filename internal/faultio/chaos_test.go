@@ -125,10 +125,9 @@ func runStreamScenario(t *testing.T, seed uint64, payload []byte) outcome {
 	}
 
 	go func() {
-		w, err := stream.NewWriter(wireW, stream.WriterConfig{
+		w, err := stream.NewParallelWriter(wireW, stream.WriterConfig{
 			Static: true, StaticLevel: 1 + int(seed%3), BlockSize: 8 << 10,
-			Parallelism: int(seed % 3), // 0..2: cover sync and parallel writers
-		})
+		}, max(1, int(seed%3))) // 1, 1, 2: cover the inline and parallel writers
 		if err != nil {
 			resCh <- result{nil, err}
 			return

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"adaptio/internal/block"
+	"adaptio/internal/core"
 	"adaptio/internal/ratelimit"
 	"adaptio/internal/stream"
 )
@@ -335,9 +336,9 @@ func (s *selfClosingFile) Read(p []byte) (int, error) {
 
 // wrapWriter layers bandwidth shaping and the adaptive compression stream
 // onto a link's writer according to the edge spec. It returns the wrapped
-// writer, a flush-close function, and an accessor for the compression stats
-// (nil when compression is off).
-func wrapWriter(w io.WriteCloser, spec ChannelSpec) (io.Writer, func() error, func() *stream.Stats, error) {
+// writer, a flush-close function, and an accessor for the stream's level
+// switches (0 when compression is off).
+func wrapWriter(w io.WriteCloser, spec ChannelSpec) (io.Writer, func() error, func() int64, error) {
 	if spec.WireMBps > 0 {
 		limited, err := ratelimit.NewWriter(w, spec.WireMBps*1e6, 0)
 		if err != nil {
@@ -346,16 +347,11 @@ func wrapWriter(w io.WriteCloser, spec ChannelSpec) (io.Writer, func() error, fu
 		w = &writeCloserPair{limited, w}
 	}
 	if spec.Compression == CompressionOff {
-		return w, w.Close, func() *stream.Stats { return nil }, nil
+		return w, w.Close, func() int64 { return 0 }, nil
 	}
-	cfg := stream.WriterConfig{
-		Window:    spec.Window,
-		Alpha:     spec.Alpha,
-		BlockSize: spec.BlockSize,
-	}
+	cfg := stream.WriterConfig{Window: spec.Window, BlockSize: spec.BlockSize}
 	if spec.Compression == CompressionStatic {
-		cfg.Static = true
-		cfg.StaticLevel = spec.StaticLevel
+		cfg.Decider = core.Static(spec.StaticLevel)
 	}
 	sw, err := stream.NewWriter(w, cfg)
 	if err != nil {
@@ -368,11 +364,7 @@ func wrapWriter(w io.WriteCloser, spec ChannelSpec) (io.Writer, func() error, fu
 		}
 		return w.Close()
 	}
-	statsFn := func() *stream.Stats {
-		s := sw.Stats()
-		return &s
-	}
-	return sw, closeAll, statsFn, nil
+	return sw, closeAll, func() int64 { return sw.Stats().LevelSwitches }, nil
 }
 
 func wrapReader(r io.Reader, spec ChannelSpec) (io.Reader, error) {

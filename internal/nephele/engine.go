@@ -127,8 +127,6 @@ type OutputGate struct {
 	dist    Distribution
 	key     func([]byte) []byte
 	closers []func() error
-	wires   []*countingWriter
-	stats   []func() levelStats
 }
 
 // WriteRecord emits one record according to the edge's distribution:
@@ -176,8 +174,6 @@ func (g *OutputGate) close() error {
 	}
 	return first
 }
-
-type levelStats struct{ switches int64 }
 
 // countingWriter counts transport-level (wire) bytes.
 type countingWriter struct {
@@ -490,10 +486,10 @@ func runSubtask(ctx context.Context, g *JobGraph, v *Vertex, sub int, runtimes m
 	// Output gates: open writers eagerly (TCP dials succeed against the
 	// listener backlog even before the consumer accepts).
 	type outAccounting struct {
-		rt    *edgeRuntime
-		gate  *OutputGate
-		wires []*countingWriter
-		stats []func() levelStats
+		rt       *edgeRuntime
+		gate     *OutputGate
+		wires    []*countingWriter
+		switches []func() int64
 	}
 	var accounting []outAccounting
 	for _, edge := range v.outputs {
@@ -506,7 +502,7 @@ func runSubtask(ctx context.Context, g *JobGraph, v *Vertex, sub int, runtimes m
 				return err
 			}
 			counter := &countingWriter{w: wc}
-			wrapped, closeFn, statsFn, err := wrapWriter(&writeCloserPair{counter, wc}, edge.spec)
+			wrapped, closeFn, switches, err := wrapWriter(&writeCloserPair{counter, wc}, edge.spec)
 			if err != nil {
 				wc.Close()
 				return err
@@ -514,13 +510,7 @@ func runSubtask(ctx context.Context, g *JobGraph, v *Vertex, sub int, runtimes m
 			gate.writers = append(gate.writers, NewRecordWriter(wrapped))
 			gate.closers = append(gate.closers, closeFn)
 			acct.wires = append(acct.wires, counter)
-			sf := statsFn
-			acct.stats = append(acct.stats, func() levelStats {
-				if s := sf(); s != nil {
-					return levelStats{switches: s.LevelSwitches}
-				}
-				return levelStats{}
-			})
+			acct.switches = append(acct.switches, switches)
 		}
 		accounting = append(accounting, acct)
 		tc.outputs = append(tc.outputs, gate)
@@ -563,8 +553,8 @@ func runSubtask(ctx context.Context, g *JobGraph, v *Vertex, sub int, runtimes m
 		for _, c := range acct.wires {
 			s.WireBytes += c.n
 		}
-		for _, fn := range acct.stats {
-			s.LevelSwitches += fn().switches
+		for _, fn := range acct.switches {
+			s.LevelSwitches += fn()
 		}
 		acct.rt.add(s)
 	}

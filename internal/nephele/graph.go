@@ -88,10 +88,9 @@ type ChannelSpec struct {
 	Compression CompressionMode
 	// StaticLevel is the pinned ladder level for CompressionStatic.
 	StaticLevel int
-	// Window and Alpha tune the adaptive decision model; zero values mean
-	// the paper's t=2 s and α=0.2.
+	// Window is the adaptive decision model's window t; zero means the
+	// paper's 2 s.
 	Window time.Duration
-	Alpha  float64
 	// BlockSize overrides the 128 KB default block size.
 	BlockSize int
 	// Distribution routes records across consumer subtasks; the zero

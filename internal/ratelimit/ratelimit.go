@@ -63,10 +63,15 @@ func (rl *Writer) Write(p []byte) (int, error) {
 		rl.take(float64(chunk))
 		n, err := rl.w.Write(p[:chunk])
 		total += n
+		if err == nil && n == 0 {
+			err = io.ErrShortWrite
+		}
 		if err != nil {
 			return total, err
 		}
-		p = p[chunk:]
+		// A short count with a nil error (write(2)): refund the rest, resend it.
+		rl.tokens += float64(chunk - n)
+		p = p[n:]
 	}
 	return total, nil
 }

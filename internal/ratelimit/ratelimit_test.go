@@ -6,6 +6,11 @@ import (
 	"io"
 	"testing"
 	"time"
+
+	"adaptio/internal/core"
+	"adaptio/internal/corpus"
+	"adaptio/internal/faultio"
+	"adaptio/internal/stream"
 )
 
 func TestValidation(t *testing.T) {
@@ -121,6 +126,33 @@ func TestSetRateTakesEffect(t *testing.T) {
 	second := ft.slept - before
 	if second > before/2 {
 		t.Fatalf("4x rate did not speed up: first %.2fs, second %.2fs", before.Seconds(), second.Seconds())
+	}
+}
+
+// TestPartialWritesKeepTheStream: a transport that takes part of a write with
+// a nil error (faultio's PartialWrite) must still get every byte once and in
+// order, so a stream.Writer over the limiter round-trips.
+func TestPartialWritesKeepTheStream(t *testing.T) {
+	src := corpus.Generate(corpus.Moderate, 1<<20, 9)
+	var wire bytes.Buffer
+	rl, _ := newVirtual(t, faultio.NewWriter(&wire, faultio.Config{Seed: 5, PartialWrite: 0.7}), 1e9, 16<<10)
+	w, err := stream.NewWriter(rl, stream.WriterConfig{Decider: core.Static(stream.LevelLight)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := stream.NewReader(&wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(r)
+	if err != nil || !bytes.Equal(got, src) {
+		t.Fatalf("read %d of %d bytes back, equal %v, err %v", len(got), len(src), bytes.Equal(got, src), err)
 	}
 }
 

@@ -40,6 +40,7 @@ func FuzzScenarioParse(f *testing.F) {
 		`{"name":"x","windows":10,"fleet":[{"count":1}],"demand":{"kind":"step","value":1,"to":2,"at":"nan"}}`,
 		`{"name":"x","windows":10,"fleet":[{"count":1}],"demand":{"kind":"step","at":1e999}}`,
 		`{"name":"x","windows":10,"fleet":[{"count":1}]}{}`,
+		`{"name":"x","windows":10,"fleet":[{"count":1,"mix":"high=2000000000"}]}`,
 		`null`,
 		`{}`,
 		`[["deep",["nesting"]]]`,

@@ -86,6 +86,7 @@ func TestParseTypedErrors(t *testing.T) {
 		{"inverted cpu span", `{"name":"x","windows":10,"fleet":[{"count":1,"cpu":{"min":2,"max":1}}]}`, "fleet[0].cpu"},
 		{"zero cpu min", `{"name":"x","windows":10,"fleet":[{"count":1,"cpu":{"min":0,"max":1}}]}`, "fleet[0].cpu"},
 		{"bad mix", `{"name":"x","windows":10,"fleet":[{"count":1,"mix":"plutonium"}]}`, "fleet[0].mix"},
+		{"huge mix weight", `{"name":"x","windows":10,"fleet":[{"count":1,"mix":"high=2000000000"}]}`, "fleet[0].mix"},
 		{"loss above ceiling", valid(`,"link":{"loss":{"kind":"constant","value":0.6}}`), "link.loss.value"},
 		{"unknown curve kind", valid(`,"demand":{"kind":"wavelet"}`), "demand.kind"},
 		{"square duty zero", valid(`,"demand":{"kind":"square","high":1,"low":0,"period":10,"duty":0}`), "demand.duty"},

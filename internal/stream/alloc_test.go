@@ -15,7 +15,7 @@ func TestSerialStreamReleasesAllBuffers(t *testing.T) {
 	blocktest.Track(t)
 	data := benchBlock(t, 300<<10)
 	pipe := &benchPipe{}
-	w, err := stream.NewWriter(pipe, staticCfg(stream.LevelLight, 0))
+	w, err := stream.NewWriter(pipe, staticCfg(stream.LevelLight))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestParallelStreamReleasesAllBuffers(t *testing.T) {
 	data := benchBlock(t, 500<<10)
 
 	pipe := &benchPipe{}
-	w, err := stream.NewWriter(pipe, staticCfg(stream.LevelLight, 4))
+	w, err := stream.NewParallelWriter(pipe, staticCfg(stream.LevelLight), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,15 +70,15 @@ func benchBlock(tb testing.TB, n int) []byte {
 	return corpus.Generate(corpus.Moderate, n, 7)
 }
 
-func staticCfg(level, parallelism int) stream.WriterConfig {
-	return stream.WriterConfig{Static: true, StaticLevel: level, Parallelism: parallelism}
+func staticCfg(level int) stream.WriterConfig {
+	return stream.WriterConfig{Static: true, StaticLevel: level}
 }
 
 // encodeWire returns the wire form of data at the given static level.
 func encodeWire(tb testing.TB, data []byte, level int) []byte {
 	tb.Helper()
 	var wire bytes.Buffer
-	w, err := stream.NewWriter(&wire, staticCfg(level, 0))
+	w, err := stream.NewWriter(&wire, staticCfg(level))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -92,11 +92,17 @@ func encodeWire(tb testing.TB, data []byte, level int) []byte {
 }
 
 // writeBlocks is the writer-side operation: the given number of 128 KB blocks
-// per call into a long-lived static-LIGHT Writer (parallelism as in
-// staticCfg) that tb.Cleanup closes.
-func writeBlocks(tb testing.TB, dst io.Writer, parallelism, blocks int) func() {
+// per call into a long-lived static-LIGHT Writer, NewParallelWriter's when
+// workers > 0, that tb.Cleanup closes.
+func writeBlocks(tb testing.TB, dst io.Writer, workers, blocks int) func() {
 	tb.Helper()
-	w, err := stream.NewWriter(dst, staticCfg(stream.LevelLight, parallelism))
+	open := stream.NewWriter
+	if workers > 0 {
+		open = func(dst io.Writer, cfg stream.WriterConfig) (*stream.Writer, error) {
+			return stream.NewParallelWriter(dst, cfg, workers)
+		}
+	}
+	w, err := open(dst, staticCfg(stream.LevelLight))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -162,7 +168,7 @@ func allocRoundTripSerial(tb testing.TB) func() {
 func allocWriterChurn(tb testing.TB) func() {
 	data := benchBlock(tb, stream.DefaultBlockSize)
 	return func() {
-		w, err := stream.NewWriter(io.Discard, staticCfg(stream.LevelLight, 0))
+		w, err := stream.NewWriter(io.Discard, staticCfg(stream.LevelLight))
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -114,24 +114,24 @@ func TestCopyAccounting(t *testing.T) {
 
 	cases := []struct {
 		name             string
-		cfg              WriterConfig
+		level, workers   int  // workers: NewParallelWriter's, 0 for NewWriter
 		direct           bool // ReadDirect vs Write
 		copied, passthru int64
 	}{
-		{"write-NO", WriterConfig{Static: true, StaticLevel: 0}, false, int64(len(high)), 0},
-		{"direct-NO", WriterConfig{Static: true, StaticLevel: 0}, true, 0, int64(len(high))},
-		{"write-LIGHT", WriterConfig{Static: true, StaticLevel: 1}, false, 2 * int64(len(high)), 0},
-		{"direct-LIGHT", WriterConfig{Static: true, StaticLevel: 1}, true, int64(len(high)), 0},
+		{"write-NO", 0, 0, false, int64(len(high)), 0},
+		{"direct-NO", 0, 0, true, 0, int64(len(high))},
+		{"write-LIGHT", 1, 0, false, 2 * int64(len(high)), 0},
+		{"direct-LIGHT", 1, 0, true, int64(len(high)), 0},
 		// Pipeline stored-raw frames ride the same vectored two-piece write
 		// as the serial path, so direct-ingest identity blocks stay
 		// copy-free; compressed pipeline frames cost the codec copy.
-		{"pipeline-direct-NO", WriterConfig{Static: true, StaticLevel: 0, Parallelism: 4}, true, 0, int64(len(high))},
-		{"pipeline-direct-LIGHT", WriterConfig{Static: true, StaticLevel: 1, Parallelism: 4}, true, int64(len(high)), 0},
+		{"pipeline-direct-NO", 0, 4, true, 0, int64(len(high))},
+		{"pipeline-direct-LIGHT", 1, 4, true, int64(len(high)), 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var wire bytes.Buffer
-			w := mustWriter(t, &wire, tc.cfg)
+			w := mustParallelWriter(t, &wire, WriterConfig{Static: true, StaticLevel: tc.level}, tc.workers)
 			var err error
 			if tc.direct {
 				_, err = w.ReadFrom(bytes.NewReader(high))

@@ -10,7 +10,7 @@ import "sync"
 // EncodePool is the workers; it knows nothing about order or the wire. The
 // pipeline is what one Writer adds to them: sequence numbers, the frames
 // encoded ahead of their turn, and the flusher goroutine that emits them. A
-// pool is private to one Writer (WriterConfig.Parallelism) or shared by many
+// pool is private to one Writer (NewParallelWriter) or shared by many
 // (WriterConfig.Pool); the code is the same, only who stops the workers
 // differs.
 //

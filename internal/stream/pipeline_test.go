@@ -21,10 +21,9 @@ func TestParallelRoundTripAllKinds(t *testing.T) {
 		for _, kind := range corpus.Kinds() {
 			src := corpus.Generate(kind, 600<<10, 3)
 			var wire bytes.Buffer
-			w := mustWriter(t, &wire, WriterConfig{
-				Static: true, StaticLevel: LevelLight,
-				Parallelism: workers, BlockSize: 16 << 10,
-			})
+			w := mustParallelWriter(t, &wire, WriterConfig{
+				Static: true, StaticLevel: LevelLight, BlockSize: 16 << 10,
+			}, workers)
 			if _, err := w.Write(src); err != nil {
 				t.Fatal(err)
 			}
@@ -115,10 +114,10 @@ func TestParallelFramesStayOrdered(t *testing.T) {
 		src = append(src, chunk...)
 	}
 	var wire bytes.Buffer
-	w := mustWriter(t, &wire, WriterConfig{
+	w := mustParallelWriter(t, &wire, WriterConfig{
 		Static: true, StaticLevel: LevelHeavy, // heavy codec amplifies the skew
-		Parallelism: runtime.NumCPU(), BlockSize: 16 << 10,
-	})
+		BlockSize: 16 << 10,
+	}, runtime.NumCPU())
 	if _, err := w.Write(src); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +138,7 @@ func TestParallelAdaptive(t *testing.T) {
 	clk := vclock.NewManual()
 	src := corpus.Generate(corpus.High, 1<<20, 5)
 	var wire bytes.Buffer
-	w := mustWriter(t, &wire, WriterConfig{Parallelism: 4, Clock: clk, Window: time.Second, BlockSize: 32 << 10})
+	w := mustParallelWriter(t, &wire, WriterConfig{Clock: clk, Window: time.Second, BlockSize: 32 << 10}, 4)
 	for off := 0; off < len(src); off += 16 << 10 {
 		if _, err := w.Write(src[off : off+16<<10]); err != nil {
 			t.Fatal(err)
@@ -161,7 +160,7 @@ func TestParallelAdaptive(t *testing.T) {
 func TestParallelFlushWaitsForInFlight(t *testing.T) {
 	leakcheck.Check(t)
 	var wire bytes.Buffer
-	w := mustWriter(t, &wire, WriterConfig{Static: true, StaticLevel: LevelHeavy, Parallelism: 4, BlockSize: 8 << 10})
+	w := mustParallelWriter(t, &wire, WriterConfig{Static: true, StaticLevel: LevelHeavy, BlockSize: 8 << 10}, 4)
 	src := corpus.Generate(corpus.Moderate, 256<<10, 2)
 	if _, err := w.Write(src); err != nil {
 		t.Fatal(err)
@@ -181,9 +180,9 @@ func TestParallelFlushWaitsForInFlight(t *testing.T) {
 
 func TestParallelErrorPropagates(t *testing.T) {
 	leakcheck.Check(t)
-	w := mustWriter(t, &errWriter{n: 100}, WriterConfig{
-		Static: true, StaticLevel: 0, Parallelism: 3, BlockSize: 4 << 10,
-	})
+	w := mustParallelWriter(t, &errWriter{n: 100}, WriterConfig{
+		Static: true, StaticLevel: 0, BlockSize: 4 << 10,
+	}, 3)
 	data := bytes.Repeat([]byte("z"), 4<<10)
 	var sawErr error
 	for i := 0; i < 200 && sawErr == nil; i++ {
@@ -203,19 +202,18 @@ func TestParallelErrorPropagates(t *testing.T) {
 
 func TestParallelConfigValidation(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := NewWriter(&buf, WriterConfig{Parallelism: -2}); err == nil {
-		t.Fatal("negative parallelism accepted")
-	}
 	pool := NewEncodePool(1)
 	defer pool.Close()
-	if _, err := NewWriter(&buf, WriterConfig{Parallelism: 2, Pool: pool}); err == nil {
-		t.Fatal("a private and a shared pool accepted together")
+	for _, workers := range []int{0, 1, 2} {
+		if _, err := NewParallelWriter(&buf, WriterConfig{Pool: pool}, workers); err == nil {
+			t.Fatalf("%d private workers and a shared pool accepted together", workers)
+		}
 	}
-	// 0 and 1 are synchronous and valid.
-	for _, p := range []int{0, 1} {
-		w, err := NewWriter(&buf, WriterConfig{Parallelism: p})
+	// One worker is the inline writer, and fewer mean GOMAXPROCS.
+	for _, workers := range []int{-2, 0, 1} {
+		w, err := NewParallelWriter(&buf, WriterConfig{}, workers)
 		if err != nil {
-			t.Fatalf("parallelism %d rejected: %v", p, err)
+			t.Fatalf("%d workers rejected: %v", workers, err)
 		}
 		w.Close()
 	}
@@ -232,9 +230,7 @@ func BenchmarkParallelHeavyCompression(b *testing.B) {
 		b.Run(benchName(workers), func(b *testing.B) {
 			b.SetBytes(int64(len(src)))
 			for i := 0; i < b.N; i++ {
-				w, _ := NewWriter(io.Discard, WriterConfig{
-					Static: true, StaticLevel: LevelHeavy, Parallelism: workers,
-				})
+				w, _ := NewParallelWriter(io.Discard, WriterConfig{Static: true, StaticLevel: LevelHeavy}, workers)
 				if _, err := w.Write(src); err != nil {
 					b.Fatal(err)
 				}

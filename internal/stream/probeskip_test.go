@@ -20,14 +20,14 @@ import (
 // work (ProbeSkips) and, on the direct-ingest path, the bytes stay
 // zero-copy (passthrough_bytes, not copied_bytes).
 
-// encodeProbe pushes src through a writer built from cfg — via ReadFrom
-// (direct ingest) or Write (staging) — and returns the wire bytes and the
-// final stats. probeOff sets the writer's unexported seam of that name: every
+// encodeProbe pushes src through mustParallelWriter's writer for cfg and
+// workers — via ReadFrom (direct ingest) or Write (staging) — and returns the
+// wire bytes and the final stats. probeOff sets the writer's unexported seam of that name: every
 // block goes to the codec, which no configuration can ask for.
-func encodeProbe(t *testing.T, cfg WriterConfig, src []byte, direct, probeOff bool) ([]byte, Stats) {
+func encodeProbe(t *testing.T, cfg WriterConfig, workers int, src []byte, direct, probeOff bool) ([]byte, Stats) {
 	t.Helper()
 	var wire bytes.Buffer
-	w := mustWriter(t, &wire, cfg)
+	w := mustParallelWriter(t, &wire, cfg, workers)
 	w.probeOff = probeOff
 	var err error
 	if direct {
@@ -53,13 +53,13 @@ func TestProbeSkipWireIdenticalToStoredRaw(t *testing.T) {
 	blocktest.Track(t)
 	src := incompressible(300<<10, 17) // spans full and partial blocks
 	for lvl := 1; lvl < len(DefaultLadder()); lvl++ {
-		skipped, st := encodeProbe(t, WriterConfig{Static: true, StaticLevel: lvl}, src, true, false)
-		storedRaw, _ := encodeProbe(t, WriterConfig{Static: true, StaticLevel: LevelNo}, src, true, false)
+		skipped, st := encodeProbe(t, WriterConfig{Static: true, StaticLevel: lvl}, 0, src, true, false)
+		storedRaw, _ := encodeProbe(t, WriterConfig{Static: true, StaticLevel: LevelNo}, 0, src, true, false)
 		if !bytes.Equal(skipped, storedRaw) {
 			t.Fatalf("level %d: probe-skipped wire differs from stored-raw framing (%d vs %d bytes)",
 				lvl, len(skipped), len(storedRaw))
 		}
-		codecPath, stDis := encodeProbe(t, WriterConfig{Static: true, StaticLevel: lvl}, src, true, true)
+		codecPath, stDis := encodeProbe(t, WriterConfig{Static: true, StaticLevel: lvl}, 0, src, true, true)
 		if !bytes.Equal(skipped, codecPath) {
 			t.Fatalf("level %d: probe skip changes the wire bytes vs the codec's own fallback", lvl)
 		}
@@ -88,7 +88,7 @@ func TestProbeSkipLedger(t *testing.T) {
 
 	for _, tc := range []struct {
 		name             string
-		parallelism      int
+		workers          int
 		direct           bool
 		copied, passthru int64
 	}{
@@ -100,8 +100,8 @@ func TestProbeSkipLedger(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
 			scope := reg.Scope("test").Scope("stream").Scope("writer")
-			cfg := WriterConfig{Static: true, StaticLevel: LevelLight, Parallelism: tc.parallelism, Obs: scope}
-			_, st := encodeProbe(t, cfg, src, tc.direct, false)
+			cfg := WriterConfig{Static: true, StaticLevel: LevelLight, Obs: scope}
+			_, st := encodeProbe(t, cfg, tc.workers, src, tc.direct, false)
 			if st.Blocks != 2 || st.ProbeSkips != 2 {
 				t.Fatalf("Blocks=%d ProbeSkips=%d, want 2/2", st.Blocks, st.ProbeSkips)
 			}
@@ -131,7 +131,7 @@ func TestProbeSkipLedger(t *testing.T) {
 func TestProbeKeepsCompressibleBlocks(t *testing.T) {
 	for _, kind := range corpus.Kinds() {
 		src := corpus.Generate(kind, 256<<10, 7)
-		wire, st := encodeProbe(t, WriterConfig{Static: true, StaticLevel: LevelLight}, src, true, false)
+		wire, st := encodeProbe(t, WriterConfig{Static: true, StaticLevel: LevelLight}, 0, src, true, false)
 		if st.ProbeSkips != 0 {
 			t.Errorf("%s: %d of %d blocks probe-skipped", kind, st.ProbeSkips, st.Blocks)
 		}
@@ -151,11 +151,11 @@ func TestProbeDisabledRunsTheCodec(t *testing.T) {
 	blocktest.Track(t)
 	src := hiddenRepeat(t)
 	for lvl := 1; lvl < len(DefaultLadder()); lvl++ {
-		_, st := encodeProbe(t, WriterConfig{Static: true, StaticLevel: lvl}, src, true, false)
+		_, st := encodeProbe(t, WriterConfig{Static: true, StaticLevel: lvl}, 0, src, true, false)
 		if st.ProbeSkips != 1 || st.RawFallbacks != 1 {
 			t.Fatalf("level %d probe on: ProbeSkips=%d RawFallbacks=%d, want 1/1", lvl, st.ProbeSkips, st.RawFallbacks)
 		}
-		wire, st := encodeProbe(t, WriterConfig{Static: true, StaticLevel: lvl}, src, true, true)
+		wire, st := encodeProbe(t, WriterConfig{Static: true, StaticLevel: lvl}, 0, src, true, true)
 		if st.ProbeSkips != 0 || st.RawFallbacks != 0 || len(wire) > len(src)-(15<<10) {
 			t.Fatalf("level %d probe off: ProbeSkips=%d RawFallbacks=%d wire=%d of %d bytes; the codec did not run",
 				lvl, st.ProbeSkips, st.RawFallbacks, len(wire), len(src))

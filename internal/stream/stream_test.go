@@ -24,6 +24,20 @@ func mustWriter(t *testing.T, dst io.Writer, cfg WriterConfig) *Writer {
 	return w
 }
 
+// mustParallelWriter is mustWriter through NewParallelWriter; 0 workers is
+// NewWriter.
+func mustParallelWriter(t *testing.T, dst io.Writer, cfg WriterConfig, workers int) *Writer {
+	t.Helper()
+	if workers == 0 {
+		return mustWriter(t, dst, cfg)
+	}
+	w, err := NewParallelWriter(dst, cfg, workers)
+	if err != nil {
+		t.Fatalf("NewParallelWriter: %v", err)
+	}
+	return w
+}
+
 func mustReader(t *testing.T, src io.Reader) *Reader {
 	t.Helper()
 	r, err := NewReader(src)

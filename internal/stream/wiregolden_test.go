@@ -175,10 +175,9 @@ func TestWireGolden(t *testing.T) {
 		t.Fatalf("golden holds %d streams, the suite has %d", len(want), len(cases))
 	}
 
-	withParallelism := func(p int) func(io.Writer, WriterConfig) (goldenWriter, error) {
+	parallel := func(workers int) func(io.Writer, WriterConfig) (goldenWriter, error) {
 		return func(dst io.Writer, cfg WriterConfig) (goldenWriter, error) {
-			cfg.Parallelism = p
-			return NewWriter(dst, cfg)
+			return NewParallelWriter(dst, cfg, workers)
 		}
 	}
 	writers := []struct {
@@ -186,11 +185,9 @@ func TestWireGolden(t *testing.T) {
 		open func(io.Writer, WriterConfig) (goldenWriter, error)
 	}{
 		{"serial", serial},
-		{"parallelism2", withParallelism(2)},
-		{"parallelism4", withParallelism(4)},
-		{"NewParallelWriter3", func(dst io.Writer, cfg WriterConfig) (goldenWriter, error) {
-			return NewParallelWriter(dst, cfg, 3)
-		}},
+		{"NewParallelWriter2", parallel(2)},
+		{"NewParallelWriter3", parallel(3)},
+		{"NewParallelWriter4", parallel(4)},
 	}
 	readers := []struct {
 		name string

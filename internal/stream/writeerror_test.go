@@ -67,10 +67,9 @@ func TestNoWriteAfterFailedFrame(t *testing.T) {
 				leakcheck.Check(t)
 				blocktest.Track(t)
 				dst := &failOnceWriter{failAt: tc.failAt}
-				w := mustWriter(t, dst, WriterConfig{
-					Static: true, StaticLevel: LevelLight,
-					Parallelism: parallelism, BlockSize: 16 << 10,
-				})
+				w := mustParallelWriter(t, dst, WriterConfig{
+					Static: true, StaticLevel: LevelLight, BlockSize: 16 << 10,
+				}, parallelism)
 				if _, err := w.Write(tc.src); !errors.Is(err, errBoom) {
 					t.Errorf("Write returned %v, want the destination's error", err)
 				}
@@ -192,7 +191,7 @@ func TestInlineModesStartNoGoroutine(t *testing.T) {
 	var wire bytes.Buffer
 	for _, procs := range []int{1, runtime.GOMAXPROCS(0), sharedInFlight} {
 		for _, open := range []func() (*Writer, error){
-			func() (*Writer, error) { return NewWriter(&wire, WriterConfig{Parallelism: 1, BlockSize: 16 << 10}) },
+			func() (*Writer, error) { return NewWriter(&wire, WriterConfig{BlockSize: 16 << 10}) },
 			func() (*Writer, error) { return NewParallelWriter(&wire, WriterConfig{BlockSize: 16 << 10}, 1) },
 		} {
 			prev := runtime.GOMAXPROCS(procs)

@@ -17,10 +17,10 @@ import (
 )
 
 // Adaptive is the value of the CLIs' -static flag meaning "let the decision
-// model choose" (the paper's DYNAMIC mode): a CLI that reads it leaves
-// WriterConfig.Static unset. It is not a StaticLevel: with Static set,
-// StaticLevel: Adaptive is rejected as out of range, and without Static the
-// field is ignored.
+// model choose" (the paper's DYNAMIC mode): a CLI that reads it hands the
+// writer a decision model as WriterConfig.Decider, and core.Static(n) for a
+// level n. It is not a level: core.Static(Adaptive) is out of range and
+// rejected.
 const Adaptive = -1
 
 // WindowStat describes one completed decision window; it feeds the
@@ -87,16 +87,15 @@ func (s Stats) Ratio() float64 {
 }
 
 // WriterConfig parameterizes a Writer. The zero value gives the paper's
-// configuration: the four-level default ladder, t = 2 s, α = 0.2, 128 KB
-// blocks, adaptive (DYNAMIC) level selection, wall-clock time.
+// configuration: the four-level default ladder, t = 2 s, 128 KB blocks,
+// adaptive (DYNAMIC) level selection by Algorithm 1 at α = 0.2, wall-clock
+// time.
 type WriterConfig struct {
 	// Ladder is the ordered compression-level ladder. Nil means
 	// DefaultLadder().
 	Ladder compress.Ladder
 	// Window is the reconsideration interval t. Zero means 2 s.
 	Window time.Duration
-	// Alpha is the decision model's tolerance band α. Zero means 0.2.
-	Alpha float64
 	// BlockSize caps the bytes buffered before a frame is cut. Zero means
 	// 128 KB. Values above MaxBlockSize are invalid.
 	BlockSize int
@@ -131,21 +130,12 @@ type WriterConfig struct {
 	// histogram, and the controller decision event log. A nil scope
 	// keeps the writer fully functional with unregistered metrics.
 	Obs *obs.Scope
-	// Parallelism compresses blocks on an order-preserving worker pool of
-	// the given size, private to this writer, which runs ahead of the wire:
-	// Write returns with frames still in flight. 0 and 1 mean no pool and no
-	// run-ahead — every byte of a Write is on the wire when it returns —
-	// which is not the same as one core: a Write that carries several blocks
-	// still encodes them side by side, up to GOMAXPROCS at a time (see
-	// Writer.fork). Frames stay strictly ordered on the wire, so the
-	// receiver needs no changes.
-	Parallelism int
 	// Pool, if non-nil, compresses blocks on workers this writer shares with
-	// others (NewEncodePool) instead of starting its own: the writer adds
-	// only the ordering state and one flusher goroutine, and keeps at most a
-	// fixed number of blocks in flight however many workers the pool has.
-	// The wire bytes are those of the inline writer. The pool must outlive
-	// the writer. Mutually exclusive with Parallelism > 1.
+	// others (NewEncodePool): the writer adds only the ordering state and one
+	// flusher goroutine, and keeps at most a fixed number of blocks in flight
+	// however many workers the pool has. The wire bytes are those of the
+	// inline writer. The pool must outlive the writer. NewParallelWriter,
+	// which starts workers of its own, rejects it.
 	Pool *EncodePool
 }
 
@@ -168,7 +158,7 @@ type Writer struct {
 	blk    *block.Buf
 	frame  *block.Buf
 	staged int64     // bytes of blk.B that arrived via Write (copied in)
-	pipe   *pipeline // non-nil when Parallelism > 1 or Pool is set
+	pipe   *pipeline // non-nil on NewParallelWriter's workers or on Pool
 
 	// The inline mode's batch: forks[:forked] are the blocks of the current
 	// Write call being encoded on goroutines of their own, in cut order;
@@ -204,8 +194,29 @@ type Writer struct {
 	wireErr error
 }
 
-// NewWriter creates an adaptive compression writer in front of dst.
+// NewWriter creates an adaptive compression writer in front of dst; without
+// cfg.Pool every byte of a Write is on the wire when it returns.
 func NewWriter(dst io.Writer, cfg WriterConfig) (*Writer, error) {
+	return newWriter(dst, cfg, 0)
+}
+
+// NewParallelWriter creates a writer that compresses blocks on a private
+// order-preserving pool of workers (GOMAXPROCS when workers < 1) and runs
+// ahead of the wire: Write returns with frames still in flight. The wire
+// bytes are NewWriter's, and one worker is NewWriter's writer. cfg.Pool must
+// be nil.
+func NewParallelWriter(dst io.Writer, cfg WriterConfig, workers int) (*Writer, error) {
+	if cfg.Pool != nil {
+		return nil, errors.New("stream: NewParallelWriter starts its own workers; cfg.Pool must be nil")
+	}
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return newWriter(dst, cfg, workers)
+}
+
+// newWriter is both constructors; more than one worker means a private pool.
+func newWriter(dst io.Writer, cfg WriterConfig, workers int) (*Writer, error) {
 	if dst == nil {
 		return nil, errors.New("stream: nil destination writer")
 	}
@@ -230,12 +241,6 @@ func NewWriter(dst io.Writer, cfg WriterConfig) (*Writer, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.Real{}
 	}
-	if cfg.Parallelism < 0 {
-		return nil, fmt.Errorf("stream: negative parallelism %d", cfg.Parallelism)
-	}
-	if cfg.Parallelism > 1 && cfg.Pool != nil {
-		return nil, errors.New("stream: Parallelism and Pool are mutually exclusive")
-	}
 
 	w := &Writer{
 		dst:    dst,
@@ -255,7 +260,7 @@ func NewWriter(dst io.Writer, cfg WriterConfig) (*Writer, error) {
 	case cfg.Decider != nil:
 		w.policy = cfg.Decider
 	default:
-		dec, err := core.NewDecider(core.Config{Levels: len(cfg.Ladder), Alpha: cfg.Alpha})
+		dec, err := core.NewDecider(core.Config{Levels: len(cfg.Ladder)})
 		if err != nil {
 			return nil, err
 		}
@@ -269,8 +274,8 @@ func NewWriter(dst io.Writer, cfg WriterConfig) (*Writer, error) {
 	// All validation passed: acquire pooled buffers (released in Close).
 	w.blk = block.Get(cfg.BlockSize)
 	switch {
-	case cfg.Parallelism > 1:
-		w.pipe = newPipeline(w, NewEncodePool(cfg.Parallelism), true)
+	case workers > 1:
+		w.pipe = newPipeline(w, NewEncodePool(workers), true)
 	case cfg.Pool != nil:
 		w.pipe = newPipeline(w, cfg.Pool, false)
 	default:
@@ -279,19 +284,6 @@ func NewWriter(dst io.Writer, cfg WriterConfig) (*Writer, error) {
 	}
 	w.windowStart = w.clock.Now()
 	return w, nil
-}
-
-// NewParallelWriter is NewWriter with cfg.Parallelism set to workers, or to
-// GOMAXPROCS when workers < 1: each block (one arena buffer, handed to the
-// pool whole) is compressed by one worker and an order-preserving flusher
-// puts the frames on the wire, byte-identical to what the inline writer
-// produces. One worker is the inline writer.
-func NewParallelWriter(dst io.Writer, cfg WriterConfig, workers int) (*Writer, error) {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	cfg.Parallelism = workers
-	return NewWriter(dst, cfg)
 }
 
 // compressJob is one cut block on its way to becoming a frame.

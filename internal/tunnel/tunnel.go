@@ -66,16 +66,14 @@ const (
 // Config tunes the compression and robustness behaviour of a tunnel
 // endpoint.
 type Config struct {
-	// Window and Alpha parameterize the decision model (zero values mean
-	// the paper's t=2 s, α=0.2).
+	// Window is the decision window t; zero means the paper's 2 s.
 	Window time.Duration
-	Alpha  float64
 	// Static pins a level instead of adapting (for comparison runs).
 	Static      bool
 	StaticLevel int
 	// Policy, if non-nil, supplies the level-selection policy of each
 	// connection's compress path; nil means the paper's Algorithm 1 at
-	// Alpha. It is called once per served connection, when the compress
+	// α = 0.2. It is called once per served connection, when the compress
 	// path starts — never for a connection that is shed or still queued —
 	// and may be called from several goroutines at once. A returned policy
 	// with a Detach() method (a coord.Stream) has it called when the
@@ -220,13 +218,11 @@ type ConnStats struct {
 }
 
 func (c Config) writerConfig(obsScope *obs.Scope) stream.WriterConfig {
-	return stream.WriterConfig{
-		Window:      c.Window,
-		Alpha:       c.Alpha,
-		Static:      c.Static,
-		StaticLevel: c.StaticLevel,
-		Obs:         obsScope,
+	cfg := stream.WriterConfig{Window: c.Window, Obs: obsScope}
+	if c.Static {
+		cfg.Decider = core.Static(c.StaticLevel)
 	}
+	return cfg
 }
 
 func (c Config) logf(format string, args ...any) {
@@ -366,7 +362,7 @@ func listen(ctx context.Context, listenAddr string, cfg Config, dialAddr string,
 		return nil, fmt.Errorf("tunnel: negative FlushInterval %v", cfg.FlushInterval)
 	}
 	// Everything else a compress path could refuse to start on (a level off
-	// the ladder, a negative Window or Alpha) is refused here, by the writer
+	// the ladder, a negative Window) is refused here, by the writer
 	// itself. Policy is not called: it counts connections.
 	w, err := stream.NewWriter(io.Discard, cfg.writerConfig(nil))
 	if err != nil {

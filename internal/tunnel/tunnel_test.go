@@ -359,7 +359,6 @@ func TestListenRejectsConfigNoRelayCouldRun(t *testing.T) {
 		"static level off the ladder": {tunnel.Config{Static: true, StaticLevel: 9}, "starting level 9 outside ladder"},
 		"negative static level":       {tunnel.Config{Static: true, StaticLevel: -1}, "starting level -1 outside ladder"},
 		"negative window":             {tunnel.Config{Window: -time.Second}, "negative window"},
-		"negative alpha":              {tunnel.Config{Alpha: -0.2}, "negative alpha"},
 		"static with a policy": {tunnel.Config{Static: true, StaticLevel: 1, Policy: func() core.Policy { return core.Static(2) }},
 			"leaves nothing to decide"},
 	} {
