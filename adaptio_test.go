@@ -17,6 +17,8 @@ import (
 	"adaptio/internal/coord"
 	"adaptio/internal/core"
 	"adaptio/internal/corpus"
+	"adaptio/internal/loadgen"
+	"adaptio/internal/nephele"
 	"adaptio/internal/stream"
 	"adaptio/internal/tunnel"
 	"adaptio/internal/vclock"
@@ -38,6 +40,8 @@ func TestOptionsLedger(t *testing.T) {
 		{lzfast.HC{}, 1},
 		{lzheavy.Codec{}, 1},
 		{probe.Config{}, 0},
+		{nephele.ChannelSpec{}, 7},
+		{loadgen.Config{}, 14},
 	} {
 		typ := reflect.TypeOf(tc.cfg)
 		if got := typ.NumField(); got != tc.fields {

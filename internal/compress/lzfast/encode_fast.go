@@ -23,25 +23,29 @@ package lzfast
 // room for the final wild copy's overshoot.
 func maxCompressedLen(n int) int { return n + n/255 + 2*wildCopyMargin }
 
+// reserve returns dst with room past its length for the worst-case encoding
+// of an n-byte block, regrown if need be. Both parses write into
+// dst[:cap(dst)] from the frontier len(dst). Overshoot from wild copies lands
+// past the frontier and is either overwritten by the next emit or trimmed by
+// the final re-slice, so it never reaches the caller.
+func reserve(dst []byte, n int) []byte {
+	if need := maxCompressedLen(n); cap(dst)-len(dst) < need {
+		grown := make([]byte, len(dst), len(dst)+need)
+		copy(grown, dst)
+		dst = grown
+	}
+	return dst
+}
+
 func compressFast(dst, src []byte) []byte {
+	dst = reserve(dst, len(src))
+	out, d := dst[:cap(dst)], len(dst)
 	if len(src) < minMatch+1 {
-		return emitSequence(dst, src, 0, 0)
+		return dst[:emitFastFinal(out, d, src, 0)]
 	}
 	table := fastPool.Get().(*fastTable)
 	defer fastPool.Put(table)
 	*table = fastTable{}
-
-	// Reserve the whole worst case up front; out is the write window and d
-	// the frontier within it. Overshoot from wild copies lands between d
-	// and len(out) and is either overwritten by the next emit or trimmed
-	// by the final re-slice, so it never reaches the caller.
-	d := len(dst)
-	if need := maxCompressedLen(len(src)); cap(dst)-d < need {
-		grown := make([]byte, d, d+need)
-		copy(grown, dst)
-		dst = grown
-	}
-	out := dst[:cap(dst)]
 
 	anchor := 0
 	i := 0
@@ -94,13 +98,12 @@ func compressFast(dst, src []byte) []byte {
 		misses++
 		i += 1 + misses>>5
 	}
-	d = emitFastFinal(out, d, src, anchor)
-	return dst[:d]
+	return dst[:emitFastFinal(out, d, src, anchor)]
 }
 
 // emitFast writes one token sequence (literals src[anchor:i] + match) at
 // out[d:], returning the new frontier. Byte-for-byte the serialization of
-// emitSequence.
+// the reference emitSequence (ref_test.go).
 func emitFast(out []byte, d int, src []byte, anchor, i, offset, mlen int) int {
 	litLen := i - anchor
 	var token byte
@@ -155,7 +158,7 @@ func emitFastFinal(out []byte, d int, src []byte, anchor int) int {
 	return d + litLen
 }
 
-// putExtLength is appendExtLength against a frontier.
+// putExtLength writes an extended length's 255-run and final byte at out[d:].
 func putExtLength(out []byte, d, rest int) int {
 	for rest >= 255 {
 		out[d] = 255

@@ -1,10 +1,11 @@
 package lzfast
 
 // This file holds the hash-chain encoder behind HC (paper level MEDIUM):
-// the same token format as the fast parse, read by the same decoder, with
-// the match at each position chosen from a chain of earlier positions that
-// share its first bytes instead of from one table slot. docs/performance.md,
-// "The hash-chain parse", has the measurements behind every constant here.
+// the same token format as the fast parse, written by the same emitters
+// and read by the same decoder, with the match at each position chosen
+// from a chain of earlier positions that share its first bytes instead of
+// from one table slot. docs/performance.md, "The hash-chain parse", has the
+// measurements behind every constant here.
 
 import (
 	"math/bits"
@@ -174,8 +175,10 @@ func (st *hcState) compress(dst, src []byte, p hcParams) []byte {
 	// The hash loads 8 bytes, so the scan stops 8 bytes short of the end;
 	// the tail is emitted as literals.
 	mfLimit := len(src) - 8
+	dst = reserve(dst, len(src))
+	out, d := dst[:cap(dst)], len(dst)
 	if mfLimit < 1 {
-		return emitSequence(dst, src, 0, 0)
+		return dst[:emitFastFinal(out, d, src, 0)]
 	}
 	clear(st.head[:1<<(64-p.hashShift)])
 	// The lazy search only has to beat a match already in hand.
@@ -210,7 +213,7 @@ func (st *hcState) compress(dst, src []byte, p hcParams) []byte {
 			i++
 			mlen, moff = nlen, noff
 		}
-		dst = emitSequence(dst, src[anchor:i], moff, mlen)
+		d = emitFast(out, d, src, anchor, i, moff, mlen)
 		end := i + mlen
 		last := min(end-1, mfLimit)
 		if mlen >= hcSparseLen {
@@ -226,5 +229,5 @@ func (st *hcState) compress(dst, src []byte, p hcParams) []byte {
 		i = end
 		anchor = i
 	}
-	return emitSequence(dst, src[anchor:], 0, 0)
+	return dst[:emitFastFinal(out, d, src, anchor)]
 }

@@ -134,46 +134,6 @@ func matchLen(src []byte, a, b int) int {
 	return n
 }
 
-// emitSequence appends one token sequence (literals + optional match) to dst.
-// A match length of 0 emits a final literals-only sequence.
-func emitSequence(dst, lits []byte, offset, mlen int) []byte {
-	litLen := len(lits)
-	var token byte
-	if litLen >= 15 {
-		token = 15 << 4
-	} else {
-		token = byte(litLen) << 4
-	}
-	if mlen > 0 {
-		m := mlen - minMatch
-		if m >= 15 {
-			token |= 15
-		} else {
-			token |= byte(m)
-		}
-	}
-	dst = append(dst, token)
-	if litLen >= 15 {
-		dst = appendExtLength(dst, litLen-15)
-	}
-	dst = append(dst, lits...)
-	if mlen > 0 {
-		dst = append(dst, byte(offset), byte(offset>>8))
-		if m := mlen - minMatch; m >= 15 {
-			dst = appendExtLength(dst, m-15)
-		}
-	}
-	return dst
-}
-
-func appendExtLength(dst []byte, rest int) []byte {
-	for rest >= 255 {
-		dst = append(dst, 255)
-		rest -= 255
-	}
-	return append(dst, byte(rest))
-}
-
 // fastTable is the fast-mode hash table, pooled across compressFast calls.
 // It holds uint16(position): two-byte entries put 1<<13 of them in 16 KB of
 // L1, twice what positions stored whole would fit there, so a probe finds a

@@ -78,6 +78,46 @@ func compressFastRef(dst, src []byte) []byte {
 	return emitSequence(dst, src[anchor:], 0, 0)
 }
 
+// emitSequence appends one token sequence (literals + optional match) to dst.
+// A match length of 0 emits a final literals-only sequence.
+func emitSequence(dst, lits []byte, offset, mlen int) []byte {
+	litLen := len(lits)
+	var token byte
+	if litLen >= 15 {
+		token = 15 << 4
+	} else {
+		token = byte(litLen) << 4
+	}
+	if mlen > 0 {
+		m := mlen - minMatch
+		if m >= 15 {
+			token |= 15
+		} else {
+			token |= byte(m)
+		}
+	}
+	dst = append(dst, token)
+	if litLen >= 15 {
+		dst = appendExtLength(dst, litLen-15)
+	}
+	dst = append(dst, lits...)
+	if mlen > 0 {
+		dst = append(dst, byte(offset), byte(offset>>8))
+		if m := mlen - minMatch; m >= 15 {
+			dst = appendExtLength(dst, m-15)
+		}
+	}
+	return dst
+}
+
+func appendExtLength(dst []byte, rest int) []byte {
+	for rest >= 255 {
+		dst = append(dst, 255)
+		rest -= 255
+	}
+	return append(dst, byte(rest))
+}
+
 // decompressBlockRef is the retained reference decoder: straightforward
 // append-based decoding with per-step bounds checks. The production decoder
 // (decompressBlock in decode_fast.go) must accept exactly the inputs this

@@ -90,7 +90,7 @@ func NetSend(ctx context.Context, addr string, totalBytes int64) (Result, error)
 		return Result{}, err
 	}
 	defer conn.Close()
-	go closeOnDone(ctx, conn)
+	defer context.AfterFunc(ctx, func() { conn.Close() })()
 	return pump(ctx, conn, zeroReader{}, totalBytes)
 }
 
@@ -102,7 +102,7 @@ func NetReceive(ctx context.Context, ln net.Listener, totalBytes int64) (Result,
 		return Result{}, err
 	}
 	defer conn.Close()
-	go closeOnDone(ctx, conn)
+	defer context.AfterFunc(ctx, func() { conn.Close() })()
 	return pump(ctx, io.Discard, conn, totalBytes)
 }
 
@@ -170,19 +170,11 @@ func pump(ctx context.Context, dst io.Writer, src io.Reader, totalBytes int64) (
 	return tracker.finish(), nil
 }
 
-func closeOnDone(ctx context.Context, c io.Closer) {
-	<-ctx.Done()
-	c.Close()
-}
-
 // Sink runs a discarding TCP sink on ln until ctx is cancelled; it is the
 // opposite endpoint for NetSend ("we made sure that the opposite part of
 // the connection was ... at least as fast as the observed virtual machine").
 func Sink(ctx context.Context, ln net.Listener) {
-	go func() {
-		<-ctx.Done()
-		ln.Close()
-	}()
+	defer context.AfterFunc(ctx, func() { ln.Close() })()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -190,7 +182,7 @@ func Sink(ctx context.Context, ln net.Listener) {
 		}
 		go func() {
 			defer conn.Close()
-			go closeOnDone(ctx, conn)
+			defer context.AfterFunc(ctx, func() { conn.Close() })()
 			io.Copy(io.Discard, conn)
 		}()
 	}

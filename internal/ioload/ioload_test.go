@@ -7,10 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"adaptio/internal/faultio/leakcheck"
 	"adaptio/internal/ioload"
 )
 
 func TestNetSendToSink(t *testing.T) {
+	leakcheck.Check(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -36,6 +38,7 @@ func TestNetSendToSink(t *testing.T) {
 }
 
 func TestNetReceive(t *testing.T) {
+	leakcheck.Check(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -66,6 +69,7 @@ func TestNetReceive(t *testing.T) {
 }
 
 func TestFileWriteRead(t *testing.T) {
+	leakcheck.Check(t)
 	path := filepath.Join(t.TempDir(), "load.bin")
 	ctx := context.Background()
 	const volume = 32 << 20
@@ -86,6 +90,7 @@ func TestFileWriteRead(t *testing.T) {
 }
 
 func TestFileWriteValidation(t *testing.T) {
+	leakcheck.Check(t)
 	if _, err := ioload.FileWrite(context.Background(), "/nonexistent-dir/x", 10); err == nil {
 		t.Error("bad path accepted")
 	}
@@ -95,6 +100,7 @@ func TestFileWriteValidation(t *testing.T) {
 }
 
 func TestCancellationStopsLoad(t *testing.T) {
+	leakcheck.Check(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

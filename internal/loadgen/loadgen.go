@@ -61,10 +61,6 @@ type Config struct {
 	// MinThink/MaxThink bound the uniform think-time pause between a
 	// worker's cycles (defaults 0/0 = no pause: maximum churn).
 	MinThink, MaxThink time.Duration
-	// DialTimeout bounds each dial attempt (default 5s).
-	DialTimeout time.Duration
-	// OpTimeout bounds one full cycle: dial, send, echo (default 30s).
-	OpTimeout time.Duration
 	// Verify checks echoed bytes against the sent payload (requires the
 	// target to be an echo service end-to-end).
 	Verify bool
@@ -94,12 +90,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if cfg.MaxPayload < cfg.MinPayload {
 		cfg.MaxPayload = cfg.MinPayload
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
-	if cfg.OpTimeout <= 0 {
-		cfg.OpTimeout = 30 * time.Second
 	}
 	if cfg.MaxThink < cfg.MinThink {
 		cfg.MaxThink = cfg.MinThink
@@ -190,6 +180,13 @@ func (p *Plan) Next() (kind corpus.Kind, size int, think time.Duration) {
 	}
 	return kind, size, think
 }
+
+// dialTimeout bounds each dial attempt, opTimeout one full cycle: dial,
+// send, echo.
+const (
+	dialTimeout = 5 * time.Second
+	opTimeout   = 30 * time.Second
+)
 
 // latencyBuckets spans 0.25 ms .. ~34 s exponentially.
 var latencyBuckets = obs.ExpBuckets(0.25, 2, 18)
@@ -343,7 +340,7 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 // byte — the tunnel refused us), or failed (broken mid-transfer).
 func cycle(ctx context.Context, c Config, m *metrics, payload []byte, runStart time.Time) {
 	start := time.Now()
-	d := net.Dialer{Timeout: c.DialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", c.Addr)
 	if err != nil {
 		if ctx.Err() == nil {
@@ -355,7 +352,7 @@ func cycle(ctx context.Context, c Config, m *metrics, payload []byte, runStart t
 	defer conn.Close()
 	m.dialed.Inc()
 
-	deadline := start.Add(c.OpTimeout)
+	deadline := start.Add(opTimeout)
 	if ctxDeadline, ok := ctx.Deadline(); ok {
 		// Don't let a cycle outlive the run by more than a beat.
 		if d := ctxDeadline.Add(500 * time.Millisecond); d.Before(deadline) {

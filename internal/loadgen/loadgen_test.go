@@ -152,7 +152,6 @@ func TestSoakShort(t *testing.T) {
 		Seed:       2011,
 		MinPayload: 1 << 10,
 		MaxPayload: 16 << 10,
-		OpTimeout:  10 * time.Second,
 		Verify:     true,
 		Obs:        reg.Scope("loadgen"),
 	})

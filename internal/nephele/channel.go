@@ -349,7 +349,7 @@ func wrapWriter(w io.WriteCloser, spec ChannelSpec) (io.Writer, func() error, fu
 	if spec.Compression == CompressionOff {
 		return w, w.Close, func() int64 { return 0 }, nil
 	}
-	cfg := stream.WriterConfig{Window: spec.Window, BlockSize: spec.BlockSize}
+	cfg := stream.WriterConfig{Window: spec.Window}
 	if spec.Compression == CompressionStatic {
 		cfg.Decider = core.Static(spec.StaticLevel)
 	}

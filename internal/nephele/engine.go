@@ -366,14 +366,7 @@ func (e *Engine) Execute(ctx context.Context, g *JobGraph) (*JobStats, error) {
 	}
 
 	// Propagate external cancellation into the channel mesh.
-	stopWatch := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			fail(ctx.Err())
-		case <-stopWatch:
-		}
-	}()
+	stopWatch := context.AfterFunc(ctx, func() { fail(ctx.Err()) })
 
 	for _, v := range g.vertices {
 		for sub := 0; sub < v.parallelism; sub++ {
@@ -403,7 +396,7 @@ func (e *Engine) Execute(ctx context.Context, g *JobGraph) (*JobStats, error) {
 		}
 	}
 	wg.Wait()
-	close(stopWatch)
+	stopWatch()
 
 	errMu.Lock()
 	err := firstErr

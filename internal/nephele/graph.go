@@ -91,8 +91,6 @@ type ChannelSpec struct {
 	// Window is the adaptive decision model's window t; zero means the
 	// paper's 2 s.
 	Window time.Duration
-	// BlockSize overrides the 128 KB default block size.
-	BlockSize int
 	// Distribution routes records across consumer subtasks; the zero
 	// value is RoundRobin.
 	Distribution Distribution
@@ -130,9 +128,6 @@ func (s ChannelSpec) validate() error {
 	}
 	if s.Key != nil && s.Distribution != HashPartition {
 		return errors.New("nephele: Key is only meaningful with HashPartition")
-	}
-	if s.BlockSize < 0 {
-		return errors.New("nephele: negative block size")
 	}
 	if s.WireMBps < 0 {
 		return errors.New("nephele: negative wire rate")

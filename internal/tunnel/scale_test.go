@@ -515,16 +515,17 @@ func TestGoroutineBoundUnderBurst(t *testing.T) {
 	close(stopSampling)
 	samplerDone.Wait()
 
-	// Every served connection costs a handful of goroutines (serve + two
-	// relay directions + shutdown watchdog, plus the compress direction's
-	// flusher where the endpoint has encode workers) on each of the two
-	// endpoints, and each client burns up to two itself (dialer + writer).
-	// The encode workers are a per-endpoint constant, started with the
-	// harness and so already in the baseline. Beyond that, growth must not
-	// track the 80-client burst: parked queue entries cost exactly one
-	// goroutine each.
+	// Every served connection costs at most three goroutines on each of the
+	// two endpoints (serve, which runs the compress direction; the
+	// decompress direction; the compress direction's flusher where the
+	// endpoint has encode workers; TestServedConnGoroutineCost pins them)
+	// and one in the echo service, and each client burns up to two itself
+	// (dialer + writer). The encode workers are a per-endpoint constant,
+	// started with the harness and so already in the baseline. Beyond that,
+	// growth must not track the 80-client burst: parked queue entries cost
+	// exactly one goroutine each.
 	served := maxConns + queue
-	bound := baseline + clients*2 + served*10 + 24
+	bound := baseline + clients*2 + served*(2*3+1) + 24
 	if peak > bound {
 		t.Fatalf("goroutine peak %d exceeds bound %d (baseline %d): pool not bounding concurrency", peak, bound, baseline)
 	}
@@ -594,4 +595,79 @@ func TestEncodeWorkersArePerEndpoint(t *testing.T) {
 		entry.Close()
 		exit.Close()
 	}
+}
+
+// TestServedConnGoroutineCost pins what a served connection costs each
+// endpoint while it is open: the goroutine that serves it, which also runs
+// its compress direction, and its decompress direction — two — plus, where
+// the endpoint has encode workers, the compress direction's flusher — three.
+// No goroutine of a relay only waits: shutdown reaches it through
+// context.AfterFunc.
+func TestServedConnGoroutineCost(t *testing.T) {
+	leakcheck.Check(t)
+	const conns = 6
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		echo := startEcho(t)
+		exit, err := tunnel.ListenExit(context.Background(), "127.0.0.1:0", echo, tunnel.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		entry, err := tunnel.ListenEntry(context.Background(), "127.0.0.1:0", exit.Addr().String(), tunnel.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := quiescentGoroutines(t)
+		var open []net.Conn
+		for i := 0; i < conns; i++ {
+			conn, err := net.Dial("tcp", entry.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			open = append(open, conn)
+			// One echoed byte proves both relays of this connection are up.
+			if _, err := conn.Write([]byte{'x'}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadFull(conn, make([]byte, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The echo service serves each connection on one goroutine.
+		grown := quiescentGoroutines(t) - before - conns
+		want := 2
+		if procs > 1 {
+			want = 3
+		}
+		if grown != 2*conns*want {
+			t.Errorf("GOMAXPROCS=%d: %d connections grew the endpoints by %d goroutines, %.2f per connection per endpoint; want %d",
+				procs, conns, grown, float64(grown)/(2*conns), want)
+		}
+		for _, conn := range open {
+			conn.Close()
+		}
+		entry.Close()
+		exit.Close()
+	}
+}
+
+// quiescentGoroutines returns the goroutine count once it has held still for
+// 100 ms.
+func quiescentGoroutines(t *testing.T) int {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	n, still := runtime.NumGoroutine(), 0
+	for still < 10 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine count never settled (last %d)", n)
+		}
+		time.Sleep(10 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
 }

@@ -528,16 +528,10 @@ func relay(ctx context.Context, plain, wire net.Conn, cfg Config, direction stri
 	wireCW, _ := wire.(halfCloser)
 
 	// Tear connections down if the endpoint is shut down mid-relay.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			plain.Close()
-			wire.Close()
-		case <-stop:
-		}
-	}()
+	defer context.AfterFunc(ctx, func() {
+		plain.Close()
+		wire.Close()
+	})()
 
 	plainRW := withIdle(plain, cfg.IdleTimeout)
 	wireRW := withIdle(wire, cfg.IdleTimeout)
@@ -547,9 +541,11 @@ func relay(ctx context.Context, plain, wire net.Conn, cfg Config, direction stri
 	tx := &compressPath{cfg: cfg, m: m, pool: pool, direction: direction, plain: plain, wire: wireRW, wireCW: wireCW}
 	rx := &decompressPath{cfg: cfg, m: m, wire: wireRW, plain: plainRW, plainCW: plainCW}
 
+	// The compress direction runs on the calling goroutine, so a relayed
+	// connection costs one goroutine per direction and none that only waits.
 	errs := make(chan error, 2)
-	go func() { errs <- tx.run() }()
 	go func() { errs <- rx.run() }()
+	errs <- tx.run()
 	// Both directions report before relay returns. Whichever fails first is
 	// often the benign half (a peer reset) of a teardown whose cause the
 	// other half then names, so the first serious error wins, not the first
