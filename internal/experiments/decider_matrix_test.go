@@ -9,7 +9,7 @@ import (
 	"adaptio/internal/core"
 )
 
-var updateDeciderGolden = flag.Bool("update", false, "rewrite BENCH_decider.json with the current matrix")
+var update = flag.Bool("update", false, "rewrite the golden files (BENCH_decider.json, testdata/harness.golden) with current output")
 
 // The decider-matrix acceptance suite: every learned policy must beat the
 // paper baseline on the two-axis bound (within-or-better completion time in
@@ -83,7 +83,7 @@ func TestDeciderMatrixGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	const path = "../../BENCH_decider.json"
-	if *updateDeciderGolden {
+	if *update {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
