@@ -136,6 +136,7 @@ fuzz-nightly:
 	$(GO) test -fuzz=FuzzTunnelFrame -fuzztime=5m ./internal/tunnel/
 	$(GO) test -fuzz=FuzzScenarioParse -fuzztime=5m ./internal/scenario/
 	$(GO) test -fuzz=FuzzDecider -fuzztime=5m ./internal/core/
+	$(GO) test -fuzz=FuzzParseProcStat -fuzztime=5m ./internal/metrics/
 
 # The seeded fault-injection scenarios (docs/robustness.md) under -race.
 chaos:

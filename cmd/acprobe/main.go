@@ -11,8 +11,6 @@
 //
 //	acprobe [-n samples] [-interval 1s] [-load netsend|netrecv|filewrite|fileread]
 //	acprobe -live-fig1 [-n samples] [-interval 1s]
-//
-// -live is accepted and changes nothing: sampling is the only mode.
 package main
 
 import (
@@ -30,7 +28,6 @@ import (
 
 func main() {
 	var (
-		_        = flag.Bool("live", false, "accepted and ignored: live sampling is the only mode")
 		liveFig1 = flag.Bool("live-fig1", false, "run the full Figure 1 methodology live: all four I/O loads, sampled breakdown each")
 		n        = flag.Int("n", 10, "number of live samples")
 		interval = flag.Duration("interval", time.Second, "live sampling interval")

@@ -5,7 +5,6 @@ import (
 	"os"
 	"time"
 
-	"adaptio/internal/benchfmt"
 	"adaptio/internal/core"
 	"adaptio/internal/experiments"
 )
@@ -13,7 +12,7 @@ import (
 // runDeciderMatrix is the `-decider-matrix` entry point: the Table II
 // completion-time grid under every registered decider policy plus the
 // CheatStick sentinel, printed as the per-policy comparison table and
-// optionally written as the benchfmt JSON artifact (-json-out) committed as
+// optionally written as the JSON artifact (-json-out) committed as
 // BENCH_decider.json. The run is fully deterministic in -seed, so the
 // artifact is byte-reproducible; internal/experiments' TestDeciderMatrixGolden
 // holds the committed file to it.
@@ -49,7 +48,11 @@ func runDeciderMatrix(seed uint64, jsonOut string) int {
 	}
 
 	if jsonOut != "" {
-		if err := benchfmt.WriteFile(jsonOut, res.BenchFile()); err != nil {
+		data, err := res.BenchJSON()
+		if err == nil {
+			err = os.WriteFile(jsonOut, data, 0o644)
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "expdriver: %v\n", err)
 			return 2
 		}

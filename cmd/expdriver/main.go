@@ -6,8 +6,8 @@
 // Usage:
 //
 //	expdriver [-fig1] [-fig2] [-fig3] [-table2] [-fig4] [-fig5] [-fig6]
-//	          [-ablations] [-calibrate] [-gb N] [-runs N] [-seed N]
-//	          [-live-profiles]
+//	          [-ablations] [-claims] [-calibrate] [-gb N] [-runs N] [-seed N]
+//	          [-live-profiles] [-csv DIR]
 //
 // -live-profiles recalibrates the transfer model from this machine's own
 // codecs instead of the paper-derived reference profiles (Table II only
@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"adaptio/internal/block"
@@ -26,20 +27,72 @@ import (
 	"adaptio/internal/experiments"
 	"adaptio/internal/obs"
 	"adaptio/internal/scenario"
+	"adaptio/internal/trace"
 )
 
+// settings are the flags the paper experiments read.
+type settings struct {
+	volume       int64
+	runs         int
+	seed         uint64
+	liveProfiles bool
+}
+
+// emitFunc prints one rendered table and, under -csv, saves its raw data as
+// csvName.csv; an empty csvName saves nothing.
+type emitFunc func(text, csvName, csv string)
+
+// runFunc runs one experiment, hands each table it renders to emit, and
+// reports whether a paper claim failed.
+type runFunc func(s settings, emit emitFunc) (failed bool, err error)
+
+// paper is the paper's evaluation in the order a full run prints it. Each
+// entry's flag selects it alone; with none set, every entry runs.
+var paper = []struct {
+	flag, help string
+	run        runFunc
+}{
+	{"fig1", "Figure 1: CPU utilization accuracy", func(s settings, emit emitFunc) (bool, error) {
+		rows, err := experiments.Fig1CPUAccuracy(120, s.seed)
+		if err == nil {
+			emit(experiments.RenderFig1(rows), "fig1_cpu_accuracy", experiments.CSVFig1(rows))
+		}
+		return false, err
+	}},
+	{"fig2", "Figure 2: network throughput distribution", dist(experiments.Fig2NetThroughput,
+		"Figure 2: network I/O throughput in the sending VM", "MBit/s", "fig2_net_throughput")},
+	{"fig3", "Figure 3: file write throughput distribution", dist(experiments.Fig3FileWriteThroughput,
+		"Figure 3: file I/O throughput (write) in the VM", "MB/s", "fig3_file_write")},
+	{"table2", "Table II: completion time grid", runTableII},
+	{"fig4", "Figure 4: adaptivity trace (HIGH, no load)", traced(experiments.Fig4Trace,
+		"Figure 4: DYNAMIC on HIGH data, no background traffic", "fig4_trace")},
+	{"fig5", "Figure 5: adaptivity trace (LOW, 2 connections)", traced(experiments.Fig5Trace,
+		"Figure 5: DYNAMIC on LOW data, two background connections", "fig5_trace")},
+	{"fig6", "Figure 6: compressibility switching", traced(experiments.Fig6Switch,
+		"Figure 6: HIGH/LOW alternating every 10 GB", "fig6_trace")},
+	{"ablations", "ablations A1-A6", runAblations},
+	{"claims", "paper claims checklist (PASS/FAIL per quantitative claim)", func(s settings, emit emitFunc) (bool, error) {
+		cl, err := experiments.VerifyClaims(s.volume, s.seed)
+		if err == nil {
+			emit(experiments.RenderClaims(cl)+"\n", "", "")
+		}
+		return !experiments.AllPass(cl), err
+	}},
+	{"calibrate", "live codec calibration", func(s settings, emit emitFunc) (bool, error) {
+		ms, _, err := experiments.Calibrate(0)
+		if err == nil {
+			emit(experiments.RenderCalibration(ms), "codec_calibration", experiments.CSVCalibration(ms))
+		}
+		return false, err
+	}},
+}
+
 func main() {
+	selected := make([]*bool, len(paper))
+	for i, e := range paper {
+		selected[i] = flag.Bool(e.flag, false, e.help)
+	}
 	var (
-		fig1       = flag.Bool("fig1", false, "Figure 1: CPU utilization accuracy")
-		fig2       = flag.Bool("fig2", false, "Figure 2: network throughput distribution")
-		fig3       = flag.Bool("fig3", false, "Figure 3: file write throughput distribution")
-		table2     = flag.Bool("table2", false, "Table II: completion time grid")
-		fig4       = flag.Bool("fig4", false, "Figure 4: adaptivity trace (HIGH, no load)")
-		fig5       = flag.Bool("fig5", false, "Figure 5: adaptivity trace (LOW, 2 connections)")
-		fig6       = flag.Bool("fig6", false, "Figure 6: compressibility switching")
-		ablations  = flag.Bool("ablations", false, "ablations A1-A6")
-		claims     = flag.Bool("claims", false, "paper claims checklist (PASS/FAIL per quantitative claim)")
-		calibrate  = flag.Bool("calibrate", false, "live codec calibration")
 		gb         = flag.Float64("gb", 50, "data volume per transfer in GB (decimal)")
 		runs       = flag.Int("runs", 5, "repetitions per Table II cell")
 		seed       = flag.Uint64("seed", 2011, "random seed")
@@ -48,7 +101,7 @@ func main() {
 		scenName   = flag.String("scenario", "", "run a scenario-DSL scenario instead of the paper experiments: a built-in name ("+strings.Join(scenario.BuiltinNames(), ", ")+" — docs/scenarios.md) or a path to a scenario JSON file")
 		decider    = flag.String("decider", "", "for scenario-DSL runs: level-selection policy driving the adaptive variant (algone, bandit, ewma — docs/deciders.md)")
 		dmatrix    = flag.Bool("decider-matrix", false, "run the Table II completion-time matrix under every registered decider policy plus the CheatStick sentinel (docs/deciders.md)")
-		jsonOut    = flag.String("json-out", "", "for -decider-matrix: write the benchfmt JSON artifact to this file (BENCH_decider.json is -seed 2011; go test ./internal/experiments/ compares it byte-for-byte)")
+		jsonOut    = flag.String("json-out", "", "for -decider-matrix: write the JSON artifact to this file (BENCH_decider.json is -seed 2011; go test ./internal/experiments/ compares it byte-for-byte)")
 		metricsOut = flag.String("metrics-out", "", "for scenario-DSL runs: write the JSON result artifact to this file (CI artifact)")
 		parallel   = flag.Int("parallel", 4, "for scenario-DSL runs: variants simulated concurrently (results are byte-identical for any value)")
 		rig        = flag.String("rig", "", "for scenario-DSL runs: apply a sentinel property-breaker (test use only; see internal/scenario.Rig)")
@@ -72,168 +125,38 @@ func main() {
 	// end of the run.
 	reg := obs.NewRegistry()
 	block.PublishMetrics(reg.Scope("block"))
-	exitCode := 0
 
-	saveCSV := func(name, content string) {
-		if *csvDir == "" {
+	emit := func(text, csvName, csv string) {
+		fmt.Print(text)
+		if *csvDir == "" || csvName == "" {
 			return
 		}
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "expdriver: csv dir: %v\n", err)
 			os.Exit(1)
 		}
-		path := filepath.Join(*csvDir, name+".csv")
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		path := filepath.Join(*csvDir, csvName+".csv")
+		if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "expdriver: write %s: %v\n", path, err)
 			os.Exit(1)
 		}
 	}
 
-	all := !(*fig1 || *fig2 || *fig3 || *table2 || *fig4 || *fig5 || *fig6 || *ablations || *claims || *calibrate)
-	volume := int64(*gb * 1e9)
-
-	fail := func(what string, err error) {
-		fmt.Fprintf(os.Stderr, "expdriver: %s: %v\n", what, err)
-		os.Exit(1)
-	}
-
-	if all || *fig1 {
-		rows, err := experiments.Fig1CPUAccuracy(120, *seed)
+	s := settings{volume: int64(*gb * 1e9), runs: *runs, seed: *seed, liveProfiles: *liveProf}
+	all := !slices.ContainsFunc(selected, func(on *bool) bool { return *on })
+	exitCode := 0
+	for i, e := range paper {
+		if !all && !*selected[i] {
+			continue
+		}
+		failed, err := e.run(s, emit)
 		if err != nil {
-			fail("fig1", err)
+			fmt.Fprintf(os.Stderr, "expdriver: %s: %v\n", e.flag, err)
+			os.Exit(1)
 		}
-		fmt.Print(experiments.RenderFig1(rows))
-		saveCSV("fig1_cpu_accuracy", experiments.CSVFig1(rows))
-	}
-	if all || *fig2 {
-		rows, err := experiments.Fig2NetThroughput(volume, *seed)
-		if err != nil {
-			fail("fig2", err)
-		}
-		fmt.Print(experiments.RenderDist("Figure 2: network I/O throughput in the sending VM", "MBit/s", rows))
-		saveCSV("fig2_net_throughput", experiments.CSVDist(rows))
-		fmt.Println()
-	}
-	if all || *fig3 {
-		rows, err := experiments.Fig3FileWriteThroughput(volume, *seed)
-		if err != nil {
-			fail("fig3", err)
-		}
-		fmt.Print(experiments.RenderDist("Figure 3: file I/O throughput (write) in the VM", "MB/s", rows))
-		saveCSV("fig3_file_write", experiments.CSVDist(rows))
-		fmt.Println()
-	}
-	if all || *table2 {
-		cfg := experiments.TableIIConfig{
-			TotalBytes: volume,
-			Runs:       *runs,
-			Platform:   cloudsim.KVMParavirt, // the paper's evaluation platform
-			Seed:       *seed,
-		}
-		if *liveProf {
-			ms, profiles, err := experiments.Calibrate(0)
-			if err != nil {
-				fail("live calibration", err)
-			}
-			fmt.Print(experiments.RenderCalibration(ms))
-			fmt.Println("(Table II below uses the live-calibrated profiles)")
-			cfg.Profiles = profiles
-		}
-		res, err := experiments.TableII(cfg)
-		if err != nil {
-			fail("table2", err)
-		}
-		fmt.Print(res.Render())
-		saveCSV("table2_completion_times", res.CSVTableII())
-	}
-	if all || *fig4 {
-		tr, err := experiments.Fig4Trace(volume, *seed)
-		if err != nil {
-			fail("fig4", err)
-		}
-		fmt.Print(tr.Render("Figure 4: DYNAMIC on HIGH data, no background traffic", experiments.LevelNames, 100))
-		saveCSV("fig4_trace", experiments.CSVTrace(tr))
-		fmt.Println()
-	}
-	if all || *fig5 {
-		tr, err := experiments.Fig5Trace(volume, *seed)
-		if err != nil {
-			fail("fig5", err)
-		}
-		fmt.Print(tr.Render("Figure 5: DYNAMIC on LOW data, two background connections", experiments.LevelNames, 100))
-		saveCSV("fig5_trace", experiments.CSVTrace(tr))
-		fmt.Println()
-	}
-	if all || *fig6 {
-		tr, err := experiments.Fig6Switch(volume, *seed)
-		if err != nil {
-			fail("fig6", err)
-		}
-		fmt.Print(tr.Render("Figure 6: HIGH/LOW alternating every 10 GB", experiments.LevelNames, 100))
-		saveCSV("fig6_trace", experiments.CSVTrace(tr))
-		fmt.Println()
-	}
-	if all || *ablations {
-		a1, err := experiments.AblationAlpha(nil, volume, *seed)
-		if err != nil {
-			fail("ablation A1", err)
-		}
-		fmt.Print(experiments.RenderAblation("Ablation A1: tolerance band alpha (MODERATE, 2 conns)", a1))
-		saveCSV("ablation_a1_alpha", experiments.CSVAblation(a1))
-		fmt.Println()
-		a2, err := experiments.AblationWindow(nil, volume, *seed)
-		if err != nil {
-			fail("ablation A2", err)
-		}
-		fmt.Print(experiments.RenderAblation("Ablation A2: decision window t (Fig 6 workload)", a2))
-		saveCSV("ablation_a2_window", experiments.CSVAblation(a2))
-		fmt.Println()
-		a3, err := experiments.AblationBackoff(volume, *seed)
-		if err != nil {
-			fail("ablation A3", err)
-		}
-		fmt.Print(experiments.RenderAblation("Ablation A3: exponential backoff (HIGH, no load)", a3))
-		saveCSV("ablation_a3_backoff", experiments.CSVAblation(a3))
-		fmt.Println()
-		a4, err := experiments.AblationBaselines(volume, *seed)
-		if err != nil {
-			fail("ablation A4", err)
-		}
-		fmt.Print(experiments.RenderBaselines(a4))
-		saveCSV("ablation_a4_baselines", experiments.CSVBaselines(a4))
-		fmt.Println()
-		a5, err := experiments.FileChannel(volume, *seed)
-		if err != nil {
-			fail("ablation A5", err)
-		}
-		fmt.Print(experiments.RenderFileChannel(a5))
-		saveCSV("ablation_a5_filechannel", experiments.CSVFileChannel(a5))
-		fmt.Println()
-		a6, err := experiments.AblationLadder(volume, *seed)
-		if err != nil {
-			fail("ablation A6", err)
-		}
-		fmt.Print(experiments.RenderLadder(a6))
-		fmt.Println()
-	}
-	if all || *claims {
-		cl, err := experiments.VerifyClaims(volume, *seed)
-		if err != nil {
-			fail("claims", err)
-		}
-		fmt.Print(experiments.RenderClaims(cl))
-		fmt.Println()
-		if !experiments.AllPass(cl) {
+		if failed {
 			exitCode = 1
 		}
-	}
-	if all || *calibrate {
-		ms, _, err := experiments.Calibrate(0)
-		if err != nil {
-			fail("calibrate", err)
-		}
-		fmt.Print(experiments.RenderCalibration(ms))
-		saveCSV("codec_calibration", experiments.CSVCalibration(ms))
 	}
 
 	fmt.Println("--- end-of-run process metrics ---")
@@ -241,4 +164,88 @@ func main() {
 	if exitCode != 0 {
 		os.Exit(exitCode)
 	}
+}
+
+// dist runs Figure 2 or 3: a per-platform throughput distribution.
+func dist(fig func(int64, uint64) ([]experiments.DistRow, error), title, unit, csvName string) runFunc {
+	return func(s settings, emit emitFunc) (bool, error) {
+		rows, err := fig(s.volume, s.seed)
+		if err == nil {
+			emit(experiments.RenderDist(title, unit, rows)+"\n", csvName, experiments.CSVDist(rows))
+		}
+		return false, err
+	}
+}
+
+// traced runs Figure 4, 5 or 6: one adaptive transfer's decision trace.
+func traced(fig func(int64, uint64) (*trace.Trace, error), title, csvName string) runFunc {
+	return func(s settings, emit emitFunc) (bool, error) {
+		tr, err := fig(s.volume, s.seed)
+		if err == nil {
+			emit(tr.Render(title, experiments.LevelNames, 100)+"\n", csvName, experiments.CSVTrace(tr))
+		}
+		return false, err
+	}
+}
+
+// runTableII runs Table II on the paper's evaluation platform, against
+// live-calibrated codec profiles under -live-profiles.
+func runTableII(s settings, emit emitFunc) (bool, error) {
+	cfg := experiments.TableIIConfig{
+		TotalBytes: s.volume,
+		Runs:       s.runs,
+		Platform:   cloudsim.KVMParavirt,
+		Seed:       s.seed,
+	}
+	if s.liveProfiles {
+		ms, profiles, err := experiments.Calibrate(0)
+		if err != nil {
+			return false, fmt.Errorf("live calibration: %w", err)
+		}
+		emit(experiments.RenderCalibration(ms)+"(Table II below uses the live-calibrated profiles)\n", "", "")
+		cfg.Profiles = profiles
+	}
+	res, err := experiments.TableII(cfg)
+	if err == nil {
+		emit(res.Render(), "table2_completion_times", res.CSVTableII())
+	}
+	return false, err
+}
+
+// runAblations runs A1-A6. A6 times live codecs, so it saves no CSV.
+func runAblations(s settings, emit emitFunc) (bool, error) {
+	a1, err := experiments.AblationAlpha(nil, s.volume, s.seed)
+	if err != nil {
+		return false, fmt.Errorf("A1: %w", err)
+	}
+	emit(experiments.RenderAblation("Ablation A1: tolerance band alpha (MODERATE, 2 conns)", a1)+"\n",
+		"ablation_a1_alpha", experiments.CSVAblation(a1))
+	a2, err := experiments.AblationWindow(nil, s.volume, s.seed)
+	if err != nil {
+		return false, fmt.Errorf("A2: %w", err)
+	}
+	emit(experiments.RenderAblation("Ablation A2: decision window t (Fig 6 workload)", a2)+"\n",
+		"ablation_a2_window", experiments.CSVAblation(a2))
+	a3, err := experiments.AblationBackoff(s.volume, s.seed)
+	if err != nil {
+		return false, fmt.Errorf("A3: %w", err)
+	}
+	emit(experiments.RenderAblation("Ablation A3: exponential backoff (HIGH, no load)", a3)+"\n",
+		"ablation_a3_backoff", experiments.CSVAblation(a3))
+	a4, err := experiments.AblationBaselines(s.volume, s.seed)
+	if err != nil {
+		return false, fmt.Errorf("A4: %w", err)
+	}
+	emit(experiments.RenderBaselines(a4)+"\n", "ablation_a4_baselines", experiments.CSVBaselines(a4))
+	a5, err := experiments.FileChannel(s.volume, s.seed)
+	if err != nil {
+		return false, fmt.Errorf("A5: %w", err)
+	}
+	emit(experiments.RenderFileChannel(a5)+"\n", "ablation_a5_filechannel", experiments.CSVFileChannel(a5))
+	a6, err := experiments.AblationLadder(s.volume, s.seed)
+	if err != nil {
+		return false, fmt.Errorf("A6: %w", err)
+	}
+	emit(experiments.RenderLadder(a6)+"\n", "", "")
+	return false, nil
 }

@@ -165,7 +165,7 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 		return res, err
 	}
 	if cfg.WindowSeconds <= 0 {
-		cfg.WindowSeconds = 2
+		cfg.WindowSeconds = core.DefaultWindowSeconds
 	}
 	if cfg.NICMBps == 0 {
 		cfg.NICMBps = netTable[Native].appMBps

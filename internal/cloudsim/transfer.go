@@ -252,7 +252,7 @@ func runWindows(cfg TransferConfig, defaultMaxSimSeconds float64, rng *xrand.RNG
 		return res, err
 	}
 	if cfg.WindowSeconds <= 0 {
-		cfg.WindowSeconds = 2
+		cfg.WindowSeconds = core.DefaultWindowSeconds
 	}
 	if cfg.MaxSimSeconds <= 0 {
 		cfg.MaxSimSeconds = defaultMaxSimSeconds

@@ -371,8 +371,6 @@ func (d *rangeDecoder) decodeDistance(p *probs) int {
 
 func litContext(prev byte) int { return int(prev >> 6) }
 
-func load32(b []byte, i int) uint32 { return binary.LittleEndian.Uint32(b[i:]) }
-
 func hash3(b []byte, i int) uint32 {
 	u := uint32(b[i]) | uint32(b[i+1])<<8 | uint32(b[i+2])<<16
 	return (u * 2654435761) >> (32 - hashLog)

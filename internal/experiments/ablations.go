@@ -53,7 +53,7 @@ func AblationAlpha(alphas []float64, totalBytes int64, seed uint64) ([]AblationR
 	}
 	var rows []AblationRow
 	for _, a := range alphas {
-		dec := core.MustNewDecider(core.Config{Levels: 4, Alpha: a})
+		dec := core.MustNewDecider(core.Config{Levels: levels, Alpha: a})
 		row, err := runAblation(fmt.Sprintf("alpha=%.2f", a), dec, corpus.Moderate, 2, totalBytes, seed)
 		if err != nil {
 			return nil, err
@@ -73,10 +73,7 @@ func AblationWindow(windows []float64, totalBytes int64, seed uint64) ([]Ablatio
 	if totalBytes == 0 {
 		totalBytes = FiftyGB
 	}
-	phase := totalBytes / 5 // five compressibility phases, as in Figure 6
-	if phase < 1 {
-		phase = 1
-	}
+	phase := max(totalBytes/5, 1) // five compressibility phases, as in Figure 6
 	var rows []AblationRow
 	for _, w := range windows {
 		res, err := cloudsim.RunTransfer(cloudsim.TransferConfig{
@@ -85,7 +82,7 @@ func AblationWindow(windows []float64, totalBytes int64, seed uint64) ([]Ablatio
 			TotalBytes:    totalBytes,
 			Background:    0,
 			WindowSeconds: w,
-			Scheme:        core.MustNewDecider(core.Config{Levels: 4}),
+			Scheme:        newScheme(Dynamic),
 			Profiles:      cloudsim.ReferenceProfiles(),
 			Seed:          seed,
 		})
@@ -113,9 +110,9 @@ func AblationBackoff(totalBytes int64, seed uint64) ([]AblationRow, error) {
 		label string
 		cfg   core.Config
 	}{
-		{"backoff=exponential (paper)", core.Config{Levels: 4}},
-		{"backoff=disabled", core.Config{Levels: 4, DisableBackoff: true}},
-		{"backoff=capped(4)", core.Config{Levels: 4, MaxBackoffExp: 4}},
+		{"backoff=exponential (paper)", core.Config{Levels: levels}},
+		{"backoff=disabled", core.Config{Levels: levels, DisableBackoff: true}},
+		{"backoff=capped(4)", core.Config{Levels: levels, MaxBackoffExp: 4}},
 	}
 	var rows []AblationRow
 	for _, v := range variants {
@@ -169,17 +166,29 @@ func AblationBaselines(totalBytes int64, seed uint64) ([]BaselineRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		wm, err := baseline.NewWiseman(4)
+		wm, err := baseline.NewWiseman(levels)
 		if err != nil {
 			return nil, err
 		}
 		return []namedScheme{
-			{"DYNAMIC (paper)", core.MustNewDecider(core.Config{Levels: 4})},
-			{"NCTCSys", baseline.NewNCTCSys(4)},
+			{"DYNAMIC (paper)", newScheme(Dynamic)},
+			{"NCTCSys", baseline.NewNCTCSys(levels)},
 			{"KrintzSucu", ks},
 			{"Jeannot(AdOC)", jt},
 			{"Wiseman", wm},
 		}, nil
+	}
+	run := func(sc scenario, scheme core.Policy) (float64, error) {
+		res, err := cloudsim.RunTransfer(cloudsim.TransferConfig{
+			Platform:   sc.platform,
+			Kind:       cloudsim.ConstantKind(sc.kind),
+			TotalBytes: totalBytes,
+			Background: sc.bg,
+			Scheme:     scheme,
+			Profiles:   cloudsim.ReferenceProfiles(),
+			Seed:       seed,
+		})
+		return res.CompletionSeconds, err
 	}
 	var rows []BaselineRow
 	for _, sc := range scenarios {
@@ -189,38 +198,22 @@ func AblationBaselines(totalBytes int64, seed uint64) ([]BaselineRow, error) {
 		}
 		// Oracle: best static level for the scenario, found by sweep.
 		bestSeconds := 0.0
-		for lvl := 0; lvl < 4; lvl++ {
-			res, err := cloudsim.RunTransfer(cloudsim.TransferConfig{
-				Platform:   sc.platform,
-				Kind:       cloudsim.ConstantKind(sc.kind),
-				TotalBytes: totalBytes,
-				Background: sc.bg,
-				Scheme:     core.Static(lvl),
-				Profiles:   cloudsim.ReferenceProfiles(),
-				Seed:       seed,
-			})
+		for lvl := 0; lvl < levels; lvl++ {
+			s, err := run(sc, newScheme(lvl))
 			if err != nil {
 				return nil, err
 			}
-			if lvl == 0 || res.CompletionSeconds < bestSeconds {
-				bestSeconds = res.CompletionSeconds
+			if lvl == 0 || s < bestSeconds {
+				bestSeconds = s
 			}
 		}
 		rows = append(rows, BaselineRow{Scheme: "best-static-oracle", Scenario: sc.name, Seconds: bestSeconds})
 		for _, ns := range schemes {
-			res, err := cloudsim.RunTransfer(cloudsim.TransferConfig{
-				Platform:   sc.platform,
-				Kind:       cloudsim.ConstantKind(sc.kind),
-				TotalBytes: totalBytes,
-				Background: sc.bg,
-				Scheme:     ns.scheme,
-				Profiles:   cloudsim.ReferenceProfiles(),
-				Seed:       seed,
-			})
+			s, err := run(sc, ns.scheme)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, BaselineRow{Scheme: ns.name, Scenario: sc.name, Seconds: res.CompletionSeconds})
+			rows = append(rows, BaselineRow{Scheme: ns.name, Scenario: sc.name, Seconds: s})
 		}
 	}
 	return rows, nil

@@ -53,10 +53,7 @@ func measureCodec(name string, codec compress.Codec, kind corpus.Kind, sampleByt
 	var blocks [][]byte
 	start := time.Now()
 	for off := 0; off < len(data); off += block {
-		end := off + block
-		if end > len(data) {
-			end = len(data)
-		}
+		end := min(off+block, len(data))
 		c := codec.Compress(nil, data[off:end])
 		compBytes += len(c)
 		blocks = append(blocks, c)
@@ -66,12 +63,8 @@ func measureCodec(name string, codec compress.Codec, kind corpus.Kind, sampleByt
 	start = time.Now()
 	var out []byte
 	for i, c := range blocks {
-		size := block
-		if (i+1)*block > len(data) {
-			size = len(data) - i*block
-		}
 		var err error
-		out, err = codec.Decompress(out[:0], c, size)
+		out, err = codec.Decompress(out[:0], c, min(block, len(data)-i*block))
 		if err != nil {
 			return CodecMeasurement{}, fmt.Errorf("experiments: %s/%v decompress: %w", name, kind, err)
 		}
@@ -83,25 +76,11 @@ func measureCodec(name string, codec compress.Codec, kind corpus.Kind, sampleByt
 	m := CodecMeasurement{
 		Level:      name,
 		Kind:       kind,
-		CompMBps:   mb / maxFloat(compSec, 1e-9),
-		DecompMBps: mb / maxFloat(decompSec, 1e-9),
-		Ratio:      minFloat(float64(compBytes)/float64(len(data)), 1.0),
+		CompMBps:   mb / max(compSec, 1e-9),
+		DecompMBps: mb / max(decompSec, 1e-9),
+		Ratio:      min(float64(compBytes)/float64(len(data)), 1.0),
 	}
 	return m, nil
-}
-
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minFloat(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // RenderCalibration formats the live measurements next to the reference

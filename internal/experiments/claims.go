@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"adaptio/internal/cloudsim"
+	"adaptio/internal/core"
 	"adaptio/internal/corpus"
 )
 
@@ -60,7 +61,7 @@ func VerifyClaims(totalBytes int64, seed uint64) ([]Claim, error) {
 	})
 
 	// --- Section II-B: throughput fluctuation ---
-	fig2, err := Fig2NetThroughput(minVolume(totalBytes, 10e9), seed)
+	fig2, err := Fig2NetThroughput(min(totalBytes, 10e9), seed)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +85,7 @@ func VerifyClaims(totalBytes int64, seed uint64) ([]Claim, error) {
 		Pass:     covEC2 > 5*covKVM && covKVM > covNative,
 	})
 
-	fig3, err := Fig3FileWriteThroughput(minVolume(totalBytes, 20e9), seed)
+	fig3, err := Fig3FileWriteThroughput(min(totalBytes, 20e9), seed)
 	if err != nil {
 		return nil, err
 	}
@@ -203,20 +204,10 @@ func VerifyClaims(totalBytes int64, seed uint64) ([]Claim, error) {
 		Text:     "'without requiring any calibration or training phase' — adaptation starts immediately",
 		Paper:    "no offline phase",
 		Measured: fmt.Sprintf("first level engaged after %.0f s (first windows)", firstSwitchTime),
-		Pass:     firstSwitchTime <= 3*core2Seconds,
+		Pass:     firstSwitchTime <= 3*core.DefaultWindowSeconds,
 	})
 
 	return claims, nil
-}
-
-// core2Seconds is the paper's decision window (t = 2 s).
-const core2Seconds = 2.0
-
-func minVolume(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // RenderClaims formats the checklist.

@@ -78,7 +78,7 @@ func TestDeciderMatrixGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full policy matrix skipped under -short")
 	}
-	got, err := ciMatrix(t).BenchFile().Marshal()
+	got, err := ciMatrix(t).BenchJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestDeciderMatrixBenchFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DeciderMatrix: %v", err)
 	}
-	f := res.BenchFile()
+	f := res.benchFile()
 	wantBenches := len(res.Kinds)*2 + 1 // cells + totals
 	if got := len(f.Benchmarks); got != wantBenches {
 		t.Fatalf("artifact has %d benchmarks, want %d", got, wantBenches)

@@ -1,11 +1,10 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
-	"adaptio/internal/benchfmt"
 	"adaptio/internal/cloudsim"
 	"adaptio/internal/core"
 	"adaptio/internal/corpus"
@@ -238,21 +237,38 @@ func (r DeciderMatrixResult) Render() string {
 	return sb.String()
 }
 
-// BenchFile renders the matrix as the benchfmt artifact committed as
-// BENCH_decider.json: one entry per (policy, kind, background) cell named
-// "Decider/<policy>/<kind>/bg<N>", plus a "Decider/<policy>/totals" entry
-// carrying the grid-total probe economics. The matrix is deterministic in
-// its seed, so TestDeciderMatrixGolden compares the bytes.
-func (r DeciderMatrixResult) BenchFile() *benchfmt.File {
-	const set = "current"
-	f := &benchfmt.File{Description: "decider policy matrix: Table II per policy (cmd/expdriver -decider-matrix)"}
-	policies := append([]string(nil), r.Policies...)
-	sort.Strings(policies)
-	for _, policy := range policies {
+// benchArtifact is the schema of BENCH_decider.json: entry name -> set name ->
+// measurement. The one set is "current"; the level stays because the file's
+// bytes are pinned.
+type benchArtifact struct {
+	Description string                                 `json:"description"`
+	Benchmarks  map[string]map[string]benchMeasurement `json:"benchmarks"`
+}
+
+// benchMeasurement is one entry's metrics. Zero-valued fields are omitted, so
+// a totals entry carries probe counts and no speed.
+type benchMeasurement struct {
+	MBPerS       float64 `json:"mb_per_s,omitempty"`
+	Probes       int64   `json:"probes,omitempty"`
+	WastedProbes int64   `json:"wasted_probes,omitempty"`
+}
+
+// benchFile lays the matrix out as BENCH_decider.json: one entry per
+// (policy, kind, background) cell named "Decider/<policy>/<kind>/bg<N>", plus
+// a "Decider/<policy>/totals" entry carrying the grid-total probe economics.
+func (r DeciderMatrixResult) benchFile() benchArtifact {
+	f := benchArtifact{
+		Description: "decider policy matrix: Table II per policy (cmd/expdriver -decider-matrix)",
+		Benchmarks:  map[string]map[string]benchMeasurement{},
+	}
+	add := func(name string, m benchMeasurement) {
+		f.Benchmarks[name] = map[string]benchMeasurement{"current": m}
+	}
+	for _, policy := range r.Policies {
 		for _, kind := range r.Kinds {
 			for _, bg := range r.Backgrounds {
 				c := r.Cells[policy][kind][bg]
-				f.Add(fmt.Sprintf("Decider/%s/%s/bg%d", policy, kind, bg), set, benchfmt.Measurement{
+				add(fmt.Sprintf("Decider/%s/%s/bg%d", policy, kind, bg), benchMeasurement{
 					MBPerS:       c.MBPerS,
 					Probes:       int64(c.Probes),
 					WastedProbes: int64(c.WastedProbes),
@@ -260,10 +276,16 @@ func (r DeciderMatrixResult) BenchFile() *benchfmt.File {
 			}
 		}
 		p, w := r.Totals(policy)
-		f.Add(fmt.Sprintf("Decider/%s/totals", policy), set, benchfmt.Measurement{
-			Probes:       int64(p),
-			WastedProbes: int64(w),
-		})
+		add(fmt.Sprintf("Decider/%s/totals", policy), benchMeasurement{Probes: int64(p), WastedProbes: int64(w)})
 	}
 	return f
+}
+
+// BenchJSON renders the matrix as the artifact committed as
+// BENCH_decider.json, indented with sorted keys and a trailing newline. The
+// matrix is deterministic in its seed, so TestDeciderMatrixGolden compares
+// the bytes.
+func (r DeciderMatrixResult) BenchJSON() ([]byte, error) {
+	data, err := json.MarshalIndent(r.benchFile(), "", "  ")
+	return append(data, '\n'), err
 }

@@ -21,17 +21,28 @@ import (
 // FiftyGB is the data volume of the paper's transfer experiments.
 const FiftyGB int64 = 50e9
 
-// SchemeNames lists Table II's rows in order; index 0..3 are the static
-// levels, index 4 is the adaptive scheme.
-var SchemeNames = []string{"NO", "LIGHT", "MEDIUM", "HEAVY", "DYNAMIC"}
+// paperLadder names the paper's compression levels; its length is the
+// ladder size every experiment decides over.
+var paperLadder = [...]string{"NO", "LIGHT", "MEDIUM", "HEAVY"}
+
+// levels is the size of the paper's ladder.
+const levels = len(paperLadder)
+
+// LevelNames are the paper's names for the default ladder.
+var LevelNames = paperLadder[:]
+
+// SchemeNames lists Table II's rows in order: the static levels, then the
+// adaptive scheme at index Dynamic.
+var SchemeNames = append(LevelNames[:levels:levels], "DYNAMIC")
 
 // Dynamic is the scheme index of the adaptive decision model.
-const Dynamic = 4
+const Dynamic = levels
 
-// newScheme builds the scheme for a Table II row.
+// newScheme builds the scheme for a Table II row: a static level, or
+// Algorithm 1 at the paper's parameters for Dynamic.
 func newScheme(idx int) core.Policy {
 	if idx == Dynamic {
-		return core.MustNewDecider(core.Config{Levels: 4})
+		return core.MustNewDecider(core.Config{Levels: levels})
 	}
 	return core.Static(idx)
 }
@@ -305,10 +316,8 @@ func (r TableIIResult) Best(kind corpus.Kind, bg int) int {
 func (r TableIIResult) DynamicGap(kind corpus.Kind, bg int) float64 {
 	cells := r.Cells[kind][bg]
 	best := cells[0].Mean
-	for _, c := range cells[1:4] {
-		if c.Mean < best {
-			best = c.Mean
-		}
+	for _, c := range cells[1:Dynamic] {
+		best = min(best, c.Mean)
 	}
 	return cells[Dynamic].Mean/best - 1
 }
@@ -320,7 +329,7 @@ func (r TableIIResult) DynamicGap(kind corpus.Kind, bg int) float64 {
 func (r TableIIResult) DynamicGapSignificant(kind corpus.Kind, bg int) bool {
 	cells := r.Cells[kind][bg]
 	best := cells[0]
-	for _, c := range cells[1:4] {
+	for _, c := range cells[1:Dynamic] {
 		if c.Mean < best.Mean {
 			best = c
 		}
@@ -371,13 +380,13 @@ func (r TableIIResult) Render() string {
 
 // runTrace executes one traced transfer and returns its trace.
 func runTrace(kind cloudsim.KindSchedule, bg int, totalBytes int64, seed uint64) (*trace.Trace, error) {
-	tr := trace.New(4)
+	tr := trace.New(levels)
 	_, err := cloudsim.RunTransfer(cloudsim.TransferConfig{
 		Platform:   cloudsim.KVMParavirt,
 		Kind:       kind,
 		TotalBytes: totalBytes,
 		Background: bg,
-		Scheme:     core.MustNewDecider(core.Config{Levels: 4}),
+		Scheme:     newScheme(Dynamic),
 		Profiles:   cloudsim.ReferenceProfiles(),
 		Seed:       seed,
 		Trace: func(ws cloudsim.WindowSample) {
@@ -422,12 +431,6 @@ func Fig6Switch(totalBytes int64, seed uint64) (*trace.Trace, error) {
 	if totalBytes == 0 {
 		totalBytes = FiftyGB
 	}
-	phase := totalBytes / 5
-	if phase < 1 {
-		phase = 1
-	}
+	phase := max(totalBytes/5, 1)
 	return runTrace(cloudsim.AlternatingKinds(phase, corpus.High, corpus.Low), 0, totalBytes, seed)
 }
-
-// LevelNames are the paper's names for the default ladder.
-var LevelNames = []string{"NO", "LIGHT", "MEDIUM", "HEAVY"}

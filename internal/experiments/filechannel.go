@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"adaptio/internal/cloudsim"
-	"adaptio/internal/core"
 	"adaptio/internal/corpus"
 )
 
@@ -35,24 +34,14 @@ func FileChannel(totalBytes int64, seed uint64) ([]FileChannelRow, error) {
 		totalBytes = FiftyGB
 	}
 	var rows []FileChannelRow
-	schemes := []struct {
-		name string
-		mk   func() core.Policy
-	}{
-		{"NO", func() core.Policy { return core.Static(0) }},
-		{"LIGHT", func() core.Policy { return core.Static(1) }},
-		{"MEDIUM", func() core.Policy { return core.Static(2) }},
-		{"HEAVY", func() core.Policy { return core.Static(3) }},
-		{"DYNAMIC", func() core.Policy { return core.MustNewDecider(core.Config{Levels: 4}) }},
-	}
 	for _, platform := range []cloudsim.Platform{cloudsim.KVMParavirt, cloudsim.XenParavirt} {
 		for _, kind := range []corpus.Kind{corpus.High, corpus.Low} {
-			for _, s := range schemes {
+			for si, name := range SchemeNames {
 				res, err := cloudsim.RunFileTransfer(cloudsim.TransferConfig{
 					Platform:   platform,
 					Kind:       cloudsim.ConstantKind(kind),
 					TotalBytes: totalBytes,
-					Scheme:     s.mk(),
+					Scheme:     newScheme(si),
 					Profiles:   cloudsim.ReferenceProfiles(),
 					Seed:       seed ^ uint64(platform)<<16 ^ uint64(kind)<<8,
 				})
@@ -62,7 +51,7 @@ func FileChannel(totalBytes int64, seed uint64) ([]FileChannelRow, error) {
 				rows = append(rows, FileChannelRow{
 					Platform:          platform,
 					Kind:              kind,
-					Scheme:            s.name,
+					Scheme:            name,
 					CompletionSeconds: res.CompletionSeconds,
 					DurableSeconds:    res.DurableSeconds,
 					CacheResidentGB:   float64(res.CacheResidentAtCompletion) / 1e9,

@@ -86,8 +86,9 @@ func TestPlanRespectsBounds(t *testing.T) {
 	}
 }
 
-// startEcho runs a plain TCP echo sink.
-func startEcho(t *testing.T) string {
+// startEcho runs a plain TCP echo sink that holds each connection for delay
+// before echoing.
+func startEcho(t *testing.T, delay time.Duration) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -102,6 +103,7 @@ func startEcho(t *testing.T) string {
 			}
 			go func() {
 				defer conn.Close()
+				time.Sleep(delay)
 				io.Copy(conn, conn)
 				if tc, ok := conn.(*net.TCPConn); ok {
 					tc.CloseWrite()
@@ -124,7 +126,7 @@ func TestSoakShort(t *testing.T) {
 		maxConns = 24
 		queue    = 24
 	)
-	echo := startEcho(t)
+	echo := startEcho(t, 0)
 	reg := obs.NewRegistry()
 	tcfg := tunnel.Config{
 		Static: true, StaticLevel: 1,
@@ -198,4 +200,24 @@ func TestSoakShort(t *testing.T) {
 		t.Fatal("overload never shed: admission control inert")
 	}
 	// Endpoint drain + leakcheck (via t.Cleanup) then prove zero leaks.
+}
+
+// TestReportMaxIsExact: the reported max latency is the slowest cycle's own,
+// not the upper bound of the histogram bucket it fell in. One cycle held
+// ~3 ms by the echo is the run's max and its mean.
+func TestReportMaxIsExact(t *testing.T) {
+	report, err := loadgen.Run(context.Background(), loadgen.Config{
+		Addr: startEcho(t, 3*time.Millisecond),
+		Ops:  1,
+		Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Completed != 1 {
+		t.Fatalf("completed %d cycles, want 1: %s", report.Completed, report)
+	}
+	if report.LatencyMsMax != report.LatencyMsMean || report.LatencyMsMax < 3 {
+		t.Fatalf("max latency %.3f ms, want the one cycle's %.3f ms", report.LatencyMsMax, report.LatencyMsMean)
+	}
 }

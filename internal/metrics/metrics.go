@@ -44,7 +44,7 @@ func ParseProcStat(text string) (CPUCounters, error) {
 			continue
 		}
 		vals := make([]uint64, 0, 8)
-		for _, f := range fields[1:9] {
+		for _, f := range fields[1:min(len(fields), 9)] {
 			v, err := strconv.ParseUint(f, 10, 64)
 			if err != nil {
 				return c, fmt.Errorf("metrics: bad counter %q: %v", f, err)

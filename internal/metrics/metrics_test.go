@@ -46,6 +46,32 @@ func TestParseProcStatOldKernel(t *testing.T) {
 	}
 }
 
+// A cpu line without the steal column (seven counters) reads Steal = 0.
+func TestParseProcStatSevenCounters(t *testing.T) {
+	c, err := metrics.ParseProcStat("cpu  100 0 50 1000 5 2 3\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := metrics.CPUCounters{User: 100, System: 50, Idle: 1000, IOWait: 5, IRQ: 2, SoftIRQ: 3}
+	if c != want {
+		t.Fatalf("got %+v, want %+v", c, want)
+	}
+}
+
+// FuzzParseProcStat feeds the parser arbitrary text: it may reject it, but
+// it must not panic. The seeds are cpu lines of 7, 8 and 10 counters.
+func FuzzParseProcStat(f *testing.F) {
+	f.Add("cpu  100 0 50 1000 5 2 3\n")
+	f.Add("cpu  100 0 50 1000 5 2 3 9\n")
+	f.Add(sampleProcStat)
+	f.Fuzz(func(t *testing.T, text string) {
+		c, err := metrics.ParseProcStat(text)
+		if err != nil && c.Total() != 0 {
+			t.Fatalf("error %v with counters %+v", err, c)
+		}
+	})
+}
+
 func TestParseProcStatErrors(t *testing.T) {
 	if _, err := metrics.ParseProcStat("intr 12345\n"); !errors.Is(err, metrics.ErrNoCPULine) {
 		t.Fatalf("missing cpu line: got %v", err)

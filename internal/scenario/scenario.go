@@ -75,8 +75,8 @@ const DefaultSeed = 2011
 
 // Defaults for unset scenario fields.
 const (
-	DefaultNICMBps       = 111.0 // the paper's 1 Gbit/s achievable rate
-	DefaultWindowSeconds = 2.0   // the paper's decision interval t
+	DefaultNICMBps       = 111.0                     // the paper's 1 Gbit/s achievable rate
+	DefaultWindowSeconds = core.DefaultWindowSeconds // the paper's decision interval t
 	defaultMixChunkBytes = 64 << 20
 )
 
