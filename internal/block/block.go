@@ -77,7 +77,8 @@ type Buf struct {
 	released bool
 
 	// seq distinguishes incarnations of a recycled Buf for the leak
-	// tracker (pointer identity alone is ambiguous across pool cycles).
+	// tracker (pointer identity alone is ambiguous across pool cycles);
+	// 0 when the Buf was acquired with tracking off.
 	seq uint64
 }
 

@@ -19,7 +19,7 @@ var trackingRefs atomic.Int32
 
 var trackState struct {
 	sync.Mutex
-	seq  uint64          // next Buf incarnation id
+	seq  uint64          // last Buf incarnation id; ids start at 1
 	live map[*Buf]string // live tracked bufs -> acquiring stack
 }
 
@@ -64,6 +64,7 @@ func LeakedSince(snap Snapshot) []string {
 
 func trackGet(b *Buf) {
 	if trackingRefs.Load() == 0 {
+		b.seq = 0 // untracked: Release skips the tracker
 		return
 	}
 	stack := callerStack()
@@ -77,15 +78,11 @@ func trackGet(b *Buf) {
 	trackState.Unlock()
 }
 
+// trackRelease forgets a tracked Buf, even after tracking was switched
+// off, so buffers acquired while it was on do not linger in live. A Buf
+// acquired untracked has seq 0 and costs nothing here.
 func trackRelease(b *Buf) {
-	if trackingRefs.Load() == 0 {
-		// Still remove stale entries so buffers acquired while tracking
-		// was on do not linger after it is switched off.
-		trackState.Lock()
-		if trackState.live != nil {
-			delete(trackState.live, b)
-		}
-		trackState.Unlock()
+	if b.seq == 0 {
 		return
 	}
 	trackState.Lock()

@@ -44,13 +44,17 @@ func NetThroughputSamples(p Platform, totalBytes int64, seed uint64) ([]float64,
 // guest observes a near-stall ("the data rate displayed inside the virtual
 // machine dropped to a few MB/s"). The alternation produces the spuriously
 // high mean and extreme variance the paper reports.
-func FileWriteSamples(p Platform, totalBytes int64, seed uint64) ([]float64, error) {
+//
+// cacheResident is how many bytes remain un-flushed in the host page cache
+// at the end (zero for platforms without the host-cache anomaly). The
+// paper: "after having written the 50 GB ... large portions of the data had
+// not actually been written to the physical hard drive".
+func FileWriteSamples(p Platform, totalBytes int64, seed uint64) (samples []float64, cacheResident int64, err error) {
 	d, ok := diskTable[p]
 	if !ok {
-		return nil, errors.New("cloudsim: unknown platform")
+		return nil, 0, errors.New("cloudsim: unknown platform")
 	}
 	rng := xrand.New(seed ^ uint64(p)<<32 ^ 0xD15C)
-	var samples []float64
 	dirty := 0.0 // bytes buffered in the host page cache
 	for written := int64(0); written < totalBytes; written += ChunkBytes {
 		var rate float64
@@ -77,32 +81,5 @@ func FileWriteSamples(p Platform, totalBytes int64, seed uint64) ([]float64, err
 		}
 		samples = append(samples, rate)
 	}
-	return samples, nil
-}
-
-// CacheResident reports how many bytes would remain un-flushed in the host
-// page cache after writing totalBytes on the platform (zero for platforms
-// without the host-cache anomaly). The paper: "after having written the
-// 50 GB ... large portions of the data had not actually been written to the
-// physical hard drive".
-func CacheResident(p Platform, totalBytes int64, seed uint64) int64 {
-	d, ok := diskTable[p]
-	if !ok || !d.hostCache {
-		return 0
-	}
-	rng := xrand.New(seed ^ uint64(p)<<32 ^ 0xD15C)
-	dirty := 0.0
-	for written := int64(0); written < totalBytes; written += ChunkBytes {
-		if dirty < d.dirtyLimit {
-			_ = rng.NoiseFactor(0.10)
-			dirty += ChunkBytes
-		} else {
-			_ = rng.NoiseFactor(0.30)
-			dirty -= d.dirtyLimit * 0.45
-			if dirty < 0 {
-				dirty = 0
-			}
-		}
-	}
-	return int64(dirty)
+	return samples, int64(dirty), nil
 }

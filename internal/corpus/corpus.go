@@ -24,6 +24,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"adaptio/internal/xrand"
 )
 
 // Kind selects a compressibility class.
@@ -133,30 +135,6 @@ func ParseMix(spec string) ([]Kind, error) {
 	return mix, nil
 }
 
-// rng is a splitmix64 generator: tiny, fast and stable across Go releases,
-// so corpus bytes are reproducible forever given (kind, seed).
-type rng struct{ state uint64 }
-
-func newRNG(seed uint64) *rng { return &rng{state: seed ^ 0x9E3779B97F4A7C15} }
-
-func (r *rng) next() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// intn returns a uniform value in [0, n).
-func (r *rng) intn(n int) int {
-	return int(r.next() % uint64(n))
-}
-
-// float returns a uniform value in [0, 1).
-func (r *rng) float() float64 {
-	return float64(r.next()>>11) / float64(1<<53)
-}
-
 // Generate returns n bytes of the given kind, deterministic for (kind, seed).
 func Generate(kind Kind, n int, seed uint64) []byte {
 	out := make([]byte, 0, n)
@@ -181,11 +159,11 @@ type generator interface {
 func newGenerator(kind Kind, seed uint64) generator {
 	switch kind {
 	case High:
-		return &faxGenerator{r: newRNG(seed)}
+		return &faxGenerator{r: xrand.New(seed)}
 	case Moderate:
 		return newTextGenerator(seed)
 	case Low:
-		return &entropyGenerator{r: newRNG(seed)}
+		return &entropyGenerator{r: xrand.New(seed)}
 	default:
 		panic(fmt.Sprintf("corpus: unknown kind %d", int(kind)))
 	}
@@ -197,7 +175,7 @@ func newGenerator(kind Kind, seed uint64) generator {
 // correlated black structures, like a scanned text page: long zero runs
 // interrupted by short repeating ink patterns.
 type faxGenerator struct {
-	r *rng
+	r *xrand.RNG
 	// pattern is the current "text line" ink pattern, reused across
 	// several rows to create the vertical correlation real fax pages have.
 	pattern  []byte
@@ -210,37 +188,37 @@ func (g *faxGenerator) append(dst []byte, max int) []byte {
 	row := make([]byte, faxRowBytes)
 	if g.rowsLeft == 0 {
 		// Start a new band: either blank space or a text band.
-		if g.r.float() < 0.35 {
+		if g.r.Float64() < 0.35 {
 			g.pattern = nil // blank band
-			g.rowsLeft = 4 + g.r.intn(24)
+			g.rowsLeft = 4 + g.r.Intn(24)
 		} else {
 			// A text line: a short ink pattern placed at a few
 			// positions across the row.
-			p := make([]byte, 2+g.r.intn(5))
+			p := make([]byte, 2+g.r.Intn(5))
 			for i := range p {
-				p[i] = byte(g.r.next())
+				p[i] = byte(g.r.Uint64())
 			}
 			g.pattern = p
-			g.rowsLeft = 6 + g.r.intn(10)
+			g.rowsLeft = 6 + g.r.Intn(10)
 		}
 	}
 	g.rowsLeft--
 	if g.pattern != nil {
 		// Stamp the pattern at regular positions with slight jitter.
-		step := 24 + g.r.intn(8)
-		for x := g.r.intn(8); x+len(g.pattern) < faxRowBytes; x += step {
+		step := 24 + g.r.Intn(8)
+		for x := g.r.Intn(8); x+len(g.pattern) < faxRowBytes; x += step {
 			copy(row[x:], g.pattern)
 		}
 	}
 	// Scanner noise: isolated specks that appear on real fax scans. This
 	// is what keeps the data from compressing far below the 10–15 % band
 	// the paper reports for ptt5.
-	specks := 3 + g.r.intn(4)
+	specks := 3 + g.r.Intn(4)
 	for i := 0; i < specks; i++ {
-		x := g.r.intn(faxRowBytes - 2)
-		row[x] = byte(g.r.next())
-		if g.r.intn(2) == 0 {
-			row[x+1] = byte(g.r.next())
+		x := g.r.Intn(faxRowBytes - 2)
+		row[x] = byte(g.r.Uint64())
+		if g.r.Intn(2) == 0 {
+			row[x+1] = byte(g.r.Uint64())
 		}
 	}
 	if max < len(row) {
@@ -277,7 +255,7 @@ var vocabulary = []string{
 }
 
 type textGenerator struct {
-	r           *rng
+	r           *xrand.RNG
 	col         int
 	wordsInSent int
 	sentLen     int
@@ -287,9 +265,9 @@ type textGenerator struct {
 }
 
 func newTextGenerator(seed uint64) *textGenerator {
-	g := &textGenerator{r: newRNG(seed), startOfSent: true}
-	g.sentLen = 5 + g.r.intn(11)
-	g.paraLen = 3 + g.r.intn(5)
+	g := &textGenerator{r: xrand.New(seed), startOfSent: true}
+	g.sentLen = 5 + g.r.Intn(11)
+	g.paraLen = 3 + g.r.Intn(5)
 	return g
 }
 
@@ -297,7 +275,7 @@ func newTextGenerator(seed uint64) *textGenerator {
 func (g *textGenerator) zipfWord() string {
 	// Inverse-CDF sampling over weights 1/(r+2) is approximated by
 	// exponentiating a uniform variate; cheap and close enough.
-	u := g.r.float()
+	u := g.r.Float64()
 	idx := int(u * u * u * float64(len(vocabulary)))
 	if idx >= len(vocabulary) {
 		idx = len(vocabulary) - 1
@@ -317,7 +295,7 @@ func (g *textGenerator) append(dst []byte, max int) []byte {
 	}
 	g.wordsInSent++
 	if g.wordsInSent >= g.sentLen {
-		switch g.r.intn(10) {
+		switch g.r.Intn(10) {
 		case 0:
 			piece = append(piece, '!')
 		case 1:
@@ -326,13 +304,13 @@ func (g *textGenerator) append(dst []byte, max int) []byte {
 			piece = append(piece, '.')
 		}
 		g.wordsInSent = 0
-		g.sentLen = 5 + g.r.intn(11)
+		g.sentLen = 5 + g.r.Intn(11)
 		g.startOfSent = true
 		g.sentsInPara++
 		if g.sentsInPara >= g.paraLen {
 			piece = append(piece, '\n', '\n')
 			g.sentsInPara = 0
-			g.paraLen = 3 + g.r.intn(5)
+			g.paraLen = 3 + g.r.Intn(5)
 			g.col = 0
 		}
 	}
@@ -359,7 +337,7 @@ func (g *textGenerator) append(dst []byte, max int) []byte {
 // short repeats keeps the data barely compressible (~90–95 %), matching the
 // paper's description of image.jpg.
 type entropyGenerator struct {
-	r     *rng
+	r     *xrand.RNG
 	count int
 }
 
@@ -369,7 +347,7 @@ func (g *entropyGenerator) append(dst []byte, max int) []byte {
 		n = max
 	}
 	for i := 0; i < n; i++ {
-		b := byte(g.r.next())
+		b := byte(g.r.Uint64())
 		g.count++
 		if b == 0xFF {
 			dst = append(dst, 0xFF, 0x00)
@@ -378,15 +356,15 @@ func (g *entropyGenerator) append(dst []byte, max int) []byte {
 		}
 		if g.count%1719 == 0 {
 			// Restart marker interval.
-			dst = append(dst, 0xFF, 0xD0|byte(g.r.intn(8)))
+			dst = append(dst, 0xFF, 0xD0|byte(g.r.Intn(8)))
 			i++
 			continue
 		}
-		if g.r.float() < 0.03 {
+		if g.r.Float64() < 0.03 {
 			// Short repeated runs: zero-coefficient stretches in the
 			// entropy stream give real JPEGs their few compressible
 			// percent.
-			run := 4 + g.r.intn(8)
+			run := 4 + g.r.Intn(8)
 			for j := 0; j < run && i < n; j++ {
 				dst = append(dst, b)
 				i++

@@ -181,15 +181,11 @@ func Fig2NetThroughput(totalBytes int64, seed uint64) ([]DistRow, error) {
 func Fig3FileWriteThroughput(totalBytes int64, seed uint64) ([]DistRow, error) {
 	var rows []DistRow
 	for _, p := range cloudsim.Platforms() {
-		samples, err := cloudsim.FileWriteSamples(p, totalBytes, seed)
+		samples, resident, err := cloudsim.FileWriteSamples(p, totalBytes, seed)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, DistRow{
-			Platform:           p,
-			Summary:            stats.Summarize(samples),
-			CacheResidentBytes: cloudsim.CacheResident(p, totalBytes, seed),
-		})
+		rows = append(rows, DistRow{Platform: p, Summary: stats.Summarize(samples), CacheResidentBytes: resident})
 	}
 	return rows, nil
 }

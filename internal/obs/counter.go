@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"strconv"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Counter is a monotonically increasing counter. Inc and Add are lock-free
 // and allocation-free (proven by an AllocsPerRun gate in alloc_test.go), so
@@ -22,9 +19,7 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-func (c *Counter) appendJSON(dst []byte) []byte {
-	return strconv.AppendInt(dst, c.v.Load(), 10)
-}
+func (c *Counter) jsonValue() any { return c.Value() }
 
 // Gauge is an instantaneous level: it can move both ways. All operations
 // are lock-free and allocation-free.
@@ -51,6 +46,4 @@ func (g *Gauge) SetMax(n int64) {
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-func (g *Gauge) appendJSON(dst []byte) []byte {
-	return strconv.AppendInt(dst, g.v.Load(), 10)
-}
+func (g *Gauge) jsonValue() any { return g.Value() }

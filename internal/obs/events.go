@@ -91,23 +91,17 @@ func (l *EventLog) Events() []Event {
 	return out
 }
 
-func (l *EventLog) appendJSON(dst []byte) []byte {
-	events := l.Events()
-	dst = append(dst, '[')
-	for i, e := range events {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, `{"seq":`...)
-		dst = appendInt(dst, int64(e.Seq))
-		dst = append(dst, `,"time":`...)
-		dst = appendString(dst, e.Time.UTC().Format(time.RFC3339Nano))
-		dst = append(dst, `,"kind":`...)
-		dst = appendString(dst, e.Kind)
-		dst = append(dst, `,"detail":`...)
-		dst = appendString(dst, e.Detail)
-		dst = append(dst, '}')
+func (l *EventLog) jsonValue() any {
+	type event struct {
+		Seq    uint64 `json:"seq"`
+		Time   string `json:"time"`
+		Kind   string `json:"kind"`
+		Detail string `json:"detail"`
 	}
-	dst = append(dst, ']')
-	return dst
+	events := l.Events()
+	out := make([]event, len(events)) // non-nil: an empty log renders as []
+	for i, e := range events {
+		out[i] = event{e.Seq, e.Time.UTC().Format(time.RFC3339Nano), e.Kind, e.Detail}
+	}
+	return out
 }

@@ -7,11 +7,12 @@ import (
 )
 
 // TestFamilySnapshotDeterministicUnderConcurrentRegistration pins the
-// property the coord.* metrics depend on: labeled family members minted
-// from many goroutines in arbitrary interleavings must produce exactly the
-// same snapshot bytes as the same members registered sequentially in any
-// other order — rendering sorts by name, never by registration time — and
-// scraping mid-registration must be safe. Run under -race in CI.
+// property the stream writer's per-level counters depend on: labelled
+// counters (name{label=value}) resolved from many goroutines in arbitrary
+// interleavings must produce exactly the same snapshot bytes as the same
+// counters registered sequentially in any other order — rendering sorts by
+// name, never by registration time — and scraping mid-registration must be
+// safe. Run under -race in CI.
 func TestFamilySnapshotDeterministicUnderConcurrentRegistration(t *testing.T) {
 	const (
 		workers = 8
@@ -20,10 +21,11 @@ func TestFamilySnapshotDeterministicUnderConcurrentRegistration(t *testing.T) {
 	levels := []string{"0", "1", "2", "3"}
 	tenants := []string{"gold", "silver"}
 
+	switches := func(s *Scope, level string) *Counter { return s.Counter("level.switches{level=" + level + "}") }
+	goodput := func(s *Scope, tenant string) *Counter { return s.Counter("goodput.bytes{tenant=" + tenant + "}") }
+
 	reg := NewRegistry()
 	scope := reg.Scope("coord")
-	switches := scope.CounterFamily("level.switches", "level")
-	goodput := scope.CounterFamily("goodput.bytes", "tenant")
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -32,8 +34,8 @@ func TestFamilySnapshotDeterministicUnderConcurrentRegistration(t *testing.T) {
 			// Each worker starts the cycle at its own offset, so first
 			// registration of any given member can fall to any worker.
 			for i := 0; i < iters; i++ {
-				switches.With(levels[(w+i)%len(levels)]).Inc()
-				goodput.With(tenants[(w+i)%len(tenants)]).Add(3)
+				switches(scope, levels[(w+i)%len(levels)]).Inc()
+				goodput(scope, tenants[(w+i)%len(tenants)]).Add(3)
 				if i%50 == 0 {
 					// Scrapes racing registration must see a valid
 					// snapshot (checked for data races, not content:
@@ -50,13 +52,11 @@ func TestFamilySnapshotDeterministicUnderConcurrentRegistration(t *testing.T) {
 	// distributes every worker's cycle across the members.
 	want := NewRegistry()
 	ws := want.Scope("coord")
-	wantGoodput := ws.CounterFamily("goodput.bytes", "tenant")
-	wantSwitches := ws.CounterFamily("level.switches", "level")
 	for i := len(tenants) - 1; i >= 0; i-- {
-		wantGoodput.With(tenants[i]).Add(3 * workers * iters / int64(len(tenants)))
+		goodput(ws, tenants[i]).Add(3 * workers * iters / int64(len(tenants)))
 	}
 	for i := len(levels) - 1; i >= 0; i-- {
-		wantSwitches.With(levels[i]).Add(workers * iters / int64(len(levels)))
+		switches(ws, levels[i]).Add(workers * iters / int64(len(levels)))
 	}
 
 	if got, exp := reg.Snapshot(), want.Snapshot(); !bytes.Equal(got, exp) {
@@ -65,7 +65,7 @@ func TestFamilySnapshotDeterministicUnderConcurrentRegistration(t *testing.T) {
 	if got, exp := reg.RenderText(), want.RenderText(); got != exp {
 		t.Fatalf("concurrent registration changed the text rendering:\ngot:  %s\nwant: %s", got, exp)
 	}
-	// And the bytes themselves are pinned: family encoding is part of the
+	// And the bytes themselves are pinned: labelled names are part of the
 	// scrape contract, same as the main snapshot golden.
 	goldenCompare(t, "family_concurrent.golden", reg.Snapshot())
 }

@@ -7,9 +7,7 @@ type IntFuncMetric struct{ fn func() int64 }
 // Value evaluates the function.
 func (m *IntFuncMetric) Value() int64 { return m.fn() }
 
-func (m *IntFuncMetric) appendJSON(dst []byte) []byte {
-	return appendInt(dst, m.fn())
-}
+func (m *IntFuncMetric) jsonValue() any { return m.fn() }
 
 // FloatFuncMetric exposes a derived float64 value (e.g. a compression
 // ratio) computed at snapshot time.
@@ -18,9 +16,7 @@ type FloatFuncMetric struct{ fn func() float64 }
 // Value evaluates the function.
 func (m *FloatFuncMetric) Value() float64 { return m.fn() }
 
-func (m *FloatFuncMetric) appendJSON(dst []byte) []byte {
-	return appendFloat(dst, m.fn())
-}
+func (m *FloatFuncMetric) jsonValue() any { return finite(m.fn()) }
 
 // IntFunc registers a derived int64 metric under the scope's prefix + name.
 // fn must be safe for concurrent calls; it runs at snapshot time.

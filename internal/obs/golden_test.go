@@ -41,7 +41,7 @@ func goldenRegistry() *Registry {
 	w := reg.Scope("stream").Scope("writer")
 	w.Counter("app_bytes").Add(1 << 20)
 	w.Counter("wire_bytes").Add(300 << 10)
-	w.CounterFamily("app_bytes", "level").With("1").Add(1 << 20)
+	w.Counter("app_bytes{level=1}").Add(1 << 20)
 	w.FloatFunc("ratio", func() float64 { return 0.29296875 })
 
 	tn := reg.Scope("tunnel")

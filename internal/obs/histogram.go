@@ -27,19 +27,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return b
 }
 
-// LinearBuckets returns n ascending bucket upper bounds {start, start+width,
-// ...}.
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n < 1 || width <= 0 {
-		panic("obs: invalid linear bucket spec")
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = start + float64(i)*width
-	}
-	return b
-}
-
 // Histogram is a bounded histogram over fixed ascending bucket upper
 // bounds. Observe is lock-free and allocation-free; quantiles are estimated
 // from the bucket counts by linear interpolation inside the bucket that
@@ -64,10 +51,6 @@ func newHistogram(bounds []float64) *Histogram {
 	b := append([]float64(nil), bounds...)
 	return &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
 }
-
-// NewHistogram creates an unregistered histogram (nil bounds mean
-// DefaultBuckets). Prefer Scope.Histogram for registered metrics.
-func NewHistogram(bounds []float64) *Histogram { return newHistogram(bounds) }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
@@ -159,19 +142,14 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-func (h *Histogram) appendJSON(dst []byte) []byte {
-	dst = append(dst, `{"count":`...)
-	dst = appendInt(dst, h.Count())
-	dst = append(dst, `,"sum":`...)
-	dst = appendFloat(dst, h.Sum())
-	dst = append(dst, `,"mean":`...)
-	dst = appendFloat(dst, h.Mean())
-	dst = append(dst, `,"p50":`...)
-	dst = appendFloat(dst, h.Quantile(0.50))
-	dst = append(dst, `,"p95":`...)
-	dst = appendFloat(dst, h.Quantile(0.95))
-	dst = append(dst, `,"p99":`...)
-	dst = appendFloat(dst, h.Quantile(0.99))
-	dst = append(dst, '}')
-	return dst
+func (h *Histogram) jsonValue() any {
+	return struct {
+		Count int64 `json:"count"`
+		Sum   any   `json:"sum"`
+		Mean  any   `json:"mean"`
+		P50   any   `json:"p50"`
+		P95   any   `json:"p95"`
+		P99   any   `json:"p99"`
+	}{h.Count(), finite(h.Sum()), finite(h.Mean()),
+		finite(h.Quantile(0.50)), finite(h.Quantile(0.95)), finite(h.Quantile(0.99))}
 }

@@ -21,10 +21,11 @@
 // paths: they resolve their metrics once at setup time through a Scope and
 // hold the returned pointers.
 //
-// A Registry renders a deterministic JSON snapshot (keys sorted, stable
-// float formatting — see snapshot.go), publishes itself under
-// expvar-compatible names, and serves the snapshot over HTTP
-// (actunnel/acsend/acrecv -metrics-addr).
+// A Registry renders a deterministic JSON snapshot through encoding/json
+// (keys sorted, non-finite floats as null — see snapshot.go), publishes
+// itself under expvar-compatible names, and serves the snapshot over HTTP
+// (actunnel/acsend/acrecv -metrics-addr). A labelled metric is a metric
+// whose name carries the label: "stream.writer.app_bytes{level=1}".
 //
 // # Nil safety
 //
@@ -48,11 +49,11 @@ type Registry struct {
 	metrics map[string]Metric
 }
 
-// Metric is implemented by every registrable metric kind. appendJSON
-// renders the metric's current value as a JSON value (deterministically:
-// object keys in fixed order, floats in strconv 'g' format).
+// Metric is implemented by every registrable metric kind. jsonValue
+// returns the metric's current value for encoding/json: an int64, a finite
+// float64 or nil, or a struct or slice built from those and strings.
 type Metric interface {
-	appendJSON(dst []byte) []byte
+	jsonValue() any
 }
 
 // NewRegistry creates an empty registry.
@@ -177,43 +178,4 @@ func (s *Scope) EventLog(name string, capacity int) *EventLog {
 		return NewEventLog(capacity)
 	}
 	return attach(s.reg, s.prefix+"."+name, NewEventLog(capacity))
-}
-
-// CounterFamily returns a labeled counter family: a set of counters sharing
-// one name, distinguished by a label value ("stream.writer.wire_bytes"
-// labeled by level). Family members register as name{label=value}.
-func (s *Scope) CounterFamily(name, label string) *CounterFamily {
-	return &CounterFamily{scope: s, name: name, label: label}
-}
-
-// CounterFamily mints labeled counters. With is not for hot paths: resolve
-// members once at setup time.
-type CounterFamily struct {
-	scope *Scope
-	name  string
-	label string
-
-	mu      sync.Mutex
-	members map[string]*Counter
-}
-
-// With returns the family member for the given label value, creating it if
-// needed.
-func (f *CounterFamily) With(value string) *Counter {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if c, ok := f.members[value]; ok {
-		return c
-	}
-	var c *Counter
-	if f.scope == nil {
-		c = &Counter{}
-	} else {
-		c = attach(f.scope.reg, fmt.Sprintf("%s.%s{%s=%s}", f.scope.prefix, f.name, f.label, value), &Counter{})
-	}
-	if f.members == nil {
-		f.members = make(map[string]*Counter)
-	}
-	f.members[value] = c
-	return c
 }

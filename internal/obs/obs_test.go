@@ -66,7 +66,6 @@ func TestNilScopeIsFunctional(t *testing.T) {
 	s.EventLog("e", 0).Add("k", "d")
 	s.IntFunc("i", func() int64 { return 1 })
 	s.FloatFunc("f", func() float64 { return 1 })
-	s.CounterFamily("fam", "label").With("x").Inc()
 	if s.Scope("child") != nil {
 		t.Fatal("child of nil scope should be nil")
 	}
@@ -101,13 +100,15 @@ func TestAttachPanicsOnKindMismatch(t *testing.T) {
 	s.Gauge("m")
 }
 
+// TestCounterFamilyLabels: a labelled counter is a counter whose name
+// carries the label; resolving the name again returns the same counter.
 func TestCounterFamilyLabels(t *testing.T) {
 	reg := NewRegistry()
-	fam := reg.Scope("stream").CounterFamily("wire_bytes", "level")
-	fam.With("0").Add(10)
-	fam.With("1").Add(20)
-	if got := fam.With("0"); got.Value() != 10 {
-		t.Fatalf("family member 0 = %d, want 10", got.Value())
+	s := reg.Scope("stream")
+	s.Counter("wire_bytes{level=0}").Add(10)
+	s.Counter("wire_bytes{level=1}").Add(20)
+	if got := s.Counter("wire_bytes{level=0}"); got.Value() != 10 {
+		t.Fatalf("labelled counter level=0 = %d, want 10", got.Value())
 	}
 	want := []string{"stream.wire_bytes{level=0}", "stream.wire_bytes{level=1}"}
 	names := reg.Names()
@@ -117,7 +118,7 @@ func TestCounterFamilyLabels(t *testing.T) {
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram(LinearBuckets(10, 10, 10)) // bounds 10..100
+	h := newHistogram([]float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
 	for v := 1; v <= 100; v++ {
 		h.Observe(float64(v))
 	}
@@ -143,7 +144,7 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestHistogramOverflowSaturates(t *testing.T) {
-	h := NewHistogram([]float64{1, 2})
+	h := newHistogram([]float64{1, 2})
 	h.Observe(100)
 	h.Observe(200)
 	if got := h.Quantile(0.99); got != 2 {
@@ -152,7 +153,7 @@ func TestHistogramOverflowSaturates(t *testing.T) {
 }
 
 func TestHistogramEmptyQuantile(t *testing.T) {
-	h := NewHistogram(nil)
+	h := newHistogram(nil)
 	if got := h.Quantile(0.5); got != 0 {
 		t.Fatalf("empty quantile = %v", got)
 	}
@@ -163,12 +164,10 @@ func TestHistogramEmptyQuantile(t *testing.T) {
 
 func TestBucketSpecValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"exp n<1":        func() { ExpBuckets(1, 2, 0) },
-		"exp start<=0":   func() { ExpBuckets(0, 2, 4) },
-		"exp factor<=1":  func() { ExpBuckets(1, 1, 4) },
-		"linear n<1":     func() { LinearBuckets(0, 1, 0) },
-		"linear width<0": func() { LinearBuckets(0, -1, 4) },
-		"not ascending":  func() { NewHistogram([]float64{1, 1}) },
+		"exp n<1":       func() { ExpBuckets(1, 2, 0) },
+		"exp start<=0":  func() { ExpBuckets(0, 2, 4) },
+		"exp factor<=1": func() { ExpBuckets(1, 1, 4) },
+		"not ascending": func() { newHistogram([]float64{1, 1}) },
 	} {
 		func() {
 			defer func() {

@@ -21,7 +21,7 @@ func TestConcurrentHammer(t *testing.T) {
 	g := s.Gauge("gauge")
 	h := s.Histogram("hist", nil)
 	l := s.EventLog("events", 64)
-	fam := s.CounterFamily("fam", "worker")
+	fam := func(w int) *Counter { return s.Counter("fam{worker=" + strconv.Itoa(w) + "}") }
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -34,7 +34,7 @@ func TestConcurrentHammer(t *testing.T) {
 			if w%2 == 0 {
 				mc = s.Counter("counter")
 			}
-			fc := fam.With(strconv.Itoa(w % 4))
+			fc := fam(w % 4)
 			for i := 0; i < iters; i++ {
 				mc.Inc()
 				g.Add(1)
@@ -69,7 +69,7 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 	famTotal := int64(0)
 	for w := 0; w < 4; w++ {
-		famTotal += fam.With(strconv.Itoa(w)).Value()
+		famTotal += fam(w).Value()
 	}
 	if famTotal != workers*iters {
 		t.Fatalf("family total = %d, want %d", famTotal, workers*iters)

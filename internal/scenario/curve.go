@@ -3,6 +3,8 @@ package scenario
 import (
 	"math"
 	"strconv"
+
+	"adaptio/internal/xrand"
 )
 
 // Curve is a time-varying scalar: the DSL's building block for load shapes,
@@ -259,12 +261,7 @@ func (c *Curve) eval(t float64, seed uint64) float64 {
 // burstHash maps (seed, slot) to a uniform float64 in [0, 1) via a
 // splitmix64 finalizer — the stateless coin each burst slot flips.
 func burstHash(seed, slot uint64) float64 {
-	x := seed ^ (slot+0x9e3779b97f4a7c15)*0xbf58476d1ce4e5b9
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
+	x := xrand.Mix(seed ^ (slot+0x9e3779b97f4a7c15)*0xbf58476d1ce4e5b9)
 	return float64(x>>11) / (1 << 53)
 }
 

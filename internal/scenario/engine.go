@@ -12,6 +12,7 @@ import (
 	"adaptio/internal/core"
 	"adaptio/internal/corpus"
 	"adaptio/internal/trace"
+	"adaptio/internal/xrand"
 )
 
 // Rig names a deliberate property-breaker: the scenario suite's sentinel
@@ -190,12 +191,7 @@ type engine struct {
 // deriveSeed maps (seed, index) to a per-stream seed via a splitmix64 step,
 // so sibling streams draw independent noise and burst phases.
 func deriveSeed(seed uint64, i int) uint64 {
-	x := seed + 0x9e3779b97f4a7c15*uint64(i+1)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
+	x := xrand.Mix(seed + 0x9e3779b97f4a7c15*uint64(i+1))
 	if x == 0 {
 		x = 1
 	}

@@ -54,12 +54,10 @@ func newWriterObs(scope *obs.Scope, ladder compress.Ladder) writerObs {
 		windowRate:       scope.Histogram("window_rate", rateBuckets),
 		decisions:        scope.EventLog("decisions", 0),
 	}
-	appFam := scope.CounterFamily("app_bytes", "level")
-	wireFam := scope.CounterFamily("wire_bytes", "level")
 	for lvl := range ladder {
-		v := strconv.Itoa(lvl)
-		o.levelAppBytes = append(o.levelAppBytes, appFam.With(v))
-		o.levelWireBytes = append(o.levelWireBytes, wireFam.With(v))
+		label := "{level=" + strconv.Itoa(lvl) + "}"
+		o.levelAppBytes = append(o.levelAppBytes, scope.Counter("app_bytes"+label))
+		o.levelWireBytes = append(o.levelWireBytes, scope.Counter("wire_bytes"+label))
 	}
 	// Derived compression ratio (wire/app; 1.0 until bytes flow).
 	scope.FloatFunc("ratio", func() float64 {

@@ -18,10 +18,17 @@ func New(seed uint64) *RNG { return &RNG{state: seed ^ 0x9E3779B97F4A7C15} }
 // Uint64 returns the next raw 64-bit value.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9E3779B97F4A7C15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	return Mix(r.state)
+}
+
+// Mix is the splitmix64 finalizer, a bijection that scrambles every bit of
+// x into every bit of the result. Uint64 is Mix of a state advanced by a
+// fixed step; stateless callers (per-index seeds, hashed coins) use it
+// directly.
+func Mix(x uint64) uint64 {
+	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+	return x ^ (x >> 31)
 }
 
 // Float64 returns a uniform value in [0, 1).
