@@ -67,7 +67,6 @@ func measureCodec(name string, codec compress.Codec, kind corpus.Kind, sampleByt
 		}
 	}
 	decompSec := time.Since(start).Seconds()
-	_ = out
 
 	mb := float64(len(data)) / 1e6
 	m := CodecMeasurement{
