@@ -40,7 +40,7 @@ func TestOptionsLedger(t *testing.T) {
 		{lzfast.HC{}, 1},
 		{lzheavy.Codec{}, 1},
 		{probe.Config{}, 0},
-		{nephele.ChannelSpec{}, 7},
+		{nephele.ChannelSpec{}, 5},
 		{loadgen.Config{}, 14},
 	} {
 		typ := reflect.TypeOf(tc.cfg)

@@ -77,9 +77,8 @@ func TestNegativeSizePanics(t *testing.T) {
 }
 
 // TestCrossGoroutineHandoff moves ownership producer -> consumer through a
-// channel, the pattern the stream pipeline and Nephele in-memory channels
-// use. Run under -race this doubles as a happens-before check on the
-// arena's recycling.
+// channel, the pattern the stream pipeline uses. Run under -race this
+// doubles as a happens-before check on the arena's recycling.
 func TestCrossGoroutineHandoff(t *testing.T) {
 	const bufs = 1000
 	ch := make(chan *Buf, 8)

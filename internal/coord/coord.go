@@ -46,6 +46,7 @@ package coord
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"adaptio/internal/core"
@@ -129,11 +130,17 @@ func (c Config) withDefaults() (Config, error) {
 	if c.BudgetBytesPerSec < 0 {
 		return c, fmt.Errorf("coord: negative budget %v", c.BudgetBytesPerSec)
 	}
+	if math.IsNaN(c.BudgetBytesPerSec) || math.IsInf(c.BudgetBytesPerSec, 1) {
+		return c, fmt.Errorf("coord: non-finite budget %v", c.BudgetBytesPerSec)
+	}
 	if c.BudgetBytesPerSec == 0 {
 		c.BudgetBytesPerSec = DefaultBudgetBytesPerSec
 	}
 	if c.Alpha < 0 {
 		return c, fmt.Errorf("coord: negative alpha %v", c.Alpha)
+	}
+	if math.IsNaN(c.Alpha) || math.IsInf(c.Alpha, 1) {
+		return c, fmt.Errorf("coord: non-finite alpha %v", c.Alpha)
 	}
 	return c, nil
 }
@@ -209,8 +216,7 @@ func (c *Coordinator) Budget() float64 { return c.cfg.BudgetBytesPerSec }
 // StreamConfig describes one stream joining the coordinated fleet.
 type StreamConfig struct {
 	// Weight is the stream's share weight for weighted-fair budget
-	// division (per-tenant priority). Zero means 1; negative is clamped
-	// to the minimum positive weight.
+	// division (per-tenant priority). Zero, negative, NaN and +Inf mean 1.
 	Weight float64
 	// Tenant is a free-form owner label carried into diagnostics.
 	Tenant string
@@ -226,7 +232,7 @@ func (c *Coordinator) Register(sc StreamConfig) *Stream {
 		return nil
 	}
 	w := sc.Weight
-	if w <= 0 {
+	if !(w > 0) || math.IsInf(w, 1) {
 		w = 1
 	}
 	s := &Stream{

@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -28,6 +29,10 @@ func TestConfigValidation(t *testing.T) {
 		{"other ladder", func(c *Config) { c.Levels = 6 }, "4-level ladder"},
 		{"negative budget", func(c *Config) { c.BudgetBytesPerSec = -1 }, "negative budget"},
 		{"negative alpha", func(c *Config) { c.Alpha = -0.2 }, "negative alpha"},
+		{"NaN budget", func(c *Config) { c.BudgetBytesPerSec = math.NaN() }, "non-finite budget"},
+		{"infinite budget", func(c *Config) { c.BudgetBytesPerSec = math.Inf(1) }, "non-finite budget"},
+		{"NaN alpha", func(c *Config) { c.Alpha = math.NaN() }, "non-finite alpha"},
+		{"infinite alpha", func(c *Config) { c.Alpha = math.Inf(1) }, "non-finite alpha"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -42,6 +47,29 @@ func TestConfigValidation(t *testing.T) {
 				t.Fatalf("New error = %v, want substring %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestUnusableWeightCountsAsOne: a weight that is not a positive finite
+// number joins the fleet at weight 1, so the weight sum stays finite while
+// the stream is registered and returns to zero once it detaches.
+func TestUnusableWeightCountsAsOne(t *testing.T) {
+	for _, w := range []float64{0, -2, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		c := MustNew(Config{Levels: 4})
+		s := c.Register(StreamConfig{Weight: w})
+		c.mu.Lock()
+		sum := c.sumWeights
+		c.mu.Unlock()
+		if s.Weight() != 1 || sum != 1 {
+			t.Errorf("weight %v: stream weight %v, fleet sum %v; want 1 and 1", w, s.Weight(), sum)
+		}
+		s.Detach()
+		c.mu.Lock()
+		sum = c.sumWeights
+		c.mu.Unlock()
+		if sum != 0 {
+			t.Errorf("weight %v: fleet sum %v after detach, want 0", w, sum)
+		}
 	}
 }
 

@@ -29,6 +29,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 )
 
 // Default parameter values used throughout the paper's evaluation
@@ -52,7 +53,8 @@ type Config struct {
 	Levels int
 
 	// Alpha is the tolerance parameter α: cdr counts as "changed" only if
-	// |cdr-pdr| > Alpha*pdr. Zero means DefaultAlpha. Negative is invalid.
+	// |cdr-pdr| > Alpha*pdr. Zero means DefaultAlpha. Negative, NaN and
+	// +Inf are invalid.
 	Alpha float64
 
 	// Seed drives any stochastic component (the bandit's exploration).
@@ -86,6 +88,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Alpha < 0 {
 		return c, fmt.Errorf("core: negative alpha %v", c.Alpha)
+	}
+	if math.IsNaN(c.Alpha) || math.IsInf(c.Alpha, 1) {
+		return c, fmt.Errorf("core: non-finite alpha %v", c.Alpha)
 	}
 	if c.Alpha == 0 {
 		c.Alpha = DefaultAlpha

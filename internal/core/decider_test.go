@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -14,6 +15,23 @@ func newTestDecider(t *testing.T, cfg Config) *AlgorithmOne {
 		t.Fatalf("NewDecider(%+v): %v", cfg, err)
 	}
 	return d
+}
+
+// TestNonFiniteAlphaRefused: flag.Float64 parses NaN and Inf. A NaN band
+// matches no rate, so Algorithm 1 reverts every window and stays at NO; an
+// infinite one matches every rate, so it probes every window. Every policy
+// built on the skeleton refuses both at construction.
+func TestNonFiniteAlphaRefused(t *testing.T) {
+	for _, alpha := range []float64{math.NaN(), math.Inf(1)} {
+		for _, name := range []string{PolicyAlgorithmOne, PolicyBandit, PolicyEWMA} {
+			if _, err := NewPolicy(name, Config{Levels: 4, Alpha: alpha}); err == nil || !strings.Contains(err.Error(), "non-finite alpha") {
+				t.Errorf("NewPolicy(%s, alpha %v) = %v, want a non-finite alpha error", name, alpha, err)
+			}
+			if _, err := PolicyFactory(name, Config{Levels: 4, Alpha: alpha}); err == nil {
+				t.Errorf("PolicyFactory(%s) accepted alpha %v", name, alpha)
+			}
+		}
+	}
 }
 
 func TestConfigValidation(t *testing.T) {

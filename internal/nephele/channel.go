@@ -1,14 +1,12 @@
 package nephele
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"sync"
 
-	"adaptio/internal/block"
 	"adaptio/internal/core"
 	"adaptio/internal/ratelimit"
 	"adaptio/internal/stream"
@@ -20,163 +18,22 @@ import (
 type link interface {
 	// openWriter returns the producer-side writer. Called once.
 	openWriter() (io.WriteCloser, error)
-	// openReader returns the consumer-side reader. Called once; may block
-	// until data is available (file channels block until the producer
-	// finished writing, mirroring Nephele's staged file channels).
-	openReader() (io.Reader, error)
+	// openReader returns the consumer-side reader, which the caller closes.
+	// Called once; may block until data is available (file channels block
+	// until the producer finished writing, mirroring Nephele's staged file
+	// channels).
+	openReader() (io.ReadCloser, error)
 	// abort tears the link down when the job fails, unblocking any
 	// goroutine stuck in the link's I/O.
 	abort(err error)
-}
-
-// ---------- in-memory channel ----------
-
-// memLink is a buffered in-process pipe carrying byte chunks. It bounds
-// memory like Nephele's in-memory channels bound their exchange buffers.
-//
-// Buffer lifecycle (see internal/block): chunks travel the queue as pooled
-// arena buffers. The writer acquires and fills a Buf per Write and hands
-// ownership to the queue; the reader releases each Buf once its bytes are
-// consumed. On abort, whichever side observes the closed link drains the
-// queue and releases the stranded buffers (the post-send re-check in Write
-// closes the race where a send slips in after a drain), so an aborted link
-// returns its buffers to the arena too.
-type memLink struct {
-	ch     chan *block.Buf
-	errMu  sync.Mutex
-	err    error
-	closed chan struct{}
-	once   sync.Once
-}
-
-func newMemLink() *memLink {
-	return &memLink{ch: make(chan *block.Buf, 32), closed: make(chan struct{})}
-}
-
-func (l *memLink) openWriter() (io.WriteCloser, error) { return &memWriter{l: l}, nil }
-
-func (l *memLink) openReader() (io.Reader, error) { return &memReader{l: l}, nil }
-
-func (l *memLink) abort(err error) {
-	l.errMu.Lock()
-	if l.err == nil {
-		l.err = err
-	}
-	l.errMu.Unlock()
-	l.once.Do(func() { close(l.closed) })
-	l.drain()
-}
-
-func (l *memLink) aborted() error {
-	l.errMu.Lock()
-	defer l.errMu.Unlock()
-	return l.err
-}
-
-// drain releases every chunk currently queued. Only called once the link is
-// dead (closed is closed or the writer closed the queue), when the data can
-// no longer be delivered. Concurrent drains are safe: each Buf is received,
-// and therefore released, exactly once.
-func (l *memLink) drain() {
-	for {
-		select {
-		case b, ok := <-l.ch:
-			if !ok {
-				return
-			}
-			b.Release()
-		default:
-			return
-		}
-	}
-}
-
-type memWriter struct {
-	l    *memLink
-	once sync.Once
-}
-
-func (w *memWriter) Write(p []byte) (int, error) {
-	buf := block.GetLen(len(p))
-	copy(buf.B, p)
-	select {
-	case w.l.ch <- buf:
-		// Re-check after the send: if the link was aborted concurrently,
-		// the aborter's drain may already have run, so reclaim the queue
-		// ourselves and report the failure.
-		select {
-		case <-w.l.closed:
-			w.l.drain()
-			return 0, w.closedErr()
-		default:
-		}
-		return len(p), nil
-	case <-w.l.closed:
-		buf.Release()
-		return 0, w.closedErr()
-	}
-}
-
-func (w *memWriter) closedErr() error {
-	if err := w.l.aborted(); err != nil {
-		return err
-	}
-	return errors.New("nephele: write on closed in-memory channel")
-}
-
-func (w *memWriter) Close() error {
-	w.once.Do(func() { close(w.l.ch) })
-	return nil
-}
-
-type memReader struct {
-	l        *memLink
-	cur      []byte
-	curArena *block.Buf
-}
-
-func (r *memReader) Read(p []byte) (int, error) {
-	for len(r.cur) == 0 {
-		r.releaseCur()
-		select {
-		case buf, ok := <-r.l.ch:
-			if !ok {
-				if err := r.l.aborted(); err != nil {
-					return 0, err
-				}
-				return 0, io.EOF
-			}
-			r.curArena = buf
-			r.cur = buf.B
-		case <-r.l.closed:
-			r.l.drain()
-			if err := r.l.aborted(); err != nil {
-				return 0, err
-			}
-			return 0, io.EOF
-		}
-	}
-	n := copy(p, r.cur)
-	r.cur = r.cur[n:]
-	if len(r.cur) == 0 {
-		r.releaseCur()
-	}
-	return n, nil
-}
-
-func (r *memReader) releaseCur() {
-	if r.curArena != nil {
-		r.curArena.Release()
-		r.curArena = nil
-	}
-	r.cur = nil
 }
 
 // ---------- network channel ----------
 
 // netLink is a real TCP connection over the loopback interface: the
 // consumer side listens, the producer dials. Running actual TCP keeps the
-// flow-control behaviour the paper's decision model depends on.
+// flow-control behaviour the paper's decision model depends on. The link has
+// one consumer, so its listener closes once that consumer has accepted.
 type netLink struct {
 	listener net.Listener
 
@@ -203,8 +60,9 @@ func (l *netLink) openWriter() (io.WriteCloser, error) {
 	return conn.(*net.TCPConn), nil
 }
 
-func (l *netLink) openReader() (io.Reader, error) {
+func (l *netLink) openReader() (io.ReadCloser, error) {
 	conn, err := l.listener.Accept()
+	l.listener.Close()
 	if err != nil {
 		l.mu.Lock()
 		defer l.mu.Unlock()
@@ -287,7 +145,7 @@ func (w *fileWriter) Close() error {
 	return err
 }
 
-func (l *fileLink) openReader() (io.Reader, error) {
+func (l *fileLink) openReader() (io.ReadCloser, error) {
 	<-l.ready
 	l.mu.Lock()
 	abortErr := l.abortErr
@@ -299,7 +157,7 @@ func (l *fileLink) openReader() (io.Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &selfClosingFile{f: f}, nil
+	return f, nil
 }
 
 func (l *fileLink) abort(err error) {
@@ -313,24 +171,6 @@ func (l *fileLink) abort(err error) {
 
 // cleanup removes the staging file.
 func (l *fileLink) cleanup() { os.Remove(l.path) }
-
-// selfClosingFile closes the underlying file when EOF is reached.
-type selfClosingFile struct {
-	f      *os.File
-	closed bool
-}
-
-func (s *selfClosingFile) Read(p []byte) (int, error) {
-	if s.closed {
-		return 0, io.EOF
-	}
-	n, err := s.f.Read(p)
-	if err == io.EOF {
-		s.f.Close()
-		s.closed = true
-	}
-	return n, err
-}
 
 // ---------- compression wrapping ----------
 

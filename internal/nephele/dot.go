@@ -2,13 +2,13 @@ package nephele
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
 // DOT renders the job graph in Graphviz DOT format: vertices annotated with
-// their parallelism, edges with channel type, distribution and compression
-// mode. Pipe the output through `dot -Tsvg` to visualize an execution plan.
+// their parallelism, edges with channel type and compression mode, in the
+// order they were connected. Pipe the output through `dot -Tsvg` to
+// visualize an execution plan.
 func (g *JobGraph) DOT() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "digraph %q {\n", g.name)
@@ -16,14 +16,8 @@ func (g *JobGraph) DOT() string {
 	for _, v := range g.vertices {
 		fmt.Fprintf(&sb, "  %q [label=\"%s\\nx%d\"];\n", v.name, v.name, v.parallelism)
 	}
-	// Deterministic edge order for stable output.
-	edges := append([]*Edge(nil), g.edges...)
-	sort.Slice(edges, func(i, j int) bool { return edges[i].id < edges[j].id })
-	for _, e := range edges {
+	for _, e := range g.edges {
 		label := e.spec.Type.String()
-		if e.spec.Distribution != RoundRobin {
-			label += "\\n" + e.spec.Distribution.String()
-		}
 		switch e.spec.Compression {
 		case CompressionStatic:
 			label += fmt.Sprintf("\\nstatic L%d", e.spec.StaticLevel)

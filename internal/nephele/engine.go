@@ -41,9 +41,10 @@ func (c *TaskContext) Output(i int) *OutputGate { return c.outputs[i] }
 
 // InputGate merges the record streams of all producer subtasks of one edge.
 type InputGate struct {
-	openFns []func() (io.Reader, error)
-	start   sync.Once
-	recs    chan inRec
+	links []link // one per producer subtask
+	spec  ChannelSpec
+	start sync.Once
+	recs  chan inRec
 
 	// stop releases producer goroutines blocked on a full recs channel when
 	// the consuming subtask abandons the gate before EOF (task error).
@@ -70,42 +71,12 @@ func (g *InputGate) ReadRecord() ([]byte, error) {
 		ch := make(chan inRec, 64)
 		g.recs = ch
 		var wg sync.WaitGroup
-		for _, open := range g.openFns {
+		for _, l := range g.links {
 			wg.Add(1)
-			go func(open func() (io.Reader, error)) {
+			go func() {
 				defer wg.Done()
-				send := func(r inRec) bool {
-					select {
-					case ch <- r:
-						return true
-					case <-g.stop:
-						return false
-					}
-				}
-				r, err := open()
-				if err != nil {
-					send(inRec{err: err})
-					return
-				}
-				rr := NewRecordReader(r)
-				defer rr.Close() // recycle the record buffer if we bail before EOF
-				if sr, ok := r.(*stream.Reader); ok {
-					defer sr.Close() // likewise the decompressor's block buffers
-				}
-				for {
-					rec, err := rr.ReadRecord()
-					if err == io.EOF {
-						return
-					}
-					if err != nil {
-						send(inRec{err: err})
-						return
-					}
-					if !send(inRec{rec: append([]byte(nil), rec...)}) {
-						return
-					}
-				}
-			}(open)
+				g.pump(l, ch)
+			}()
 		}
 		go func() {
 			wg.Wait()
@@ -119,50 +90,91 @@ func (g *InputGate) ReadRecord() ([]byte, error) {
 	return r.rec, r.err
 }
 
-// OutputGate distributes records over all consumer subtasks of one edge
-// according to the edge's Distribution pattern.
+// pump opens one producer's link lazily, so a blocking transport (file
+// staging, TCP accept) does not stall task startup, and forwards its records
+// to ch until EOF, an error or abandon. Whichever way it returns, it closes
+// what it opened.
+func (g *InputGate) pump(l link, ch chan<- inRec) {
+	send := func(r inRec) bool {
+		select {
+		case ch <- r:
+			return true
+		case <-g.stop:
+			return false
+		}
+	}
+	rc, err := l.openReader()
+	if err != nil {
+		send(inRec{err: err})
+		return
+	}
+	defer rc.Close()
+	r, err := wrapReader(rc, g.spec)
+	if err != nil {
+		send(inRec{err: err})
+		return
+	}
+	if sr, ok := r.(*stream.Reader); ok {
+		defer sr.Close() // recycle the decompressor's block buffers
+	}
+	rr := NewRecordReader(r)
+	defer rr.Close() // recycle the record buffer if we bail before EOF
+	for {
+		rec, err := rr.ReadRecord()
+		if err == io.EOF {
+			return
+		}
+		if err != nil {
+			send(inRec{err: err})
+			return
+		}
+		if !send(inRec{rec: append([]byte(nil), rec...)}) {
+			return
+		}
+	}
+}
+
+// OutputGate distributes records round-robin over all consumer subtasks of
+// one edge.
 type OutputGate struct {
 	writers []*RecordWriter
 	next    int
-	dist    Distribution
-	key     func([]byte) []byte
 	closers []func() error
+
+	// Transport accounting, read into EdgeStats once the gate is closed.
+	wires    []*countingWriter
+	switches []func() int64
 }
 
-// WriteRecord emits one record according to the edge's distribution:
-// round-robin to the next consumer, broadcast to all, or hash-partitioned
-// by key.
+// WriteRecord emits one record to the next consumer.
 func (g *OutputGate) WriteRecord(p []byte) error {
-	switch g.dist {
-	case Broadcast:
-		for _, w := range g.writers {
-			if err := w.WriteRecord(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	case HashPartition:
-		key := p
-		if g.key != nil {
-			key = g.key(p)
-		}
-		return g.writers[fnv1a(key)%uint64(len(g.writers))].WriteRecord(p)
-	default: // RoundRobin
-		w := g.writers[g.next]
-		g.next = (g.next + 1) % len(g.writers)
-		return w.WriteRecord(p)
-	}
+	w := g.writers[g.next]
+	g.next = (g.next + 1) % len(g.writers)
+	return w.WriteRecord(p)
 }
 
-// fnv1a is the 64-bit FNV-1a hash, inlined to keep record routing
-// allocation-free.
-func fnv1a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
+// openOutputGate opens a writer on each of links, one per consumer subtask,
+// and layers spec's shaping, compression and record framing on it. On error
+// the returned gate holds what was opened, for the caller to close.
+func openOutputGate(links []link, spec ChannelSpec) (*OutputGate, error) {
+	g := &OutputGate{}
+	for _, l := range links {
+		wc, err := l.openWriter()
+		if err != nil {
+			return g, err
+		}
+		counter := &countingWriter{w: wc}
+		wrapped, closeFn, switches, err := wrapWriter(&writeCloserPair{counter, wc}, spec)
+		if err != nil {
+			wc.Close()
+			return g, err
+		}
+		g.writers = append(g.writers, NewRecordWriter(wrapped))
+		g.closers = append(g.closers, closeFn)
+		g.wires = append(g.wires, counter)
+		g.switches = append(g.switches, switches)
 	}
-	return h
+	return g, nil
 }
 
 func (g *OutputGate) close() error {
@@ -173,6 +185,23 @@ func (g *OutputGate) close() error {
 		}
 	}
 	return first
+}
+
+// stats sums what the gate carried.
+func (g *OutputGate) stats() EdgeStats {
+	var s EdgeStats
+	for _, w := range g.writers {
+		recs, bytes := w.Counters()
+		s.Records += recs
+		s.AppBytes += bytes
+	}
+	for _, c := range g.wires {
+		s.WireBytes += c.n
+	}
+	for _, fn := range g.switches {
+		s.LevelSwitches += fn()
+	}
+	return s
 }
 
 // countingWriter counts transport-level (wire) bytes.
@@ -235,8 +264,6 @@ type edgeRuntime struct {
 	appBytes      *obs.Counter
 	wireBytes     *obs.Counter
 	levelSwitches *obs.Counter
-
-	fileLinks []*fileLink
 }
 
 // bindObs resolves the edge's counters under scope ("nephele.edge.<label>").
@@ -306,6 +333,13 @@ func (e *Engine) Execute(ctx context.Context, g *JobGraph) (*JobStats, error) {
 
 	runtimes := make(map[*Edge]*edgeRuntime, len(g.edges))
 	var allLinks []link
+	defer func() {
+		for _, l := range allLinks {
+			if fl, ok := l.(*fileLink); ok {
+				fl.cleanup()
+			}
+		}
+	}()
 	for _, edge := range g.edges {
 		rt := &edgeRuntime{edge: edge}
 		rt.bindObs(edgeScope)
@@ -314,7 +348,7 @@ func (e *Engine) Execute(ctx context.Context, g *JobGraph) (*JobStats, error) {
 		for pi := 0; pi < np; pi++ {
 			rt.links[pi] = make([]link, nc)
 			for ci := 0; ci < nc; ci++ {
-				l, err := e.newLink(edge, rt, pi, ci)
+				l, err := e.newLink(edge, pi, ci)
 				if err != nil {
 					abortAll(allLinks, err)
 					return nil, err
@@ -325,13 +359,6 @@ func (e *Engine) Execute(ctx context.Context, g *JobGraph) (*JobStats, error) {
 		}
 		runtimes[edge] = rt
 	}
-	defer func() {
-		for _, rt := range runtimes {
-			for _, fl := range rt.fileLinks {
-				fl.cleanup()
-			}
-		}
-	}()
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -420,19 +447,12 @@ func (e *Engine) Execute(ctx context.Context, g *JobGraph) (*JobStats, error) {
 	return stats, nil
 }
 
-func (e *Engine) newLink(edge *Edge, rt *edgeRuntime, pi, ci int) (link, error) {
+func (e *Engine) newLink(edge *Edge, pi, ci int) (link, error) {
 	switch edge.spec.Type {
-	case InMemory:
-		return newMemLink(), nil
 	case Network:
 		return newNetLink()
 	case File:
-		fl, err := newFileLink(e.TempDir, fmt.Sprintf("%s-%d-%d", edge.from.name, pi, ci))
-		if err != nil {
-			return nil, err
-		}
-		rt.fileLinks = append(rt.fileLinks, fl)
-		return fl, nil
+		return newFileLink(e.TempDir, fmt.Sprintf("%s-%d-%d", edge.from.name, pi, ci))
 	default:
 		return nil, fmt.Errorf("nephele: unknown channel type %v", edge.spec.Type)
 	}
@@ -449,24 +469,12 @@ func runSubtask(ctx context.Context, g *JobGraph, v *Vertex, sub int, runtimes m
 		ctx:         ctx,
 	}
 
-	// Input gates: one per incoming edge; readers open lazily inside the
-	// gate goroutines so blocking transports (file staging, TCP accept)
-	// do not stall task startup.
 	for _, edge := range v.inputs {
-		rt := runtimes[edge]
-		spec := edge.spec
-		gate := &InputGate{stop: make(chan struct{})}
-		for pi := 0; pi < edge.from.parallelism; pi++ {
-			l := rt.links[pi][sub]
-			gate.openFns = append(gate.openFns, func() (io.Reader, error) {
-				r, err := l.openReader()
-				if err != nil {
-					return nil, err
-				}
-				return wrapReader(r, spec)
-			})
+		links := make([]link, edge.from.parallelism)
+		for pi := range links {
+			links[pi] = runtimes[edge].links[pi][sub]
 		}
-		tc.inputs = append(tc.inputs, gate)
+		tc.inputs = append(tc.inputs, &InputGate{links: links, spec: edge.spec, stop: make(chan struct{})})
 	}
 	// Whatever way the subtask exits, no producer goroutine may stay blocked
 	// on an abandoned gate (the task-error path skips the drain below).
@@ -476,42 +484,21 @@ func runSubtask(ctx context.Context, g *JobGraph, v *Vertex, sub int, runtimes m
 		}
 	}()
 
-	// Output gates: open writers eagerly (TCP dials succeed against the
-	// listener backlog even before the consumer accepts).
-	type outAccounting struct {
-		rt       *edgeRuntime
-		gate     *OutputGate
-		wires    []*countingWriter
-		switches []func() int64
-	}
-	var accounting []outAccounting
+	// Output gates open their writers eagerly (TCP dials succeed against
+	// the listener backlog even before the consumer accepts).
+	var runErr error
 	for _, edge := range v.outputs {
-		rt := runtimes[edge]
-		gate := &OutputGate{dist: edge.spec.Distribution, key: edge.spec.Key}
-		acct := outAccounting{rt: rt, gate: gate}
-		for ci := 0; ci < edge.to.parallelism; ci++ {
-			wc, err := rt.links[sub][ci].openWriter()
-			if err != nil {
-				return err
-			}
-			counter := &countingWriter{w: wc}
-			wrapped, closeFn, switches, err := wrapWriter(&writeCloserPair{counter, wc}, edge.spec)
-			if err != nil {
-				wc.Close()
-				return err
-			}
-			gate.writers = append(gate.writers, NewRecordWriter(wrapped))
-			gate.closers = append(gate.closers, closeFn)
-			acct.wires = append(acct.wires, counter)
-			acct.switches = append(acct.switches, switches)
-		}
-		accounting = append(accounting, acct)
+		gate, err := openOutputGate(runtimes[edge].links[sub], edge.spec)
 		tc.outputs = append(tc.outputs, gate)
+		if err != nil {
+			runErr = err
+			break
+		}
 	}
 
-	task := v.factory()
-	runErr := task.Run(tc)
-
+	if runErr == nil {
+		runErr = v.factory().Run(tc)
+	}
 	if runErr == nil {
 		// Drain any unread input so producers blocked on full transport
 		// buffers can complete: a Nephele channel is always consumed to
@@ -527,29 +514,16 @@ func runSubtask(ctx context.Context, g *JobGraph, v *Vertex, sub int, runtimes m
 
 	// Flush and close outputs even on error so consumers unblock; the
 	// engine's abort path handles hard failures.
-	for _, acct := range accounting {
-		if err := acct.gate.close(); err != nil && runErr == nil {
+	for _, gate := range tc.outputs {
+		if err := gate.close(); err != nil && runErr == nil {
 			runErr = err
 		}
 	}
 	if runErr != nil {
 		return runErr
 	}
-
-	for _, acct := range accounting {
-		var s EdgeStats
-		for _, w := range acct.gate.writers {
-			recs, bytes := w.Counters()
-			s.Records += recs
-			s.AppBytes += bytes
-		}
-		for _, c := range acct.wires {
-			s.WireBytes += c.n
-		}
-		for _, fn := range acct.switches {
-			s.LevelSwitches += fn()
-		}
-		acct.rt.add(s)
+	for i, gate := range tc.outputs {
+		runtimes[v.outputs[i]].add(gate.stats())
 	}
 	return nil
 }

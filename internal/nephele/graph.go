@@ -3,6 +3,7 @@ package nephele
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -15,23 +16,20 @@ type Task interface {
 // TaskFactory creates one Task per parallel subtask.
 type TaskFactory func() Task
 
-// ChannelType selects the transport of an edge, matching Nephele's three
-// channel types ("Currently, Nephele supports three different types of
-// communication channels: file, TCP network, and in-memory channels").
+// ChannelType selects the transport of an edge. Nephele has file, TCP
+// network and in-memory channels; the paper put its compression module into
+// the file and network ones (Section III-B), the two this engine implements.
 type ChannelType int
 
 // Channel types.
 const (
-	InMemory ChannelType = iota // intra-process buffered pipe
-	Network                     // real TCP over loopback
-	File                        // staged through a temporary file
+	Network ChannelType = iota // real TCP over loopback
+	File                       // staged through a temporary file
 )
 
 // String returns a readable channel type name.
 func (c ChannelType) String() string {
 	switch c {
-	case InMemory:
-		return "in-memory"
 	case Network:
 		return "network"
 	case File:
@@ -51,38 +49,8 @@ const (
 	CompressionAdaptive                        // rate-based decision model (DYNAMIC)
 )
 
-// Distribution selects how an edge routes records from each producer
-// subtask to the consumer subtasks.
-type Distribution int
-
-// Distribution patterns.
-const (
-	// RoundRobin cycles over the consumers (Nephele's default bipartite
-	// wiring). This is the zero value.
-	RoundRobin Distribution = iota
-	// Broadcast sends every record to every consumer subtask.
-	Broadcast
-	// HashPartition routes each record by a hash of its key, so equal
-	// keys always reach the same consumer subtask (the precondition for
-	// per-key aggregation).
-	HashPartition
-)
-
-// String returns a readable distribution name.
-func (d Distribution) String() string {
-	switch d {
-	case RoundRobin:
-		return "round-robin"
-	case Broadcast:
-		return "broadcast"
-	case HashPartition:
-		return "hash-partition"
-	default:
-		return fmt.Sprintf("Distribution(%d)", int(d))
-	}
-}
-
-// ChannelSpec configures an edge.
+// ChannelSpec configures an edge. Every edge is wired round-robin: each
+// producer subtask cycles its records over the consumer subtasks.
 type ChannelSpec struct {
 	Type        ChannelType
 	Compression CompressionMode
@@ -91,12 +59,6 @@ type ChannelSpec struct {
 	// Window is the adaptive decision model's window t; zero means the
 	// paper's 2 s.
 	Window time.Duration
-	// Distribution routes records across consumer subtasks; the zero
-	// value is RoundRobin.
-	Distribution Distribution
-	// Key extracts the partitioning key for HashPartition; nil hashes the
-	// whole record.
-	Key func(rec []byte) []byte
 	// WireMBps, when positive, rate-limits each link's transport to the
 	// given wire bandwidth (MB/s). It emulates the constrained, shared
 	// NIC of a cloud VM so that the paper's network-channel experiments
@@ -106,12 +68,6 @@ type ChannelSpec struct {
 
 func (s ChannelSpec) validate() error {
 	switch s.Type {
-	case InMemory:
-		if s.Compression != CompressionOff {
-			// The paper integrated compression into file and network
-			// channels only; in-memory channels never leave RAM.
-			return errors.New("nephele: in-memory channels do not support compression")
-		}
 	case Network, File:
 	default:
 		return fmt.Errorf("nephele: unknown channel type %d", int(s.Type))
@@ -121,16 +77,8 @@ func (s ChannelSpec) validate() error {
 	default:
 		return fmt.Errorf("nephele: unknown compression mode %d", int(s.Compression))
 	}
-	switch s.Distribution {
-	case RoundRobin, Broadcast, HashPartition:
-	default:
-		return fmt.Errorf("nephele: unknown distribution %d", int(s.Distribution))
-	}
-	if s.Key != nil && s.Distribution != HashPartition {
-		return errors.New("nephele: Key is only meaningful with HashPartition")
-	}
-	if s.WireMBps < 0 {
-		return errors.New("nephele: negative wire rate")
+	if !(s.WireMBps >= 0) || math.IsInf(s.WireMBps, 1) {
+		return fmt.Errorf("nephele: wire rate %v MB/s, want finite and non-negative", s.WireMBps)
 	}
 	return nil
 }
@@ -140,7 +88,6 @@ type Vertex struct {
 	name        string
 	factory     TaskFactory
 	parallelism int
-	id          int
 	graph       *JobGraph
 
 	inputs  []*Edge
@@ -157,7 +104,6 @@ func (v *Vertex) Parallelism() int { return v.parallelism }
 type Edge struct {
 	from, to *Vertex
 	spec     ChannelSpec
-	id       int
 }
 
 // Label returns "from->to" for stats keys.
@@ -187,7 +133,6 @@ func (g *JobGraph) AddVertex(name string, factory TaskFactory, parallelism int) 
 		name:        name,
 		factory:     factory,
 		parallelism: parallelism,
-		id:          len(g.vertices),
 		graph:       g,
 	}
 	g.vertices = append(g.vertices, v)
@@ -208,7 +153,7 @@ func (g *JobGraph) Connect(from, to *Vertex, spec ChannelSpec) (*Edge, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	e := &Edge{from: from, to: to, spec: spec, id: len(g.edges)}
+	e := &Edge{from: from, to: to, spec: spec}
 	g.edges = append(g.edges, e)
 	from.outputs = append(from.outputs, e)
 	to.inputs = append(to.inputs, e)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -126,9 +127,6 @@ func TestGraphValidation(t *testing.T) {
 	if _, err := g.Connect(a, c, nephele.ChannelSpec{Type: nephele.Network}); err == nil {
 		t.Error("cross-graph edge accepted")
 	}
-	if _, err := g.Connect(a, b, nephele.ChannelSpec{Type: nephele.InMemory, Compression: nephele.CompressionAdaptive}); err == nil {
-		t.Error("compressed in-memory channel accepted")
-	}
 	if _, err := g.Connect(a, b, nephele.ChannelSpec{Type: nephele.ChannelType(9)}); err == nil {
 		t.Error("unknown channel type accepted")
 	}
@@ -150,9 +148,9 @@ func TestGraphCycleDetection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(g.Connect(a, b, nephele.ChannelSpec{Type: nephele.InMemory}))
-	must(g.Connect(b, c, nephele.ChannelSpec{Type: nephele.InMemory}))
-	must(g.Connect(c, a, nephele.ChannelSpec{Type: nephele.InMemory}))
+	must(g.Connect(a, b, nephele.ChannelSpec{Type: nephele.Network}))
+	must(g.Connect(b, c, nephele.ChannelSpec{Type: nephele.Network}))
+	must(g.Connect(c, a, nephele.ChannelSpec{Type: nephele.Network}))
 	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Fatalf("cycle undetected: %v", err)
 	}
@@ -213,7 +211,7 @@ func TestPipelineAllChannelTypes(t *testing.T) {
 	leakcheck.Check(t)
 	blocktest.Track(t) // channel queues and record readers must recycle all buffers
 	records := testRecords(200, 1000)
-	for _, typ := range []nephele.ChannelType{nephele.InMemory, nephele.Network, nephele.File} {
+	for _, typ := range []nephele.ChannelType{nephele.Network, nephele.File} {
 		t.Run(typ.String(), func(t *testing.T) {
 			got, stats := runPipeline(t, nephele.ChannelSpec{Type: typ}, records)
 			if len(got) != len(records) {
@@ -325,7 +323,7 @@ func TestFanOutFanIn(t *testing.T) {
 		atomic.AddInt64(&count, 1)
 		return nil
 	}), 1)
-	if _, err := g.Connect(src, mapper, nephele.ChannelSpec{Type: nephele.InMemory}); err != nil {
+	if _, err := g.Connect(src, mapper, nephele.ChannelSpec{Type: nephele.Network}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := g.Connect(mapper, sink, nephele.ChannelSpec{Type: nephele.Network, Compression: nephele.CompressionAdaptive}); err != nil {
@@ -361,7 +359,7 @@ func TestDiamondTopology(t *testing.T) {
 		return nil
 	}), 1)
 	for _, pair := range [][2]*nephele.Vertex{{src, left}, {src, right}} {
-		if _, err := g.Connect(pair[0], pair[1], nephele.ChannelSpec{Type: nephele.InMemory}); err != nil {
+		if _, err := g.Connect(pair[0], pair[1], nephele.ChannelSpec{Type: nephele.Network}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -421,20 +419,22 @@ func (p ctxProbeTask) Run(ctx *nephele.TaskContext) error {
 	return nil
 }
 
-// TestInMemoryAbortUnblocksBlockedWriter: a producer blocked on a full
-// in-memory channel must be released when a peer task fails.
-func TestInMemoryAbortUnblocksBlockedWriter(t *testing.T) {
+// TestAbortUnblocksBlockedWriter: a producer blocked on a full socket must
+// be released when a peer task fails.
+func TestAbortUnblocksBlockedWriter(t *testing.T) {
 	leakcheck.Check(t)
+	var emitted atomic.Int64
 	g := nephele.NewJobGraph("abort")
 	src := g.AddVertex("src", nephele.SourceFunc(func(ctx *nephele.TaskContext, emit func([]byte) error) error {
 		for {
 			if err := emit(make([]byte, 64<<10)); err != nil {
 				return err // must eventually fire when the job aborts
 			}
+			emitted.Add(1)
 		}
 	}), 1)
-	sink := g.AddVertex("sink", nephele.TaskFactory(func() nephele.Task { return failFastTask{} }), 1)
-	if _, err := g.Connect(src, sink, nephele.ChannelSpec{Type: nephele.InMemory}); err != nil {
+	sink := g.AddVertex("sink", nephele.TaskFactory(func() nephele.Task { return failWhenBlockedTask{&emitted} }), 1)
+	if _, err := g.Connect(src, sink, nephele.ChannelSpec{Type: nephele.Network}); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -444,7 +444,7 @@ func TestInMemoryAbortUnblocksBlockedWriter(t *testing.T) {
 	}()
 	select {
 	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "immediate failure") {
+		if err == nil || !strings.Contains(err.Error(), "failed with the producer blocked") {
 			t.Fatalf("unexpected result: %v", err)
 		}
 	case <-time.After(20 * time.Second):
@@ -452,9 +452,22 @@ func TestInMemoryAbortUnblocksBlockedWriter(t *testing.T) {
 	}
 }
 
-type failFastTask struct{}
+// failWhenBlockedTask reads nothing, so the socket fills; once the producer's
+// count has stopped moving (it is blocked in a write), the task fails.
+type failWhenBlockedTask struct{ emitted *atomic.Int64 }
 
-func (failFastTask) Run(*nephele.TaskContext) error { return errors.New("immediate failure") }
+func (f failWhenBlockedTask) Run(*nephele.TaskContext) error {
+	last := int64(-1)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(100 * time.Millisecond)
+		n := f.emitted.Load()
+		if n > 0 && n == last {
+			break
+		}
+		last = n
+	}
+	return errors.New("failed with the producer blocked")
+}
 
 func TestStatsRender(t *testing.T) {
 	records := testRecords(50, 100)
@@ -509,18 +522,13 @@ func TestDOTExport(t *testing.T) {
 	g := nephele.NewJobGraph("viz")
 	a := g.AddVertex("gen", nopSource(), 2)
 	b := g.AddVertex("agg", nopSink(), 1)
-	if _, err := g.Connect(a, b, nephele.ChannelSpec{
-		Type:         nephele.Network,
-		Compression:  nephele.CompressionAdaptive,
-		Distribution: nephele.HashPartition,
-		Key:          func(r []byte) []byte { return r },
-	}); err != nil {
+	if _, err := g.Connect(a, b, nephele.ChannelSpec{Type: nephele.Network, Compression: nephele.CompressionAdaptive}); err != nil {
 		t.Fatal(err)
 	}
 	dot := g.DOT()
 	for _, want := range []string{
 		`digraph "viz"`, `"gen" [label="gen\nx2"]`, `"gen" -> "agg"`,
-		"network", "hash-partition", "adaptive",
+		"network", "adaptive",
 	} {
 		if !strings.Contains(dot, want) {
 			t.Errorf("DOT missing %q:\n%s", want, dot)
@@ -529,125 +537,6 @@ func TestDOTExport(t *testing.T) {
 	// Deterministic output.
 	if g.DOT() != dot {
 		t.Error("DOT output not deterministic")
-	}
-}
-
-func TestDistributionValidation(t *testing.T) {
-	g := nephele.NewJobGraph("dist")
-	a := g.AddVertex("a", nopSource(), 1)
-	b := g.AddVertex("b", nopSink(), 2)
-	if _, err := g.Connect(a, b, nephele.ChannelSpec{Type: nephele.InMemory, Distribution: nephele.Distribution(9)}); err == nil {
-		t.Error("unknown distribution accepted")
-	}
-	if _, err := g.Connect(a, b, nephele.ChannelSpec{Type: nephele.InMemory, Key: func(r []byte) []byte { return r }}); err == nil {
-		t.Error("Key without HashPartition accepted")
-	}
-	if nephele.RoundRobin.String() == "" || nephele.Broadcast.String() == "" || nephele.HashPartition.String() == "" {
-		t.Error("distribution names empty")
-	}
-}
-
-func TestBroadcastDistribution(t *testing.T) {
-	const n = 50
-	const consumers = 3
-	g := nephele.NewJobGraph("broadcast")
-	src := g.AddVertex("src", nephele.SourceFunc(func(ctx *nephele.TaskContext, emit func([]byte) error) error {
-		for i := 0; i < n; i++ {
-			if err := emit([]byte{byte(i)}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}), 1)
-	var count int64
-	sink := g.AddVertex("sink", nephele.SinkFunc(func([]byte) error {
-		atomic.AddInt64(&count, 1)
-		return nil
-	}), consumers)
-	if _, err := g.Connect(src, sink, nephele.ChannelSpec{Type: nephele.InMemory, Distribution: nephele.Broadcast}); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := (&nephele.Engine{}).Execute(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != n*consumers {
-		t.Fatalf("broadcast delivered %d records, want %d", count, n*consumers)
-	}
-	if es := stats.Edges["src->sink"]; es.Records != n*consumers {
-		t.Fatalf("edge stats count %d, want %d", es.Records, n*consumers)
-	}
-}
-
-func TestHashPartitionDistribution(t *testing.T) {
-	// Records share 8 distinct keys; with hash partitioning every key's
-	// records must land on exactly one consumer subtask.
-	const n = 800
-	const consumers = 4
-	g := nephele.NewJobGraph("hashpart")
-	src := g.AddVertex("src", nephele.SourceFunc(func(ctx *nephele.TaskContext, emit func([]byte) error) error {
-		for i := 0; i < n; i++ {
-			rec := fmt.Sprintf("key%d:value%d", i%8, i)
-			if err := emit([]byte(rec)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}), 1)
-	var mu sync.Mutex
-	keyOwners := map[string]map[int]bool{} // key -> set of subtasks that saw it
-	sink := g.AddVertex("sink", nephele.TaskFactory(func() nephele.Task {
-		return keyRecorderTask{record: func(sub int, key string) {
-			mu.Lock()
-			defer mu.Unlock()
-			if keyOwners[key] == nil {
-				keyOwners[key] = map[int]bool{}
-			}
-			keyOwners[key][sub] = true
-		}}
-	}), consumers)
-	if _, err := g.Connect(src, sink, nephele.ChannelSpec{
-		Type:         nephele.Network,
-		Distribution: nephele.HashPartition,
-		Key:          func(rec []byte) []byte { return bytes.SplitN(rec, []byte(":"), 2)[0] },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (&nephele.Engine{}).Execute(context.Background(), g); err != nil {
-		t.Fatal(err)
-	}
-	if len(keyOwners) != 8 {
-		t.Fatalf("saw %d keys, want 8", len(keyOwners))
-	}
-	owners := map[int]bool{}
-	for key, subs := range keyOwners {
-		if len(subs) != 1 {
-			t.Fatalf("key %q reached %d subtasks, want exactly 1", key, len(subs))
-		}
-		for s := range subs {
-			owners[s] = true
-		}
-	}
-	if len(owners) < 2 {
-		t.Fatalf("all keys landed on %d subtask(s); hashing not spreading", len(owners))
-	}
-}
-
-type keyRecorderTask struct {
-	record func(sub int, key string)
-}
-
-func (k keyRecorderTask) Run(ctx *nephele.TaskContext) error {
-	for {
-		rec, err := ctx.Input(0).ReadRecord()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		key := string(bytes.SplitN(rec, []byte(":"), 2)[0])
-		k.record(ctx.Subtask, key)
 	}
 }
 
@@ -735,7 +624,7 @@ func TestConsumerStopsEarlyProducerStillCompletes(t *testing.T) {
 		return nil
 	}), 1)
 	sink := g.AddVertex("sink", nephele.TaskFactory(func() nephele.Task { return earlyStopTask{} }), 1)
-	if _, err := g.Connect(src, sink, nephele.ChannelSpec{Type: nephele.InMemory}); err != nil {
+	if _, err := g.Connect(src, sink, nephele.ChannelSpec{Type: nephele.Network}); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -874,6 +763,72 @@ func BenchmarkNetworkChannelAdaptive(b *testing.B) {
 		}
 		if _, err := (&nephele.Engine{}).Execute(context.Background(), g); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestJobsCloseTheirDescriptors runs five jobs per case, each with two links
+// that carry more records than an input gate buffers, with the collector off,
+// so a socket or file the engine forgets stays open (both only close
+// themselves from a finalizer), and counts /proc/self/fd before and after.
+func TestJobsCloseTheirDescriptors(t *testing.T) {
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to count descriptors in")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	openFDs := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(fds)
+	}
+	for _, typ := range []nephele.ChannelType{nephele.Network, nephele.File} {
+		for _, sinkFails := range []bool{false, true} {
+			name := typ.String() + "/sink-succeeds"
+			if sinkFails {
+				name = typ.String() + "/sink-fails"
+			}
+			t.Run(name, func(t *testing.T) {
+				dir := t.TempDir()
+				job := func() error {
+					g := nephele.NewJobGraph("fds")
+					src := g.AddVertex("src", nephele.SourceFunc(func(ctx *nephele.TaskContext, emit func([]byte) error) error {
+						for i := 0; i < 1000; i++ {
+							if err := emit(make([]byte, 1024)); err != nil {
+								return err
+							}
+						}
+						return nil
+					}), 1)
+					sink := g.AddVertex("sink", nephele.SinkFunc(func([]byte) error {
+						if sinkFails {
+							return errors.New("sink failed")
+						}
+						return nil
+					}), 2)
+					if _, err := g.Connect(src, sink, nephele.ChannelSpec{Type: typ}); err != nil {
+						t.Fatal(err)
+					}
+					_, err := (&nephele.Engine{TempDir: dir}).Execute(context.Background(), g)
+					return err
+				}
+				job() // the first job opens what the runtime keeps, such as its poller
+				before := openFDs()
+				for i := 0; i < 5; i++ {
+					if err := job(); (err != nil) != sinkFails {
+						t.Fatalf("job %d: %v", i, err)
+					}
+				}
+				// A failed job returns before its abandoned gate goroutines do.
+				n := openFDs()
+				for deadline := time.Now().Add(2 * time.Second); n > before && time.Now().Before(deadline); n = openFDs() {
+					time.Sleep(10 * time.Millisecond)
+				}
+				if n > before {
+					t.Fatalf("%d descriptors left open after five jobs", n-before)
+				}
+			})
 		}
 	}
 }

@@ -3,10 +3,10 @@
 // paper integrated its adaptive compression scheme into (Section III-B).
 //
 // Jobs are expressed as directed acyclic graphs: each vertex is a task, each
-// edge a communication channel. Three channel types exist, mirroring
-// Nephele: in-memory, TCP network, and file channels. Network and file
-// channels optionally compress their traffic — statically at a fixed level
-// or adaptively through the rate-based decision model — completely
+// edge a communication channel wired round-robin from producer to consumer
+// subtasks. The channel types are the two the paper compressed: TCP network
+// and file. Either optionally compresses its traffic — statically at a fixed
+// level or adaptively through the rate-based decision model — completely
 // transparently to the task code, exactly as the paper describes ("The
 // implementation is completely transparent to the tasks, so there is no
 // modification required to their program code").

@@ -2,6 +2,7 @@ package nephele_test
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -89,7 +90,9 @@ func TestWireShapingValidation(t *testing.T) {
 	g := nephele.NewJobGraph("w")
 	a := g.AddVertex("a", nopSource(), 1)
 	b := g.AddVertex("b", nopSink(), 1)
-	if _, err := g.Connect(a, b, nephele.ChannelSpec{Type: nephele.Network, WireMBps: -1}); err == nil {
-		t.Fatal("negative wire rate accepted")
+	for _, rate := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := g.Connect(a, b, nephele.ChannelSpec{Type: nephele.Network, WireMBps: rate}); err == nil {
+			t.Errorf("wire rate %v MB/s accepted", rate)
+		}
 	}
 }

@@ -76,7 +76,7 @@ func TestStatsDerivedFromMetrics(t *testing.T) {
 		return emit([]byte("bbbb"))
 	}), 2)
 	snk := g.AddVertex("snk", SinkFunc(func([]byte) error { return nil }), 1)
-	if _, err := g.Connect(src, snk, ChannelSpec{Type: InMemory}); err != nil {
+	if _, err := g.Connect(src, snk, ChannelSpec{Type: Network}); err != nil {
 		t.Fatal(err)
 	}
 	var e Engine

@@ -6,6 +6,7 @@ package ratelimit
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"sync"
@@ -27,13 +28,13 @@ type Writer struct {
 }
 
 // NewWriter wraps w with a byte-rate limit. burst is the bucket size; zero
-// means one typical block (128 KB). rate must be positive.
+// means one typical block (128 KB). rate must be positive and finite.
 func NewWriter(w io.Writer, bytesPerSecond float64, burst int) (*Writer, error) {
 	if w == nil {
 		return nil, errors.New("ratelimit: nil writer")
 	}
-	if bytesPerSecond <= 0 {
-		return nil, errors.New("ratelimit: non-positive rate")
+	if err := checkRate(bytesPerSecond); err != nil {
+		return nil, err
 	}
 	b := float64(burst)
 	if burst <= 0 {
@@ -101,11 +102,18 @@ func (rl *Writer) refill() {
 // SetRate changes the target rate; used to emulate appearing/disappearing
 // background contention mid-stream.
 func (rl *Writer) SetRate(bytesPerSecond float64) error {
-	if bytesPerSecond <= 0 {
-		return errors.New("ratelimit: non-positive rate")
+	if err := checkRate(bytesPerSecond); err != nil {
+		return err
 	}
 	rl.mu.Lock()
 	rl.rate = bytesPerSecond
 	rl.mu.Unlock()
+	return nil
+}
+
+func checkRate(bytesPerSecond float64) error {
+	if !(bytesPerSecond > 0) || math.IsInf(bytesPerSecond, 1) {
+		return fmt.Errorf("ratelimit: rate %v bytes/s, want positive and finite", bytesPerSecond)
+	}
 	return nil
 }

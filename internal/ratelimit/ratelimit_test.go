@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"testing"
 	"time"
 
@@ -29,6 +30,27 @@ func TestValidation(t *testing.T) {
 	}
 	if err := w.SetRate(-1); err == nil {
 		t.Error("negative SetRate accepted")
+	}
+}
+
+// TestNonFiniteRateRefused: a NaN rate passed the old "<= 0" check and an
+// infinite one shapes nothing, so both are refused by the constructor and by
+// SetRate alike.
+func TestNonFiniteRateRefused(t *testing.T) {
+	w, err := NewWriter(io.Discard, 100, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewWriter(io.Discard, rate, 0); err == nil {
+			t.Errorf("NewWriter accepted rate %v", rate)
+		}
+		if err := w.SetRate(rate); err == nil {
+			t.Errorf("SetRate accepted rate %v", rate)
+		}
+	}
+	if w.rate != 100 {
+		t.Errorf("a refused SetRate changed the rate to %v", w.rate)
 	}
 }
 
