@@ -34,8 +34,8 @@ test-obs:
 
 # Fleet-coordinator gates: the contention-regression suite (coordinated vs
 # solo on a shared simulated NIC, cheat sentinel included), the solo
-# convergence property suite it falls back to, and the tunnel's policy-seam
-# tests — all under the race detector (docs/coordination.md).
+# convergence property suite, and the tunnel's policy-seam tests — all
+# under the race detector (docs/coordination.md).
 test-coord:
 	$(GO) test -race -count=1 ./internal/coord/
 	$(GO) test -race -run 'TestDecider' -count=1 ./internal/core/

@@ -34,7 +34,7 @@ func TestOptionsLedger(t *testing.T) {
 	}{
 		{stream.WriterConfig{}, 10},
 		{tunnel.Config{}, 15},
-		{coord.Config{}, 5},
+		{coord.Config{}, 3},
 		{core.Config{}, 6},
 		{lzfast.Fast{}, 0},
 		{lzfast.HC{}, 1},

@@ -37,7 +37,7 @@ func main() {
 		listen      = flag.String("listen", "", "address to listen on")
 		target      = flag.String("target", "", "address to forward to (exit endpoint or final service)")
 		window      = flag.Duration("window", 2*time.Second, "decision window t")
-		alpha       = flag.Float64("alpha", adaptio.DefaultAlpha, "tolerance band alpha")
+		alpha       = flag.Float64("alpha", adaptio.DefaultAlpha, "tolerance band alpha of the adaptive -decider; refused with -static or -coord")
 		static      = flag.Int("static", adaptio.Adaptive, "static level 0..3, or -1 for adaptive")
 		decider     = flag.String("decider", "", "level-selection policy for adaptive mode: algone (default), bandit, or ewma")
 		deciderSeed = flag.Uint64("decider-seed", 0, "seed for stochastic -decider policies")
@@ -77,9 +77,14 @@ func main() {
 		FlushInterval: *flushIvl,
 		Obs:           reg.Scope("tunnel"),
 	}
+	alphaSet := false
+	flag.Visit(func(f *flag.Flag) { alphaSet = alphaSet || f.Name == "alpha" })
 	levels := len(adaptio.DefaultLadder())
 	switch {
 	case *static != adaptio.Adaptive:
+		if alphaSet {
+			log.Fatalf("actunnel: -alpha is incompatible with -static (a pinned level has no tolerance band)")
+		}
 		if *decider != "" {
 			log.Fatalf("actunnel: -decider is incompatible with -static (a pinned level leaves nothing to decide)")
 		}
@@ -89,13 +94,15 @@ func main() {
 		cfg.Static = true
 		cfg.StaticLevel = *static
 	case *coordOn:
+		if alphaSet {
+			log.Fatalf("actunnel: -alpha is incompatible with -coord (a coordinated stream has no tolerance band)")
+		}
 		if *decider != "" {
 			log.Fatalf("actunnel: -decider is incompatible with -coord (a coordinated stream leaves nothing to decide)")
 		}
 		c, err := coord.New(coord.Config{
 			BudgetBytesPerSec: *coordBudget * 1e6,
 			Levels:            levels,
-			Alpha:             *alpha,
 			Obs:               reg.Scope("coord"),
 		})
 		if err != nil {

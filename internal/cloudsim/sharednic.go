@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"adaptio/internal/coord"
 	"adaptio/internal/core"
 	"adaptio/internal/xrand"
 )
@@ -71,12 +72,6 @@ type FleetConfig struct {
 	// CPUSigma is the per-stream per-window noise on compression
 	// throughput (scheduling jitter). Zero means none.
 	CPUSigma float64
-	// FlapWindow is the harness's flap horizon: a level switch reversing
-	// the stream's previous switch direction within this many windows
-	// counts as a flap. Zero means 8. The harness counts switches and
-	// flaps itself, from the levels the schemes actually return — a
-	// scheme cannot game the flap metric by under-reporting.
-	FlapWindow int
 	// Env, if non-nil, applies time-varying environment perturbations:
 	// capacity curves, jitter, packet loss (see FleetEnv).
 	Env *FleetEnv
@@ -153,6 +148,11 @@ type fleetStreamState struct {
 // its wire allocation divided by its ratio (capped by its CPU-bound rate).
 // Schemes observe the achieved rate — never the demand — exactly as a real
 // sender only observes what the contended link let through.
+//
+// A level switch reversing the stream's previous switch direction within
+// coord.FlapWindow windows counts as a flap. The harness counts switches and
+// flaps itself, from the levels the schemes actually return, so a scheme
+// cannot game the flap metric by under-reporting.
 func RunFleet(cfg FleetConfig) (FleetResult, error) {
 	var res FleetResult
 	if len(cfg.Streams) == 0 {
@@ -172,9 +172,6 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 	}
 	if cfg.NICMBps < 0 {
 		return res, fmt.Errorf("cloudsim: negative NIC capacity %v", cfg.NICMBps)
-	}
-	if cfg.FlapWindow <= 0 {
-		cfg.FlapWindow = 8
 	}
 
 	rng := xrand.New(cfg.Seed ^ 0xF1EE7)
@@ -304,7 +301,7 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 				if next < s.level {
 					dir = -1
 				}
-				if s.lastSwitchDir != 0 && dir == -s.lastSwitchDir && w-s.lastSwitchWin <= cfg.FlapWindow {
+				if s.lastSwitchDir != 0 && dir == -s.lastSwitchDir && w-s.lastSwitchWin <= coord.FlapWindow {
 					s.flaps++
 				}
 				s.lastSwitchWin = w

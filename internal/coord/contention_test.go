@@ -12,8 +12,9 @@
 // trivially zero the flap metric by never adapting, and can always buy
 // goodput with unbounded oscillation; beating both at once requires actual
 // coordination. TestContentionSentinelFreeze proves the bound has teeth by
-// running exactly such a rigged policy (Config.CheatFreeze) and asserting
-// the goodput criterion catches it — the DisableRevert sentinel pattern of
+// running exactly such a rigged policy (a fleet frozen at level 0, which is
+// what a coordinator that never moves a stream amounts to) and asserting the
+// goodput criterion catches it — the DisableRevert sentinel pattern of
 // internal/experiments/shape_test.go applied to the fleet layer.
 package coord_test
 
@@ -97,12 +98,11 @@ func soloScheme(i int, _ float64, _ string) core.Policy {
 	return core.MustNewDecider(core.Config{Levels: 4})
 }
 
-func newFleetCoordinator(scope *obs.Scope, cheat bool) *coord.Coordinator {
+func newFleetCoordinator(scope *obs.Scope) *coord.Coordinator {
 	return coord.MustNew(coord.Config{
 		BudgetBytesPerSec: fleetNIC * 1e6,
 		Levels:            4,
 		Obs:               scope,
-		CheatFreeze:       cheat,
 	})
 }
 
@@ -111,7 +111,7 @@ func TestContentionCoordinatedBeatsSolo(t *testing.T) {
 		solo := runFleet(t, seed, soloScheme)
 
 		reg := obs.NewRegistry()
-		c := newFleetCoordinator(reg.Scope("coord"), false)
+		c := newFleetCoordinator(reg.Scope("coord"))
 		var handles []*coord.Stream
 		coordinated := runFleet(t, seed, func(i int, weight float64, tenant string) core.Policy {
 			s := c.Register(coord.StreamConfig{Weight: weight, Tenant: tenant})
@@ -178,21 +178,19 @@ func TestContentionCoordinatedBeatsSolo(t *testing.T) {
 	}
 }
 
-// TestContentionSentinelFreeze is the suite's cheat sentinel. CheatFreeze
-// pins every stream at its initial level: zero switches, zero flaps — the
+// TestContentionSentinelFreeze is the suite's cheat sentinel. A fleet frozen
+// at its initial level — static NO, byte for byte what a coordinator that
+// never moves a stream produces — records zero switches and zero flaps: the
 // flap criterion alone would crown it the perfect policy. The goodput
-// criterion must catch it: a frozen fleet (everything at level 0, i.e. no
-// compression on a contended NIC) cannot beat even the flapping solo fleet.
+// criterion must catch it: no compression on a contended NIC cannot beat
+// even the flapping solo fleet.
 // If this test ever fails, the contention bounds have gone soft and a
 // metric-gaming policy could pass TestContentionCoordinatedBeatsSolo.
 func TestContentionSentinelFreeze(t *testing.T) {
 	const seed = 1
 	solo := runFleet(t, seed, soloScheme)
 
-	c := newFleetCoordinator(nil, true)
-	rigged := runFleet(t, seed, func(i int, weight float64, tenant string) core.Policy {
-		return c.Register(coord.StreamConfig{Weight: weight, Tenant: tenant})
-	})
+	rigged := runFleet(t, seed, func(int, float64, string) core.Policy { return core.Static(0) })
 
 	if rigged.Flaps != 0 || rigged.Switches != 0 {
 		t.Fatalf("sentinel setup broken: frozen fleet recorded %d switches / %d flaps",

@@ -34,9 +34,8 @@
 //   - it must stay the winner for HysteresisWindows consecutive windows, and
 //     moves step one level at a time with a minimum dwell between steps.
 //
-// When a stream detaches, it falls back to its own solo Algorithm 1, which
-// the coordinator keeps warm by feeding it every observed window rate while
-// attached.
+// A stream's level comes from the coordinator while it is attached; after
+// Detach the handle leaves the fleet and holds its last level.
 //
 // Observability (internal/obs): coord.goodput.bytes, coord.level.flaps,
 // coord.streams.active, plus coord.level.switches and coord.streams.total.
@@ -49,7 +48,6 @@ import (
 	"math"
 	"sync"
 
-	"adaptio/internal/core"
 	"adaptio/internal/obs"
 )
 
@@ -68,7 +66,7 @@ const (
 	ImprovementMargin = 0.10
 	// FlapWindow: a level move that reverses the stream's previous move
 	// direction within this many windows counts as a flap
-	// (coord.level.flaps).
+	// (coord.level.flaps, and the fleet harness's own count).
 	FlapWindow = 8
 	// driftGain is the EWMA gain of the per-stream prior corrections.
 	driftGain = 0.4
@@ -103,24 +101,10 @@ type Config struct {
 	// describe.
 	Levels int
 
-	// Alpha is forwarded to each stream's fallback Algorithm 1; zero means
-	// the paper's default.
-	Alpha float64
-
 	// Obs, if non-nil, is the scope the coordinator registers its metrics
 	// under (conventionally "coord"). Nil keeps the coordinator fully
 	// functional with unregistered metrics.
 	Obs *obs.Scope
-
-	// CheatFreeze is the contention-suite's cheat sentinel knob (the
-	// DisableRevert pattern of internal/experiments/shape_test.go applied
-	// to fleet coordination): the coordinator never moves any stream off
-	// its initial level, which trivially zeroes the flap metric while
-	// giving up all adaptation. The contention-regression suite flips it
-	// to prove its combined goodput+flap assertions cannot be gamed by a
-	// policy that optimizes the flap metric alone. Never set in
-	// production.
-	CheatFreeze bool
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -136,12 +120,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.BudgetBytesPerSec == 0 {
 		c.BudgetBytesPerSec = DefaultBudgetBytesPerSec
 	}
-	if c.Alpha < 0 {
-		return c, fmt.Errorf("coord: negative alpha %v", c.Alpha)
-	}
-	if math.IsNaN(c.Alpha) || math.IsInf(c.Alpha, 1) {
-		return c, fmt.Errorf("coord: non-finite alpha %v", c.Alpha)
-	}
 	return c, nil
 }
 
@@ -152,7 +130,6 @@ type coordMetrics struct {
 	switches      *obs.Counter
 	streamsActive *obs.Gauge
 	streamsTotal  *obs.Counter
-	streamsSolo   *obs.Counter // detach events: streams fallen back to solo
 }
 
 func newCoordMetrics(scope *obs.Scope) *coordMetrics {
@@ -162,7 +139,6 @@ func newCoordMetrics(scope *obs.Scope) *coordMetrics {
 		switches:      scope.Counter("level.switches"),
 		streamsActive: scope.Gauge("streams.active"),
 		streamsTotal:  scope.Counter("streams.total"),
-		streamsSolo:   scope.Counter("streams.solo_fallbacks"),
 	}
 }
 
@@ -200,37 +176,19 @@ func MustNew(cfg Config) *Coordinator {
 	return c
 }
 
-// ActiveStreams returns the number of currently registered streams.
-func (c *Coordinator) ActiveStreams() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.streams)
-}
-
-// Budget returns the configured link budget in bytes per second.
-func (c *Coordinator) Budget() float64 { return c.cfg.BudgetBytesPerSec }
-
 // StreamConfig describes one stream joining the coordinated fleet.
 type StreamConfig struct {
 	// Weight is the stream's share weight for weighted-fair budget
 	// division (per-tenant priority). Zero, negative, NaN and +Inf mean 1.
 	Weight float64
-	// Tenant is a free-form owner label carried into diagnostics.
+	// Tenant is a free-form owner label.
 	Tenant string
 }
 
 // Register adds a stream to the fleet and returns its handle. The stream
 // starts at level 0 (like a fresh solo decider) and is coordinated until
-// Detach. Register on a nil Coordinator returns nil — callers that support
-// running without a coordinator must branch, exactly as they would for a
-// nil obs scope.
+// Detach.
 func (c *Coordinator) Register(sc StreamConfig) *Stream {
-	if c == nil {
-		return nil
-	}
 	w := sc.Weight
 	if !(w > 0) || math.IsInf(w, 1) {
 		w = 1
@@ -242,34 +200,28 @@ func (c *Coordinator) Register(sc StreamConfig) *Stream {
 		ratioDrift:    1,
 		compDrift:     1,
 		lastSwitchWin: -1,
-		solo:          core.MustNewDecider(core.Config{Levels: c.cfg.Levels, Alpha: c.cfg.Alpha}),
 	}
 	c.mu.Lock()
 	c.streams[s] = struct{}{}
 	c.sumWeights += w
+	c.m.streamsActive.Add(1)
 	c.mu.Unlock()
 	c.m.streamsTotal.Inc()
-	c.m.streamsActive.Add(1)
 	return s
 }
 
-// detach removes s from the fleet; idempotence is handled by the caller
-// (Stream.Detach).
+// detach removes s from the fleet; Stream.Detach calls it once per stream.
+// The active gauge moves under c.mu, so it equals len(c.streams) whenever
+// the lock is free.
 func (c *Coordinator) detach(s *Stream) {
 	c.mu.Lock()
-	if _, ok := c.streams[s]; ok {
-		delete(c.streams, s)
-		c.sumWeights -= s.weight
-		if c.sumWeights < 0 {
-			c.sumWeights = 0
-		}
-	}
-	c.mu.Unlock()
+	delete(c.streams, s)
+	c.sumWeights = max(c.sumWeights-s.weight, 0)
 	c.m.streamsActive.Add(-1)
-	c.m.streamsSolo.Inc()
+	c.mu.Unlock()
 }
 
-// shareBytesPerSec returns the weighted-fair wire share of a stream with the
+// shareLocked returns the weighted-fair wire share of a stream with the
 // given weight; callers hold c.mu.
 func (c *Coordinator) shareLocked(weight float64) float64 {
 	if c.sumWeights <= 0 {

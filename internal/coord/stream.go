@@ -14,9 +14,7 @@ import (
 // recomputes the stream's weighted-fair share, refreshes the stream's
 // per-level goodput estimates from its drift-corrected priors, and moves the
 // level at most one step toward the estimated optimum, damped by hysteresis.
-// After Detach the handle keeps working but delegates to the stream's own
-// solo Algorithm 1, which the coordinator kept warm by feeding it every
-// window rate while attached.
+// After Detach the handle holds its last level.
 type Stream struct {
 	coord  *Coordinator
 	weight float64
@@ -32,47 +30,25 @@ type Stream struct {
 	ratioDrift float64 // observed ratio / ratioPrior[level]
 	compDrift  float64 // observed app rate / compBytesPerSec[level], CPU-bound windows only
 
-	// Hysteresis and flap bookkeeping.
+	// Hysteresis and flap bookkeeping; switches and flaps are this
+	// stream's share of coord.level.switches and coord.level.flaps.
 	streak          int // consecutive windows the same better target won
 	streakTarget    int
 	lastSwitchWin   int // window index of the last level move (-1 = never)
 	lastSwitchDir   int // +1 heavier, -1 lighter, 0 none yet
 	switches, flaps int64
-
-	solo *core.AlgorithmOne
 }
-
-// Tenant returns the owner label the stream registered with.
-func (s *Stream) Tenant() string { return s.tenant }
-
-// Weight returns the stream's fair-share weight.
-func (s *Stream) Weight() float64 { return s.weight }
 
 // Level returns the stream's current compression level.
 func (s *Stream) Level() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.detached {
-		return s.solo.Level()
-	}
 	return s.level
 }
 
-// Switches and Flaps report the stream's own coordinated level moves and
-// direction reversals (the same events aggregated into coord.level.switches
-// and coord.level.flaps).
-func (s *Stream) Switches() int64 { s.mu.Lock(); defer s.mu.Unlock(); return s.switches }
-
-// Flaps reports direction reversals within FlapWindow.
-func (s *Stream) Flaps() int64 { s.mu.Lock(); defer s.mu.Unlock(); return s.flaps }
-
-// Detach removes the stream from the coordinated fleet; subsequent
-// observations are handled by the stream's solo decider, which resumes from
-// the trajectory the coordinator fed it while attached. Idempotent.
+// Detach removes the stream from the coordinated fleet; from then on the
+// handle holds its last level. Idempotent.
 func (s *Stream) Detach() {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	if s.detached {
 		s.mu.Unlock()
@@ -94,22 +70,13 @@ func (s *Stream) Observe(rate float64) int {
 // them, the window's application and wire byte counts — and returns the
 // level the stream must use for the next window.
 func (s *Stream) ObserveWindow(w core.Window) int {
-	if s == nil {
-		return 0
-	}
 	rate, appBytes, wireBytes := w.Rate, w.AppBytes, w.WireBytes
 	s.mu.Lock()
-	// The solo fallback sees every window: detached it decides; attached it
-	// is kept warm, tracking the same observed reality, so that Detach
-	// resumes it from a live trajectory instead of a cold start at level 0.
-	soloLevel := s.solo.Observe(rate)
+	cur := s.level
 	if s.detached {
 		s.mu.Unlock()
-		return soloLevel
+		return cur
 	}
-
-	cfg := &s.coord.cfg
-	cur := s.level
 	s.windows++
 
 	// Learn this stream's deviation from the priors. Ratio drift needs
@@ -132,19 +99,12 @@ func (s *Stream) ObserveWindow(w core.Window) int {
 
 	s.m().goodputBytes.Add(appBytes)
 
-	if cfg.CheatFreeze {
-		// Cheat sentinel: refuse to adapt. Zero switches, zero flaps —
-		// and, as the contention suite proves, no goodput win either.
-		s.mu.Unlock()
-		return cur
-	}
-
 	// Pick the level with the best estimated goodput under the current
 	// share; ties break toward the lighter level (cheaper CPU). The
 	// winner only becomes a move target if it beats the *current* level's
 	// estimate by the improvement margin — inside the margin is noise.
 	best, target := 0.0, 0
-	for l := 0; l < cfg.Levels; l++ {
+	for l := range ratioPrior {
 		if e := s.estGoodput(l, share); e > best {
 			best, target = e, l
 		}

@@ -14,7 +14,7 @@ const propLevels = 4
 
 // propPolicies is everything that can sit behind the policy seam: the
 // registry policies, the never-probe sentinel, a static level, and a
-// coordinated stream both attached and detached (its Algorithm 1 fallback).
+// coordinated stream both attached and detached (holding its level).
 func propPolicies() map[string]func(seed uint64) core.Policy {
 	table := map[string]func(seed uint64) core.Policy{
 		core.PolicyCheatStick: func(seed uint64) core.Policy {

@@ -2,8 +2,9 @@ package experiments_test
 
 import (
 	"bytes"
-	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -117,33 +118,60 @@ func TestCalibrateLadderExtended(t *testing.T) {
 // TestExtendedLadderStraddlesMedium: A6's two lzfast-hc levels are only
 // extra rungs if the default ladder's MEDIUM lies strictly between them, in
 // ratio and in speed, on the data where search depth matters. Ratios are
-// exact; speed is a reading on a shared host, so it gets three tries.
+// exact. Speed is the median thread CPU time of interleaved rounds, so a
+// neighbour holding the core during one codec's turn does not reorder them.
 func TestExtendedLadderStraddlesMedium(t *testing.T) {
 	ext := experiments.ExtendedLadder()
 	ladder := compress.Ladder{ext[0], ext[2], stream.DefaultLadder()[stream.LevelMedium], ext[3]}
-	var err error
-	for try := 0; try < 3; try++ {
-		err = nil
-		_, profiles, cerr := experiments.CalibrateLadder(ladder, 1<<20)
-		if cerr != nil {
-			t.Fatal(cerr)
+	_, profiles, err := experiments.CalibrateLadder(ladder, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	minus, medium, plus := profiles[1], profiles[2], profiles[3]
+	codecs := []compress.Codec{ladder[1].Codec, ladder[2].Codec, ladder[3].Codec}
+	for _, kind := range []corpus.Kind{corpus.High, corpus.Moderate} {
+		if !(plus.Ratio[kind] < medium.Ratio[kind] && medium.Ratio[kind] < minus.Ratio[kind]) {
+			t.Fatalf("%v ratio: MEDIUM- %.4f, MEDIUM %.4f, MEDIUM+ %.4f: not strictly falling",
+				kind, minus.Ratio[kind], medium.Ratio[kind], plus.Ratio[kind])
 		}
-		minus, medium, plus := profiles[1], profiles[2], profiles[3]
-		for _, kind := range []corpus.Kind{corpus.High, corpus.Moderate} {
-			if !(plus.Ratio[kind] < medium.Ratio[kind] && medium.Ratio[kind] < minus.Ratio[kind]) {
-				t.Fatalf("%v ratio: MEDIUM- %.4f, MEDIUM %.4f, MEDIUM+ %.4f: not strictly falling",
-					kind, minus.Ratio[kind], medium.Ratio[kind], plus.Ratio[kind])
-			}
-			if !(plus.CompMBps[kind] < medium.CompMBps[kind] && medium.CompMBps[kind] < minus.CompMBps[kind]) {
-				err = fmt.Errorf("%v MB/s: MEDIUM- %.0f, MEDIUM %.0f, MEDIUM+ %.0f: not strictly falling",
-					kind, minus.CompMBps[kind], medium.CompMBps[kind], plus.CompMBps[kind])
-			}
+		file, _ := corpus.LoadOrGenerate(kind, 1)
+		data := make([]byte, 1<<20)
+		if _, err := io.ReadFull(corpus.NewLoopReader(file), data); err != nil {
+			t.Fatal(err)
 		}
-		if err == nil {
-			return
+		cpu := compressCPU(codecs, data, 7)
+		if !(cpu[0] < cpu[1] && cpu[1] < cpu[2]) {
+			t.Errorf("%v CPU per MiB: MEDIUM- %v, MEDIUM %v, MEDIUM+ %v: not strictly rising", kind, cpu[0], cpu[1], cpu[2])
 		}
 	}
-	t.Error(err)
+}
+
+// compressCPU returns each codec's median thread CPU time to compress data
+// block by block over rounds rounds. The codecs take turns within a round,
+// and each round starts one codec later than the last.
+func compressCPU(codecs []compress.Codec, data []byte, rounds int) []time.Duration {
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	const block = stream.DefaultBlockSize
+	out := make([]byte, 0, 2*len(data))
+	times := make([][]time.Duration, len(codecs))
+	for r := 0; r < rounds; r++ {
+		for i := range codecs {
+			c := (r + i) % len(codecs)
+			out = out[:0]
+			start := threadCPU()
+			for off := 0; off < len(data); off += block {
+				out = codecs[c].Compress(out, data[off:min(off+block, len(data))])
+			}
+			times[c] = append(times[c], threadCPU()-start)
+		}
+	}
+	med := make([]time.Duration, len(codecs))
+	for c, ts := range times {
+		slices.Sort(ts)
+		med[c] = ts[len(ts)/2]
+	}
+	return med
 }
 
 func TestCalibrateLadderRejectsInvalid(t *testing.T) {

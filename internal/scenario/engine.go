@@ -450,7 +450,6 @@ func (e *engine) runVariant(variant string) (VariantResult, error) {
 		Seed:          e.sc.Seed,
 		NICSigma:      e.sc.NICSigma,
 		CPUSigma:      e.sc.CPUSigma,
-		FlapWindow:    e.sc.FlapWindow,
 		Env:           e.env(),
 		Trace: func(s cloudsim.FleetWindowSample) {
 			vr.WindowAppBytes = append(vr.WindowAppBytes, s.AppBytes)

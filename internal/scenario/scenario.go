@@ -130,9 +130,6 @@ type Scenario struct {
 
 	// Seed drives all stochastic components; zero means DefaultSeed.
 	Seed uint64 `json:"seed,omitempty"`
-	// FlapWindow is the harness's flap horizon in windows; zero means
-	// the simulator's default (8).
-	FlapWindow int `json:"flap_window,omitempty"`
 	// MixChunkMB is how many megabytes a stream sends before re-drawing
 	// its corpus kind from the group mix; zero means 64 MB.
 	MixChunkMB float64 `json:"mix_chunk_mb,omitempty"`
@@ -264,9 +261,6 @@ func (s *Scenario) Validate() error {
 	}
 	if badFloat(s.CPUSigma) || s.CPUSigma < 0 || s.CPUSigma > 2 {
 		return fieldErrf("cpu_sigma", "must be in [0, 2], got %v", s.CPUSigma)
-	}
-	if s.FlapWindow < 0 || s.FlapWindow > MaxWindows {
-		return fieldErrf("flap_window", "must be in [0, %d], got %d", MaxWindows, s.FlapWindow)
 	}
 	if badFloat(s.MixChunkMB) || s.MixChunkMB < 0 || s.MixChunkMB > 1e6 {
 		return fieldErrf("mix_chunk_mb", "must be in [0, 1e6], got %v", s.MixChunkMB)

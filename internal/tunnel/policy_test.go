@@ -52,21 +52,12 @@ func TestCoordRegistersAndDetachesStreams(t *testing.T) {
 	// Entry relays register one coordinated stream per connection's
 	// compress path. (The exit endpoint has no policy configured, so
 	// exactly the entry streams count.)
-	waitFor(t, "streams registered", func() bool {
-		return c.ActiveStreams() == conns
-	})
-	if got := coordScope.Gauge("streams.active").Value(); got != conns {
-		t.Fatalf("coord.streams.active = %d, want %d", got, conns)
-	}
+	active := coordScope.Gauge("streams.active")
+	waitFor(t, "streams registered", func() bool { return active.Value() == conns })
 	for _, r := range release {
 		r()
 	}
-	waitFor(t, "streams detached", func() bool {
-		return c.ActiveStreams() == 0
-	})
-	waitFor(t, "active gauge drained", func() bool {
-		return coordScope.Gauge("streams.active").Value() == 0
-	})
+	waitFor(t, "streams detached", func() bool { return active.Value() == 0 })
 	if got := coordScope.Counter("streams.total").Value(); got != conns {
 		t.Fatalf("coord.streams.total = %d, want %d", got, conns)
 	}
