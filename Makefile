@@ -32,10 +32,9 @@ test-obs:
 	$(GO) test -run 'Golden|TestStatsDerivedFromMetrics' -count=1 ./internal/obs/ ./internal/nephele/
 	$(GO) test -run 'TestDecisionLogShowsBackoffAfterRevert|TestWriterObsCounters' -count=1 ./internal/stream/
 
-# Fleet-coordinator gates: the contention-regression suite (coordinated vs
-# solo on a shared simulated NIC, cheat sentinel included), the solo
-# convergence property suite, and the tunnel's policy-seam tests — all
-# under the race detector (docs/coordination.md).
+# Fleet-coordinator gates under -race: coord's contention and property
+# suites, the solo decider suite, the tunnel's policy seam and the fleet
+# harness (docs/coordination.md).
 test-coord:
 	$(GO) test -race -count=1 ./internal/coord/
 	$(GO) test -race -run 'TestDecider' -count=1 ./internal/core/
@@ -110,9 +109,11 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecider -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzParseProcStat -fuzztime=30s ./internal/metrics/
 	$(GO) test -fuzz=FuzzSnapshotIsJSON -fuzztime=30s ./internal/obs/
+	$(GO) test -fuzz=FuzzGenerateMatchesReference -fuzztime=30s ./internal/corpus/
 
-# Short fuzz sessions of the corrupt-input, kernel-differential, hash-chain
-# round-trip, hostile-observation and metrics-encoding targets; what CI runs.
+# Short fuzz sessions of the corrupt-input, kernel- and corpus-differential,
+# hash-chain round-trip, hostile-observation and metrics-encoding targets;
+# what CI runs.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzFastRoundTrip -fuzztime=10s ./internal/compress/lzfast/
 	$(GO) test -fuzz=FuzzCompressFastUnsafe -fuzztime=10s ./internal/compress/lzfast/
@@ -121,6 +122,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzScenarioParse -fuzztime=10s ./internal/scenario/
 	$(GO) test -fuzz=FuzzDecider -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzSnapshotIsJSON -fuzztime=10s ./internal/obs/
+	$(GO) test -fuzz=FuzzGenerateMatchesReference -fuzztime=10s ./internal/corpus/
 
 # Extended fuzz sessions of every target; what the nightly workflow runs.
 fuzz-nightly:
@@ -135,6 +137,7 @@ fuzz-nightly:
 	$(GO) test -fuzz=FuzzDecider -fuzztime=5m ./internal/core/
 	$(GO) test -fuzz=FuzzParseProcStat -fuzztime=5m ./internal/metrics/
 	$(GO) test -fuzz=FuzzSnapshotIsJSON -fuzztime=5m ./internal/obs/
+	$(GO) test -fuzz=FuzzGenerateMatchesReference -fuzztime=5m ./internal/corpus/
 
 # The seeded fault-injection scenarios (docs/robustness.md) under -race.
 chaos:

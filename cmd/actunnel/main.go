@@ -54,7 +54,7 @@ func main() {
 
 		coordOn     = flag.Bool("coord", false, "coordinate compression levels across this endpoint's connections against a shared link budget instead of letting each adapt alone")
 		coordBudget = flag.Float64("coord-budget", coord.DefaultBudgetBytesPerSec/1e6, "shared link budget for -coord, in MB/s of wire bytes")
-		coordWeight = flag.Float64("coord-weight", 1, "fair-share weight of this endpoint's streams under -coord")
+		coordWeight = flag.Float64("coord-weight", 1, "fair-share weight of this endpoint's streams under -coord, clamped to [1e-6, 1e6]")
 		coordTenant = flag.String("coord-tenant", "", "tenant label for this endpoint's streams under -coord")
 	)
 	flag.Parse()

@@ -238,14 +238,14 @@ func headingSlugs(t *testing.T, file string) []string {
 // number here in the same diff, and the Markdown ceilings together stay
 // within docsTotalBudget, so room for one doc comes out of another.
 var docBudget = map[string]int{
-	"README.md":                     6_400,
+	"README.md":                     6_300,
 	"DESIGN.md":                     14_400,
 	"EXPERIMENTS.md":                14_100,
 	"docs/algorithm.md":             4_400,
 	"docs/coordination.md":          8_800,
 	"docs/deciders.md":              15_100,
-	"docs/observability.md":         11_600,
-	"docs/performance.md":           27_800,
+	"docs/observability.md":         11_500,
+	"docs/performance.md":           28_600,
 	"docs/robustness.md":            9_600,
 	"docs/scaling.md":               8_200,
 	"docs/scenarios.md":             12_000,

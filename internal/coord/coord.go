@@ -46,6 +46,7 @@ package coord
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"adaptio/internal/obs"
@@ -149,8 +150,13 @@ type Coordinator struct {
 	cfg Config
 	m   *coordMetrics
 
-	mu         sync.Mutex
-	streams    map[*Stream]struct{}
+	mu sync.Mutex
+	// streams holds the attached streams in registration order and
+	// sumWeights their weights summed in that order, so the sum is the
+	// same on every run. Register adds the newcomer's weight at the end;
+	// detach sums afresh, as subtracting a heavy weight would leave its
+	// rounding error behind.
+	streams    []*Stream
 	sumWeights float64
 }
 
@@ -160,11 +166,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Coordinator{
-		cfg:     cfg,
-		m:       newCoordMetrics(cfg.Obs),
-		streams: make(map[*Stream]struct{}),
-	}, nil
+	return &Coordinator{cfg: cfg, m: newCoordMetrics(cfg.Obs)}, nil
 }
 
 // MustNew is New for known-good configurations.
@@ -179,11 +181,20 @@ func MustNew(cfg Config) *Coordinator {
 // StreamConfig describes one stream joining the coordinated fleet.
 type StreamConfig struct {
 	// Weight is the stream's share weight for weighted-fair budget
-	// division (per-tenant priority). Zero, negative, NaN and +Inf mean 1.
+	// division (per-tenant priority). Zero, negative, NaN and +Inf mean 1;
+	// other weights are clamped to [minWeight, maxWeight].
 	Weight float64
 	// Tenant is a free-form owner label.
 	Tenant string
 }
+
+// The range Register clamps a weight to. Within it a fleet of any size gives
+// every stream a positive share, and no product of a weight with a
+// realistic budget overflows.
+const (
+	minWeight = 1e-6
+	maxWeight = 1e6
+)
 
 // Register adds a stream to the fleet and returns its handle. The stream
 // starts at level 0 (like a fresh solo decider) and is coordinated until
@@ -193,6 +204,7 @@ func (c *Coordinator) Register(sc StreamConfig) *Stream {
 	if !(w > 0) || math.IsInf(w, 1) {
 		w = 1
 	}
+	w = min(max(w, minWeight), maxWeight)
 	s := &Stream{
 		coord:         c,
 		weight:        w,
@@ -202,7 +214,7 @@ func (c *Coordinator) Register(sc StreamConfig) *Stream {
 		lastSwitchWin: -1,
 	}
 	c.mu.Lock()
-	c.streams[s] = struct{}{}
+	c.streams = append(c.streams, s)
 	c.sumWeights += w
 	c.m.streamsActive.Add(1)
 	c.mu.Unlock()
@@ -215,8 +227,11 @@ func (c *Coordinator) Register(sc StreamConfig) *Stream {
 // the lock is free.
 func (c *Coordinator) detach(s *Stream) {
 	c.mu.Lock()
-	delete(c.streams, s)
-	c.sumWeights = max(c.sumWeights-s.weight, 0)
+	c.streams = slices.DeleteFunc(c.streams, func(o *Stream) bool { return o == s })
+	c.sumWeights = 0
+	for _, o := range c.streams {
+		c.sumWeights += o.weight
+	}
 	c.m.streamsActive.Add(-1)
 	c.mu.Unlock()
 }

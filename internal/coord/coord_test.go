@@ -70,6 +70,31 @@ func TestUnusableWeightCountsAsOne(t *testing.T) {
 	}
 }
 
+// TestSharesSplitTheBudgetAtAnyWeights: two equal streams split the budget
+// evenly after a far heavier sibling detaches, and at the float64 extremes.
+// The parent kept the weight sum by subtraction, which the heavy sibling's
+// rounding left at zero (each stream then took the whole budget) or off by a
+// part in 1e5, and let two maximal weights overflow it (NaN shares).
+func TestSharesSplitTheBudgetAtAnyWeights(t *testing.T) {
+	for _, tc := range []struct{ pair, gone float64 }{
+		{1, 1e17}, {1e-6, 1e6}, {math.MaxFloat64, 0}, {math.SmallestNonzeroFloat64, 0},
+	} {
+		c := MustNew(Config{Levels: 4, BudgetBytesPerSec: 100})
+		c.Register(StreamConfig{Weight: tc.pair})
+		c.Register(StreamConfig{Weight: tc.pair})
+		if tc.gone != 0 {
+			c.Register(StreamConfig{Weight: tc.gone}).Detach()
+		}
+		c.mu.Lock()
+		for _, s := range c.streams {
+			if share := c.shareLocked(s.weight); !(math.Abs(share-50) <= 50*1e-12) {
+				t.Errorf("weights %v, %v (and %v detached): share %v, want 50", tc.pair, tc.pair, tc.gone, share)
+			}
+		}
+		c.mu.Unlock()
+	}
+}
+
 func TestDefaultsApplied(t *testing.T) {
 	c := MustNew(Config{Levels: 4})
 	if got := c.cfg.BudgetBytesPerSec; got != DefaultBudgetBytesPerSec {

@@ -4,7 +4,7 @@
 // register and detach). After every step:
 //
 //   - the attached streams' shares sum to at most the budget, and each
-//     share is positive;
+//     share is finite and positive;
 //   - every returned level is in [0, Levels);
 //   - a detached handle keeps returning the level it held at Detach;
 //   - coord.streams.active equals the attached count.
@@ -13,6 +13,7 @@ package coord
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -50,14 +51,18 @@ func newPropFleet(serial bool) *propFleet {
 	return &propFleet{c: c, scope: scope, serial: serial}
 }
 
-// propWeight draws a registration weight: mostly positive, spanning three
-// orders of magnitude; now and then one that Register must count as 1.
-// Weights further apart are not drawn, because the fleet keeps its weight sum
-// incrementally: detaching a weight 1e16 times its siblings' rounds the sum
-// to zero, and two weights near the float64 maximum overflow it.
+// propWeight draws a registration weight from the whole domain Register
+// accepts: mostly within three orders of magnitude of 1, often anywhere
+// between the smallest positive float64 and the largest, now and then an
+// extreme, and now and then one that Register must count as 1.
 func propWeight(rng *xrand.RNG) float64 {
-	if rng.Intn(8) == 0 {
+	switch rng.Intn(8) {
+	case 0:
 		return []float64{0, -1, math.NaN(), math.Inf(1)}[rng.Intn(4)]
+	case 1:
+		return []float64{math.SmallestNonzeroFloat64, 1e-300, 1e300, math.MaxFloat64}[rng.Intn(4)]
+	case 2, 3:
+		return math.Exp2(2098*rng.Float64() - 1074)
 	}
 	return math.Exp2(10*rng.Float64() - 5)
 }
@@ -68,7 +73,7 @@ func propWeight(rng *xrand.RNG) float64 {
 func (f *propFleet) window(rng *xrand.RNG, s *Stream, lvl int) core.Window {
 	share := propBudget
 	f.c.mu.Lock()
-	if _, ok := f.c.streams[s]; ok {
+	if slices.Contains(f.c.streams, s) {
 		share = f.c.shareLocked(s.weight)
 	}
 	f.c.mu.Unlock()
@@ -138,9 +143,9 @@ func (f *propFleet) checkShares() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	sum := 0.0
-	for s := range c.streams {
+	for _, s := range c.streams {
 		share := c.shareLocked(s.weight)
-		if !(share > 0) {
+		if !(share > 0) || math.IsInf(share, 1) {
 			return fmt.Errorf("stream of weight %v has share %v", s.weight, share)
 		}
 		sum += share

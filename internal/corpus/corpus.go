@@ -20,6 +20,12 @@
 // and the generator's state. Each generator builds its output a token at a
 // time in a buffer it reuses, so a 24 MiB input costs no more garbage than a
 // 4 KiB one.
+//
+// The text generator builds a word with one 16-byte store from a table of
+// the vocabulary zero-padded to 16 bytes, in lower case and capitalised, and
+// advances by the word's length; its RNG and sentence state stay in locals
+// for a whole 4 KiB token. A test-only reference generator (ref_test.go)
+// pins it byte for byte.
 package corpus
 
 import (
@@ -244,7 +250,7 @@ func (g *faxGenerator) next(int) []byte {
 // samples rank r with probability proportional to 1/(r+2), which matches the
 // heavy-tailed word distribution of natural English closely enough for LZ
 // compressors to land in the paper's 30–50 % band.
-var vocabulary = []string{
+var vocabulary = [...]string{
 	"the", "and", "to", "of", "a", "she", "it", "said", "in", "was",
 	"you", "that", "as", "her", "at", "with", "on", "all", "had", "but",
 	"alice", "for", "so", "be", "not", "very", "what", "this", "they", "little",
@@ -265,91 +271,102 @@ var vocabulary = []string{
 	"wish", "himself", "remark", "side", "sort", "added", "only", "minute",
 }
 
-type textGenerator struct {
-	r           *xrand.RNG
-	col         int
-	wordsInSent int
-	sentLen     int
-	sentsInPara int
-	paraLen     int
-	startOfSent bool
-	// chunk holds the token next builds, whole pieces of at most maxPiece
-	// bytes each, so building one never allocates.
-	chunk [512]byte
-}
+// textChunkBytes is the size of the text generator's token buffer: large
+// enough that the state a call loads and stores, and Generate's copy-out
+// call, cost nothing beside the words themselves.
+const textChunkBytes = 4 << 10
 
-// maxPiece bounds a piece: "caterpillar", '.', "\n\n" and a separator.
+// maxPiece bounds a piece: "caterpillar", '.', "\n\n" and a separator. It is
+// also the width of a wordTable entry.
 const maxPiece = 16
 
+// wordTable holds each vocabulary word zero-padded to maxPiece bytes, as it
+// is written mid-sentence (wordTable[0]) and capitalised to start one
+// (wordTable[1]), and wordLen its length. The text generator copies a word
+// with one fixed-width store and advances by its length; the pad bytes land
+// where the rest of the piece and the next piece's store overwrite them.
+var wordTable, wordLen = padVocabulary()
+
+func padVocabulary() (table [2][len(vocabulary)][maxPiece]byte, lens [len(vocabulary)]uint8) {
+	for i, w := range vocabulary {
+		copy(table[0][i][:], w)
+		copy(table[1][i][:], w)
+		table[1][i][0] -= 'a' - 'A'
+		lens[i] = uint8(len(w))
+	}
+	return table, lens
+}
+
+// sentenceEnd maps a draw of Intn(10) to the punctuation it ends a sentence
+// with: one in ten '!', one in ten '?', the rest '.'.
+const sentenceEnd = "!?........"
+
+// textGenerator emits a stream of pieces, each a Zipf-sampled word with any
+// sentence or paragraph end, then a space or a line break. The first word of
+// a sentence is capitalised, sentences run 5–15 words and paragraphs 3–7
+// sentences, and lines wrap once they pass 70 columns, like the Project
+// Gutenberg plain text alice29.txt actually ships.
+type textGenerator struct {
+	r   *xrand.RNG
+	col int
+	// wordsLeft counts down the words of the sentence, sentsLeft the
+	// sentences of the paragraph; capital is 1 when the next word starts
+	// a sentence.
+	wordsLeft, sentsLeft, capital int
+	// chunk holds the token next builds: whole pieces, each begun with at
+	// least maxPiece bytes to spare so its word store stays inside.
+	chunk [textChunkBytes]byte
+}
+
 func newTextGenerator(seed uint64) *textGenerator {
-	g := &textGenerator{r: xrand.New(seed), startOfSent: true}
-	g.sentLen = 5 + g.r.Intn(11)
-	g.paraLen = 3 + g.r.Intn(5)
+	g := &textGenerator{r: xrand.New(seed), capital: 1}
+	g.wordsLeft = 5 + g.r.Intn(11)
+	g.sentsLeft = 3 + g.r.Intn(5)
 	return g
 }
 
-// zipfWord samples a word by Zipf rank.
-func (g *textGenerator) zipfWord() string {
-	// Inverse-CDF sampling over weights 1/(r+2) is approximated by
-	// exponentiating a uniform variate; cheap and close enough.
-	u := g.r.Float64()
-	idx := int(u * u * u * float64(len(vocabulary)))
-	if idx >= len(vocabulary) {
-		idx = len(vocabulary) - 1
-	}
-	return vocabulary[idx]
-}
-
-// next returns a chunk of whole pieces. No piece depends on max, so what
-// the chunk holds past the end Generate cuts changes nothing before it.
-func (g *textGenerator) next(int) []byte {
-	chunk := g.chunk[:0]
-	for len(chunk) <= len(g.chunk)-maxPiece {
-		chunk = g.appendPiece(chunk)
-	}
-	return chunk
-}
-
-// appendPiece appends one piece to dst: a word with any sentence or
-// paragraph end, then a space or a line break.
-func (g *textGenerator) appendPiece(dst []byte) []byte {
-	start := len(dst)
-	dst = append(dst, g.zipfWord()...)
-	if g.startOfSent {
-		dst[start] -= 'a' - 'A'
-		g.startOfSent = false
-	}
-	g.wordsInSent++
-	if g.wordsInSent >= g.sentLen {
-		switch g.r.Intn(10) {
-		case 0:
-			dst = append(dst, '!')
-		case 1:
-			dst = append(dst, '?')
-		default:
-			dst = append(dst, '.')
+// next returns whole pieces, at least max bytes of them unless the chunk
+// fills first. No piece depends on max, so the byte stream is the same
+// however Generate cuts it into tokens.
+func (g *textGenerator) next(max int) []byte {
+	// The loop runs on local copies of the RNG and the sentence state,
+	// stored back at the end, as in entropyGenerator.next.
+	r, col, capital := *g.r, g.col, g.capital
+	wordsLeft, sentsLeft := g.wordsLeft, g.sentsLeft
+	buf := g.chunk[:]
+	n, end := 0, min(max, len(buf)-maxPiece+1)
+	for n < end {
+		// Zipf rank by inverse-CDF sampling over weights 1/(r+2),
+		// approximated by cubing a uniform variate; cheap and close
+		// enough.
+		u := r.Float64()
+		idx := min(int(u*u*u*float64(len(vocabulary))), len(vocabulary)-1)
+		start := n
+		*(*[maxPiece]byte)(buf[n:]) = wordTable[capital][idx]
+		n += int(wordLen[idx])
+		capital = 0
+		if wordsLeft--; wordsLeft == 0 {
+			buf[n] = sentenceEnd[r.Intn(10)]
+			n++
+			wordsLeft, capital = 5+r.Intn(11), 1
+			if sentsLeft--; sentsLeft == 0 {
+				buf[n], buf[n+1] = '\n', '\n'
+				n += 2
+				sentsLeft, col = 3+r.Intn(5), 0
+			}
 		}
-		g.wordsInSent = 0
-		g.sentLen = 5 + g.r.Intn(11)
-		g.startOfSent = true
-		g.sentsInPara++
-		if g.sentsInPara >= g.paraLen {
-			dst = append(dst, '\n', '\n')
-			g.sentsInPara = 0
-			g.paraLen = 3 + g.r.Intn(5)
-			g.col = 0
+		if col+n-start > 70 {
+			buf[n] = '\n'
+			col = 0
+		} else {
+			buf[n] = ' '
+			col += n + 1 - start
 		}
+		n++
 	}
-	// Line wrapping at ~70 columns, like the Project Gutenberg plain text
-	// alice29.txt actually ships.
-	if g.col+len(dst)-start > 70 {
-		dst = append(dst, '\n')
-		g.col = 0
-	} else {
-		dst = append(dst, ' ')
-		g.col += len(dst) - start
-	}
-	return dst
+	*g.r, g.col, g.capital = r, col, capital
+	g.wordsLeft, g.sentsLeft = wordsLeft, sentsLeft
+	return buf[:n]
 }
 
 // ---------- LOW: JPEG-like entropy data ----------
