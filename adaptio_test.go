@@ -17,6 +17,7 @@ import (
 	"adaptio/internal/coord"
 	"adaptio/internal/core"
 	"adaptio/internal/corpus"
+	"adaptio/internal/experiments"
 	"adaptio/internal/loadgen"
 	"adaptio/internal/nephele"
 	"adaptio/internal/stream"
@@ -42,6 +43,7 @@ func TestOptionsLedger(t *testing.T) {
 		{probe.Config{}, 0},
 		{nephele.ChannelSpec{}, 5},
 		{loadgen.Config{}, 14},
+		{experiments.TableIIConfig{}, 4},
 	} {
 		typ := reflect.TypeOf(tc.cfg)
 		if got := typ.NumField(); got != tc.fields {

@@ -62,7 +62,7 @@ func main() {
 		acceptQueue = flag.Int("accept-queue", 128, "entry AcceptQueue: waiting connections beyond -max-conns before shedding")
 		grace       = flag.Duration("grace", 5*time.Second, "entry/exit drain grace on shutdown")
 		window      = flag.Duration("window", 2*time.Second, "decision window t")
-		alpha       = flag.Float64("alpha", adaptio.DefaultAlpha, "tolerance band alpha")
+		alpha       = flag.Float64("alpha", adaptio.DefaultAlpha, "tolerance band alpha when -static -1; refused with -static N")
 		static      = flag.Int("static", 1, "static compression level 0..3, or -1 for adaptive (default LIGHT: soak stresses connections, not the controller)")
 		decider     = flag.String("decider", "", "level-selection policy when -static -1: algone (default), bandit, or ewma")
 		deciderSeed = flag.Uint64("decider-seed", 0, "seed for stochastic -decider policies")
@@ -78,6 +78,11 @@ func main() {
 	mix, err := corpus.ParseMix(*mixSpec)
 	if err != nil {
 		log.Fatalf("acload: %v", err)
+	}
+	alphaSet := false
+	flag.Visit(func(f *flag.Flag) { alphaSet = alphaSet || f.Name == "alpha" })
+	if alphaSet && *static != adaptio.Adaptive {
+		log.Fatalf("acload: -alpha is incompatible with -static (a pinned level has no tolerance band)")
 	}
 	if *decider != "" && *static != adaptio.Adaptive {
 		log.Fatalf("acload: -decider requires -static %d (a pinned level leaves nothing to decide)", adaptio.Adaptive)

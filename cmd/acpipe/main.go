@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -29,7 +30,7 @@ func main() {
 		dec      = flag.Bool("d", false, "decompress")
 		static   = flag.Int("static", adaptio.Adaptive, "static level 0..3, or -1 for adaptive")
 		window   = flag.Duration("window", 2*time.Second, "decision window t")
-		alpha    = flag.Float64("alpha", adaptio.DefaultAlpha, "tolerance band alpha")
+		alpha    = flag.Float64("alpha", adaptio.DefaultAlpha, "tolerance band alpha of the adaptive scheme; refused with -static N")
 		parallel = flag.Int("p", 1, "compress blocks on this many parallel workers (compress side only)")
 		stats    = flag.Bool("stats", false, "print stream statistics to stderr on completion")
 	)
@@ -40,6 +41,11 @@ func main() {
 			fatal(err)
 		}
 		return
+	}
+	alphaSet := false
+	flag.Visit(func(f *flag.Flag) { alphaSet = alphaSet || f.Name == "alpha" })
+	if alphaSet && *static != adaptio.Adaptive {
+		fatal(errors.New("-alpha is incompatible with -static (a pinned level has no tolerance band)"))
 	}
 	var statsOut io.Writer
 	if *stats {

@@ -61,7 +61,8 @@ func TestDecompressAcceptsWorkers(t *testing.T) {
 
 // TestCompressFlags: `acpipe -p 2` compresses on NewParallelWriter's two
 // workers and round-trips; a worker count, level or α no writer can run on
-// exits 1.
+// exits 1, and so does an explicit -alpha beside -static N, which has no
+// tolerance band to set.
 func TestCompressFlags(t *testing.T) {
 	src := corpus.Generate(corpus.Moderate, 600<<10, 5)
 	wire, err := runAcpipe(t, "-p 2", src)
@@ -72,7 +73,7 @@ func TestCompressFlags(t *testing.T) {
 	if err := decompress(bytes.NewReader(wire), &out); err != nil || !bytes.Equal(out.Bytes(), src) {
 		t.Fatalf("acpipe -p 2 did not round-trip: %d of %d bytes, err %v", out.Len(), len(src), err)
 	}
-	for _, args := range []string{"-p -1", "-static 9", "-alpha -1"} {
+	for _, args := range []string{"-p -1", "-static 9", "-alpha -1", "-static 1 -alpha 0.3", "-static 0 -alpha 0.2"} {
 		_, err := runAcpipe(t, args, src)
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 {

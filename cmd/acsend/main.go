@@ -14,6 +14,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -35,12 +36,17 @@ func main() {
 		kind   = flag.String("kind", "HIGH", "data compressibility: HIGH, MODERATE, LOW or SWITCH")
 		static = flag.Int("static", adaptio.Adaptive, "static level 0..3, or -1 for adaptive")
 		window = flag.Duration("window", 2*time.Second, "decision window t")
-		alpha  = flag.Float64("alpha", adaptio.DefaultAlpha, "tolerance band alpha")
+		alpha  = flag.Float64("alpha", adaptio.DefaultAlpha, "tolerance band alpha of the adaptive scheme; refused with -static N")
 		verb   = flag.Bool("v", false, "log every decision window")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve the JSON metrics snapshot over HTTP on this address (empty = off)")
 	)
 	flag.Parse()
+	alphaSet := false
+	flag.Visit(func(f *flag.Flag) { alphaSet = alphaSet || f.Name == "alpha" })
+	if alphaSet && *static != adaptio.Adaptive {
+		fatal(errors.New("-alpha is incompatible with -static (a pinned level has no tolerance band)"))
+	}
 
 	reg := obs.NewRegistry()
 	block.PublishMetrics(reg.Scope("block"))

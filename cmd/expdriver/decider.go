@@ -23,7 +23,7 @@ import (
 // grid. Exit codes: 0 bound holds, 1 a policy violates it, 2 run errors.
 func runDeciderMatrix(seed uint64, jsonOut string) int {
 	start := time.Now()
-	res, err := experiments.DeciderMatrix(experiments.DeciderMatrixConfig{Seed: seed})
+	res, err := experiments.DeciderMatrix(seed)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "expdriver: decider matrix: %v\n", err)
 		return 2
@@ -32,7 +32,7 @@ func runDeciderMatrix(seed uint64, jsonOut string) int {
 	fmt.Printf("  wall %v\n", time.Since(start).Round(time.Millisecond))
 
 	code := 0
-	for _, policy := range res.Policies {
+	for _, policy := range res.Schemes {
 		if policy == core.PolicyAlgorithmOne || policy == core.PolicyCheatStick {
 			continue
 		}

@@ -23,10 +23,10 @@ import (
 	"strings"
 
 	"adaptio/internal/block"
-	"adaptio/internal/cloudsim"
 	"adaptio/internal/experiments"
 	"adaptio/internal/obs"
 	"adaptio/internal/scenario"
+	"adaptio/internal/stream"
 	"adaptio/internal/trace"
 )
 
@@ -53,7 +53,7 @@ var paper = []struct {
 	run        runFunc
 }{
 	{"fig1", "Figure 1: CPU utilization accuracy", func(s settings, emit emitFunc) (bool, error) {
-		rows, err := experiments.Fig1CPUAccuracy(120, s.seed)
+		rows, err := experiments.Fig1CPUAccuracy(s.seed)
 		if err == nil {
 			emit(experiments.RenderFig1(rows), "fig1_cpu_accuracy", experiments.CSVFig1(rows))
 		}
@@ -79,7 +79,7 @@ var paper = []struct {
 		return !experiments.AllPass(cl), err
 	}},
 	{"calibrate", "live codec calibration", func(s settings, emit emitFunc) (bool, error) {
-		ms, _, err := experiments.Calibrate(0)
+		ms, _, err := experiments.Calibrate(stream.DefaultLadder(), 0)
 		if err == nil {
 			emit(experiments.RenderCalibration(ms), "codec_calibration", experiments.CSVCalibration(ms))
 		}
@@ -93,8 +93,8 @@ func main() {
 		selected[i] = flag.Bool(e.flag, false, e.help)
 	}
 	var (
-		gb         = flag.Float64("gb", 50, "data volume per transfer in GB (decimal)")
-		runs       = flag.Int("runs", 5, "repetitions per Table II cell")
+		gb         = flag.Float64("gb", 50, "data volume per transfer in GB (decimal), positive")
+		runs       = flag.Int("runs", 5, "repetitions per Table II cell, at least 1")
 		seed       = flag.Uint64("seed", 2011, "random seed")
 		liveProf   = flag.Bool("live-profiles", false, "drive Table II with profiles measured live from this repo's codecs instead of the paper-derived reference")
 		csvDir     = flag.String("csv", "", "also write each experiment's raw data as CSV into this directory")
@@ -143,6 +143,11 @@ func main() {
 	}
 
 	s := settings{volume: int64(*gb * 1e9), runs: *runs, seed: *seed, liveProfiles: *liveProf}
+	if s.volume < 1 || s.runs < 1 {
+		fmt.Fprintln(os.Stderr, "expdriver: -gb must be positive and -runs at least 1")
+		flag.Usage()
+		os.Exit(2)
+	}
 	all := !slices.ContainsFunc(selected, func(on *bool) bool { return *on })
 	exitCode := 0
 	for i, e := range paper {
@@ -191,14 +196,9 @@ func traced(fig func(int64, uint64) (*trace.Trace, error), title, csvName string
 // runTableII runs Table II on the paper's evaluation platform, against
 // live-calibrated codec profiles under -live-profiles.
 func runTableII(s settings, emit emitFunc) (bool, error) {
-	cfg := experiments.TableIIConfig{
-		TotalBytes: s.volume,
-		Runs:       s.runs,
-		Platform:   cloudsim.KVMParavirt,
-		Seed:       s.seed,
-	}
+	cfg := experiments.TableIIConfig{TotalBytes: s.volume, Runs: s.runs, Seed: s.seed}
 	if s.liveProfiles {
-		ms, profiles, err := experiments.Calibrate(0)
+		ms, profiles, err := experiments.Calibrate(stream.DefaultLadder(), 0)
 		if err != nil {
 			return false, fmt.Errorf("live calibration: %w", err)
 		}
@@ -214,13 +214,13 @@ func runTableII(s settings, emit emitFunc) (bool, error) {
 
 // runAblations runs A1-A6. A6 times live codecs, so it saves no CSV.
 func runAblations(s settings, emit emitFunc) (bool, error) {
-	a1, err := experiments.AblationAlpha(nil, s.volume, s.seed)
+	a1, err := experiments.AblationAlpha(s.volume, s.seed)
 	if err != nil {
 		return false, fmt.Errorf("A1: %w", err)
 	}
 	emit(experiments.RenderAblation("Ablation A1: tolerance band alpha (MODERATE, 2 conns)", a1)+"\n",
 		"ablation_a1_alpha", experiments.CSVAblation(a1))
-	a2, err := experiments.AblationWindow(nil, s.volume, s.seed)
+	a2, err := experiments.AblationWindow(s.volume, s.seed)
 	if err != nil {
 		return false, fmt.Errorf("A2: %w", err)
 	}

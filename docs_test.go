@@ -242,8 +242,8 @@ var docBudget = map[string]int{
 	"DESIGN.md":                     14_400,
 	"EXPERIMENTS.md":                14_100,
 	"docs/algorithm.md":             4_400,
-	"docs/coordination.md":          8_800,
-	"docs/deciders.md":              15_100,
+	"docs/coordination.md":          8_700,
+	"docs/deciders.md":              15_200,
 	"docs/observability.md":         11_500,
 	"docs/performance.md":           28_600,
 	"docs/robustness.md":            9_600,
@@ -251,7 +251,7 @@ var docBudget = map[string]int{
 	"docs/scenarios.md":             12_000,
 	"docs/simulation.md":            7_000,
 	"Makefile":                      8_000,
-	".github/workflows/ci.yml":      6_700,
+	".github/workflows/ci.yml":      6_800,
 	".github/workflows/nightly.yml": 6_200,
 	"CHANGES.md":                    36_000,
 }

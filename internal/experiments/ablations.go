@@ -44,15 +44,9 @@ func runAblation(label string, scheme core.Policy, kind corpus.Kind, bg int, tot
 // scenario (DESIGN.md A1): small α reacts to small gains but is noise-prone,
 // large α goes blind to real level differences. The paper found 0.2
 // reasonable.
-func AblationAlpha(alphas []float64, totalBytes int64, seed uint64) ([]AblationRow, error) {
-	if alphas == nil {
-		alphas = []float64{0.05, 0.1, 0.2, 0.3, 0.5}
-	}
-	if totalBytes == 0 {
-		totalBytes = FiftyGB
-	}
+func AblationAlpha(totalBytes int64, seed uint64) ([]AblationRow, error) {
 	var rows []AblationRow
-	for _, a := range alphas {
+	for _, a := range []float64{0.05, 0.1, 0.2, 0.3, 0.5} {
 		dec := core.MustNewDecider(core.Config{Levels: levels, Alpha: a})
 		row, err := runAblation(fmt.Sprintf("alpha=%.2f", a), dec, corpus.Moderate, 2, totalBytes, seed)
 		if err != nil {
@@ -66,16 +60,10 @@ func AblationAlpha(alphas []float64, totalBytes int64, seed uint64) ([]AblationR
 // AblationWindow sweeps the decision interval t (DESIGN.md A2) on the
 // Figure 6 workload where responsiveness matters: data compressibility
 // flips every 10 GB.
-func AblationWindow(windows []float64, totalBytes int64, seed uint64) ([]AblationRow, error) {
-	if windows == nil {
-		windows = []float64{0.5, 1, 2, 4, 8}
-	}
-	if totalBytes == 0 {
-		totalBytes = FiftyGB
-	}
+func AblationWindow(totalBytes int64, seed uint64) ([]AblationRow, error) {
 	phase := max(totalBytes/5, 1) // five compressibility phases, as in Figure 6
 	var rows []AblationRow
-	for _, w := range windows {
+	for _, w := range []float64{0.5, 1, 2, 4, 8} {
 		res, err := cloudsim.RunTransfer(cloudsim.TransferConfig{
 			Platform:      cloudsim.KVMParavirt,
 			Kind:          cloudsim.AlternatingKinds(phase, corpus.High, corpus.Low),
@@ -103,9 +91,6 @@ func AblationWindow(windows []float64, totalBytes int64, seed uint64) ([]Ablatio
 // backoff-capped variants (DESIGN.md A3) on the Figure 4 scenario, where
 // backoff is what makes probing decay.
 func AblationBackoff(totalBytes int64, seed uint64) ([]AblationRow, error) {
-	if totalBytes == 0 {
-		totalBytes = FiftyGB
-	}
 	variants := []struct {
 		label string
 		cfg   core.Config
@@ -138,9 +123,6 @@ type BaselineRow struct {
 // bandwidth (sensor-driven models flap), and the paper's own HIGH/no-load
 // case (everyone should find LIGHT).
 func AblationBaselines(totalBytes int64, seed uint64) ([]BaselineRow, error) {
-	if totalBytes == 0 {
-		totalBytes = FiftyGB
-	}
 	type scenario struct {
 		name     string
 		platform cloudsim.Platform

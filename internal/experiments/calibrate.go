@@ -21,16 +21,45 @@ type CodecMeasurement struct {
 	Ratio      float64
 }
 
-// Calibrate measures this repository's own codecs (the default ladder) on
-// the synthetic corpus and returns both the raw measurements and a
-// cloudsim profile ladder built from them. It is the live alternative to
-// cloudsim.ReferenceProfiles: run the 50 GB experiments against what *this*
-// machine's codecs actually deliver instead of the paper's hardware.
+// Calibrate measures a ladder's codecs (stream.DefaultLadder for the paper's
+// four levels) on the synthetic corpus and returns both the raw measurements
+// and a cloudsim profile ladder built from them. It is the live alternative
+// to cloudsim.ReferenceProfiles: run the 50 GB experiments against what
+// *this* machine's codecs actually deliver instead of the paper's hardware.
 //
 // sampleBytes is the per-measurement volume (zero means 4 MB). Measurements
 // use the stream layer's 128 KB blocks, like production traffic.
-func Calibrate(sampleBytes int) ([]CodecMeasurement, []cloudsim.CodecProfile, error) {
-	return CalibrateLadder(stream.DefaultLadder(), sampleBytes)
+func Calibrate(ladder compress.Ladder, sampleBytes int) ([]CodecMeasurement, []cloudsim.CodecProfile, error) {
+	if err := ladder.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if sampleBytes <= 0 {
+		sampleBytes = 4 << 20
+	}
+	var ms []CodecMeasurement
+	profiles := make([]cloudsim.CodecProfile, len(ladder))
+	for li, lvl := range ladder {
+		profiles[li] = cloudsim.CodecProfile{
+			Name:       lvl.Name,
+			CompMBps:   map[corpus.Kind]float64{},
+			DecompMBps: map[corpus.Kind]float64{},
+			Ratio:      map[corpus.Kind]float64{},
+		}
+		for _, kind := range corpus.Kinds() {
+			m, err := measureCodec(lvl.Name, lvl.Codec, kind, sampleBytes)
+			if err != nil {
+				return nil, nil, err
+			}
+			ms = append(ms, m)
+			profiles[li].CompMBps[kind] = m.CompMBps
+			profiles[li].DecompMBps[kind] = m.DecompMBps
+			profiles[li].Ratio[kind] = m.Ratio
+		}
+	}
+	if err := cloudsim.ValidateLadder(profiles); err != nil {
+		return nil, nil, fmt.Errorf("experiments: calibrated profiles invalid: %w", err)
+	}
+	return ms, profiles, nil
 }
 
 func measureCodec(name string, codec compress.Codec, kind corpus.Kind, sampleBytes int) (CodecMeasurement, error) {

@@ -27,13 +27,10 @@ type Claim struct {
 // "does this reproduction actually reproduce the paper?" — cmd/expdriver
 // prints it with -claims, and the test suite requires every claim to pass.
 func VerifyClaims(totalBytes int64, seed uint64) ([]Claim, error) {
-	if totalBytes == 0 {
-		totalBytes = FiftyGB
-	}
 	var claims []Claim
 
 	// --- Section II-A: CPU accounting gaps ---
-	fig1, err := Fig1CPUAccuracy(120, seed)
+	fig1, err := Fig1CPUAccuracy(seed)
 	if err != nil {
 		return nil, err
 	}
@@ -108,12 +105,7 @@ func VerifyClaims(totalBytes int64, seed uint64) ([]Claim, error) {
 	})
 
 	// --- Section IV / Table II ---
-	table, err := TableII(TableIIConfig{
-		TotalBytes: totalBytes,
-		Runs:       3,
-		Platform:   cloudsim.KVMParavirt,
-		Seed:       seed,
-	})
+	table, err := TableII(TableIIConfig{TotalBytes: totalBytes, Runs: 3, Seed: seed})
 	if err != nil {
 		return nil, err
 	}

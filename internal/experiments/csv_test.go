@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"adaptio/internal/cloudsim"
 	"adaptio/internal/experiments"
+	"adaptio/internal/stream"
 	"adaptio/internal/trace"
 )
 
@@ -29,7 +29,7 @@ func parseCSV(t *testing.T, content string) [][]string {
 }
 
 func TestCSVExports(t *testing.T) {
-	fig1, err := experiments.Fig1CPUAccuracy(120, 1)
+	fig1, err := experiments.Fig1CPUAccuracy(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,14 +47,12 @@ func TestCSVExports(t *testing.T) {
 		t.Fatalf("fig2 CSV has %d rows, want 5", got)
 	}
 
-	table, err := experiments.TableII(experiments.TableIIConfig{
-		TotalBytes: 2e9, Runs: 1, Platform: cloudsim.KVMParavirt, Backgrounds: []int{0, 2},
-	})
+	table, err := experiments.TableII(experiments.TableIIConfig{TotalBytes: 2e9, Runs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(parseCSV(t, table.CSVTableII())) - 1; got != 3*2*5 {
-		t.Fatalf("table2 CSV has %d rows, want 30", got)
+	if got := len(parseCSV(t, table.CSVTableII())) - 1; got != 3*4*5 {
+		t.Fatalf("table2 CSV has %d rows, want 60", got)
 	}
 
 	tr := trace.New(4)
@@ -81,7 +79,7 @@ func TestCSVExports(t *testing.T) {
 	}
 	parseCSV(t, experiments.CSVFileChannel(a5))
 
-	ms, _, err := experiments.Calibrate(1 << 19)
+	ms, _, err := experiments.Calibrate(stream.DefaultLadder(), 1<<19)
 	if err != nil {
 		t.Fatal(err)
 	}

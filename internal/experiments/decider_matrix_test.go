@@ -21,7 +21,7 @@ var update = flag.Bool("update", false, "rewrite the golden files (BENCH_decider
 
 func ciMatrix(t *testing.T) DeciderMatrixResult {
 	t.Helper()
-	res, err := DeciderMatrix(DeciderMatrixConfig{Seed: 2011})
+	res, err := DeciderMatrix(2011)
 	if err != nil {
 		t.Fatalf("DeciderMatrix: %v", err)
 	}
@@ -101,32 +101,27 @@ func TestDeciderMatrixGolden(t *testing.T) {
 // TestDeciderMatrixBenchFile pins the artifact's shape: one entry per cell
 // plus a totals entry per policy, all under the "current" set.
 func TestDeciderMatrixBenchFile(t *testing.T) {
-	res, err := DeciderMatrix(DeciderMatrixConfig{
-		Policies:    []string{core.PolicyAlgorithmOne},
-		TotalBytes:  200e6,
-		Runs:        1,
-		Backgrounds: []int{0, 1},
-		Seed:        7,
-	})
-	if err != nil {
-		t.Fatalf("DeciderMatrix: %v", err)
-	}
+	res := ciMatrix(t)
 	f := res.benchFile()
-	wantBenches := len(res.Kinds)*2 + 1 // cells + totals
-	if got := len(f.Benchmarks); got != wantBenches {
-		t.Fatalf("artifact has %d benchmarks, want %d", got, wantBenches)
+	cells := len(res.Kinds) * len(res.Backgrounds)
+	if got, want := len(f.Benchmarks), len(res.Schemes)*(cells+1); got != want {
+		t.Fatalf("artifact has %d benchmarks, want %d", got, want)
 	}
-	totals, ok := f.Benchmarks["Decider/algone/totals"]["current"]
-	if !ok {
-		t.Fatal("artifact is missing the Decider/algone/totals entry")
-	}
-	p, w := res.Totals(core.PolicyAlgorithmOne)
-	if totals.Probes != int64(p) || totals.WastedProbes != int64(w) {
-		t.Fatalf("totals entry carries probes=%d wasted=%d, matrix says %d/%d",
-			totals.Probes, totals.WastedProbes, p, w)
+	totals := map[string]bool{}
+	for _, policy := range res.Schemes {
+		name := "Decider/" + policy + "/totals"
+		totals[name] = true
+		m, ok := f.Benchmarks[name]["current"]
+		if !ok {
+			t.Fatalf("artifact is missing the %s entry", name)
+		}
+		p, w := res.Totals(policy)
+		if m.Probes != int64(p) || m.WastedProbes != int64(w) {
+			t.Errorf("%s carries probes=%d wasted=%d, matrix says %d/%d", name, m.Probes, m.WastedProbes, p, w)
+		}
 	}
 	for name, sets := range f.Benchmarks {
-		if name == "Decider/algone/totals" {
+		if totals[name] {
 			continue
 		}
 		if m := sets["current"]; m.MBPerS <= 0 {

@@ -3,134 +3,51 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"adaptio/internal/cloudsim"
 	"adaptio/internal/core"
 	"adaptio/internal/corpus"
-	"adaptio/internal/stats"
 )
 
-// DeciderCell is one (policy, kind, background) cell of the decider matrix:
-// the Table II transfer repeated under a specific level-selection policy,
-// with the policy's probe economics summed over the cell's runs.
-type DeciderCell struct {
-	MeanSeconds float64 `json:"mean_seconds"`
-	SDSeconds   float64 `json:"sd_seconds"`
-	MBPerS      float64 `json:"mb_per_s"`
-	// Probes and WastedProbes are totals over the cell's runs.
-	Probes       int `json:"probes"`
-	WastedProbes int `json:"wasted_probes"`
-}
+// DeciderMatrixResult is the policy comparison grid: the Table II workload
+// grid with one scheme per policy, Cells[kind][background][policy index].
+type DeciderMatrixResult struct{ grid }
 
-// DeciderMatrixResult is the full policy comparison grid:
-// [policy][kind][background] over the Table II workload matrix.
-type DeciderMatrixResult struct {
-	Policies    []string
-	Kinds       []corpus.Kind
-	Backgrounds []int
-	Runs        int
-	TotalBytes  int64
-	Cells       map[string]map[corpus.Kind]map[int]DeciderCell
-}
-
-// DeciderMatrixConfig parameterizes the sweep. The zero value gives the CI
-// configuration: every registered policy plus the CheatStick sentinel, the
-// full Table II workload grid at 2 GB per transfer, 3 runs per cell.
-type DeciderMatrixConfig struct {
-	// Policies to sweep; nil means core.PolicyNames() + the sentinel.
-	Policies []string
-	// TotalBytes per transfer; zero means 2 GB (the matrix is a policy
-	// comparison, not a faithful Table II reproduction — smaller volumes
-	// keep the full grid inside CI seconds).
-	TotalBytes int64
-	// Runs per cell; zero means 3.
-	Runs int
-	// Backgrounds lists concurrent-connection counts; nil means 0..3.
-	Backgrounds []int
-	Platform    cloudsim.Platform
-	Seed        uint64
-}
-
-// DeciderMatrix runs the Table II workload grid once per policy. All
-// decisions are seeded and deterministic: the same config produces the same
-// result, cell for cell, which is what lets CI gate on it.
-func DeciderMatrix(cfg DeciderMatrixConfig) (DeciderMatrixResult, error) {
-	if cfg.Policies == nil {
-		cfg.Policies = append(core.PolicyNames(), core.PolicyCheatStick)
-	}
-	if cfg.TotalBytes == 0 {
-		cfg.TotalBytes = 2e9
-	}
-	if cfg.Runs == 0 {
-		cfg.Runs = 3
-	}
-	if cfg.Backgrounds == nil {
-		cfg.Backgrounds = []int{0, 1, 2, 3}
-	}
-	res := DeciderMatrixResult{
-		Policies:    cfg.Policies,
-		Kinds:       corpus.Kinds(),
-		Backgrounds: cfg.Backgrounds,
-		Runs:        cfg.Runs,
-		TotalBytes:  cfg.TotalBytes,
-		Cells:       map[string]map[corpus.Kind]map[int]DeciderCell{},
-	}
-	profiles := cloudsim.ReferenceProfiles()
-	for pi, policy := range cfg.Policies {
-		if !core.ValidPolicy(policy) {
-			return res, fmt.Errorf("experiments: unknown decider policy %q", policy)
-		}
-		res.Cells[policy] = map[corpus.Kind]map[int]DeciderCell{}
-		for _, kind := range res.Kinds {
-			res.Cells[policy][kind] = map[int]DeciderCell{}
-			for _, bg := range cfg.Backgrounds {
-				var cell DeciderCell
-				times := make([]float64, cfg.Runs)
-				for run := 0; run < cfg.Runs; run++ {
-					// The workload seed is policy-independent (every
-					// policy faces the identical environment draw);
-					// the policy seed folds in the policy index so
-					// stochastic policies explore independently.
-					wseed := cfg.Seed ^ uint64(kind)<<40 ^ uint64(bg)<<32 ^ uint64(run)<<16
-					d := core.MustNewPolicy(policy, core.Config{
-						Levels: len(profiles),
-						Seed:   wseed ^ uint64(pi+1)<<8,
-					})
-					r, err := cloudsim.RunTransfer(cloudsim.TransferConfig{
-						Platform:   cfg.Platform,
-						Kind:       cloudsim.ConstantKind(kind),
-						TotalBytes: cfg.TotalBytes,
-						Background: bg,
-						Scheme:     d,
-						Profiles:   profiles,
-						Seed:       wseed,
-					})
-					if err != nil {
-						return res, err
-					}
-					times[run] = r.CompletionSeconds
-					ps := d.PolicyStats()
-					cell.Probes += ps.Probes
-					cell.WastedProbes += ps.WastedProbes
-				}
-				cell.MeanSeconds, cell.SDSeconds = stats.MeanStdDev(times)
-				if cell.MeanSeconds > 0 {
-					cell.MBPerS = float64(cfg.TotalBytes) / 1e6 / cell.MeanSeconds
-				}
-				res.Cells[policy][kind][bg] = cell
-			}
-		}
-	}
-	return res, nil
+// DeciderMatrix runs the Table II workload grid once per registered policy
+// and the CheatStick sentinel, on cloudsim.Native at 2 GB per transfer and 3
+// runs per cell: a policy comparison, not a faithful Table II, sized to
+// finish in CI seconds. Every policy faces the same environment draw for a
+// (kind, background, run), and a policy's own seed folds in its index so
+// stochastic policies explore independently. The result is deterministic in
+// seed, cell for cell, which is what lets CI gate on it.
+func DeciderMatrix(seed uint64) (DeciderMatrixResult, error) {
+	res := DeciderMatrixResult{grid{
+		Schemes:    append(core.PolicyNames(), core.PolicyCheatStick),
+		Runs:       3,
+		TotalBytes: 2e9,
+	}}
+	err := res.sweep(cloudsim.Native, cloudsim.ReferenceProfiles(),
+		func(kind corpus.Kind, bg, _, run int) uint64 {
+			return seed ^ uint64(kind)<<40 ^ uint64(bg)<<32 ^ uint64(run)<<16
+		},
+		func(pi int, env uint64) core.Policy {
+			return core.MustNewPolicy(res.Schemes[pi], core.Config{Levels: levels, Seed: env ^ uint64(pi+1)<<8})
+		})
+	return res, err
 }
 
 // Totals sums one policy's probe economics over the whole grid.
 func (r DeciderMatrixResult) Totals(policy string) (probes, wasted int) {
-	for _, byKind := range r.Cells[policy] {
-		for _, cell := range byKind {
-			probes += cell.Probes
-			wasted += cell.WastedProbes
+	pi := slices.Index(r.Schemes, policy)
+	if pi < 0 {
+		return 0, 0
+	}
+	for _, byBg := range r.Cells {
+		for _, cells := range byBg {
+			probes += cells[pi].Probes
+			wasted += cells[pi].WastedProbes
 		}
 	}
 	return probes, wasted
@@ -165,23 +82,22 @@ const DefaultThroughputTolerance = 0.08
 // CheatStick sentinel exists to fail the first axis — see the matrix tests.
 func (r DeciderMatrixResult) CheckBound(policy, baseline string, tol float64) []BoundViolation {
 	var v []BoundViolation
-	base, ok := r.Cells[baseline]
-	if !ok {
+	bi, ci := slices.Index(r.Schemes, baseline), slices.Index(r.Schemes, policy)
+	if bi < 0 {
 		return []BoundViolation{{Policy: policy, Axis: "throughput", Detail: fmt.Sprintf("baseline %q not in matrix", baseline)}}
 	}
-	cand, ok := r.Cells[policy]
-	if !ok {
+	if ci < 0 {
 		return []BoundViolation{{Policy: policy, Axis: "throughput", Detail: fmt.Sprintf("policy %q not in matrix", policy)}}
 	}
 	for _, kind := range r.Kinds {
 		for _, bg := range r.Backgrounds {
-			b, c := base[kind][bg], cand[kind][bg]
-			if c.MeanSeconds > b.MeanSeconds*(1+tol) {
+			b, c := r.Cells[kind][bg][bi], r.Cells[kind][bg][ci]
+			if c.Mean > b.Mean*(1+tol) {
 				v = append(v, BoundViolation{
 					Policy: policy,
 					Axis:   "throughput",
 					Detail: fmt.Sprintf("%s/bg=%d: %.1fs vs baseline %.1fs (>%.0f%% slower)",
-						kind, bg, c.MeanSeconds, b.MeanSeconds, tol*100),
+						kind, bg, c.Mean, b.Mean, tol*100),
 				})
 			}
 		}
@@ -212,7 +128,7 @@ func (r DeciderMatrixResult) Render() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "--- Decider matrix: mean completion seconds (SD), %d runs, %.1f GB ---\n",
 		r.Runs, float64(r.TotalBytes)/1e9)
-	for _, policy := range r.Policies {
+	for pi, policy := range r.Schemes {
 		fmt.Fprintf(&sb, "%s:\n", policy)
 		fmt.Fprintf(&sb, "  %-9s", "bg")
 		for _, k := range r.Kinds {
@@ -222,15 +138,15 @@ func (r DeciderMatrixResult) Render() string {
 		for _, bg := range r.Backgrounds {
 			fmt.Fprintf(&sb, "  %-9d", bg)
 			for _, k := range r.Kinds {
-				c := r.Cells[policy][k][bg]
-				fmt.Fprintf(&sb, " %9.0f (%3.0f) ", c.MeanSeconds, c.SDSeconds)
+				c := r.Cells[k][bg][pi]
+				fmt.Fprintf(&sb, " %9.0f (%3.0f) ", c.Mean, c.SD)
 			}
 			sb.WriteString("\n")
 		}
 	}
 	fmt.Fprintf(&sb, "probe economy (grid totals):\n")
 	fmt.Fprintf(&sb, "  %-12s %8s %8s\n", "policy", "probes", "wasted")
-	for _, policy := range r.Policies {
+	for _, policy := range r.Schemes {
 		p, w := r.Totals(policy)
 		fmt.Fprintf(&sb, "  %-12s %8d %8d\n", policy, p, w)
 	}
@@ -264,10 +180,10 @@ func (r DeciderMatrixResult) benchFile() benchArtifact {
 	add := func(name string, m benchMeasurement) {
 		f.Benchmarks[name] = map[string]benchMeasurement{"current": m}
 	}
-	for _, policy := range r.Policies {
+	for pi, policy := range r.Schemes {
 		for _, kind := range r.Kinds {
 			for _, bg := range r.Backgrounds {
-				c := r.Cells[policy][kind][bg]
+				c := r.Cells[kind][bg][pi]
 				add(fmt.Sprintf("Decider/%s/%s/bg%d", policy, kind, bg), benchMeasurement{
 					MBPerS:       c.MBPerS,
 					Probes:       int64(c.Probes),

@@ -70,12 +70,10 @@ func (r Fig1Row) GapFactor() float64 {
 
 // Fig1CPUAccuracy reproduces the Figure 1 methodology: for every platform
 // and I/O operation it samples the guest's and the host's /proc/stat-style
-// counters at 1 s intervals through the real metrics.Sampler and averages at
-// least `samples` individual measurements (the paper used >= 120).
-func Fig1CPUAccuracy(samples int, seed uint64) ([]Fig1Row, error) {
-	if samples < 1 {
-		samples = 120
-	}
+// counters at 1 s intervals through the real metrics.Sampler and averages
+// 120 individual measurements, as the paper did.
+func Fig1CPUAccuracy(seed uint64) ([]Fig1Row, error) {
+	const samples = 120
 	var rows []Fig1Row
 	for _, op := range cloudsim.IOOps() {
 		for _, p := range cloudsim.Platforms() {
@@ -210,32 +208,88 @@ func RenderDist(title, unit string, rows []DistRow) string {
 
 // ---------- Table II ----------
 
-// Cell is a mean (SD) completion-time entry.
+// Cell is one (kind, background, scheme) entry of a sweep: the mean (SD)
+// completion time over the cell's runs, the goodput that mean implies, and
+// the scheme's probe economics summed over the runs.
 type Cell struct {
-	Mean float64
-	SD   float64
+	Mean         float64
+	SD           float64
+	MBPerS       float64
+	Probes       int
+	WastedProbes int
 }
 
-// TableIIResult holds the full grid: [kind][background][scheme].
-type TableIIResult struct {
+// grid is a sweep of the paper's workload grid, every kind at 0..3 background
+// connections: Cells[kind][background][scheme], each cell over Runs
+// transfers of TotalBytes.
+type grid struct {
+	Schemes     []string
 	Kinds       []corpus.Kind
 	Backgrounds []int
-	Cells       map[corpus.Kind]map[int][]Cell
 	Runs        int
 	TotalBytes  int64
+	Cells       map[corpus.Kind]map[int][]Cell
 }
 
-// TableIIConfig parameterizes the Table II sweep.
+// sweep runs every cell of the grid on platform against profiles. envSeed
+// gives one transfer's environment seed, and newPolicy builds its scheme
+// from the scheme index and that seed.
+func (g *grid) sweep(platform cloudsim.Platform, profiles []cloudsim.CodecProfile,
+	envSeed func(kind corpus.Kind, bg, si, run int) uint64, newPolicy func(si int, env uint64) core.Policy) error {
+	g.Kinds, g.Backgrounds = corpus.Kinds(), []int{0, 1, 2, 3}
+	g.Cells = map[corpus.Kind]map[int][]Cell{}
+	for _, kind := range g.Kinds {
+		g.Cells[kind] = map[int][]Cell{}
+		for _, bg := range g.Backgrounds {
+			cells := make([]Cell, len(g.Schemes))
+			for si := range cells {
+				c := &cells[si]
+				times := make([]float64, g.Runs)
+				for run := range times {
+					env := envSeed(kind, bg, si, run)
+					scheme := newPolicy(si, env)
+					r, err := cloudsim.RunTransfer(cloudsim.TransferConfig{
+						Platform:   platform,
+						Kind:       cloudsim.ConstantKind(kind),
+						TotalBytes: g.TotalBytes,
+						Background: bg,
+						Scheme:     scheme,
+						Profiles:   profiles,
+						Seed:       env,
+					})
+					if err != nil {
+						return err
+					}
+					times[run] = r.CompletionSeconds
+					if d, ok := scheme.(core.Decider); ok {
+						ps := d.PolicyStats()
+						c.Probes += ps.Probes
+						c.WastedProbes += ps.WastedProbes
+					}
+				}
+				c.Mean, c.SD = stats.MeanStdDev(times)
+				if c.Mean > 0 {
+					c.MBPerS = float64(g.TotalBytes) / 1e6 / c.Mean
+				}
+			}
+			g.Cells[kind][bg] = cells
+		}
+	}
+	return nil
+}
+
+// TableIIResult holds the full grid: [kind][background][scheme], the
+// schemes being SchemeNames.
+type TableIIResult struct{ grid }
+
+// TableIIConfig parameterizes the Table II sweep, which runs on the paper's
+// platform, KVM with paravirtualized I/O, at 0..3 background connections.
 type TableIIConfig struct {
-	// TotalBytes per transfer; zero means the paper's 50 GB.
+	// TotalBytes per transfer; the paper's is FiftyGB.
 	TotalBytes int64
-	// Runs per cell (the paper averaged multiple runs); zero means 5.
+	// Runs per cell (the paper averaged multiple runs).
 	Runs int
-	// Platform; the paper evaluated on KVM with paravirtualized I/O.
-	Platform cloudsim.Platform
-	Seed     uint64
-	// Backgrounds lists the concurrent-connection counts; nil means 0..3.
-	Backgrounds []int
+	Seed uint64
 	// Profiles overrides the codec profile ladder; nil means the
 	// paper-derived cloudsim.ReferenceProfiles. Pass the ladder from
 	// Calibrate to sweep Table II against this machine's real codecs.
@@ -246,53 +300,17 @@ type TableIIConfig struct {
 // transfer for every (compressibility, background connections, scheme)
 // combination, averaged over Runs repetitions.
 func TableII(cfg TableIIConfig) (TableIIResult, error) {
-	if cfg.TotalBytes == 0 {
-		cfg.TotalBytes = FiftyGB
+	profiles := cfg.Profiles
+	if profiles == nil {
+		profiles = cloudsim.ReferenceProfiles()
 	}
-	if cfg.Runs == 0 {
-		cfg.Runs = 5
-	}
-	if cfg.Backgrounds == nil {
-		cfg.Backgrounds = []int{0, 1, 2, 3}
-	}
-	if cfg.Profiles == nil {
-		cfg.Profiles = cloudsim.ReferenceProfiles()
-	}
-	res := TableIIResult{
-		Kinds:       corpus.Kinds(),
-		Backgrounds: cfg.Backgrounds,
-		Cells:       map[corpus.Kind]map[int][]Cell{},
-		Runs:        cfg.Runs,
-		TotalBytes:  cfg.TotalBytes,
-	}
-	for _, kind := range res.Kinds {
-		res.Cells[kind] = map[int][]Cell{}
-		for _, bg := range cfg.Backgrounds {
-			cells := make([]Cell, len(SchemeNames))
-			for si := range SchemeNames {
-				times := make([]float64, cfg.Runs)
-				for run := 0; run < cfg.Runs; run++ {
-					r, err := cloudsim.RunTransfer(cloudsim.TransferConfig{
-						Platform:   cfg.Platform,
-						Kind:       cloudsim.ConstantKind(kind),
-						TotalBytes: cfg.TotalBytes,
-						Background: bg,
-						Scheme:     newScheme(si),
-						Profiles:   cfg.Profiles,
-						Seed:       cfg.Seed ^ uint64(kind)<<40 ^ uint64(bg)<<32 ^ uint64(si)<<24 ^ uint64(run),
-					})
-					if err != nil {
-						return res, err
-					}
-					times[run] = r.CompletionSeconds
-				}
-				mean, sd := stats.MeanStdDev(times)
-				cells[si] = Cell{Mean: mean, SD: sd}
-			}
-			res.Cells[kind][bg] = cells
-		}
-	}
-	return res, nil
+	res := TableIIResult{grid{Schemes: SchemeNames, Runs: cfg.Runs, TotalBytes: cfg.TotalBytes}}
+	err := res.sweep(cloudsim.KVMParavirt, profiles,
+		func(kind corpus.Kind, bg, si, run int) uint64 {
+			return cfg.Seed ^ uint64(kind)<<40 ^ uint64(bg)<<32 ^ uint64(si)<<24 ^ uint64(run)
+		},
+		func(si int, _ uint64) core.Policy { return newScheme(si) })
+	return res, err
 }
 
 // Best returns the scheme index with the lowest mean in a cell group.
@@ -402,9 +420,6 @@ func runTrace(kind cloudsim.KindSchedule, bg int, totalBytes int64, seed uint64)
 // data with no background traffic. The trace shows fast convergence to
 // LIGHT and exponentially rarer probing.
 func Fig4Trace(totalBytes int64, seed uint64) (*trace.Trace, error) {
-	if totalBytes == 0 {
-		totalBytes = FiftyGB
-	}
 	return runTrace(cloudsim.ConstantKind(corpus.High), 0, totalBytes, seed)
 }
 
@@ -412,9 +427,6 @@ func Fig4Trace(totalBytes int64, seed uint64) (*trace.Trace, error) {
 // concurrent background connections; level differences sit inside the α
 // band so probing continues throughout.
 func Fig5Trace(totalBytes int64, seed uint64) (*trace.Trace, error) {
-	if totalBytes == 0 {
-		totalBytes = FiftyGB
-	}
 	return runTrace(cloudsim.ConstantKind(corpus.Low), 2, totalBytes, seed)
 }
 
@@ -424,9 +436,6 @@ func Fig5Trace(totalBytes int64, seed uint64) (*trace.Trace, error) {
 // phases are preserved). The scheme must detect the switches and change
 // levels accordingly.
 func Fig6Switch(totalBytes int64, seed uint64) (*trace.Trace, error) {
-	if totalBytes == 0 {
-		totalBytes = FiftyGB
-	}
 	phase := max(totalBytes/5, 1)
 	return runTrace(cloudsim.AlternatingKinds(phase, corpus.High, corpus.Low), 0, totalBytes, seed)
 }

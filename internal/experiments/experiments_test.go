@@ -9,6 +9,7 @@ import (
 	"adaptio/internal/core"
 	"adaptio/internal/corpus"
 	"adaptio/internal/experiments"
+	"adaptio/internal/stream"
 )
 
 // Most experiment tests run with reduced volumes: the experiments are
@@ -18,7 +19,7 @@ import (
 const testVolume = 10e9
 
 func TestFig1Rows(t *testing.T) {
-	rows, err := experiments.Fig1CPUAccuracy(125, 1)
+	rows, err := experiments.Fig1CPUAccuracy(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,6 @@ func TestTableIISmall(t *testing.T) {
 	res, err := experiments.TableII(experiments.TableIIConfig{
 		TotalBytes: testVolume,
 		Runs:       3,
-		Platform:   cloudsim.KVMParavirt,
 		Seed:       2,
 	})
 	if err != nil {
@@ -172,10 +172,7 @@ func TestTableIISmall(t *testing.T) {
 // TestTableIIDeterministic: identical configuration yields bit-identical
 // grids (the regression property the deterministic RNG exists for).
 func TestTableIIDeterministic(t *testing.T) {
-	cfg := experiments.TableIIConfig{
-		TotalBytes: 2e9, Runs: 2, Platform: cloudsim.KVMParavirt, Seed: 5,
-		Backgrounds: []int{0, 3},
-	}
+	cfg := experiments.TableIIConfig{TotalBytes: 2e9, Runs: 2, Seed: 5}
 	a, err := experiments.TableII(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +236,7 @@ func TestFig5TraceProperties(t *testing.T) {
 }
 
 func TestFig6SwitchDetection(t *testing.T) {
-	tr, err := experiments.Fig6Switch(0, 3) // full 50 GB: phases are 10 GB
+	tr, err := experiments.Fig6Switch(experiments.FiftyGB, 3) // phases are 10 GB
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +254,7 @@ func TestFig6SwitchDetection(t *testing.T) {
 }
 
 func TestAblationAlpha(t *testing.T) {
-	rows, err := experiments.AblationAlpha(nil, testVolume, 1)
+	rows, err := experiments.AblationAlpha(testVolume, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +277,7 @@ func TestAblationAlpha(t *testing.T) {
 }
 
 func TestAblationWindow(t *testing.T) {
-	rows, err := experiments.AblationWindow(nil, testVolume, 1)
+	rows, err := experiments.AblationWindow(testVolume, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +352,7 @@ func TestAblationBaselines(t *testing.T) {
 }
 
 func TestCalibrate(t *testing.T) {
-	ms, profiles, err := experiments.Calibrate(1 << 20)
+	ms, profiles, err := experiments.Calibrate(stream.DefaultLadder(), 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,9 +30,6 @@ type FileChannelRow struct {
 // quality using durable completion time (when data actually reaches the
 // disk) as the honest metric.
 func FileChannel(totalBytes int64, seed uint64) ([]FileChannelRow, error) {
-	if totalBytes == 0 {
-		totalBytes = FiftyGB
-	}
 	var rows []FileChannelRow
 	for _, platform := range []cloudsim.Platform{cloudsim.KVMParavirt, cloudsim.XenParavirt} {
 		for _, kind := range []corpus.Kind{corpus.High, corpus.Low} {

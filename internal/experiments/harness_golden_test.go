@@ -6,13 +6,11 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"adaptio/internal/cloudsim"
 )
 
 // TestHarnessGolden pins the paper harness byte for byte: the rendered text
 // and CSV of Figures 1-6, Table II, ablations A1-A5 and the claims checklist
-// at 2 GB and seed 7. Every one of them is a deterministic simulation, so any
+// at 2 GB and seed 7, and the decider matrix's text at seed 7. Every one of them is a deterministic simulation, so any
 // difference is a behaviour change. A6 and the codec calibration time live
 // codecs and are left out. At this volume some claims read FAIL; the
 // checklist is pinned as text, not as a verdict. A change that means to move
@@ -34,7 +32,7 @@ func TestHarnessGolden(t *testing.T) {
 		}
 	}
 
-	fig1, err := Fig1CPUAccuracy(120, seed)
+	fig1, err := Fig1CPUAccuracy(seed)
 	must(err)
 	section("fig1", RenderFig1(fig1))
 	section("fig1_cpu_accuracy.csv", CSVFig1(fig1))
@@ -49,7 +47,7 @@ func TestHarnessGolden(t *testing.T) {
 	section("fig3", RenderDist("Figure 3: file I/O throughput (write) in the VM", "MB/s", fig3))
 	section("fig3_file_write.csv", CSVDist(fig3))
 
-	table, err := TableII(TableIIConfig{TotalBytes: volume, Runs: 2, Platform: cloudsim.KVMParavirt, Seed: seed})
+	table, err := TableII(TableIIConfig{TotalBytes: volume, Runs: 2, Seed: seed})
 	must(err)
 	section("table2", table.Render())
 	section("table2_completion_times.csv", table.CSVTableII())
@@ -69,12 +67,12 @@ func TestHarnessGolden(t *testing.T) {
 	section("fig6", fig6.Render("Figure 6: HIGH/LOW alternating every 10 GB", LevelNames, 100))
 	section("fig6_trace.csv", CSVTrace(fig6))
 
-	a1, err := AblationAlpha(nil, volume, seed)
+	a1, err := AblationAlpha(volume, seed)
 	must(err)
 	section("a1", RenderAblation("Ablation A1: tolerance band alpha (MODERATE, 2 conns)", a1))
 	section("ablation_a1_alpha.csv", CSVAblation(a1))
 
-	a2, err := AblationWindow(nil, volume, seed)
+	a2, err := AblationWindow(volume, seed)
 	must(err)
 	section("a2", RenderAblation("Ablation A2: decision window t (Fig 6 workload)", a2))
 	section("ablation_a2_window.csv", CSVAblation(a2))
@@ -97,6 +95,10 @@ func TestHarnessGolden(t *testing.T) {
 	claims, err := VerifyClaims(volume, seed)
 	must(err)
 	section("claims", RenderClaims(claims))
+
+	dm, err := DeciderMatrix(seed)
+	must(err)
+	section("decider_matrix", dm.Render())
 
 	got := []byte(sb.String())
 	if *update {

@@ -13,42 +13,6 @@ import (
 	"adaptio/internal/stream"
 )
 
-// CalibrateLadder measures an arbitrary compression-level ladder on the
-// corpus and returns the profile ladder for the simulator (the generalized
-// form of Calibrate, which covers the default four levels).
-func CalibrateLadder(ladder compress.Ladder, sampleBytes int) ([]CodecMeasurement, []cloudsim.CodecProfile, error) {
-	if err := ladder.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if sampleBytes <= 0 {
-		sampleBytes = 4 << 20
-	}
-	var ms []CodecMeasurement
-	profiles := make([]cloudsim.CodecProfile, len(ladder))
-	for li, lvl := range ladder {
-		profiles[li] = cloudsim.CodecProfile{
-			Name:       lvl.Name,
-			CompMBps:   map[corpus.Kind]float64{},
-			DecompMBps: map[corpus.Kind]float64{},
-			Ratio:      map[corpus.Kind]float64{},
-		}
-		for _, kind := range corpus.Kinds() {
-			m, err := measureCodec(lvl.Name, lvl.Codec, kind, sampleBytes)
-			if err != nil {
-				return nil, nil, err
-			}
-			ms = append(ms, m)
-			profiles[li].CompMBps[kind] = m.CompMBps
-			profiles[li].DecompMBps[kind] = m.DecompMBps
-			profiles[li].Ratio[kind] = m.Ratio
-		}
-	}
-	if err := cloudsim.ValidateLadder(profiles); err != nil {
-		return nil, nil, fmt.Errorf("experiments: calibrated profiles invalid: %w", err)
-	}
-	return ms, profiles, nil
-}
-
 // ExtendedLadder returns A6's six-level ladder, exercising the paper's remark
 // that "it is conceivable to use the same compression algorithm at multiple
 // levels but with different parameters": lzfast-hc appears at two search
@@ -85,9 +49,6 @@ type LadderRow struct {
 // of whether more levels help: extra levels cost probing but offer finer
 // rate/ratio tradeoffs when bandwidth is scarce.
 func AblationLadder(totalBytes int64, seed uint64) ([]LadderRow, error) {
-	if totalBytes == 0 {
-		totalBytes = FiftyGB
-	}
 	ladders := []struct {
 		name   string
 		ladder compress.Ladder
@@ -108,7 +69,7 @@ func AblationLadder(totalBytes int64, seed uint64) ([]LadderRow, error) {
 	}
 	var rows []LadderRow
 	for _, l := range ladders {
-		_, profiles, err := CalibrateLadder(l.ladder, 2<<20)
+		_, profiles, err := Calibrate(l.ladder, 2<<20)
 		if err != nil {
 			return nil, err
 		}

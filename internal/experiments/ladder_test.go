@@ -90,7 +90,7 @@ func TestExtendedLadderAdaptive(t *testing.T) {
 }
 
 func TestCalibrateLadderExtended(t *testing.T) {
-	ms, profiles, err := experiments.CalibrateLadder(experiments.ExtendedLadder(), 1<<20)
+	ms, profiles, err := experiments.Calibrate(experiments.ExtendedLadder(), 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestCalibrateLadderExtended(t *testing.T) {
 func TestExtendedLadderStraddlesMedium(t *testing.T) {
 	ext := experiments.ExtendedLadder()
 	ladder := compress.Ladder{ext[0], ext[2], stream.DefaultLadder()[stream.LevelMedium], ext[3]}
-	_, profiles, err := experiments.CalibrateLadder(ladder, 1<<20)
+	_, profiles, err := experiments.Calibrate(ladder, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func compressCPU(codecs []compress.Codec, data []byte, rounds int) []time.Durati
 }
 
 func TestCalibrateLadderRejectsInvalid(t *testing.T) {
-	if _, _, err := experiments.CalibrateLadder(nil, 1<<20); err == nil {
+	if _, _, err := experiments.Calibrate(nil, 1<<20); err == nil {
 		t.Fatal("nil ladder accepted")
 	}
 }

@@ -150,7 +150,6 @@ func TestShapeDynamicWithin22Pct(t *testing.T) {
 	res, err := experiments.TableII(experiments.TableIIConfig{
 		TotalBytes: shapeVolume,
 		Runs:       shapeRuns,
-		Platform:   cloudsim.KVMParavirt,
 		Seed:       shapeSeed,
 	})
 	if err != nil {
@@ -175,7 +174,7 @@ func TestShapeDynamicWithin22Pct(t *testing.T) {
 // fully emulated KVM is the paper's documented small-discrepancy case and
 // must still under-report, just not by multiples.
 func TestShapeGuestCPUUnderReporting(t *testing.T) {
-	rows, err := experiments.Fig1CPUAccuracy(120, shapeSeed)
+	rows, err := experiments.Fig1CPUAccuracy(shapeSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
