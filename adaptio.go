@@ -120,9 +120,9 @@ const (
 )
 
 // Adaptive is the CLIs' -static value for "decided at runtime": they hand the
-// Writer NewDecider's Algorithm 1 for it and Static(n) for a level n. It is
-// not a level: Static(Adaptive) is rejected.
-const Adaptive = stream.Adaptive
+// Writer Algorithm 1 for it and Static(n) for a level n. It is not a level:
+// Static(Adaptive) is rejected.
+const Adaptive = core.Adaptive
 
 // NewWriter creates an adaptive compression writer in front of dst.
 func NewWriter(dst io.Writer, cfg WriterConfig) (*Writer, error) {

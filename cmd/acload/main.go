@@ -64,8 +64,8 @@ func main() {
 		window      = flag.Duration("window", 2*time.Second, "decision window t")
 		alpha       = flag.Float64("alpha", adaptio.DefaultAlpha, "tolerance band alpha when -static -1; refused with -static N")
 		static      = flag.Int("static", 1, "static compression level 0..3, or -1 for adaptive (default LIGHT: soak stresses connections, not the controller)")
-		decider     = flag.String("decider", "", "level-selection policy when -static -1: algone (default), bandit, or ewma")
-		deciderSeed = flag.Uint64("decider-seed", 0, "seed for stochastic -decider policies")
+		decider     = flag.String("decider", "", "level-selection policy when -static -1: algone (default), bandit, or ewma; refused with -static N")
+		deciderSeed = flag.Uint64("decider-seed", 0, "seed for stochastic -decider policies; refused with -static N")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve the live JSON metrics snapshot over HTTP during the run")
 		metricsOut  = flag.String("metrics-out", "", "write the final {report, metrics} JSON to this file (CI artifact)")
@@ -79,13 +79,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("acload: %v", err)
 	}
-	alphaSet := false
-	flag.Visit(func(f *flag.Flag) { alphaSet = alphaSet || f.Name == "alpha" })
-	if alphaSet && *static != adaptio.Adaptive {
-		log.Fatalf("acload: -alpha is incompatible with -static (a pinned level has no tolerance band)")
-	}
-	if *decider != "" && *static != adaptio.Adaptive {
-		log.Fatalf("acload: -decider requires -static %d (a pinned level leaves nothing to decide)", adaptio.Adaptive)
+	if err := core.RefusePinnedFlags(flag.CommandLine, *static, *decider); err != nil {
+		log.Fatalf("acload: %v", err)
 	}
 	if *decider != "" && *addr != "" {
 		log.Fatalf("acload: -decider only applies to the self-contained tunnel pair, not an external -addr entry")
@@ -112,22 +107,27 @@ func main() {
 			Window:        *window,
 			ShutdownGrace: *grace,
 		}
-		if *static != adaptio.Adaptive {
-			tcfg.Static = true
-			tcfg.StaticLevel = *static
-		}
 		echoAddr, err := startEcho()
 		if err != nil {
 			log.Fatalf("acload: echo sink: %v", err)
 		}
+		// Each endpoint gets its own policy constructor, so its decisions per
+		// connection index repeat from run to run whatever the other does.
+		policy := func() func() core.Policy {
+			f, err := core.PolicyFromFlags(flag.CommandLine, *static, *decider, core.Config{Levels: len(adaptio.DefaultLadder()), Alpha: *alpha, Seed: *deciderSeed})
+			if err != nil {
+				log.Fatalf("acload: %v", err)
+			}
+			return f
+		}
 		exitCfg := tcfg
-		exitCfg.Policy = policyFactory(*static, *decider, *alpha, *deciderSeed)
+		exitCfg.Policy = policy()
 		exit, err := tunnel.ListenExit(context.Background(), "127.0.0.1:0", echoAddr, exitCfg)
 		if err != nil {
 			log.Fatalf("acload: exit: %v", err)
 		}
 		entryCfg := tcfg
-		entryCfg.Policy = policyFactory(*static, *decider, *alpha, *deciderSeed)
+		entryCfg.Policy = policy()
 		entryCfg.MaxConns = *maxConns
 		entryCfg.AcceptQueue = *acceptQueue
 		entryCfg.Obs = reg.Scope("tunnel")
@@ -226,21 +226,6 @@ func main() {
 		log.Fatalf("acload: FAIL: aggregate throughput %.2f MB/s below the -min-mbps %.2f floor",
 			report.ThroughputMBps(), *minMBps)
 	}
-}
-
-// policyFactory builds one endpoint's -decider policy constructor at -alpha
-// (Algorithm 1 for an empty name), or nil when -static pins a level; each
-// endpoint gets its own, so its decisions per connection index repeat from
-// run to run whatever the other endpoint does.
-func policyFactory(static int, name string, alpha float64, seed uint64) func() core.Policy {
-	if static != adaptio.Adaptive {
-		return nil
-	}
-	f, err := core.PolicyFactory(name, core.Config{Levels: len(adaptio.DefaultLadder()), Alpha: alpha, Seed: seed})
-	if err != nil {
-		log.Fatalf("acload: %v", err)
-	}
-	return f
 }
 
 // startEcho runs the in-process echo sink.

@@ -15,7 +15,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,6 +22,7 @@ import (
 	"time"
 
 	"adaptio"
+	"adaptio/internal/core"
 )
 
 func main() {
@@ -42,31 +42,22 @@ func main() {
 		}
 		return
 	}
-	alphaSet := false
-	flag.Visit(func(f *flag.Flag) { alphaSet = alphaSet || f.Name == "alpha" })
-	if alphaSet && *static != adaptio.Adaptive {
-		fatal(errors.New("-alpha is incompatible with -static (a pinned level has no tolerance band)"))
+	policy, err := core.PolicyFromFlags(flag.CommandLine, *static, "", core.Config{Levels: len(adaptio.DefaultLadder()), Alpha: *alpha})
+	if err != nil {
+		fatal(err)
 	}
 	var statsOut io.Writer
 	if *stats {
 		statsOut = os.Stderr
 	}
-	if err := compressStream(os.Stdin, os.Stdout, *static, *window, *alpha, *parallel, statsOut); err != nil {
+	if err := compressStream(os.Stdin, os.Stdout, policy(), *window, *parallel, statsOut); err != nil {
 		fatal(err)
 	}
 }
 
-// compressStream compresses in to out; a non-nil stats receives the stream
-// statistics once the stream is closed.
-func compressStream(in io.Reader, out io.Writer, static int, window time.Duration, alpha float64, parallel int, stats io.Writer) error {
-	var policy adaptio.Policy = adaptio.Static(static)
-	if static == adaptio.Adaptive {
-		dec, err := adaptio.NewDecider(adaptio.DeciderConfig{Levels: len(adaptio.DefaultLadder()), Alpha: alpha})
-		if err != nil {
-			return err
-		}
-		policy = dec
-	}
+// compressStream compresses in to out under policy; a non-nil stats receives
+// the stream statistics once the stream is closed.
+func compressStream(in io.Reader, out io.Writer, policy adaptio.Policy, window time.Duration, parallel int, stats io.Writer) error {
 	if parallel < 0 {
 		return fmt.Errorf("negative -p %d", parallel)
 	}

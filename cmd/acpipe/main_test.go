@@ -45,7 +45,7 @@ func runAcpipe(t *testing.T, args string, stdin []byte) ([]byte, error) {
 func TestDecompressAcceptsWorkers(t *testing.T) {
 	src := corpus.Generate(corpus.Moderate, 600<<10, 4)
 	var wire bytes.Buffer
-	if err := compressStream(bytes.NewReader(src), &wire, adaptio.LevelLight, 2*time.Second, adaptio.DefaultAlpha, 2, nil); err != nil {
+	if err := compressStream(bytes.NewReader(src), &wire, adaptio.Static(adaptio.LevelLight), 2*time.Second, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, args := range []string{"-d", "-d -p 4"} {
@@ -86,8 +86,12 @@ func TestCompressFlags(t *testing.T) {
 // bytes by zero application bytes and print "ratio NaN". An empty stream has
 // ratio 1 (Stats.Ratio), still decodes, and reports no blocks.
 func TestEmptyStreamStats(t *testing.T) {
+	dec, err := adaptio.NewDecider(adaptio.DeciderConfig{Levels: len(adaptio.DefaultLadder())})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wire, stats bytes.Buffer
-	if err := compressStream(strings.NewReader(""), &wire, adaptio.Adaptive, 2*time.Second, adaptio.DefaultAlpha, 1, &stats); err != nil {
+	if err := compressStream(strings.NewReader(""), &wire, dec, 2*time.Second, 1, &stats); err != nil {
 		t.Fatal(err)
 	}
 	want := "acpipe: 0 app bytes -> 0 wire bytes (ratio 1.000), 0 blocks, 0 switches\n"

@@ -14,7 +14,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -25,6 +24,7 @@ import (
 
 	"adaptio"
 	"adaptio/internal/block"
+	"adaptio/internal/core"
 	"adaptio/internal/corpus"
 	"adaptio/internal/obs"
 )
@@ -42,10 +42,9 @@ func main() {
 		metricsAddr = flag.String("metrics-addr", "", "serve the JSON metrics snapshot over HTTP on this address (empty = off)")
 	)
 	flag.Parse()
-	alphaSet := false
-	flag.Visit(func(f *flag.Flag) { alphaSet = alphaSet || f.Name == "alpha" })
-	if alphaSet && *static != adaptio.Adaptive {
-		fatal(errors.New("-alpha is incompatible with -static (a pinned level has no tolerance band)"))
+	policy, err := core.PolicyFromFlags(flag.CommandLine, *static, "", core.Config{Levels: len(adaptio.DefaultLadder()), Alpha: *alpha})
+	if err != nil {
+		fatal(err)
 	}
 
 	reg := obs.NewRegistry()
@@ -58,14 +57,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var policy adaptio.Policy = adaptio.Static(*static)
-	if *static == adaptio.Adaptive {
-		dec, err := adaptio.NewDecider(adaptio.DeciderConfig{Levels: len(adaptio.DefaultLadder()), Alpha: *alpha})
-		if err != nil {
-			fatal(err)
-		}
-		policy = dec
-	}
 	conn, err := net.Dial("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -74,7 +65,7 @@ func main() {
 
 	cfg := adaptio.WriterConfig{
 		Window:  *window,
-		Decider: policy,
+		Decider: policy(),
 		Obs:     reg.Scope("stream").Scope("writer"),
 	}
 	names := adaptio.DefaultLadder().Names()

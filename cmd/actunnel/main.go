@@ -39,8 +39,8 @@ func main() {
 		window      = flag.Duration("window", 2*time.Second, "decision window t")
 		alpha       = flag.Float64("alpha", adaptio.DefaultAlpha, "tolerance band alpha of the adaptive -decider; refused with -static or -coord")
 		static      = flag.Int("static", adaptio.Adaptive, "static level 0..3, or -1 for adaptive")
-		decider     = flag.String("decider", "", "level-selection policy for adaptive mode: algone (default), bandit, or ewma")
-		deciderSeed = flag.Uint64("decider-seed", 0, "seed for stochastic -decider policies")
+		decider     = flag.String("decider", "", "level-selection policy for adaptive mode: algone (default), bandit, or ewma; refused with -static N or -coord")
+		deciderSeed = flag.Uint64("decider-seed", 0, "seed for stochastic -decider policies; refused with -static N")
 		quiet       = flag.Bool("q", false, "suppress per-connection statistics")
 		flushIvl    = flag.Duration("flush-interval", 0, "max time a partial block may wait for more bytes before being framed (0 = default 5ms)")
 
@@ -77,27 +77,16 @@ func main() {
 		FlushInterval: *flushIvl,
 		Obs:           reg.Scope("tunnel"),
 	}
-	alphaSet := false
-	flag.Visit(func(f *flag.Flag) { alphaSet = alphaSet || f.Name == "alpha" })
 	levels := len(adaptio.DefaultLadder())
-	switch {
-	case *static != adaptio.Adaptive:
-		if alphaSet {
-			log.Fatalf("actunnel: -alpha is incompatible with -static (a pinned level has no tolerance band)")
-		}
-		if *decider != "" {
-			log.Fatalf("actunnel: -decider is incompatible with -static (a pinned level leaves nothing to decide)")
-		}
-		if *coordOn {
+	if *coordOn {
+		alphaSet := false
+		flag.Visit(func(f *flag.Flag) { alphaSet = alphaSet || f.Name == "alpha" })
+		switch {
+		case *static != adaptio.Adaptive:
 			log.Fatalf("actunnel: -coord is incompatible with -static (a pinned level leaves nothing to coordinate)")
-		}
-		cfg.Static = true
-		cfg.StaticLevel = *static
-	case *coordOn:
-		if alphaSet {
+		case alphaSet:
 			log.Fatalf("actunnel: -alpha is incompatible with -coord (a coordinated stream has no tolerance band)")
-		}
-		if *decider != "" {
+		case *decider != "":
 			log.Fatalf("actunnel: -decider is incompatible with -coord (a coordinated stream leaves nothing to decide)")
 		}
 		c, err := coord.New(coord.Config{
@@ -110,8 +99,8 @@ func main() {
 		}
 		stream := coord.StreamConfig{Weight: *coordWeight, Tenant: *coordTenant}
 		cfg.Policy = func() core.Policy { return c.Register(stream) }
-	default:
-		policy, err := core.PolicyFactory(*decider, core.Config{Levels: levels, Alpha: *alpha, Seed: *deciderSeed})
+	} else {
+		policy, err := core.PolicyFromFlags(flag.CommandLine, *static, *decider, core.Config{Levels: levels, Alpha: *alpha, Seed: *deciderSeed})
 		if err != nil {
 			log.Fatalf("actunnel: %v", err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"flag"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -166,9 +167,9 @@ func PolicyNames() []string {
 }
 
 // ValidPolicy reports whether name is a constructible policy name, the
-// CheatStick sentinel included: what scenario files and the experiments
-// matrix accept. The CLIs, which deploy a policy, accept PolicyNames and the
-// empty name only (PolicyFactory).
+// CheatStick sentinel included: what scenario files accept. The CLIs, which
+// deploy a policy, accept PolicyNames and the empty name only
+// (PolicyFactory).
 func ValidPolicy(name string) bool {
 	switch name {
 	case PolicyAlgorithmOne, PolicyBandit, PolicyEWMA, PolicyCheatStick:
@@ -225,6 +226,41 @@ func PolicyFactory(name string, cfg Config) (func() Policy, error) {
 		c.Seed ^= calls.Add(1) << 20
 		return MustNewPolicy(name, c)
 	}, nil
+}
+
+// Adaptive is the CLIs' -static value for "decided at runtime" (the paper's
+// DYNAMIC scheme). It is not a level: Static(Adaptive) is out of range.
+const Adaptive = -1
+
+// PolicyFromFlags is how a CLI chooses its policy constructor from its parsed
+// flag set fs, -static and -decider: after RefusePinnedFlags, Static(static)
+// for a level of cfg's ladder and PolicyFactory(name, cfg) for Adaptive.
+func PolicyFromFlags(fs *flag.FlagSet, static int, name string, cfg Config) (func() Policy, error) {
+	if err := RefusePinnedFlags(fs, static, name); err != nil {
+		return nil, err
+	}
+	if static == Adaptive {
+		return PolicyFactory(name, cfg)
+	}
+	if static < 0 || static >= cfg.Levels {
+		return nil, fmt.Errorf("-static %d is not a level: want %d (adaptive) or 0..%d", static, Adaptive, cfg.Levels-1)
+	}
+	return func() Policy { return Static(static) }, nil
+}
+
+// RefusePinnedFlags refuses, beside -static N, a non-empty -decider and an
+// -alpha or -decider-seed set in fs.
+func RefusePinnedFlags(fs *flag.FlagSet, static int, name string) (err error) {
+	const why = "is incompatible with -static N (a pinned level takes no policy settings)"
+	if static != Adaptive && name != "" {
+		return fmt.Errorf("-decider %s", why)
+	}
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && static != Adaptive && (f.Name == "alpha" || f.Name == "decider-seed") {
+			err = fmt.Errorf("-%s %s", f.Name, why)
+		}
+	})
+	return err
 }
 
 // MustNewPolicy is NewPolicy for known-good configurations.

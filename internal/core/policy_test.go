@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"flag"
 	"fmt"
 	"strings"
 	"sync"
@@ -48,6 +49,64 @@ func TestPolicyFactoryNames(t *testing.T) {
 	// The configuration is judged once, by the factory, not by its calls.
 	if _, err := core.PolicyFactory(core.PolicyBandit, core.Config{Levels: 4, Alpha: -1}); err == nil {
 		t.Error("PolicyFactory accepted a negative alpha")
+	}
+}
+
+// TestPolicyFromFlags: the CLIs' -static, -decider, -alpha and -decider-seed
+// become core.Static(N) for -static N, and otherwise the first policy of
+// PolicyFactory at those flags. A -static off the ladder is refused, and so
+// is any of the other three beside -static N.
+func TestPolicyFromFlags(t *testing.T) {
+	fromFlags := func(args string) (func() core.Policy, error) {
+		fs := flag.NewFlagSet("cli", flag.ContinueOnError)
+		static := fs.Int("static", core.Adaptive, "")
+		alpha := fs.Float64("alpha", core.DefaultAlpha, "")
+		decider := fs.String("decider", "", "")
+		seed := fs.Uint64("decider-seed", 0, "")
+		if err := fs.Parse(strings.Fields(args)); err != nil {
+			t.Fatalf("%q: %v", args, err)
+		}
+		return core.PolicyFromFlags(fs, *static, *decider, core.Config{Levels: propLevels, Alpha: *alpha, Seed: *seed})
+	}
+	factory := func(name string, cfg core.Config) core.Policy {
+		mk, err := core.PolicyFactory(name, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mk()
+	}
+	accepted := map[string]core.Policy{
+		"":                                factory("", core.Config{Levels: propLevels}),
+		"-static -1 -alpha 0.3":           factory("", core.Config{Levels: propLevels, Alpha: 0.3}),
+		"-alpha 0.05":                     factory("", core.Config{Levels: propLevels, Alpha: 0.05}),
+		"-decider bandit -decider-seed 7": factory(core.PolicyBandit, core.Config{Levels: propLevels, Seed: 7}),
+	}
+	for n := range propLevels {
+		accepted[fmt.Sprintf("-static %d", n)] = core.Static(n)
+	}
+	for args, want := range accepted {
+		mk, err := fromFlags(args)
+		if err != nil {
+			t.Errorf("%q refused: %v", args, err)
+			continue
+		}
+		got := mk()
+		if _, ok := want.(core.Static); ok {
+			if got != want {
+				t.Errorf("%q built %#v, want %#v", args, got, want)
+			}
+		} else if _, ok := got.(core.Decider); !ok || decisionTrace(got, 200) != decisionTrace(want, 200) {
+			t.Errorf("%q built a policy that decides differently from PolicyFactory's", args)
+		}
+	}
+	for _, args := range []string{
+		"-static 1 -alpha 0.3", "-static 0 -alpha 0.2", "-static 2 -decider bandit",
+		"-static 3 -decider-seed 7", "-static 4", "-static -2",
+		"-decider nonsense", "-decider cheatstick", "-alpha -1", "-alpha NaN",
+	} {
+		if _, err := fromFlags(args); err == nil {
+			t.Errorf("%q accepted", args)
+		}
 	}
 }
 

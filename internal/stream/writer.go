@@ -16,13 +16,6 @@ import (
 	"adaptio/internal/vclock"
 )
 
-// Adaptive is the value of the CLIs' -static flag meaning "let the decision
-// model choose" (the paper's DYNAMIC mode): a CLI that reads it hands the
-// writer a decision model as WriterConfig.Decider, and core.Static(n) for a
-// level n. It is not a level: core.Static(Adaptive) is out of range and
-// rejected.
-const Adaptive = -1
-
 // WindowStat describes one completed decision window; it feeds the
 // time-series traces of Figures 4–6.
 type WindowStat struct {
@@ -104,6 +97,9 @@ type WriterConfig struct {
 	// the zero-valued config adapts rather than pinning level 0.
 	StaticLevel int
 	// Static pins StaticLevel instead of adapting.
+	//
+	// Deprecated: outside tests only bench/ sets Static and StaticLevel; pin
+	// a level with Decider: core.Static(n).
 	Static bool
 	// Decider, if non-nil, is the level-selection policy instance the
 	// writer drives instead of constructing the paper's default

@@ -3,6 +3,7 @@ package tunnel_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -181,6 +182,48 @@ func TestAcceptQueueParksThenServes(t *testing.T) {
 	}
 	if h.gauge(t, "tunnel.conns.queued") != 0 {
 		t.Fatalf("queued gauge = %d after service, want 0", h.gauge(t, "tunnel.conns.queued"))
+	}
+}
+
+// TestAcceptQueueChurnKeepsPeakWithinMaxConns churns short connections
+// through a full slot pool with queued arrivals waiting: each freed slot is
+// taken at once, and tunnel.conns.peak must still never pass MaxConns.
+func TestAcceptQueueChurnKeepsPeakWithinMaxConns(t *testing.T) {
+	leakcheck.Check(t)
+	const maxConns, workers, cycles = 2, 8, 25
+	h := startScaleHarness(t, tunnel.Config{MaxConns: maxConns, AcceptQueue: workers})
+
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range cycles {
+				conn, err := net.Dial("tcp", h.addr)
+				if err != nil {
+					errs <- err
+					return
+				}
+				conn.Write([]byte("churn"))
+				conn.(*net.TCPConn).CloseWrite()
+				conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+				echoed, err := io.ReadAll(conn)
+				conn.Close()
+				if err != nil || string(echoed) != "churn" {
+					errs <- fmt.Errorf("echo %q, %v", echoed, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if peak := h.gauge(t, "tunnel.conns.peak"); peak > maxConns {
+		t.Fatalf("conns.peak = %d, MaxConns = %d", peak, maxConns)
 	}
 }
 

@@ -69,6 +69,9 @@ type Config struct {
 	// Window is the decision window t; zero means the paper's 2 s.
 	Window time.Duration
 	// Static pins a level instead of adapting (for comparison runs).
+	//
+	// Deprecated: outside tests only bench/ sets Static and StaticLevel;
+	// pin a level with Policy returning core.Static(n).
 	Static      bool
 	StaticLevel int
 	// Policy, if non-nil, supplies the level-selection policy of each
@@ -78,7 +81,7 @@ type Config struct {
 	// and may be called from several goroutines at once. A returned policy
 	// with a Detach() method (a coord.Stream) has it called when the
 	// compress path ends. Rejected together with Static. The CLIs build it
-	// from core.PolicyFactory or a coordinator's Register; see
+	// with core.PolicyFromFlags or from a coordinator's Register; see
 	// docs/deciders.md and docs/coordination.md.
 	Policy func() core.Policy
 	// OnDone, if non-nil, receives the sender-side compression stats of
@@ -419,6 +422,16 @@ func (e *Endpoint) serve(ctx context.Context, conn net.Conn, decision admitDecis
 			return
 		}
 	}
+	// conns.active counts slots held, and a slot is back before the gauge
+	// falls: a client that reads it below MaxConns is admitted. While slots
+	// change hands the gauge may read high, so a bounded peak counts slots.
+	m.connsActive.Add(1)
+	held := m.connsActive.Value()
+	if e.admit.sem != nil {
+		held = int64(len(e.admit.sem))
+	}
+	m.connsPeak.SetMax(held)
+	defer m.connsActive.Add(-1)
 	defer e.admit.release()
 	if decision == admitQueued && !peerAlive(conn) {
 		// The client hung up while parked in the accept queue: shed
@@ -520,9 +533,6 @@ func relay(ctx context.Context, plain, wire net.Conn, cfg Config, direction stri
 	defer plain.Close()
 	defer wire.Close()
 	m.connsTotal.Inc()
-	m.connsActive.Add(1)
-	m.connsPeak.SetMax(m.connsActive.Value())
-	defer m.connsActive.Add(-1)
 
 	plainCW, _ := plain.(halfCloser)
 	wireCW, _ := wire.(halfCloser)
