@@ -40,7 +40,7 @@ func main() {
 		alpha       = flag.Float64("alpha", adaptio.DefaultAlpha, "tolerance band alpha of the adaptive -decider; refused with -static or -coord")
 		static      = flag.Int("static", adaptio.Adaptive, "static level 0..3, or -1 for adaptive")
 		decider     = flag.String("decider", "", "level-selection policy for adaptive mode: algone (default), bandit, or ewma; refused with -static N or -coord")
-		deciderSeed = flag.Uint64("decider-seed", 0, "seed for stochastic -decider policies; refused with -static N")
+		deciderSeed = flag.Uint64("decider-seed", 0, "seed for stochastic -decider policies; refused with -static N or -coord")
 		quiet       = flag.Bool("q", false, "suppress per-connection statistics")
 		flushIvl    = flag.Duration("flush-interval", 0, "max time a partial block may wait for more bytes before being framed (0 = default 5ms)")
 
@@ -79,15 +79,17 @@ func main() {
 	}
 	levels := len(adaptio.DefaultLadder())
 	if *coordOn {
-		alphaSet := false
-		flag.Visit(func(f *flag.Flag) { alphaSet = alphaSet || f.Name == "alpha" })
+		set := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 		switch {
 		case *static != adaptio.Adaptive:
 			log.Fatalf("actunnel: -coord is incompatible with -static (a pinned level leaves nothing to coordinate)")
-		case alphaSet:
+		case set["alpha"]:
 			log.Fatalf("actunnel: -alpha is incompatible with -coord (a coordinated stream has no tolerance band)")
 		case *decider != "":
 			log.Fatalf("actunnel: -decider is incompatible with -coord (a coordinated stream leaves nothing to decide)")
+		case set["decider-seed"]:
+			log.Fatalf("actunnel: -decider-seed is incompatible with -coord (a coordinated stream runs no stochastic decider)")
 		}
 		c, err := coord.New(coord.Config{
 			BudgetBytesPerSec: *coordBudget * 1e6,

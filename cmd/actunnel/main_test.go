@@ -40,10 +40,10 @@ func startActunnel(t *testing.T, flags string) (*exec.Cmd, *bufio.Scanner) {
 }
 
 // TestPinnedLevelRefusals: a -static off the ladder, and -decider-seed beside
-// -static N, exit 1 before the endpoint comes up; -static 2 alone serves
-// until interrupted.
+// -static N or -coord, exit 1 before the endpoint comes up; -static 2 alone
+// serves until interrupted.
 func TestPinnedLevelRefusals(t *testing.T) {
-	for _, flags := range []string{"-static 9", "-static 2 -decider-seed 3"} {
+	for _, flags := range []string{"-static 9", "-static 2 -decider-seed 3", "-coord -decider-seed 3"} {
 		cmd, log := startActunnel(t, flags)
 		for log.Scan() {
 			if strings.Contains(log.Text(), "endpoint on") {

@@ -2,6 +2,7 @@ package cloudsim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"adaptio/internal/core"
@@ -307,17 +308,18 @@ func TestTraceSamples(t *testing.T) {
 	}
 }
 
+// TestMaxSimSecondsGuard: 1 TB at static HEAVY on LOW data needs about
+// 185 k simulated seconds, past the network stage's 24 h limit.
 func TestMaxSimSecondsGuard(t *testing.T) {
 	_, err := RunTransfer(TransferConfig{
-		Platform:      KVMParavirt,
-		Kind:          ConstantKind(corpus.Low),
-		TotalBytes:    fiftyGB,
-		Scheme:        core.Static(3),
-		Profiles:      ReferenceProfiles(),
-		MaxSimSeconds: 10,
+		Platform:   KVMParavirt,
+		Kind:       ConstantKind(corpus.Low),
+		TotalBytes: 1e12,
+		Scheme:     core.Static(3),
+		Profiles:   ReferenceProfiles(),
 	})
-	if err == nil {
-		t.Fatal("runaway guard did not trigger")
+	if err == nil || !strings.Contains(err.Error(), "exceeded 86400 simulated seconds") {
+		t.Fatalf("runaway guard did not trigger: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package cloudsim
 
 import (
+	"strings"
 	"testing"
 
 	"adaptio/internal/core"
@@ -135,10 +136,11 @@ func TestRunFileTransferGuards(t *testing.T) {
 			t.Errorf("mutation %d accepted", i)
 		}
 	}
+	// 100 TB uncompressed through the paravirt disk needs about 1.35 M
+	// simulated seconds, past the file stage's 48 h limit.
 	slow := base
-	slow.MaxSimSeconds = 1
-	slow.TotalBytes = 1e12
-	if _, err := RunFileTransfer(slow); err == nil {
-		t.Error("runaway guard did not trigger")
+	slow.TotalBytes = 1e14
+	if _, err := RunFileTransfer(slow); err == nil || !strings.Contains(err.Error(), "exceeded 172800 simulated seconds") {
+		t.Errorf("runaway guard did not trigger: %v", err)
 	}
 }

@@ -55,8 +55,6 @@ type TransferConfig struct {
 	Seed uint64
 	// Trace, if non-nil, receives one sample per decision window.
 	Trace func(WindowSample)
-	// MaxSimSeconds aborts runaway simulations; zero means 24 h.
-	MaxSimSeconds float64
 }
 
 // WindowSample is one decision window of a simulated transfer; it carries
@@ -234,10 +232,12 @@ func observe(p core.Policy, levels int, w core.Window, cur int, switches *int) (
 // runWindows is the solo window-clock loop behind RunTransfer and
 // RunFileTransfer: it steps cfg.TotalBytes through decision windows at the
 // rate st sustains, clips the last window to the remaining bytes, and feeds
-// every finished window to the policy. The order of the draws from rng —
+// every finished window to the policy. A transfer still running after
+// maxSimSeconds of simulated time is a runaway and fails. The order of the
+// draws from rng —
 // the stage's, then the policy's guest reading if it takes one, then the
 // trace's — is pinned by testdata/seed_results.golden.
-func runWindows(cfg TransferConfig, defaultMaxSimSeconds float64, rng *xrand.RNG, st stage) (TransferResult, error) {
+func runWindows(cfg TransferConfig, maxSimSeconds float64, rng *xrand.RNG, st stage) (TransferResult, error) {
 	var res TransferResult
 	if cfg.TotalBytes <= 0 {
 		return res, errors.New("cloudsim: TotalBytes must be positive")
@@ -254,9 +254,6 @@ func runWindows(cfg TransferConfig, defaultMaxSimSeconds float64, rng *xrand.RNG
 	if cfg.WindowSeconds <= 0 {
 		cfg.WindowSeconds = core.DefaultWindowSeconds
 	}
-	if cfg.MaxSimSeconds <= 0 {
-		cfg.MaxSimSeconds = defaultMaxSimSeconds
-	}
 
 	res.LevelSeconds = make([]float64, len(cfg.Profiles))
 	level := cfg.Scheme.Level()
@@ -267,9 +264,9 @@ func runWindows(cfg TransferConfig, defaultMaxSimSeconds float64, rng *xrand.RNG
 	var sent int64
 	now := 0.0
 	for sent < cfg.TotalBytes {
-		if now > cfg.MaxSimSeconds {
+		if now > maxSimSeconds {
 			return res, fmt.Errorf("cloudsim: transfer exceeded %v simulated seconds (sent %d of %d)",
-				cfg.MaxSimSeconds, sent, cfg.TotalBytes)
+				maxSimSeconds, sent, cfg.TotalBytes)
 		}
 		kind := cfg.Kind(sent)
 		ratio := cfg.Profiles[level].Ratio[kind]

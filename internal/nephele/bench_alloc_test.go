@@ -51,7 +51,7 @@ func allocNetChannelChurn(tb testing.TB) (op func(), opBytes int) {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		w, closeFn, _, err := wrapWriter(wc, spec)
+		w, sw, err := wrapWriter(wc, spec)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -61,7 +61,10 @@ func allocNetChannelChurn(tb testing.TB) (op func(), opBytes int) {
 				tb.Fatal(err)
 			}
 		}
-		if err := closeFn(); err != nil {
+		if err := sw.Close(); err != nil {
+			tb.Fatal(err)
+		}
+		if err := wc.Close(); err != nil {
 			tb.Fatal(err)
 		}
 		if err := <-done; err != nil {

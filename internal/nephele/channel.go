@@ -175,19 +175,19 @@ func (l *fileLink) cleanup() { os.Remove(l.path) }
 // ---------- compression wrapping ----------
 
 // wrapWriter layers bandwidth shaping and the adaptive compression stream
-// onto a link's writer according to the edge spec. It returns the wrapped
-// writer, a flush-close function, and an accessor for the stream's level
-// switches (0 when compression is off).
-func wrapWriter(w io.WriteCloser, spec ChannelSpec) (io.Writer, func() error, func() int64, error) {
+// onto a link's writer according to the edge spec. It returns the writer
+// records go to and the compression stream, nil when the edge does not
+// compress; a non-nil stream is closed before the link.
+func wrapWriter(w io.Writer, spec ChannelSpec) (io.Writer, *stream.Writer, error) {
 	if spec.WireMBps > 0 {
 		limited, err := ratelimit.NewWriter(w, spec.WireMBps*1e6, 0)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
-		w = &writeCloserPair{limited, w}
+		w = limited
 	}
 	if spec.Compression == CompressionOff {
-		return w, w.Close, func() int64 { return 0 }, nil
+		return w, nil, nil
 	}
 	cfg := stream.WriterConfig{Window: spec.Window}
 	if spec.Compression == CompressionStatic {
@@ -195,16 +195,9 @@ func wrapWriter(w io.WriteCloser, spec ChannelSpec) (io.Writer, func() error, fu
 	}
 	sw, err := stream.NewWriter(w, cfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	closeAll := func() error {
-		if err := sw.Close(); err != nil {
-			w.Close()
-			return err
-		}
-		return w.Close()
-	}
-	return sw, closeAll, func() int64 { return sw.Stats().LevelSwitches }, nil
+	return sw, sw, nil
 }
 
 func wrapReader(r io.Reader, spec ChannelSpec) (io.Reader, error) {

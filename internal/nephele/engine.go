@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"adaptio/internal/obs"
 	"adaptio/internal/stream"
 )
 
@@ -90,6 +89,23 @@ func (g *InputGate) ReadRecord() ([]byte, error) {
 	return r.rec, r.err
 }
 
+// forEach passes each record to fn until the gate ends, and returns the
+// first error of the gate or of fn.
+func (g *InputGate) forEach(fn func([]byte) error) error {
+	for {
+		rec, err := g.ReadRecord()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if err := fn(rec); err != nil {
+			return err
+		}
+	}
+}
+
 // pump opens one producer's link lazily, so a blocking transport (file
 // staging, TCP accept) does not stall task startup, and forwards its records
 // to ch until EOF, an error or abandon. Whichever way it returns, it closes
@@ -137,20 +153,24 @@ func (g *InputGate) pump(l link, ch chan<- inRec) {
 // OutputGate distributes records round-robin over all consumer subtasks of
 // one edge.
 type OutputGate struct {
-	writers []*RecordWriter
-	next    int
-	closers []func() error
+	links []outLink // one per consumer subtask
+	next  int
+}
 
-	// Transport accounting, read into EdgeStats once the gate is closed.
-	wires    []*countingWriter
-	switches []func() int64
+// outLink is the producer end of one link: record framing over the optional
+// compression stream over the counted transport.
+type outLink struct {
+	records   *RecordWriter
+	wire      *countingWriter
+	sw        *stream.Writer // nil when the edge does not compress
+	transport io.Closer
 }
 
 // WriteRecord emits one record to the next consumer.
 func (g *OutputGate) WriteRecord(p []byte) error {
-	w := g.writers[g.next]
-	g.next = (g.next + 1) % len(g.writers)
-	return w.WriteRecord(p)
+	l := g.links[g.next]
+	g.next = (g.next + 1) % len(g.links)
+	return l.records.WriteRecord(p)
 }
 
 // openOutputGate opens a writer on each of links, one per consumer subtask,
@@ -159,49 +179,51 @@ func (g *OutputGate) WriteRecord(p []byte) error {
 func openOutputGate(links []link, spec ChannelSpec) (*OutputGate, error) {
 	g := &OutputGate{}
 	for _, l := range links {
-		wc, err := l.openWriter()
+		transport, err := l.openWriter()
 		if err != nil {
 			return g, err
 		}
-		counter := &countingWriter{w: wc}
-		wrapped, closeFn, switches, err := wrapWriter(&writeCloserPair{counter, wc}, spec)
+		wire := &countingWriter{w: transport}
+		w, sw, err := wrapWriter(wire, spec)
 		if err != nil {
-			wc.Close()
+			transport.Close()
 			return g, err
 		}
-		g.writers = append(g.writers, NewRecordWriter(wrapped))
-		g.closers = append(g.closers, closeFn)
-		g.wires = append(g.wires, counter)
-		g.switches = append(g.switches, switches)
+		g.links = append(g.links, outLink{records: NewRecordWriter(w), wire: wire, sw: sw, transport: transport})
 	}
 	return g, nil
 }
 
+// close flushes and closes every link's compression stream, then its
+// transport, and returns the first error.
 func (g *OutputGate) close() error {
 	var first error
-	for _, c := range g.closers {
-		if err := c(); err != nil && first == nil {
+	for _, l := range g.links {
+		var err error
+		if l.sw != nil {
+			err = l.sw.Close()
+		}
+		if cerr := l.transport.Close(); err == nil {
+			err = cerr
+		}
+		if first == nil {
 			first = err
 		}
 	}
 	return first
 }
 
-// stats sums what the gate carried.
-func (g *OutputGate) stats() EdgeStats {
-	var s EdgeStats
-	for _, w := range g.writers {
-		recs, bytes := w.Counters()
+// addTo adds what the closed gate carried to s.
+func (g *OutputGate) addTo(s *EdgeStats) {
+	for _, l := range g.links {
+		recs, bytes := l.records.Counters()
 		s.Records += recs
 		s.AppBytes += bytes
+		s.WireBytes += l.wire.n
+		if l.sw != nil {
+			s.LevelSwitches += l.sw.Stats().LevelSwitches
+		}
 	}
-	for _, c := range g.wires {
-		s.WireBytes += c.n
-	}
-	for _, fn := range g.switches {
-		s.LevelSwitches += fn()
-	}
-	return s
 }
 
 // countingWriter counts transport-level (wire) bytes.
@@ -238,75 +260,12 @@ type VertexStats struct {
 	Total   time.Duration
 }
 
-// JobStats summarizes an executed job. Edges and Vertices are derived from
-// the per-job obs registry (Metrics) when Execute returns; the registry
-// itself stays available for JSON export or further inspection.
+// JobStats summarizes an executed job: one entry per edge label, which edges
+// between the same pair of vertices share, and one per vertex name.
 type JobStats struct {
 	Duration time.Duration
 	Edges    map[string]EdgeStats
 	Vertices map[string]VertexStats
-
-	// Metrics is the per-job observability registry every counter above is
-	// read from: "nephele.edge.<label>.*" per channel,
-	// "nephele.vertex.<name>.*" per vertex, and the "nephele.tasks" event
-	// log of task state transitions.
-	Metrics *obs.Registry
-}
-
-// edgeRuntime is the executable form of one edge.
-type edgeRuntime struct {
-	edge  *Edge
-	links [][]link // [producer][consumer]
-
-	// Per-edge obs counters; add is lock-free, so concurrent subtasks
-	// account for their share without a shared mutex.
-	records       *obs.Counter
-	appBytes      *obs.Counter
-	wireBytes     *obs.Counter
-	levelSwitches *obs.Counter
-}
-
-// bindObs resolves the edge's counters under scope ("nephele.edge.<label>").
-func (rt *edgeRuntime) bindObs(scope *obs.Scope) {
-	es := scope.Scope(rt.edge.Label())
-	rt.records = es.Counter("records")
-	rt.appBytes = es.Counter("app_bytes")
-	rt.wireBytes = es.Counter("wire_bytes")
-	rt.levelSwitches = es.Counter("level_switches")
-}
-
-func (rt *edgeRuntime) add(s EdgeStats) {
-	rt.records.Add(s.Records)
-	rt.appBytes.Add(s.AppBytes)
-	rt.wireBytes.Add(s.WireBytes)
-	rt.levelSwitches.Add(s.LevelSwitches)
-}
-
-// snapshot reads the edge's obs counters back into the stats struct.
-func (rt *edgeRuntime) snapshot() EdgeStats {
-	return EdgeStats{
-		Records:       rt.records.Value(),
-		AppBytes:      rt.appBytes.Value(),
-		WireBytes:     rt.wireBytes.Value(),
-		LevelSwitches: rt.levelSwitches.Value(),
-	}
-}
-
-// vertexObs aggregates one vertex's runtime accounting through atomic obs
-// instruments ("nephele.vertex.<name>.*"): Total accumulates via Counter.Add,
-// Busiest via Gauge.SetMax.
-type vertexObs struct {
-	subtasks  *obs.Gauge
-	busiestNS *obs.Gauge
-	totalNS   *obs.Counter
-}
-
-func (vo *vertexObs) snapshot() VertexStats {
-	return VertexStats{
-		Subtasks: int(vo.subtasks.Value()),
-		Busiest:  time.Duration(vo.busiestNS.Value()),
-		Total:    time.Duration(vo.totalNS.Value()),
-	}
 }
 
 // Engine executes job graphs.
@@ -322,16 +281,15 @@ func (e *Engine) Execute(ctx context.Context, g *JobGraph) (*JobStats, error) {
 		return nil, err
 	}
 	start := time.Now()
+	stats := &JobStats{
+		Edges:    make(map[string]EdgeStats, len(g.edges)),
+		Vertices: make(map[string]VertexStats, len(g.vertices)),
+	}
+	for _, v := range g.vertices {
+		stats.Vertices[v.name] = VertexStats{Subtasks: v.parallelism}
+	}
 
-	// Per-job registry: every statistic the engine reports is read back from
-	// it, so JobStats is a view over obs rather than a parallel bookkeeping
-	// scheme. A fresh registry per Execute keeps concurrent jobs independent.
-	reg := obs.NewRegistry()
-	job := reg.Scope("nephele")
-	edgeScope := job.Scope("edge")
-	tasks := job.EventLog("tasks", 0)
-
-	runtimes := make(map[*Edge]*edgeRuntime, len(g.edges))
+	meshes := make(map[*Edge][][]link, len(g.edges)) // [producer][consumer]
 	var allLinks []link
 	defer func() {
 		for _, l := range allLinks {
@@ -341,23 +299,22 @@ func (e *Engine) Execute(ctx context.Context, g *JobGraph) (*JobStats, error) {
 		}
 	}()
 	for _, edge := range g.edges {
-		rt := &edgeRuntime{edge: edge}
-		rt.bindObs(edgeScope)
+		stats.Edges[edge.Label()] = EdgeStats{}
 		np, nc := edge.from.parallelism, edge.to.parallelism
-		rt.links = make([][]link, np)
-		for pi := 0; pi < np; pi++ {
-			rt.links[pi] = make([]link, nc)
-			for ci := 0; ci < nc; ci++ {
+		mesh := make([][]link, np)
+		for pi := range mesh {
+			mesh[pi] = make([]link, nc)
+			for ci := range mesh[pi] {
 				l, err := e.newLink(edge, pi, ci)
 				if err != nil {
 					abortAll(allLinks, err)
 					return nil, err
 				}
-				rt.links[pi][ci] = l
+				mesh[pi][ci] = l
 				allLinks = append(allLinks, l)
 			}
 		}
-		runtimes[edge] = rt
+		meshes[edge] = mesh
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
@@ -365,31 +322,32 @@ func (e *Engine) Execute(ctx context.Context, g *JobGraph) (*JobStats, error) {
 
 	var (
 		wg       sync.WaitGroup
-		errMu    sync.Mutex
+		mu       sync.Mutex // guards firstErr and stats
 		firstErr error
 	)
-	vobs := make(map[string]*vertexObs, len(g.vertices))
-	for _, v := range g.vertices {
-		vs := job.Scope("vertex").Scope(v.name)
-		vo := &vertexObs{
-			subtasks:  vs.Gauge("subtasks"),
-			busiestNS: vs.Gauge("busiest_ns"),
-			totalNS:   vs.Counter("total_ns"),
-		}
-		vo.subtasks.Set(int64(v.parallelism))
-		vobs[v.name] = vo
-	}
 	fail := func(err error) {
-		if err == nil {
-			return
-		}
-		errMu.Lock()
+		mu.Lock()
 		if firstErr == nil {
 			firstErr = err
 		}
-		errMu.Unlock()
+		mu.Unlock()
 		cancel()
 		abortAll(allLinks, err)
+	}
+	// account adds one finished subtask's runtime and output totals.
+	account := func(v *Vertex, elapsed time.Duration, outputs []*OutputGate) {
+		mu.Lock()
+		defer mu.Unlock()
+		vs := stats.Vertices[v.name]
+		vs.Total += elapsed
+		vs.Busiest = max(vs.Busiest, elapsed)
+		stats.Vertices[v.name] = vs
+		for i, gate := range outputs {
+			label := v.outputs[i].Label()
+			es := stats.Edges[label]
+			gate.addTo(&es)
+			stats.Edges[label] = es
+		}
 	}
 
 	// Propagate external cancellation into the channel mesh.
@@ -402,48 +360,29 @@ func (e *Engine) Execute(ctx context.Context, g *JobGraph) (*JobStats, error) {
 				defer wg.Done()
 				defer func() {
 					if r := recover(); r != nil {
-						tasks.Add("task_failed", fmt.Sprintf("%s[%d]: panic: %v", v.name, sub, r))
 						fail(fmt.Errorf("nephele: task %s[%d] panicked: %v", v.name, sub, r))
 					}
 				}()
-				tasks.Add("task_start", fmt.Sprintf("%s[%d]", v.name, sub))
 				subStart := time.Now()
-				err := runSubtask(runCtx, g, v, sub, runtimes)
-				elapsed := time.Since(subStart)
-				vo := vobs[v.name]
-				vo.totalNS.Add(int64(elapsed))
-				vo.busiestNS.SetMax(int64(elapsed))
+				outputs, err := runSubtask(runCtx, g, v, sub, meshes)
 				if err != nil {
-					tasks.Add("task_failed", fmt.Sprintf("%s[%d]: %v", v.name, sub, err))
 					fail(fmt.Errorf("nephele: task %s[%d]: %w", v.name, sub, err))
-				} else {
-					tasks.Add("task_done", fmt.Sprintf("%s[%d]", v.name, sub))
+					return
 				}
+				account(v, time.Since(subStart), outputs)
 			}(v, sub)
 		}
 	}
 	wg.Wait()
 	stopWatch()
 
-	errMu.Lock()
+	mu.Lock()
 	err := firstErr
-	errMu.Unlock()
+	mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-
-	stats := &JobStats{
-		Duration: time.Since(start),
-		Edges:    map[string]EdgeStats{},
-		Vertices: map[string]VertexStats{},
-		Metrics:  reg,
-	}
-	for _, rt := range runtimes {
-		stats.Edges[rt.edge.Label()] = rt.snapshot()
-	}
-	for name, vo := range vobs {
-		stats.Vertices[name] = vo.snapshot()
-	}
+	stats.Duration = time.Since(start)
 	return stats, nil
 }
 
@@ -459,8 +398,9 @@ func (e *Engine) newLink(edge *Edge, pi, ci int) (link, error) {
 }
 
 // runSubtask wires one subtask's gates, runs its task, then flushes and
-// closes the output side and accounts edge statistics.
-func runSubtask(ctx context.Context, g *JobGraph, v *Vertex, sub int, runtimes map[*Edge]*edgeRuntime) error {
+// closes the output side. On success it returns the closed output gates,
+// one per v.outputs entry, for their totals.
+func runSubtask(ctx context.Context, g *JobGraph, v *Vertex, sub int, meshes map[*Edge][][]link) ([]*OutputGate, error) {
 	tc := &TaskContext{
 		Job:         g.name,
 		Vertex:      v.name,
@@ -472,7 +412,7 @@ func runSubtask(ctx context.Context, g *JobGraph, v *Vertex, sub int, runtimes m
 	for _, edge := range v.inputs {
 		links := make([]link, edge.from.parallelism)
 		for pi := range links {
-			links[pi] = runtimes[edge].links[pi][sub]
+			links[pi] = meshes[edge][pi][sub]
 		}
 		tc.inputs = append(tc.inputs, &InputGate{links: links, spec: edge.spec, stop: make(chan struct{})})
 	}
@@ -488,7 +428,7 @@ func runSubtask(ctx context.Context, g *JobGraph, v *Vertex, sub int, runtimes m
 	// the listener backlog even before the consumer accepts).
 	var runErr error
 	for _, edge := range v.outputs {
-		gate, err := openOutputGate(runtimes[edge].links[sub], edge.spec)
+		gate, err := openOutputGate(meshes[edge][sub], edge.spec)
 		tc.outputs = append(tc.outputs, gate)
 		if err != nil {
 			runErr = err
@@ -504,11 +444,7 @@ func runSubtask(ctx context.Context, g *JobGraph, v *Vertex, sub int, runtimes m
 		// buffers can complete: a Nephele channel is always consumed to
 		// its end even if the task logic stopped early.
 		for _, gate := range tc.inputs {
-			for {
-				if _, err := gate.ReadRecord(); err != nil {
-					break
-				}
-			}
+			gate.forEach(func([]byte) error { return nil })
 		}
 	}
 
@@ -520,22 +456,10 @@ func runSubtask(ctx context.Context, g *JobGraph, v *Vertex, sub int, runtimes m
 		}
 	}
 	if runErr != nil {
-		return runErr
+		return nil, runErr
 	}
-	for i, gate := range tc.outputs {
-		runtimes[v.outputs[i]].add(gate.stats())
-	}
-	return nil
+	return tc.outputs, nil
 }
-
-// writeCloserPair writes through w and closes c.
-type writeCloserPair struct {
-	w io.Writer
-	c io.Closer
-}
-
-func (p *writeCloserPair) Write(b []byte) (int, error) { return p.w.Write(b) }
-func (p *writeCloserPair) Close() error                { return p.c.Close() }
 
 func abortAll(links []link, err error) {
 	for _, l := range links {

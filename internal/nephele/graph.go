@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"adaptio/internal/stream"
 )
 
 // Task is the user-supplied processing logic of one vertex. Each parallel
@@ -79,6 +81,13 @@ func (s ChannelSpec) validate() error {
 	}
 	if !(s.WireMBps >= 0) || math.IsInf(s.WireMBps, 1) {
 		return fmt.Errorf("nephele: wire rate %v MB/s, want finite and non-negative", s.WireMBps)
+	}
+	levels := len(stream.DefaultLadder())
+	if s.Compression == CompressionStatic && (s.StaticLevel < 0 || s.StaticLevel >= levels) {
+		return fmt.Errorf("nephele: static level %d outside ladder of %d levels", s.StaticLevel, levels)
+	}
+	if s.Window < 0 {
+		return fmt.Errorf("nephele: negative window %v", s.Window)
 	}
 	return nil
 }

@@ -95,4 +95,18 @@ func TestWireShapingValidation(t *testing.T) {
 			t.Errorf("wire rate %v MB/s accepted", rate)
 		}
 	}
+	// Specs the compression stream would refuse once the job runs.
+	for _, spec := range []nephele.ChannelSpec{
+		{Compression: nephele.CompressionStatic, StaticLevel: 9},
+		{Compression: nephele.CompressionStatic, StaticLevel: -1},
+		{Compression: nephele.CompressionAdaptive, Window: -time.Second},
+	} {
+		if _, err := g.Connect(a, b, spec); err == nil {
+			t.Errorf("%+v accepted", spec)
+		}
+	}
+	// Only static mode reads StaticLevel.
+	if _, err := g.Connect(a, b, nephele.ChannelSpec{Compression: nephele.CompressionAdaptive, StaticLevel: 9}); err != nil {
+		t.Errorf("adaptive spec with unused StaticLevel refused: %v", err)
+	}
 }

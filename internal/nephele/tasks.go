@@ -1,9 +1,6 @@
 package nephele
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // SourceFunc adapts a generator function into a TaskFactory. The function
 // receives an emit callback writing to output gate 0 and runs once per
@@ -40,22 +37,7 @@ func (t mapTask) Run(ctx *TaskContext) error {
 		return fmt.Errorf("nephele: map task %s needs input and output", ctx.Vertex)
 	}
 	emit := func(rec []byte) error { return ctx.Output(0).WriteRecord(rec) }
-	for in := 0; in < ctx.NumInputs(); in++ {
-		gate := ctx.Input(in)
-		for {
-			rec, err := gate.ReadRecord()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			if err := t.fn(rec, emit); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return eachInput(ctx, func(rec []byte) error { return t.fn(rec, emit) })
 }
 
 // SinkFunc adapts a consumer function into a TaskFactory: it is called once
@@ -72,19 +54,14 @@ func (t sinkTask) Run(ctx *TaskContext) error {
 	if ctx.NumInputs() == 0 {
 		return fmt.Errorf("nephele: sink task %s has no input", ctx.Vertex)
 	}
-	for in := 0; in < ctx.NumInputs(); in++ {
-		gate := ctx.Input(in)
-		for {
-			rec, err := gate.ReadRecord()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			if err := t.fn(rec); err != nil {
-				return err
-			}
+	return eachInput(ctx, t.fn)
+}
+
+// eachInput passes every record of every input gate, gate by gate, to fn.
+func eachInput(ctx *TaskContext, fn func([]byte) error) error {
+	for _, gate := range ctx.inputs {
+		if err := gate.forEach(fn); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -279,7 +279,7 @@ func compile(sc *Scenario, rig Rig) (*engine, error) {
 			tenant = "default"
 		}
 		weight := g.Weight
-		if weight == 0 {
+		if weight == 0 || rig == RigFlatWeights {
 			weight = 1
 		}
 		mixSpec := g.Mix
@@ -398,11 +398,7 @@ func (e *engine) schemeFactory(variant string) (func(spec streamSpec) core.Polic
 			return nil, fmt.Errorf("scenario: coordinator: %w", err)
 		}
 		return func(spec streamSpec) core.Policy {
-			w := spec.weight
-			if e.rig == RigFlatWeights {
-				w = 1
-			}
-			return c.Register(coord.StreamConfig{Weight: w, Tenant: spec.tenant})
+			return c.Register(coord.StreamConfig{Weight: spec.weight, Tenant: spec.tenant})
 		}, nil
 	case "static-no":
 		return func(streamSpec) core.Policy { return core.Static(0) }, nil
@@ -426,14 +422,10 @@ func (e *engine) runVariant(variant string) (VariantResult, error) {
 	}
 	streams := make([]cloudsim.FleetStream, len(e.specs))
 	for i, spec := range e.specs {
-		w := spec.weight
-		if e.rig == RigFlatWeights {
-			w = 1
-		}
 		streams[i] = cloudsim.FleetStream{
 			Kind:       spec.kind,
 			Scheme:     mk(spec),
-			Weight:     w,
+			Weight:     spec.weight,
 			CPUFactor:  spec.cpu,
 			Tenant:     spec.tenant,
 			DemandMBps: spec.demand,
