@@ -12,70 +12,58 @@ import (
 	"adaptio/internal/stream"
 )
 
-// CodecMeasurement is one live measurement of a codec on one corpus kind.
-type CodecMeasurement struct {
-	Level      string
-	Kind       corpus.Kind
-	CompMBps   float64
-	DecompMBps float64
-	Ratio      float64
-}
-
 // Calibrate measures a ladder's codecs (stream.DefaultLadder for the paper's
-// four levels) on the synthetic corpus and returns both the raw measurements
-// and a cloudsim profile ladder built from them. It is the live alternative
-// to cloudsim.ReferenceProfiles: run the 50 GB experiments against what
-// *this* machine's codecs actually deliver instead of the paper's hardware.
+// four levels) on the synthetic corpus and returns a cloudsim profile ladder
+// built from the measurements. It is the live alternative to
+// cloudsim.ReferenceProfiles: run the 50 GB experiments against what *this*
+// machine's codecs actually deliver instead of the paper's hardware.
 //
 // sampleBytes is the per-measurement volume (zero means 4 MB). Measurements
 // use the stream layer's 128 KB blocks, like production traffic.
-func Calibrate(ladder compress.Ladder, sampleBytes int) ([]CodecMeasurement, []cloudsim.CodecProfile, error) {
+func Calibrate(ladder compress.Ladder, sampleBytes int) ([]cloudsim.CodecProfile, error) {
 	if err := ladder.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if sampleBytes <= 0 {
 		sampleBytes = 4 << 20
 	}
-	var ms []CodecMeasurement
 	profiles := make([]cloudsim.CodecProfile, len(ladder))
 	for li, lvl := range ladder {
-		profiles[li] = cloudsim.CodecProfile{
+		p := cloudsim.CodecProfile{
 			Name:       lvl.Name,
 			CompMBps:   map[corpus.Kind]float64{},
 			DecompMBps: map[corpus.Kind]float64{},
 			Ratio:      map[corpus.Kind]float64{},
 		}
 		for _, kind := range corpus.Kinds() {
-			m, err := measureCodec(lvl.Name, lvl.Codec, kind, sampleBytes)
-			if err != nil {
-				return nil, nil, err
+			if err := measureCodec(p, lvl.Codec, kind, sampleBytes); err != nil {
+				return nil, err
 			}
-			ms = append(ms, m)
-			profiles[li].CompMBps[kind] = m.CompMBps
-			profiles[li].DecompMBps[kind] = m.DecompMBps
-			profiles[li].Ratio[kind] = m.Ratio
 		}
+		profiles[li] = p
 	}
 	if err := cloudsim.ValidateLadder(profiles); err != nil {
-		return nil, nil, fmt.Errorf("experiments: calibrated profiles invalid: %w", err)
+		return nil, fmt.Errorf("experiments: calibrated profiles invalid: %w", err)
 	}
-	return ms, profiles, nil
+	return profiles, nil
 }
 
-func measureCodec(name string, codec compress.Codec, kind corpus.Kind, sampleBytes int) (CodecMeasurement, error) {
+// measureCodec times codec on sampleBytes of kind and records its speeds and
+// ratio under kind in p.
+func measureCodec(p cloudsim.CodecProfile, codec compress.Codec, kind corpus.Kind, sampleBytes int) error {
 	// Measure on the real Canterbury file when ADAPTIO_CANTERBURY_DIR is
 	// set, otherwise on the synthetic stand-in, looped to the sample size.
 	file, _ := corpus.LoadOrGenerate(kind, 1)
 	data := make([]byte, sampleBytes)
 	if _, err := io.ReadFull(corpus.NewLoopReader(file), data); err != nil {
-		return CodecMeasurement{}, err
+		return err
 	}
 	const block = stream.DefaultBlockSize
 
 	// Warm up once so one-time allocation costs do not skew the timing.
 	warm := codec.Compress(nil, data[:block])
 	if _, err := codec.Decompress(nil, warm, block); err != nil {
-		return CodecMeasurement{}, fmt.Errorf("experiments: %s/%v warmup: %w", name, kind, err)
+		return fmt.Errorf("experiments: %s/%v warmup: %w", p.Name, kind, err)
 	}
 
 	// The output buffers are allocated before the clock starts: a fresh one
@@ -92,20 +80,16 @@ func measureCodec(name string, codec compress.Codec, kind corpus.Kind, sampleByt
 		var err error
 		out, err = codec.Decompress(out[:0], c, min(block, len(data)-i*block))
 		if err != nil {
-			return CodecMeasurement{}, fmt.Errorf("experiments: %s/%v decompress: %w", name, kind, err)
+			return fmt.Errorf("experiments: %s/%v decompress: %w", p.Name, kind, err)
 		}
 	}
 	decompSec := time.Since(start).Seconds()
 
 	mb := float64(len(data)) / 1e6
-	m := CodecMeasurement{
-		Level:      name,
-		Kind:       kind,
-		CompMBps:   mb / max(compSec, 1e-9),
-		DecompMBps: mb / max(decompSec, 1e-9),
-		Ratio:      min(float64(len(comp))/float64(len(data)), 1.0),
-	}
-	return m, nil
+	p.CompMBps[kind] = mb / max(compSec, 1e-9)
+	p.DecompMBps[kind] = mb / max(decompSec, 1e-9)
+	p.Ratio[kind] = min(float64(len(comp))/float64(len(data)), 1.0)
+	return nil
 }
 
 // compressRoom is the output room compressBlocks needs for n bytes cut into
@@ -128,27 +112,23 @@ func compressBlocks(codec compress.Codec, data []byte, block int, out []byte, bl
 	return out, blocks
 }
 
-// RenderCalibration formats the live measurements next to the reference
-// profile the Table II sweep uses.
-func RenderCalibration(ms []CodecMeasurement) string {
-	ref := cloudsim.ReferenceProfiles()
+// RenderCalibration formats calibrated profiles next to the reference
+// profile the Table II sweep uses by default.
+func RenderCalibration(profiles []cloudsim.CodecProfile) string {
 	refByName := map[string]cloudsim.CodecProfile{}
-	for _, p := range ref {
+	for _, p := range cloudsim.ReferenceProfiles() {
 		refByName[p.Name] = p
 	}
 	var sb strings.Builder
 	sb.WriteString("--- Codec calibration: this repo's codecs vs paper-derived reference ---\n")
 	fmt.Fprintf(&sb, "%-8s %-9s %12s %12s %8s %14s %10s\n",
 		"level", "data", "comp MB/s", "decomp MB/s", "ratio", "ref comp MB/s", "ref ratio")
-	for _, m := range ms {
-		rp, ok := refByName[m.Level]
-		refComp, refRatio := 0.0, 0.0
-		if ok {
-			refComp = rp.CompMBps[m.Kind]
-			refRatio = rp.Ratio[m.Kind]
+	for _, p := range profiles {
+		ref := refByName[p.Name]
+		for _, kind := range corpus.Kinds() {
+			fmt.Fprintf(&sb, "%-8s %-9s %12.0f %12.0f %8.3f %14.0f %10.2f\n",
+				p.Name, kind, p.CompMBps[kind], p.DecompMBps[kind], p.Ratio[kind], ref.CompMBps[kind], ref.Ratio[kind])
 		}
-		fmt.Fprintf(&sb, "%-8s %-9s %12.0f %12.0f %8.3f %14.0f %10.2f\n",
-			m.Level, m.Kind, m.CompMBps, m.DecompMBps, m.Ratio, refComp, refRatio)
 	}
 	return sb.String()
 }

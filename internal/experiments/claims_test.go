@@ -7,10 +7,15 @@ import (
 	"adaptio/internal/experiments"
 )
 
+// paperRun is the harness's default run, expdriver with no flags, at seed.
+func paperRun(seed uint64) experiments.TableIIConfig {
+	return experiments.TableIIConfig{TotalBytes: experiments.FiftyGB, Runs: 5, Seed: seed}
+}
+
 // TestAllPaperClaimsReproduce is the reproduction's acceptance test: every
 // quantitative claim in the checklist must pass at the paper's full volume.
 func TestAllPaperClaimsReproduce(t *testing.T) {
-	claims, err := experiments.VerifyClaims(experiments.FiftyGB, 2011)
+	claims, err := experiments.VerifyClaims(paperRun(2011))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +45,7 @@ func TestClaimsStableAcrossSeeds(t *testing.T) {
 		t.Skip("multi-seed sweep")
 	}
 	for _, seed := range []uint64{1, 7, 1337} {
-		claims, err := experiments.VerifyClaims(experiments.FiftyGB, seed)
+		claims, err := experiments.VerifyClaims(paperRun(seed))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,8 @@ import (
 	"strconv"
 	"strings"
 
-	"adaptio/internal/trace"
+	"adaptio/internal/cloudsim"
+	"adaptio/internal/corpus"
 )
 
 // The CSV exporters emit the raw data behind each figure/table so the
@@ -76,11 +77,11 @@ func (r TableIIResult) CSVTableII() string {
 }
 
 // CSVTrace exports a Figure 4/5/6 time series.
-func CSVTrace(tr *trace.Trace) string {
+func CSVTrace(tr Trace) string {
 	out := [][]string{{"time_s", "level", "app_mbps", "wire_mbps", "cpu_pct"}}
-	for _, p := range tr.Points() {
+	for _, w := range tr {
 		out = append(out, []string{
-			f(p.Time), strconv.Itoa(p.Level), f(p.AppMBps), f(p.WireMBps), f(p.CPUPct),
+			f(w.Time), strconv.Itoa(w.Level), f(w.AppMBps), f(w.WireMBps), f(w.GuestCPU.Total()),
 		})
 	}
 	return writeCSV(out)
@@ -122,13 +123,15 @@ func CSVFileChannel(rows []FileChannelRow) string {
 	return writeCSV(out)
 }
 
-// CSVCalibration exports the live codec measurements.
-func CSVCalibration(ms []CodecMeasurement) string {
+// CSVCalibration exports calibrated profiles.
+func CSVCalibration(profiles []cloudsim.CodecProfile) string {
 	out := [][]string{{"level", "kind", "comp_mbps", "decomp_mbps", "ratio"}}
-	for _, m := range ms {
-		out = append(out, []string{
-			m.Level, m.Kind.String(), f(m.CompMBps), f(m.DecompMBps), f(m.Ratio),
-		})
+	for _, p := range profiles {
+		for _, kind := range corpus.Kinds() {
+			out = append(out, []string{
+				p.Name, kind.String(), f(p.CompMBps[kind]), f(p.DecompMBps[kind]), f(p.Ratio[kind]),
+			})
+		}
 	}
 	return writeCSV(out)
 }

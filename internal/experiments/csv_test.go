@@ -5,9 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"adaptio/internal/cloudsim"
 	"adaptio/internal/experiments"
 	"adaptio/internal/stream"
-	"adaptio/internal/trace"
 )
 
 // parseCSV asserts well-formed CSV and returns the records.
@@ -55,8 +55,7 @@ func TestCSVExports(t *testing.T) {
 		t.Fatalf("table2 CSV has %d rows, want 60", got)
 	}
 
-	tr := trace.New(4)
-	tr.Add(trace.Point{Time: 2, Level: 1, AppMBps: 10, WireMBps: 5, CPUPct: 50})
+	tr := experiments.Trace{{Time: 2, Level: 1, AppMBps: 10, WireMBps: 5, GuestCPU: cloudsim.CPUBreakdown{USR: 50}}}
 	if got := len(parseCSV(t, experiments.CSVTrace(tr))) - 1; got != 1 {
 		t.Fatalf("trace CSV has %d rows, want 1", got)
 	}
@@ -79,9 +78,9 @@ func TestCSVExports(t *testing.T) {
 	}
 	parseCSV(t, experiments.CSVFileChannel(a5))
 
-	ms, _, err := experiments.Calibrate(stream.DefaultLadder(), 1<<19)
+	profiles, err := experiments.Calibrate(stream.DefaultLadder(), 1<<19)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parseCSV(t, experiments.CSVCalibration(ms))
+	parseCSV(t, experiments.CSVCalibration(profiles))
 }

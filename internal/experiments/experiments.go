@@ -1,9 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (see DESIGN.md for the experiment index): the metric-accuracy
 // study of Section II (Figures 1–3), the Table II completion-time grid, the
-// adaptivity traces (Figures 4–6), and the ablation studies A1–A6. Each
-// experiment has a Render function producing the text equivalent of the
-// paper's plot or table; cmd/expdriver prints them.
+// adaptivity traces (Figures 4–6), the ablation studies A1–A6 and the claims
+// checklist. Each experiment has a Render function producing the text
+// equivalent of the paper's plot or table. Paper lists them as the harness
+// prints them; cmd/expdriver and the harness golden both loop over it.
 package experiments
 
 import (
@@ -15,7 +16,6 @@ import (
 	"adaptio/internal/corpus"
 	"adaptio/internal/metrics"
 	"adaptio/internal/stats"
-	"adaptio/internal/trace"
 )
 
 // FiftyGB is the data volume of the paper's transfer experiments.
@@ -392,9 +392,9 @@ func (r TableIIResult) Render() string {
 
 // ---------- Figures 4, 5, 6 ----------
 
-// runTrace executes one traced transfer and returns its trace.
-func runTrace(kind cloudsim.KindSchedule, bg int, totalBytes int64, seed uint64) (*trace.Trace, error) {
-	tr := trace.New(levels)
+// runTrace executes one traced transfer and returns its decision windows.
+func runTrace(kind cloudsim.KindSchedule, bg int, totalBytes int64, seed uint64) (Trace, error) {
+	var tr Trace
 	_, err := cloudsim.RunTransfer(cloudsim.TransferConfig{
 		Platform:   cloudsim.KVMParavirt,
 		Kind:       kind,
@@ -403,15 +403,7 @@ func runTrace(kind cloudsim.KindSchedule, bg int, totalBytes int64, seed uint64)
 		Scheme:     newScheme(Dynamic),
 		Profiles:   cloudsim.ReferenceProfiles(),
 		Seed:       seed,
-		Trace: func(ws cloudsim.WindowSample) {
-			tr.Add(trace.Point{
-				Time:     ws.Time,
-				Level:    ws.Level,
-				AppMBps:  ws.AppMBps,
-				WireMBps: ws.WireMBps,
-				CPUPct:   ws.GuestCPU.Total(),
-			})
-		},
+		Trace:      func(ws cloudsim.WindowSample) { tr = append(tr, ws) },
 	})
 	return tr, err
 }
@@ -419,14 +411,14 @@ func runTrace(kind cloudsim.KindSchedule, bg int, totalBytes int64, seed uint64)
 // Fig4Trace reproduces Figure 4: the adaptive scheme on highly compressible
 // data with no background traffic. The trace shows fast convergence to
 // LIGHT and exponentially rarer probing.
-func Fig4Trace(totalBytes int64, seed uint64) (*trace.Trace, error) {
+func Fig4Trace(totalBytes int64, seed uint64) (Trace, error) {
 	return runTrace(cloudsim.ConstantKind(corpus.High), 0, totalBytes, seed)
 }
 
 // Fig5Trace reproduces Figure 5: hardly compressible data with two
 // concurrent background connections; level differences sit inside the α
 // band so probing continues throughout.
-func Fig5Trace(totalBytes int64, seed uint64) (*trace.Trace, error) {
+func Fig5Trace(totalBytes int64, seed uint64) (Trace, error) {
 	return runTrace(cloudsim.ConstantKind(corpus.Low), 2, totalBytes, seed)
 }
 
@@ -435,7 +427,7 @@ func Fig5Trace(totalBytes int64, seed uint64) (*trace.Trace, error) {
 // 50 GB transfer; at reduced volumes the phase length scales so the five
 // phases are preserved). The scheme must detect the switches and change
 // levels accordingly.
-func Fig6Switch(totalBytes int64, seed uint64) (*trace.Trace, error) {
+func Fig6Switch(totalBytes int64, seed uint64) (Trace, error) {
 	phase := max(totalBytes/5, 1)
 	return runTrace(cloudsim.AlternatingKinds(phase, corpus.High, corpus.Low), 0, totalBytes, seed)
 }

@@ -209,7 +209,7 @@ func TestFig4TraceProperties(t *testing.T) {
 	if second > first {
 		t.Errorf("Fig4: switches increased over time (%d -> %d)", first, second)
 	}
-	out := tr.Render("Fig 4", experiments.LevelNames, 80)
+	out := tr.Render("Fig 4")
 	if !strings.Contains(out, "LIGHT") {
 		t.Error("Fig4 render incomplete")
 	}
@@ -352,35 +352,32 @@ func TestAblationBaselines(t *testing.T) {
 }
 
 func TestCalibrate(t *testing.T) {
-	ms, profiles, err := experiments.Calibrate(stream.DefaultLadder(), 1<<20)
+	profiles, err := experiments.Calibrate(stream.DefaultLadder(), 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms) != 4*3 {
-		t.Fatalf("expected 12 measurements, got %d", len(ms))
+	if len(profiles) != 4 {
+		t.Fatalf("expected 4 profiles, got %d", len(profiles))
 	}
 	if err := cloudsim.ValidateLadder(profiles); err != nil {
 		t.Fatalf("calibrated ladder invalid: %v", err)
 	}
-	byLevel := map[string]map[corpus.Kind]experiments.CodecMeasurement{}
-	for _, m := range ms {
-		if byLevel[m.Level] == nil {
-			byLevel[m.Level] = map[corpus.Kind]experiments.CodecMeasurement{}
-		}
-		byLevel[m.Level][m.Kind] = m
+	byLevel := map[string]cloudsim.CodecProfile{}
+	for _, p := range profiles {
+		byLevel[p.Name] = p
 	}
 	// Speed ordering on compressible data: NO > LIGHT > MEDIUM > HEAVY.
 	for _, kind := range []corpus.Kind{corpus.High, corpus.Moderate} {
-		no := byLevel["NO"][kind].CompMBps
-		light := byLevel["LIGHT"][kind].CompMBps
-		medium := byLevel["MEDIUM"][kind].CompMBps
-		heavy := byLevel["HEAVY"][kind].CompMBps
+		no := byLevel["NO"].CompMBps[kind]
+		light := byLevel["LIGHT"].CompMBps[kind]
+		medium := byLevel["MEDIUM"].CompMBps[kind]
+		heavy := byLevel["HEAVY"].CompMBps[kind]
 		if !(no > light && light > medium && medium > heavy) {
 			t.Errorf("%v: speed ordering violated: %.0f %.0f %.0f %.0f", kind, no, light, medium, heavy)
 		}
 		// Ratio ordering: heavier levels compress better.
-		if !(byLevel["HEAVY"][kind].Ratio < byLevel["MEDIUM"][kind].Ratio &&
-			byLevel["MEDIUM"][kind].Ratio < byLevel["LIGHT"][kind].Ratio) {
+		if !(byLevel["HEAVY"].Ratio[kind] < byLevel["MEDIUM"].Ratio[kind] &&
+			byLevel["MEDIUM"].Ratio[kind] < byLevel["LIGHT"].Ratio[kind]) {
 			t.Errorf("%v: ratio ordering violated", kind)
 		}
 	}
@@ -396,7 +393,7 @@ func TestCalibrate(t *testing.T) {
 	if err != nil || res.CompletionSeconds <= 0 {
 		t.Fatalf("calibrated transfer failed: %v", err)
 	}
-	if out := experiments.RenderCalibration(ms); !strings.Contains(out, "LIGHT") {
+	if out := experiments.RenderCalibration(profiles); !strings.Contains(out, "LIGHT") {
 		t.Error("calibration render incomplete")
 	}
 }

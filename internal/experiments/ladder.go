@@ -69,7 +69,7 @@ func AblationLadder(totalBytes int64, seed uint64) ([]LadderRow, error) {
 	}
 	var rows []LadderRow
 	for _, l := range ladders {
-		_, profiles, err := Calibrate(l.ladder, 2<<20)
+		profiles, err := Calibrate(l.ladder, 2<<20)
 		if err != nil {
 			return nil, err
 		}

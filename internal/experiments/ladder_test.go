@@ -90,28 +90,25 @@ func TestExtendedLadderAdaptive(t *testing.T) {
 }
 
 func TestCalibrateLadderExtended(t *testing.T) {
-	ms, profiles, err := experiments.Calibrate(experiments.ExtendedLadder(), 1<<20)
+	profiles, err := experiments.Calibrate(experiments.ExtendedLadder(), 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(profiles) != 6 || len(ms) != 6*3 {
-		t.Fatalf("extended calibration shape: %d profiles, %d measurements", len(profiles), len(ms))
+	if len(profiles) != 6 {
+		t.Fatalf("extended calibration shape: %d profiles", len(profiles))
 	}
 	if err := cloudsim.ValidateLadder(profiles); err != nil {
 		t.Fatal(err)
 	}
 	// The two lzfast-hc parameterizations must differ: deeper search gets
 	// a better ratio on compressible data.
-	byLevel := map[string]map[string]float64{}
-	for _, m := range ms {
-		if byLevel[m.Level] == nil {
-			byLevel[m.Level] = map[string]float64{}
-		}
-		byLevel[m.Level][m.Kind.String()] = m.Ratio
+	byLevel := map[string]map[corpus.Kind]float64{}
+	for _, p := range profiles {
+		byLevel[p.Name] = p.Ratio
 	}
-	if byLevel["MEDIUM+"]["HIGH"] >= byLevel["MEDIUM-"]["HIGH"] {
+	if byLevel["MEDIUM+"][corpus.High] >= byLevel["MEDIUM-"][corpus.High] {
 		t.Errorf("MEDIUM+ ratio %.3f not better than MEDIUM- %.3f",
-			byLevel["MEDIUM+"]["HIGH"], byLevel["MEDIUM-"]["HIGH"])
+			byLevel["MEDIUM+"][corpus.High], byLevel["MEDIUM-"][corpus.High])
 	}
 }
 
@@ -123,7 +120,7 @@ func TestCalibrateLadderExtended(t *testing.T) {
 func TestExtendedLadderStraddlesMedium(t *testing.T) {
 	ext := experiments.ExtendedLadder()
 	ladder := compress.Ladder{ext[0], ext[2], stream.DefaultLadder()[stream.LevelMedium], ext[3]}
-	_, profiles, err := experiments.Calibrate(ladder, 1<<20)
+	profiles, err := experiments.Calibrate(ladder, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +172,7 @@ func compressCPU(codecs []compress.Codec, data []byte, rounds int) []time.Durati
 }
 
 func TestCalibrateLadderRejectsInvalid(t *testing.T) {
-	if _, _, err := experiments.Calibrate(nil, 1<<20); err == nil {
+	if _, err := experiments.Calibrate(nil, 1<<20); err == nil {
 		t.Fatal("nil ladder accepted")
 	}
 }

@@ -1,44 +1,36 @@
-package trace_test
+package experiments_test
 
 import (
 	"strings"
 	"testing"
 
-	"adaptio/internal/trace"
+	"adaptio/internal/cloudsim"
+	"adaptio/internal/experiments"
 )
 
-func buildTrace(levels int, points []trace.Point) *trace.Trace {
-	tr := trace.New(levels)
-	for _, p := range points {
-		tr.Add(p)
-	}
-	return tr
-}
-
 func TestEmptyTrace(t *testing.T) {
-	tr := trace.New(4)
-	if tr.Len() != 0 || tr.Duration() != 0 || tr.Switches() != 0 {
+	var tr experiments.Trace
+	if tr.Duration() != 0 || tr.Switches() != 0 {
 		t.Fatal("empty trace has non-zero stats")
 	}
-	out := tr.Render("empty", nil, 40)
+	out := tr.Render("empty")
 	if !strings.Contains(out, "no samples") {
 		t.Fatalf("empty render: %q", out)
 	}
-	occ := tr.LevelOccupancy()
-	if len(occ) != 4 {
+	if occ := tr.LevelOccupancy(); len(occ) != len(experiments.LevelNames) {
 		t.Fatalf("occupancy slots = %d", len(occ))
 	}
 }
 
 func TestLevelOccupancyAndSwitches(t *testing.T) {
-	tr := buildTrace(3, []trace.Point{
+	tr := experiments.Trace{
 		{Time: 1, Level: 0},
 		{Time: 2, Level: 1},
 		{Time: 3, Level: 1},
 		{Time: 4, Level: 2},
-	})
+	}
 	occ := tr.LevelOccupancy()
-	if occ[0] != 0.25 || occ[1] != 0.5 || occ[2] != 0.25 {
+	if occ[0] != 0.25 || occ[1] != 0.5 || occ[2] != 0.25 || occ[3] != 0 {
 		t.Fatalf("occupancy = %v", occ)
 	}
 	if tr.Switches() != 2 {
@@ -50,12 +42,12 @@ func TestLevelOccupancyAndSwitches(t *testing.T) {
 }
 
 func TestSwitchesIn(t *testing.T) {
-	tr := buildTrace(2, []trace.Point{
+	tr := experiments.Trace{
 		{Time: 1, Level: 0},
 		{Time: 2, Level: 1}, // switch at t=2
 		{Time: 10, Level: 1},
 		{Time: 11, Level: 0}, // switch at t=11
-	})
+	}
 	if got := tr.SwitchesIn(0, 5); got != 1 {
 		t.Fatalf("SwitchesIn(0,5) = %d", got)
 	}
@@ -68,22 +60,21 @@ func TestSwitchesIn(t *testing.T) {
 }
 
 func TestRenderContainsAllParts(t *testing.T) {
-	var points []trace.Point
-	for i := 0; i < 100; i++ {
+	var tr experiments.Trace
+	for i := 0; i < 300; i++ {
 		lvl := 0
 		if i%10 < 5 {
 			lvl = 1
 		}
-		points = append(points, trace.Point{
+		tr = append(tr, cloudsim.WindowSample{
 			Time:     float64(i) * 2,
 			Level:    lvl,
 			AppMBps:  100 + float64(i),
 			WireMBps: 50,
-			CPUPct:   80,
+			GuestCPU: cloudsim.CPUBreakdown{USR: 80},
 		})
 	}
-	tr := buildTrace(4, points)
-	out := tr.Render("Figure X", []string{"NO", "LIGHT", "MEDIUM", "HEAVY"}, 60)
+	out := tr.Render("Figure X")
 	for _, want := range []string{"Figure X", "app  MB/s", "wire MB/s", "cpu  %", "NO", "LIGHT", "MEDIUM", "HEAVY", "level switches", "occupancy"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
@@ -92,9 +83,12 @@ func TestRenderContainsAllParts(t *testing.T) {
 	// The level timeline rows must all have the same width.
 	var widths []int
 	for _, line := range strings.Split(out, "\n") {
-		if strings.HasSuffix(line, "|") && strings.Contains(line, "|") && !strings.Contains(line, "MB/s") && !strings.Contains(line, "cpu") {
+		if strings.HasSuffix(line, "|") && !strings.Contains(line, "MB/s") && !strings.Contains(line, "cpu") {
 			widths = append(widths, len(line))
 		}
+	}
+	if len(widths) != len(experiments.LevelNames) {
+		t.Fatalf("%d timeline rows, want one per level:\n%s", len(widths), out)
 	}
 	for i := 1; i < len(widths); i++ {
 		if widths[i] != widths[0] {
@@ -104,25 +98,15 @@ func TestRenderContainsAllParts(t *testing.T) {
 }
 
 func TestRenderShortSeries(t *testing.T) {
-	tr := buildTrace(2, []trace.Point{{Time: 1, Level: 0, AppMBps: 10}})
-	out := tr.Render("tiny", nil, 80)
-	if out == "" || !strings.Contains(out, "tiny") {
-		t.Fatal("short series render broken")
-	}
-}
-
-func TestNewClampsLevels(t *testing.T) {
-	tr := trace.New(0)
-	tr.Add(trace.Point{Level: 0})
-	if len(tr.LevelOccupancy()) != 1 {
-		t.Fatal("levels<1 not clamped")
+	tr := experiments.Trace{{Time: 1, Level: 0, AppMBps: 10}}
+	if out := tr.Render("tiny"); !strings.Contains(out, "tiny") || !strings.Contains(out, "1 windows") {
+		t.Fatalf("short series render broken:\n%s", out)
 	}
 }
 
 func TestOutOfRangeLevelIgnoredInOccupancy(t *testing.T) {
-	tr := buildTrace(2, []trace.Point{{Level: 7}, {Level: 1}})
-	occ := tr.LevelOccupancy()
-	if occ[1] != 0.5 {
+	tr := experiments.Trace{{Level: 7}, {Level: 1}}
+	if occ := tr.LevelOccupancy(); occ[1] != 0.5 {
 		t.Fatalf("occupancy = %v", occ)
 	}
 }

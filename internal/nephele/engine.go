@@ -255,7 +255,9 @@ type VertexStats struct {
 	// Subtasks is the vertex's parallelism.
 	Subtasks int
 	// Busiest and Total are the longest single subtask runtime and the
-	// summed runtime across subtasks (Total/Subtasks = mean).
+	// summed runtime across subtasks (Total/Subtasks = mean). Runtime is
+	// wall time from start to finish, waits for input and output included,
+	// not CPU time.
 	Busiest time.Duration
 	Total   time.Duration
 }

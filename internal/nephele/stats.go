@@ -38,7 +38,7 @@ func (s *JobStats) Render() string {
 	}
 	sort.Strings(vertexNames)
 	if len(vertexNames) > 0 {
-		fmt.Fprintf(&sb, "%-28s %9s %12s %12s\n", "vertex", "subtasks", "busiest", "total cpu")
+		fmt.Fprintf(&sb, "%-28s %9s %12s %12s\n", "vertex", "subtasks", "busiest", "total wall")
 		for _, name := range vertexNames {
 			vs := s.Vertices[name]
 			fmt.Fprintf(&sb, "%-28s %9d %12v %12v\n",

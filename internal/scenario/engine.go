@@ -231,11 +231,20 @@ func compile(sc *Scenario, rig Rig) (*engine, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Demand is looked up by window number, so the replay must run
+		// the trace's own window length.
 		if eff.WindowSeconds == 0 {
 			eff.WindowSeconds = wt.WindowSeconds
+		} else if eff.WindowSeconds != wt.WindowSeconds {
+			return nil, fieldErrf("window_seconds", "%v differs from the %v s windows of replay trace %q",
+				eff.WindowSeconds, wt.WindowSeconds, eff.Trace)
 		}
 		if eff.Windows == 0 || eff.Windows > len(wt.Windows) {
 			eff.Windows = len(wt.Windows)
+		}
+		if eff.Windows > MaxWindows {
+			return nil, fieldErrf("trace", "replay trace %q holds %d windows, more than %d: set windows to replay a prefix",
+				eff.Trace, eff.Windows, MaxWindows)
 		}
 		traceDemand = make([]float64, len(wt.Windows))
 		for i, w := range wt.Windows {

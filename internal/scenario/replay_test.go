@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net"
 	"path/filepath"
@@ -136,5 +137,38 @@ func TestReplayMissingTrace(t *testing.T) {
 	}
 	if _, err := Run(sc, Options{}); err == nil {
 		t.Fatal("Run succeeded with a missing trace file")
+	}
+}
+
+// TestReplayRefusals: a replay looks the recorded bytes up by window
+// number, so a window length other than the trace's would stretch or
+// squeeze the recording, and a trace's length stands in for windows, so it
+// is held to the same MaxWindows bound.
+func TestReplayRefusals(t *testing.T) {
+	save := func(windows int) string {
+		path := filepath.Join(t.TempDir(), "run.trace.json")
+		wt := &trace.WindowedTrace{Version: trace.WindowedTraceVersion, WindowSeconds: 1, Windows: make([]trace.WindowRecord, windows)}
+		for i := range wt.Windows {
+			wt.Windows[i].AppBytes = 4e6
+		}
+		if err := wt.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	for _, tc := range []struct {
+		name, field   string
+		windows       int
+		windowSeconds float64
+	}{
+		{"window length differs", "window_seconds", 10, 2},
+		{"trace over MaxWindows", "trace", MaxWindows + 1000, 0},
+	} {
+		sc := &Scenario{Name: "replay", Fleet: []Group{{Count: 1}}, Trace: save(tc.windows), WindowSeconds: tc.windowSeconds}
+		_, err := Run(sc, Options{})
+		var fe *FieldError
+		if !errors.As(err, &fe) || fe.Field != tc.field {
+			t.Errorf("%s: Run returned %v, want a FieldError on %s", tc.name, err, tc.field)
+		}
 	}
 }

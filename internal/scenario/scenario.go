@@ -89,10 +89,11 @@ type Scenario struct {
 	Description string `json:"description,omitempty"`
 
 	// Windows is the horizon in decision windows (required unless Trace
-	// is set, in which case it defaults to the trace's length).
+	// is set, in which case it defaults to the trace's length, which may
+	// then be at most MaxWindows).
 	Windows int `json:"windows,omitempty"`
-	// WindowSeconds is the decision interval t; zero means 2 s (or the
-	// trace's window length when replaying a trace).
+	// WindowSeconds is the decision interval t; zero means 2 s. A trace
+	// replay runs the trace's window length and refuses any other.
 	WindowSeconds float64 `json:"window_seconds,omitempty"`
 
 	// Fleet is the heterogeneous stream population (required).

@@ -1,3 +1,7 @@
+// Package trace is the record/replay format of recorded load: cmd/acload
+// records how many application bytes it completed per decision window, and
+// internal/scenario replays the file through the cloud simulator as a demand
+// curve, so real traffic shapes drive simulated fleets.
 package trace
 
 import (
@@ -7,12 +11,6 @@ import (
 	"os"
 	"sync"
 )
-
-// This file is the record half of the scenario engine's record/replay loop:
-// a load-generator run (cmd/acload) records how many application bytes it
-// pushed per decision window, the file rides along as a workload artifact,
-// and internal/scenario replays it through the cloud simulator as a demand
-// curve — real traffic shapes driving simulated fleets.
 
 // WindowedTraceVersion is the current trace file format version.
 const WindowedTraceVersion = 1
