@@ -47,7 +47,6 @@ func main() {
 		dmatrix    = flag.Bool("decider-matrix", false, "run the Table II completion-time matrix under every registered decider policy plus the CheatStick sentinel (docs/deciders.md)")
 		jsonOut    = flag.String("json-out", "", "for -decider-matrix: write the JSON artifact to this file (BENCH_decider.json is -seed 2011; go test ./internal/experiments/ compares it byte-for-byte)")
 		metricsOut = flag.String("metrics-out", "", "for scenario-DSL runs: write the JSON result artifact to this file (CI artifact)")
-		parallel   = flag.Int("parallel", 4, "for scenario-DSL runs: variants simulated concurrently (results are byte-identical for any value)")
 		rig        = flag.String("rig", "", "for scenario-DSL runs: apply a sentinel property-breaker (test use only; see internal/scenario.Rig)")
 		maxWall    = flag.Duration("max-wall", 0, "for scenario-DSL runs: fail unless the run finishes within this wall-clock budget (0 = no budget)")
 	)
@@ -57,7 +56,7 @@ func main() {
 		os.Exit(runDeciderMatrix(*seed, *jsonOut))
 	}
 	if *scenName != "" {
-		os.Exit(runScenario(*scenName, *seed, *parallel, *rig, *decider, *metricsOut, *maxWall))
+		os.Exit(runScenario(*scenName, *seed, *rig, *decider, *metricsOut, *maxWall))
 	}
 	if *decider != "" {
 		fmt.Fprintln(os.Stderr, "expdriver: -decider only applies to scenario-DSL runs (-scenario <name|file>)")

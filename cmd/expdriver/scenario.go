@@ -20,7 +20,7 @@ import (
 // Exit codes: 0 all claims pass within budget, 1 a claim or the budget
 // failed (an empty claim set counts as a failure: a run that gates nothing
 // must not pass CI), 2 usage/decode errors.
-func runScenario(nameOrPath string, seed uint64, parallel int, rigName, decider, metricsOut string, maxWall time.Duration) int {
+func runScenario(nameOrPath string, seed uint64, rigName, decider, metricsOut string, maxWall time.Duration) int {
 	rig, err := scenario.ParseRig(rigName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "expdriver: %v\n", err)
@@ -43,7 +43,7 @@ func runScenario(nameOrPath string, seed uint64, parallel int, rigName, decider,
 	}
 
 	start := time.Now()
-	res, err := scenario.Run(sc, scenario.Options{Parallel: parallel, Rig: rig})
+	res, err := scenario.Run(sc, rig)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "expdriver: scenario %s: %v\n", sc.Name, err)
 		return 2
@@ -110,11 +110,9 @@ func runScenario(nameOrPath string, seed uint64, parallel int, rigName, decider,
 
 	code := 0
 	if len(res.Claims) == 0 {
-		// An empty claim set used to print "(no claims registered)" and
-		// exit 0 — so a misnamed builtin or a claimless scenario file
-		// sailed through CI having verified nothing. Gating nothing is a
-		// failure, not a pass.
-		fmt.Printf("scenario %s: FAIL: no claims registered — the run verified nothing\n", res.Scenario)
+		// Only built-ins carry claims, so every scenario file lands here:
+		// a run that gates nothing is a failure, not a pass.
+		fmt.Printf("scenario %s: FAIL: no claims — the run verified nothing\n", res.Scenario)
 		code = 1
 	}
 	if !res.ClaimsPass() {

@@ -57,7 +57,7 @@ func TestScenarioNames(t *testing.T) {
 			t.Fatal(err)
 		}
 		os.Stderr = w
-		code := runScenario(name, 1, 1, "", "", "", 0)
+		code := runScenario(name, 1, "", "", "", 0)
 		os.Stderr = stderr
 		w.Close()
 		msg, _ := io.ReadAll(r)

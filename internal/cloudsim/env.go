@@ -18,10 +18,6 @@ type FleetEnv struct {
 	// co-located tenant load). Values are clamped at 0; nil means 1.
 	Capacity func(tSec float64) float64
 
-	// ExtraSigma adds to the per-window NIC noise sigma (link jitter).
-	// Negative values are ignored; nil adds nothing.
-	ExtraSigma func(tSec float64) float64
-
 	// Loss is the packet loss fraction of the shared link in [0, 1); it
 	// caps each stream's wire demand at the loss-limited TCP rate (see
 	// lossWireCapMBps). Zero or nil disables the loss model.

@@ -34,10 +34,11 @@ type FleetStream struct {
 	// its rate and byte totals; the NIC model displays no guest metrics.
 	Scheme core.Policy
 	// Weight is the stream's share weight in the NIC's weighted fair
-	// queueing; zero means 1.
+	// queueing; it must be positive.
 	Weight float64
 	// CPUFactor scales the stream's compression throughput relative to
-	// the profile ladder (crowded cores compress slower); zero means 1.
+	// the profile ladder (crowded cores compress slower); it must be
+	// positive.
 	CPUFactor float64
 	// Tenant is an owner label carried into the per-stream results.
 	Tenant string
@@ -52,12 +53,11 @@ type FleetStream struct {
 // FleetConfig describes a shared-NIC fleet run.
 type FleetConfig struct {
 	// NICMBps is the host NIC's wire-layer capacity shared by all
-	// streams, in MB/s. Zero means the Native platform's 1 Gbit/s
-	// achievable rate.
+	// streams, in MB/s; it must be positive.
 	NICMBps float64
 	// Windows is the number of decision windows to simulate.
 	Windows int
-	// WindowSeconds is the decision interval t; zero means the paper's 2 s.
+	// WindowSeconds is the decision interval t; it must be positive.
 	WindowSeconds float64
 	// Profiles is the codec profile ladder (index = level).
 	Profiles []CodecProfile
@@ -73,7 +73,7 @@ type FleetConfig struct {
 	// throughput (scheduling jitter). Zero means none.
 	CPUSigma float64
 	// Env, if non-nil, applies time-varying environment perturbations:
-	// capacity curves, jitter, packet loss (see FleetEnv).
+	// capacity curves, packet loss (see FleetEnv).
 	Env *FleetEnv
 	// Trace, if non-nil, receives one aggregate sample per window.
 	Trace func(FleetWindowSample)
@@ -164,14 +164,11 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 	if err := ValidateLadder(cfg.Profiles); err != nil {
 		return res, err
 	}
-	if cfg.WindowSeconds <= 0 {
-		cfg.WindowSeconds = core.DefaultWindowSeconds
+	if !(cfg.WindowSeconds > 0) {
+		return res, fmt.Errorf("cloudsim: fleet window of %v s: want > 0", cfg.WindowSeconds)
 	}
-	if cfg.NICMBps == 0 {
-		cfg.NICMBps = netTable[Native].appMBps
-	}
-	if cfg.NICMBps < 0 {
-		return res, fmt.Errorf("cloudsim: negative NIC capacity %v", cfg.NICMBps)
+	if !(cfg.NICMBps > 0) {
+		return res, fmt.Errorf("cloudsim: NIC capacity %v MB/s: want > 0", cfg.NICMBps)
 	}
 
 	rng := xrand.New(cfg.Seed ^ 0xF1EE7)
@@ -188,17 +185,11 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 		if lvl < 0 || lvl >= len(cfg.Profiles) {
 			return res, fmt.Errorf("cloudsim: stream %d starts at invalid level %d", i, lvl)
 		}
-		if sc.Weight == 0 {
-			sc.Weight = 1
+		if !(sc.Weight > 0) {
+			return res, fmt.Errorf("cloudsim: stream %d has weight %v: want > 0", i, sc.Weight)
 		}
-		if sc.Weight < 0 {
-			return res, fmt.Errorf("cloudsim: stream %d has negative weight", i)
-		}
-		if sc.CPUFactor == 0 {
-			sc.CPUFactor = 1
-		}
-		if sc.CPUFactor < 0 {
-			return res, fmt.Errorf("cloudsim: stream %d has negative CPU factor", i)
+		if !(sc.CPUFactor > 0) {
+			return res, fmt.Errorf("cloudsim: stream %d has CPU factor %v: want > 0", i, sc.CPUFactor)
 		}
 		states[i] = &fleetStreamState{cfg: sc, rng: rng.Fork(), level: lvl, lastSwitchWin: -1}
 	}
@@ -213,19 +204,14 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 	for w := 0; w < cfg.Windows; w++ {
 		t := float64(w) * cfg.WindowSeconds
 
-		// Resolve the window's environment: capacity multiplier, jitter
-		// sigma and the loss model's parameters.
-		capMul, sigma, loss, rtt := 1.0, cfg.NICSigma, 0.0, 0.0
+		// Resolve the window's environment: capacity multiplier and the
+		// loss model's parameters.
+		capMul, loss, rtt := 1.0, 0.0, 0.0
 		if cfg.Env != nil {
 			if cfg.Env.Capacity != nil {
 				capMul = cfg.Env.Capacity(t)
 				if capMul < 0 || math.IsNaN(capMul) {
 					capMul = 0
-				}
-			}
-			if cfg.Env.ExtraSigma != nil {
-				if es := cfg.Env.ExtraSigma(t); es > 0 {
-					sigma += es
 				}
 			}
 			if cfg.Env.Loss != nil {
@@ -235,7 +221,7 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 				rtt = cfg.Env.RTTSeconds(t)
 			}
 		}
-		nicCap := cfg.NICMBps * capMul * nicRNG.NoiseFactor(sigma)
+		nicCap := cfg.NICMBps * capMul * nicRNG.NoiseFactor(cfg.NICSigma)
 
 		for i, s := range states {
 			kind := s.cfg.Kind(s.sentApp)

@@ -78,8 +78,10 @@ func moderateFleet(n int, scheme func(i int) core.Policy) []FleetStream {
 	streams := make([]FleetStream, n)
 	for i := range streams {
 		streams[i] = FleetStream{
-			Kind:   ConstantKind(corpus.Moderate),
-			Scheme: scheme(i),
+			Kind:      ConstantKind(corpus.Moderate),
+			Scheme:    scheme(i),
+			Weight:    1,
+			CPUFactor: 1,
 		}
 	}
 	return streams
@@ -89,9 +91,11 @@ func TestRunFleetValidation(t *testing.T) {
 	profiles := ReferenceProfiles()
 	base := func() FleetConfig {
 		return FleetConfig{
-			Windows:  4,
-			Profiles: profiles,
-			Streams:  moderateFleet(2, func(int) core.Policy { return core.Static(0) }),
+			NICMBps:       111,
+			Windows:       4,
+			WindowSeconds: 2,
+			Profiles:      profiles,
+			Streams:       moderateFleet(2, func(int) core.Policy { return core.Static(0) }),
 		}
 	}
 	cases := []struct {
@@ -104,9 +108,13 @@ func TestRunFleetValidation(t *testing.T) {
 		{"nil scheme", func(c *FleetConfig) { c.Streams[0].Scheme = nil }, "nil scheme"},
 		{"nil kind", func(c *FleetConfig) { c.Streams[1].Kind = nil }, "nil kind schedule"},
 		{"bad start level", func(c *FleetConfig) { c.Streams[0].Scheme = core.Static(9) }, "invalid level"},
-		{"negative weight", func(c *FleetConfig) { c.Streams[0].Weight = -1 }, "negative weight"},
-		{"negative cpu factor", func(c *FleetConfig) { c.Streams[0].CPUFactor = -1 }, "negative CPU factor"},
-		{"negative nic", func(c *FleetConfig) { c.NICMBps = -5 }, "negative NIC capacity"},
+		{"negative weight", func(c *FleetConfig) { c.Streams[0].Weight = -1 }, "weight -1: want > 0"},
+		{"zero weight", func(c *FleetConfig) { c.Streams[1].Weight = 0 }, "weight 0: want > 0"},
+		{"negative cpu factor", func(c *FleetConfig) { c.Streams[0].CPUFactor = -1 }, "CPU factor -1: want > 0"},
+		{"zero cpu factor", func(c *FleetConfig) { c.Streams[1].CPUFactor = 0 }, "CPU factor 0: want > 0"},
+		{"negative nic", func(c *FleetConfig) { c.NICMBps = -5 }, "NIC capacity -5 MB/s: want > 0"},
+		{"zero nic", func(c *FleetConfig) { c.NICMBps = 0 }, "NIC capacity 0 MB/s: want > 0"},
+		{"zero window", func(c *FleetConfig) { c.WindowSeconds = 0 }, "window of 0 s: want > 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -122,13 +130,14 @@ func TestRunFleetValidation(t *testing.T) {
 
 func TestRunFleetDeterministic(t *testing.T) {
 	cfg := FleetConfig{
-		NICMBps:  50,
-		Windows:  30,
-		Profiles: ReferenceProfiles(),
-		Streams:  moderateFleet(8, func(int) core.Policy { return core.Static(1) }),
-		Seed:     42,
-		NICSigma: 0.1,
-		CPUSigma: 0.05,
+		NICMBps:       50,
+		Windows:       30,
+		WindowSeconds: 2,
+		Profiles:      ReferenceProfiles(),
+		Streams:       moderateFleet(8, func(int) core.Policy { return core.Static(1) }),
+		Seed:          42,
+		NICSigma:      0.1,
+		CPUSigma:      0.05,
 	}
 	a, err := RunFleet(cfg)
 	if err != nil {
@@ -151,11 +160,12 @@ func TestRunFleetCompressionBeatsIdentityOnContendedNIC(t *testing.T) {
 	// the paper's core economics.
 	run := func(level int) FleetResult {
 		res, err := RunFleet(FleetConfig{
-			NICMBps:  50,
-			Windows:  20,
-			Profiles: ReferenceProfiles(),
-			Streams:  moderateFleet(10, func(int) core.Policy { return core.Static(level) }),
-			Seed:     7,
+			NICMBps:       50,
+			Windows:       20,
+			WindowSeconds: 2,
+			Profiles:      ReferenceProfiles(),
+			Streams:       moderateFleet(10, func(int) core.Policy { return core.Static(level) }),
+			Seed:          7,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -177,11 +187,12 @@ func TestRunFleetUncontendedPrefersCPUBound(t *testing.T) {
 	// One stream on a fat NIC is CPU-bound: identity framing moves data
 	// at nearly wire-stack speed, far above any compressor.
 	res, err := RunFleet(FleetConfig{
-		NICMBps:  1000,
-		Windows:  10,
-		Profiles: ReferenceProfiles(),
-		Streams:  moderateFleet(1, func(int) core.Policy { return core.Static(0) }),
-		Seed:     3,
+		NICMBps:       1000,
+		Windows:       10,
+		WindowSeconds: 2,
+		Profiles:      ReferenceProfiles(),
+		Streams:       moderateFleet(1, func(int) core.Policy { return core.Static(0) }),
+		Seed:          3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,11 +216,12 @@ func (s *seesaw) Level() int { return s.level }
 
 func TestRunFleetHarnessCountsFlaps(t *testing.T) {
 	res, err := RunFleet(FleetConfig{
-		NICMBps:  50,
-		Windows:  21,
-		Profiles: ReferenceProfiles(),
-		Streams:  moderateFleet(1, func(int) core.Policy { return &seesaw{} }),
-		Seed:     1,
+		NICMBps:       50,
+		Windows:       21,
+		WindowSeconds: 2,
+		Profiles:      ReferenceProfiles(),
+		Streams:       moderateFleet(1, func(int) core.Policy { return &seesaw{} }),
+		Seed:          1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -226,11 +238,12 @@ func TestRunFleetWeightedSharesSkewGoodput(t *testing.T) {
 	streams[0].Weight = 3
 	streams[0].Tenant = "gold"
 	res, err := RunFleet(FleetConfig{
-		NICMBps:  40,
-		Windows:  10,
-		Profiles: ReferenceProfiles(),
-		Streams:  streams,
-		Seed:     11,
+		NICMBps:       40,
+		Windows:       10,
+		WindowSeconds: 2,
+		Profiles:      ReferenceProfiles(),
+		Streams:       streams,
+		Seed:          11,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -47,6 +47,7 @@ func runFlapFleet(t *testing.T, seed uint64, mkScheme func(i int) core.Policy) c
 		streams[i] = cloudsim.FleetStream{
 			Kind:   cloudsim.ConstantKind(corpus.Moderate),
 			Scheme: mkScheme(i),
+			Weight: 1,
 			// CPU skew 0.4..1.0 so the fleet holds both compressor-bound
 			// and NIC-bound streams on either side of each flap edge.
 			CPUFactor: 0.4 + 0.6*float64(i)/float64(flapStreamsN-1),

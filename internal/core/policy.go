@@ -166,19 +166,6 @@ func PolicyNames() []string {
 	return []string{PolicyAlgorithmOne, PolicyBandit, PolicyEWMA}
 }
 
-// ValidPolicy reports whether name is a constructible policy name, the
-// CheatStick sentinel included: what scenario files accept. The CLIs, which
-// deploy a policy, accept PolicyNames and the empty name only
-// (PolicyFactory).
-func ValidPolicy(name string) bool {
-	switch name {
-	case PolicyAlgorithmOne, PolicyBandit, PolicyEWMA, PolicyCheatStick:
-		return true
-	default:
-		return false
-	}
-}
-
 // PolicyConfig is Config, under the name bench/ and the adaptio facade
 // construct policies with.
 type PolicyConfig = Config

@@ -68,7 +68,12 @@ func measureCodec(p cloudsim.CodecProfile, codec compress.Codec, kind corpus.Kin
 
 	// The output buffers are allocated before the clock starts: a fresh one
 	// per block would time the allocator and the collector, not the codec.
-	comp := make([]byte, 0, compressRoom(len(data), block))
+	// comp is also written once to its capacity, so the timed pass does not
+	// take the page faults of fresh memory: at NO, which only copies, they
+	// cost more than the copy.
+	comp := make([]byte, compressRoom(len(data), block))
+	clear(comp)
+	comp = comp[:0]
 	blocks := make([][]byte, 0, (len(data)+block-1)/block)
 	out := make([]byte, 0, block)
 	start := time.Now()

@@ -29,7 +29,7 @@ func runBuiltin(t *testing.T, name string, rig scenario.Rig) *scenario.Result {
 	if sc == nil {
 		t.Fatalf("built-in %q missing", name)
 	}
-	res, err := scenario.Run(sc, scenario.Options{Parallel: 4, Rig: rig})
+	res, err := scenario.Run(sc, rig)
 	if err != nil {
 		t.Fatalf("scenario %s (rig %q): %v", name, rig, err)
 	}
@@ -100,23 +100,13 @@ func TestScenarioRigMatrix(t *testing.T) {
 	}
 }
 
-// TestScenarioRigCoverage keeps the claim/rig bookkeeping consistent: every
-// rig-targeted claim must exist in its scenario's registry, and the rigged
-// scenario set must span most of the catalog.
+// TestScenarioRigCoverage keeps the rigs spread over the catalog: the
+// rigged scenario set must span most of it.
 func TestScenarioRigCoverage(t *testing.T) {
 	rigged := map[string]bool{}
-	for rig, scens := range scenario.RigTargets() {
-		for name, targets := range scens {
+	for _, scens := range scenario.RigTargets() {
+		for name := range scens {
 			rigged[name] = true
-			registered := map[string]bool{}
-			for _, c := range scenario.ClaimsFor(name) {
-				registered[c.Name] = true
-			}
-			for _, want := range targets {
-				if !registered[want] {
-					t.Errorf("rig %s targets unknown claim %s/%s", rig, name, want)
-				}
-			}
 		}
 	}
 	var names []string

@@ -1,24 +1,23 @@
 package scenario
 
-import (
-	"fmt"
-
-	"adaptio/internal/coord"
-)
+import "fmt"
 
 // A Claim is a deterministic shape assertion over a scenario's Result: the
 // piece that turns a built-in scenario from a demo into a regression gate.
 // Claims compare variants against each other (adaptive vs static ladders,
 // coordinated vs solo) rather than against absolute numbers, so they encode
 // the paper's qualitative physics, not simulator constants. Each scenario's
-// headline claims are attackable by a Rig (RigTargets), and the shape-test
-// suite proves every rig actually flips exactly the claims it targets — a
-// claim matrix no rig can break would be vacuous.
+// headline claims name the Rigs that must break them (BrokenBy, collected by
+// RigTargets), and the shape-test suite proves every rig actually flips
+// exactly the claims it targets — a claim matrix no rig can break would be
+// vacuous.
 type Claim struct {
 	// Name identifies the claim in artifacts and test output.
 	Name string
 	// Desc is the one-line statement of the property.
 	Desc string
+	// BrokenBy lists the rigs under which the claim must fail.
+	BrokenBy []Rig
 	// check returns pass/fail plus a diagnostic detail line.
 	check func(sc *Scenario, r *Result) (bool, string)
 }
@@ -147,159 +146,6 @@ func lossOnsetWindow(sc *Scenario, r *Result) int {
 	return -1
 }
 
-// claimRegistry maps built-in scenario names to their claims.
-var claimRegistry = map[string][]Claim{
-	"diurnal": {
-		{
-			Name: "adaptive-beats-heavy-troughs",
-			Desc: "In demand troughs, the adaptive fleet's goodput strictly beats static-HEAVY: slow hosts cannot compress at HEAVY fast enough even for trough demand.",
-			check: func(sc *Scenario, r *Result) (bool, string) {
-				idx := troughWindows(sc, r)
-				ad, hv := sumAt(r.Variant("adaptive"), idx), sumAt(r.Variant("static-heavy"), idx)
-				return ad > hv, fmt.Sprintf("trough windows %d: adaptive %d bytes vs static-heavy %d", len(idx), ad, hv)
-			},
-		},
-		{
-			Name: "adaptive-flap-bound",
-			Desc: fmt.Sprintf("The adaptive fleet flaps at most %.0f times per stream-hour across the diurnal cycle.", diurnalFlapsPerStreamHour),
-			check: func(sc *Scenario, r *Result) (bool, string) {
-				f := flapsPerStreamHour(r, r.Variant("adaptive"))
-				return f <= diurnalFlapsPerStreamHour,
-					fmt.Sprintf("adaptive flaps/stream-hour %.2f (bound %.0f)", f, diurnalFlapsPerStreamHour)
-			},
-		},
-	},
-	"heavytail": {
-		{
-			Name: "adaptive-tracks-best-static",
-			Desc: fmt.Sprintf("On the bursty heavy-tail mix, adaptive goodput stays within %.0f%% of the best static level.", trackBestStaticFrac*100),
-			check: func(sc *Scenario, r *Result) (bool, string) {
-				best, bestName := int64(0), ""
-				for _, n := range []string{"static-no", "static-light", "static-medium", "static-heavy"} {
-					if v := r.Variant(n); v != nil && v.AppBytes > best {
-						best, bestName = v.AppBytes, n
-					}
-				}
-				ad := r.Variant("adaptive").AppBytes
-				return float64(ad) >= trackBestStaticFrac*float64(best),
-					fmt.Sprintf("adaptive %d bytes vs best static %s %d (floor %.2f)", ad, bestName, best, trackBestStaticFrac)
-			},
-		},
-		{
-			Name: "compression-pays",
-			Desc: fmt.Sprintf("The best compressed static level beats no-compression by at least %.0f%% (scenario sanity).", (compressionPayoffFrac-1)*100),
-			check: func(sc *Scenario, r *Result) (bool, string) {
-				best := int64(0)
-				for _, n := range []string{"static-light", "static-medium", "static-heavy"} {
-					if v := r.Variant(n); v != nil && v.AppBytes > best {
-						best = v.AppBytes
-					}
-				}
-				no := r.Variant("static-no").AppBytes
-				return float64(best) >= compressionPayoffFrac*float64(no),
-					fmt.Sprintf("best compressed %d bytes vs no-compression %d", best, no)
-			},
-		},
-	},
-	"lossy": {
-		{
-			Name: "light-overtakes-heavy-under-loss",
-			Desc: "After the link degrades to 2% loss, static-LIGHT's goodput overtakes static-HEAVY: loss-limited TCP throughput is inversely proportional to effective RTT, and HEAVY's per-block compression latency dominates it.",
-			check: func(sc *Scenario, r *Result) (bool, string) {
-				onset := lossOnsetWindow(sc, r)
-				if onset < 0 {
-					// The rigged (no-loss) run must fail here, not pass
-					// vacuously: with a quiet link HEAVY stays ahead.
-					onset = 0
-				}
-				from := onset + lossSettleWindows
-				lt := sumRange(r.Variant("static-light"), from, r.Windows)
-				hv := sumRange(r.Variant("static-heavy"), from, r.Windows)
-				return lt > hv, fmt.Sprintf("windows [%d,%d): static-light %d bytes vs static-heavy %d", from, r.Windows, lt, hv)
-			},
-		},
-		{
-			Name: "heavy-wins-quiet-link",
-			Desc: "Before loss onset the ordering is reversed: on a quiet contended NIC, HEAVY's ratio advantage beats LIGHT (this is what makes the overtake a crossover, not a constant).",
-			check: func(sc *Scenario, r *Result) (bool, string) {
-				onset := lossOnsetWindow(sc, r)
-				end := onset
-				if onset < 0 {
-					end = r.Windows
-				}
-				from := lossSettleWindows // skip decider warmup noise window 0
-				hv := sumRange(r.Variant("static-heavy"), from, end)
-				lt := sumRange(r.Variant("static-light"), from, end)
-				return hv > lt, fmt.Sprintf("windows [%d,%d): static-heavy %d bytes vs static-light %d", from, end, hv, lt)
-			},
-		},
-	},
-	"flaps": {
-		{
-			Name: "coord-dwell-bounds-switches",
-			Desc: "Hysteresis dwell is a hard rate limit: no coordinated stream can switch levels more than once per HysteresisWindows windows, whatever the NIC does.",
-			check: func(sc *Scenario, r *Result) (bool, string) {
-				bound := r.Windows/coord.HysteresisWindows + 1
-				got := r.Variant("coordinated").MaxStreamSwitches
-				return got <= bound, fmt.Sprintf("coordinated max per-stream switches %d (dwell bound %d over %d windows)", got, bound, r.Windows)
-			},
-		},
-		{
-			Name:  "coordination-calms-flapping",
-			Desc:  "Under bandwidth flaps the coordinated fleet flaps strictly less than the solo-decider fleet, which chases every capacity edge.",
-			check: coordFlapsBelowSolo,
-		},
-	},
-	"hetfleet": {
-		{
-			Name: "weighted-fairness-holds",
-			Desc: fmt.Sprintf("Gold streams (weight 3) sustain at least %.1fx the per-stream goodput of silver streams in the coordinated fleet.", hetFairnessFloor),
-			check: func(sc *Scenario, r *Result) (bool, string) {
-				return tenantRatioAtLeast(r.Variant("coordinated"), "gold", "silver", hetFairnessFloor)
-			},
-		},
-		{
-			Name: "nic-fairness-static",
-			Desc: fmt.Sprintf("The weighted NIC alone (static-LIGHT fleet, no coordinator) already yields gold at least %.1fx silver per stream: fairness is a link property, not a policy artifact.", hetFairnessFloor),
-			check: func(sc *Scenario, r *Result) (bool, string) {
-				return tenantRatioAtLeast(r.Variant("static-light"), "gold", "silver", hetFairnessFloor)
-			},
-		},
-		{
-			Name: "coordinated-beats-solo-goodput",
-			Desc: "On the saturated shared NIC the coordinated fleet's aggregate goodput strictly beats the solo-decider fleet's: one budgeted assignment wastes less of the link than every stream probing on its own.",
-			check: func(sc *Scenario, r *Result) (bool, string) {
-				co, ad := r.Variant("coordinated").AppBytes, r.Variant("adaptive").AppBytes
-				return co > ad, fmt.Sprintf("coordinated %d bytes vs solo %d", co, ad)
-			},
-		},
-		{
-			Name:  "coordinated-flaps-below-solo",
-			Desc:  "On a steady NIC the coordinated fleet flaps strictly less than the solo-decider fleet, whose streams mistake each other's probes for bandwidth changes.",
-			check: coordFlapsBelowSolo,
-		},
-	},
-	"diurnal-lossy-1000": {
-		{
-			Name: "adaptive-beats-heavy-at-scale",
-			Desc: "Across the full 1000-VM diurnal cycle with the evening loss episode, the adaptive fleet's aggregate goodput strictly beats static-HEAVY.",
-			check: func(sc *Scenario, r *Result) (bool, string) {
-				ad, hv := r.Variant("adaptive").AppBytes, r.Variant("static-heavy").AppBytes
-				return ad > hv, fmt.Sprintf("adaptive %d bytes vs static-heavy %d", ad, hv)
-			},
-		},
-		{
-			Name: "scale-flap-bound",
-			Desc: fmt.Sprintf("The 1000-VM adaptive fleet flaps at most %.0f times per stream-hour.", scaleFlapsPerStreamHour),
-			check: func(sc *Scenario, r *Result) (bool, string) {
-				f := flapsPerStreamHour(r, r.Variant("adaptive"))
-				return f <= scaleFlapsPerStreamHour,
-					fmt.Sprintf("adaptive flaps/stream-hour %.2f (bound %.0f)", f, scaleFlapsPerStreamHour)
-			},
-		},
-	},
-}
-
 // coordFlapsBelowSolo checks the coordinated fleet flaps strictly less than
 // the solo-decider (adaptive) fleet.
 func coordFlapsBelowSolo(_ *Scenario, r *Result) (bool, string) {
@@ -335,24 +181,21 @@ func tenantRatioAtLeast(v *VariantResult, a, b string, k float64) (bool, string)
 		fmt.Sprintf("%s %.1f MB/stream vs %s %.1f MB/stream (ratio %.2f, floor %.1f)", a, pa/1e6, b, pb/1e6, ratio, k)
 }
 
-// ClaimsFor returns the claims registered for a built-in scenario name
-// (nil for user-authored scenarios).
-func ClaimsFor(name string) []Claim { return claimRegistry[name] }
-
 // RigTargets maps each rig to the built-in claims it is designed to break,
-// as scenario-name → claim-names. The shape-test suite walks this table:
-// for every entry, running the scenario with the rig must fail exactly
-// those claims' properties.
+// as scenario-name → claim-names, collected from the catalog's BrokenBy
+// lists. The shape-test suite walks this table: for every entry, running
+// the scenario with the rig must fail exactly those claims' properties.
 func RigTargets() map[Rig]map[string][]string {
-	return map[Rig]map[string][]string{
-		RigPinAdaptiveHeavy: {"diurnal": {"adaptive-beats-heavy-troughs"}},
-		RigPinAdaptiveNO:    {"heavytail": {"adaptive-tracks-best-static"}},
-		RigNoLoss:           {"lossy": {"light-overtakes-heavy-under-loss"}},
-		RigFlatWeights:      {"hetfleet": {"weighted-fairness-holds", "nic-fairness-static"}},
-		RigOscillate: {
-			"diurnal":  {"adaptive-flap-bound"},
-			"flaps":    {"coord-dwell-bounds-switches", "coordination-calms-flapping"},
-			"hetfleet": {"coordinated-beats-solo-goodput", "coordinated-flaps-below-solo"},
-		},
+	targets := map[Rig]map[string][]string{}
+	for _, sc := range Builtins() {
+		for _, c := range sc.claims {
+			for _, rig := range c.BrokenBy {
+				if targets[rig] == nil {
+					targets[rig] = map[string][]string{}
+				}
+				targets[rig][sc.Name] = append(targets[rig][sc.Name], c.Name)
+			}
+		}
 	}
+	return targets
 }

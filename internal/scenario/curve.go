@@ -65,7 +65,6 @@ var (
 	curveMultiplier = curveMode{"multiplier", 1e3}
 	curveLoss       = curveMode{"loss fraction", 0.5}
 	curveRTT        = curveMode{"RTT (ms)", 60_000}
-	curveSigma      = curveMode{"noise sigma", 2}
 )
 
 // validate checks the curve tree (nil is valid: "absent"). All level fields

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"testing"
 
 	"adaptio/internal/core"
@@ -30,7 +31,7 @@ func runAdaptive(t *testing.T, name, policy string) (*VariantResult, bool) {
 	if policy != core.PolicyAlgorithmOne {
 		sc.Decider = policy
 	}
-	res, err := Run(sc, Options{Parallel: 6})
+	res, err := Run(sc, RigNone)
 	if err != nil {
 		t.Fatalf("%s under %s: %v", name, policy, err)
 	}
@@ -103,16 +104,18 @@ func TestCheatStickFailsScenarioBound(t *testing.T) {
 }
 
 // TestScenarioDeciderField pins the DSL wiring: an unknown policy is a typed
-// validation error, and a valid one lands in the artifact header.
+// validation error on the decider field, and a valid one lands in the
+// artifact header.
 func TestScenarioDeciderField(t *testing.T) {
 	sc := Lookup("hetfleet")
 	sc.Decider = "nonsense"
-	if err := sc.Validate(); err == nil {
-		t.Fatal("unknown decider name validated")
+	var fe *FieldError
+	if err := sc.Validate(); !errors.As(err, &fe) || fe.Field != "decider" {
+		t.Fatalf("unknown decider name: got %v, want a FieldError on decider", err)
 	}
 	sc.Decider = core.PolicyEWMA
 	sc.Windows = 40
-	res, err := Run(sc, Options{Parallel: 2})
+	res, err := Run(sc, RigNone)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

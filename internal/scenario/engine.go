@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -54,17 +55,6 @@ func ParseRig(s string) (Rig, error) {
 	default:
 		return RigNone, fmt.Errorf("scenario: unknown rig %q", s)
 	}
-}
-
-// Options parameterize a scenario run.
-type Options struct {
-	// Parallel is the number of variants simulated concurrently; values
-	// < 1 mean 1. Results are byte-identical for every value — each
-	// variant is a self-contained simulation with its own RNGs, schemes
-	// and coordinator, so scheduling order cannot leak into them.
-	Parallel int
-	// Rig applies a sentinel property-breaker; see Rig.
-	Rig Rig
 }
 
 // VariantNames is the fixed variant set every scenario runs, in artifact
@@ -143,7 +133,7 @@ func (r *Result) Variant(name string) *VariantResult {
 
 // MarshalArtifact renders the result as the canonical expdriver JSON
 // artifact: indented, trailing newline, byte-identical across runs and
-// across worker parallelism for the same (scenario, seed, rig).
+// across GOMAXPROCS for the same (scenario, seed, rig).
 func (r *Result) MarshalArtifact() ([]byte, error) {
 	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
@@ -170,26 +160,19 @@ type oscillator struct{ level int }
 func (o *oscillator) Observe(float64) int { o.level ^= 1; return o.level }
 func (o *oscillator) Level() int          { return o.level }
 
-// streamSpec is one compiled stream: everything variant-independent.
-type streamSpec struct {
-	weight float64
-	tenant string
-	cpu    float64
-	seed   uint64 // per-stream seed (also feeds stochastic deciders)
-	kind   cloudsim.KindSchedule
-	demand func(tSec float64) float64
-}
-
 // engine holds a compiled scenario ready to run its variants.
 type engine struct {
-	sc       Scenario // effective copy, defaults applied
-	specs    []streamSpec
+	sc Scenario // effective copy, defaults applied
+	// streams is the compiled fleet, everything variant-independent: each
+	// variant copies it and fills in the schemes.
+	streams  []cloudsim.FleetStream
 	profiles []cloudsim.CodecProfile
 	rig      Rig
 }
 
 // deriveSeed maps (seed, index) to a per-stream seed via a splitmix64 step,
-// so sibling streams draw independent noise and burst phases.
+// so sibling streams draw independent noise and burst phases, and
+// stochastic deciders their own streams of choices.
 func deriveSeed(seed uint64, i int) uint64 {
 	x := xrand.Mix(seed + 0x9e3779b97f4a7c15*uint64(i+1))
 	if x == 0 {
@@ -215,17 +198,21 @@ func mixKindSchedule(mix []corpus.Kind, chunkBytes int64, seed uint64) cloudsim.
 }
 
 // compile resolves defaults, loads a replay trace if any, and expands the
-// fleet groups into per-stream specs.
+// fleet groups into per-stream fleet members.
 func compile(sc *Scenario, rig Rig) (*engine, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	e := &engine{sc: *sc, rig: rig, profiles: cloudsim.ReferenceProfiles()}
 	eff := &e.sc
+	total := 0
+	for i := range eff.Fleet {
+		total += eff.Fleet[i].Count
+	}
 
 	// Trace replay: the recorded per-window byte counts become the
 	// fleet-wide demand curve, split evenly across streams.
-	var traceDemand []float64 // fleet-wide MB/s per window
+	var traceDemand func(float64) float64
 	if eff.Trace != "" {
 		wt, err := trace.LoadWindowed(eff.Trace)
 		if err != nil {
@@ -246,9 +233,12 @@ func compile(sc *Scenario, rig Rig) (*engine, error) {
 			return nil, fieldErrf("trace", "replay trace %q holds %d windows, more than %d: set windows to replay a prefix",
 				eff.Trace, eff.Windows, MaxWindows)
 		}
-		traceDemand = make([]float64, len(wt.Windows))
-		for i, w := range wt.Windows {
-			traceDemand[i] = float64(w.AppBytes) / wt.WindowSeconds / 1e6
+		traceDemand = func(t float64) float64 {
+			w := int(math.Floor(t/wt.WindowSeconds + 0.5))
+			if w < 0 || w >= len(wt.Windows) {
+				return 0
+			}
+			return float64(wt.Windows[w].AppBytes) / wt.WindowSeconds / 1e6 / float64(total)
 		}
 	}
 	if eff.Seed == 0 {
@@ -267,23 +257,15 @@ func compile(sc *Scenario, rig Rig) (*engine, error) {
 		return nil, fieldErrf("windows", "replay trace %q is empty", eff.Trace)
 	}
 
-	total := 0
-	for i := range eff.Fleet {
-		total += eff.Fleet[i].Count
-	}
 	chunkBytes := int64(eff.MixChunkMB * 1e6)
 	if chunkBytes < 1 {
 		chunkBytes = 1
 	}
 
-	e.specs = make([]streamSpec, 0, total)
-	idx := 0
+	e.streams = make([]cloudsim.FleetStream, 0, total)
 	for gi := range eff.Fleet {
 		g := &eff.Fleet[gi]
 		tenant := g.Tenant
-		if tenant == "" {
-			tenant = g.Name
-		}
 		if tenant == "" {
 			tenant = "default"
 		}
@@ -315,31 +297,18 @@ func compile(sc *Scenario, rig Rig) (*engine, error) {
 					cpu = g.CPU.Min + (g.CPU.Max-g.CPU.Min)*float64(j)/float64(g.Count-1)
 				}
 			}
-			sseed := deriveSeed(eff.Seed, idx)
-			var demand func(float64) float64
-			switch {
-			case traceDemand != nil:
-				per := traceDemand
-				n, ws := float64(total), eff.WindowSeconds
-				demand = func(t float64) float64 {
-					w := int(math.Floor(t/ws + 0.5))
-					if w < 0 || w >= len(per) {
-						return 0
-					}
-					return per[w] / n
-				}
-			case demandCurve != nil:
+			sseed := deriveSeed(eff.Seed, len(e.streams))
+			demand := traceDemand
+			if demand == nil {
 				demand = demandCurve.fn(sseed)
 			}
-			e.specs = append(e.specs, streamSpec{
-				weight: weight,
-				tenant: tenant,
-				cpu:    cpu,
-				seed:   sseed,
-				kind:   mixKindSchedule(mix, chunkBytes, sseed),
-				demand: demand,
+			e.streams = append(e.streams, cloudsim.FleetStream{
+				Kind:       mixKindSchedule(mix, chunkBytes, sseed),
+				Weight:     weight,
+				CPUFactor:  cpu,
+				Tenant:     tenant,
+				DemandMBps: demand,
 			})
-			idx++
 		}
 	}
 	return e, nil
@@ -349,55 +318,45 @@ func compile(sc *Scenario, rig Rig) (*engine, error) {
 // cloudsim FleetEnv (nil when the scenario has none).
 func (e *engine) env() *cloudsim.FleetEnv {
 	sc := &e.sc
-	var capacity, sigma, loss, rtt func(float64) float64
-	capCurve := sc.Capacity
-	var flap *Curve
-	if sc.Link != nil {
-		flap = sc.Link.Flap
-		sigma = sc.Link.JitterSigma.fn(sc.Seed)
-		if e.rig != RigNoLoss {
-			loss = sc.Link.Loss.fn(sc.Seed)
-			rtt = sc.Link.RTTms.scaled(sc.Seed, 1e-3)
-		}
+	capacity := sc.Capacity.fn(sc.Seed)
+	var loss, rtt func(float64) float64
+	if sc.Link != nil && e.rig != RigNoLoss {
+		loss = sc.Link.Loss.fn(sc.Seed)
+		rtt = sc.Link.RTTms.scaled(sc.Seed, 1e-3)
 	}
-	switch {
-	case capCurve != nil && flap != nil:
-		cf, ff := capCurve.fn(sc.Seed), flap.fn(sc.Seed)
-		capacity = func(t float64) float64 { return cf(t) * ff(t) }
-	case capCurve != nil:
-		capacity = capCurve.fn(sc.Seed)
-	case flap != nil:
-		capacity = flap.fn(sc.Seed)
-	}
-	if capacity == nil && sigma == nil && loss == nil && rtt == nil {
+	if capacity == nil && loss == nil && rtt == nil {
 		return nil
 	}
-	return &cloudsim.FleetEnv{Capacity: capacity, ExtraSigma: sigma, Loss: loss, RTTSeconds: rtt}
+	return &cloudsim.FleetEnv{Capacity: capacity, Loss: loss, RTTSeconds: rtt}
 }
 
-// schemeFactory returns the per-stream scheme constructor for a variant,
+// schemeFactory returns the scheme constructor for a variant's i-th stream,
 // with the rig's substitutions applied.
-func (e *engine) schemeFactory(variant string) (func(spec streamSpec) core.Policy, error) {
+func (e *engine) schemeFactory(variant string) (func(i int, s *cloudsim.FleetStream) core.Policy, error) {
 	levels := len(e.profiles)
+	static := func(level int) func(int, *cloudsim.FleetStream) core.Policy {
+		return func(int, *cloudsim.FleetStream) core.Policy { return core.Static(level) }
+	}
+	oscillate := func(int, *cloudsim.FleetStream) core.Policy { return &oscillator{} }
 	switch variant {
 	case "adaptive":
 		switch e.rig {
 		case RigPinAdaptiveHeavy:
-			return func(streamSpec) core.Policy { return core.Static(levels - 1) }, nil
+			return static(levels - 1), nil
 		case RigPinAdaptiveNO:
-			return func(streamSpec) core.Policy { return core.Static(0) }, nil
+			return static(0), nil
 		case RigOscillate:
-			return func(streamSpec) core.Policy { return &oscillator{} }, nil
+			return oscillate, nil
 		}
-		return func(spec streamSpec) core.Policy {
+		return func(i int, _ *cloudsim.FleetStream) core.Policy {
 			return core.MustNewPolicy(e.sc.Decider, core.Config{
 				Levels: levels,
-				Seed:   spec.seed,
+				Seed:   deriveSeed(e.sc.Seed, i),
 			})
 		}, nil
 	case "coordinated":
 		if e.rig == RigOscillate {
-			return func(streamSpec) core.Policy { return &oscillator{} }, nil
+			return oscillate, nil
 		}
 		c, err := coord.New(coord.Config{
 			BudgetBytesPerSec: e.sc.NICMBps * 1e6,
@@ -406,17 +365,17 @@ func (e *engine) schemeFactory(variant string) (func(spec streamSpec) core.Polic
 		if err != nil {
 			return nil, fmt.Errorf("scenario: coordinator: %w", err)
 		}
-		return func(spec streamSpec) core.Policy {
-			return c.Register(coord.StreamConfig{Weight: spec.weight, Tenant: spec.tenant})
+		return func(_ int, s *cloudsim.FleetStream) core.Policy {
+			return c.Register(coord.StreamConfig{Weight: s.Weight, Tenant: s.Tenant})
 		}, nil
 	case "static-no":
-		return func(streamSpec) core.Policy { return core.Static(0) }, nil
+		return static(0), nil
 	case "static-light":
-		return func(streamSpec) core.Policy { return core.Static(1) }, nil
+		return static(1), nil
 	case "static-medium":
-		return func(streamSpec) core.Policy { return core.Static(2) }, nil
+		return static(2), nil
 	case "static-heavy":
-		return func(streamSpec) core.Policy { return core.Static(levels - 1) }, nil
+		return static(levels - 1), nil
 	default:
 		return nil, fmt.Errorf("scenario: unknown variant %q", variant)
 	}
@@ -429,16 +388,9 @@ func (e *engine) runVariant(variant string) (VariantResult, error) {
 	if err != nil {
 		return vr, err
 	}
-	streams := make([]cloudsim.FleetStream, len(e.specs))
-	for i, spec := range e.specs {
-		streams[i] = cloudsim.FleetStream{
-			Kind:       spec.kind,
-			Scheme:     mk(spec),
-			Weight:     spec.weight,
-			CPUFactor:  spec.cpu,
-			Tenant:     spec.tenant,
-			DemandMBps: spec.demand,
-		}
+	streams := slices.Clone(e.streams)
+	for i := range streams {
+		streams[i].Scheme = mk(i, &streams[i])
 	}
 	vr.WindowAppBytes = make([]int64, 0, e.sc.Windows)
 	vr.WindowWireBytes = make([]int64, 0, e.sc.Windows)
@@ -494,11 +446,13 @@ func (e *engine) runVariant(variant string) (VariantResult, error) {
 	return vr, nil
 }
 
-// Run executes the scenario: every variant in VariantNames, optionally in
-// parallel, then the scenario's registered claims. The returned Result is
-// identical — byte-for-byte once marshaled — for any Options.Parallel.
-func Run(sc *Scenario, opts Options) (*Result, error) {
-	e, err := compile(sc, opts.Rig)
+// Run executes the scenario with the rig applied: every variant in
+// VariantNames, each on its own goroutine, then the claims the scenario
+// carries. Each variant is a self-contained simulation with its own RNGs,
+// schemes and coordinator, so the returned Result is identical —
+// byte-for-byte once marshaled — however the goroutines are scheduled.
+func Run(sc *Scenario, rig Rig) (*Result, error) {
+	e, err := compile(sc, rig)
 	if err != nil {
 		return nil, err
 	}
@@ -506,29 +460,22 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 		Scenario:         e.sc.Name,
 		Seed:             e.sc.Seed,
 		Decider:          e.sc.Decider,
-		Rig:              string(opts.Rig),
-		Streams:          len(e.specs),
+		Rig:              string(rig),
+		Streams:          len(e.streams),
 		Windows:          e.sc.Windows,
 		WindowSeconds:    e.sc.WindowSeconds,
 		SimulatedSeconds: float64(e.sc.Windows) * e.sc.WindowSeconds,
 		Variants:         make([]VariantResult, len(VariantNames)),
 	}
 
-	workers := opts.Parallel
-	if workers < 1 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
 	errs := make([]error, len(VariantNames))
 	var wg sync.WaitGroup
 	for i, name := range VariantNames {
 		wg.Add(1)
-		go func(i int, name string) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
 			res.Variants[i], errs[i] = e.runVariant(name)
-		}(i, name)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -536,7 +483,7 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 			return nil, err
 		}
 	}
-	for _, cl := range ClaimsFor(e.sc.Name) {
+	for _, cl := range e.sc.claims {
 		res.Claims = append(res.Claims, cl.evaluate(&e.sc, res))
 	}
 	return res, nil

@@ -52,7 +52,7 @@ func Load(path string) (*Scenario, error) {
 // Resolve turns cmd-line input into a scenario: a built-in name first, then
 // a path to a scenario file (anything containing a path separator or a
 // .json suffix skips the built-in lookup). The bool reports whether the
-// result is a built-in (and therefore has registered claims).
+// result is a built-in (and therefore carries claims).
 func Resolve(nameOrPath string) (*Scenario, bool, error) {
 	if nameOrPath == "" {
 		return nil, false, fieldErrf("scenario", "empty scenario name")

@@ -182,7 +182,7 @@ func TestResolve(t *testing.T) {
 }
 
 // TestBuiltinsValidate keeps the shipped catalog self-consistent: every
-// built-in must pass its own DSL validation and carry registered claims.
+// built-in must pass its own DSL validation and carry claims.
 func TestBuiltinsValidate(t *testing.T) {
 	bs := Builtins()
 	if len(bs) < 5 {
@@ -192,8 +192,28 @@ func TestBuiltinsValidate(t *testing.T) {
 		if err := sc.Validate(); err != nil {
 			t.Errorf("built-in %s: %v", sc.Name, err)
 		}
-		if len(ClaimsFor(sc.Name)) == 0 {
-			t.Errorf("built-in %s has no registered claims", sc.Name)
+		if len(sc.claims) == 0 {
+			t.Errorf("built-in %s carries no claims", sc.Name)
 		}
+	}
+}
+
+// TestFileScenarioCarriesNoClaims: claims belong to the built-in, not to
+// its name. A scenario file that reuses a built-in's name is judged by
+// nothing, like every other file, so expdriver fails it as having verified
+// nothing instead of passing it on claims calibrated for another workload.
+func TestFileScenarioCarriesNoClaims(t *testing.T) {
+	sc, err := Parse([]byte(`{"name":"hetfleet","windows":20,"fleet":[
+		{"tenant":"gold","count":10,"weight":3},
+		{"tenant":"silver","count":50}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(sc, RigNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range res.Claims {
+		t.Errorf("file scenario named %q was judged by claim %s (pass %v: %s)", sc.Name, c.Name, c.Pass, c.Detail)
 	}
 }

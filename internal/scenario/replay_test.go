@@ -86,12 +86,12 @@ func TestTraceRecordReplayRoundTrip(t *testing.T) {
 
 	sc := &Scenario{
 		Name:    "replay-roundtrip",
-		Fleet:   []Group{{Name: "replay", Count: replayStreams}},
+		Fleet:   []Group{{Tenant: "replay", Count: replayStreams}},
 		NICMBps: 50_000,
 		Trace:   tracePath,
 		Seed:    2011,
 	}
-	res, err := Run(sc, Options{Parallel: 2})
+	res, err := Run(sc, RigNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestReplayMissingTrace(t *testing.T) {
 		Fleet: []Group{{Count: 1}},
 		Trace: filepath.Join(t.TempDir(), "does-not-exist.json"),
 	}
-	if _, err := Run(sc, Options{}); err == nil {
+	if _, err := Run(sc, RigNone); err == nil {
 		t.Fatal("Run succeeded with a missing trace file")
 	}
 }
@@ -165,7 +165,7 @@ func TestReplayRefusals(t *testing.T) {
 		{"trace over MaxWindows", "trace", MaxWindows + 1000, 0},
 	} {
 		sc := &Scenario{Name: "replay", Fleet: []Group{{Count: 1}}, Trace: save(tc.windows), WindowSeconds: tc.windowSeconds}
-		_, err := Run(sc, Options{})
+		_, err := Run(sc, RigNone)
 		var fe *FieldError
 		if !errors.As(err, &fe) || fe.Field != tc.field {
 			t.Errorf("%s: Run returned %v, want a FieldError on %s", tc.name, err, tc.field)

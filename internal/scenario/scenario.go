@@ -9,8 +9,8 @@
 //   - time-varying load curves (diurnal sinusoid, step, ramp, square wave,
 //     heavy-tailed bursts, products of curves) driving per-stream offered
 //     demand and NIC capacity;
-//   - link perturbations: packet loss with an RTT-dependent Mathis cap,
-//     jitter, bandwidth flaps and latency ramps;
+//   - link perturbations: packet loss with an RTT-dependent Mathis cap and
+//     latency ramps (bandwidth flaps are capacity curves);
 //   - heterogeneous fleets: tenant groups with per-group weights, CPU-skew
 //     spans and weighted corpus-kind mixes;
 //   - replayable traces recorded from cmd/acload runs (internal/trace).
@@ -18,8 +18,8 @@
 // The engine (Run) executes a scenario entirely on the discrete window
 // clock of internal/cloudsim's shared-NIC fleet model, so a 1000-VM,
 // multi-hour scenario finishes in CI seconds, and emits a byte-deterministic
-// JSON artifact: same scenario + same seed = identical bytes, regardless of
-// worker parallelism. Built-in scenarios (Builtins) additionally carry
+// JSON artifact: same scenario + same seed = identical bytes, however the
+// variants are scheduled. Built-in scenarios (Builtins) additionally carry
 // claims — deterministic shape assertions evaluated on every run — which is
 // what keeps the scenario matrix a regression surface instead of a demo.
 // See docs/scenarios.md for the DSL reference and the claim catalog.
@@ -83,7 +83,9 @@ const (
 // Scenario is the root DSL object: one named, seeded, fully deterministic
 // workload over the shared-NIC fleet simulator.
 type Scenario struct {
-	// Name identifies the scenario (built-in names are reserved).
+	// Name identifies the scenario in results. Claims belong to the
+	// built-in, not its name: a file that reuses a built-in's name
+	// carries none.
 	Name string `json:"name"`
 	// Description is free-form documentation.
 	Description string `json:"description,omitempty"`
@@ -108,13 +110,13 @@ type Scenario struct {
 	CPUSigma float64 `json:"cpu_sigma,omitempty"`
 
 	// Capacity, if set, multiplies NIC capacity over time (diurnal
-	// background load, maintenance windows). Composes multiplicatively
-	// with Link.Flap.
+	// background load, maintenance windows, bandwidth flaps as a square
+	// wave).
 	Capacity *Curve `json:"capacity,omitempty"`
 	// Demand, if set, is the default per-stream offered load in MB/s;
 	// groups may override it. Unset means saturating senders.
 	Demand *Curve `json:"demand,omitempty"`
-	// Link describes loss, latency, jitter and bandwidth flaps.
+	// Link describes packet loss and latency.
 	Link *Link `json:"link,omitempty"`
 
 	// Trace, if set, replays a recorded acload trace
@@ -134,19 +136,21 @@ type Scenario struct {
 	// MixChunkMB is how many megabytes a stream sends before re-drawing
 	// its corpus kind from the group mix; zero means 64 MB.
 	MixChunkMB float64 `json:"mix_chunk_mb,omitempty"`
+
+	// claims are the built-in's shape assertions, evaluated by Run. Only
+	// the built-in catalog sets them; a decoded file never carries any.
+	claims []Claim
 }
 
 // Group is one homogeneous-policy slice of the fleet: Count streams sharing
 // a tenant label, fair-share weight, a CPU-skew span and a corpus mix.
 type Group struct {
-	// Name labels the group in diagnostics; defaults to the tenant.
-	Name string `json:"name,omitempty"`
 	// Count is the number of streams (required, >= 1).
 	Count int `json:"count"`
 	// Weight is the per-stream fair-share weight; zero means 1.
 	Weight float64 `json:"weight,omitempty"`
-	// Tenant is the owner label aggregated in results; defaults to Name,
-	// then to "default".
+	// Tenant is the owner label aggregated in results; defaults to
+	// "default".
 	Tenant string `json:"tenant,omitempty"`
 	// CPU spreads per-stream compression-speed factors linearly across
 	// the group (heterogeneous hosts). Zero means factor 1 for all.
@@ -175,11 +179,6 @@ type Link struct {
 	// RTTms is the base round-trip time in milliseconds over time (use
 	// a ramp curve for latency ramps); only meaningful with Loss.
 	RTTms *Curve `json:"rtt_ms,omitempty"`
-	// JitterSigma adds to the NIC noise sigma over time.
-	JitterSigma *Curve `json:"jitter_sigma,omitempty"`
-	// Flap is a square-wave capacity multiplier (bandwidth flaps),
-	// multiplied into Scenario.Capacity.
-	Flap *Curve `json:"flap,omitempty"`
 }
 
 // Duration is a JSON duration: either a Go duration string ("90s", "1.5h")
@@ -266,8 +265,10 @@ func (s *Scenario) Validate() error {
 	if badFloat(s.MixChunkMB) || s.MixChunkMB < 0 || s.MixChunkMB > 1e6 {
 		return fieldErrf("mix_chunk_mb", "must be in [0, 1e6], got %v", s.MixChunkMB)
 	}
-	if s.Decider != "" && !core.ValidPolicy(s.Decider) {
-		return fieldErrf("decider", "unknown policy %q (want one of %v)", s.Decider, core.PolicyNames())
+	if s.Decider != "" {
+		if _, err := core.NewPolicy(s.Decider, core.Config{Levels: 1}); err != nil {
+			return fieldErrf("decider", "%v", err)
+		}
 	}
 	if len(s.Fleet) == 0 {
 		return fieldErrf("fleet", "at least one group required")
@@ -313,12 +314,6 @@ func (s *Scenario) Validate() error {
 			return err
 		}
 		if err := s.Link.RTTms.validate("link.rtt_ms", curveRTT); err != nil {
-			return err
-		}
-		if err := s.Link.JitterSigma.validate("link.jitter_sigma", curveSigma); err != nil {
-			return err
-		}
-		if err := s.Link.Flap.validate("link.flap", curveMultiplier); err != nil {
 			return err
 		}
 	}
