@@ -54,14 +54,14 @@ test-scenario:
 # Decider policy gates (docs/deciders.md): the per-decision golden traces of
 # every selectable policy (never regenerated by a refactor), the core suite
 # under -race (convergence, determinism, the FuzzDecider seeds), the
-# per-policy Table II matrix with its bound, CheatStick sentinel and
+# per-policy Table II matrix with its bound, never-probe sentinel row and
 # BENCH_decider.json golden, the six-builtin scenario bound, and a 32-stream
 # smoke of the lossy builtin through expdriver with -decider bandit.
 test-decider:
 	$(GO) test -run 'TestDeciderGoldenTrace' -count=1 -v ./internal/core/
 	$(GO) test -race -count=1 ./internal/core/
-	$(GO) test -run 'TestDeciderMatrix|TestCheatStickFailsMatrixBound' -count=1 -v ./internal/experiments/
-	$(GO) test -run 'TestBuiltinsDeciderBound|TestCheatStickFailsScenarioBound|TestScenarioDeciderField' -short -count=1 ./internal/scenario/
+	$(GO) test -run 'TestDeciderMatrix|TestSentinelFailsMatrixBound' -count=1 -v ./internal/experiments/
+	$(GO) test -run 'TestBuiltinsDeciderBound|TestSentinelFailsScenarioBound|TestScenarioDeciderField' -short -count=1 ./internal/scenario/
 	$(GO) run ./cmd/expdriver -scenario lossy -decider bandit -max-wall 2m
 
 # Kernel-tier gates (docs/performance.md, "Kernel tier"): the unsafe-vs-spec

@@ -11,7 +11,7 @@ import (
 
 // runDeciderMatrix is the `-decider-matrix` entry point: the Table II
 // completion-time grid under every registered decider policy plus the
-// CheatStick sentinel, printed as the per-policy comparison table and
+// never-probe sentinel row, printed as the per-policy comparison table and
 // optionally written as the JSON artifact (-json-out) committed as
 // BENCH_decider.json. The run is fully deterministic in -seed, so the
 // artifact is byte-reproducible; internal/experiments' TestDeciderMatrixGolden
@@ -32,8 +32,8 @@ func runDeciderMatrix(seed uint64, jsonOut string) int {
 	fmt.Printf("  wall %v\n", time.Since(start).Round(time.Millisecond))
 
 	code := 0
-	for _, policy := range res.Schemes {
-		if policy == core.PolicyAlgorithmOne || policy == core.PolicyCheatStick {
+	for _, policy := range core.PolicyNames() {
+		if policy == core.PolicyAlgorithmOne {
 			continue
 		}
 		violations := res.CheckBound(policy, core.PolicyAlgorithmOne, experiments.DefaultThroughputTolerance)

@@ -44,7 +44,7 @@ func main() {
 		csvDir     = flag.String("csv", "", "also write each experiment's raw data as CSV into this directory")
 		scenName   = flag.String("scenario", "", "run a scenario-DSL scenario instead of the paper experiments: a built-in name ("+strings.Join(scenario.BuiltinNames(), ", ")+" — docs/scenarios.md) or a path to a scenario JSON file")
 		decider    = flag.String("decider", "", "for scenario-DSL runs: level-selection policy driving the adaptive variant (algone, bandit, ewma — docs/deciders.md)")
-		dmatrix    = flag.Bool("decider-matrix", false, "run the Table II completion-time matrix under every registered decider policy plus the CheatStick sentinel (docs/deciders.md)")
+		dmatrix    = flag.Bool("decider-matrix", false, "run the Table II completion-time matrix under every registered decider policy plus the never-probe sentinel row (docs/deciders.md)")
 		jsonOut    = flag.String("json-out", "", "for -decider-matrix: write the JSON artifact to this file (BENCH_decider.json is -seed 2011; go test ./internal/experiments/ compares it byte-for-byte)")
 		metricsOut = flag.String("metrics-out", "", "for scenario-DSL runs: write the JSON result artifact to this file (CI artifact)")
 		rig        = flag.String("rig", "", "for scenario-DSL runs: apply a sentinel property-breaker (test use only; see internal/scenario.Rig)")
@@ -52,15 +52,34 @@ func main() {
 	)
 	flag.Parse()
 
+	// Each mode reads only its own flags; one set for another mode would be
+	// silently ignored, so it is a usage error.
+	mode, reads := "the paper run", []string{"gb", "runs", "seed", "live-profiles", "csv"}
+	for _, e := range experiments.Paper {
+		reads = append(reads, e.Flag)
+	}
+	switch {
+	case *dmatrix:
+		mode, reads = "-decider-matrix", []string{"decider-matrix", "seed", "json-out"}
+	case *scenName != "":
+		mode, reads = "-scenario", []string{"scenario", "seed", "decider", "rig", "metrics-out", "max-wall"}
+	}
+	var ignored []string
+	flag.Visit(func(f *flag.Flag) {
+		if !slices.Contains(reads, f.Name) {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	if len(ignored) > 0 {
+		fmt.Fprintf(os.Stderr, "expdriver: %s does not read %s\n", mode, strings.Join(ignored, ", "))
+		os.Exit(2)
+	}
+
 	if *dmatrix {
 		os.Exit(runDeciderMatrix(*seed, *jsonOut))
 	}
 	if *scenName != "" {
 		os.Exit(runScenario(*scenName, *seed, *rig, *decider, *metricsOut, *maxWall))
-	}
-	if *decider != "" {
-		fmt.Fprintln(os.Stderr, "expdriver: -decider only applies to scenario-DSL runs (-scenario <name|file>)")
-		os.Exit(2)
 	}
 
 	// Process-wide metrics: the experiments run in-process, so the buffer

@@ -27,12 +27,42 @@ func TestMain(m *testing.M) {
 // given, so a volume or run count below one is a usage error (exit 2).
 func TestVolumeAndRunsMustBePositive(t *testing.T) {
 	for _, args := range []string{"-gb 0 -fig4", "-gb -1 -fig4", "-runs 0 -table2"} {
-		cmd := exec.Command(os.Args[0])
-		cmd.Env = append(os.Environ(), "EXPDRIVER_ARGS="+args)
-		out, err := cmd.CombinedOutput()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !bytes.Contains(out, []byte("-gb must be positive and -runs at least 1")) {
-			t.Errorf("expdriver %s: %v, want exit status 2 with a usage message; output:\n%.300s", args, err, out)
+		wantUsageError(t, "", args, "-gb must be positive and -runs at least 1")
+	}
+}
+
+// wantUsageError runs expdriver with args in dir and requires exit status 2
+// with want in its output.
+func wantUsageError(t *testing.T, dir, args, want string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "EXPDRIVER_ARGS="+args)
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !bytes.Contains(out, []byte(want)) {
+		t.Errorf("expdriver %s: %v, want exit status 2 with %q; output:\n%.300s", args, err, want, out)
+	}
+}
+
+// TestModeRefusesFlagsItDoesNotRead: each mode — the paper run,
+// -decider-matrix, -scenario — reads its own flags, and a flag set for
+// another mode exits 2 naming it before anything runs or is written. The
+// matrix's never-probe "cheatstick" row is no policy a scenario can select.
+func TestModeRefusesFlagsItDoesNotRead(t *testing.T) {
+	for args, named := range map[string]string{
+		"-fig1 -json-out x.json":                                "-json-out",
+		"-fig1 -decider bandit":                                 "-decider",
+		"-fig1 -rig oscillate -max-wall 1s -metrics-out m.json": "-max-wall, -metrics-out, -rig",
+		"-decider-matrix -scenario lossy -csv out":              "-csv, -scenario",
+		"-decider-matrix -gb 1":                                 "-gb",
+		"-scenario lossy -runs 2":                               "-runs",
+		"-scenario lossy -decider cheatstick":                   `unknown decider policy "cheatstick"`,
+	} {
+		dir := t.TempDir()
+		wantUsageError(t, dir, args, named)
+		if left, _ := os.ReadDir(dir); len(left) > 0 {
+			t.Errorf("expdriver %s wrote %s", args, left[0].Name())
 		}
 	}
 }

@@ -258,7 +258,6 @@ type Wiseman struct {
 	level   int
 	sampled []float64
 	phase   int // next level to sample; == levels when locked
-	locked  int
 }
 
 // NewWiseman builds the sample-once scheme.
@@ -288,9 +287,7 @@ func (w *Wiseman) Observe(rate float64) int {
 			if r > w.sampled[best] {
 				best = l
 			}
-			_ = r
 		}
-		w.locked = best
 		w.level = best
 	}
 	return w.level

@@ -126,10 +126,10 @@ func TestNetBoundStreamClimbsToOptimalLevel(t *testing.T) {
 	if lvl != 2 {
 		t.Fatalf("level after 60 windows = %d, want 2", lvl)
 	}
-	if got := s.switches; got != 2 {
+	if got := c.m.switches.Value(); got != 2 {
 		t.Fatalf("switches = %d, want exactly 2 (one per step, no wandering)", got)
 	}
-	if got := s.flaps; got != 0 {
+	if got := c.m.flaps.Value(); got != 0 {
 		t.Fatalf("flaps = %d, want 0 in a stable environment", got)
 	}
 }
@@ -142,7 +142,7 @@ func TestFastLinkStaysUncompressed(t *testing.T) {
 	if lvl := drive(s, 40, 500e6); lvl != 0 {
 		t.Fatalf("level = %d, want 0 on an uncontended fast link", lvl)
 	}
-	if got := s.switches; got != 0 {
+	if got := c.m.switches.Value(); got != 0 {
 		t.Fatalf("switches = %d, want 0", got)
 	}
 }
@@ -237,10 +237,7 @@ func TestFlapCountedOnForcedReversal(t *testing.T) {
 	if lvl != 1 {
 		t.Fatalf("stream never stepped back down; level = %d, want 1", lvl)
 	}
-	if got := s.flaps; got != 1 {
-		t.Fatalf("flaps = %d after one forced reversal inside the flap window, want 1", got)
-	}
-	if got := reg.Scope("coord").Counter("level.flaps").Value(); got != s.flaps {
-		t.Fatalf("coord.level.flaps = %d, stream flaps = %d; metric out of sync", got, s.flaps)
+	if got := reg.Scope("coord").Counter("level.flaps").Value(); got != 1 {
+		t.Fatalf("coord.level.flaps = %d after one forced reversal inside the flap window, want 1", got)
 	}
 }

@@ -30,13 +30,12 @@ type Stream struct {
 	ratioDrift float64 // observed ratio / ratioPrior[level]
 	compDrift  float64 // observed app rate / compBytesPerSec[level], CPU-bound windows only
 
-	// Hysteresis and flap bookkeeping; switches and flaps are this
-	// stream's share of coord.level.switches and coord.level.flaps.
-	streak          int // consecutive windows the same better target won
-	streakTarget    int
-	lastSwitchWin   int // window index of the last level move (-1 = never)
-	lastSwitchDir   int // +1 heavier, -1 lighter, 0 none yet
-	switches, flaps int64
+	// Hysteresis and flap bookkeeping; the moves and flaps themselves are
+	// counted by coord.level.switches and coord.level.flaps.
+	streak        int // consecutive windows the same better target won
+	streakTarget  int
+	lastSwitchWin int // window index of the last level move (-1 = never)
+	lastSwitchDir int // +1 heavier, -1 lighter, 0 none yet
 }
 
 // Level returns the stream's current compression level.
@@ -143,10 +142,6 @@ func (s *Stream) ObserveWindow(w core.Window) int {
 	s.lastSwitchWin = s.windows
 	s.lastSwitchDir = dir
 	s.streak = 0
-	s.switches++
-	if flap {
-		s.flaps++
-	}
 	s.mu.Unlock()
 
 	s.m().switches.Inc()

@@ -187,6 +187,3 @@ func (b *BanditDecider) context() int {
 	}
 	return (((b.ccl*2+dir)*3+tb)*2+rr)*3 + rb
 }
-
-// Name implements Decider.
-func (b *BanditDecider) Name() string { return PolicyBandit }

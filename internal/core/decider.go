@@ -218,9 +218,6 @@ func MustNewDecider(cfg Config) *AlgorithmOne {
 	return d
 }
 
-// Name implements Decider.
-func (d *AlgorithmOne) Name() string { return PolicyAlgorithmOne }
-
 // PolicyStats implements Decider.
 func (d *AlgorithmOne) PolicyStats() PolicyStats {
 	return PolicyStats{
@@ -234,39 +231,6 @@ func (d *AlgorithmOne) PolicyStats() PolicyStats {
 
 // Level returns the currently selected compression level ccl.
 func (d *AlgorithmOne) Level() int { return d.ccl }
-
-// Backoff returns the current backoff exponent of the given level.
-func (d *AlgorithmOne) Backoff(level int) int { return d.bck[level] }
-
-// Snapshot is a point-in-time view of the decision model's state, exposed
-// for logging and debugging. The field names follow Table I of the paper.
-type Snapshot struct {
-	CCL      int     // current compression level
-	C        int     // calls since the last level change
-	Inc      bool    // last change was an increase
-	Bck      []int   // per-level backoff exponents
-	PDR      float64 // previous window's application data rate
-	Observed int     // total observations so far
-}
-
-// Snapshot returns a copy of the current state.
-func (d *AlgorithmOne) Snapshot() Snapshot {
-	return Snapshot{
-		CCL:      d.ccl,
-		C:        d.c,
-		Inc:      d.inc,
-		Bck:      append([]int(nil), d.bck...),
-		PDR:      d.pdr,
-		Observed: d.observed,
-	}
-}
-
-// String renders the state compactly, e.g. for OnWindow logging:
-// "ccl=1 c=3 inc=true bck=[0 2 0 0] pdr=87.3MB/s".
-func (d *AlgorithmOne) String() string {
-	return fmt.Sprintf("ccl=%d c=%d inc=%v bck=%v pdr=%.1fMB/s",
-		d.ccl, d.c, d.inc, d.bck, d.pdr/1e6)
-}
 
 // Observe feeds one window's application data rate (application bytes per
 // second, measured before compression) into the decision model and returns

@@ -68,8 +68,8 @@ func TestInitialState(t *testing.T) {
 		t.Fatalf("initial level = %d, want 0 (Table I: ccl initially 0)", d.Level())
 	}
 	for i := 0; i < 4; i++ {
-		if d.Backoff(i) != 0 {
-			t.Fatalf("initial backoff[%d] = %d, want 0", i, d.Backoff(i))
+		if d.bck[i] != 0 {
+			t.Fatalf("initial backoff[%d] = %d, want 0", i, d.bck[i])
 		}
 	}
 }
@@ -93,8 +93,8 @@ func TestImprovementRewardsLevel(t *testing.T) {
 	if lvl != 1 {
 		t.Fatalf("improvement changed level to %d", lvl)
 	}
-	if d.Backoff(1) != 1 {
-		t.Fatalf("backoff[1] = %d, want 1 after improvement", d.Backoff(1))
+	if d.bck[1] != 1 {
+		t.Fatalf("backoff[1] = %d, want 1 after improvement", d.bck[1])
 	}
 }
 
@@ -108,8 +108,8 @@ func TestDegradationReverts(t *testing.T) {
 	if lvl != 0 {
 		t.Fatalf("degradation at level 1 -> level %d, want revert to 0", lvl)
 	}
-	if d.Backoff(1) != 0 {
-		t.Fatalf("backoff[1] = %d, want 0 after degradation", d.Backoff(1))
+	if d.bck[1] != 0 {
+		t.Fatalf("backoff[1] = %d, want 0 after degradation", d.bck[1])
 	}
 }
 
@@ -138,8 +138,8 @@ func TestExponentialBackoff(t *testing.T) {
 	d.Observe(200)
 	d.Observe(400)
 	d.Observe(800)
-	if d.Backoff(1) != 3 {
-		t.Fatalf("backoff[1] = %d, want 3", d.Backoff(1))
+	if d.bck[1] != 3 {
+		t.Fatalf("backoff[1] = %d, want 3", d.bck[1])
 	}
 	// Now the rate is stable: the next probe must take exactly 2^3 = 8
 	// stable windows.
@@ -162,8 +162,8 @@ func TestBackoffResetReenablesProbing(t *testing.T) {
 	d.Observe(200)
 	d.Observe(400) // backoff[1] = 2
 	d.Observe(100) // degradation at level 1: revert to 0, bck[1]=0
-	if d.Level() != 0 || d.Backoff(1) != 0 {
-		t.Fatalf("state after degradation: level=%d bck[1]=%d", d.Level(), d.Backoff(1))
+	if d.Level() != 0 || d.bck[1] != 0 {
+		t.Fatalf("state after degradation: level=%d bck[1]=%d", d.Level(), d.bck[1])
 	}
 }
 
@@ -183,8 +183,8 @@ func TestProbeDirectionFollowsInc(t *testing.T) {
 		t.Fatalf("expected revert to 1, at %d", d.Level())
 	}
 	d.Observe(300) // improvement back at 1 (150->300): bck[1] now 2, stay
-	if d.Backoff(1) != 2 {
-		t.Fatalf("backoff[1] = %d, want 2", d.Backoff(1))
+	if d.bck[1] != 2 {
+		t.Fatalf("backoff[1] = %d, want 2", d.bck[1])
 	}
 	d.Observe(300) // stable c=1 < 2^2
 	d.Observe(300) // stable c=2 < 2^2
@@ -368,8 +368,8 @@ func TestDisableBackoffProbesEveryStableWindow(t *testing.T) {
 	d := newTestDecider(t, Config{Levels: 4, DisableBackoff: true})
 	d.Observe(100)
 	d.Observe(300) // improvement: would normally set bck[1]=1
-	if d.Backoff(1) != 0 {
-		t.Fatalf("backoff accumulated despite DisableBackoff: %d", d.Backoff(1))
+	if d.bck[1] != 0 {
+		t.Fatalf("backoff accumulated despite DisableBackoff: %d", d.bck[1])
 	}
 	lvlA := d.Observe(300) // stable: probe immediately
 	lvlB := d.Observe(300) // stable: probe again immediately
@@ -385,8 +385,8 @@ func TestMaxBackoffExpCap(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		d.Observe(100 * float64(i+2)) // continuous improvement
 	}
-	if d.Backoff(1) > 2 {
-		t.Fatalf("backoff %d exceeds cap 2", d.Backoff(1))
+	if d.bck[1] > 2 {
+		t.Fatalf("backoff %d exceeds cap 2", d.bck[1])
 	}
 }
 
@@ -412,30 +412,6 @@ func TestStatsCounters(t *testing.T) {
 	d.Observe(50)  // revert
 	if got, want := d.PolicyStats(), (PolicyStats{Probes: 1, Reverts: 1, Rewards: 1, Observed: 3}); got != want {
 		t.Fatalf("stats = %+v, want %+v", got, want)
-	}
-}
-
-func TestSnapshotAndString(t *testing.T) {
-	d := newTestDecider(t, Config{Levels: 4})
-	d.Observe(100e6)
-	d.Observe(200e6)
-	snap := d.Snapshot()
-	if snap.CCL != d.Level() || snap.Observed != 2 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	if len(snap.Bck) != 4 || snap.Bck[1] != d.Backoff(1) {
-		t.Fatalf("snapshot backoffs = %v", snap.Bck)
-	}
-	// Snapshot must be a copy, not an alias.
-	snap.Bck[1] = 99
-	if d.Backoff(1) == 99 {
-		t.Fatal("snapshot aliases internal state")
-	}
-	s := d.String()
-	for _, want := range []string{"ccl=", "bck=", "pdr=200.0MB/s"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("String() = %q missing %q", s, want)
-		}
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"flag"
 	"fmt"
-	"slices"
 	"sync/atomic"
 )
 
@@ -119,8 +118,6 @@ type Decider interface {
 	// PolicyStats reports the cumulative probe/revert economics the
 	// two-axis acceptance bound gates on (see PolicyStats.WastedProbes).
 	PolicyStats() PolicyStats
-	// Name returns the policy's registry name (e.g. "algone").
-	Name() string
 }
 
 // PolicyStats is the cumulative decision economics of a policy: what the
@@ -141,7 +138,7 @@ type PolicyStats struct {
 	// the probe-economy axis of the acceptance bound — a learned policy
 	// must waste strictly fewer probes than AlgorithmOne while staying
 	// within-or-better on converged throughput; bounding either axis
-	// alone is gameable (see CheatStick).
+	// alone is gameable: Static(0), which never probes, wastes nothing.
 	WastedProbes int
 }
 
@@ -153,15 +150,9 @@ const (
 	PolicyBandit = "bandit"
 	// PolicyEWMA is the EWMA trend-predictive policy.
 	PolicyEWMA = "ewma"
-	// PolicyCheatStick is the rigged sentinel that never probes. It
-	// exists to prove the two-axis acceptance bound has teeth and must
-	// never be selected outside tests.
-	PolicyCheatStick = "cheatstick"
 )
 
-// PolicyNames lists the selectable policies in catalog order (the
-// CheatStick sentinel is constructible by name but deliberately excluded:
-// it exists to fail the acceptance bound, not to be deployed).
+// PolicyNames lists the registry policies in catalog order.
 func PolicyNames() []string {
 	return []string{PolicyAlgorithmOne, PolicyBandit, PolicyEWMA}
 }
@@ -179,31 +170,21 @@ func NewPolicy(name string, cfg Config) (Decider, error) {
 		return NewBandit(cfg)
 	case PolicyEWMA:
 		return NewEWMAPredictive(cfg)
-	case PolicyCheatStick:
-		return NewCheatStick(cfg)
 	default:
-		return nil, errUnknownPolicy(name)
+		return nil, fmt.Errorf("core: unknown decider policy %q (want one of %v)", name, PolicyNames())
 	}
-}
-
-func errUnknownPolicy(name string) error {
-	return fmt.Errorf("core: unknown decider policy %q (want one of %v)", name, PolicyNames())
 }
 
 // PolicyFactory returns a constructor of fresh policies of one registry
 // name: what a CLI hands to a substrate that runs one policy per stream
-// (tunnel.Config.Policy). It accepts PolicyNames and, as NewPolicy does, the
-// empty name for Algorithm 1 — the CheatStick sentinel is constructible
-// through NewPolicy, never deployable — and validates cfg here, once. The
+// (tunnel.Config.Policy). It accepts what NewPolicy does — PolicyNames and
+// the empty name for Algorithm 1 — and validates cfg here, once. The
 // constructor is safe for concurrent calls; its n-th call (counting from 1)
 // seeds the policy cfg.Seed ^ n<<20. The promise is per factory, in call
 // order: the i-th policies of two factories with the same configuration
 // decide identically on identical observations, whatever else the process
 // runs.
 func PolicyFactory(name string, cfg Config) (func() Policy, error) {
-	if name != "" && !slices.Contains(PolicyNames(), name) {
-		return nil, errUnknownPolicy(name)
-	}
 	if _, err := NewPolicy(name, cfg); err != nil {
 		return nil, err
 	}
@@ -258,41 +239,3 @@ func MustNewPolicy(name string, cfg Config) Decider {
 	}
 	return d
 }
-
-// CheatStick is the acceptance-bound sentinel, in the DisableRevert /
-// CheatFreeze lineage: a policy that never probes at all. It trivially
-// achieves zero wasted probes — the probe-economy axis alone would wave it
-// through — but it can never leave its starting level, so any workload
-// where another level wins exposes it on the throughput axis. The
-// policy-matrix tests run it to prove the bound is genuinely two-axis.
-type CheatStick struct {
-	level    int
-	observed int
-}
-
-// NewCheatStick creates the never-probe sentinel pinned at level 0.
-func NewCheatStick(cfg Config) (*CheatStick, error) {
-	if cfg.Levels < 1 {
-		return nil, fmt.Errorf("core: config needs at least 1 level, got %d", cfg.Levels)
-	}
-	return &CheatStick{}, nil
-}
-
-// Observe implements Decider: it refuses to move.
-func (c *CheatStick) Observe(float64) int { c.observed++; return c.level }
-
-// Level implements Decider.
-func (c *CheatStick) Level() int { return c.level }
-
-// LastDecision implements Decider: always a hold.
-func (c *CheatStick) LastDecision() Decision {
-	return Decision{Kind: DecisionHold, From: c.level, To: c.level}
-}
-
-// PolicyStats implements Decider: zero probes, zero waste — by cheating.
-func (c *CheatStick) PolicyStats() PolicyStats {
-	return PolicyStats{Observed: c.observed}
-}
-
-// Name implements Decider.
-func (c *CheatStick) Name() string { return PolicyCheatStick }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"adaptio/internal/baseline"
 	"adaptio/internal/coord"
 	"adaptio/internal/core"
 	"adaptio/internal/xrand"
@@ -13,13 +14,12 @@ import (
 const propLevels = 4
 
 // propPolicies is everything that can sit behind the policy seam: the
-// registry policies, the never-probe sentinel, a static level, and a
-// coordinated stream both attached and detached (holding its level).
+// registry policies, a static level, a coordinated stream both attached and
+// detached (holding its level), and the four related-work schemes the A4
+// ablation drives through the same seam.
 func propPolicies() map[string]func(seed uint64) core.Policy {
+	train := baseline.DefaultTraining()
 	table := map[string]func(seed uint64) core.Policy{
-		core.PolicyCheatStick: func(seed uint64) core.Policy {
-			return core.MustNewPolicy(core.PolicyCheatStick, core.Config{Levels: propLevels, Seed: seed})
-		},
 		"static": func(uint64) core.Policy { return core.Static(2) },
 		"coord-attached": func(uint64) core.Policy {
 			c := coord.MustNew(coord.Config{Levels: propLevels, BudgetBytesPerSec: 50e6})
@@ -32,6 +32,10 @@ func propPolicies() map[string]func(seed uint64) core.Policy {
 			s.Detach()
 			return s
 		},
+		"nctcsys":     func(uint64) core.Policy { return baseline.NewNCTCSys(propLevels) },
+		"krintz-sucu": func(uint64) core.Policy { return must(baseline.NewKrintzSucu(train)) },
+		"jeannot":     func(uint64) core.Policy { return must(baseline.NewJeannot(train)) },
+		"wiseman":     func(uint64) core.Policy { return must(baseline.NewWiseman(propLevels)) },
 	}
 	for _, name := range core.PolicyNames() {
 		table[name] = func(seed uint64) core.Policy {
@@ -41,17 +45,28 @@ func propPolicies() map[string]func(seed uint64) core.Policy {
 	return table
 }
 
-// Hostile observations: every rate and byte total a driver could conceivably
-// report, including the ones it never should.
+func must[P core.Policy](p P, err error) core.Policy {
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// Hostile observations: every rate, byte total and guest reading a driver
+// could conceivably report, including the ones it never should.
 var (
 	hostileRates = []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1e6, 5e-324, 1e300}
 	hostileBytes = [][2]int64{{0, 0}, {0, 1 << 20}, {1 << 20, 0}, {-1 << 20, 1 << 20}, {1 << 20, -1 << 20}, {1 << 10, 1 << 30}, {math.MaxInt64, math.MaxInt64}}
+	hostileGuest = []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -50}
 )
 
 // propWindow is step's observation of a policy currently at level: a
 // closed-loop rate on a link whose share steps 100 -> 10 -> 100 MB/s (the
 // convergence suite's environment), with mild noise and a plausible achieved
-// ratio — except that about one window in five is hostile instead.
+// ratio — except that about one window in five is hostile instead. About
+// one window in three carries a guest reading, plausible or with hostile
+// fields; the reading is fixed when the window is made, so every instance
+// that looks at it sees the same values.
 func propWindow(rng *xrand.RNG, step, level int) core.Window {
 	ratio := []float64{1.00, 0.50, 0.25, 0.125}
 	comp := []float64{5000, 40, 30, 6}
@@ -68,6 +83,16 @@ func propWindow(rng *xrand.RNG, step, level int) core.Window {
 	if rng.Intn(5) == 0 {
 		b := hostileBytes[rng.Intn(len(hostileBytes))]
 		w.AppBytes, w.WireBytes = b[0], b[1]
+	}
+	if rng.Intn(3) == 0 {
+		g := []float64{80, share * 0.9, comp[level], share, 2}
+		for i := range g {
+			if rng.Intn(3) == 0 {
+				g[i] = hostileGuest[rng.Intn(len(hostileGuest))]
+			}
+		}
+		m := core.GuestMetrics{DisplayedIdlePct: g[0], DisplayedBandwidthMBps: g[1], CompressorMBps: g[2], NetDrainMBps: g[3], WindowSeconds: g[4]}
+		w.Guest = func() core.GuestMetrics { return m }
 	}
 	return w
 }

@@ -11,16 +11,16 @@ import (
 	"adaptio/internal/xrand"
 )
 
-// TestPolicyFactoryNames: what deploys a policy accepts the selectable names
+// TestPolicyFactoryNames: what deploys a policy accepts the registry names
 // (core.PolicyNames) and the empty name, Algorithm 1 as in NewPolicy, and
-// nothing else — not the CheatStick sentinel, which NewPolicy can construct
-// but which would pin every stream at level 0.
+// nothing else — not the decider matrix's never-probe "cheatstick" row,
+// which is core.Static(0) and no registry policy.
 func TestPolicyFactoryNames(t *testing.T) {
 	const names = "[algone bandit ewma]"
 	cases := map[string]string{ // name -> substring of the error, "" = accepted
-		"":                    "",
-		core.PolicyCheatStick: names,
-		"nonsense":            names,
+		"":           "",
+		"cheatstick": names,
+		"nonsense":   names,
 	}
 	for _, name := range core.PolicyNames() {
 		cases[name] = ""
@@ -41,8 +41,8 @@ func TestPolicyFactoryNames(t *testing.T) {
 			if want == "" {
 				want = core.PolicyAlgorithmOne
 			}
-			if got := mk().(core.Decider).Name(); got != want {
-				t.Fatalf("factory for %q built a %q policy", name, got)
+			if got, want := fmt.Sprintf("%T", mk()), fmt.Sprintf("%T", core.MustNewPolicy(want, core.Config{Levels: 4})); got != want {
+				t.Fatalf("factory for %q built a %s, want a %s", name, got, want)
 			}
 		})
 	}

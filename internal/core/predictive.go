@@ -101,6 +101,3 @@ func (p *EWMAPredictive) rewardStep(level int) {
 		p.bck[level]++
 	}
 }
-
-// Name implements Decider.
-func (p *EWMAPredictive) Name() string { return PolicyEWMA }

@@ -158,8 +158,8 @@ func TestDeciderMatchesReferenceLongRun(t *testing.T) {
 			t.Fatalf("step %d: decider %d vs reference %d", i, lvl, rlvl)
 		}
 		for l := 0; l < 4; l++ {
-			if d.Backoff(l) != ref.bck[l] {
-				t.Fatalf("step %d: backoff[%d] %d vs %d", i, l, d.Backoff(l), ref.bck[l])
+			if d.bck[l] != ref.bck[l] {
+				t.Fatalf("step %d: backoff[%d] %d vs %d", i, l, d.bck[l], ref.bck[l])
 			}
 		}
 	}

@@ -14,7 +14,7 @@ var update = flag.Bool("update", false, "rewrite the golden files (BENCH_decider
 // The decider-matrix acceptance suite: every learned policy must beat the
 // paper baseline on the two-axis bound (within-or-better completion time in
 // every Table II cell AND strictly fewer wasted probes over the grid), and
-// the CheatStick sentinel must fail it. These are the teeth of the policy
+// the never-probe sentinel row must fail it. These are the teeth of the policy
 // registry — a policy change that games one axis at the other's expense
 // fails here before any baseline is regenerated.
 // TestDeciderMatrixGolden then pins the numbers themselves.
@@ -33,7 +33,10 @@ func TestDeciderMatrixTwoAxisBound(t *testing.T) {
 		t.Skip("full policy matrix skipped under -short")
 	}
 	res := ciMatrix(t)
-	for _, policy := range []string{core.PolicyBandit, core.PolicyEWMA} {
+	for _, policy := range core.PolicyNames() {
+		if policy == core.PolicyAlgorithmOne {
+			continue
+		}
 		for _, v := range res.CheckBound(policy, core.PolicyAlgorithmOne, DefaultThroughputTolerance) {
 			t.Errorf("%s violates the %s axis: %s", v.Policy, v.Axis, v.Detail)
 		}
@@ -45,28 +48,29 @@ func TestDeciderMatrixTwoAxisBound(t *testing.T) {
 	}
 }
 
-// TestCheatStickFailsMatrixBound proves the bound is genuinely two-axis: the
-// never-probe sentinel trivially wins the probe-economy axis (zero waste)
-// and must be caught by the throughput axis. If this test ever passes the
-// sentinel, the throughput tolerance has gone soft and the wasted-probe
-// numbers of the learned policies are no longer evidence of anything.
-func TestCheatStickFailsMatrixBound(t *testing.T) {
+// TestSentinelFailsMatrixBound proves the bound is genuinely two-axis: the
+// never-probe sentinel row, core.Static(0), trivially wins the probe-economy
+// axis (zero waste) and must be caught by the throughput axis. If this test
+// ever passes the sentinel, the throughput tolerance has gone soft and the
+// wasted-probe numbers of the learned policies are no longer evidence of
+// anything.
+func TestSentinelFailsMatrixBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full policy matrix skipped under -short")
 	}
 	res := ciMatrix(t)
-	violations := res.CheckBound(core.PolicyCheatStick, core.PolicyAlgorithmOne, DefaultThroughputTolerance)
+	violations := res.CheckBound(sentinel, core.PolicyAlgorithmOne, DefaultThroughputTolerance)
 	if len(violations) == 0 {
-		t.Fatal("CheatStick passed the two-axis bound — the throughput axis has no teeth")
+		t.Fatal("the sentinel passed the two-axis bound — the throughput axis has no teeth")
 	}
 	for _, v := range violations {
 		if v.Axis != "throughput" {
-			t.Errorf("CheatStick violated the %s axis (%s); the sentinel must win probe economy and lose throughput", v.Axis, v.Detail)
+			t.Errorf("the sentinel violated the %s axis (%s); it must win probe economy and lose throughput", v.Axis, v.Detail)
 		}
 	}
 	// And the half-bound it is designed to exploit: zero wasted probes.
-	if _, wasted := res.Totals(core.PolicyCheatStick); wasted != 0 {
-		t.Errorf("CheatStick wasted %d probes; the sentinel must never probe", wasted)
+	if _, wasted := res.Totals(sentinel); wasted != 0 {
+		t.Errorf("the sentinel wasted %d probes; it must never probe", wasted)
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 // variant's converged goodput per scenario AND waste strictly fewer probes
 // than AlgorithmOne in aggregate — and keep every builtin's claims passing.
 // (Per-scenario waste is allowed to tie: a single builtin can be a wash, the
-// aggregate cannot.) The CheatStick sentinel proves the goodput axis bites.
+// aggregate cannot.) The static-no variant, which never probes, proves the
+// goodput axis bites.
 
 // deciderGoodputTolerance is how far below AlgorithmOne's goodput a learned
 // policy may land on any single builtin. Measured slack: the learned
@@ -65,7 +66,10 @@ func TestBuiltinsDeciderBound(t *testing.T) {
 	if baseWasted == 0 {
 		t.Fatal("AlgorithmOne wasted no probes across the builtins — the probe-economy axis is vacuous")
 	}
-	for _, policy := range []string{core.PolicyBandit, core.PolicyEWMA} {
+	for _, policy := range core.PolicyNames() {
+		if policy == core.PolicyAlgorithmOne {
+			continue
+		}
 		t.Run(policy, func(t *testing.T) {
 			wasted := 0
 			for _, name := range names {
@@ -86,20 +90,27 @@ func TestBuiltinsDeciderBound(t *testing.T) {
 	}
 }
 
-// TestCheatStickFailsScenarioBound is the sentinel leg: the never-probe
-// policy has perfect probe economy and must be rejected by the goodput axis
-// on every builtin. A hetfleet run suffices — it is the cheapest builtin
-// where every corpus kind rewards some compression.
-func TestCheatStickFailsScenarioBound(t *testing.T) {
-	base, _ := runAdaptive(t, "hetfleet", core.PolicyAlgorithmOne)
-	cheat, _ := runAdaptive(t, "hetfleet", core.PolicyCheatStick)
-	if cheat.WastedProbes != 0 || cheat.Probes != 0 {
-		t.Fatalf("CheatStick probed (%d probes, %d wasted); the sentinel must never probe",
-			cheat.Probes, cheat.WastedProbes)
+// TestSentinelFailsScenarioBound is the sentinel leg: a policy that never
+// probes has perfect probe economy and must be rejected by the goodput axis.
+// The static-no variant is that policy, so one hetfleet run — the cheapest
+// builtin where every corpus kind rewards some compression — holds both
+// sides of the comparison.
+func TestSentinelFailsScenarioBound(t *testing.T) {
+	res, err := Run(Lookup("hetfleet"), RigNone)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if floor := base.GoodputMBps * (1 - deciderGoodputTolerance); cheat.GoodputMBps >= floor {
-		t.Fatalf("CheatStick goodput %.2f MB/s is within %.0f%% of AlgorithmOne's %.2f — the goodput axis has no teeth",
-			cheat.GoodputMBps, deciderGoodputTolerance*100, base.GoodputMBps)
+	base, static := res.Variant("adaptive"), res.Variant("static-no")
+	if static.WastedProbes != 0 || static.Probes != 0 {
+		t.Fatalf("static-no probed (%d probes, %d wasted); the sentinel must never probe",
+			static.Probes, static.WastedProbes)
+	}
+	if base.Probes == 0 {
+		t.Fatal("AlgorithmOne never probed on hetfleet: the sentinel is indistinguishable from it")
+	}
+	if floor := base.GoodputMBps * (1 - deciderGoodputTolerance); static.GoodputMBps >= floor {
+		t.Fatalf("static-no goodput %.2f MB/s is within %.0f%% of AlgorithmOne's %.2f — the goodput axis has no teeth",
+			static.GoodputMBps, deciderGoodputTolerance*100, base.GoodputMBps)
 	}
 }
 
@@ -108,10 +119,14 @@ func TestCheatStickFailsScenarioBound(t *testing.T) {
 // artifact header.
 func TestScenarioDeciderField(t *testing.T) {
 	sc := Lookup("hetfleet")
-	sc.Decider = "nonsense"
-	var fe *FieldError
-	if err := sc.Validate(); !errors.As(err, &fe) || fe.Field != "decider" {
-		t.Fatalf("unknown decider name: got %v, want a FieldError on decider", err)
+	// "cheatstick" labels the decider matrix's never-probe row, which is
+	// core.Static(0) and no registry policy.
+	for _, name := range []string{"nonsense", "cheatstick"} {
+		sc.Decider = name
+		var fe *FieldError
+		if err := sc.Validate(); !errors.As(err, &fe) || fe.Field != "decider" {
+			t.Fatalf("decider %q: got %v, want a FieldError on decider", name, err)
+		}
 	}
 	sc.Decider = core.PolicyEWMA
 	sc.Windows = 40
