@@ -12,12 +12,9 @@ import (
 	"adaptio/internal/tunnel"
 )
 
-// echoRoundTrip builds echo <- exit <- entry with no logging or stats hooks
-// and returns the per-connection operation both benchmarks below and the
-// budget test repeat: dial the entry, send payload, half-close, read the
-// echo back, close. Every op pays for two relays (four streams and their
-// buffers), which is what the block pool amortizes under connection churn.
-func echoRoundTrip(tb testing.TB, cfg tunnel.Config, payload []byte) func() {
+// echoTunnel builds echo <- exit <- entry with no logging or stats hooks and
+// returns the entry's address.
+func echoTunnel(tb testing.TB, cfg tunnel.Config) string {
 	tb.Helper()
 	exit, err := tunnel.ListenExit(context.Background(), "127.0.0.1:0", startEcho(tb), cfg)
 	if err != nil {
@@ -29,8 +26,17 @@ func echoRoundTrip(tb testing.TB, cfg tunnel.Config, payload []byte) func() {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { entry.Close() })
+	return entry.Addr().String()
+}
 
-	addr := entry.Addr().String()
+// echoRoundTrip returns the per-connection operation that the allocation
+// benchmark, BenchmarkRelayNoLevel and the budget test repeat: dial the
+// entry, send payload, half-close, read the echo back, close. Every op pays
+// for two relays (four streams and their buffers), which is what the block
+// pool amortizes under connection churn.
+func echoRoundTrip(tb testing.TB, cfg tunnel.Config, payload []byte) func() {
+	tb.Helper()
+	addr := echoTunnel(tb, cfg)
 	echo := make([]byte, len(payload))
 	return func() {
 		conn, err := net.Dial("tcp", addr)
@@ -51,6 +57,30 @@ func echoRoundTrip(tb testing.TB, cfg tunnel.Config, payload []byte) func() {
 			tb.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPingPong is the closed-loop cost of a small message: one 1 KiB
+// message out and back per op on one held-open connection through entry and
+// exit at the default config. echoRoundTrip half-closes, so its partial
+// blocks leave at EOF; here each message is a partial block and pays the
+// coalescing flush rule, so ns/op is a round trip's flush holds plus the
+// relay. bench/'s interactive-echo judges the same path in paired runs.
+func BenchmarkPingPong(b *testing.B) {
+	conn, err := net.Dial("tcp", echoTunnel(b, tunnel.Config{}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	msg := corpus.Generate(corpus.Moderate, 1<<10, 13)
+	echo := make([]byte, len(msg))
+	blocktest.BenchAllocs(b, len(msg), func() {
+		if _, err := conn.Write(msg); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, echo); err != nil {
+			b.Fatal(err)
+		}
+	})
 }
 
 // allocTunnelRoundTrip is the per-connection cost of the tunnel data plane:

@@ -20,31 +20,99 @@ import (
 // framed tunnel. Without the coalescing flush deadline a sub-block payload
 // would sit in the writer until EOF and this exchange would deadlock; with
 // it, each message must complete within a bound far below the test timeout.
+// In "quiet-gap" each message follows a pause longer than FlushInterval: no
+// frame was cut for a whole interval, so neither endpoint may hold it, and a
+// round trip must take well under one interval.
 func TestRelayCoalescingFlushesPartialBlocks(t *testing.T) {
-	leakcheck.Check(t)
-	addr, _ := startTunnel(t, tunnel.Config{Static: true, StaticLevel: 1})
+	for _, tc := range []struct {
+		name   string
+		flush  time.Duration // Config.FlushInterval
+		pause  time.Duration // before each round
+		maxRTT time.Duration
+	}{
+		{name: "default", maxRTT: 2 * time.Second},
+		{name: "quiet-gap", flush: 200 * time.Millisecond, pause: 300 * time.Millisecond, maxRTT: 100 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			leakcheck.Check(t)
+			addr, _ := startTunnel(t, tunnel.Config{Static: true, StaticLevel: 1, FlushInterval: tc.flush})
 
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			msg := corpus.Generate(corpus.Moderate, 4<<10, 31)
+			buf := make([]byte, len(msg))
+			for round := 0; round < 3; round++ {
+				time.Sleep(tc.pause)
+				start := time.Now()
+				if _, err := conn.Write(msg); err != nil {
+					t.Fatalf("round %d: write: %v", round, err)
+				}
+				conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+				if _, err := io.ReadFull(conn, buf); err != nil {
+					t.Fatalf("round %d: echo never arrived (coalescing flush broken?): %v", round, err)
+				}
+				if !bytes.Equal(buf, msg) {
+					t.Fatalf("round %d: echo mismatch", round)
+				}
+				if rtt := time.Since(start); rtt > tc.maxRTT {
+					t.Fatalf("round %d: interactive RTT %v, want under %v", round, rtt, tc.maxRTT)
+				}
+			}
+		})
+	}
+}
+
+// TestRelayCoalescingBoundsPartialFrames trickles small writes through a
+// held-open connection for about 20 flush intervals. However early the
+// compress path cuts a partial block, it cuts at most one per
+// FlushInterval: each direction's frame count stays within the connection's
+// lifetime / FlushInterval + 1 (the final frame at EOF). The bound follows
+// from the rule, not from timing: a late timer or a slow host only lowers
+// the count. Flushing every short read would cut one frame per write,
+// several times the bound.
+func TestRelayCoalescingBoundsPartialFrames(t *testing.T) {
+	leakcheck.Check(t)
+	const (
+		flush  = 20 * time.Millisecond
+		every  = 2 * time.Millisecond
+		writes = 200 // 20 intervals
+	)
+	start := time.Now()
+	addr, collector := startTunnel(t, tunnel.Config{Static: true, StaticLevel: 1, FlushInterval: flush})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	msg := corpus.Generate(corpus.Moderate, 4<<10, 31)
-	buf := make([]byte, len(msg))
-	for round := 0; round < 3; round++ {
-		start := time.Now()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	msg := corpus.Generate(corpus.Moderate, 64, 7)
+	echoed := make(chan int64, 1)
+	go func() {
+		n, _ := io.Copy(io.Discard, conn)
+		echoed <- n
+	}()
+	for i := 0; i < writes; i++ {
 		if _, err := conn.Write(msg); err != nil {
-			t.Fatalf("round %d: write: %v", round, err)
+			t.Fatalf("write %d: %v", i, err)
 		}
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if _, err := io.ReadFull(conn, buf); err != nil {
-			t.Fatalf("round %d: echo never arrived (coalescing flush broken?): %v", round, err)
+		time.Sleep(every)
+	}
+	conn.(*net.TCPConn).CloseWrite()
+	if n := <-echoed; n != writes*int64(len(msg)) {
+		t.Fatalf("echoed %d bytes, want %d", n, writes*len(msg))
+	}
+	stats := waitStats(t, collector, 2)
+	elapsed := time.Since(start)
+	max := int64(elapsed/flush) + 1
+	for _, s := range stats {
+		if s.Err != nil {
+			t.Errorf("%s: %v", s.Direction, s.Err)
 		}
-		if !bytes.Equal(buf, msg) {
-			t.Fatalf("round %d: echo mismatch", round)
-		}
-		if rtt := time.Since(start); rtt > 2*time.Second {
-			t.Fatalf("round %d: interactive RTT %v, want well under a second", round, rtt)
+		if s.Stats.Blocks > max {
+			t.Errorf("%s: %d frames in %v, want at most %d (one partial frame per %v)", s.Direction, s.Stats.Blocks, elapsed, max, flush)
 		}
 	}
 }

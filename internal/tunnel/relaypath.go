@@ -10,21 +10,22 @@ import (
 	"adaptio/internal/stream"
 )
 
-// DefaultFlushInterval bounds how long the compress path may hold a partial
-// block waiting for more bytes before cutting a frame (Config.FlushInterval
-// = 0). 5 ms trades at most one extra frame per interval against keeping
-// interactive traffic moving; see docs/performance.md, "Zero-copy relay".
+// DefaultFlushInterval is the compress path's coalescing interval
+// (Config.FlushInterval = 0): a partial block is cut once no frame has been
+// cut for this long, at once if it arrives after such a quiet interval. 5 ms
+// trades at most one extra frame per interval against keeping interactive
+// traffic moving; see docs/performance.md, "Zero-copy relay".
 const DefaultFlushInterval = 5 * time.Millisecond
 
 // compressPath relays plain -> (adaptive compression) -> wire. It owns the
 // plain side's read deadlines: Config.IdleTimeout is applied as a rolling
 // deadline like everywhere else, and on top of it a coalescing flush
-// deadline (Config.FlushInterval) bounds how long a partial block may sit
-// buffered, so low-rate traffic keeps flowing without giving up full-block
-// framing under load. Bytes are read straight into the stream writer's
-// pending block (Writer.ReadDirect), so no level has a staging copy, and at
-// NO level the stored-raw vectored frame path means a relayed byte is never
-// copied in user space at all.
+// deadline (Config.FlushInterval after the last frame cut) bounds how long a
+// partial block may sit buffered, so low-rate traffic keeps flowing without
+// giving up full-block framing under load. Bytes are read straight into the
+// stream writer's pending block (Writer.ReadDirect), so no level has a
+// staging copy, and at NO level the stored-raw vectored frame path means a
+// relayed byte is never copied in user space at all.
 type compressPath struct {
 	cfg       Config
 	m         *tunnelMetrics
@@ -82,8 +83,10 @@ func (p *compressPath) run() error {
 // pump moves plain-side bytes into the writer until EOF or error. The read
 // deadline on the raw plain conn is the earlier of the idle deadline
 // (last activity + IdleTimeout) and, while a partial block is pending, the
-// coalescing deadline (first pending byte + FlushInterval). A deadline
-// expiry therefore means one of two things, told apart by wall clock: the
+// coalescing deadline (last frame cut + FlushInterval; the path's start
+// counts as a frame). A read that leaves a partial block when no frame has
+// been cut for a whole FlushInterval flushes it at once. A deadline expiry
+// therefore means one of two things, told apart by wall clock: the
 // direction idled out (surface it, classify wraps it in ErrIdleTimeout) or
 // the pending block waited long enough (flush it and keep reading).
 func (p *compressPath) pump(w *stream.Writer) error {
@@ -93,14 +96,14 @@ func (p *compressPath) pump(w *stream.Writer) error {
 	}
 	idle := p.cfg.IdleTimeout
 	lastActivity := time.Now()
-	var pendingSince time.Time // zero while no partial block is buffered
+	lastFrame := lastActivity // when the last frame was cut, full or partial
 	for {
 		var deadline time.Time
 		if idle > 0 {
 			deadline = lastActivity.Add(idle)
 		}
 		if w.Buffered() > 0 {
-			if fd := pendingSince.Add(flush); deadline.IsZero() || fd.Before(deadline) {
+			if fd := lastFrame.Add(flush); deadline.IsZero() || fd.Before(deadline) {
 				deadline = fd
 			}
 		}
@@ -112,13 +115,15 @@ func (p *compressPath) pump(w *stream.Writer) error {
 		now := time.Now()
 		if n > 0 {
 			lastActivity = now
-			switch {
-			case w.Buffered() == 0:
-				pendingSince = time.Time{}
-			case w.Buffered() < before+n || pendingSince.IsZero():
-				// A block was cut mid-read (the remainder is fresh) or
-				// these are the first pending bytes: restart the clock.
-				pendingSince = now
+			if w.Buffered() < before+n {
+				lastFrame = now // ReadDirect cut a full block
+			}
+			if w.Buffered() > 0 && now.Sub(lastFrame) >= flush {
+				// A quiet interval ends: nothing to coalesce with.
+				if ferr := w.Flush(); ferr != nil {
+					return ferr
+				}
+				lastFrame = now
 			}
 		}
 		if err == nil {
@@ -140,7 +145,7 @@ func (p *compressPath) pump(w *stream.Writer) error {
 			if ferr := w.Flush(); ferr != nil {
 				return ferr
 			}
-			pendingSince = time.Time{}
+			lastFrame = now
 			continue
 		}
 		return err

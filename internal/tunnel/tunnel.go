@@ -124,11 +124,13 @@ type Config struct {
 	// nil.
 	WrapWire func(net.Conn) net.Conn
 
-	// FlushInterval bounds how long the compress path may hold a partial
-	// block waiting for more data before cutting a frame, so low-rate or
-	// interactive traffic is not stalled by full-block framing. Zero
-	// means DefaultFlushInterval; a negative value is rejected by
-	// ListenEntry and ListenExit.
+	// FlushInterval is the compress path's coalescing interval: a partial
+	// block waits for more data until FlushInterval after the last frame
+	// cut, and is framed at once when no frame was cut for that long, so
+	// low-rate or interactive traffic is not stalled by full-block framing
+	// and at most one partial frame per interval is cut. Zero means
+	// DefaultFlushInterval; a negative value is rejected by ListenEntry and
+	// ListenExit.
 	FlushInterval time.Duration
 
 	// Obs, if non-nil, is the observability scope the endpoint registers
