@@ -42,7 +42,7 @@ func main() {
 		decider     = flag.String("decider", "", "level-selection policy for adaptive mode: algone (default), bandit, or ewma; refused with -static N or -coord")
 		deciderSeed = flag.Uint64("decider-seed", 0, "seed for stochastic -decider policies; refused with -static N or -coord")
 		quiet       = flag.Bool("q", false, "suppress per-connection statistics")
-		flushIvl    = flag.Duration("flush-interval", 0, "a partial block is framed this long after the last frame, or at once after a quiet interval (0 = default 5ms)")
+		flushIvl    = flag.Duration("flush-interval", 0, "a partial block is framed this long after the last frame, or at once if it is the first or follows a quiet interval (0 = default 5ms)")
 
 		idleTimeout = flag.Duration("idle-timeout", 0, "tear down a connection direction after this long without traffic (0 = never)")
 		dialRetries = flag.Int("dial-retries", 0, "extra dial attempts after the first fails, with exponential backoff")

@@ -53,7 +53,9 @@ var ErrBadFrame = errors.New("stream: bad frame")
 // zero-based index of the offending frame, Offset the wire byte offset of
 // its first header byte. It wraps the underlying cause, which in turn wraps
 // ErrBadFrame for framing-level corruption, so both
-// errors.Is(err, ErrBadFrame) and errors.As(err, *FrameError) work.
+// errors.Is(err, ErrBadFrame) and errors.As(err, *FrameError) work. A
+// transport error at a frame boundary is located the same way but is not a
+// bad frame: it wraps only the transport's error.
 type FrameError struct {
 	Frame  int64
 	Offset int64
@@ -221,16 +223,20 @@ func fit(buf *block.Buf, n int) *block.Buf {
 // next reads one frame, its payload into buf when that is large enough (the
 // reader recycles one buffer this way; nil asks for a fresh one). The
 // caller owns the returned frame's payload buffer. It returns io.EOF at a
-// clean end of stream — no header byte read — and a *FrameError if the
-// stream ends inside the frame or the header is damaged; buf is released on
-// either.
+// clean end of stream — no header byte read — and a *FrameError otherwise:
+// wrapping ErrBadFrame if the stream ends inside the frame or the header is
+// damaged, wrapping only the transport's error if that fails before a
+// header byte arrives. buf is released on any error.
 func (s *frameSource) next(buf *block.Buf) (rawFrame, error) {
 	f := rawFrame{frame: s.frame, offset: s.offset}
-	_, err := io.ReadFull(s.src, s.hdr[:])
+	n, err := io.ReadFull(s.src, s.hdr[:])
 	switch {
 	case err == io.EOF:
+	case err != nil && n == 0:
+		// The transport failed at a frame boundary: nothing is corrupt.
+		err = f.fail(err)
 	case err != nil:
-		err = f.fail(fmt.Errorf("%w: truncated header: %v", ErrBadFrame, err))
+		err = f.fail(fmt.Errorf("%w: truncated header: %w", ErrBadFrame, err))
 	default:
 		if f.header, err = parseHeader(s.hdr[:]); err != nil {
 			err = f.fail(err)
@@ -239,7 +245,7 @@ func (s *frameSource) next(buf *block.Buf) (rawFrame, error) {
 		buf = fit(buf, f.compLen)
 		buf.B = buf.B[:f.compLen]
 		if _, err = io.ReadFull(s.src, buf.B); err != nil {
-			err = f.fail(fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err))
+			err = f.fail(fmt.Errorf("%w: truncated payload: %w", ErrBadFrame, err))
 		}
 	}
 	if err != nil {
@@ -279,7 +285,7 @@ func (f *rawFrame) decode(dst *block.Buf) (blk, spare *block.Buf, err error) {
 		if spare != nil {
 			spare.Release()
 		}
-		return nil, nil, f.fail(fmt.Errorf("%w: %v", ErrBadFrame, err))
+		return nil, nil, f.fail(fmt.Errorf("%w: %w", ErrBadFrame, err))
 	}
 	return blk, spare, nil
 }

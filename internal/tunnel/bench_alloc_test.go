@@ -83,6 +83,31 @@ func BenchmarkPingPong(b *testing.B) {
 	})
 }
 
+// BenchmarkFirstExchange is what a short request-driven connection pays:
+// per op, dial the entry, send one 1 KiB message, read its echo without
+// half-closing, close. The message is each compress path's first partial
+// block, so ns/op is connection set-up plus the relay; a hold for the first
+// frame would add a FlushInterval at each endpoint. echoRoundTrip
+// half-closes, so its partial blocks leave at EOF and never show this.
+func BenchmarkFirstExchange(b *testing.B) {
+	addr := echoTunnel(b, tunnel.Config{})
+	msg := corpus.Generate(corpus.Moderate, 1<<10, 13)
+	echo := make([]byte, len(msg))
+	blocktest.BenchAllocs(b, len(msg), func() {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(msg); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, echo); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
 // allocTunnelRoundTrip is the per-connection cost of the tunnel data plane:
 // one 128 KB echo at static LIGHT.
 func allocTunnelRoundTrip(tb testing.TB) (op func(), opBytes int) {

@@ -22,29 +22,37 @@ import (
 // it, each message must complete within a bound far below the test timeout.
 // In "quiet-gap" each message follows a pause longer than FlushInterval: no
 // frame was cut for a whole interval, so neither endpoint may hold it, and a
-// round trip must take well under one interval.
+// round trip must take well under one interval. In "first-message" each
+// round is a fresh connection's first message, which no frame came before:
+// neither endpoint may hold it either.
 func TestRelayCoalescingFlushesPartialBlocks(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		flush  time.Duration // Config.FlushInterval
 		pause  time.Duration // before each round
+		redial bool          // each round on a fresh connection
 		maxRTT time.Duration
 	}{
 		{name: "default", maxRTT: 2 * time.Second},
 		{name: "quiet-gap", flush: 200 * time.Millisecond, pause: 300 * time.Millisecond, maxRTT: 100 * time.Millisecond},
+		{name: "first-message", flush: 200 * time.Millisecond, redial: true, maxRTT: 100 * time.Millisecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			leakcheck.Check(t)
 			addr, _ := startTunnel(t, tunnel.Config{Static: true, StaticLevel: 1, FlushInterval: tc.flush})
 
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
+			var conn net.Conn
 			msg := corpus.Generate(corpus.Moderate, 4<<10, 31)
 			buf := make([]byte, len(msg))
 			for round := 0; round < 3; round++ {
+				if conn == nil || tc.redial {
+					c, err := net.Dial("tcp", addr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { c.Close() })
+					conn = c
+				}
 				time.Sleep(tc.pause)
 				start := time.Now()
 				if _, err := conn.Write(msg); err != nil {
@@ -68,11 +76,12 @@ func TestRelayCoalescingFlushesPartialBlocks(t *testing.T) {
 // TestRelayCoalescingBoundsPartialFrames trickles small writes through a
 // held-open connection for about 20 flush intervals. However early the
 // compress path cuts a partial block, it cuts at most one per
-// FlushInterval: each direction's frame count stays within the connection's
-// lifetime / FlushInterval + 1 (the final frame at EOF). The bound follows
-// from the rule, not from timing: a late timer or a slow host only lowers
-// the count. Flushing every short read would cut one frame per write,
-// several times the bound.
+// FlushInterval besides two free frames: the first message, framed at once
+// because no frame came before it, and the final frame at EOF. Each
+// direction's frame count stays within the connection's lifetime /
+// FlushInterval + 2. The bound follows from the rule, not from timing: a
+// late timer or a slow host only lowers the count. Flushing every short
+// read would cut one frame per write, about 200, several times the bound.
 func TestRelayCoalescingBoundsPartialFrames(t *testing.T) {
 	leakcheck.Check(t)
 	const (
@@ -106,7 +115,7 @@ func TestRelayCoalescingBoundsPartialFrames(t *testing.T) {
 	}
 	stats := waitStats(t, collector, 2)
 	elapsed := time.Since(start)
-	max := int64(elapsed/flush) + 1
+	max := int64(elapsed/flush) + 2
 	for _, s := range stats {
 		if s.Err != nil {
 			t.Errorf("%s: %v", s.Direction, s.Err)
@@ -185,9 +194,11 @@ func TestRelayCopyAccountingMetrics(t *testing.T) {
 	})
 	t.Run("light-skips-incompressible", func(t *testing.T) {
 		// The case an operator-set unframed mode used to cover, handled by
-		// what the code observes. FlushInterval is long so that only full
-		// blocks are cut: the probe leaves a block under its MinLen to the
-		// codec, whose stored-raw fallback counts as a copy.
+		// what the code observes. FlushInterval is long so that, besides
+		// each direction's first read (framed at once, as no frame came
+		// before it) and its tail at EOF, only full blocks are cut: the
+		// probe leaves a block under its MinLen to the codec, whose
+		// stored-raw fallback counts as a copy.
 		reg := run(t, tunnel.Config{Static: true, StaticLevel: 1, FlushInterval: time.Minute}, compressed)
 		if copied := counter(t, reg, "tunnel.relay.bytes_copied"); copied != 0 {
 			t.Errorf("bytes_copied = %d for probe-skipped blocks at LIGHT, want 0", copied)
@@ -195,9 +206,11 @@ func TestRelayCopyAccountingMetrics(t *testing.T) {
 		if pt := counter(t, reg, "tunnel.relay.passthrough_bytes"); pt < int64(len(compressed)) {
 			t.Errorf("passthrough_bytes = %d, want >= %d", pt, len(compressed))
 		}
-		// Entry and exit each frame the payload once.
-		if wire, max := counter(t, reg, "tunnel.relay.tx_wire_bytes"), int64(2*(len(compressed)+16*blocks)); wire > max {
-			t.Errorf("tx_wire_bytes = %d, want <= %d (payload + 16 header bytes per block, each way)", wire, max)
+		// Every frame is stored raw and the payload is framed once: the
+		// wire carries the app bytes plus one 16-byte header per frame.
+		app, rxBlocks := counter(t, reg, "tunnel.relay.tx_app_bytes"), counter(t, reg, "tunnel.relay.rx_blocks")
+		if wire := counter(t, reg, "tunnel.relay.tx_wire_bytes"); wire != app+16*rxBlocks {
+			t.Errorf("tx_wire_bytes = %d, want tx_app_bytes %d + 16 × rx_blocks %d", wire, app, rxBlocks)
 		}
 	})
 	t.Run("light-compresses-and-copies", func(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"syscall"
 	"testing"
 	"time"
@@ -64,6 +65,8 @@ func (c *scriptedConn) SetWriteDeadline(time.Time) error { return nil }
 // and writes plain.
 func TestRelayReportsSeriousErrorInEitherOrder(t *testing.T) {
 	reset := &net.OpError{Op: "read", Net: "tcp", Err: syscall.ECONNRESET}
+	closed := &net.OpError{Op: "read", Net: "tcp", Err: net.ErrClosed}
+	timeout := &net.OpError{Op: "read", Net: "tcp", Err: os.ErrDeadlineExceeded}
 	cut := []byte("AC")          // a wire that ends inside a frame header
 	frames := tunnelFrameSeed(t) // a healthy peer's wire image
 
@@ -78,6 +81,10 @@ func TestRelayReportsSeriousErrorInEitherOrder(t *testing.T) {
 		{name: "serious-then-benign", plain: scriptedConn{err: reset}, wire: scriptedConn{data: cut, err: io.EOF}, wireFirst: true, want: stream.ErrBadFrame},
 		{name: "both-benign", plain: scriptedConn{err: reset, writeErr: reset}, wire: scriptedConn{data: frames, err: io.EOF}},
 		{name: "none", plain: scriptedConn{err: io.EOF}, wire: scriptedConn{err: io.EOF}},
+		// A wire that fails at a frame boundary carries no bad frame: closed
+		// is the endpoint's own teardown, a timeout is an idle peer.
+		{name: "wire-closed-at-boundary", plain: scriptedConn{err: io.EOF}, wire: scriptedConn{err: closed}},
+		{name: "wire-timeout-at-boundary", plain: scriptedConn{err: io.EOF}, wire: scriptedConn{err: timeout}, want: ErrIdleTimeout},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plain, wire := tc.plain, tc.wire

@@ -12,20 +12,22 @@ import (
 
 // DefaultFlushInterval is the compress path's coalescing interval
 // (Config.FlushInterval = 0): a partial block is cut once no frame has been
-// cut for this long, at once if it arrives after such a quiet interval. 5 ms
-// trades at most one extra frame per interval against keeping interactive
-// traffic moving; see docs/performance.md, "Zero-copy relay".
+// cut for this long, at once if it arrives after such a quiet interval or
+// before the path's first frame. 5 ms trades at most one extra frame per
+// interval against keeping interactive traffic moving; see
+// docs/performance.md, "Zero-copy relay".
 const DefaultFlushInterval = 5 * time.Millisecond
 
 // compressPath relays plain -> (adaptive compression) -> wire. It owns the
 // plain side's read deadlines: Config.IdleTimeout is applied as a rolling
 // deadline like everywhere else, and on top of it a coalescing flush
-// deadline (Config.FlushInterval after the last frame cut) bounds how long a
-// partial block may sit buffered, so low-rate traffic keeps flowing without
-// giving up full-block framing under load. Bytes are read straight into the
-// stream writer's pending block (Writer.ReadDirect), so no level has a
-// staging copy, and at NO level the stored-raw vectored frame path means a
-// relayed byte is never copied in user space at all.
+// deadline (Config.FlushInterval after the last frame cut; none before the
+// first) bounds how long a partial block may sit buffered, so low-rate
+// traffic keeps flowing without giving up full-block framing under load.
+// Bytes are read straight into the stream writer's pending block
+// (Writer.ReadDirect), so no level has a staging copy, and at NO level the
+// stored-raw vectored frame path means a relayed byte is never copied in
+// user space at all.
 type compressPath struct {
 	cfg       Config
 	m         *tunnelMetrics
@@ -83,12 +85,13 @@ func (p *compressPath) run() error {
 // pump moves plain-side bytes into the writer until EOF or error. The read
 // deadline on the raw plain conn is the earlier of the idle deadline
 // (last activity + IdleTimeout) and, while a partial block is pending, the
-// coalescing deadline (last frame cut + FlushInterval; the path's start
-// counts as a frame). A read that leaves a partial block when no frame has
-// been cut for a whole FlushInterval flushes it at once. A deadline expiry
-// therefore means one of two things, told apart by wall clock: the
-// direction idled out (surface it, classify wraps it in ErrIdleTimeout) or
-// the pending block waited long enough (flush it and keep reading).
+// coalescing deadline (last frame cut + FlushInterval). A read that leaves a
+// partial block when no frame has been cut for a whole FlushInterval — or
+// none yet, so a connection's first message is not held — flushes it at
+// once. A deadline expiry therefore means one of two things, told apart by
+// wall clock: the direction idled out (surface it, classify wraps it in
+// ErrIdleTimeout) or the pending block waited long enough (flush it and
+// keep reading).
 func (p *compressPath) pump(w *stream.Writer) error {
 	flush := p.cfg.FlushInterval
 	if flush == 0 {
@@ -96,7 +99,9 @@ func (p *compressPath) pump(w *stream.Writer) error {
 	}
 	idle := p.cfg.IdleTimeout
 	lastActivity := time.Now()
-	lastFrame := lastActivity // when the last frame was cut, full or partial
+	// When the last frame was cut, full or partial. The zero time means none
+	// yet, and is always a whole interval ago: time.Sub saturates.
+	var lastFrame time.Time
 	for {
 		var deadline time.Time
 		if idle > 0 {

@@ -126,9 +126,10 @@ type Config struct {
 
 	// FlushInterval is the compress path's coalescing interval: a partial
 	// block waits for more data until FlushInterval after the last frame
-	// cut, and is framed at once when no frame was cut for that long, so
-	// low-rate or interactive traffic is not stalled by full-block framing
-	// and at most one partial frame per interval is cut. Zero means
+	// cut, and is framed at once when no frame was cut for that long or
+	// none yet (a connection's first message), so low-rate or interactive
+	// traffic is not stalled by full-block framing and at most one partial
+	// frame per interval, besides the first, is cut. Zero means
 	// DefaultFlushInterval; a negative value is rejected by ListenEntry and
 	// ListenExit.
 	FlushInterval time.Duration
