@@ -7,6 +7,7 @@ import (
 
 	"adaptio/internal/block/blocktest"
 	"adaptio/internal/corpus"
+	"adaptio/internal/obs"
 )
 
 // TestReadDirectRoundTrip fills the writer straight from a source reader
@@ -60,8 +61,10 @@ func TestBufferedTracksPendingBlock(t *testing.T) {
 	if w.Buffered() != 0 {
 		t.Fatalf("Buffered = %d after Flush", w.Buffered())
 	}
-	// Filling exactly one block cuts the frame without a flush.
-	if _, err := w.ReadDirect(bytes.NewReader(make([]byte, 8<<10))); err != nil {
+	// Filling exactly one block cuts the frame without a flush. The pending
+	// block is the arena's 4 KB class after a 100-byte frame, so it takes
+	// two reads.
+	if _, err := w.ReadFrom(bytes.NewReader(make([]byte, 8<<10))); err != nil {
 		t.Fatal(err)
 	}
 	if w.Buffered() != 0 {
@@ -105,38 +108,59 @@ type errReader struct{}
 
 func (errReader) Read([]byte) (int, error) { return 0, io.ErrNoProgress }
 
+// Direct ingest grows a writer's first block from the arena's smallest class
+// to a default block's a class at a time (4 → 16 → 64 → 160 KB), each move
+// copying the bytes held: firstBlockGrowth in all, the last move's
+// firstBlockMoved of them no longer passthrough bytes.
+const (
+	firstBlockGrowth = (4 + 16 + 64) << 10
+	firstBlockMoved  = 64 << 10
+)
+
 // TestCopyAccounting pins the user-space copy ledger (Stats.CopiedBytes /
 // PassthroughBytes): Write() stages (one copy per byte), ReadDirect does
-// not, codec transforms count one copy per raw byte, and stored-raw frames
-// from direct ingest are pure passthrough.
+// not, codec transforms count one copy per raw byte, growing the pending
+// block copies the bytes it holds, and stored-raw frames of bytes that
+// direct ingest put in place are pure passthrough.
 func TestCopyAccounting(t *testing.T) {
 	high := corpus.Generate(corpus.High, 256<<10, 21) // compressible: codec engages at LIGHT
+	n := int64(len(high))
 
 	cases := []struct {
 		name             string
 		level, workers   int  // workers: NewParallelWriter's, 0 for NewWriter
 		direct           bool // ReadDirect vs Write
+		head             int  // bytes a Write sends before the rest
 		copied, passthru int64
 	}{
-		{"write-NO", 0, 0, false, int64(len(high)), 0},
-		{"direct-NO", 0, 0, true, 0, int64(len(high))},
-		{"write-LIGHT", 1, 0, false, 2 * int64(len(high)), 0},
-		{"direct-LIGHT", 1, 0, true, int64(len(high)), 0},
+		{"write-NO", 0, 0, false, 0, n, 0},
+		{"direct-NO", 0, 0, true, 0, firstBlockGrowth, n - firstBlockMoved},
+		{"write-LIGHT", 1, 0, false, 0, 2 * n, 0},
+		{"direct-LIGHT", 1, 0, true, 0, n + firstBlockGrowth, 0},
+		// Growth: a Write that outgrows the pending block moves it straight
+		// to the class that holds what it brings, copying the 1 KiB held.
+		{"write-grows-NO", 0, 0, false, 1 << 10, n + 1<<10, 0},
+		// A staged head is copied again by each growth that carries it, and
+		// the growth leaves none of the block's bytes passthrough.
+		{"head-then-direct-NO", 0, 0, true, 1 << 10, 1<<10 + firstBlockGrowth, n - firstBlockMoved},
 		// Pipeline stored-raw frames ride the same vectored two-piece write
 		// as the serial path, so direct-ingest identity blocks stay
-		// copy-free; compressed pipeline frames cost the codec copy.
-		{"pipeline-direct-NO", 0, 4, true, 0, int64(len(high))},
-		{"pipeline-direct-LIGHT", 1, 4, true, int64(len(high)), 0},
+		// copy-free but for the growth; compressed pipeline frames cost the
+		// codec copy.
+		{"pipeline-direct-NO", 0, 4, true, 0, firstBlockGrowth, n - firstBlockMoved},
+		{"pipeline-direct-LIGHT", 1, 4, true, 0, n + firstBlockGrowth, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var wire bytes.Buffer
-			w := mustParallelWriter(t, &wire, WriterConfig{Static: true, StaticLevel: tc.level}, tc.workers)
-			var err error
-			if tc.direct {
-				_, err = w.ReadFrom(bytes.NewReader(high))
-			} else {
-				_, err = w.Write(high)
+			reg := obs.NewRegistry()
+			scope := reg.Scope("w")
+			w := mustParallelWriter(t, &wire, WriterConfig{Static: true, StaticLevel: tc.level, Obs: scope}, tc.workers)
+			_, err := w.Write(high[:tc.head])
+			if err == nil && tc.direct {
+				_, err = w.ReadFrom(bytes.NewReader(high[tc.head:]))
+			} else if err == nil {
+				_, err = w.Write(high[tc.head:])
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -150,6 +174,9 @@ func TestCopyAccounting(t *testing.T) {
 			}
 			if st.PassthroughBytes != tc.passthru {
 				t.Errorf("PassthroughBytes = %d, want %d", st.PassthroughBytes, tc.passthru)
+			}
+			if v := scope.Counter("copied_bytes").Value(); v != tc.copied {
+				t.Errorf("copied_bytes counter = %d, want %d", v, tc.copied)
 			}
 			// The decoded stream must be intact regardless of accounting.
 			out, err := io.ReadAll(mustReader(t, &wire))

@@ -14,6 +14,7 @@ package stream_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -30,7 +31,7 @@ func encodeChunked(t *testing.T, cfg stream.WriterConfig, src []byte, rng *rand.
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeChunked(t, w, &buf, src, rng)
+	writeChunked(t, w, src, randomChunks(rng))
 	return buf.Bytes()
 }
 
@@ -42,7 +43,7 @@ func encodeChunkedParallel(t *testing.T, cfg stream.WriterConfig, workers int, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeChunked(t, w, &buf, src, rng)
+	writeChunked(t, w, src, randomChunks(rng))
 	return buf.Bytes()
 }
 
@@ -51,13 +52,12 @@ type chunkWriter interface {
 	Close() error
 }
 
-func writeChunked(t *testing.T, w chunkWriter, buf *bytes.Buffer, src []byte, rng *rand.Rand) {
+// writeChunked writes src to w in chunks of the sizes size picks, then
+// closes w.
+func writeChunked(t *testing.T, w chunkWriter, src []byte, size func(off int) int) {
 	t.Helper()
 	for off := 0; off < len(src); {
-		n := 1 + rng.Intn(96<<10)
-		if off+n > len(src) {
-			n = len(src) - off
-		}
+		n := min(size(off), len(src)-off)
 		if _, err := w.Write(src[off : off+n]); err != nil {
 			t.Fatal(err)
 		}
@@ -66,6 +66,67 @@ func writeChunked(t *testing.T, w chunkWriter, buf *bytes.Buffer, src []byte, rn
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// randomChunks is a chunking of 1 to 96 KiB writes drawn from rng.
+func randomChunks(rng *rand.Rand) func(off int) int {
+	return func(int) int { return 1 + rng.Intn(96<<10) }
+}
+
+// phased is a chunking that goes small → bulk → small through a source of
+// total bytes: chunks of up to 2 KiB over its first and last thirds, of
+// 64–320 KiB in between. A writer's pending block starts in the arena's
+// smallest class and grows with what arrives, so it grows by every step
+// Write and ReadDirect can take.
+func phased(rng *rand.Rand, total int) func(off int) int {
+	return func(off int) int {
+		if off < total/3 || off >= 2*total/3 {
+			return 1 + rng.Intn(2<<10)
+		}
+		return 64<<10 + rng.Intn(256<<10)
+	}
+}
+
+// chunkReader hands out src in the chunks size picks, one per Read.
+type chunkReader struct {
+	src  []byte
+	off  int
+	size func(off int) int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if r.off == len(r.src) {
+		return 0, io.EOF
+	}
+	n := copy(p, r.src[r.off:min(len(r.src), r.off+r.size(r.off))])
+	r.off += n
+	return n, nil
+}
+
+// encodePhased feeds src in phased chunks to a Writer (a ParallelWriter when
+// workers > 0), by Write or by ReadDirect, and returns the wire bytes.
+func encodePhased(t *testing.T, cfg stream.WriterConfig, workers int, src []byte, rng *rand.Rand, direct bool) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := stream.NewWriter(&buf, cfg)
+	if workers > 0 {
+		w, err = stream.NewParallelWriter(&buf, cfg, workers)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := phased(rng, len(src))
+	if !direct {
+		writeChunked(t, w, src, size)
+		return buf.Bytes()
+	}
+	if _, err := w.ReadFrom(&chunkReader{src: src, size: size}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // encodeInterleaved writes each source through its own Writer, all of them
@@ -143,6 +204,17 @@ func TestWireDeterminismSerialVsParallel(t *testing.T) {
 				reChunked := encodeChunked(t, serialCfg, src, rng)
 				if !bytes.Equal(want, reChunked) {
 					t.Fatal("serial wire bytes depend on application chunk sizes")
+				}
+			}
+
+			// Small chunks, then bulk, then small again, written and read in
+			// directly, inline and on workers: the pending block grows by
+			// every path, and no cut point moves.
+			for _, direct := range []bool{false, true} {
+				for _, workers := range []int{0, 2} {
+					if !bytes.Equal(want, encodePhased(t, serialCfg, workers, src, rng, direct)) {
+						t.Fatalf("small → bulk → small chunks (direct %v, %d workers): wire bytes differ", direct, workers)
+					}
 				}
 			}
 

@@ -208,10 +208,13 @@ func (f *rawFrame) fail(err error) error {
 }
 
 // fit returns an empty arena buffer of capacity at least n: buf itself when
-// it is large enough (buf may be nil), a fresh one replacing it otherwise.
+// it holds n and sits at most one size class above what n needs (buf may be
+// nil), a right-sized one replacing it otherwise. The class of slack keeps
+// traffic that wavers across a class boundary from swapping buffers every
+// frame; a buffer that bulk frames grew trades down once small ones follow.
 func fit(buf *block.Buf, n int) *block.Buf {
 	if buf != nil {
-		if buf.Cap() >= n {
+		if c := buf.Cap(); c >= n && block.Class(c) <= block.Class(n)+1 {
 			buf.B = buf.B[:0]
 			return buf
 		}

@@ -27,8 +27,9 @@ type writerObs struct {
 	// skipped the codec outright (Stats.ProbeSkips).
 	probeSkips *obs.Counter
 	// copiedBytes / passthroughBytes split the application bytes by
-	// user-space copy cost (see Stats.CopiedBytes): staged or
-	// codec-transformed bytes vs stored-raw bytes aliased onto the wire.
+	// user-space copy cost (see Stats.CopiedBytes): staged, moved by block
+	// growth or codec-transformed bytes vs stored-raw bytes aliased onto
+	// the wire.
 	copiedBytes      *obs.Counter
 	passthroughBytes *obs.Counter
 	// Per-ladder-level byte accounting, indexed by level.

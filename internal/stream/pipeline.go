@@ -14,9 +14,13 @@ import "sync"
 // (WriterConfig.Pool); the code is the same, only who stops the workers
 // differs.
 //
-// Buffer lifecycle: submit transfers ownership of the block's arena buffer
-// to the pipeline. For a compressed frame the worker releases it right
-// after encoding into a fresh arena buffer; for a stored-raw frame it
+// Buffer lifecycle: submit (or pass) transfers ownership of the block's
+// arena buffer to the pipeline, and the writer carries on in a fresh one of
+// the class that held the block just cut, grown as its traffic needs (see
+// Writer.grow): a writer of small messages holds a small buffer between
+// them, a bulk writer full-size ones. For a compressed frame the worker
+// releases the block right after encoding into an arena buffer sized to it
+// (maxFrameSize); for a stored-raw frame it
 // travels on as the frame's tail piece. Whoever emits a frame releases the
 // buffers it still holds once emit returns — written, or refused after an
 // earlier write error. stop drains everything in flight, so by the time it

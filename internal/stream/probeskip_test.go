@@ -77,9 +77,10 @@ func TestProbeSkipWireIdenticalToStoredRaw(t *testing.T) {
 	}
 }
 
-// TestProbeSkipLedger: a skipped block's bytes never cross a user-space
-// copy on the direct-ingest path (passthrough, not copied), and the skip is
-// visible in both the Stats and the obs counters. Staged bytes (Write) keep
+// TestProbeSkipLedger: a skipped block's bytes cross no codec copy, so on
+// the direct-ingest path they are passthrough but for the first block's
+// growth (firstBlockGrowth), and the skip is visible in both the Stats and
+// the obs counters. Staged bytes (Write) keep
 // their one staging copy but still avoid the codec copy. The parallel
 // pipeline must account identically to the serial path.
 func TestProbeSkipLedger(t *testing.T) {
@@ -92,9 +93,9 @@ func TestProbeSkipLedger(t *testing.T) {
 		direct           bool
 		copied, passthru int64
 	}{
-		{"serial-direct", 0, true, 0, int64(len(src))},
+		{"serial-direct", 0, true, firstBlockGrowth, int64(len(src)) - firstBlockMoved},
 		{"serial-staged", 0, false, int64(len(src)), 0},
-		{"pipeline-direct", 4, true, 0, int64(len(src))},
+		{"pipeline-direct", 4, true, firstBlockGrowth, int64(len(src)) - firstBlockMoved},
 		{"pipeline-staged", 4, false, int64(len(src)), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"testing"
 
+	"adaptio/internal/block"
 	"adaptio/internal/block/blocktest"
 	"adaptio/internal/corpus"
 	"adaptio/internal/faultio/leakcheck"
@@ -114,15 +115,33 @@ func TestReaderMatrix(t *testing.T) {
 	idFrame := s.frameWithCodec(t, true, 3)
 	codecFrame := s.frameWithCodec(t, false, 9)
 	last := len(s.wireOff) - 1
+	// Full default blocks, stored raw and through a codec, ahead of the
+	// matrix stream's 4 KiB ones.
+	var bulkWire bytes.Buffer
+	bulk := append(incompressible(2*DefaultBlockSize, 5), corpus.Generate(corpus.Moderate, 2*DefaultBlockSize, 5)...)
+	for i, level := range []int{LevelNo, LevelLight} {
+		w := mustWriter(t, &bulkWire, WriterConfig{Static: true, StaticLevel: level})
+		if _, err := w.Write(bulk[i*2*DefaultBlockSize : (i+1)*2*DefaultBlockSize]); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// badFrame >= 0: the run must fail with a *FrameError naming that frame
 	// after delivering exactly the frames before it. closeAfter > 0: the
-	// consumer abandons the stream after that many bytes.
+	// consumer abandons the stream after that many bytes. payload, if set,
+	// is what wire decodes to instead of the matrix stream's, and maxHeld,
+	// if set, bounds the capacity of each buffer the reader holds when the
+	// consumer stops.
 	rows := []struct {
 		name       string
 		wire       []byte
 		badFrame   int
 		closeAfter int
+		payload    []byte
+		maxHeld    int
 	}{
 		{name: "clean", wire: s.wire, badFrame: -1},
 		{name: "empty", wire: nil, badFrame: -1},
@@ -145,6 +164,10 @@ func TestReaderMatrix(t *testing.T) {
 		{name: "truncated-payload", wire: s.wire[:s.wireOff[2]+headerSize+1], badFrame: 2},
 		{name: "truncated-last-3-bytes", wire: s.wire[:len(s.wire)-3], badFrame: last},
 		{name: "early-close", wire: s.wire, badFrame: -1, closeAfter: 1000},
+		// Buffers that bulk frames grew trade down once small frames
+		// follow: ten 4 KiB frames on, neither is above the 16 KiB class.
+		{name: "bulk-then-small", wire: append(bulkWire.Bytes(), s.wire...), badFrame: -1,
+			closeAfter: len(bulk) + 10*4096, payload: append(bulk, s.payload...), maxHeld: 16 << 10},
 	}
 	constructors := []struct {
 		name string
@@ -173,6 +196,10 @@ func TestReaderMatrix(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/%s", row.name, method, c.name), func(t *testing.T) {
 					leakcheck.Check(t)
 					blocktest.Track(t)
+					payload := s.payload
+					if row.payload != nil {
+						payload = row.payload
+					}
 					r, err := c.open(bytes.NewReader(row.wire))
 					if err != nil {
 						t.Fatal(err)
@@ -203,6 +230,11 @@ func TestReaderMatrix(t *testing.T) {
 					}
 					st := r.Stats()
 					got.raw, got.wire, got.block = st.AppBytes, st.WireBytes, st.Blocks
+					for _, b := range []*block.Buf{r.arena, r.spare} {
+						if row.maxHeld > 0 && b != nil && b.Cap() > row.maxHeld {
+							t.Errorf("reader holds a %d-byte buffer, want at most %d", b.Cap(), row.maxHeld)
+						}
+					}
 
 					// The terminal condition is sticky; Close is idempotent
 					// and leaves a reader that only reports why it stopped.
@@ -240,14 +272,14 @@ func TestReaderMatrix(t *testing.T) {
 							t.Errorf("counters blocks=%d wire=%d, want %d/%d", got.block, got.wire, row.badFrame, s.wireOff[row.badFrame])
 						}
 					case row.closeAfter > 0:
-						if !bytes.Equal(got.delivered, s.payload[:row.closeAfter]) {
+						if !bytes.Equal(got.delivered, payload[:row.closeAfter]) {
 							t.Error("bytes delivered before the early Close differ from the source")
 						}
 					default:
 						if got.err != nil {
 							t.Fatalf("clean stream failed: %v", got.err)
 						}
-						want := s.payload
+						want := payload
 						if len(row.wire) == 0 {
 							want = nil
 						}

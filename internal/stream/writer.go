@@ -56,17 +56,19 @@ type Stats struct {
 	// bytes are unchanged by a skip — the codec would have taken the same
 	// stored-raw fallback — only the compression work is saved.
 	ProbeSkips int64
-	// CopiedBytes counts application bytes that crossed a user-space
-	// buffer-to-buffer copy on their way to the wire: bytes staged into
-	// the pending block by Write (ReadDirect fills the block in place and
-	// stages nothing) plus every byte run through a codec transform.
-	// Stored-raw bytes that arrived via ReadDirect ride the vectored
-	// write aliasing the block and are never copied; those land in
-	// PassthroughBytes instead. CopiedBytes/AppBytes is the relay's
-	// bytes-copied-per-byte-relayed ratio (docs/performance.md).
+	// CopiedBytes counts the user-space buffer-to-buffer copies application
+	// bytes took on their way to the wire, a byte once per copy: staging
+	// into the pending block by Write (ReadDirect fills the block in place
+	// and stages nothing), the move of the bytes a pending block holds when
+	// it grows into a larger arena buffer (see Writer.grow), and every
+	// byte run through a codec transform. Stored-raw bytes that ReadDirect
+	// put in place and no copy touched ride the vectored write aliasing the
+	// block; those land in PassthroughBytes instead. CopiedBytes/AppBytes is
+	// the relay's bytes-copied-per-byte-relayed ratio (docs/performance.md).
 	CopiedBytes int64
 	// PassthroughBytes counts application bytes that reached the wire
-	// without any user-space copy (stored-raw frames of unstaged bytes).
+	// without any user-space copy (stored-raw frames of bytes ReadDirect
+	// put in place).
 	PassthroughBytes int64
 }
 
@@ -147,13 +149,15 @@ type Writer struct {
 
 	// blk holds the pending application bytes (blk.B, cut at BlockSize);
 	// frame is the inline mode's frame scratch. Both come from the block
-	// arena and return to it in Close. With a worker pool, blk is handed to
-	// the pipeline whole on every cut block (zero copy) and a fresh arena
-	// buffer takes its place; every frame gets its own arena buffer. A block
-	// the inline mode forks (see fork) travels the same way.
+	// arena, sized to the traffic (see grow), and return to it in
+	// Close. With a worker pool, blk is handed to the pipeline whole on every
+	// cut block (zero copy) and a fresh arena buffer takes its place; every
+	// frame gets its own arena buffer. A block the inline mode forks (see
+	// fork) travels the same way.
 	blk    *block.Buf
 	frame  *block.Buf
-	staged int64     // bytes of blk.B that arrived via Write (copied in)
+	copied int64     // byte copies the pending bytes took so far: Write's staging, grow's moves
+	direct int64     // pending bytes ReadDirect put in place that no copy has touched since
 	pipe   *pipeline // non-nil on NewParallelWriter's workers or on Pool
 
 	// The inline mode's batch: forks[:forked] are the blocks of the current
@@ -267,15 +271,16 @@ func newWriter(dst io.Writer, cfg WriterConfig, workers int) (*Writer, error) {
 		return nil, fmt.Errorf("stream: starting level %d outside ladder of %d levels", w.level, len(cfg.Ladder))
 	}
 
-	// All validation passed: acquire pooled buffers (released in Close).
-	w.blk = block.Get(cfg.BlockSize)
+	// All validation passed: acquire the pending block (released in Close),
+	// the arena's smallest; the inline frame scratch comes with the first
+	// frame (see closeBatch).
+	w.blk = block.Get(0)
 	switch {
 	case workers > 1:
 		w.pipe = newPipeline(w, NewEncodePool(workers), true)
 	case cfg.Pool != nil:
 		w.pipe = newPipeline(w, cfg.Pool, false)
 	default:
-		w.frame = block.Get(maxFrameSize(cfg.BlockSize))
 		w.width = min(runtime.GOMAXPROCS(0), sharedInFlight)
 	}
 	w.windowStart = w.clock.Now()
@@ -287,7 +292,8 @@ type compressJob struct {
 	seq      uint64 // submission order; pool mode only
 	level    int
 	hopeless bool       // the entropy probe's verdict, taken at the cut
-	staged   int64      // raw bytes copied into the block by Write
+	copied   int64      // byte copies the raw bytes took before the cut (Writer.copied)
+	direct   int64      // raw bytes no copy touched (Writer.direct)
 	block    *block.Buf // B holds the raw bytes
 }
 
@@ -297,7 +303,8 @@ type encodedFrame struct {
 	frame   *block.Buf // head piece: header [+ compressed payload]
 	tail    *block.Buf // stored-raw frames only: the block itself, written vectored after frame
 	rawLen  int
-	staged  int64
+	copied  int64
+	direct  int64
 	level   int
 	codecID uint8
 	skipped bool // entropy probe sent the block straight to stored-raw
@@ -319,8 +326,8 @@ func (w *Writer) encode(job compressJob, frameBuf *block.Buf) encodedFrame {
 	head, tail, codecID := encodeFramePieces(frameBuf.B[:0], w.ladder, job.level, job.block.B, job.hopeless)
 	frameBuf.B = head // keep any growth with the pooled buffer
 	f := encodedFrame{
-		seq: job.seq, frame: frameBuf, rawLen: len(job.block.B), staged: job.staged,
-		level: job.level, codecID: codecID, skipped: job.hopeless,
+		seq: job.seq, frame: frameBuf, rawLen: len(job.block.B), copied: job.copied,
+		direct: job.direct, level: job.level, codecID: codecID, skipped: job.hopeless,
 	}
 	if tail != nil {
 		// Stored raw: tail aliases the block, which travels with the frame.
@@ -360,12 +367,14 @@ type forkedFrame struct {
 func (w *Writer) fork(job compressJob) {
 	s := &w.forks[w.forked]
 	w.forked++
+	// The next block takes the class of this one, sized before the goroutine
+	// owns (and may release) it.
+	w.blk = block.Get(len(job.block.B))
 	s.done.Add(1)
 	go func() {
 		s.f = w.encodeOwned(job)
 		s.done.Done()
 	}()
-	w.blk = block.Get(w.cfg.BlockSize)
 }
 
 // join closes a batch: it emits the forked frames in cut order, waiting for
@@ -392,11 +401,19 @@ func (w *Writer) join() {
 // encode each better than one longer gap, and a second core that buys
 // nothing is a neighbour's. A batch the encoder holds up finds the wire
 // ready, and the next one forks again. A single-block call reads no clock.
+// The frame scratch and the block kept for the next bytes are fitted to the
+// block just cut (fit), so they follow the traffic as the pool mode's fresh
+// blocks do.
 func (w *Writer) closeBatch(job compressJob, timed bool) error {
 	var start, encoded time.Time
 	if timed {
 		start = w.clock.Now()
 	}
+	need := headerSize // a stored-raw frame's head piece
+	if w.ladder[job.level].Codec.ID() != compress.IDNone && !job.hopeless {
+		need = maxFrameSize(len(job.block.B))
+	}
+	w.frame = fit(w.frame, need)
 	f := w.encode(job, w.frame)
 	if timed {
 		encoded = w.clock.Now()
@@ -404,7 +421,7 @@ func (w *Writer) closeBatch(job compressJob, timed bool) error {
 	blocks := time.Duration(w.forked + 1)
 	w.join()
 	w.err = w.emit(f)
-	w.blk.B = w.blk.B[:0]
+	w.blk = fit(w.blk, len(job.block.B))
 	if timed {
 		w.wireBound = 2*w.clock.Now().Sub(encoded) > blocks*encoded.Sub(start)
 	}
@@ -433,15 +450,15 @@ func (w *Writer) emit(f encodedFrame) error {
 		return w.wireErr
 	}
 	// The copy ledger: a codec transform copies every raw byte once (on top
-	// of any staging copy by Write); a stored-raw frame rides the vectored
-	// write aliasing the block, so its unstaged bytes reach the wire
-	// copy-free.
+	// of the copies taken before the cut); a stored-raw frame rides the
+	// vectored write aliasing the block, so the bytes no copy touched reach
+	// the wire copy-free.
 	rawBytes := int64(f.rawLen)
-	copied, passthrough := f.staged, int64(0)
+	copied, passthrough := f.copied, int64(0)
 	if f.codecID != compress.IDNone {
 		copied += rawBytes
 	} else {
-		passthrough = rawBytes - f.staged
+		passthrough = f.direct
 	}
 	w.statsMu.Lock()
 	w.accountFrame(wire, rawBytes, copied, passthrough, f.level, f.codecID, f.skipped)
@@ -502,10 +519,13 @@ func (w *Writer) Write(p []byte) (int, error) {
 	total := 0
 	for len(p) > 0 {
 		n := min(len(p), w.cfg.BlockSize-len(w.blk.B))
+		if len(w.blk.B)+n > cap(w.blk.B) {
+			w.grow(len(w.blk.B) + n)
+		}
 		w.blk.B = append(w.blk.B, p[:n]...)
 		p = p[n:]
 		total += n
-		w.staged += int64(n)
+		w.copied += int64(n)
 		w.accept(n)
 		if len(w.blk.B) < w.cfg.BlockSize {
 			break // p is spent
@@ -525,6 +545,24 @@ func (w *Writer) Write(p []byte) (int, error) {
 	}
 	w.maybeDecide()
 	return total, nil
+}
+
+// grow moves the pending block into an arena buffer of capacity at least n,
+// carrying the bytes it holds. The block starts in the arena's smallest class
+// and after every cut in the class that held the block just cut (see
+// flushBlock), so a connection that moves small messages holds a small
+// buffer; growing is how it reaches BlockSize when its traffic does. Write
+// grows to what it brings, ReadDirect, which cannot know, one class at a
+// time. Frames are cut where they always were: only capacity follows the
+// traffic. The move is a user-space copy of the held bytes, which the copy
+// ledger counts, and after it none of them is a passthrough byte.
+func (w *Writer) grow(n int) {
+	b := block.Get(n)
+	b.B = append(b.B, w.blk.B...)
+	w.blk.Release()
+	w.blk = b
+	w.copied += int64(len(b.B))
+	w.direct = 0
 }
 
 // accept counts n application bytes taken into the pending block.
@@ -547,7 +585,9 @@ func (w *Writer) Buffered() int {
 // ReadDirect performs one read from r straight into the writer's pending
 // block, avoiding the staging copy a Read-into-scratch-then-Write loop pays:
 // the bytes land exactly where flushBlock compresses (or, for stored-raw
-// frames, vector-writes) them from. It returns the bytes read and r's error
+// frames, vector-writes) them from. One read fills at most the block's
+// capacity; a block it leaves full below BlockSize grows a class before the
+// next read (see grow). It returns the bytes read and r's error
 // verbatim — including timeouts, which are NOT made sticky, so a relay can
 // use read deadlines on r for flush pacing and keep going. A full block is
 // cut before reading (so there is always space) and immediately after the
@@ -564,9 +604,13 @@ func (w *Writer) ReadDirect(r io.Reader) (int, error) {
 	if len(w.blk.B) == w.cfg.BlockSize && w.flushBlock(false) != nil {
 		return 0, w.err
 	}
-	n, err := r.Read(w.blk.B[len(w.blk.B):w.cfg.BlockSize])
+	if len(w.blk.B) == cap(w.blk.B) {
+		w.grow(len(w.blk.B) + 1) // the next class up
+	}
+	n, err := r.Read(w.blk.B[len(w.blk.B):min(cap(w.blk.B), w.cfg.BlockSize)])
 	if n > 0 {
 		w.blk.B = w.blk.B[:len(w.blk.B)+n]
+		w.direct += int64(n)
 		w.accept(n)
 		if len(w.blk.B) == w.cfg.BlockSize && w.flushBlock(false) != nil {
 			err = w.err
@@ -640,10 +684,10 @@ func (w *Writer) flushBlock(more bool) error {
 	}
 	compresses := w.ladder[w.level].Codec.ID() != compress.IDNone
 	job := compressJob{
-		level: w.level, staged: w.staged, block: w.blk,
+		level: w.level, copied: w.copied, direct: w.direct, block: w.blk,
 		hopeless: compresses && !w.probeOff && probe.Hopeless(w.blk.B),
 	}
-	w.staged = 0
+	w.copied, w.direct = 0, 0
 	if w.pipe == nil {
 		forkable := w.width > 1 && compresses && !job.hopeless
 		if forkable && more && w.forked < w.width-1 && !w.wireBound {
@@ -653,8 +697,9 @@ func (w *Writer) flushBlock(more bool) error {
 		return w.closeBatch(job, forkable && (more || w.forked > 0))
 	}
 	// The pipeline owns the block from here (it releases it once the frame
-	// is encoded or written); carry on in a fresh one.
-	w.blk = block.Get(w.cfg.BlockSize)
+	// is encoded or written); carry on in a fresh one of the class that held
+	// it.
+	w.blk = block.Get(len(job.block.B))
 	if compresses && !job.hopeless {
 		w.err = w.pipe.submit(job)
 	} else {

@@ -4,10 +4,13 @@ import (
 	"context"
 	"io"
 	"net"
+	"runtime"
 	"testing"
+	"time"
 
 	"adaptio/internal/block/blocktest"
 	"adaptio/internal/corpus"
+	"adaptio/internal/obs"
 	"adaptio/internal/stream"
 	"adaptio/internal/tunnel"
 )
@@ -141,4 +144,98 @@ func TestAllocBudgetTunnelRoundTrip(t *testing.T) {
 func BenchmarkRelayNoLevel(b *testing.B) {
 	payload := corpus.Generate(corpus.Moderate, 1<<20, 1)
 	blocktest.BenchAllocs(b, 2*len(payload), echoRoundTrip(b, tunnel.Config{Static: true, StaticLevel: stream.LevelNo}, payload))
+}
+
+// connHeapKB is what an open interactive connection holds: conns
+// connections through an echo tunnel at its defaults, each left open after
+// rounds round trips of a 2 KiB message, against the heap before the first
+// dial. It returns the difference in HeapInuse per connection, in KB, both
+// readings taken after two GCs, the first of which moves the arena's
+// sync.Pool caches to their victim slot and the second drops them, so only
+// what the connections hold is counted: both endpoints' relays, stream
+// writers and readers, and this side's sockets. It returns once both
+// endpoints have torn the connections down, so calls do not overlap.
+func connHeapKB(tb testing.TB, conns, rounds int) float64 {
+	tb.Helper()
+	reg := obs.NewRegistry()
+	addr := echoTunnel(tb, tunnel.Config{Obs: reg.Scope("tunnel")})
+	active := reg.Get("tunnel.conns.active").(*obs.Gauge)
+	msg := corpus.Generate(corpus.Moderate, 2<<10, 17)
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	before := heap()
+	open := make([]net.Conn, 0, conns)
+	defer func() {
+		for _, conn := range open {
+			conn.Close()
+		}
+		for deadline := time.Now().Add(10 * time.Second); active.Value() > 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				tb.Fatalf("%d connections still open 10 s after the clients closed", active.Value())
+			}
+		}
+	}()
+	errs := make(chan error, conns)
+	for range conns {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		open = append(open, conn)
+		go func() {
+			echo := make([]byte, len(msg))
+			for range rounds {
+				if _, err := conn.Write(msg); err != nil {
+					errs <- err
+					return
+				}
+				if _, err := io.ReadFull(conn, echo); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range conns {
+		if err := <-errs; err != nil {
+			tb.Fatal(err)
+		}
+	}
+	after := heap()
+	return (float64(after) - float64(before)) / float64(conns) / 1024
+}
+
+// BenchmarkTunnelConnHeap reports the heap an open interactive connection
+// holds across entry and exit (connHeapKB: 20 connections of 20 round trips
+// each). TestConnHeapBudget holds it to its ceiling.
+func BenchmarkTunnelConnHeap(b *testing.B) {
+	var kb float64
+	for range b.N {
+		kb = connHeapKB(b, 20, 20)
+	}
+	b.ReportMetric(kb, "KB/conn")
+}
+
+// TestConnHeapBudget: an interactive connection holds at most 160 KB of
+// heap across both endpoints. A writer's pending block follows its
+// traffic, so one that moves 2 KiB messages holds the arena's 4 KB class,
+// not a full block's 160 KB; with a full block per compress path the two
+// endpoints held about 390 KB per connection. Heap readings under the race
+// detector's shadow memory say nothing, so it skips there.
+func TestConnHeapBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap readings are meaningless under the race detector")
+	}
+	const budgetKB = 160
+	kb := connHeapKB(t, 20, 20)
+	if kb > budgetKB {
+		t.Fatalf("an interactive connection holds %.0f KB of heap, want at most %d", kb, budgetKB)
+	}
+	t.Logf("%.0f KB of heap per interactive connection", kb)
 }

@@ -129,11 +129,19 @@ func TestRelayCoalescingBoundsPartialFrames(t *testing.T) {
 // TestRelayCopyAccountingMetrics pins the zero-copy relay gate at the metric
 // level: traffic framed stored-raw — because the level is NO, or because the
 // entropy probe judged the blocks hopeless at a compressing level — must
-// relay with bytes_copied_per_byte_relayed = 0 (< 1.0 is the CI gate), while
-// a block the codec runs on reports its copies.
+// relay with no copy but the growth of each compress path's pending block
+// from the arena's smallest class to a full block's (< 1.0 is the CI gate),
+// while a block the codec runs on reports its copies.
 func TestRelayCopyAccountingMetrics(t *testing.T) {
 	leakcheck.Check(t)
 	const blocks = 16
+	// The entry's and the exit's compress paths each move their pending
+	// block up 4 → 16 → 64 → 160 KB once, copying what it holds. The
+	// FlushInterval of the stored-raw cases is long so that, besides each
+	// direction's first read (framed at once, as no frame came before it)
+	// and its tail at EOF, only full blocks are cut: a partial cut midway
+	// would shrink the block and grow it again.
+	const growth = 2 * (4 + 16 + 64) << 10
 	payload := corpus.Generate(corpus.High, blocks*stream.DefaultBlockSize, 41)
 	// What an already-compressed or encrypted payload looks like to the
 	// probe: uniform bytes.
@@ -181,27 +189,28 @@ func TestRelayCopyAccountingMetrics(t *testing.T) {
 		// scope: the counters sum the entry's and the exit's tx (ReadDirect
 		// + stored-raw vectored frames) and rx (identity frames streamed
 		// direct) paths.
-		reg := run(t, tunnel.Config{Static: true, StaticLevel: 0}, payload)
-		if copied := counter(t, reg, "tunnel.relay.bytes_copied"); copied != 0 {
-			t.Errorf("bytes_copied = %d at NO level, want 0", copied)
+		reg := run(t, tunnel.Config{Static: true, StaticLevel: 0, FlushInterval: time.Minute}, payload)
+		if copied := counter(t, reg, "tunnel.relay.bytes_copied"); copied != growth {
+			t.Errorf("bytes_copied = %d at NO level, want the pending blocks' growth %d", copied, growth)
 		}
 		if pt := counter(t, reg, "tunnel.relay.passthrough_bytes"); pt < int64(len(payload)) {
 			t.Errorf("passthrough_bytes = %d, want >= %d", pt, len(payload))
 		}
-		if ratio := ratioOf(t, reg); ratio >= 1.0 || ratio != 0 {
-			t.Errorf("bytes_copied_per_byte_relayed = %v at NO level, want 0", ratio)
+		// Relayed bytes count the payload at each endpoint's tx and rx.
+		want := float64(growth) / float64(4*len(payload))
+		if ratio := ratioOf(t, reg); ratio >= 1.0 || ratio != want {
+			t.Errorf("bytes_copied_per_byte_relayed = %v at NO level, want %v", ratio, want)
 		}
 	})
 	t.Run("light-skips-incompressible", func(t *testing.T) {
 		// The case an operator-set unframed mode used to cover, handled by
-		// what the code observes. FlushInterval is long so that, besides
-		// each direction's first read (framed at once, as no frame came
-		// before it) and its tail at EOF, only full blocks are cut: the
-		// probe leaves a block under its MinLen to the codec, whose
-		// stored-raw fallback counts as a copy.
+		// what the code observes. The long FlushInterval also keeps partial
+		// blocks, which the probe leaves under its MinLen to the codec and
+		// whose stored-raw fallback counts as a copy, to the first and the
+		// last of each direction.
 		reg := run(t, tunnel.Config{Static: true, StaticLevel: 1, FlushInterval: time.Minute}, compressed)
-		if copied := counter(t, reg, "tunnel.relay.bytes_copied"); copied != 0 {
-			t.Errorf("bytes_copied = %d for probe-skipped blocks at LIGHT, want 0", copied)
+		if copied := counter(t, reg, "tunnel.relay.bytes_copied"); copied != growth {
+			t.Errorf("bytes_copied = %d for probe-skipped blocks at LIGHT, want the pending blocks' growth %d", copied, growth)
 		}
 		if pt := counter(t, reg, "tunnel.relay.passthrough_bytes"); pt < int64(len(compressed)) {
 			t.Errorf("passthrough_bytes = %d, want >= %d", pt, len(compressed))

@@ -33,8 +33,9 @@ type compressPath struct {
 	m         *tunnelMetrics
 	pool      *stream.EncodePool // the endpoint's shared encode workers, or nil
 	direction string
-	plain     net.Conn  // raw plain-side conn: reads + deadline management
-	wire      io.Writer // idle-wrapped wire side (frames out)
+	plain     net.Conn    // raw plain-side conn: reads + deadline management
+	src       plainSource // how pump reads plain
+	wire      io.Writer   // idle-wrapped wire side (frames out)
 	wireCW    halfCloser
 }
 
@@ -102,6 +103,7 @@ func (p *compressPath) pump(w *stream.Writer) error {
 	// When the last frame was cut, full or partial. The zero time means none
 	// yet, and is always a whole interval ago: time.Sub saturates.
 	var lastFrame time.Time
+	p.src.conn = p.plain
 	for {
 		var deadline time.Time
 		if idle > 0 {
@@ -115,13 +117,12 @@ func (p *compressPath) pump(w *stream.Writer) error {
 		if err := p.plain.SetReadDeadline(deadline); err != nil {
 			return err
 		}
-		before := w.Buffered()
-		n, err := w.ReadDirect(p.plain)
+		n, cut, err := readArrived(w, &p.src)
 		now := time.Now()
 		if n > 0 {
 			lastActivity = now
-			if w.Buffered() < before+n {
-				lastFrame = now // ReadDirect cut a full block
+			if cut {
+				lastFrame = now
 			}
 			if w.Buffered() > 0 && now.Sub(lastFrame) >= flush {
 				// A quiet interval ends: nothing to coalesce with.
@@ -154,6 +155,49 @@ func (p *compressPath) pump(w *stream.Writer) error {
 			continue
 		}
 		return err
+	}
+}
+
+// plainSource is the plain side as the compress path reads it. The writer's
+// pending block follows the traffic, so a read is offered the room of a
+// block sized to the messages before it; full records that the last read
+// filled that room, so more may have arrived already. With waiting set, a
+// read takes only what has (arrivedReader) and never blocks.
+type plainSource struct {
+	conn    net.Conn
+	arrived arrivedReader
+	full    bool
+	waiting bool
+}
+
+func (s *plainSource) Read(p []byte) (n int, err error) {
+	if s.waiting {
+		n = s.arrived.read(s.conn, p)
+	} else {
+		n, err = s.conn.Read(p)
+	}
+	s.full = n == len(p)
+	return n, err
+}
+
+// readArrived moves into w what the plain side has delivered: one read,
+// which waits under the deadline pump set, then, for as long as a read fills
+// the room the pending block offered short of a full block, reads of what has
+// already arrived, into the block grown a class each time. So a message that
+// arrived at once is taken whole before pump decides whether to flush it, as
+// it was when every read was offered a full block. cut reports that a full
+// block was cut.
+func readArrived(w *stream.Writer, src *plainSource) (n int, cut bool, err error) {
+	src.waiting = false
+	for {
+		before := w.Buffered()
+		var m int
+		m, err = w.ReadDirect(src)
+		n += m
+		if cut = w.Buffered() < before+m; cut || err != nil || m == 0 || !src.full {
+			return n, cut, err
+		}
+		src.waiting = true
 	}
 }
 

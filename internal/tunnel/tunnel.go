@@ -181,8 +181,9 @@ func newTunnelMetrics(scope *obs.Scope) *tunnelMetrics {
 	rxApp := relay.Counter("rx_app_bytes")
 	copied := relay.Counter("bytes_copied")
 	// The copy-accounting gate's observable: user-space copies per byte
-	// relayed. 0 for pure zero-copy traffic (NO-level vectored frames),
-	// ~1 when every byte crosses one codec transform.
+	// relayed. About 0 for zero-copy traffic (NO-level vectored frames,
+	// where only a pending block's growth copies), ~1 when every byte
+	// crosses one codec transform.
 	relay.FloatFunc("bytes_copied_per_byte_relayed", func() float64 {
 		relayed := txApp.Value() + rxApp.Value()
 		if relayed == 0 {
