@@ -8,9 +8,11 @@
 //	       [-static -1|0..3] [-window 2s] [-alpha 0.2] [-v]
 //
 // -static -1 (default) selects the adaptive DYNAMIC scheme; 0..3 pin the
-// paper's NO/LIGHT/MEDIUM/HEAVY levels. -kind SWITCH alternates HIGH and
-// LOW every 256 MB (a scaled-down Figure 6 workload). With -v every decision
-// window is logged: time, application rate, wire rate, level.
+// paper's NO/LIGHT/MEDIUM/HEAVY levels. -kind takes the classes in any case
+// and the paper's file names (ptt5, alice29.txt, image.jpg), as acload -mix
+// does; SWITCH alternates HIGH and LOW every 256 MB (a scaled-down Figure 6
+// workload). With -v every decision window is logged: time, application
+// rate, wire rate, level.
 package main
 
 import (
@@ -33,7 +35,7 @@ func main() {
 	var (
 		addr   = flag.String("addr", "127.0.0.1:9911", "receiver address")
 		gb     = flag.Float64("gb", 1, "data volume in GB (decimal)")
-		kind   = flag.String("kind", "HIGH", "data compressibility: HIGH, MODERATE, LOW or SWITCH")
+		kind   = flag.String("kind", "HIGH", "data compressibility: HIGH, MODERATE, LOW (or a paper file name) or SWITCH")
 		static = flag.Int("static", adaptio.Adaptive, "static level 0..3, or -1 for adaptive")
 		window = flag.Duration("window", 2*time.Second, "decision window t")
 		alpha  = flag.Float64("alpha", adaptio.DefaultAlpha, "tolerance band alpha of the adaptive scheme; refused with -static N")
@@ -106,19 +108,17 @@ func main() {
 
 var start time.Time
 
+// dataSource is the corpus stream -kind names: a class as corpus.ParseKind
+// reads it, or SWITCH.
 func dataSource(kind string) (io.Reader, error) {
-	switch strings.ToUpper(kind) {
-	case "HIGH":
-		return corpus.NewFileReader(corpus.High, 1), nil
-	case "MODERATE":
-		return corpus.NewFileReader(corpus.Moderate, 1), nil
-	case "LOW":
-		return corpus.NewFileReader(corpus.Low, 1), nil
-	case "SWITCH":
+	if strings.EqualFold(strings.TrimSpace(kind), "SWITCH") {
 		return corpus.NewAlternatingReader([]corpus.Kind{corpus.High, corpus.Low}, 256<<20, 1), nil
-	default:
-		return nil, fmt.Errorf("unknown kind %q", kind)
 	}
+	k, err := corpus.ParseKind(kind)
+	if err != nil {
+		return nil, fmt.Errorf("unknown kind %q (want HIGH, MODERATE, LOW or SWITCH)", kind)
+	}
+	return corpus.NewFileReader(k, 1), nil
 }
 
 func fatal(err error) {

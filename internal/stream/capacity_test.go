@@ -5,6 +5,7 @@ import (
 	"io"
 	"testing"
 
+	"adaptio/internal/block"
 	"adaptio/internal/block/blocktest"
 	"adaptio/internal/corpus"
 )
@@ -13,8 +14,9 @@ import (
 // every mode that cuts blocks — inline, inline forking a multi-block Write,
 // a private worker pool and a shared EncodePool: a fresh writer's pending
 // block is small, a full block is followed by a full-size one, and a
-// flushed 1 KiB read leaves at most the arena's 16 KiB class held (the
-// inline frame scratch included), however large the block before it was.
+// flushed 1 KiB read leaves at most the arena's 16 KiB class held, however
+// large the block before it was. Between frames the pending block is the one
+// arena buffer the writer holds: every frame has given its buffers back.
 // Only capacity moves: the stream still decodes to what went in.
 func TestPendingBlockFollowsTraffic(t *testing.T) {
 	blocktest.Track(t)
@@ -37,6 +39,7 @@ func TestPendingBlockFollowsTraffic(t *testing.T) {
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
 			var wire bytes.Buffer
+			gets, releases, _ := block.Stats()
 			w := m.open(&wire, WriterConfig{Static: true, StaticLevel: LevelLight})
 			var sent []byte
 			held := func(when string, atMost int) {
@@ -44,8 +47,8 @@ func TestPendingBlockFollowsTraffic(t *testing.T) {
 				if c := w.blk.Cap(); c > atMost {
 					t.Errorf("%s: pending block capacity %d, want at most %d", when, c, atMost)
 				}
-				if w.frame != nil && w.frame.Cap() > atMost {
-					t.Errorf("%s: frame scratch capacity %d, want at most %d", when, w.frame.Cap(), atMost)
+				if g, r, _ := block.Stats(); (g-gets)-(r-releases) != 1 {
+					t.Errorf("%s: the writer holds %d arena buffers, want only its pending block", when, (g-gets)-(r-releases))
 				}
 			}
 			smallFlush := func(when string) {

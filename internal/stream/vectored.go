@@ -22,9 +22,9 @@ type VectoredWriter interface {
 //
 //   - a VectoredWriter gets both buffers as-is and makes its own
 //     writev-or-fallback choice;
-//   - *net.TCPConn and *net.UnixConn take the net.Buffers path, a writev(2)
-//     on platforms that have it, with the net package's write loop
-//     consuming short writes;
+//   - a *net.TCPConn takes the net.Buffers path, a writev(2) on platforms
+//     that have it, with the net package's write loop consuming short
+//     writes;
 //   - anything else falls back to two writeFull calls, preserving the
 //     short-write-retry semantics that fault-injected transports
 //     (internal/faultio) rely on.
@@ -36,8 +36,6 @@ func WriteVectored(w io.Writer, hdr, payload []byte) error {
 	case VectoredWriter:
 		return c.WriteVectored(hdr, payload)
 	case *net.TCPConn:
-		return writeBuffers(c, hdr, payload)
-	case *net.UnixConn:
 		return writeBuffers(c, hdr, payload)
 	}
 	if err := writeFull(w, hdr); err != nil {

@@ -141,8 +141,8 @@ func TestForkedWriteErrorIsSynchronous(t *testing.T) {
 				if !errors.Is(err, faultio.ErrInjected) {
 					t.Fatalf("Write returned %d, %v; want the wire's error from the call that hit it", n, err)
 				}
-				if g, r, _ := block.Stats(); (g-gets)-(r-releases) != 2 {
-					t.Errorf("%d arena buffers out when Write returned, want the writer's block and frame scratch: a forked encode outlived the call",
+				if g, r, _ := block.Stats(); (g-gets)-(r-releases) != 1 {
+					t.Errorf("%d arena buffers out when Write returned, want only the writer's block: a forked encode outlived the call",
 						(g-gets)-(r-releases))
 				}
 				if !bytes.Equal(got.Bytes(), clean.Bytes()[:before+1]) {

@@ -147,15 +147,13 @@ type Writer struct {
 	clock  vclock.Clock
 	policy core.Policy // never nil: core.Static in static mode
 
-	// blk holds the pending application bytes (blk.B, cut at BlockSize);
-	// frame is the inline mode's frame scratch. Both come from the block
-	// arena, sized to the traffic (see grow), and return to it in
-	// Close. With a worker pool, blk is handed to the pipeline whole on every
-	// cut block (zero copy) and a fresh arena buffer takes its place; every
-	// frame gets its own arena buffer. A block the inline mode forks (see
-	// fork) travels the same way.
+	// blk holds the pending application bytes (blk.B, cut at BlockSize). It
+	// comes from the block arena, sized to the traffic (see grow), and returns
+	// to it in Close. A cut block leaves the writer whole (zero copy) to be
+	// encoded inline, on a forked goroutine or on a worker, and a fresh arena
+	// buffer takes its place (see flushBlock); the frame gets an arena buffer
+	// of its own (encode), and emit gives both back.
 	blk    *block.Buf
-	frame  *block.Buf
 	copied int64     // byte copies the pending bytes took so far: Write's staging, grow's moves
 	direct int64     // pending bytes ReadDirect put in place that no copy has touched since
 	pipe   *pipeline // non-nil on NewParallelWriter's workers or on Pool
@@ -272,8 +270,7 @@ func newWriter(dst io.Writer, cfg WriterConfig, workers int) (*Writer, error) {
 	}
 
 	// All validation passed: acquire the pending block (released in Close),
-	// the arena's smallest; the inline frame scratch comes with the first
-	// frame (see closeBatch).
+	// the arena's smallest.
 	w.blk = block.Get(0)
 	switch {
 	case workers > 1:
@@ -310,39 +307,29 @@ type encodedFrame struct {
 	skipped bool // entropy probe sent the block straight to stored-raw
 }
 
-// release returns to the arena the buffers of a frame the pipeline owns.
-func (f encodedFrame) release() {
-	f.frame.Release()
-	if f.tail != nil {
-		f.tail.Release()
+// encode compresses job's block at the job's level into a frame. It is the
+// single frame encoder: the inline writer runs it on the caller's goroutine,
+// a forked block on a goroutine of its own, the pool on a worker. The frame
+// goes into an arena buffer sized to what the block needs — a bare header
+// when it will be stored raw — and the block goes back to the arena here
+// unless the frame came out stored raw and carries it on as its tail. It
+// only reads immutable writer state, so workers may run it concurrently.
+func (w *Writer) encode(job compressJob) encodedFrame {
+	need := headerSize // a stored-raw frame's head piece
+	if w.ladder[job.level].Codec.ID() != compress.IDNone && !job.hopeless {
+		need = maxFrameSize(len(job.block.B))
 	}
-}
-
-// encode compresses job's block into frameBuf at the job's level. It is the
-// single frame encoder: the inline writer runs it on the caller's goroutine
-// into its own scratch, the pool on a worker into a pooled buffer. It only
-// reads immutable writer state, so workers may run it concurrently.
-func (w *Writer) encode(job compressJob, frameBuf *block.Buf) encodedFrame {
-	head, tail, codecID := encodeFramePieces(frameBuf.B[:0], w.ladder, job.level, job.block.B, job.hopeless)
-	frameBuf.B = head // keep any growth with the pooled buffer
+	frame := block.Get(need)
+	head, tail, codecID := encodeFramePieces(frame.B, w.ladder, job.level, job.block.B, job.hopeless)
+	frame.B = head // keep any growth with the pooled buffer
 	f := encodedFrame{
-		seq: job.seq, frame: frameBuf, rawLen: len(job.block.B), copied: job.copied,
+		seq: job.seq, frame: frame, rawLen: len(job.block.B), copied: job.copied,
 		direct: job.direct, level: job.level, codecID: codecID, skipped: job.hopeless,
 	}
 	if tail != nil {
 		// Stored raw: tail aliases the block, which travels with the frame.
 		f.tail = job.block
-	}
-	return f
-}
-
-// encodeOwned is encode for a block that has left the caller: a pool worker
-// and a forked goroutine run exactly this. The frame goes into an arena
-// buffer of its own, and the block goes back to the arena here unless the
-// frame came out stored raw and carries it on as its tail.
-func (w *Writer) encodeOwned(job compressJob) encodedFrame {
-	f := w.encode(job, block.Get(maxFrameSize(len(job.block.B))))
-	if f.tail == nil {
+	} else {
 		job.block.Release()
 	}
 	return f
@@ -357,36 +344,31 @@ type forkedFrame struct {
 
 // fork is the inline writer's use of a second core: a block cut while the
 // Write call that filled it still holds another whole block is encoded on a
-// goroutine that lives for that call, while the caller carries on staging in
-// a fresh arena buffer. The caller encodes the last block of the batch
-// itself and then joins (see join), so nothing is in flight when Write
-// returns: errors stay synchronous, Flush has nothing to wait for, and the
-// decider, OnWindow and every wire write stay on the caller's goroutine.
+// goroutine that lives for that call, while the caller carries on staging in a
+// fresh arena buffer (see flushBlock). The caller encodes the last block of
+// the batch itself and then joins (see join), so nothing is in flight when
+// Write returns: errors stay synchronous, Flush has nothing to wait for, and
+// the decider, OnWindow and every wire write stay on the caller's goroutine.
 // Unlike a pipeline this never runs ahead of the wire, which on a wire-bound
 // path would add a block's wire time to latency per block in flight.
 func (w *Writer) fork(job compressJob) {
 	s := &w.forks[w.forked]
 	w.forked++
-	// The next block takes the class of this one, sized before the goroutine
-	// owns (and may release) it.
-	w.blk = block.Get(len(job.block.B))
 	s.done.Add(1)
 	go func() {
-		s.f = w.encodeOwned(job)
+		s.f = w.encode(job)
 		s.done.Done()
 	}()
 }
 
 // join closes a batch: it emits the forked frames in cut order, waiting for
-// each, and releases their buffers — written, or refused by emit after an
-// earlier write error, in which case the encodes still running are waited
-// for all the same: no goroutine outlives the call.
+// each — after an earlier write error emit refuses them, and the encodes
+// still running are waited for all the same: no goroutine outlives the call.
 func (w *Writer) join() {
 	for i := range w.forks[:w.forked] {
 		s := &w.forks[i]
 		s.done.Wait()
 		w.emit(s.f) // a failure is sticky: the caller's own emit reports it
-		s.f.release()
 		s.f = encodedFrame{}
 	}
 	w.forked = 0
@@ -401,50 +383,45 @@ func (w *Writer) join() {
 // encode each better than one longer gap, and a second core that buys
 // nothing is a neighbour's. A batch the encoder holds up finds the wire
 // ready, and the next one forks again. A single-block call reads no clock.
-// The frame scratch and the block kept for the next bytes are fitted to the
-// block just cut (fit), so they follow the traffic as the pool mode's fresh
-// blocks do.
 func (w *Writer) closeBatch(job compressJob, timed bool) error {
 	var start, encoded time.Time
 	if timed {
 		start = w.clock.Now()
 	}
-	need := headerSize // a stored-raw frame's head piece
-	if w.ladder[job.level].Codec.ID() != compress.IDNone && !job.hopeless {
-		need = maxFrameSize(len(job.block.B))
-	}
-	w.frame = fit(w.frame, need)
-	f := w.encode(job, w.frame)
+	f := w.encode(job)
 	if timed {
 		encoded = w.clock.Now()
 	}
 	blocks := time.Duration(w.forked + 1)
 	w.join()
-	w.err = w.emit(f)
-	w.blk = fit(w.blk, len(job.block.B))
+	err := w.emit(f)
 	if timed {
 		w.wireBound = 2*w.clock.Now().Sub(encoded) > blocks*encoded.Sub(start)
 	}
-	return w.err
+	return err
 }
 
 // emit puts one encoded frame on the wire — vectored when it carries a
 // stored-raw tail piece, so the block is never copied into the frame buffer
-// — and accounts it. It is the single frame writer: the inline writer calls
-// it on the caller's goroutine (forked frames included), the pool from its
-// flusher, in frame order.
+// — accounts it, and gives the frame's buffers back to the arena. It is the
+// single frame writer: the inline writer calls it on the caller's goroutine
+// (forked frames included), the pool from its flusher, in frame order.
 // The first write error is sticky: the stream has a hole from there on, so
-// every later frame is refused unwritten and unaccounted.
+// every later frame is refused unwritten and unaccounted, and its buffers go
+// back all the same.
 func (w *Writer) emit(f encodedFrame) error {
-	if w.wireErr != nil {
-		return w.wireErr
-	}
 	wire := int64(len(f.frame.B))
-	if f.tail == nil {
+	switch {
+	case w.wireErr != nil:
+	case f.tail == nil:
 		w.wireErr = writeFull(w.dst, f.frame.B)
-	} else {
+	default:
 		wire += int64(len(f.tail.B))
 		w.wireErr = WriteVectored(w.dst, f.frame.B, f.tail.B)
+	}
+	f.frame.Release()
+	if f.tail != nil {
+		f.tail.Release()
 	}
 	if w.wireErr != nil {
 		return w.wireErr
@@ -663,23 +640,23 @@ func (w *Writer) Close() error {
 		w.pipe.stop()
 	}
 	w.blk.Release()
-	if w.frame != nil {
-		w.frame.Release()
-	}
-	w.blk, w.frame = nil, nil
+	w.blk = nil
 	return w.err
 }
 
-// flushBlock cuts the pending bytes into one frame: encoded and emitted on
-// the spot, forked, or handed to the pipeline. more says the running Write
-// holds another whole block to encode beside this one; Flush, Close, a level
-// switch and ReadDirect (whose next block waits on the source, so this one
-// must not wait for it) pass false. The entropy probe runs here, before any
-// codec and on the caller's goroutine, because its verdict also routes the
-// block: a block that will be stored raw (identity level, or hopeless) never
-// visits a worker or a forked goroutine. A failure is recorded in w.err.
+// flushBlock cuts the pending bytes into one frame: encoded and emitted on the
+// spot, forked, or handed to the pipeline; the block leaves with its frame,
+// and the writer carries on in a fresh arena buffer of the class that held it.
+// more says the running Write holds another whole block to encode beside this
+// one; Flush, Close, a level switch and ReadDirect (whose next block waits on
+// the source, so this one must not wait for it) pass false. The entropy probe
+// runs here, before any codec and on the caller's goroutine, because its
+// verdict also routes the block: a block that will be stored raw (identity
+// level, or hopeless) never visits a worker or a forked goroutine. A failure
+// is recorded in w.err.
 func (w *Writer) flushBlock(more bool) error {
-	if len(w.blk.B) == 0 {
+	n := len(w.blk.B)
+	if n == 0 {
 		return nil
 	}
 	compresses := w.ladder[w.level].Codec.ID() != compress.IDNone
@@ -688,23 +665,20 @@ func (w *Writer) flushBlock(more bool) error {
 		hopeless: compresses && !w.probeOff && probe.Hopeless(w.blk.B),
 	}
 	w.copied, w.direct = 0, 0
-	if w.pipe == nil {
-		forkable := w.width > 1 && compresses && !job.hopeless
-		if forkable && more && w.forked < w.width-1 && !w.wireBound {
-			w.fork(job)
-			return nil
-		}
-		return w.closeBatch(job, forkable && (more || w.forked > 0))
-	}
-	// The pipeline owns the block from here (it releases it once the frame
-	// is encoded or written); carry on in a fresh one of the class that held
-	// it.
-	w.blk = block.Get(len(job.block.B))
-	if compresses && !job.hopeless {
+	forkable := w.pipe == nil && w.width > 1 && compresses && !job.hopeless
+	switch {
+	case w.pipe != nil && compresses && !job.hopeless:
 		w.err = w.pipe.submit(job)
-	} else {
-		w.err = w.pipe.pass(w.encode(job, block.Get(headerSize)))
+	case w.pipe != nil:
+		w.err = w.pipe.pass(w.encode(job))
+	case forkable && more && w.forked < w.width-1 && !w.wireBound:
+		w.fork(job)
+	default:
+		w.err = w.closeBatch(job, forkable && (more || w.forked > 0))
 	}
+	// Taken after the hand-off, so the inline path gets back the buffer its
+	// frame just released.
+	w.blk = block.Get(n)
 	return w.err
 }
 

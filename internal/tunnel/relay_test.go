@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"adaptio/internal/core"
 	"adaptio/internal/corpus"
 	"adaptio/internal/faultio/leakcheck"
 	"adaptio/internal/obs"
@@ -70,6 +71,64 @@ func TestRelayCoalescingFlushesPartialBlocks(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// flipPolicy moves to the other of levels 1 and 2 at every window.
+type flipPolicy struct{ second bool }
+
+func (p *flipPolicy) Level() int {
+	if p.second {
+		return 2
+	}
+	return 1
+}
+
+func (p *flipPolicy) Observe(float64) int {
+	p.second = !p.second
+	return p.Level()
+}
+
+// TestRelayCoalescingSurvivesLevelSwitch holds a partial block to its
+// coalescing deadline while the level changes every window. The read that
+// times out on that deadline closes a window, and the level switch cuts the
+// pending block inside it, so the timeout finds nothing buffered. It is still
+// the coalescing deadline and not an error: the relay must carry on.
+func TestRelayCoalescingSurvivesLevelSwitch(t *testing.T) {
+	leakcheck.Check(t)
+	addr, collector := startTunnel(t, tunnel.Config{
+		Policy:        func() core.Policy { return new(flipPolicy) },
+		Window:        20 * time.Millisecond,
+		FlushInterval: 200 * time.Millisecond,
+	})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	msg := corpus.Generate(corpus.Moderate, 4<<10, 31)
+	buf := make([]byte, len(msg))
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	// The first message is framed at once; the second waits for the deadline.
+	for round := 0; round < 3; round++ {
+		if _, err := conn.Write(msg); err != nil {
+			t.Fatalf("round %d: write: %v", round, err)
+		}
+		if _, err := io.ReadFull(conn, buf); err != nil {
+			t.Fatalf("round %d: echo never arrived: %v", round, err)
+		}
+		if !bytes.Equal(buf, msg) {
+			t.Fatalf("round %d: echo mismatch", round)
+		}
+	}
+	conn.Close()
+	for _, s := range waitStats(t, collector, 2) {
+		if s.Err != nil {
+			t.Errorf("%s: %v", s.Direction, s.Err)
+		}
+		if s.Stats.LevelSwitches == 0 {
+			t.Errorf("%s: no level switch: the deadline never met one", s.Direction)
+		}
 	}
 }
 

@@ -124,37 +124,34 @@ func (p *compressPath) pump(w *stream.Writer) error {
 			if cut {
 				lastFrame = now
 			}
-			if w.Buffered() > 0 && now.Sub(lastFrame) >= flush {
-				// A quiet interval ends: nothing to coalesce with.
-				if ferr := w.Flush(); ferr != nil {
-					return ferr
-				}
-				lastFrame = now
-			}
-		}
-		if err == nil {
-			continue
-		}
-		if err == io.EOF {
-			return nil
 		}
 		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
+		timedOut := false
+		switch {
+		case err == nil:
+		case err == io.EOF:
+			return nil
+		case errors.As(err, &ne) && ne.Timeout():
 			if idle > 0 && now.Sub(lastActivity) >= idle {
 				return err
 			}
-			// Coalescing deadline: push the partial block out. With nothing
-			// buffered no such deadline was armed, so the timeout is the
-			// writer's own sticky error — a wire write timed out inside
-			// ReadDirect — and Flush hands it back; carrying on would spin
-			// on that error until the idle deadline.
+			timedOut = true
+		default:
+			return err
+		}
+		// A partial block leaves when the read that brought it ends a quiet
+		// interval (nothing to coalesce with), and on the coalescing deadline.
+		// The deadline may find nothing buffered: a window that closed in the
+		// timed-out read switched level and cut the block. Or the timeout is
+		// the writer's own sticky error — a wire write timed out inside
+		// ReadDirect — which Flush hands back; carrying on would spin on it
+		// until the idle deadline.
+		if timedOut || (w.Buffered() > 0 && now.Sub(lastFrame) >= flush) {
 			if ferr := w.Flush(); ferr != nil {
 				return ferr
 			}
 			lastFrame = now
-			continue
 		}
-		return err
 	}
 }
 
