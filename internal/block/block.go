@@ -107,17 +107,6 @@ func classFor(n int) int {
 	return unpooled
 }
 
-// Class is the rank of the size class Get(n) draws from: 0 for the smallest,
-// one more for each larger class, and one past the largest for a request no
-// class holds. Callers compare ranks to keep a buffer near the size its use
-// needs.
-func Class(n int) int {
-	if c := classFor(n); c != unpooled {
-		return c
-	}
-	return numClasses
-}
-
 // Get returns a Buf with len(B) == 0 and cap(B) >= n. The caller owns the
 // Buf until it calls Release.
 func Get(n int) *Buf {
@@ -175,6 +164,3 @@ func (b *Buf) Release() {
 	b.B = b.B[:0]
 	pools[b.class].Put(b)
 }
-
-// Cap returns the capacity of the backing array.
-func (b *Buf) Cap() int { return cap(b.B) }

@@ -31,10 +31,6 @@ func TestClassFor(t *testing.T) {
 	if c := classFor(classSizes[numClasses-1] + 1); c != unpooled {
 		t.Errorf("classFor(max+1) = %d, want unpooled", c)
 	}
-	// Class ranks an unpooled request above every class.
-	if c := Class(classSizes[numClasses-1] + 1); c != numClasses {
-		t.Errorf("Class(max+1) = %d, want %d", c, numClasses)
-	}
 }
 
 func TestOversizedUnpooled(t *testing.T) {

@@ -131,7 +131,7 @@ func (g *InputGate) pump(l link, ch chan<- inRec) {
 		return
 	}
 	if sr, ok := r.(*stream.Reader); ok {
-		defer sr.Close() // recycle the decompressor's block buffers
+		defer sr.Close() // recycle a block left undelivered
 	}
 	rr := NewRecordReader(r)
 	defer rr.Close() // recycle the record buffer if we bail before EOF

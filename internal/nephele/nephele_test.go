@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"adaptio/internal/block"
 	"adaptio/internal/block/blocktest"
 	"adaptio/internal/corpus"
 	"adaptio/internal/faultio/leakcheck"
@@ -63,6 +64,70 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 	if r.Records() != int64(len(records)) {
 		t.Fatalf("reader counter = %d", r.Records())
+	}
+}
+
+// recordWatch serves wire and, whenever the reader asks for the first
+// length byte of a record (or for a byte past the last one), checks that no
+// arena buffer acquired since snap is still held.
+type recordWatch struct {
+	t      *testing.T
+	wire   []byte
+	starts map[int]bool
+	pos    int
+	snap   block.Snapshot
+	asked  int
+}
+
+func (w *recordWatch) Read(p []byte) (int, error) {
+	if w.starts[w.pos] || w.pos == len(w.wire) {
+		w.asked++
+		if held := block.LeakedSince(w.snap); len(held) > 0 {
+			w.t.Fatalf("asked for the record at offset %d holding %d buffer(s), acquired at:\n%s",
+				w.pos, len(held), held[0])
+		}
+	}
+	if w.pos == len(w.wire) {
+		return 0, io.EOF
+	}
+	n := copy(p, w.wire[w.pos:])
+	w.pos += n
+	return n, nil
+}
+
+// TestRecordReaderHoldsNothingBetweenRecords: a ReadRecord call releases the
+// record before it, so the reader asks for the next length byte holding no
+// arena buffer, however the record sizes step across the arena's classes.
+func TestRecordReaderHoldsNothingBetweenRecords(t *testing.T) {
+	blocktest.Track(t)
+	var buf bytes.Buffer
+	w := nephele.NewRecordWriter(&buf)
+	starts := map[int]bool{}
+	sizes := []int{5, 0, 70000, 100, 200000, 4096, 1}
+	for i, n := range sizes {
+		starts[buf.Len()] = true
+		if err := w.WriteRecord(bytes.Repeat([]byte{byte(i)}, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, stop := block.StartTracking()
+	defer stop()
+	src := &recordWatch{t: t, wire: buf.Bytes(), starts: starts, snap: snap}
+	r := nephele.NewRecordReader(src)
+	for i, n := range sizes {
+		rec, err := r.ReadRecord()
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if !bytes.Equal(rec, bytes.Repeat([]byte{byte(i)}, n)) {
+			t.Fatalf("record %d differs", i)
+		}
+	}
+	if _, err := r.ReadRecord(); err != io.EOF {
+		t.Fatalf("expected EOF, got %v", err)
+	}
+	if src.asked != len(sizes)+1 {
+		t.Errorf("reader asked for %d records, want %d", src.asked, len(sizes)+1)
 	}
 }
 

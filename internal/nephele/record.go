@@ -62,16 +62,15 @@ func (rw *RecordWriter) Counters() (records, bytes int64) { return rw.records, r
 
 // RecordReader decodes records framed by RecordWriter.
 //
-// Buffer lifecycle (see internal/block): the record buffer comes from the
-// block arena and is reused across ReadRecord calls, swapped for a larger
-// class only when a record outgrows it. Any error return — including the
-// io.EOF that ends a healthy stream — recycles the buffer, so a reader
-// drained to EOF leaves nothing behind; a reader abandoned mid-stream
-// should be Closed to return its buffer to the arena.
+// Buffer lifecycle (see internal/block): each record is read into an arena
+// buffer of its size, held only until the next ReadRecord call, which
+// releases it before reading on. A reader waiting for its next record, or
+// drained to an error return (io.EOF included), holds nothing; a reader
+// abandoned after a record should be Closed to return its buffer.
 type RecordReader struct {
 	r       io.Reader
 	br      byteReaderAdapter
-	arena   *block.Buf
+	rec     *block.Buf // the record last returned; nil once released
 	records int64
 }
 
@@ -82,31 +81,24 @@ func NewRecordReader(r io.Reader) *RecordReader {
 	return rr
 }
 
-// ReadRecord returns the next record. The returned slice is reused across
-// calls; callers that retain it must copy. It returns io.EOF at a clean end
-// of stream and io.ErrUnexpectedEOF when the stream ends inside a record.
-// Any error (io.EOF included) invalidates previously returned slices.
+// ReadRecord returns the next record. The returned slice is valid only
+// until the next call; callers that retain it must copy. It returns io.EOF at
+// a clean end of stream and io.ErrUnexpectedEOF when the stream ends inside a
+// record.
 func (rr *RecordReader) ReadRecord() ([]byte, error) {
+	rr.releaseBuf() // the previous record is invalid from this call on
 	// binary.ReadUvarint returns io.EOF only when no byte of the varint
 	// was read (a clean record boundary) and io.ErrUnexpectedEOF when the
 	// stream ends mid-varint.
 	size, err := binary.ReadUvarint(&rr.br)
 	if err != nil {
-		rr.releaseBuf()
 		return nil, err
 	}
 	if size > MaxRecordSize {
-		rr.releaseBuf()
 		return nil, fmt.Errorf("nephele: corrupt stream: record length %d", size)
 	}
-	if rr.arena == nil {
-		rr.arena = block.Get(int(size))
-	} else if rr.arena.Cap() < int(size) {
-		rr.arena.Release()
-		rr.arena = block.Get(int(size))
-	}
-	buf := rr.arena.B[:size]
-	if _, err := io.ReadFull(rr.r, buf); err != nil {
+	rr.rec = block.GetLen(int(size))
+	if _, err := io.ReadFull(rr.r, rr.rec.B); err != nil {
 		rr.releaseBuf()
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -114,10 +106,10 @@ func (rr *RecordReader) ReadRecord() ([]byte, error) {
 		return nil, err
 	}
 	rr.records++
-	return buf, nil
+	return rr.rec.B, nil
 }
 
-// Close returns the reader's pooled buffer to the arena. It is only needed
+// Close returns the last record's buffer to the arena. It is only needed
 // when a reader is abandoned before an error return; it never fails and is
 // safe to call multiple times. Close does not close the underlying source.
 func (rr *RecordReader) Close() error {
@@ -126,9 +118,9 @@ func (rr *RecordReader) Close() error {
 }
 
 func (rr *RecordReader) releaseBuf() {
-	if rr.arena != nil {
-		rr.arena.Release()
-		rr.arena = nil
+	if rr.rec != nil {
+		rr.rec.Release()
+		rr.rec = nil
 	}
 }
 

@@ -99,18 +99,6 @@ func (rl *Writer) refill() {
 	rl.last = now
 }
 
-// SetRate changes the target rate; used to emulate appearing/disappearing
-// background contention mid-stream.
-func (rl *Writer) SetRate(bytesPerSecond float64) error {
-	if err := checkRate(bytesPerSecond); err != nil {
-		return err
-	}
-	rl.mu.Lock()
-	rl.rate = bytesPerSecond
-	rl.mu.Unlock()
-	return nil
-}
-
 func checkRate(bytesPerSecond float64) error {
 	if !(bytesPerSecond > 0) || math.IsInf(bytesPerSecond, 1) {
 		return fmt.Errorf("ratelimit: rate %v bytes/s, want positive and finite", bytesPerSecond)

@@ -24,33 +24,15 @@ func TestValidation(t *testing.T) {
 	if _, err := NewWriter(io.Discard, -5, 0); err == nil {
 		t.Error("negative rate accepted")
 	}
-	w, err := NewWriter(io.Discard, 100, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.SetRate(-1); err == nil {
-		t.Error("negative SetRate accepted")
-	}
 }
 
 // TestNonFiniteRateRefused: a NaN rate passed the old "<= 0" check and an
-// infinite one shapes nothing, so both are refused by the constructor and by
-// SetRate alike.
+// infinite one shapes nothing, so the constructor refuses both.
 func TestNonFiniteRateRefused(t *testing.T) {
-	w, err := NewWriter(io.Discard, 100, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := NewWriter(io.Discard, rate, 0); err == nil {
 			t.Errorf("NewWriter accepted rate %v", rate)
 		}
-		if err := w.SetRate(rate); err == nil {
-			t.Errorf("SetRate accepted rate %v", rate)
-		}
-	}
-	if w.rate != 100 {
-		t.Errorf("a refused SetRate changed the rate to %v", w.rate)
 	}
 }
 
@@ -129,25 +111,6 @@ func TestBurstPassesWithoutSleep(t *testing.T) {
 	}
 	if ft.slept != 0 {
 		t.Fatalf("initial burst slept %v", ft.slept)
-	}
-}
-
-func TestSetRateTakesEffect(t *testing.T) {
-	var buf bytes.Buffer
-	w, ft := newVirtual(t, &buf, 1e6, 1024)
-	if _, err := w.Write(make([]byte, 1<<20)); err != nil {
-		t.Fatal(err)
-	}
-	before := ft.slept
-	if err := w.SetRate(4e6); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Write(make([]byte, 1<<20)); err != nil {
-		t.Fatal(err)
-	}
-	second := ft.slept - before
-	if second > before/2 {
-		t.Fatalf("4x rate did not speed up: first %.2fs, second %.2fs", before.Seconds(), second.Seconds())
 	}
 }
 

@@ -44,7 +44,7 @@ func TestPendingBlockFollowsTraffic(t *testing.T) {
 			var sent []byte
 			held := func(when string, atMost int) {
 				t.Helper()
-				if c := w.blk.Cap(); c > atMost {
+				if c := cap(w.blk.B); c > atMost {
 					t.Errorf("%s: pending block capacity %d, want at most %d", when, c, atMost)
 				}
 				if g, r, _ := block.Stats(); (g-gets)-(r-releases) != 1 {
@@ -69,7 +69,7 @@ func TestPendingBlockFollowsTraffic(t *testing.T) {
 					t.Fatal(err)
 				}
 				sent = append(sent, p...)
-				if c := w.blk.Cap(); c < DefaultBlockSize {
+				if c := cap(w.blk.B); c < DefaultBlockSize {
 					t.Errorf("%s: pending block capacity %d after a full block, want at least %d", when, c, DefaultBlockSize)
 				}
 			}

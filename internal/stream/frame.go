@@ -207,30 +207,12 @@ func (f *rawFrame) fail(err error) error {
 	return &FrameError{Frame: f.frame, Offset: f.offset, Err: err}
 }
 
-// fit returns an empty arena buffer of capacity at least n: buf itself when
-// it holds n and sits at most one size class above what n needs (buf may be
-// nil), a right-sized one replacing it otherwise. The class of slack keeps
-// traffic that wavers across a class boundary from swapping buffers every
-// frame; a buffer that bulk frames grew trades down once small ones follow.
-func fit(buf *block.Buf, n int) *block.Buf {
-	if buf != nil {
-		if c := buf.Cap(); c >= n && block.Class(c) <= block.Class(n)+1 {
-			buf.B = buf.B[:0]
-			return buf
-		}
-		buf.Release()
-	}
-	return block.Get(n)
-}
-
-// next reads one frame, its payload into buf when that is large enough (the
-// reader recycles one buffer this way; nil asks for a fresh one). The
-// caller owns the returned frame's payload buffer. It returns io.EOF at a
-// clean end of stream — no header byte read — and a *FrameError otherwise:
-// wrapping ErrBadFrame if the stream ends inside the frame or the header is
-// damaged, wrapping only the transport's error if that fails before a
-// header byte arrives. buf is released on any error.
-func (s *frameSource) next(buf *block.Buf) (rawFrame, error) {
+// next reads one frame, its payload into an arena buffer the caller then
+// owns. It returns io.EOF at a clean end of stream — no header byte read —
+// and a *FrameError otherwise: wrapping ErrBadFrame if the stream ends
+// inside the frame or the header is damaged, wrapping only the transport's
+// error if that fails before a header byte arrives.
+func (s *frameSource) next() (rawFrame, error) {
 	f := rawFrame{frame: s.frame, offset: s.offset}
 	n, err := io.ReadFull(s.src, s.hdr[:])
 	switch {
@@ -245,37 +227,35 @@ func (s *frameSource) next(buf *block.Buf) (rawFrame, error) {
 			err = f.fail(err)
 			break
 		}
-		buf = fit(buf, f.compLen)
-		buf.B = buf.B[:f.compLen]
-		if _, err = io.ReadFull(s.src, buf.B); err != nil {
+		f.payload = block.GetLen(f.compLen)
+		if _, err = io.ReadFull(s.src, f.payload.B); err != nil {
+			f.payload.Release()
 			err = f.fail(fmt.Errorf("%w: truncated payload: %w", ErrBadFrame, err))
 		}
 	}
 	if err != nil {
-		if buf != nil {
-			buf.Release()
-		}
 		return f, err
 	}
-	f.payload = buf
 	s.frame++
 	s.offset += int64(headerSize + f.compLen)
 	return f, nil
 }
 
 // decode turns the frame into its raw block, CRC-verified before anything is
-// delivered. A stored-raw frame's payload is the block, so its buffer is
-// handed over as blk without a copy and dst comes back as spare; any other
-// frame is decompressed into dst (grown as fit does) and the payload buffer
-// comes back as spare. The caller owns both. On error both are released and
-// the *FrameError names the frame: no byte of a bad frame is ever delivered.
-func (f *rawFrame) decode(dst *block.Buf) (blk, spare *block.Buf, err error) {
-	blk, spare = f.payload, dst
+// delivered, and takes the payload with it. A stored-raw frame's payload is
+// the block, so its buffer is handed over without a copy; any other frame is
+// decompressed into a fresh buffer and the payload released. The caller owns
+// the block. On error nothing is left held and the *FrameError names the
+// frame: no byte of a bad frame is ever delivered.
+func (f *rawFrame) decode() (*block.Buf, error) {
+	blk := f.payload
+	var err error
 	if f.codecID != compress.IDNone || f.rawLen != f.compLen {
 		var codec compress.Codec
 		if codec, err = compress.ByID(f.codecID); err == nil {
-			blk, spare = fit(dst, f.rawLen), f.payload
-			blk.B, err = codec.Decompress(blk.B, spare.B, f.rawLen)
+			blk = block.Get(f.rawLen)
+			blk.B, err = codec.Decompress(blk.B, f.payload.B, f.rawLen)
+			f.payload.Release()
 		}
 	}
 	if err == nil {
@@ -285,10 +265,7 @@ func (f *rawFrame) decode(dst *block.Buf) (blk, spare *block.Buf, err error) {
 	}
 	if err != nil {
 		blk.Release()
-		if spare != nil {
-			spare.Release()
-		}
-		return nil, nil, f.fail(fmt.Errorf("%w: %w", ErrBadFrame, err))
+		return nil, f.fail(fmt.Errorf("%w: %w", ErrBadFrame, err))
 	}
-	return blk, spare, nil
+	return blk, nil
 }

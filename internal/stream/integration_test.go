@@ -4,6 +4,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -311,12 +312,18 @@ func TestRealTCPContentionAppearsMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	limited, err := ratelimit.NewWriter(conn, 200e6, 64<<10)
+	fat, err := ratelimit.NewWriter(conn, 200e6, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
+	thin, err := ratelimit.NewWriter(conn, 8e6, 64<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var limited atomic.Pointer[ratelimit.Writer]
+	limited.Store(fat)
 	var levelLog []int
-	w, err := stream.NewWriter(limited, stream.WriterConfig{
+	w, err := stream.NewWriter(writerFunc(func(p []byte) (int, error) { return limited.Load().Write(p) }), stream.WriterConfig{
 		Window:   50 * time.Millisecond,
 		OnWindow: func(ws stream.WindowStat) { levelLog = append(levelLog, ws.NextLevel) },
 	})
@@ -328,9 +335,7 @@ func TestRealTCPContentionAppearsMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	phase1Blocks := w.Stats().BlocksPerLevel[0]
-	if err := limited.SetRate(8e6); err != nil { // contention appears
-		t.Fatal(err)
-	}
+	limited.Store(thin) // contention appears
 	if _, err := io.CopyN(w, src, 16<<20); err != nil {
 		t.Fatal(err)
 	}

@@ -31,21 +31,21 @@ var errReaderClosed = errors.New("stream: reader closed")
 // delivery), allocation is bounded by MaxBlockSize however hostile the
 // header, and a Reader never panics on any input.
 //
-// Buffer lifecycle (see internal/block and docs/performance.md): blocks and
-// payloads ride arena buffers that are recycled when the stream ends —
-// clean EOF, any sticky error, or Close releases them. A Reader abandoned
-// before end of stream should be Closed; failing to do so is not a memory
-// leak (the GC reclaims the buffers), it just bypasses the arena.
+// Buffer lifecycle (see internal/block and docs/performance.md): a Reader
+// holds an arena buffer only while it holds bytes the caller has not taken.
+// Each frame's payload is read into a buffer of its own and decoded into the
+// block; the block is released once its last byte is delivered, so a Reader
+// waiting for its next frame holds nothing. A Reader abandoned mid-block
+// should be Closed; failing to do so is not a memory leak (the GC reclaims
+// the buffer), it just bypasses the arena.
 //
 // Reader is not safe for concurrent use.
 type Reader struct {
 	frames frameSource
 
-	arena *block.Buf // backing of blk
-	spare *block.Buf // where the next payload is read
-	blk   []byte     // decoded bytes of the current block
-	off   int        // how many of them have been delivered
-	err   error      // sticky error (including io.EOF)
+	blk *block.Buf // the current block; nil once every byte is delivered
+	off int        // how many of its bytes have been delivered
+	err error      // sticky error (including io.EOF)
 
 	stats Stats // see Stats
 }
@@ -72,54 +72,58 @@ func (r *Reader) Read(p []byte) (int, error) {
 	if len(p) == 0 {
 		return 0, r.err // set only once the buffered block is spent
 	}
-	for r.off == len(r.blk) {
+	for r.blk == nil {
 		if r.err != nil {
 			return 0, r.err
 		}
 		r.fill(false)
 	}
-	n := copy(p, r.blk[r.off:])
-	r.off += n
+	n := copy(p, r.blk.B[r.off:])
+	r.taken(n)
 	return n, nil
 }
 
-// Close returns the reader's pooled buffers to the arena and makes further
-// Reads fail.
+// taken records n more bytes of the current block delivered, and releases
+// the block once the caller has taken all of them.
+func (r *Reader) taken(n int) {
+	r.off += n
+	if r.off >= len(r.blk.B) {
+		r.blk.Release()
+		r.blk, r.off = nil, 0
+	}
+}
+
+// Close returns the block still being delivered, if any, to the arena and
+// makes further Reads fail.
 // It never fails and is safe to call multiple times, also after EOF
-// (everything is already recycled by then), but not concurrently with Read.
+// (nothing is held by then), but not concurrently with Read.
 // Close does not close the underlying source.
 func (r *Reader) Close() error {
 	if r.err == nil {
 		r.err = errReaderClosed
 	}
-	if r.arena != nil {
-		r.arena.Release()
+	if r.blk != nil {
+		r.blk.Release()
 	}
-	if r.spare != nil {
-		r.spare.Release()
-	}
-	r.arena, r.spare, r.blk, r.off = nil, nil, nil, 0
+	r.blk, r.off = nil, 0
 	return nil
 }
 
 // fill reads the next frame and decodes it into the current block. It is
-// only called once the previous block has been fully delivered, so its
-// buffer is free to recycle. direct says the caller hands the block on
-// without copying it out (WriteTo), which is all the copy ledger needs to
-// know. Any terminal condition — clean EOF or
-// a *FrameError — becomes the sticky error and releases everything.
+// only called once the previous block has been fully delivered and
+// released. direct says the caller hands the block on without copying it
+// out (WriteTo), which is all the copy ledger needs to know. Any terminal
+// condition — clean EOF or a *FrameError — becomes the sticky error.
 func (r *Reader) fill(direct bool) {
-	f, err := r.frames.next(r.spare)
-	r.spare = nil // with the frame now, or released
+	f, err := r.frames.next()
 	if err == nil {
-		r.arena, r.spare, err = f.decode(r.arena)
+		r.blk, err = f.decode()
 	}
 	if err != nil {
 		r.err = err
-		r.Close()
 		return
 	}
-	r.blk, r.off = r.arena.B, 0
+	r.taken(0) // an empty block is spent already
 	r.stats.AppBytes += int64(f.rawLen)
 	r.stats.WireBytes += int64(headerSize + f.compLen)
 	r.stats.Blocks++
@@ -148,11 +152,11 @@ func (r *Reader) Stats() Stats { return r.stats }
 func (r *Reader) WriteTo(w io.Writer) (int64, error) {
 	var total int64
 	for {
-		for r.off < len(r.blk) {
-			n, err := w.Write(r.blk[r.off:])
+		for r.blk != nil {
+			n, err := w.Write(r.blk.B[r.off:])
 			if n > 0 {
 				total += int64(n)
-				r.off += n
+				r.taken(n)
 			} else if err == nil {
 				err = io.ErrShortWrite
 			}

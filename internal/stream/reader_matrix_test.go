@@ -133,7 +133,7 @@ func TestReaderMatrix(t *testing.T) {
 	// after delivering exactly the frames before it. closeAfter > 0: the
 	// consumer abandons the stream after that many bytes. payload, if set,
 	// is what wire decodes to instead of the matrix stream's, and maxHeld,
-	// if set, bounds the capacity of each buffer the reader holds when the
+	// if set, bounds the capacity of the block the reader holds when the
 	// consumer stops.
 	rows := []struct {
 		name       string
@@ -164,8 +164,9 @@ func TestReaderMatrix(t *testing.T) {
 		{name: "truncated-payload", wire: s.wire[:s.wireOff[2]+headerSize+1], badFrame: 2},
 		{name: "truncated-last-3-bytes", wire: s.wire[:len(s.wire)-3], badFrame: last},
 		{name: "early-close", wire: s.wire, badFrame: -1, closeAfter: 1000},
-		// Buffers that bulk frames grew trade down once small frames
-		// follow: ten 4 KiB frames on, neither is above the 16 KiB class.
+		// The block held mid-stream is the frame's own, whatever came
+		// before: ten 4 KiB frames after bulk ones, it is not above the
+		// 16 KiB class.
 		{name: "bulk-then-small", wire: append(bulkWire.Bytes(), s.wire...), badFrame: -1,
 			closeAfter: len(bulk) + 10*4096, payload: append(bulk, s.payload...), maxHeld: 16 << 10},
 	}
@@ -230,10 +231,8 @@ func TestReaderMatrix(t *testing.T) {
 					}
 					st := r.Stats()
 					got.raw, got.wire, got.block = st.AppBytes, st.WireBytes, st.Blocks
-					for _, b := range []*block.Buf{r.arena, r.spare} {
-						if row.maxHeld > 0 && b != nil && b.Cap() > row.maxHeld {
-							t.Errorf("reader holds a %d-byte buffer, want at most %d", b.Cap(), row.maxHeld)
-						}
+					if row.maxHeld > 0 && r.blk != nil && cap(r.blk.B) > row.maxHeld {
+						t.Errorf("reader holds a %d-byte buffer, want at most %d", cap(r.blk.B), row.maxHeld)
 					}
 
 					// The terminal condition is sticky; Close is idempotent
@@ -309,5 +308,75 @@ func TestReaderMatrix(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// headerWatch serves wire and, whenever the reader asks for a frame header
+// (a Read at a frame's first byte, or at the end of the wire), checks that
+// no arena buffer acquired since snap is still held.
+type headerWatch struct {
+	t      *testing.T
+	wire   []byte
+	starts map[int]bool
+	pos    int
+	snap   block.Snapshot
+	asked  int
+}
+
+func (h *headerWatch) Read(p []byte) (int, error) {
+	if h.starts[h.pos] || h.pos == len(h.wire) {
+		h.asked++
+		if held := block.LeakedSince(h.snap); len(held) > 0 {
+			h.t.Fatalf("asked for the header at wire offset %d holding %d buffer(s), acquired at:\n%s",
+				h.pos, len(held), held[0])
+		}
+	}
+	if h.pos == len(h.wire) {
+		return 0, io.EOF
+	}
+	n := copy(p, h.wire[h.pos:])
+	h.pos += n
+	return n, nil
+}
+
+// TestReaderHoldsNothingBetweenFrames: a Reader holds an arena buffer only
+// while it holds bytes its caller has not taken, so by the time it asks for
+// the next frame header it holds none, whether the caller drains it by Read
+// or by WriteTo and whether the last frame was stored raw or decoded.
+func TestReaderHoldsNothingBetweenFrames(t *testing.T) {
+	s := buildMatrixStream(t)
+	starts := map[int]bool{}
+	for _, off := range s.wireOff {
+		starts[off] = true
+	}
+	drains := map[string]func(*Reader) ([]byte, error){
+		"Read": func(r *Reader) ([]byte, error) { return io.ReadAll(r) },
+		"WriteTo": func(r *Reader) ([]byte, error) {
+			var sink bytes.Buffer
+			_, err := r.WriteTo(&sink)
+			return sink.Bytes(), err
+		},
+	}
+	for name, drain := range drains {
+		t.Run(name, func(t *testing.T) {
+			blocktest.Track(t)
+			snap, stop := block.StartTracking()
+			defer stop()
+			src := &headerWatch{t: t, wire: s.wire, starts: starts, snap: snap}
+			r, err := NewReader(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := drain(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, s.payload) {
+				t.Fatal("delivered bytes differ from the payload")
+			}
+			if src.asked != len(s.wireOff)+1 {
+				t.Errorf("reader asked for %d headers, want %d", src.asked, len(s.wireOff)+1)
+			}
+		})
 	}
 }

@@ -92,6 +92,9 @@ type Config struct {
 	// Logf, if non-nil, receives connection lifecycle messages.
 	Logf func(format string, args ...any)
 
+	// Every count and duration from here to FlushInterval is zero or
+	// positive: ListenEntry and ListenExit refuse a negative one.
+
 	// DialRetries is the number of extra dial attempts after the first
 	// fails (0 = fail fast). Retries back off exponentially from
 	// DialBackoff with ±50% jitter, capped at 5s.
@@ -130,8 +133,7 @@ type Config struct {
 	// none yet (a connection's first message), so low-rate or interactive
 	// traffic is not stalled by full-block framing and at most one partial
 	// frame per interval, besides the first, is cut. Zero means
-	// DefaultFlushInterval; a negative value is rejected by ListenEntry and
-	// ListenExit.
+	// DefaultFlushInterval.
 	FlushInterval time.Duration
 
 	// Obs, if non-nil, is the observability scope the endpoint registers
@@ -365,8 +367,22 @@ func listen(ctx context.Context, listenAddr string, cfg Config, dialAddr string,
 	if cfg.Static && cfg.Policy != nil {
 		return nil, errors.New("tunnel: Static is incompatible with Policy (a pinned level leaves nothing to decide)")
 	}
-	if cfg.FlushInterval < 0 {
-		return nil, fmt.Errorf("tunnel: negative FlushInterval %v", cfg.FlushInterval)
+	for _, f := range []struct {
+		name string
+		v    any
+		neg  bool
+	}{
+		{"FlushInterval", cfg.FlushInterval, cfg.FlushInterval < 0},
+		{"IdleTimeout", cfg.IdleTimeout, cfg.IdleTimeout < 0},
+		{"ShutdownGrace", cfg.ShutdownGrace, cfg.ShutdownGrace < 0},
+		{"DialBackoff", cfg.DialBackoff, cfg.DialBackoff < 0},
+		{"DialRetries", cfg.DialRetries, cfg.DialRetries < 0},
+		{"MaxConns", cfg.MaxConns, cfg.MaxConns < 0},
+		{"AcceptQueue", cfg.AcceptQueue, cfg.AcceptQueue < 0},
+	} {
+		if f.neg {
+			return nil, fmt.Errorf("tunnel: negative %s %v", f.name, f.v)
+		}
 	}
 	// Everything else a compress path could refuse to start on (a level off
 	// the ladder, a negative Window) is refused here, by the writer

@@ -333,24 +333,12 @@ func TestTunnelExitDialFailure(t *testing.T) {
 	}
 }
 
-// TestConfigRejectsNegativeFlushInterval: zero means the default and a
-// positive value is a deadline; there is no third class.
-func TestConfigRejectsNegativeFlushInterval(t *testing.T) {
-	cfg := tunnel.Config{FlushInterval: -time.Millisecond}
-	if e, err := tunnel.ListenEntry(context.Background(), "127.0.0.1:0", "127.0.0.1:1", cfg); err == nil {
-		e.Close()
-		t.Error("ListenEntry accepted a negative FlushInterval")
-	}
-	if e, err := tunnel.ListenExit(context.Background(), "127.0.0.1:0", "127.0.0.1:1", cfg); err == nil {
-		e.Close()
-		t.Error("ListenExit accepted a negative FlushInterval")
-	}
-}
-
 // TestListenRejectsConfigNoRelayCouldRun: a level choice the stream writer
 // would refuse is refused when the endpoint starts, with the writer's own
-// message, not discovered by the first connection; and a pinned level next
-// to a policy is a contradiction, not a precedence rule.
+// message, not discovered by the first connection; a pinned level next to a
+// policy is a contradiction, not a precedence rule; and every count and
+// duration has zero as its default or off, positive values as its setting,
+// and no third class: a negative one is refused, not read as off.
 func TestListenRejectsConfigNoRelayCouldRun(t *testing.T) {
 	for name, tc := range map[string]struct {
 		cfg     tunnel.Config
@@ -361,6 +349,13 @@ func TestListenRejectsConfigNoRelayCouldRun(t *testing.T) {
 		"negative window":             {tunnel.Config{Window: -time.Second}, "negative window"},
 		"static with a policy": {tunnel.Config{Static: true, StaticLevel: 1, Policy: func() core.Policy { return core.Static(2) }},
 			"leaves nothing to decide"},
+		"negative FlushInterval": {tunnel.Config{FlushInterval: -time.Millisecond}, "negative FlushInterval -1ms"},
+		"negative IdleTimeout":   {tunnel.Config{IdleTimeout: -time.Second}, "negative IdleTimeout -1s"},
+		"negative ShutdownGrace": {tunnel.Config{ShutdownGrace: -time.Second}, "negative ShutdownGrace -1s"},
+		"negative DialBackoff":   {tunnel.Config{DialBackoff: -time.Millisecond}, "negative DialBackoff -1ms"},
+		"negative DialRetries":   {tunnel.Config{DialRetries: -1}, "negative DialRetries -1"},
+		"negative MaxConns":      {tunnel.Config{MaxConns: -1}, "negative MaxConns -1"},
+		"negative AcceptQueue":   {tunnel.Config{MaxConns: 4, AcceptQueue: -1}, "negative AcceptQueue -1"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			for _, listen := range []func(context.Context, string, string, tunnel.Config) (*tunnel.Endpoint, error){
