@@ -124,7 +124,9 @@ const (
 // Static(Adaptive) is rejected.
 const Adaptive = core.Adaptive
 
-// NewWriter creates an adaptive compression writer in front of dst.
+// NewWriter creates an adaptive compression writer in front of dst. Close
+// it: a writer that has encoded a multi-block Write on several cores keeps
+// its workers until Close; see stream.NewWriter.
 func NewWriter(dst io.Writer, cfg WriterConfig) (*Writer, error) {
 	return stream.NewWriter(dst, cfg)
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // TestPendingBlockFollowsTraffic pins what a writer holds between frames in
-// every mode that cuts blocks — inline, inline forking a multi-block Write,
-// a private worker pool and a shared EncodePool: a fresh writer's pending
+// every mode that cuts blocks — inline, batching a multi-block Write, a
+// private worker pool and a shared EncodePool: a fresh writer's pending
 // block is small, a full block is followed by a full-size one, and a
 // flushed 1 KiB read leaves at most the arena's 16 KiB class held, however
 // large the block before it was. Between frames the pending block is the one
@@ -29,7 +29,7 @@ func TestPendingBlockFollowsTraffic(t *testing.T) {
 		open func(io.Writer, WriterConfig) *Writer
 	}{
 		{"inline", func(dst io.Writer, cfg WriterConfig) *Writer { return newWriterAt(t, 1, dst, cfg) }},
-		{"fork-join", func(dst io.Writer, cfg WriterConfig) *Writer { return newWriterAt(t, sharedInFlight, dst, cfg) }},
+		{"batched", func(dst io.Writer, cfg WriterConfig) *Writer { return newWriterAt(t, sharedInFlight, dst, cfg) }},
 		{"private-pool", func(dst io.Writer, cfg WriterConfig) *Writer { return mustParallelWriter(t, dst, cfg, 2) }},
 		{"shared-pool", func(dst io.Writer, cfg WriterConfig) *Writer {
 			cfg.Pool = pool
@@ -78,7 +78,7 @@ func TestPendingBlockFollowsTraffic(t *testing.T) {
 			smallFlush("first 1 KiB")
 			full("one block", bulk[:DefaultBlockSize])
 			smallFlush("1 KiB after a full block")
-			// Three blocks in one Write: the fork-join writer forks two.
+			// Three blocks in one Write: the batched writer encodes two on its workers.
 			full("three blocks", bulk)
 			smallFlush("1 KiB after three blocks")
 			if err := w.Close(); err != nil {

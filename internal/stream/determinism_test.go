@@ -2,14 +2,14 @@ package stream_test
 
 // Wire-determinism property: for a pinned compression level, the bytes a
 // Writer puts on the wire are a pure function of the application bytes —
-// independent of who encodes them (the caller inline, goroutines forked for
-// one multi-block Write, a private worker pool, or a pool shared with another
-// writer; these also differ in
-// contiguous-vs-vectored framing and in which goroutine emits) and of how
-// the application chops its Write calls. The parallel reader relies on
-// frames being self-describing, not on this property, but it pins down that
-// the pipeline cannot reorder, duplicate or re-split blocks, and that a
-// shared pool cannot hand one writer's frame to another.
+// independent of who encodes them (the caller inline, the bare writer's own
+// workers for a multi-block Write, a private worker pool, or a pool shared
+// with another writer; these also differ in contiguous-vs-vectored framing
+// and in which goroutine emits) and of how the application chops its Write
+// calls. The parallel reader relies on frames being self-describing, not on
+// this property, but it pins down that the pipeline cannot reorder,
+// duplicate or re-split blocks, and that a shared pool cannot hand one
+// writer's frame to another.
 
 import (
 	"bytes"
@@ -218,8 +218,8 @@ func TestWireDeterminismSerialVsParallel(t *testing.T) {
 				}
 			}
 
-			// One Write of the whole source: above GOMAXPROCS 1 the inline
-			// writer encodes its blocks in forked batches.
+			// One Write of the whole source: above GOMAXPROCS 1 the bare
+			// writer encodes its blocks in batches on workers of its own.
 			if !bytes.Equal(want, encodeWire(t, src, level)) {
 				t.Fatal("serial wire bytes of one multi-block Write differ from the chunked writer's")
 			}

@@ -14,10 +14,11 @@ import (
 	"adaptio/internal/vclock"
 )
 
-// The inline writer forks: a Write that carries several whole blocks encodes
-// up to GOMAXPROCS of them side by side (Writer.fork). These tests hold that
-// to "the same writer, sooner": whatever the batch width, the wire bytes, the
-// counters and the decision windows are those of the GOMAXPROCS 1 writer.
+// The bare writer batches: a Write that carries several whole blocks encodes
+// up to GOMAXPROCS of them side by side on a pipeline of its own
+// (Writer.flushBlock). These tests hold that to "the same writer, sooner":
+// whatever the batch width, the wire bytes, the counters and the decision
+// windows are those of the GOMAXPROCS 1 writer.
 
 // newWriterAt builds a Writer as a process running at the given GOMAXPROCS
 // would: the batch width is read once, in NewWriter.
@@ -79,8 +80,8 @@ func runForkCase(t *testing.T, procs int, src []byte, blockSize, size, level int
 			t.Fatal(err)
 		}
 	}
-	if w.forked != 0 {
-		t.Fatalf("%d forked frames outstanding after Write returned", w.forked)
+	if p := w.pipe; p != nil && p.nextWrite != p.nextSub {
+		t.Fatalf("%d frames in flight after Write returned", p.nextSub-p.nextWrite)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -189,11 +190,11 @@ func (w *tickingWire) Write(p []byte) (int, error) {
 }
 
 // TestLongWriteClosesWindowsBetweenBatches: one Write of 64 blocks on a wire
-// that takes a quarter of the window per frame is sixteen decision windows,
-// not one however long the call runs: a window closes as soon as a batch
-// ends with t elapsed. The first batch is as wide as the writer's batch
-// width; it finds the wire, not the encoder, holding the call up, so the
-// rest are single blocks and a window closes every four frames.
+// that takes a quarter of the window per frame is many decision windows, not
+// one however long the call runs: a window closes as soon as a batch ends
+// with t elapsed. Every batch is as wide as the writer's batch width, so a
+// window holds the four frames of t rounded up to whole batches: sixteen
+// windows at widths 1, 2 and 4, eight at width 8.
 func TestLongWriteClosesWindowsBetweenBatches(t *testing.T) {
 	const blockSize, blocks, perWindow = 4 << 10, 64, 4
 	src := corpus.Generate(corpus.Moderate, blocks*blockSize, 5)
@@ -209,15 +210,11 @@ func TestLongWriteClosesWindowsBetweenBatches(t *testing.T) {
 			if _, err := w.Write(src); err != nil {
 				t.Fatal(err)
 			}
-			first := max(perWindow, procs)
-			if want := 1 + (blocks-first)/perWindow; len(windows) != want {
+			frames := (perWindow + procs - 1) / procs * procs
+			if want := blocks / frames; len(windows) != want {
 				t.Fatalf("%d windows closed inside one %d-block Write, want %d", len(windows), blocks, want)
 			}
 			for i, ws := range windows {
-				frames := perWindow
-				if i == 0 {
-					frames = first
-				}
 				if ws.AppBytes != int64(frames*blockSize) || ws.Elapsed != time.Duration(frames)*time.Second {
 					t.Errorf("window %d: %d app bytes in %v, want %d frames' worth", i, ws.AppBytes, ws.Elapsed, frames)
 				}
@@ -229,50 +226,5 @@ func TestLongWriteClosesWindowsBetweenBatches(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestWireBoundWriterStopsForking: a call that spends its time waiting for
-// the wire gains nothing from a second core, so the writer stops forking
-// until a batch finds the wire ready again. Whether a two-block Write forks
-// is the gate's verdict when the call starts: the first block forks unless
-// the last batch found the wire bound.
-func TestWireBoundWriterStopsForking(t *testing.T) {
-	const blockSize = 4 << 10
-	src := corpus.Generate(corpus.Moderate, 2*blockSize, 5)
-	clk := vclock.NewManual()
-	wire := &tickingWire{clk: clk}
-	w := newWriterAt(t, 2, wire, WriterConfig{
-		Static: true, StaticLevel: LevelLight, Clock: clk, BlockSize: blockSize,
-	})
-	forks := func() int {
-		n := 1
-		if w.wireBound {
-			n = 0
-		}
-		if _, err := w.Write(src); err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	if n := forks(); n != 1 {
-		t.Fatalf("a two-block Write on a ready wire forked %d blocks, want 1", n)
-	}
-	wire.d = time.Second
-	if n := forks(); n != 1 {
-		t.Fatalf("the first Write on the slow wire forked %d blocks, want 1: it is the one that finds it slow", n)
-	}
-	if n := forks(); n != 0 {
-		t.Fatalf("a Write that waits for the wire forked %d blocks", n)
-	}
-	wire.d = 0
-	if n := forks(); n != 0 {
-		t.Fatalf("the Write that finds the wire ready again forked %d blocks, want 0: it only learns it", n)
-	}
-	if n := forks(); n != 1 {
-		t.Fatalf("a two-block Write on a wire found ready forked %d blocks, want 1", n)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

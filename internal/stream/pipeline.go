@@ -2,26 +2,29 @@ package stream
 
 import "sync"
 
-// The block pipeline is the Writer's multi-core mode: cut blocks run through
-// Writer.encode concurrently and through Writer.emit in the order they were
-// cut. Compression dominates the stream layer's CPU cost, so on multicore
-// senders it multiplies throughput without changing the wire format (frames
-// stay strictly ordered and self-contained). It has two halves. The
+// The block pipeline is the Writer's only use of a second core: cut blocks
+// run through Writer.encode concurrently and through Writer.emit in the order
+// they were cut. Compression dominates the stream layer's CPU cost, so on
+// multicore senders it multiplies throughput without changing the wire format
+// (frames stay strictly ordered and self-contained). It has two halves. The
 // EncodePool is the workers; it knows nothing about order or the wire. The
 // pipeline is what one Writer adds to them: sequence numbers, the frames
 // encoded ahead of their turn, and the flusher goroutine that emits them. A
-// pool is private to one Writer (NewParallelWriter) or shared by many
-// (WriterConfig.Pool); the code is the same, only who stops the workers
-// differs.
+// pool is private to one Writer or shared by many (WriterConfig.Pool); the
+// code is the same, only who stops the workers differs. NewParallelWriter and
+// Pool writers run ahead of the wire: Write returns with frames in flight. A
+// NewWriter starts a private pipeline at its first multi-block batch and
+// drains it at the end of every batch (Writer.flushBlock), so its calls
+// still return with every frame on the wire.
 //
 // Buffer lifecycle: the one rule of every Writer mode. A cut block leaves the
-// writer with its frame — here through submit or pass — and the writer
-// carries on in a fresh arena buffer of the block's class (Writer.flushBlock).
-// encode gives the frame an arena buffer sized to it and releases the block,
-// unless the frame is stored raw and carries it on as its tail; emit gives
-// both back, written or refused after an earlier write error. stop drains
-// everything in flight, so by the time it returns no pipeline-owned buffer is
-// outstanding.
+// writer with its frame — inline through emit, here through submit or pass —
+// and the writer carries on in a fresh arena buffer of the block's class
+// (Writer.flushBlock). encode gives the frame an arena buffer sized to it and
+// releases the block, unless the frame is stored raw and carries it on as its
+// tail; emit gives both back, written or refused after an earlier write
+// error. stop drains everything in flight, so by the time it returns no
+// pipeline-owned buffer is outstanding.
 
 // sharedInFlight is how many blocks a Writer on a shared EncodePool may have
 // between the cut and the wire. It is a constant, not a multiple of the
@@ -171,11 +174,12 @@ func (p *pipeline) submit(job compressJob) error {
 	return err
 }
 
-// pass takes a frame the caller encoded itself — a stored-raw frame is a
-// header and a CRC, less work than the two goroutine hand-offs a worker
-// costs — and puts it on the wire in sequence: right here when nothing is in
-// flight, through the flusher's ring otherwise. The pipeline owns the
-// frame's buffers either way.
+// pass takes a frame the caller encoded itself — a stored-raw frame, which
+// is a header and a CRC, less work than the two goroutine hand-offs a worker
+// costs, or the last block of a NewWriter's batch, which the caller encodes
+// while the workers encode the rest — and puts it on the wire in sequence:
+// right here when nothing is in flight, through the flusher's ring otherwise.
+// The pipeline owns the frame's buffers either way.
 func (p *pipeline) pass(f encodedFrame) error {
 	p.mu.Lock()
 	if p.nextSub == p.nextWrite {

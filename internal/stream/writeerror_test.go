@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 	"testing/iotest"
-	"time"
 
 	"adaptio/internal/block"
 	"adaptio/internal/block/blocktest"
@@ -96,9 +95,9 @@ func TestNoWriteAfterFailedFrame(t *testing.T) {
 // TestForkedWriteErrorIsSynchronous: the wire failing on frame j of a k-block
 // Write is that Write's error, at any batch width. Frames before j are on
 // the wire and in the counters, frame j and everything after it are neither,
-// and when the call returns every forked encode has been joined — HEAVY
-// keeps the later ones of a wide batch running well past the failure — and
-// every buffer but the writer's own two is back in the arena.
+// and when the call returns every encode of the batch has been waited for —
+// HEAVY keeps the later ones of a wide batch running well past the failure —
+// and every buffer but the writer's own block is back in the arena.
 func TestForkedWriteErrorIsSynchronous(t *testing.T) {
 	const blockSize, k = 8 << 10, 11
 	src := corpus.Generate(corpus.Moderate, k*blockSize, 9)
@@ -142,7 +141,7 @@ func TestForkedWriteErrorIsSynchronous(t *testing.T) {
 					t.Fatalf("Write returned %d, %v; want the wire's error from the call that hit it", n, err)
 				}
 				if g, r, _ := block.Stats(); (g-gets)-(r-releases) != 1 {
-					t.Errorf("%d arena buffers out when Write returned, want only the writer's block: a forked encode outlived the call",
+					t.Errorf("%d arena buffers out when Write returned, want only the writer's block: an encode outlived the call",
 						(g-gets)-(r-releases))
 				}
 				if !bytes.Equal(got.Bytes(), clean.Bytes()[:before+1]) {
@@ -168,58 +167,79 @@ func TestForkedWriteErrorIsSynchronous(t *testing.T) {
 	}
 }
 
-// idleGoroutines returns the goroutine count once it is down to floor, or
-// after a grace period: a forked encode signals its frame a few instructions
-// before it exits.
-func idleGoroutines(floor int) int {
-	deadline := time.Now().Add(2 * time.Second)
-	n := runtime.NumGoroutine()
-	for n > floor && time.Now().Before(deadline) {
-		time.Sleep(100 * time.Microsecond)
-		n = runtime.NumGoroutine()
-	}
-	return n
-}
-
-// TestInlineModesStartNoGoroutine: the inline writer — including
-// NewParallelWriter asked for one worker — owns no goroutine. At GOMAXPROCS 1 they never start one; above it a multi-block
-// Write forks encodes that it joins before it returns, so none is running
-// while the writer is idle.
+// TestInlineModesStartNoGoroutine: at GOMAXPROCS 1 the bare writer —
+// including NewParallelWriter asked for one worker — owns no goroutine, not
+// in the middle of a multi-block Write and not while it is idle.
 func TestInlineModesStartNoGoroutine(t *testing.T) {
 	src := corpus.Generate(corpus.Moderate, 300<<10, 3)
 	before := runtime.NumGoroutine()
 	var wire bytes.Buffer
-	for _, procs := range []int{1, runtime.GOMAXPROCS(0), sharedInFlight} {
-		for _, open := range []func() (*Writer, error){
-			func() (*Writer, error) { return NewWriter(&wire, WriterConfig{BlockSize: 16 << 10}) },
-			func() (*Writer, error) { return NewParallelWriter(&wire, WriterConfig{BlockSize: 16 << 10}, 1) },
-		} {
-			prev := runtime.GOMAXPROCS(procs)
-			w, err := open()
-			runtime.GOMAXPROCS(prev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if procs == 1 {
-				// Count from inside the call: the destination runs on the
-				// caller's goroutine, between two encodes.
-				w.dst = writerFunc(func(p []byte) (int, error) {
-					if n := runtime.NumGoroutine(); n > before {
-						t.Errorf("inline writer at GOMAXPROCS 1 mid-Write: %d goroutines, %d before", n, before)
-					}
-					return wire.Write(p)
-				})
-			}
-			if _, err := w.Write(src); err != nil {
-				t.Fatal(err)
-			}
-			if n := idleGoroutines(before); n > before {
-				t.Errorf("inline writer idle at GOMAXPROCS %d: %d goroutines, %d before", procs, n, before)
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
+	// Count from inside the call: the destination runs on the caller's
+	// goroutine, between two encodes.
+	dst := writerFunc(func(p []byte) (int, error) {
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("inline writer mid-Write: %d goroutines, %d before", n, before)
 		}
+		return wire.Write(p)
+	})
+	for _, open := range []func() (*Writer, error){
+		func() (*Writer, error) { return NewWriter(dst, WriterConfig{BlockSize: 16 << 10}) },
+		func() (*Writer, error) { return NewParallelWriter(dst, WriterConfig{BlockSize: 16 << 10}, 1) },
+	} {
+		prev := runtime.GOMAXPROCS(1)
+		w, err := open()
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(src); err != nil {
+			t.Fatal(err)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("inline writer idle: %d goroutines, %d before", n, before)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestBatchWorkersLiveUntilClose: above GOMAXPROCS 1 the bare writer
+// starts goroutines only for a Write that carries two whole blocks — a
+// single-block call, a partial block, a Flush or a ReadDirect starts none —
+// and the worker and flusher its first batch starts are gone after Close.
+func TestBatchWorkersLiveUntilClose(t *testing.T) {
+	leakcheck.Check(t)
+	const blockSize = 16 << 10
+	src := corpus.Generate(corpus.Moderate, 2*blockSize, 3)
+	before := runtime.NumGoroutine()
+	var wire bytes.Buffer
+	w := newWriterAt(t, 2, &wire, WriterConfig{Static: true, StaticLevel: LevelLight, BlockSize: blockSize})
+	for range 3 {
+		if _, err := w.Write(src[:blockSize]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(src[:blockSize/2]); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.ReadFrom(bytes.NewReader(src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > before || w.pipe != nil {
+		t.Fatalf("single-block calls: %d goroutines, %d before", n, before)
+	}
+	if _, err := w.Write(src); err != nil {
+		t.Fatal(err)
+	}
+	if w.pipe == nil {
+		t.Fatal("a two-block Write at GOMAXPROCS 2 encoded no block beside the caller")
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -150,24 +150,22 @@ type Writer struct {
 	// blk holds the pending application bytes (blk.B, cut at BlockSize). It
 	// comes from the block arena, sized to the traffic (see grow), and returns
 	// to it in Close. A cut block leaves the writer whole (zero copy) to be
-	// encoded inline, on a forked goroutine or on a worker, and a fresh arena
-	// buffer takes its place (see flushBlock); the frame gets an arena buffer
-	// of its own (encode), and emit gives both back.
+	// encoded inline or on a worker, and a fresh arena buffer takes its place
+	// (see flushBlock); the frame gets an arena buffer of its own (encode),
+	// and emit gives both back.
 	blk    *block.Buf
-	copied int64     // byte copies the pending bytes took so far: Write's staging, grow's moves
-	direct int64     // pending bytes ReadDirect put in place that no copy has touched since
-	pipe   *pipeline // non-nil on NewParallelWriter's workers or on Pool
+	copied int64 // byte copies the pending bytes took so far: Write's staging, grow's moves
+	direct int64 // pending bytes ReadDirect put in place that no copy has touched since
 
-	// The inline mode's batch: forks[:forked] are the blocks of the current
-	// Write call being encoded on goroutines of their own, in cut order;
-	// width is how many blocks a batch may hold, the caller's own included.
-	// forked is zero whenever no call is running. wireBound is the verdict of
-	// the last batch timed (see closeBatch): the wire, not the encoder, is
-	// what the caller waits for, so a second core would buy nothing.
-	forks     [sharedInFlight - 1]forkedFrame
-	forked    int
-	width     int
-	wireBound bool
+	// pipe runs blocks on workers: from the constructor on NewParallelWriter's
+	// own workers or on Pool, and then ahead is set and Write returns with
+	// frames in flight. Otherwise pipe starts at the first batch of a
+	// multi-block Write (see flushBlock), on width-1 workers of the writer's
+	// own; width is how many blocks a batch may hold, the caller's own
+	// included, and 1 keeps the writer inline.
+	pipe  *pipeline
+	ahead bool
+	width int
 
 	level       int
 	windowStart time.Time
@@ -193,7 +191,11 @@ type Writer struct {
 }
 
 // NewWriter creates an adaptive compression writer in front of dst; without
-// cfg.Pool every byte of a Write is on the wire when it returns.
+// cfg.Pool every byte of a Write is on the wire when it returns. Above
+// GOMAXPROCS 1 a Write that carries several whole blocks encodes them in
+// batches of up to min(GOMAXPROCS, 8) side by side: the first such call starts
+// that many workers less one, and a flusher, which the writer keeps until
+// Close. A writer that only ever sees single-block calls starts no goroutine.
 func NewWriter(dst io.Writer, cfg WriterConfig) (*Writer, error) {
 	return newWriter(dst, cfg, 0)
 }
@@ -274,9 +276,9 @@ func newWriter(dst io.Writer, cfg WriterConfig, workers int) (*Writer, error) {
 	w.blk = block.Get(0)
 	switch {
 	case workers > 1:
-		w.pipe = newPipeline(w, NewEncodePool(workers), true)
+		w.pipe, w.ahead = newPipeline(w, NewEncodePool(workers), true), true
 	case cfg.Pool != nil:
-		w.pipe = newPipeline(w, cfg.Pool, false)
+		w.pipe, w.ahead = newPipeline(w, cfg.Pool, false), true
 	default:
 		w.width = min(runtime.GOMAXPROCS(0), sharedInFlight)
 	}
@@ -308,12 +310,12 @@ type encodedFrame struct {
 }
 
 // encode compresses job's block at the job's level into a frame. It is the
-// single frame encoder: the inline writer runs it on the caller's goroutine,
-// a forked block on a goroutine of its own, the pool on a worker. The frame
-// goes into an arena buffer sized to what the block needs — a bare header
-// when it will be stored raw — and the block goes back to the arena here
-// unless the frame came out stored raw and carries it on as its tail. It
-// only reads immutable writer state, so workers may run it concurrently.
+// single frame encoder: the caller runs it inline and for the last block of a
+// batch, the pool on a worker. The frame goes into an arena buffer sized to
+// what the block needs — a bare header when it will be stored raw — and the
+// block goes back to the arena here unless the frame came out stored raw and
+// carries it on as its tail. It only reads immutable writer state, so
+// workers may run it concurrently.
 func (w *Writer) encode(job compressJob) encodedFrame {
 	need := headerSize // a stored-raw frame's head piece
 	if w.ladder[job.level].Codec.ID() != compress.IDNone && !job.hopeless {
@@ -335,80 +337,14 @@ func (w *Writer) encode(job compressJob) encodedFrame {
 	return f
 }
 
-// forkedFrame is one slot of the inline mode's batch: done is released once
-// f holds the encoded frame.
-type forkedFrame struct {
-	done sync.WaitGroup
-	f    encodedFrame
-}
-
-// fork is the inline writer's use of a second core: a block cut while the
-// Write call that filled it still holds another whole block is encoded on a
-// goroutine that lives for that call, while the caller carries on staging in a
-// fresh arena buffer (see flushBlock). The caller encodes the last block of
-// the batch itself and then joins (see join), so nothing is in flight when
-// Write returns: errors stay synchronous, Flush has nothing to wait for, and
-// the decider, OnWindow and every wire write stay on the caller's goroutine.
-// Unlike a pipeline this never runs ahead of the wire, which on a wire-bound
-// path would add a block's wire time to latency per block in flight.
-func (w *Writer) fork(job compressJob) {
-	s := &w.forks[w.forked]
-	w.forked++
-	s.done.Add(1)
-	go func() {
-		s.f = w.encode(job)
-		s.done.Done()
-	}()
-}
-
-// join closes a batch: it emits the forked frames in cut order, waiting for
-// each — after an earlier write error emit refuses them, and the encodes
-// still running are waited for all the same: no goroutine outlives the call.
-func (w *Writer) join() {
-	for i := range w.forks[:w.forked] {
-		s := &w.forks[i]
-		s.done.Wait()
-		w.emit(s.f) // a failure is sticky: the caller's own emit reports it
-		s.f = encodedFrame{}
-	}
-	w.forked = 0
-}
-
-// closeBatch encodes the last block of a batch — or all of it — on the
-// caller's goroutine, beside the forked ones, then puts every frame on the
-// wire in cut order. The batches of a multi-block Write are timed: when the
-// wire kept the caller waiting for more than half of what the batch's encodes
-// took (the caller's own, times the blocks), the call is waiting for the
-// wire and the next batch does not fork — a paced wire takes two gaps of one
-// encode each better than one longer gap, and a second core that buys
-// nothing is a neighbour's. A batch the encoder holds up finds the wire
-// ready, and the next one forks again. A single-block call reads no clock.
-func (w *Writer) closeBatch(job compressJob, timed bool) error {
-	var start, encoded time.Time
-	if timed {
-		start = w.clock.Now()
-	}
-	f := w.encode(job)
-	if timed {
-		encoded = w.clock.Now()
-	}
-	blocks := time.Duration(w.forked + 1)
-	w.join()
-	err := w.emit(f)
-	if timed {
-		w.wireBound = 2*w.clock.Now().Sub(encoded) > blocks*encoded.Sub(start)
-	}
-	return err
-}
-
 // emit puts one encoded frame on the wire — vectored when it carries a
 // stored-raw tail piece, so the block is never copied into the frame buffer
 // — accounts it, and gives the frame's buffers back to the arena. It is the
-// single frame writer: the inline writer calls it on the caller's goroutine
-// (forked frames included), the pool from its flusher, in frame order.
-// The first write error is sticky: the stream has a hole from there on, so
-// every later frame is refused unwritten and unaccounted, and its buffers go
-// back all the same.
+// single frame writer: the inline writer calls it on the caller's goroutine,
+// a pipeline from its flusher or, while nothing is in flight, from pass, in
+// frame order. The first write error is sticky: the stream has a hole from
+// there on, so every later frame is refused unwritten and unaccounted, and
+// its buffers go back all the same.
 func (w *Writer) emit(f encodedFrame) error {
 	wire := int64(len(f.frame.B))
 	switch {
@@ -493,7 +429,7 @@ func (w *Writer) Write(p []byte) (int, error) {
 	if w.closed {
 		return 0, errors.New("stream: write after Close")
 	}
-	total := 0
+	total, batched := 0, 0
 	for len(p) > 0 {
 		n := min(len(p), w.cfg.BlockSize-len(w.blk.B))
 		if len(w.blk.B)+n > cap(w.blk.B) {
@@ -507,16 +443,19 @@ func (w *Writer) Write(p []byte) (int, error) {
 		if len(w.blk.B) < w.cfg.BlockSize {
 			break // p is spent
 		}
-		// more: this call will cut another whole block, so this one may be
-		// encoded beside it.
-		more := len(p) >= w.cfg.BlockSize
+		// rest: this call will cut another whole block; more: the batch
+		// has room for it, so this one may be encoded beside it.
+		rest := len(p) >= w.cfg.BlockSize
+		batched++
+		more := rest && batched < w.width
 		if w.flushBlock(more) != nil {
 			return total, w.err
 		}
-		if more && w.forked == 0 {
-			// Between two batches nothing is pending, and inline nothing
-			// is in flight: a long Write closes its decision windows here,
-			// not in one piece at its return.
+		if rest && !more {
+			// Between two batches nothing is pending, and unless the
+			// writer runs ahead nothing is in flight: a long Write closes
+			// its decision windows here, not in one piece at its return.
+			batched = 0
 			w.maybeDecide()
 		}
 	}
@@ -624,8 +563,9 @@ func (w *Writer) Flush() error {
 }
 
 // Close flushes buffered data and finalizes the current decision window.
-// It returns the writer's pooled buffers to the block arena, so a Writer
-// must not be used after Close. It does not close the underlying writer.
+// It returns the writer's pooled buffers to the block arena and stops the
+// writer's own workers and flusher, so a Writer must not be used after Close.
+// It does not close the underlying writer.
 func (w *Writer) Close() error {
 	if w.closed {
 		return w.err
@@ -645,15 +585,18 @@ func (w *Writer) Close() error {
 }
 
 // flushBlock cuts the pending bytes into one frame: encoded and emitted on the
-// spot, forked, or handed to the pipeline; the block leaves with its frame,
-// and the writer carries on in a fresh arena buffer of the class that held it.
-// more says the running Write holds another whole block to encode beside this
-// one; Flush, Close, a level switch and ReadDirect (whose next block waits on
-// the source, so this one must not wait for it) pass false. The entropy probe
-// runs here, before any codec and on the caller's goroutine, because its
-// verdict also routes the block: a block that will be stored raw (identity
-// level, or hopeless) never visits a worker or a forked goroutine. A failure
-// is recorded in w.err.
+// spot, or handed to the pipeline; the block leaves with its frame, and the
+// writer carries on in a fresh arena buffer of the class that held it. more
+// says the running Write's batch holds another block after this one; Flush,
+// Close, a level switch and ReadDirect (whose next block waits on the source,
+// so this one must not wait for it) pass false. A writer that does not run
+// ahead submits a batch's blocks but its last, encodes that one itself while
+// the workers encode the others, and waits until all of them are on the wire:
+// a batch costs the caller about one encode, not the sum of them, and errors
+// stay synchronous. The entropy probe runs here, before any codec and on the
+// caller's goroutine, because its verdict also routes the block: a block that
+// will be stored raw (identity level, or hopeless) never visits a worker. A
+// failure is recorded in w.err.
 func (w *Writer) flushBlock(more bool) error {
 	n := len(w.blk.B)
 	if n == 0 {
@@ -665,16 +608,22 @@ func (w *Writer) flushBlock(more bool) error {
 		hopeless: compresses && !w.probeOff && probe.Hopeless(w.blk.B),
 	}
 	w.copied, w.direct = 0, 0
-	forkable := w.pipe == nil && w.width > 1 && compresses && !job.hopeless
+	coded := compresses && !job.hopeless
+	if w.pipe == nil && coded && more {
+		w.pipe = newPipeline(w, NewEncodePool(w.width-1), true)
+	}
 	switch {
-	case w.pipe != nil && compresses && !job.hopeless:
+	case w.pipe == nil:
+		w.err = w.emit(w.encode(job))
+	case coded && (more || w.ahead):
 		w.err = w.pipe.submit(job)
-	case w.pipe != nil:
-		w.err = w.pipe.pass(w.encode(job))
-	case forkable && more && w.forked < w.width-1 && !w.wireBound:
-		w.fork(job)
 	default:
-		w.err = w.closeBatch(job, forkable && (more || w.forked > 0))
+		w.err = w.pipe.pass(w.encode(job))
+	}
+	if w.pipe != nil && !w.ahead && (!more || w.err != nil) {
+		if err := w.pipe.drain(); w.err == nil {
+			w.err = err
+		}
 	}
 	// Taken after the hand-off, so the inline path gets back the buffer its
 	// frame just released.
